@@ -16,9 +16,8 @@ use crate::sharded::{ShardStats, ShardedNet, StallBound};
 use crate::time::SimTime;
 use std::net::Ipv4Addr;
 
-/// Typed misuse errors for measurement sockets. The legacy `Network`
-/// methods silently no-op (close) or panic (recv) on a bad handle; the
-/// facade reports what actually went wrong.
+/// Typed misuse errors for measurement sockets: the facade reports
+/// what is wrong with a handle instead of panicking on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SocketError {
     /// The socket was valid once but has been closed.
@@ -38,9 +37,7 @@ impl std::fmt::Display for SocketError {
 
 impl std::error::Error for SocketError {}
 
-/// What a run call actually did — replaces the bare `u64` that
-/// `Network::run_to_idle` used to return (and that callers mostly
-/// discarded, then re-derived from stats).
+/// What a run call actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Events dispatched by this call.
@@ -56,58 +53,105 @@ pub struct RunReport {
 }
 
 mod sealed {
-    pub trait Sealed {}
-    impl Sealed for crate::network::Network {}
-    impl Sealed for crate::sharded::ShardedNet {}
+    /// Seals [`super::NetEngine`] and gives its provided methods the
+    /// engine state both implementations share.
+    pub trait Sealed {
+        fn core(&self) -> &crate::network::Network;
+        fn core_mut(&mut self) -> &mut crate::network::Network;
+    }
+    impl Sealed for crate::network::Network {
+        fn core(&self) -> &crate::network::Network {
+            self
+        }
+        fn core_mut(&mut self) -> &mut crate::network::Network {
+            self
+        }
+    }
 }
+pub(crate) use sealed::Sealed;
 
 /// The network engine contract. Sealed — implemented exactly by
 /// [`Network`] (single-threaded reference) and
 /// [`crate::sharded::ShardedNet`] (parallel, byte-identical to the
-/// reference at any shard count).
+/// reference at any shard count). Both run one engine state through one
+/// send pipeline, so everything they answer identically is provided
+/// here; an implementation supplies only how events are run, how a
+/// batch is evaluated, and where hosts live.
 pub trait NetEngine: sealed::Sealed + Send {
     /// Current simulated time.
-    fn now(&self) -> SimTime;
+    fn now(&self) -> SimTime {
+        self.core().now
+    }
 
-    /// Advance the clock without processing events.
-    fn advance_to(&mut self, t: SimTime);
+    /// Advance the clock without processing events (any still pending
+    /// before `t` are processed first on the next run call). Useful to
+    /// jump between weekly scans.
+    fn advance_to(&mut self, t: SimTime) {
+        let net = self.core_mut();
+        net.now = net.now.max(t);
+    }
 
     /// Transport statistics so far.
-    fn stats(&self) -> NetStats;
+    fn stats(&self) -> NetStats {
+        self.core().stats
+    }
 
     /// Counters of injected faults so far.
-    fn fault_stats(&self) -> FaultStats;
+    fn fault_stats(&self) -> FaultStats {
+        self.core().fault_stats()
+    }
 
     /// Install (or replace) a fault-injection plan.
-    fn set_fault_plan(&mut self, plan: FaultPlan);
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.core_mut().set_fault_plan(plan)
+    }
 
     /// Enable or disable global-registry instrumentation.
-    fn set_instrumentation(&mut self, on: bool);
+    fn set_instrumentation(&mut self, on: bool) {
+        self.core_mut().set_instrumentation(on)
+    }
 
     /// Bind `ip` to `host`, displacing any previous binding of that IP.
-    fn bind_ip(&mut self, ip: Ipv4Addr, host: HostId);
+    fn bind_ip(&mut self, ip: Ipv4Addr, host: HostId) {
+        self.core_mut().bind_ip(ip, host)
+    }
 
     /// Remove the binding of `ip`, if any.
-    fn unbind_ip(&mut self, ip: Ipv4Addr);
+    fn unbind_ip(&mut self, ip: Ipv4Addr) {
+        self.core_mut().unbind_ip(ip)
+    }
 
     /// Host currently bound to `ip`.
-    fn host_at(&self, ip: Ipv4Addr) -> Option<HostId>;
+    fn host_at(&self, ip: Ipv4Addr) -> Option<HostId> {
+        self.core().host_at(ip)
+    }
 
     /// IPs currently bound to `host`.
-    fn ips_of(&self, host: HostId) -> &[Ipv4Addr];
+    fn ips_of(&self, host: HostId) -> &[Ipv4Addr] {
+        &self.core().host_ips[host.0 as usize]
+    }
 
     /// Number of bound IPs.
-    fn binding_count(&self) -> usize;
+    fn binding_count(&self) -> usize {
+        self.core().maps.bindings.len()
+    }
 
     /// Open a measurement socket bound to `(ip, port)`.
-    fn open_socket(&mut self, ip: Ipv4Addr, port: u16) -> SocketHandle;
+    fn open_socket(&mut self, ip: Ipv4Addr, port: u16) -> SocketHandle {
+        self.core_mut().open_socket(ip, port)
+    }
 
     /// Close a measurement socket. Double close is a typed error.
-    fn close_socket(&mut self, sock: SocketHandle) -> Result<(), SocketError>;
+    fn close_socket(&mut self, sock: SocketHandle) -> Result<(), SocketError> {
+        self.core_mut().close_socket(sock)
+    }
 
     /// Send a datagram, either now (`at: None`) or at a given future
-    /// departure time. Replaces the `send_udp` / `send_udp_at` pair.
-    fn send(&mut self, dgram: Datagram, at: Option<SimTime>);
+    /// departure time.
+    fn send(&mut self, dgram: Datagram, at: Option<SimTime>) {
+        let net = self.core_mut();
+        net.send_at(dgram, at.unwrap_or(net.now))
+    }
 
     /// Send a batch of datagrams at the current time. Semantically
     /// identical to calling [`NetEngine::send`] in order; the sharded
@@ -115,17 +159,26 @@ pub trait NetEngine: sealed::Sealed + Send {
     fn send_many(&mut self, dgrams: Vec<Datagram>);
 
     /// Receive the next datagram queued on a socket.
-    fn recv(&mut self, sock: SocketHandle) -> Result<Option<(SimTime, Datagram)>, SocketError>;
+    fn recv(&mut self, sock: SocketHandle) -> Result<Option<(SimTime, Datagram)>, SocketError> {
+        Ok(self.core_mut().socket_mut(sock)?.queue.pop_front())
+    }
 
     /// Drain all queued datagrams on a socket.
-    fn recv_all(&mut self, sock: SocketHandle) -> Result<Vec<(SimTime, Datagram)>, SocketError>;
+    fn recv_all(&mut self, sock: SocketHandle) -> Result<Vec<(SimTime, Datagram)>, SocketError> {
+        Ok(self.core_mut().socket_mut(sock)?.queue.drain(..).collect())
+    }
 
     /// Process all events up to and including time `t`.
     fn run_until(&mut self, t: SimTime) -> RunReport;
 
     /// Process events until the queue is empty or the clock passes
     /// `deadline`.
-    fn run_to_idle(&mut self, deadline: SimTime) -> RunReport;
+    fn run_to_idle(&mut self, deadline: SimTime) -> RunReport {
+        if let Some(t) = &self.core().telemetry {
+            t.run_to_idle_calls.inc();
+        }
+        self.run_until(deadline)
+    }
 
     /// Issue a synchronous TCP request at the current simulated time.
     fn tcp_query(
@@ -147,110 +200,14 @@ pub trait NetEngine: sealed::Sealed + Send {
 }
 
 impl NetEngine for Network {
-    fn now(&self) -> SimTime {
-        Network::now(self)
-    }
-
-    fn advance_to(&mut self, t: SimTime) {
-        Network::advance_to(self, t)
-    }
-
-    fn stats(&self) -> NetStats {
-        Network::stats(self)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        Network::fault_stats(self)
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        Network::set_fault_plan(self, plan)
-    }
-
-    fn set_instrumentation(&mut self, on: bool) {
-        Network::set_instrumentation(self, on)
-    }
-
-    fn bind_ip(&mut self, ip: Ipv4Addr, host: HostId) {
-        Network::bind_ip(self, ip, host)
-    }
-
-    fn unbind_ip(&mut self, ip: Ipv4Addr) {
-        Network::unbind_ip(self, ip)
-    }
-
-    fn host_at(&self, ip: Ipv4Addr) -> Option<HostId> {
-        Network::host_at(self, ip)
-    }
-
-    fn ips_of(&self, host: HostId) -> &[Ipv4Addr] {
-        Network::ips_of(self, host)
-    }
-
-    fn binding_count(&self) -> usize {
-        Network::binding_count(self)
-    }
-
-    fn open_socket(&mut self, ip: Ipv4Addr, port: u16) -> SocketHandle {
-        Network::open_socket(self, ip, port)
-    }
-
-    fn close_socket(&mut self, sock: SocketHandle) -> Result<(), SocketError> {
-        match self.sockets.get(sock.0 as usize) {
-            None => Err(SocketError::Unknown),
-            Some(s) if !s.open => Err(SocketError::Closed),
-            Some(_) => {
-                Network::close_socket(self, sock);
-                Ok(())
-            }
-        }
-    }
-
-    fn send(&mut self, dgram: Datagram, at: Option<SimTime>) {
-        let at = at.unwrap_or(self.now);
-        self.send_from(dgram, at);
-    }
-
     fn send_many(&mut self, dgrams: Vec<Datagram>) {
-        let now = self.now;
         for dgram in dgrams {
-            self.send_from(dgram, now);
-        }
-    }
-
-    fn recv(&mut self, sock: SocketHandle) -> Result<Option<(SimTime, Datagram)>, SocketError> {
-        match self.sockets.get_mut(sock.0 as usize) {
-            None => Err(SocketError::Unknown),
-            Some(s) if !s.open => Err(SocketError::Closed),
-            Some(s) => Ok(s.queue.pop_front()),
-        }
-    }
-
-    fn recv_all(&mut self, sock: SocketHandle) -> Result<Vec<(SimTime, Datagram)>, SocketError> {
-        match self.sockets.get_mut(sock.0 as usize) {
-            None => Err(SocketError::Unknown),
-            Some(s) if !s.open => Err(SocketError::Closed),
-            Some(s) => Ok(s.queue.drain(..).collect()),
+            self.send_udp(dgram);
         }
     }
 
     fn run_until(&mut self, t: SimTime) -> RunReport {
-        let events_before = self.events_dispatched;
-        let delivered_before = self.stats.udp_delivered;
-        Network::run_until(self, t);
-        RunReport {
-            events: self.events_dispatched - events_before,
-            delivered: self.stats.udp_delivered - delivered_before,
-            end: self.now,
-            stalls: 0,
-        }
-    }
-
-    fn run_to_idle(&mut self, deadline: SimTime) -> RunReport {
-        if let Some(t) = &self.telemetry {
-            t.run_to_idle_calls.inc();
-        }
-        NetEngine::run_until(self, deadline)
+        Network::run_until(self, t)
     }
 
     fn tcp_query(
@@ -259,7 +216,10 @@ impl NetEngine for Network {
         port: u16,
         req: &TcpRequest,
     ) -> Result<TcpResponse, TcpError> {
-        Network::tcp_query(self, dst_ip, port, req)
+        let host = self.tcp_admit(dst_ip, port, req)?;
+        self.hosts[host.0 as usize]
+            .on_tcp(self.now, dst_ip, port, req)
+            .ok_or(TcpError::Refused)
     }
 
     fn shards(&self) -> usize {

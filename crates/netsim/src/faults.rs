@@ -15,9 +15,12 @@
 //!   documented exception is the stateful [`RateLimit`] token bucket,
 //!   which *must* see query arrivals to model a rate limiter at all).
 //!
-//! The plan is applied by [`crate::Network`] between the unbound-space
-//! fast path and the i.i.d. loss roll, and surfaced through telemetry
-//! as the `netsim.faults.*` counter family.
+//! The plan is applied by the send pipeline between the unbound-space
+//! fast path and the i.i.d. loss roll — pure stages at evaluation
+//! ([`FaultState::udp_decide`]), the token bucket and every counter at
+//! commit ([`FaultState::udp_bucket_tail`], [`FaultState::commit_udp`])
+//! — and surfaced through telemetry as the `netsim.faults.*` counter
+//! family.
 
 use crate::network::mix64;
 use crate::time::SimTime;
@@ -284,7 +287,7 @@ impl FaultStats {
 }
 
 /// Why the fault layer dropped a datagram. Carried on
-/// [`UdpFault::Drop`] so the flight recorder can tag every drop with
+/// [`UdpDecision::Drop`] so the flight recorder can tag every drop with
 /// the responsible fault kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DropCause {
@@ -308,15 +311,6 @@ impl DropCause {
             DropCause::RateLimit => "rate_limit",
         }
     }
-}
-
-/// What the fault layer decided for one UDP datagram.
-pub(crate) enum UdpFault {
-    /// Deliver, possibly with extra one-way latency.
-    Deliver { extra_ms: u64 },
-    /// Drop for the tagged cause (the responsible counter has already
-    /// been bumped).
-    Drop(DropCause),
 }
 
 /// Outcome of the *pure* fault stages (explicit events, outage and flap
@@ -572,7 +566,8 @@ impl FaultState {
     /// Finish a [`UdpDecision::NeedsBucket`] packet: run the token
     /// bucket, then the remaining pure stages, committing counters.
     /// Must run in global send order on the state that owns the
-    /// buckets.
+    /// buckets. Returns the extra latency to deliver with, or the cause
+    /// the packet was dropped for.
     pub(crate) fn udp_bucket_tail(
         &mut self,
         at: SimTime,
@@ -580,7 +575,7 @@ impl FaultState {
         dst: Ipv4Addr,
         flow_key: u64,
         extra_ms: u64,
-    ) -> UdpFault {
+    ) -> Result<u64, DropCause> {
         let ms = at.millis();
         let rl = self
             .plan
@@ -594,14 +589,14 @@ impl FaultState {
         bucket.1 = ms;
         if bucket.0 < 1.0 {
             self.stats.rate_limit_drops += 1;
-            return UdpFault::Drop(DropCause::RateLimit);
+            return Err(DropCause::RateLimit);
         }
         bucket.0 -= 1.0;
         let d = self.burst_and_spikes(at, src, dst, flow_key, extra_ms);
         self.commit_udp(&d);
         match d {
-            UdpDecision::Drop(cause) => UdpFault::Drop(cause),
-            UdpDecision::Deliver { extra_ms } => UdpFault::Deliver { extra_ms },
+            UdpDecision::Drop(cause) => Err(cause),
+            UdpDecision::Deliver { extra_ms } => Ok(extra_ms),
             UdpDecision::NeedsBucket { .. } => unreachable!("bucket already ran"),
         }
     }
@@ -613,32 +608,6 @@ impl FaultState {
             UdpDecision::Drop(cause) => self.stats.bump(cause),
             UdpDecision::Deliver { extra_ms } if extra_ms > 0 => self.stats.latency_spiked += 1,
             _ => {}
-        }
-    }
-
-    /// Decide the fate of one UDP datagram. `flow_key` is the same
-    /// deterministic flow identity the base loss roll uses.
-    pub(crate) fn udp_fault(
-        &mut self,
-        at: SimTime,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        flow_key: u64,
-    ) -> UdpFault {
-        let d = self.udp_decide(at, src, dst, dst_port, flow_key);
-        match d {
-            UdpDecision::NeedsBucket { extra_ms } => {
-                self.udp_bucket_tail(at, src, dst, flow_key, extra_ms)
-            }
-            UdpDecision::Drop(cause) => {
-                self.commit_udp(&d);
-                UdpFault::Drop(cause)
-            }
-            UdpDecision::Deliver { extra_ms } => {
-                self.commit_udp(&d);
-                UdpFault::Deliver { extra_ms }
-            }
         }
     }
 
@@ -717,6 +686,28 @@ mod tests {
         )
     }
 
+    /// Drive the fault entry points the way the send pipeline does:
+    /// the pure decision, then the bucket tail or the counter commit.
+    /// True when the datagram was dropped.
+    fn dropped(
+        fs: &mut FaultState,
+        at: SimTime,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        port: u16,
+        key: u64,
+    ) -> bool {
+        match fs.udp_decide(at, src, dst, port, key) {
+            UdpDecision::NeedsBucket { extra_ms } => {
+                fs.udp_bucket_tail(at, src, dst, key, extra_ms).is_err()
+            }
+            d => {
+                fs.commit_udp(&d);
+                matches!(d, UdpDecision::Drop(_))
+            }
+        }
+    }
+
     #[test]
     fn noop_plan_is_noop() {
         assert!(FaultPlan::none().is_noop());
@@ -764,30 +755,22 @@ mod tests {
         let mut fs = FaultState::new(plan, FaultStats::default());
         let dst: Ipv4Addr = "9.9.9.9".parse().unwrap();
         let src: Ipv4Addr = "100.0.0.1".parse().unwrap();
-        let mut passed = 0;
-        for i in 0..30 {
-            // 30 queries in one instant: the burst allowance passes 10.
-            match fs.udp_fault(SimTime(0), src, dst, 53, i) {
-                UdpFault::Deliver { .. } => passed += 1,
-                UdpFault::Drop(_) => {}
-            }
-        }
+        // 30 queries in one instant: the burst allowance passes 10.
+        let passed = (0..30)
+            .filter(|&i| !dropped(&mut fs, SimTime(0), src, dst, 53, i))
+            .count();
         assert_eq!(passed, 10);
         assert_eq!(fs.stats.rate_limit_drops, 20);
         // After 2 seconds, ~10 tokens have refilled.
-        let mut later = 0;
-        for i in 0..30 {
-            match fs.udp_fault(SimTime(2000), src, dst, 53, 100 + i) {
-                UdpFault::Deliver { .. } => later += 1,
-                UdpFault::Drop(_) => {}
-            }
-        }
+        let later = (0..30)
+            .filter(|&i| !dropped(&mut fs, SimTime(2000), src, dst, 53, 100 + i))
+            .count();
         assert_eq!(later, 10);
         // Replies (not port 53) are never rate limited.
-        match fs.udp_fault(SimTime(2000), dst, src, 40_000, 999) {
-            UdpFault::Deliver { .. } => {}
-            UdpFault::Drop(_) => panic!("reply must not be rate limited"),
-        }
+        assert!(
+            !dropped(&mut fs, SimTime(2000), dst, src, 40_000, 999),
+            "reply must not be rate limited"
+        );
     }
 
     #[test]
@@ -805,9 +788,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let mut fs = FaultState::new(plan, FaultStats::default());
-        let is_drop = |fs: &mut FaultState, at, s, d| {
-            matches!(fs.udp_fault(at, s, d, 53, 1), UdpFault::Drop(_))
-        };
+        let is_drop = |fs: &mut FaultState, at, s, d| dropped(fs, at, s, d, 53, 1);
         assert!(!is_drop(&mut fs, SimTime::from_secs(5), src, ip));
         assert!(is_drop(&mut fs, SimTime::from_secs(15), src, ip));
         // Both directions are dead while down.

@@ -1,12 +1,36 @@
-//! The event-driven network core.
+//! The event-driven network core and the one send pipeline.
+//!
+//! Every datagram — a driver send, a host reply, at any shard count —
+//! takes the same two steps:
+//!
+//! 1. **evaluate** ([`Evaluator::eval`], pure): observers → filters → dark
+//!    space → pure fault stages → loss roll → path latency, producing an
+//!    [`Emission`]. It reads only the packet and frozen views of the
+//!    network (config, filters, route maps, observers, fault caches), so
+//!    it may run on any thread.
+//! 2. **commit** ([`Network::commit`], ordered): stats, fault counters,
+//!    flight-recorder records, the rate-limit token bucket and heap
+//!    scheduling, applied in global send order.
+//!
+//! [`Network`] is the inline case: it evaluates and commits one datagram
+//! at a time inside a sequential event loop (pop → route → host → send),
+//! and is the reference the equivalence suites compare against.
+//! [`crate::sharded::ShardedNet`] holds a `Network`, evaluates on worker
+//! threads and commits on the coordinator through the same two
+//! functions. Delivery routing ([`Network::route`]) and TCP admission
+//! ([`Network::tcp_admit`]) are likewise written once and shared.
 
-use crate::faults::{FaultPlan, FaultState, FaultStats, UdpFault};
-use crate::host::{Host, HostCtx, TcpError, TcpRequest, TcpResponse};
+use crate::engine::{RunReport, SocketError};
+use crate::faults::{DropCause, FaultPlan, FaultState, FaultStats, UdpDecision};
+use crate::host::{Host, HostCtx, TcpError, TcpRequest};
 use crate::packet::Datagram;
+use crate::sharded::CommitProf;
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Identifier of a simulated host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -106,6 +130,7 @@ pub struct NetStats {
     pub tcp_queries: u64,
 }
 
+#[derive(Clone)]
 pub(crate) struct Filter {
     pub(crate) lo: u32,
     pub(crate) hi: u32,
@@ -115,6 +140,16 @@ pub(crate) struct Filter {
     /// endpoint falls in this range — e.g. a network that blocks one
     /// scanning /8 but is otherwise reachable (Sec. 2.3, explanation i).
     pub(crate) peer: Option<(u32, u32)>,
+}
+
+/// The route state sends and deliveries are resolved against: IP and
+/// socket bindings. Held behind an `Arc` so shard workers can evaluate
+/// against a snapshot; mutated between windows via `Arc::make_mut`
+/// (workers have dropped their clones by then, so mutation is in place).
+#[derive(Clone, Default)]
+pub(crate) struct RouteMaps {
+    pub(crate) bindings: HashMap<Ipv4Addr, HostId>,
+    pub(crate) socket_bindings: HashMap<(Ipv4Addr, u16), u32>,
 }
 
 pub(crate) struct SocketState {
@@ -155,12 +190,8 @@ pub(crate) struct NetTelemetry {
 }
 
 impl NetTelemetry {
-    pub(crate) fn new(
-        baseline: NetStats,
-        dispatched: u64,
-        queue_max: u64,
-        faults: FaultStats,
-    ) -> NetTelemetry {
+    /// Handles seeded with `net`'s totals so far.
+    fn new(net: &Network) -> NetTelemetry {
         let reg = telemetry::global();
         NetTelemetry {
             udp_sent: reg.counter("netsim.udp_sent"),
@@ -178,10 +209,10 @@ impl NetTelemetry {
             fault_flap_drops: reg.counter("netsim.faults.flap_drops"),
             fault_rate_limit_drops: reg.counter("netsim.faults.rate_limit_drops"),
             fault_latency_spiked: reg.counter("netsim.faults.latency_spiked"),
-            synced: baseline,
-            synced_dispatched: dispatched,
-            synced_queue_max: queue_max,
-            synced_faults: faults,
+            synced: net.stats,
+            synced_dispatched: net.events_dispatched,
+            synced_queue_max: net.queue_depth_max,
+            synced_faults: net.fault_stats(),
         }
     }
 
@@ -265,58 +296,224 @@ impl Ord for Event {
     }
 }
 
-/// The simulated network.
-///
-/// Fields are crate-visible so [`crate::sharded::ShardedNet`] can take
-/// the whole state over via [`crate::sharded::ShardedNet::from_network`]
-/// without a parallel constructor path.
-pub struct Network {
+/// What the pure pipeline decided for one send.
+pub(crate) enum Outcome {
+    /// Dropped by an active filter at send time.
+    Filtered,
+    /// Addressed to dark space.
+    Unbound,
+    /// Dropped by a pure fault stage (counter not yet bumped).
+    FaultDrop(DropCause),
+    /// Passed every fault stage with `extra_ms` of spike latency and
+    /// met the loss roll: `landing` is `None` when the roll ate it —
+    /// the spike is counted at commit either way.
+    Flew {
+        extra_ms: u64,
+        landing: Option<(SimTime, Datagram)>,
+    },
+    /// A DNS query gated by the stateful rate-limit bucket: the bucket
+    /// (and the stages ordered after it) run at commit, in global send
+    /// order.
+    Deferred {
+        dgram: Datagram,
+        key: u64,
+        extra_ms: u64,
+    },
+}
+
+/// The evaluation of one send: identity for committing in order,
+/// observer injections, and the pipeline outcome.
+pub(crate) struct Emission {
+    /// Global order of the parent (pop order for host deliveries, batch
+    /// index for driver sends; unused by inline sends).
+    pub(crate) parent: u64,
+    /// Index among the parent's sends.
+    pub(crate) emit: u32,
+    /// Send instant (drives recorder timestamps and bucket refill).
+    at: SimTime,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    dst_port: u16,
+    /// On-path observer injections, already timestamped.
+    injections: Vec<(SimTime, Datagram)>,
+    pub(crate) outcome: Outcome,
+}
+
+/// Everything evaluation reads besides the packet and the route maps.
+/// A [`Network`] owns the live one — whose fault state is also the
+/// authoritative one commit updates — and every shard worker a
+/// [`fork`](Evaluator::fork) of it.
+pub(crate) struct Evaluator {
     pub(crate) cfg: NetworkConfig,
+    pub(crate) filters: Arc<Vec<Filter>>,
+    pub(crate) injectors: Vec<Box<dyn PathObserver>>,
+    pub(crate) faults: Option<FaultState>,
+}
+
+impl Evaluator {
+    /// A behaviourally identical replica for a shard worker: shared
+    /// filters, forked observers, a cache-only fault replica.
+    pub(crate) fn fork(&self) -> Evaluator {
+        Evaluator {
+            cfg: self.cfg.clone(),
+            filters: Arc::clone(&self.filters),
+            injectors: self
+                .injectors
+                .iter()
+                .map(|inj| {
+                    inj.fork().expect(
+                        "every installed PathObserver must support fork() to shard the network",
+                    )
+                })
+                .collect(),
+            faults: self.faults.as_ref().map(|f| f.fork_replica()),
+        }
+    }
+
+    /// Evaluate the send pipeline for one datagram departing at `at`.
+    /// Pure: commits nothing — the caller hands the returned
+    /// [`Emission`] to [`Network::commit`] where (and when) global
+    /// state lives.
+    pub(crate) fn eval(
+        &mut self,
+        maps: &RouteMaps,
+        dgram: Datagram,
+        at: SimTime,
+        parent: u64,
+        emit: u32,
+    ) -> Emission {
+        let (src, dst, dst_port) = (dgram.src_ip, dgram.dst_ip, dgram.dst_port);
+        // On-path observers see the packet (and may inject) whatever its
+        // own fate turns out to be.
+        let mut injections: Vec<(SimTime, Datagram)> = Vec::new();
+        for inj in &mut self.injectors {
+            for (delay, d) in inj.on_transit(at, &dgram) {
+                injections.push((at + delay, d));
+            }
+        }
+        let outcome = 'pipeline: {
+            // Egress/ingress filtering at send time.
+            if filters_match(&self.filters, &dgram, at) {
+                break 'pipeline Outcome::Filtered;
+            }
+            // Dark space: nothing is bound at the destination, so the
+            // packet can never be observed. Decide it here instead of
+            // paying heap scheduling plus a later dead delivery —
+            // enumeration sweeps hit mostly unbound space, making this the
+            // hottest branch of a full scan.
+            if !maps.bindings.contains_key(&dst)
+                && !maps.socket_bindings.contains_key(&(dst, dst_port))
+            {
+                break 'pipeline Outcome::Unbound;
+            }
+            let key = flow_key(at, &dgram);
+            // Injected faults sit between the dark-space fast path and the
+            // i.i.d. loss roll: they only ever touch traffic that could
+            // otherwise be observed, and the loss roll consumes the same
+            // hash stream whether or not a plan is installed.
+            let mut extra_ms = 0u64;
+            if let Some(fs) = &mut self.faults {
+                match fs.udp_decide(at, src, dst, dst_port, key) {
+                    UdpDecision::Drop(cause) => break 'pipeline Outcome::FaultDrop(cause),
+                    UdpDecision::NeedsBucket { extra_ms } => {
+                        break 'pipeline Outcome::Deferred {
+                            dgram,
+                            key,
+                            extra_ms,
+                        }
+                    }
+                    UdpDecision::Deliver { extra_ms: e } => extra_ms = e,
+                }
+            }
+            Outcome::Flew {
+                extra_ms,
+                landing: fly(&self.cfg, dgram, at, key, extra_ms),
+            }
+        };
+        Emission {
+            parent,
+            emit,
+            at,
+            src,
+            dst,
+            dst_port,
+            injections,
+            outcome,
+        }
+    }
+}
+
+/// The tail every datagram that survives the fault stages takes: the
+/// i.i.d. loss roll, then path latency. `None` means lost. The roll is
+/// keyed on the datagram's flow identity (send time, endpoints, payload)
+/// rather than a global send counter, so a packet's fate never depends
+/// on how much other traffic the network carried before it — campaigns
+/// sharing a network stay mutually independent.
+fn fly(
+    cfg: &NetworkConfig,
+    dgram: Datagram,
+    at: SimTime,
+    key: u64,
+    extra_ms: u64,
+) -> Option<(SimTime, Datagram)> {
+    let roll = mix64(cfg.seed, LOSS_CHANNEL, key) as f64 / u64::MAX as f64;
+    if roll < cfg.udp_loss {
+        return None;
+    }
+    let latency = path_latency(cfg, dgram.src_ip, dgram.dst_ip, key) + extra_ms;
+    Some((at + latency, dgram))
+}
+
+/// The simulated network: the engine state plus the sequential event
+/// loop. Fields are crate-visible because
+/// [`crate::sharded::ShardedNet`] holds a `Network` (its `hosts` moved
+/// out to the shard workers) and drives the same state through the same
+/// commit, routing and admission functions.
+pub struct Network {
+    pub(crate) ev: Evaluator,
     pub(crate) now: SimTime,
-    pub(crate) seq: u64,
+    seq: u64,
     pub(crate) events: BinaryHeap<Reverse<Event>>,
     pub(crate) hosts: Vec<Box<dyn Host>>,
-    pub(crate) bindings: HashMap<Ipv4Addr, HostId>,
+    pub(crate) maps: Arc<RouteMaps>,
     pub(crate) host_ips: Vec<Vec<Ipv4Addr>>,
-    pub(crate) sockets: Vec<SocketState>,
-    pub(crate) socket_bindings: HashMap<(Ipv4Addr, u16), u32>,
-    pub(crate) injectors: Vec<Box<dyn PathObserver>>,
-    pub(crate) filters: Vec<Filter>,
-    pub(crate) faults: Option<FaultState>,
+    sockets: Vec<SocketState>,
     pub(crate) stats: NetStats,
     pub(crate) telemetry: Option<NetTelemetry>,
     pub(crate) events_dispatched: u64,
-    pub(crate) queue_depth_max: u64,
-    pub(crate) scratch: Vec<(u64, Datagram)>,
+    queue_depth_max: u64,
+    scratch: Vec<(u64, Datagram)>,
+    /// Commit-phase wall profiler. Only the sharded engine installs one
+    /// (under `--profile`); the sequential engine pays a `None` check.
+    pub(crate) commit_prof: Option<Box<CommitProf>>,
 }
 
 impl Network {
     /// A fresh, empty network.
     pub fn new(cfg: NetworkConfig) -> Self {
-        Network {
-            cfg,
+        let mut net = Network {
+            ev: Evaluator {
+                cfg,
+                filters: Arc::default(),
+                injectors: Vec::new(),
+                faults: None,
+            },
             now: SimTime::ZERO,
             seq: 0,
             events: BinaryHeap::new(),
             hosts: Vec::new(),
-            bindings: HashMap::new(),
+            maps: Arc::default(),
             host_ips: Vec::new(),
             sockets: Vec::new(),
-            socket_bindings: HashMap::new(),
-            injectors: Vec::new(),
-            filters: Vec::new(),
-            faults: None,
             stats: NetStats::default(),
-            telemetry: Some(NetTelemetry::new(
-                NetStats::default(),
-                0,
-                0,
-                FaultStats::default(),
-            )),
+            telemetry: None,
             events_dispatched: 0,
             queue_depth_max: 0,
             scratch: Vec::new(),
-        }
+            commit_prof: None,
+        };
+        net.set_instrumentation(true);
+        net
     }
 
     /// Enable or disable global-registry instrumentation for this
@@ -324,16 +521,7 @@ impl Network {
     /// measure the uninstrumented baseline. [`NetStats`] counters are
     /// unaffected either way.
     pub fn set_instrumentation(&mut self, on: bool) {
-        self.telemetry = if on {
-            Some(NetTelemetry::new(
-                self.stats,
-                self.events_dispatched,
-                self.queue_depth_max,
-                self.fault_stats(),
-            ))
-        } else {
-            None
-        };
+        self.telemetry = on.then(|| NetTelemetry::new(self));
     }
 
     /// Install (or replace) a fault-injection plan. A no-op plan is
@@ -342,7 +530,7 @@ impl Network {
     /// deltas stay monotone.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         let stats = self.fault_stats();
-        self.faults = if plan.is_noop() {
+        self.ev.faults = if plan.is_noop() {
             None
         } else {
             Some(FaultState::new(plan, stats))
@@ -351,21 +539,7 @@ impl Network {
 
     /// Counters of injected faults so far.
     pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advance the clock without processing (no events may be pending
-    /// before `t`; events before `t` are still processed first on the
-    /// next run call). Useful to jump between weekly scans.
-    pub fn advance_to(&mut self, t: SimTime) {
-        if t > self.now {
-            self.now = t;
-        }
+        self.ev.faults.as_ref().map(|f| f.stats).unwrap_or_default()
     }
 
     /// Transport statistics so far.
@@ -385,8 +559,8 @@ impl Network {
 
     /// Bind `ip` to `host`, displacing any previous binding of that IP.
     pub fn bind_ip(&mut self, ip: Ipv4Addr, host: HostId) {
-        assert!((host.0 as usize) < self.hosts.len(), "unknown host");
-        if let Some(prev) = self.bindings.insert(ip, host) {
+        assert!((host.0 as usize) < self.host_ips.len(), "unknown host");
+        if let Some(prev) = Arc::make_mut(&mut self.maps).bindings.insert(ip, host) {
             if prev != host {
                 self.host_ips[prev.0 as usize].retain(|&i| i != ip);
             }
@@ -399,34 +573,19 @@ impl Network {
 
     /// Remove the binding of `ip`, if any.
     pub fn unbind_ip(&mut self, ip: Ipv4Addr) {
-        if let Some(host) = self.bindings.remove(&ip) {
+        if let Some(host) = Arc::make_mut(&mut self.maps).bindings.remove(&ip) {
             self.host_ips[host.0 as usize].retain(|&i| i != ip);
         }
     }
 
     /// Host currently bound to `ip`.
     pub fn host_at(&self, ip: Ipv4Addr) -> Option<HostId> {
-        self.bindings.get(&ip).copied()
-    }
-
-    /// IPs currently bound to `host`.
-    pub fn ips_of(&self, host: HostId) -> &[Ipv4Addr] {
-        &self.host_ips[host.0 as usize]
-    }
-
-    /// Number of bound IPs.
-    pub fn binding_count(&self) -> usize {
-        self.bindings.len()
-    }
-
-    /// Mutable access to a host behaviour (world evolution hooks).
-    pub fn host_mut(&mut self, host: HostId) -> &mut dyn Host {
-        &mut *self.hosts[host.0 as usize]
+        self.maps.bindings.get(&ip).copied()
     }
 
     /// Install an on-path observer.
     pub fn add_injector(&mut self, injector: Box<dyn PathObserver>) {
-        self.injectors.push(injector);
+        self.ev.injectors.push(injector);
     }
 
     /// Install a network filter over the inclusive range `[lo, hi]`,
@@ -439,7 +598,7 @@ impl Network {
         direction: FilterDirection,
         active_from: SimTime,
     ) {
-        self.filters.push(Filter {
+        Arc::make_mut(&mut self.ev.filters).push(Filter {
             lo: u32::from(lo),
             hi: u32::from(hi),
             direction,
@@ -459,7 +618,7 @@ impl Network {
         peer_hi: Ipv4Addr,
         active_from: SimTime,
     ) {
-        self.filters.push(Filter {
+        Arc::make_mut(&mut self.ev.filters).push(Filter {
             lo: u32::from(lo),
             hi: u32::from(hi),
             direction: FilterDirection::Both,
@@ -477,132 +636,37 @@ impl Network {
             queue: VecDeque::new(),
             open: true,
         });
-        self.socket_bindings.insert((ip, port), id);
+        Arc::make_mut(&mut self.maps)
+            .socket_bindings
+            .insert((ip, port), id);
         SocketHandle(id)
+    }
+
+    /// The state behind an open socket handle, or what is wrong with
+    /// the handle.
+    pub(crate) fn socket_mut(
+        &mut self,
+        sock: SocketHandle,
+    ) -> Result<&mut SocketState, SocketError> {
+        match self.sockets.get_mut(sock.0 as usize) {
+            None => Err(SocketError::Unknown),
+            Some(s) if !s.open => Err(SocketError::Closed),
+            Some(s) => Ok(s),
+        }
     }
 
     /// Close a measurement socket: unbinds its address and drops any
     /// queued datagrams. Campaigns close their port blocks so long
     /// multi-scan experiments do not accumulate dead queues.
-    pub fn close_socket(&mut self, sock: SocketHandle) {
-        self.socket_bindings.retain(|_, &mut id| id != sock.0);
-        if let Some(state) = self.sockets.get_mut(sock.0 as usize) {
-            state.queue.clear();
-            state.queue.shrink_to_fit();
-            state.open = false;
-        }
-    }
-
-    /// Send a datagram (from a measurement socket or any synthesized
-    /// source) at the current time.
-    pub fn send_udp(&mut self, dgram: Datagram) {
-        self.send_from(dgram, self.now);
-    }
-
-    /// Send a datagram at a given (future) time.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `NetEngine::send(dgram, Some(at))` via the `NetHandle` facade"
-    )]
-    pub fn send_udp_at(&mut self, dgram: Datagram, at: SimTime) {
-        self.send_from(dgram, at);
-    }
-
-    /// The full send pipeline: observers, filters, dark space, faults,
-    /// loss, scheduling. All public send entry points funnel through
-    /// here.
-    pub(crate) fn send_from(&mut self, dgram: Datagram, at: SimTime) {
-        let at = at.max(self.now);
-        self.stats.udp_sent += 1;
-
-        // On-path observers see the packet (and may inject).
-        let mut injections: Vec<(u64, Datagram)> = Vec::new();
-        for inj in &mut self.injectors {
-            injections.extend(inj.on_transit(at, &dgram));
-        }
-        for (delay, injected) in injections {
-            self.stats.injected += 1;
-            self.schedule(injected, at + delay);
-        }
-
-        // Egress/ingress filtering at send time.
-        if self.filtered(&dgram, at) {
-            self.stats.udp_filtered += 1;
-            return;
-        }
-
-        // Dark space: nothing is bound at the destination, so the
-        // packet can never be observed. Account for it immediately
-        // instead of paying heap scheduling plus a later dead
-        // delivery — enumeration sweeps hit mostly unbound space,
-        // making this the hottest branch of a full scan.
-        if !self.bindings.contains_key(&dgram.dst_ip)
-            && !self
-                .socket_bindings
-                .contains_key(&(dgram.dst_ip, dgram.dst_port))
-        {
-            self.stats.udp_unbound += 1;
-            return;
-        }
-
-        // Loss. The roll is keyed on the datagram's flow identity
-        // (send time, endpoints, payload) rather than a global send
-        // counter, so a packet's fate never depends on how much other
-        // traffic the network carried before it — campaigns sharing a
-        // network stay mutually independent.
-        let key = flow_key(at, &dgram);
-
-        // Injected faults sit between the dark-space fast path and the
-        // i.i.d. loss roll: they only ever touch traffic that could
-        // otherwise be observed, and the base loss roll below consumes
-        // the same hash stream whether or not a plan is installed.
-        let mut fault_latency = 0u64;
-        if let Some(fs) = &mut self.faults {
-            match fs.udp_fault(at, dgram.src_ip, dgram.dst_ip, dgram.dst_port, key) {
-                UdpFault::Drop(cause) => {
-                    self.stats.udp_lost += 1;
-                    if telemetry::recorder::enabled() {
-                        telemetry::recorder::drop_fault(
-                            u32::from(dgram.src_ip),
-                            u32::from(dgram.dst_ip),
-                            dgram.dst_port,
-                            cause.as_str(),
-                            at.millis(),
-                        );
-                    }
-                    return;
-                }
-                UdpFault::Deliver { extra_ms } => fault_latency = extra_ms,
-            }
-        }
-
-        let roll = mix64(self.cfg.seed, LOSS_CHANNEL, key) as f64 / u64::MAX as f64;
-        if roll < self.cfg.udp_loss {
-            self.stats.udp_lost += 1;
-            if telemetry::recorder::enabled() {
-                telemetry::recorder::drop_fault(
-                    u32::from(dgram.src_ip),
-                    u32::from(dgram.dst_ip),
-                    dgram.dst_port,
-                    "loss",
-                    at.millis(),
-                );
-            }
-            return;
-        }
-
-        let latency = self.path_latency(dgram.src_ip, dgram.dst_ip, key) + fault_latency;
-        self.schedule(dgram, at + latency);
-    }
-
-    pub(crate) fn schedule(&mut self, dgram: Datagram, at: SimTime) {
-        self.seq += 1;
-        self.events.push(Reverse(Event {
-            at,
-            seq: self.seq,
-            dgram,
-        }));
-        self.queue_depth_max = self.queue_depth_max.max(self.events.len() as u64);
+    pub(crate) fn close_socket(&mut self, sock: SocketHandle) -> Result<(), SocketError> {
+        let state = self.socket_mut(sock)?;
+        state.queue.clear();
+        state.queue.shrink_to_fit();
+        state.open = false;
+        Arc::make_mut(&mut self.maps)
+            .socket_bindings
+            .retain(|_, &mut id| id != sock.0);
+        Ok(())
     }
 
     /// Receive the next datagram queued on a socket.
@@ -615,137 +679,225 @@ impl Network {
         self.sockets[sock.0 as usize].queue.drain(..).collect()
     }
 
+    // ---- the send pipeline: evaluate, then commit -------------------
+
+    /// Send a datagram (from a measurement socket or any synthesized
+    /// source) at the current time.
+    pub fn send_udp(&mut self, dgram: Datagram) {
+        self.send_at(dgram, self.now);
+    }
+
+    /// The inline case of the pipeline: evaluate one datagram against
+    /// the live state and commit it immediately. Every send that does
+    /// not come back from a shard worker funnels through here.
+    pub(crate) fn send_at(&mut self, dgram: Datagram, at: SimTime) {
+        let e = self.ev.eval(&self.maps, dgram, at.max(self.now), 0, 0);
+        self.commit(e);
+    }
+
+    /// Commit one evaluated send: the single point where stats, fault
+    /// counters, recorder records, token buckets and heap scheduling
+    /// happen. Emissions must arrive in global send order.
+    pub(crate) fn commit(&mut self, e: Emission) {
+        self.stats.udp_sent += 1;
+        // Injections are scheduled (and take their `seq`) before the
+        // packet's own outcome.
+        for (inj_at, d) in e.injections {
+            self.stats.injected += 1;
+            self.schedule(d, inj_at);
+        }
+        let landing = match e.outcome {
+            Outcome::Filtered => {
+                self.stats.udp_filtered += 1;
+                return;
+            }
+            Outcome::Unbound => {
+                self.stats.udp_unbound += 1;
+                return;
+            }
+            Outcome::FaultDrop(cause) => {
+                self.commit_fault(&UdpDecision::Drop(cause));
+                return self.lose(e.src, e.dst, e.dst_port, cause.as_str(), e.at);
+            }
+            Outcome::Flew { extra_ms, landing } => {
+                self.commit_fault(&UdpDecision::Deliver { extra_ms });
+                landing
+            }
+            Outcome::Deferred {
+                dgram,
+                key,
+                extra_ms,
+            } => {
+                let t0 = self.commit_prof.as_ref().map(|_| Instant::now());
+                let fs = self.ev.faults.as_mut().expect("Deferred implies a plan");
+                let decision = fs.udp_bucket_tail(e.at, e.src, e.dst, key, extra_ms);
+                if let (Some(p), Some(t0)) = (&mut self.commit_prof, t0) {
+                    p.bucket_ns += t0.elapsed().as_nanos() as u64;
+                }
+                match decision {
+                    Err(cause) => return self.lose(e.src, e.dst, e.dst_port, cause.as_str(), e.at),
+                    Ok(extra_ms) => fly(&self.ev.cfg, dgram, e.at, key, extra_ms),
+                }
+            }
+        };
+        match landing {
+            None => self.lose(e.src, e.dst, e.dst_port, "loss", e.at),
+            Some((deliver_at, dgram)) => self.schedule(dgram, deliver_at),
+        }
+    }
+
+    fn commit_fault(&mut self, decision: &UdpDecision) {
+        if let Some(fs) = &mut self.ev.faults {
+            fs.commit_udp(decision);
+        }
+    }
+
+    /// Count a datagram as lost and, when the flight recorder is on,
+    /// append its drop record.
+    fn lose(&mut self, src: Ipv4Addr, dst: Ipv4Addr, port: u16, cause: &'static str, at: SimTime) {
+        self.stats.udp_lost += 1;
+        if !telemetry::recorder::enabled() {
+            return;
+        }
+        let t0 = self.commit_prof.as_ref().map(|_| Instant::now());
+        telemetry::recorder::drop_fault(u32::from(src), u32::from(dst), port, cause, at.millis());
+        if let (Some(p), Some(t0)) = (&mut self.commit_prof, t0) {
+            p.recorder_ns += t0.elapsed().as_nanos() as u64;
+        }
+    }
+
+    fn schedule(&mut self, dgram: Datagram, at: SimTime) {
+        let t0 = self.commit_prof.as_ref().map(|_| Instant::now());
+        self.seq += 1;
+        self.events.push(Reverse(Event {
+            at,
+            seq: self.seq,
+            dgram,
+        }));
+        self.queue_depth_max = self.queue_depth_max.max(self.events.len() as u64);
+        if let (Some(p), Some(t0)) = (&mut self.commit_prof, t0) {
+            p.schedule_ns += t0.elapsed().as_nanos() as u64;
+        }
+    }
+
     // ---- event loop ------------------------------------------------
 
-    /// Process all events up to and including time `t`, then set the
-    /// clock to `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        while let Some(Reverse(ev)) = self.events.peek() {
-            if ev.at > t {
-                break;
+    /// Pop the next event due at or before `t`, advancing the clock to
+    /// it.
+    pub(crate) fn pop_due(&mut self, t: SimTime) -> Option<Datagram> {
+        if self.events.peek()?.0.at > t {
+            return None;
+        }
+        let Reverse(ev) = self.events.pop()?;
+        self.now = ev.at;
+        self.events_dispatched += 1;
+        Some(ev.dgram)
+    }
+
+    /// Route one popped datagram: filter → socket → host binding →
+    /// unbound, counting whichever it hits. Socket deliveries are
+    /// queued here; a host delivery is returned for the engine to run.
+    pub(crate) fn route(&mut self, dgram: Datagram) -> Option<(HostId, Datagram)> {
+        // Filters also apply at delivery time: a filter activated while
+        // the packet was in flight still kills it, which matches how
+        // border filtering behaves.
+        if filters_match(&self.ev.filters, &dgram, self.now) {
+            self.stats.udp_filtered += 1;
+            return None;
+        }
+        if let Some(&sid) = self
+            .maps
+            .socket_bindings
+            .get(&(dgram.dst_ip, dgram.dst_port))
+        {
+            self.stats.udp_delivered += 1;
+            self.sockets[sid as usize]
+                .queue
+                .push_back((self.now, dgram));
+            return None;
+        }
+        let Some(&host) = self.maps.bindings.get(&dgram.dst_ip) else {
+            self.stats.udp_unbound += 1;
+            return None;
+        };
+        self.stats.udp_delivered += 1;
+        Some((host, dgram))
+    }
+
+    /// Process all events up to and including time `t`, one at a time
+    /// (pop → route → host → send), then set the clock to `t`.
+    pub fn run_until(&mut self, t: SimTime) -> RunReport {
+        let events_before = self.events_dispatched;
+        let delivered_before = self.stats.udp_delivered;
+        while let Some(dgram) = self.pop_due(t) {
+            let Some((host, dgram)) = self.route(dgram) else {
+                continue;
+            };
+            let now = self.now;
+            let mut outgoing = std::mem::take(&mut self.scratch);
+            let mut ctx = HostCtx::new(now, dgram.dst_ip, &mut outgoing);
+            self.hosts[host.0 as usize].on_udp(&mut ctx, &dgram);
+            for (delay, out) in outgoing.drain(..) {
+                self.send_at(out, now + delay);
             }
-            let Reverse(ev) = self.events.pop().unwrap();
-            self.now = ev.at;
-            self.events_dispatched += 1;
-            self.deliver(ev.dgram);
+            self.scratch = outgoing;
         }
         self.now = self.now.max(t);
         self.flush_telemetry();
+        RunReport {
+            events: self.events_dispatched - events_before,
+            delivered: self.stats.udp_delivered - delivered_before,
+            end: self.now,
+            stalls: 0,
+        }
     }
 
     /// Push the deltas accumulated in the plain counters since the last
     /// flush out to the shared telemetry handles. Called at event-loop
     /// quiescent points, never per packet.
-    fn flush_telemetry(&mut self) {
-        let (stats, dispatched, queue_max) =
-            (self.stats, self.events_dispatched, self.queue_depth_max);
-        let faults = self.faults.as_ref().map(|f| f.stats).unwrap_or_default();
+    pub(crate) fn flush_telemetry(&mut self) {
+        let faults = self.fault_stats();
         if let Some(t) = &mut self.telemetry {
-            t.flush(stats, dispatched, queue_max, faults);
+            t.flush(
+                self.stats,
+                self.events_dispatched,
+                self.queue_depth_max,
+                faults,
+            );
         }
-    }
-
-    /// Process events until the queue is empty or the clock passes
-    /// `deadline`. Returns the number of delivered datagrams.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `NetEngine::run_to_idle`, which returns a structured `RunReport`"
-    )]
-    pub fn run_to_idle(&mut self, deadline: SimTime) -> u64 {
-        if let Some(t) = &self.telemetry {
-            t.run_to_idle_calls.inc();
-        }
-        let before = self.stats.udp_delivered;
-        self.run_until(deadline);
-        self.stats.udp_delivered - before
-    }
-
-    fn deliver(&mut self, dgram: Datagram) {
-        // Filters also apply at delivery time: a filter activated while
-        // the packet was in flight still kills it, which matches how
-        // border filtering behaves.
-        if self.filtered(&dgram, self.now) {
-            self.stats.udp_filtered += 1;
-            return;
-        }
-        // Measurement socket?
-        if let Some(&sid) = self.socket_bindings.get(&(dgram.dst_ip, dgram.dst_port)) {
-            self.stats.udp_delivered += 1;
-            self.sockets[sid as usize]
-                .queue
-                .push_back((self.now, dgram));
-            return;
-        }
-        // Host binding?
-        let Some(&host) = self.bindings.get(&dgram.dst_ip) else {
-            self.stats.udp_unbound += 1;
-            return;
-        };
-        self.stats.udp_delivered += 1;
-        self.scratch.clear();
-        let mut outgoing = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = HostCtx {
-                now: self.now,
-                local_ip: dgram.dst_ip,
-                outgoing: &mut outgoing,
-            };
-            self.hosts[host.0 as usize].on_udp(&mut ctx, &dgram);
-        }
-        let now = self.now;
-        for (delay, out) in outgoing.drain(..) {
-            self.send_from(out, now + delay);
-        }
-        self.scratch = outgoing;
     }
 
     // ---- synchronous TCP --------------------------------------------
 
-    /// Issue a TCP request to `(dst_ip, port)` at the current simulated
-    /// time. Synchronous: the result reflects the binding state *now*.
-    pub fn tcp_query(
+    /// Admit a TCP request to `(dst_ip, port)` at the current simulated
+    /// time: count it, then filter → fault plan → loss roll → binding
+    /// lookup. Synchronous: the result reflects the binding state *now*.
+    /// Returns the host the engine must run the request on.
+    pub(crate) fn tcp_admit(
         &mut self,
         dst_ip: Ipv4Addr,
         port: u16,
         req: &TcpRequest,
-    ) -> Result<TcpResponse, TcpError> {
+    ) -> Result<HostId, TcpError> {
         self.stats.tcp_queries += 1;
         self.flush_telemetry();
         let probe = Datagram::new(Ipv4Addr::new(0, 0, 0, 0), 0, dst_ip, port, &b""[..]);
-        if self.filtered(&probe, self.now) {
+        if filters_match(&self.ev.filters, &probe, self.now) {
             return Err(TcpError::Unreachable);
         }
         // Keyed on (time, target, request) like the UDP loss roll, so
         // concurrent campaigns cannot shift each other's TCP outcomes.
         let key = tcp_key(self.now, dst_ip, port, req);
-        let now = self.now;
-        if let Some(fs) = &mut self.faults {
-            if let Some(err) = fs.tcp_fault(now, dst_ip, key) {
+        if let Some(fs) = &mut self.ev.faults {
+            if let Some(err) = fs.tcp_fault(self.now, dst_ip, key) {
                 return Err(err);
             }
         }
-        let roll = mix64(self.cfg.seed, TCP_CHANNEL, key) as f64 / u64::MAX as f64;
-        if roll < self.cfg.tcp_loss {
+        let roll = mix64(self.ev.cfg.seed, TCP_CHANNEL, key) as f64 / u64::MAX as f64;
+        if roll < self.ev.cfg.tcp_loss {
             return Err(TcpError::Timeout);
         }
-        let Some(&host) = self.bindings.get(&dst_ip) else {
-            return Err(TcpError::Unreachable);
-        };
-        let now = self.now;
-        match self.hosts[host.0 as usize].on_tcp(now, dst_ip, port, req) {
-            Some(resp) => Ok(resp),
-            None => Err(TcpError::Refused),
-        }
-    }
-
-    // ---- internals ---------------------------------------------------
-
-    pub(crate) fn filtered(&self, dgram: &Datagram, at: SimTime) -> bool {
-        filters_match(&self.filters, dgram, at)
-    }
-
-    pub(crate) fn path_latency(&self, src: Ipv4Addr, dst: Ipv4Addr, key: u64) -> u64 {
-        path_latency(&self.cfg, src, dst, key)
+        self.host_at(dst_ip).ok_or(TcpError::Unreachable)
     }
 }
 
@@ -866,6 +1018,7 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::NetEngine;
     use crate::host::{EchoHost, FnHost};
 
     fn ip(s: &str) -> Ipv4Addr {
@@ -1173,7 +1326,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn fault_plan_host_down_window_drops_and_is_otherwise_transparent() {
         use crate::faults::{FaultEvent, FaultPlan};
         let run = |plan: Option<FaultPlan>| {
@@ -1185,7 +1337,7 @@ mod tests {
             }
             let sock = net.open_socket(ip("100.0.0.1"), 40000);
             for i in 0..5u64 {
-                net.send_udp_at(
+                net.send(
                     Datagram::new(
                         ip("100.0.0.1"),
                         40000,
@@ -1193,7 +1345,7 @@ mod tests {
                         53,
                         i.to_be_bytes().to_vec(),
                     ),
-                    SimTime::from_secs(i * 10),
+                    Some(SimTime::from_secs(i * 10)),
                 );
             }
             net.run_until(SimTime::from_secs(120));
@@ -1275,5 +1427,138 @@ mod tests {
         // Both directions crossed the spiked prefix: ≥800ms extra.
         assert!(at.millis() >= 800, "arrived at {}", at.millis());
         assert_eq!(net.fault_stats().latency_spiked, 2);
+    }
+    /// The pipeline's stage order, one datagram per outcome. Both
+    /// engines share `Evaluator::eval` + `commit`, so the equivalence suites
+    /// cannot see a mis-ordered stage — this table can.
+    #[test]
+    fn pipeline_stage_order_is_pinned() {
+        use crate::faults::{FaultEvent, FaultPlan, FaultStats, FaultWindows, RateLimit};
+        struct Forger;
+        impl PathObserver for Forger {
+            fn on_transit(&mut self, _now: SimTime, d: &Datagram) -> Vec<(u64, Datagram)> {
+                if &d.payload[..] == b"censored?" {
+                    vec![(10, d.reply_with(&b"forged"[..]))]
+                } else {
+                    vec![]
+                }
+            }
+        }
+        let (bound, dark, walled) = (ip("9.9.9.9"), ip("8.8.8.8"), ip("7.7.7.7"));
+        let (from, until) = (SimTime::ZERO, SimTime::from_days(1));
+        let host_down = |ip| FaultEvent::HostDown { ip, from, until };
+        let spike = |ip| FaultEvent::LatencySpike {
+            lo: ip,
+            hi: ip,
+            from,
+            until,
+            extra_ms: 400,
+        };
+        let always_out = FaultWindows {
+            window_ms: 1000,
+            rate: 1.0,
+            duration_ms: (1000, 1001),
+        };
+        let plan = |events, outages, rate_limit| FaultPlan {
+            events,
+            outages,
+            rate_limit,
+            seed: 5,
+            ..FaultPlan::none()
+        };
+        let one_token = Some(RateLimit {
+            tokens_per_sec: 1.0,
+            burst: 1.0,
+        });
+        let fresh = |loss, plan: FaultPlan| {
+            let mut net = Network::new(NetworkConfig {
+                seed: 1,
+                udp_loss: loss,
+                latency_ms: (10, 10),
+                tcp_loss: 0.0,
+            });
+            let h = net.add_host(Box::new(EchoHost));
+            net.bind_ip(bound, h);
+            net.add_filter(walled, walled, FilterDirection::Inbound, SimTime::ZERO);
+            net.add_injector(Box::new(Forger));
+            net.set_fault_plan(plan);
+            net
+        };
+        let query =
+            |dst, payload: &'static [u8]| Datagram::new(ip("100.0.0.1"), 40000, dst, 53, payload);
+        let sent = NetStats {
+            udp_sent: 1,
+            ..NetStats::default()
+        };
+        let none = FaultStats::default();
+        telemetry::recorder::enable(1.0, 1, 64);
+        telemetry::recorder::set_context("stage-order", 1);
+        let drops = || -> Vec<&'static str> {
+            let recs = telemetry::recorder::drain();
+            recs.iter().map(|r| r.reason).collect()
+        };
+
+        // (why, loss, plan, destination, stats, fault stats, drop record)
+        #[rustfmt::skip]
+        let table = [
+            ("filtered beats dark: the walled address is also unbound",
+             0.0, FaultPlan::none(), walled,
+             NetStats { udp_filtered: 1, ..sent }, none, None),
+            ("dark beats faults: a downed but unbound address is just dark",
+             0.0, plan(vec![host_down(dark)], None, None), dark,
+             NetStats { udp_unbound: 1, ..sent }, none, None),
+            ("explicit HostDown beats the outage window covering it",
+             0.0, plan(vec![host_down(bound)], Some(always_out), None), bound,
+             NetStats { udp_lost: 1, ..sent }, FaultStats { flap_drops: 1, ..none }, Some("flap")),
+            ("a latency spike is counted even when the loss roll eats the packet",
+             1.0, plan(vec![spike(bound)], None, None), bound,
+             NetStats { udp_lost: 1, ..sent }, FaultStats { latency_spiked: 1, ..none }, Some("loss")),
+        ];
+        for (why, loss, plan, dst, stats, faults, drop) in table {
+            let mut net = fresh(loss, plan);
+            net.send_udp(query(dst, b"q"));
+            assert_eq!(net.stats(), stats, "{why}");
+            assert_eq!(net.fault_stats(), faults, "{why}");
+            assert_eq!(drops(), Vec::from_iter(drop), "{why}");
+            assert!(net.events.is_empty(), "{why}: nothing may be scheduled");
+        }
+
+        // A port-53 query under `rate_limit` is Deferred: evaluation
+        // leaves the bucket alone, and commit order — not evaluation
+        // order — decides who gets the one token.
+        let mut net = fresh(0.0, plan(vec![], None, one_token));
+        let mut eval = |payload| {
+            net.ev
+                .eval(&net.maps, query(bound, payload), SimTime::ZERO, 0, 0)
+        };
+        let (first, second) = (eval(b"1"), eval(b"2"));
+        assert!(matches!(first.outcome, Outcome::Deferred { .. }));
+        assert!(matches!(second.outcome, Outcome::Deferred { .. }));
+        net.commit(second);
+        assert_eq!((net.stats().udp_lost, net.events.len()), (0, 1));
+        net.commit(first);
+        assert_eq!(net.stats().udp_lost, 1);
+        assert_eq!(net.fault_stats().rate_limit_drops, 1);
+        assert_eq!(drops(), ["rate_limit"]);
+
+        // An observer injection is scheduled — and takes its `seq` —
+        // before the packet's own outcome: forged reply and query land
+        // at the same instant, and the forged one pops first.
+        let mut net = fresh(0.0, FaultPlan::none());
+        net.send_udp(query(bound, b"censored?"));
+        let scheduled = NetStats {
+            injected: 1,
+            ..sent
+        };
+        assert_eq!((net.stats(), net.fault_stats()), (scheduled, none));
+        let Reverse(head) = net.events.pop().unwrap();
+        assert_eq!(
+            (head.at, head.seq, &head.dgram.payload[..]),
+            (SimTime(10), 1, &b"forged"[..])
+        );
+        let Reverse(next) = net.events.pop().unwrap();
+        assert_eq!((next.at, next.seq), (SimTime(10), 2));
+        assert!(drops().is_empty());
+        telemetry::recorder::disable();
     }
 }

@@ -1,14 +1,20 @@
 //! The sharded engine: the simulated Internet partitioned across cores.
 //!
-//! [`ShardedNet`] splits a fully built [`Network`] into N shards, each
-//! owning the hosts of a slice of the allocated address regions. Shards
-//! run on long-lived worker threads; the coordinator owns the single
-//! global event heap and exchanges work with the shards at bounded
-//! sim-time horizons. The result is **byte-identical** to the
-//! single-threaded reference engine at any shard count — the acceptance
-//! bar the equivalence tests and the `shard-smoke` CI job enforce.
+//! [`ShardedNet`] holds the fully built [`Network`] it was made from —
+//! clock, event heap, sockets, route maps, filters, fault state, stats —
+//! with the hosts moved out to N long-lived worker threads, each owning
+//! the hosts of a slice of the allocated address regions. It runs the
+//! one send pipeline `netsim::network` defines — evaluate (pure) →
+//! commit (ordered) — with the two halves on different threads: workers
+//! run hosts and call [`Evaluator::eval`] on what they send; the coordinator
+//! pops and routes events ([`Network::route`]) and commits the returned
+//! [`Emission`]s in sequential order ([`Network::commit`]). The
+//! sequential engine is the same pipeline run inline, one datagram at a
+//! time, so the result is **byte-identical** to it at any shard count —
+//! the acceptance bar the equivalence tests and the `shard-smoke` CI job
+//! enforce.
 //!
-//! # Why this is safe (conservative lookahead)
+//! # Why windows are safe (conservative lookahead)
 //!
 //! Every scheduled delivery travels at least `L = min(latency_lo,
 //! min_injection_delay + 1)` milliseconds of sim time (clamped to 1).
@@ -24,19 +30,15 @@
 //! committing emissions in `(parent, emit)` order replays the exact
 //! sequential schedule.
 //!
-//! # Why parallel evaluation cannot change outcomes
+//! # Why evaluating elsewhere cannot change outcomes
 //!
-//! Workers are *pure*: they run hosts and evaluate the send pipeline
-//! (observer injections, filters, dark space, fault decisions, the loss
-//! roll, path latency) speculatively, returning [`Emission`] records.
-//! They never touch shared counters, the recorder, `seq`, or the token
-//! buckets. Every per-packet decision is a pure function of the packet
-//! and frozen snapshots (`Arc<RouteMaps>`, `Arc<Vec<Filter>>`, forked
-//! observer replicas, cache-only fault replicas), so *where* it is
-//! evaluated cannot matter. The coordinator then commits each emission
-//! — stats, recorder records, rate-limit buckets, heap scheduling — in
-//! sequential order through one function, [`ShardedNet::apply_emission`],
-//! which is also the code path inline sends take.
+//! Evaluation is pure: every per-packet decision is a function of the
+//! packet and frozen views (`Arc<RouteMaps>`, `Arc<Vec<Filter>>`,
+//! forked observer replicas, cache-only fault replicas), and never
+//! touches shared counters, the recorder, `seq`, or the token buckets —
+//! so *where* it runs cannot matter. Everything order-dependent happens
+//! in commit, on the coordinator, in the order the sequential engine
+//! would have sent.
 //!
 //! # Observability (DESIGN §15)
 //!
@@ -55,18 +57,12 @@
 //! critical-path model that predicts multi-worker speedup from a
 //! single-core run (`repro shardstat`).
 
-use crate::engine::{NetEngine, RunReport, SocketError};
-use crate::faults::{DropCause, FaultPlan, FaultState, FaultStats, UdpDecision, UdpFault};
+use crate::engine::{NetEngine, RunReport, Sealed};
+use crate::faults::{FaultPlan, FaultState, FaultStats};
 use crate::host::{Host, HostCtx, TcpError, TcpRequest, TcpResponse};
-use crate::network::{
-    filters_match, flow_key, mix64, path_latency, tcp_key, Event, Filter, HostId, NetStats,
-    NetTelemetry, Network, NetworkConfig, PathObserver, SocketHandle, SocketState, LOSS_CHANNEL,
-    TCP_CHANNEL,
-};
+use crate::network::{Emission, Evaluator, Network, RouteMaps};
 use crate::packet::Datagram;
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -80,16 +76,6 @@ pub mod scaling;
 /// the channel round-trip costs more than the pipeline itself.
 const INLINE_BATCH: usize = 256;
 
-/// The route state workers need to evaluate sends: IP and socket
-/// bindings. Shared as an `Arc` snapshot per command; the coordinator
-/// mutates it between windows via `Arc::make_mut` (workers have dropped
-/// their clones by then, so mutation is in place).
-#[derive(Clone, Default)]
-pub(crate) struct RouteMaps {
-    pub(crate) bindings: std::collections::HashMap<Ipv4Addr, HostId>,
-    pub(crate) socket_bindings: std::collections::HashMap<(Ipv4Addr, u16), u32>,
-}
-
 /// One host delivery assigned to a shard, tagged with its global pop
 /// order within the window.
 struct DeliverItem {
@@ -97,121 +83,6 @@ struct DeliverItem {
     at: SimTime,
     host: u32,
     dgram: Datagram,
-}
-
-/// What the speculative pipeline decided for one send.
-enum Outcome {
-    /// Dropped by an active filter at send time.
-    Filtered,
-    /// Addressed to dark space.
-    Unbound,
-    /// Dropped by the fault layer for a cause (counter not yet bumped).
-    FaultDrop(DropCause),
-    /// Dropped by the i.i.d. loss roll. `spiked` remembers whether a
-    /// latency spike applied first — the sequential engine counts the
-    /// spike even when the loss roll then eats the packet.
-    LossDrop { spiked: bool },
-    /// Survives; schedule delivery.
-    Scheduled {
-        deliver_at: SimTime,
-        dgram: Datagram,
-        spiked: bool,
-    },
-    /// A DNS query gated by the stateful rate-limit bucket: the bucket
-    /// (and the stages ordered after it) must run on the coordinator,
-    /// in global send order.
-    Deferred {
-        dgram: Datagram,
-        key: u64,
-        extra_ms: u64,
-    },
-}
-
-/// The speculative evaluation of one send: identity for committing in
-/// order, observer injections, and the pipeline outcome.
-struct Emission {
-    /// Global order of the parent (pop order for host deliveries, batch
-    /// index for driver sends).
-    parent: u64,
-    /// Index among the parent's sends.
-    emit: u32,
-    /// Send instant (drives recorder timestamps and bucket refill).
-    at: SimTime,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    dst_port: u16,
-    /// On-path observer injections, already timestamped.
-    injections: Vec<(SimTime, Datagram)>,
-    outcome: Outcome,
-}
-
-/// Run the pure send pipeline for one datagram. Mirrors
-/// `Network::send_from` stage for stage, but commits nothing: the
-/// caller applies the returned [`Emission`] where (and when) global
-/// state lives.
-#[allow(clippy::too_many_arguments)]
-fn eval_send(
-    cfg: &NetworkConfig,
-    filters: &[Filter],
-    maps: &RouteMaps,
-    injectors: &mut [Box<dyn PathObserver>],
-    faults: &mut Option<FaultState>,
-    dgram: Datagram,
-    at: SimTime,
-    parent: u64,
-    emit: u32,
-) -> Emission {
-    let (src, dst, dst_port) = (dgram.src_ip, dgram.dst_ip, dgram.dst_port);
-    let mut injections: Vec<(SimTime, Datagram)> = Vec::new();
-    for inj in injectors.iter_mut() {
-        for (delay, d) in inj.on_transit(at, &dgram) {
-            injections.push((at + delay, d));
-        }
-    }
-    let outcome = 'pipeline: {
-        if filters_match(filters, &dgram, at) {
-            break 'pipeline Outcome::Filtered;
-        }
-        if !maps.bindings.contains_key(&dst) && !maps.socket_bindings.contains_key(&(dst, dst_port))
-        {
-            break 'pipeline Outcome::Unbound;
-        }
-        let key = flow_key(at, &dgram);
-        let mut extra = 0u64;
-        if let Some(fs) = faults {
-            match fs.udp_decide(at, src, dst, dst_port, key) {
-                UdpDecision::Drop(cause) => break 'pipeline Outcome::FaultDrop(cause),
-                UdpDecision::NeedsBucket { extra_ms } => {
-                    break 'pipeline Outcome::Deferred {
-                        dgram,
-                        key,
-                        extra_ms,
-                    }
-                }
-                UdpDecision::Deliver { extra_ms } => extra = extra_ms,
-            }
-        }
-        let roll = mix64(cfg.seed, LOSS_CHANNEL, key) as f64 / u64::MAX as f64;
-        if roll < cfg.udp_loss {
-            break 'pipeline Outcome::LossDrop { spiked: extra > 0 };
-        }
-        let lat = path_latency(cfg, src, dst, key) + extra;
-        Outcome::Scheduled {
-            deliver_at: at + lat,
-            dgram,
-            spiked: extra > 0,
-        }
-    };
-    Emission {
-        parent,
-        emit,
-        at,
-        src,
-        dst,
-        dst_port,
-        injections,
-        outcome,
-    }
 }
 
 /// Commands the coordinator sends to a shard worker.
@@ -257,14 +128,19 @@ struct WorkerHandle {
 }
 
 /// Per-worker state: this shard's hosts (indexed by global `HostId`),
-/// forked observer replicas, a cache-only fault replica, and scratch.
+/// its replica of the evaluation state, and scratch.
 struct WorkerState {
-    cfg: NetworkConfig,
-    filters: Arc<Vec<Filter>>,
+    ev: Evaluator,
     hosts: Vec<Option<Box<dyn Host>>>,
-    injectors: Vec<Box<dyn PathObserver>>,
-    faults: Option<FaultState>,
     scratch: Vec<(u64, Datagram)>,
+}
+
+/// Snapshot of every worker's busy wall time (µs).
+fn busy_wall_us(workers: &[WorkerHandle]) -> Vec<u64> {
+    workers
+        .iter()
+        .map(|w| w.busy_wall_us.load(Ordering::Relaxed))
+        .collect()
 }
 
 fn worker_loop(rx: Receiver<Cmd>, tx: Sender<Reply>, mut st: WorkerState, busy: Arc<AtomicU64>) {
@@ -284,17 +160,8 @@ fn worker_loop(rx: Receiver<Cmd>, tx: Sender<Reply>, mut st: WorkerState, busy: 
                             .on_udp(&mut ctx, &item.dgram);
                     }
                     for (emit, (delay, out)) in outgoing.drain(..).enumerate() {
-                        emissions.push(eval_send(
-                            &st.cfg,
-                            &st.filters,
-                            &maps,
-                            &mut st.injectors,
-                            &mut st.faults,
-                            out,
-                            item.at + delay,
-                            item.order,
-                            emit as u32,
-                        ));
+                        let at = item.at + delay;
+                        emissions.push(st.ev.eval(&maps, out, at, item.order, emit as u32));
                     }
                     st.scratch = outgoing;
                 }
@@ -311,19 +178,7 @@ fn worker_loop(rx: Receiver<Cmd>, tx: Sender<Reply>, mut st: WorkerState, busy: 
                 let emissions = dgrams
                     .into_iter()
                     .enumerate()
-                    .map(|(i, d)| {
-                        eval_send(
-                            &st.cfg,
-                            &st.filters,
-                            &maps,
-                            &mut st.injectors,
-                            &mut st.faults,
-                            d,
-                            at,
-                            base + i as u64,
-                            0,
-                        )
-                    })
+                    .map(|(i, d)| st.ev.eval(&maps, d, at, base + i as u64, 0))
                     .collect();
                 if tx.send(Reply::Emissions(emissions)).is_err() {
                     return;
@@ -345,7 +200,7 @@ fn worker_loop(rx: Receiver<Cmd>, tx: Sender<Reply>, mut st: WorkerState, busy: 
                 }
             }
             Cmd::SetFaults(plan) => {
-                st.faults = plan.map(|p| FaultState::new(p, FaultStats::default()));
+                st.ev.faults = plan.map(|p| FaultState::new(p, FaultStats::default()));
             }
         }
         busy.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
@@ -455,10 +310,10 @@ impl ShardStats {
 /// `shard_commit` folded root at every telemetry flush — wall time
 /// only, never feeding deterministic state.
 #[derive(Default)]
-struct CommitProf {
-    recorder_ns: u64,
-    bucket_ns: u64,
-    schedule_ns: u64,
+pub(crate) struct CommitProf {
+    pub(crate) recorder_ns: u64,
+    pub(crate) bucket_ns: u64,
+    pub(crate) schedule_ns: u64,
     /// Per-window self time of the commit loop (µs), minus categories.
     total: Vec<u64>,
     recorder: Vec<u64>,
@@ -583,32 +438,18 @@ impl ShardTelemetry {
 /// The parallel engine. Construct with [`ShardedNet::from_network`] (or
 /// [`crate::NetHandle::sharded`]); drive through [`NetEngine`].
 pub struct ShardedNet {
-    cfg: NetworkConfig,
-    now: SimTime,
-    seq: u64,
-    events: BinaryHeap<Reverse<Event>>,
-    maps: Arc<RouteMaps>,
-    host_ips: Vec<Vec<Ipv4Addr>>,
+    /// The engine state, with `hosts` moved out to the workers. Its
+    /// observers are the coordinator's own copies (used by inline
+    /// sends) and its fault state is the authoritative one: it owns the
+    /// counters and token buckets.
+    net: Network,
     host_shard: Vec<usize>,
-    sockets: Vec<SocketState>,
-    filters: Arc<Vec<Filter>>,
-    /// The coordinator's own observer copies, used by inline sends.
-    injectors: Vec<Box<dyn PathObserver>>,
-    /// Authoritative fault state: owns the counters and token buckets.
-    faults: Option<FaultState>,
-    stats: NetStats,
-    telemetry: Option<NetTelemetry>,
     shard_telemetry: Option<ShardTelemetry>,
-    events_dispatched: u64,
-    queue_depth_max: u64,
-    lookahead_ms: u64,
     /// Deterministic per-shard accounting (DESIGN §15).
     acc: ShardStats,
     /// Coordinator wall time blocked on worker replies (µs) — metrics
     /// side channel only.
     barrier_wall_us: u64,
-    /// Commit-phase wall profiler, present only under `--profile`.
-    commit_prof: Option<Box<CommitProf>>,
     /// Scaling-model accumulator, present only while
     /// [`scaling::enabled`].
     scale: Option<Box<scaling::ScaleAcc>>,
@@ -641,30 +482,12 @@ impl ShardedNet {
     /// [`PathObserver::fork`] — such an observer cannot be replicated
     /// onto workers.
     pub fn from_network(
-        net: Network,
+        mut net: Network,
         shards: usize,
         regions: &[(Ipv4Addr, Ipv4Addr)],
     ) -> ShardedNet {
         assert!(shards >= 1, "at least one shard");
-        let Network {
-            cfg,
-            now,
-            seq,
-            events,
-            hosts,
-            bindings,
-            host_ips,
-            sockets,
-            socket_bindings,
-            injectors,
-            filters,
-            faults,
-            stats,
-            telemetry,
-            events_dispatched,
-            queue_depth_max,
-            scratch: _,
-        } = net;
+        let hosts = std::mem::take(&mut net.hosts);
 
         let mut sorted_regions: Vec<(u32, u32)> = regions
             .iter()
@@ -672,7 +495,8 @@ impl ShardedNet {
             .collect();
         sorted_regions.sort_unstable();
 
-        let host_shard: Vec<usize> = host_ips
+        let host_shard: Vec<usize> = net
+            .host_ips
             .iter()
             .enumerate()
             .map(|(h, ips)| match ips.first() {
@@ -684,19 +508,20 @@ impl ShardedNet {
             })
             .collect();
 
-        let min_inj_delay = injectors
+        let min_inj_delay = net
+            .ev
+            .injectors
             .iter()
             .map(|i| i.min_delay_ms())
             .min()
             .unwrap_or(u64::MAX);
-        let lookahead_ms = cfg.latency_ms.0.min(min_inj_delay.saturating_add(1)).max(1);
-        let bound = if min_inj_delay.saturating_add(1) < cfg.latency_ms.0 {
+        let latency_lo = net.ev.cfg.latency_ms.0;
+        let lookahead_ms = latency_lo.min(min_inj_delay.saturating_add(1)).max(1);
+        let bound = if min_inj_delay.saturating_add(1) < latency_lo {
             StallBound::Injector
         } else {
             StallBound::MinLatency
         };
-
-        let filters = Arc::new(filters);
 
         // Distribute hosts: worker i owns slot h iff host_shard[h] == i.
         let host_count = hosts.len();
@@ -715,20 +540,9 @@ impl ShardedNet {
             .into_iter()
             .enumerate()
             .map(|(i, shard_hosts)| {
-                let replicas: Vec<Box<dyn PathObserver>> = injectors
-                    .iter()
-                    .map(|inj| {
-                        inj.fork().expect(
-                            "every installed PathObserver must support fork() to shard the network",
-                        )
-                    })
-                    .collect();
                 let state = WorkerState {
-                    cfg: cfg.clone(),
-                    filters: Arc::clone(&filters),
+                    ev: net.ev.fork(),
                     hosts: shard_hosts,
-                    injectors: replicas,
-                    faults: faults.as_ref().map(|f| f.fork_replica()),
                     scratch: Vec::new(),
                 };
                 let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
@@ -749,33 +563,16 @@ impl ShardedNet {
             .collect();
 
         let acc = ShardStats::new(shards, lookahead_ms, bound);
-        let shard_telemetry = telemetry
+        let shard_telemetry = net
+            .telemetry
             .is_some()
             .then(|| ShardTelemetry::new(&acc, &vec![0; shards], 0));
         ShardedNet {
-            cfg,
-            now,
-            seq,
-            events,
-            maps: Arc::new(RouteMaps {
-                bindings,
-                socket_bindings,
-            }),
-            host_ips,
+            net,
             host_shard,
-            sockets,
-            filters,
-            injectors,
-            faults,
-            stats,
-            telemetry,
             shard_telemetry,
-            events_dispatched,
-            queue_depth_max,
-            lookahead_ms,
             acc,
             barrier_wall_us: 0,
-            commit_prof: None,
             scale: None,
             workers,
         }
@@ -787,148 +584,29 @@ impl ShardedNet {
         self.acc.cross_messages
     }
 
-    /// Total windows closed early at the conservative lookahead bound.
-    pub fn horizon_stalls(&self) -> u64 {
-        self.acc.stalls
-    }
-
-    /// The conservative lookahead (window width bound), in sim-ms.
-    pub fn lookahead_ms(&self) -> u64 {
-        self.lookahead_ms
-    }
-
-    fn schedule(&mut self, dgram: Datagram, at: SimTime) {
-        let t0 = self.commit_prof.as_ref().map(|_| Instant::now());
-        self.seq += 1;
-        self.events.push(Reverse(Event {
-            at,
-            seq: self.seq,
-            dgram,
-        }));
-        self.queue_depth_max = self.queue_depth_max.max(self.events.len() as u64);
-        if let Some(t0) = t0 {
-            self.commit_prof.as_mut().unwrap().schedule_ns += t0.elapsed().as_nanos() as u64;
+    /// Commit a batch of worker emissions in `(parent, emit)` order —
+    /// the order the sequential engine would have sent them in — and,
+    /// under `--profile`, cut the batch's commit wall time into samples.
+    fn commit_batch(&mut self, emissions: &mut Vec<Emission>) {
+        emissions.sort_unstable_by_key(|e| (e.parent, e.emit));
+        let mark = self
+            .net
+            .commit_prof
+            .as_ref()
+            .map(|p| (Instant::now(), p.recorder_ns, p.bucket_ns, p.schedule_ns));
+        for e in emissions.drain(..) {
+            self.net.commit(e);
         }
-    }
-
-    /// Appends one drop record to the flight recorder, charging the
-    /// time to the commit profiler's `recorder_append` category.
-    fn record_drop(
-        &mut self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        port: u16,
-        cause: &'static str,
-        at_ms: u64,
-    ) {
-        if !telemetry::recorder::enabled() {
-            return;
+        if let (Some(p), Some((t0, r0, b0, s0))) = (&mut self.net.commit_prof, mark) {
+            let total_us = t0.elapsed().as_micros() as u64;
+            let rec = (p.recorder_ns - r0) / 1_000;
+            let buck = (p.bucket_ns - b0) / 1_000;
+            let sched = (p.schedule_ns - s0) / 1_000;
+            p.recorder.push(rec);
+            p.bucket.push(buck);
+            p.schedule.push(sched);
+            p.total.push(total_us.saturating_sub(rec + buck + sched));
         }
-        let t0 = self.commit_prof.as_ref().map(|_| Instant::now());
-        telemetry::recorder::drop_fault(u32::from(src), u32::from(dst), port, cause, at_ms);
-        if let Some(t0) = t0 {
-            self.commit_prof.as_mut().unwrap().recorder_ns += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Commit one speculative emission in sequential order: the single
-    /// point where stats, fault counters, recorder records, token
-    /// buckets, and heap scheduling happen.
-    fn apply_emission(&mut self, e: Emission) {
-        self.stats.udp_sent += 1;
-        for (inj_at, d) in e.injections {
-            self.stats.injected += 1;
-            self.schedule(d, inj_at);
-        }
-        match e.outcome {
-            Outcome::Filtered => self.stats.udp_filtered += 1,
-            Outcome::Unbound => self.stats.udp_unbound += 1,
-            Outcome::FaultDrop(cause) => {
-                if let Some(fs) = &mut self.faults {
-                    fs.stats.bump(cause);
-                }
-                self.stats.udp_lost += 1;
-                self.record_drop(e.src, e.dst, e.dst_port, cause.as_str(), e.at.millis());
-            }
-            Outcome::LossDrop { spiked } => {
-                if spiked {
-                    if let Some(fs) = &mut self.faults {
-                        fs.stats.latency_spiked += 1;
-                    }
-                }
-                self.stats.udp_lost += 1;
-                self.record_drop(e.src, e.dst, e.dst_port, "loss", e.at.millis());
-            }
-            Outcome::Scheduled {
-                deliver_at,
-                dgram,
-                spiked,
-            } => {
-                if spiked {
-                    if let Some(fs) = &mut self.faults {
-                        fs.stats.latency_spiked += 1;
-                    }
-                }
-                self.schedule(dgram, deliver_at);
-            }
-            Outcome::Deferred {
-                dgram,
-                key,
-                extra_ms,
-            } => {
-                // The stateful token bucket, run where bucket state
-                // lives, in global send order — then the stages the
-                // sequential pipeline orders after it.
-                let t0 = self.commit_prof.as_ref().map(|_| Instant::now());
-                let fault = self
-                    .faults
-                    .as_mut()
-                    .expect("Deferred implies an installed rate limit")
-                    .udp_bucket_tail(e.at, e.src, e.dst, key, extra_ms);
-                if let Some(t0) = t0 {
-                    self.commit_prof.as_mut().unwrap().bucket_ns += t0.elapsed().as_nanos() as u64;
-                }
-                match fault {
-                    UdpFault::Drop(cause) => {
-                        self.stats.udp_lost += 1;
-                        self.record_drop(e.src, e.dst, e.dst_port, cause.as_str(), e.at.millis());
-                    }
-                    UdpFault::Deliver { extra_ms } => {
-                        let roll = mix64(self.cfg.seed, LOSS_CHANNEL, key) as f64 / u64::MAX as f64;
-                        if roll < self.cfg.udp_loss {
-                            self.stats.udp_lost += 1;
-                            self.record_drop(e.src, e.dst, e.dst_port, "loss", e.at.millis());
-                        } else {
-                            let lat = path_latency(&self.cfg, e.src, e.dst, key) + extra_ms;
-                            self.schedule(dgram, e.at + lat);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Evaluate one send inline on the coordinator (authoritative fault
-    /// caches, primary observers) and commit it immediately.
-    fn send_inline(&mut self, dgram: Datagram, at: SimTime) {
-        let at = at.max(self.now);
-        let e = eval_send(
-            &self.cfg,
-            &self.filters,
-            &self.maps,
-            &mut self.injectors,
-            &mut self.faults,
-            dgram,
-            at,
-            0,
-            0,
-        );
-        if let Some(sc) = &mut self.scale {
-            // Inline sends stay on the coordinator at any worker
-            // count: pure serial commit work in the scaling model.
-            sc.commit_units += 1;
-        }
-        self.apply_emission(e);
     }
 
     /// Creates or drops the profiling-gated accumulators so the off
@@ -936,44 +614,35 @@ impl ShardedNet {
     /// point (the gates can flip between calls).
     fn sync_instrumentation(&mut self) {
         if telemetry::profiling_enabled() {
-            if self.commit_prof.is_none() {
-                self.commit_prof = Some(Box::default());
-            }
+            self.net.commit_prof.get_or_insert_with(Box::default);
         } else {
-            self.commit_prof = None;
+            self.net.commit_prof = None;
         }
         if scaling::enabled() {
-            if self.scale.is_none() {
-                self.scale = Some(Box::new(scaling::ScaleAcc::new(self.workers.len())));
-            }
+            let (shards, sent) = (self.workers.len(), self.net.stats.udp_sent);
+            self.scale
+                .get_or_insert_with(|| Box::new(scaling::ScaleAcc::new(shards, sent)));
         } else {
             self.scale = None;
         }
     }
 
     fn flush_telemetry(&mut self) {
-        let t0 = self.commit_prof.as_ref().map(|_| Instant::now());
-        let (stats, dispatched, queue_max) =
-            (self.stats, self.events_dispatched, self.queue_depth_max);
-        let faults = self.faults.as_ref().map(|f| f.stats).unwrap_or_default();
-        if let Some(t) = &mut self.telemetry {
-            t.flush(stats, dispatched, queue_max, faults);
-        }
+        let t0 = self.net.commit_prof.as_ref().map(|_| Instant::now());
+        self.net.flush_telemetry();
         if let Some(st) = &mut self.shard_telemetry {
-            let busy: Vec<u64> = self
-                .workers
-                .iter()
-                .map(|w| w.busy_wall_us.load(Ordering::Relaxed))
-                .collect();
-            st.flush(&self.acc, &busy, self.barrier_wall_us);
+            st.flush(
+                &self.acc,
+                &busy_wall_us(&self.workers),
+                self.barrier_wall_us,
+            );
         }
-        if let Some(t0) = t0 {
-            let p = self.commit_prof.as_mut().unwrap();
+        if let (Some(p), Some(t0)) = (&mut self.net.commit_prof, t0) {
             p.stats_flush.push(t0.elapsed().as_micros() as u64);
             p.contribute();
         }
         if let Some(sc) = &self.scale {
-            scaling::publish(sc.measurement(&self.acc));
+            scaling::publish(sc.measurement(&self.acc, self.net.stats.udp_sent));
         }
     }
 
@@ -989,18 +658,17 @@ impl ShardedNet {
         loop {
             // The head event defines the window start; its owning
             // shard is charged if the lookahead clips this window.
-            let (w0, head_shard) = match self.events.peek() {
-                Some(Reverse(ev)) if ev.at <= t => {
+            let (w0, head_shard) = match self.net.events.peek() {
+                Some(ev) if ev.0.at <= t => {
                     let shard = self
-                        .maps
-                        .bindings
-                        .get(&ev.dgram.dst_ip)
+                        .net
+                        .host_at(ev.0.dgram.dst_ip)
                         .map(|h| self.host_shard[h.0 as usize]);
-                    (ev.at.millis(), shard)
+                    (ev.0.at.millis(), shard)
                 }
                 _ => break,
             };
-            let w1 = (w0 + self.lookahead_ms).min(t.millis() + 1);
+            let w1 = (w0 + self.acc.lookahead_ms).min(t.millis() + 1);
             let stalled = w1 < t.millis() + 1;
             if stalled {
                 self.acc.stalls += 1;
@@ -1012,38 +680,15 @@ impl ShardedNet {
             self.acc.windows += 1;
             let mut routed = 0u64;
             let mut order = 0u64;
-            while let Some(Reverse(head)) = self.events.peek() {
-                if head.at.millis() >= w1 {
-                    break;
-                }
-                let Reverse(ev) = self.events.pop().unwrap();
-                self.now = ev.at;
-                self.events_dispatched += 1;
+            // Route in pop order — this IS the sequential delivery
+            // order, so socket queues need no re-sorting.
+            while let Some(dgram) = self.net.pop_due(SimTime(w1 - 1)) {
                 routed += 1;
-                // Route in pop order — this IS the sequential delivery
-                // order, so socket queues need no re-sorting.
-                if filters_match(&self.filters, &ev.dgram, ev.at) {
-                    self.stats.udp_filtered += 1;
-                    continue;
-                }
-                if let Some(&sid) = self
-                    .maps
-                    .socket_bindings
-                    .get(&(ev.dgram.dst_ip, ev.dgram.dst_port))
-                {
-                    self.stats.udp_delivered += 1;
-                    self.sockets[sid as usize]
-                        .queue
-                        .push_back((ev.at, ev.dgram));
-                    continue;
-                }
-                let Some(&host) = self.maps.bindings.get(&ev.dgram.dst_ip) else {
-                    self.stats.udp_unbound += 1;
+                let Some((host, dgram)) = self.net.route(dgram) else {
                     continue;
                 };
-                self.stats.udp_delivered += 1;
                 let shard = self.host_shard[host.0 as usize];
-                if let Some(&src_host) = self.maps.bindings.get(&ev.dgram.src_ip) {
+                if let Some(src_host) = self.net.host_at(dgram.src_ip) {
                     let src_shard = self.host_shard[src_host.0 as usize];
                     self.acc.traffic[src_shard][shard] += 1;
                     if src_shard != shard {
@@ -1053,9 +698,9 @@ impl ShardedNet {
                 self.acc.events[shard] += 1;
                 worklists[shard].push(DeliverItem {
                     order,
-                    at: ev.at,
+                    at: self.net.now,
                     host: host.0,
-                    dgram: ev.dgram,
+                    dgram,
                 });
                 order += 1;
             }
@@ -1071,7 +716,7 @@ impl ShardedNet {
                     .tx
                     .send(Cmd::Deliver {
                         items: batch,
-                        maps: Arc::clone(&self.maps),
+                        maps: Arc::clone(&self.net.maps),
                     })
                     .expect("shard worker alive");
                 busy.push(i);
@@ -1084,9 +729,6 @@ impl ShardedNet {
                         self.acc.idle_windows[i] += 1;
                     }
                 }
-            }
-            emissions.clear();
-            if !busy.is_empty() {
                 let bar0 = Instant::now();
                 for &i in &busy {
                     match self.workers[i].rx.recv().expect("shard worker alive") {
@@ -1100,34 +742,15 @@ impl ShardedNet {
                 }
                 self.barrier_wall_us += bar0.elapsed().as_micros() as u64;
             }
-            emissions.sort_unstable_by_key(|e| (e.parent, e.emit));
-            let committed = emissions.len() as u64;
-            let prof_mark = self
-                .commit_prof
-                .as_ref()
-                .map(|p| (Instant::now(), p.recorder_ns, p.bucket_ns, p.schedule_ns));
-            for e in emissions.drain(..) {
-                self.apply_emission(e);
-            }
-            if let Some((t0, r0, b0, s0)) = prof_mark {
-                let total_us = t0.elapsed().as_micros() as u64;
-                let p = self.commit_prof.as_mut().unwrap();
-                let rec = (p.recorder_ns - r0) / 1_000;
-                let buck = (p.bucket_ns - b0) / 1_000;
-                let sched = (p.schedule_ns - s0) / 1_000;
-                p.recorder.push(rec);
-                p.bucket.push(buck);
-                p.schedule.push(sched);
-                p.total.push(total_us.saturating_sub(rec + buck + sched));
-            }
+            self.commit_batch(&mut emissions);
             if let Some(sc) = &mut self.scale {
-                sc.record_batch(&window_work, routed, committed);
+                sc.record_batch(&window_work, routed);
             }
             if stalled {
                 // The "why": a stall only hurt if events were in fact
                 // held back past the clip; otherwise the queue ran dry
                 // and the narrow window cost nothing.
-                let held_back = matches!(self.events.peek(), Some(Reverse(ev)) if ev.at <= t);
+                let held_back = matches!(self.net.events.peek(), Some(ev) if ev.0.at <= t);
                 if held_back {
                     match self.acc.bound {
                         StallBound::MinLatency => self.acc.stalls_min_latency += 1,
@@ -1151,33 +774,19 @@ impl Drop for ShardedNet {
     }
 }
 
+impl Sealed for ShardedNet {
+    fn core(&self) -> &Network {
+        &self.net
+    }
+    fn core_mut(&mut self) -> &mut Network {
+        &mut self.net
+    }
+}
+
 impl NetEngine for ShardedNet {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn advance_to(&mut self, t: SimTime) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    fn stats(&self) -> NetStats {
-        self.stats
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
-    }
-
     fn set_fault_plan(&mut self, plan: FaultPlan) {
-        let stats = self.fault_stats();
         let replica_plan = (!plan.is_noop()).then(|| plan.clone());
-        self.faults = if plan.is_noop() {
-            None
-        } else {
-            Some(FaultState::new(plan, stats))
-        };
+        self.net.set_fault_plan(plan);
         for w in &self.workers {
             w.tx.send(Cmd::SetFaults(replica_plan.clone()))
                 .expect("shard worker alive");
@@ -1185,113 +794,34 @@ impl NetEngine for ShardedNet {
     }
 
     fn set_instrumentation(&mut self, on: bool) {
-        if on {
-            self.telemetry = Some(NetTelemetry::new(
-                self.stats,
-                self.events_dispatched,
-                self.queue_depth_max,
-                self.fault_stats(),
-            ));
-            let busy: Vec<u64> = self
-                .workers
-                .iter()
-                .map(|w| w.busy_wall_us.load(Ordering::Relaxed))
-                .collect();
-            self.shard_telemetry =
-                Some(ShardTelemetry::new(&self.acc, &busy, self.barrier_wall_us));
-        } else {
-            self.telemetry = None;
-            self.shard_telemetry = None;
-        }
-    }
-
-    fn bind_ip(&mut self, ip: Ipv4Addr, host: HostId) {
-        assert!((host.0 as usize) < self.host_shard.len(), "unknown host");
-        let maps = Arc::make_mut(&mut self.maps);
-        if let Some(prev) = maps.bindings.insert(ip, host) {
-            if prev != host {
-                self.host_ips[prev.0 as usize].retain(|&i| i != ip);
-            }
-        }
-        let ips = &mut self.host_ips[host.0 as usize];
-        if !ips.contains(&ip) {
-            ips.push(ip);
-        }
-    }
-
-    fn unbind_ip(&mut self, ip: Ipv4Addr) {
-        let maps = Arc::make_mut(&mut self.maps);
-        if let Some(host) = maps.bindings.remove(&ip) {
-            self.host_ips[host.0 as usize].retain(|&i| i != ip);
-        }
-    }
-
-    fn host_at(&self, ip: Ipv4Addr) -> Option<HostId> {
-        self.maps.bindings.get(&ip).copied()
-    }
-
-    fn ips_of(&self, host: HostId) -> &[Ipv4Addr] {
-        &self.host_ips[host.0 as usize]
-    }
-
-    fn binding_count(&self) -> usize {
-        self.maps.bindings.len()
-    }
-
-    fn open_socket(&mut self, ip: Ipv4Addr, port: u16) -> SocketHandle {
-        let id = self.sockets.len() as u32;
-        self.sockets.push(SocketState {
-            queue: std::collections::VecDeque::new(),
-            open: true,
+        self.net.set_instrumentation(on);
+        self.shard_telemetry = on.then(|| {
+            ShardTelemetry::new(
+                &self.acc,
+                &busy_wall_us(&self.workers),
+                self.barrier_wall_us,
+            )
         });
-        Arc::make_mut(&mut self.maps)
-            .socket_bindings
-            .insert((ip, port), id);
-        SocketHandle(id)
     }
 
-    fn close_socket(&mut self, sock: SocketHandle) -> Result<(), SocketError> {
-        match self.sockets.get_mut(sock.0 as usize) {
-            None => Err(SocketError::Unknown),
-            Some(s) if !s.open => Err(SocketError::Closed),
-            Some(s) => {
-                s.queue.clear();
-                s.queue.shrink_to_fit();
-                s.open = false;
-                Arc::make_mut(&mut self.maps)
-                    .socket_bindings
-                    .retain(|_, &mut id| id != sock.0);
-                Ok(())
-            }
-        }
-    }
-
-    fn send(&mut self, dgram: Datagram, at: Option<SimTime>) {
-        let at = at.unwrap_or(self.now);
-        self.send_inline(dgram, at);
-    }
-
-    fn send_many(&mut self, dgrams: Vec<Datagram>) {
+    fn send_many(&mut self, mut dgrams: Vec<Datagram>) {
         self.sync_instrumentation();
         let n = dgrams.len();
         let shards = self.workers.len();
         if n < INLINE_BATCH || shards <= 1 {
-            let now = self.now;
             for d in dgrams {
-                self.send_inline(d, now);
+                self.net.send_udp(d);
             }
             return;
         }
-        // Chop into contiguous chunks; each worker evaluates its chunk
-        // speculatively, then the coordinator commits everything in
-        // original order — identical to a sequential send loop.
+        // Chop into contiguous chunks; each worker evaluates its chunk,
+        // then the coordinator commits everything in original order —
+        // identical to a sequential send loop.
         let chunk = n.div_ceil(shards);
-        let now = self.now;
         let mut busy = 0usize;
-        let mut dgrams = dgrams;
         let mut base = 0u64;
         let mut batch_work: Vec<u64> = vec![0; shards];
-        for (i, work) in batch_work.iter_mut().enumerate().take(shards) {
+        for (i, work) in batch_work.iter_mut().enumerate() {
             if dgrams.is_empty() {
                 break;
             }
@@ -1303,9 +833,9 @@ impl NetEngine for ShardedNet {
                 .tx
                 .send(Cmd::EvalSends {
                     base,
-                    at: now,
+                    at: self.net.now,
                     dgrams: batch,
-                    maps: Arc::clone(&self.maps),
+                    maps: Arc::clone(&self.net.maps),
                 })
                 .expect("shard worker alive");
             base += take as u64;
@@ -1323,68 +853,26 @@ impl NetEngine for ShardedNet {
             }
         }
         self.barrier_wall_us += bar0.elapsed().as_micros() as u64;
-        emissions.sort_unstable_by_key(|e| e.parent);
-        let committed = emissions.len() as u64;
-        let prof_mark = self
-            .commit_prof
-            .as_ref()
-            .map(|p| (Instant::now(), p.recorder_ns, p.bucket_ns, p.schedule_ns));
-        for e in emissions {
-            self.apply_emission(e);
-        }
-        if let Some((t0, r0, b0, s0)) = prof_mark {
-            let total_us = t0.elapsed().as_micros() as u64;
-            let p = self.commit_prof.as_mut().unwrap();
-            let rec = (p.recorder_ns - r0) / 1_000;
-            let buck = (p.bucket_ns - b0) / 1_000;
-            let sched = (p.schedule_ns - s0) / 1_000;
-            p.recorder.push(rec);
-            p.bucket.push(buck);
-            p.schedule.push(sched);
-            p.total.push(total_us.saturating_sub(rec + buck + sched));
-        }
+        self.commit_batch(&mut emissions);
         if let Some(sc) = &mut self.scale {
-            sc.record_batch(&batch_work, 0, committed);
-        }
-    }
-
-    fn recv(&mut self, sock: SocketHandle) -> Result<Option<(SimTime, Datagram)>, SocketError> {
-        match self.sockets.get_mut(sock.0 as usize) {
-            None => Err(SocketError::Unknown),
-            Some(s) if !s.open => Err(SocketError::Closed),
-            Some(s) => Ok(s.queue.pop_front()),
-        }
-    }
-
-    fn recv_all(&mut self, sock: SocketHandle) -> Result<Vec<(SimTime, Datagram)>, SocketError> {
-        match self.sockets.get_mut(sock.0 as usize) {
-            None => Err(SocketError::Unknown),
-            Some(s) if !s.open => Err(SocketError::Closed),
-            Some(s) => Ok(s.queue.drain(..).collect()),
+            sc.record_batch(&batch_work, 0);
         }
     }
 
     fn run_until(&mut self, t: SimTime) -> RunReport {
         self.sync_instrumentation();
-        let events_before = self.events_dispatched;
-        let delivered_before = self.stats.udp_delivered;
+        let events_before = self.net.events_dispatched;
+        let delivered_before = self.net.stats.udp_delivered;
         let stalls_before = self.acc.stalls;
         self.run_window_loop(t);
-        self.now = self.now.max(t);
+        self.net.now = self.net.now.max(t);
         self.flush_telemetry();
         RunReport {
-            events: self.events_dispatched - events_before,
-            delivered: self.stats.udp_delivered - delivered_before,
-            end: self.now,
+            events: self.net.events_dispatched - events_before,
+            delivered: self.net.stats.udp_delivered - delivered_before,
+            end: self.net.now,
             stalls: self.acc.stalls - stalls_before,
         }
-    }
-
-    fn run_to_idle(&mut self, deadline: SimTime) -> RunReport {
-        if let Some(t) = &self.telemetry {
-            t.run_to_idle_calls.inc();
-        }
-        self.run_until(deadline)
     }
 
     fn tcp_query(
@@ -1393,40 +881,20 @@ impl NetEngine for ShardedNet {
         port: u16,
         req: &TcpRequest,
     ) -> Result<TcpResponse, TcpError> {
-        self.stats.tcp_queries += 1;
-        self.flush_telemetry();
-        let probe = Datagram::new(Ipv4Addr::new(0, 0, 0, 0), 0, dst_ip, port, &b""[..]);
-        if filters_match(&self.filters, &probe, self.now) {
-            return Err(TcpError::Unreachable);
-        }
-        let key = tcp_key(self.now, dst_ip, port, req);
-        let now = self.now;
-        if let Some(fs) = &mut self.faults {
-            if let Some(err) = fs.tcp_fault(now, dst_ip, key) {
-                return Err(err);
-            }
-        }
-        let roll = mix64(self.cfg.seed, TCP_CHANNEL, key) as f64 / u64::MAX as f64;
-        if roll < self.cfg.tcp_loss {
-            return Err(TcpError::Timeout);
-        }
-        let Some(&host) = self.maps.bindings.get(&dst_ip) else {
-            return Err(TcpError::Unreachable);
-        };
-        let shard = self.host_shard[host.0 as usize];
-        self.workers[shard]
+        let host = self.net.tcp_admit(dst_ip, port, req)?;
+        let worker = &self.workers[self.host_shard[host.0 as usize]];
+        worker
             .tx
             .send(Cmd::Tcp {
                 host: host.0,
-                now,
+                now: self.net.now,
                 dst: dst_ip,
                 port,
                 req: req.clone(),
             })
             .expect("shard worker alive");
-        match self.workers[shard].rx.recv().expect("shard worker alive") {
-            Reply::Tcp(Some(resp)) => Ok(resp),
-            Reply::Tcp(None) => Err(TcpError::Refused),
+        match worker.rx.recv().expect("shard worker alive") {
+            Reply::Tcp(resp) => resp.ok_or(TcpError::Refused),
             Reply::Emissions(_) => unreachable!("tcp reply expected"),
         }
     }

@@ -77,18 +77,20 @@ pub fn fold_critical_path(work: &[u64], workers: usize) -> u64 {
 pub(crate) struct ScaleAcc {
     batches: u64,
     route_units: u64,
-    pub(crate) commit_units: u64,
+    /// `udp_sent` when capture began: every send since — batched or
+    /// inline — was one serial commit.
+    sent_base: u64,
     total_work_units: u64,
     work: Vec<u64>,
     cp_units: [u64; FOLD_WORKERS.len()],
 }
 
 impl ScaleAcc {
-    pub(crate) fn new(shards: usize) -> ScaleAcc {
+    pub(crate) fn new(shards: usize, udp_sent: u64) -> ScaleAcc {
         ScaleAcc {
             batches: 0,
             route_units: 0,
-            commit_units: 0,
+            sent_base: udp_sent,
             total_work_units: 0,
             work: vec![0; shards],
             cp_units: [0; FOLD_WORKERS.len()],
@@ -96,12 +98,10 @@ impl ScaleAcc {
     }
 
     /// Charges one barrier-delimited batch: `work[i]` units ran on
-    /// shard `i`, `routed` events were popped serially before it and
-    /// `committed` emissions were committed serially after it.
-    pub(crate) fn record_batch(&mut self, work: &[u64], routed: u64, committed: u64) {
+    /// shard `i` and `routed` events were popped serially before it.
+    pub(crate) fn record_batch(&mut self, work: &[u64], routed: u64) {
         self.batches += 1;
         self.route_units += routed;
-        self.commit_units += committed;
         for (i, &w) in work.iter().enumerate() {
             self.work[i] += w;
             self.total_work_units += w;
@@ -112,13 +112,13 @@ impl ScaleAcc {
     }
 
     /// The publishable cumulative snapshot, paired with the engine's
-    /// deterministic shard accounting.
-    pub(crate) fn measurement(&self, stats: &ShardStats) -> Measurement {
+    /// deterministic shard accounting and its current `udp_sent`.
+    pub(crate) fn measurement(&self, stats: &ShardStats, udp_sent: u64) -> Measurement {
         Measurement {
             stats: stats.clone(),
             batches: self.batches,
             route_units: self.route_units,
-            commit_units: self.commit_units,
+            commit_units: udp_sent - self.sent_base,
             total_work_units: self.total_work_units,
             work: self.work.clone(),
             cp_units: self.cp_units.to_vec(),
@@ -248,14 +248,13 @@ mod tests {
 
     fn measure(batches: &[&[u64]], route: u64, commit: u64) -> Measurement {
         let shards = batches.first().map(|b| b.len()).unwrap_or(0);
-        let mut acc = ScaleAcc::new(shards);
+        let mut acc = ScaleAcc::new(shards, 0);
         for (i, b) in batches.iter().enumerate() {
-            // Attribute the serial terms to the first batch only; the
-            // model sums them, so the split does not matter.
-            let (r, c) = if i == 0 { (route, commit) } else { (0, 0) };
-            acc.record_batch(b, r, c);
+            // Attribute the routing term to the first batch only; the
+            // model sums it, so the split does not matter.
+            acc.record_batch(b, if i == 0 { route } else { 0 });
         }
-        acc.measurement(&ShardStats::new(shards, 1, Default::default()))
+        acc.measurement(&ShardStats::new(shards, 1, Default::default()), commit)
     }
 
     #[test]

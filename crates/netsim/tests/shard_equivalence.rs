@@ -162,6 +162,15 @@ fn run_script(h: &mut dyn NetEngine, members: Vec<netsim::HostId>, sends: &[(u8,
     obs.stats = h.stats();
     obs.faults = h.fault_stats();
     obs.end_ms = h.now().millis();
+    // Conservation at idle: every datagram handed to the transport or
+    // injected into it ended in exactly one counted bucket.
+    let s = obs.stats;
+    assert_eq!(
+        s.udp_sent + s.injected,
+        s.udp_filtered + s.udp_unbound + s.udp_lost + s.udp_delivered,
+        "conservation violated at {} shards: {s:?}",
+        h.shards()
+    );
     obs
 }
 
@@ -228,8 +237,13 @@ fn instrumentation_does_not_change_behaviour() {
     netsim::scaling::enable();
     let instrumented = run_at(4, 9, 0.1, &sends);
     let measurement = netsim::scaling::take();
-    let _ = telemetry::take_profile();
+    let profile = telemetry::take_profile().expect("profiling was enabled");
     assert_eq!(plain, instrumented, "instrumentation must be invisible");
+    // The commit profiler's folded categories (DESIGN §15) all report.
+    for leaf in ["recorder_append", "rate_limit", "schedule", "stats_flush"] {
+        let path = format!("shard_commit;{leaf}");
+        assert!(profile.folded().contains_key(&path), "missing {path}");
+    }
 
     let m = measurement.expect("the sharded run publishes a measurement at flush");
     assert!(m.batches > 0, "windows were charged");

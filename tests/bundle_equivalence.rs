@@ -13,9 +13,21 @@ use goingwild::{collect_bundle, BundleOptions, CampaignKind, WorldConfig};
 use netsim::FaultPlan;
 use scanner::ProbePolicy;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
+/// `collect_bundle` counts world builds and campaign runs in the
+/// process-global telemetry registry, and the first test asserts on
+/// those counters, so the tests in this binary take turns.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn subset_derivations_match_full_bundle_and_campaigns_run_once() {
+    let _guard = exclusive();
     let cfg = WorldConfig {
         weeks: 2,
         ..WorldConfig::tiny(20151028)
@@ -83,6 +95,7 @@ fn subset_derivations_match_full_bundle_and_campaigns_run_once() {
 /// behind the CI `shard-smoke` job's `repro --exp all --shards N` diff.
 #[test]
 fn sharded_bundles_are_byte_identical_to_sequential() {
+    let _guard = exclusive();
     let mk = |shards: usize| {
         let cfg = WorldConfig {
             weeks: 2,
@@ -124,6 +137,7 @@ fn sharded_bundles_are_byte_identical_to_sequential() {
 /// byte-identical reports to the plain default-options bundle.
 #[test]
 fn noop_fault_plan_and_single_probe_policy_are_byte_identical() {
+    let _guard = exclusive();
     let cfg = WorldConfig {
         weeks: 2,
         ..WorldConfig::tiny(20151028)
