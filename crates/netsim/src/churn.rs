@@ -8,6 +8,11 @@
 //! expires. Renumbering permutes hosts *within* the pool, so the pool's
 //! aggregate population is stable (the resolver count stays flat) while
 //! individual IP↔host associations decay — the effect Figure 2 plots.
+//!
+//! A pool carries far more addresses than members (worldgen gives
+//! consumer pools 40× slack), so each member remembers the index of its
+//! address in the pool: releasing it at lease expiry is a push onto the
+//! free list, not a search of the address table.
 
 use crate::engine::NetEngine;
 use crate::network::HostId;
@@ -48,6 +53,8 @@ impl ChurnConfig {
 struct Member {
     host: HostId,
     current_ip: Ipv4Addr,
+    /// Index of `current_ip` in the pool's `addresses`.
+    idx: u32,
     lease_expires: SimTime,
 }
 
@@ -94,6 +101,7 @@ impl LeasePool {
             pool.members.push(Member {
                 host,
                 current_ip: ip,
+                idx: i as u32,
                 lease_expires: now + lease,
             });
         }
@@ -120,18 +128,14 @@ impl LeasePool {
             // Release the old address.
             let old_ip = self.members[i].current_ip;
             net.unbind_ip(old_ip);
-            let old_idx = self
-                .addresses
-                .iter()
-                .position(|&a| a == old_ip)
-                .expect("member address must be in pool") as u32;
-            self.free.push(old_idx);
+            self.free.push(self.members[i].idx);
             // Draw a new one.
             let pick = self.rng.gen_range(0..self.free.len());
             let new_idx = self.free.swap_remove(pick);
             let new_ip = self.addresses[new_idx as usize];
             net.bind_ip(new_ip, self.members[i].host);
             self.members[i].current_ip = new_ip;
+            self.members[i].idx = new_idx;
             let lease = self.draw_lease();
             self.members[i].lease_expires = now + lease;
             if new_ip != old_ip {
@@ -141,12 +145,10 @@ impl LeasePool {
         changed
     }
 
-    /// Current address of a member host.
-    pub fn address_of(&self, host: HostId) -> Option<Ipv4Addr> {
-        self.members
-            .iter()
-            .find(|m| m.host == host)
-            .map(|m| m.current_ip)
+    /// Every member with its current address, in membership order —
+    /// right after [`LeasePool::new`], member `i` at `addresses[i]`.
+    pub fn assignments(&self) -> impl Iterator<Item = (HostId, Ipv4Addr)> + '_ {
+        self.members.iter().map(|m| (m.host, m.current_ip))
     }
 
     /// Number of members.
@@ -193,6 +195,26 @@ mod tests {
         )
     }
 
+    fn address_of(pool: &LeasePool, host: HostId) -> Ipv4Addr {
+        let (_, ip) = pool.assignments().find(|&(h, _)| h == host).unwrap();
+        ip
+    }
+
+    /// The index each member remembers is where its address is, and
+    /// the free list holds exactly the addresses nobody has.
+    fn assert_partition(pool: &LeasePool, net: &Network) {
+        let mut seen = vec![false; pool.addresses.len()];
+        for m in &pool.members {
+            assert_eq!(m.current_ip, pool.addresses[m.idx as usize]);
+            assert_eq!(net.host_at(m.current_ip), Some(m.host));
+            assert!(!std::mem::replace(&mut seen[m.idx as usize], true));
+        }
+        for &f in &pool.free {
+            assert!(!std::mem::replace(&mut seen[f as usize], true));
+        }
+        assert!(seen.iter().all(|&s| s), "free + assigned cover the pool");
+    }
+
     #[test]
     fn initial_assignment_binds_all() {
         let mut net = Network::new(NetworkConfig::default());
@@ -200,7 +222,7 @@ mod tests {
         assert_eq!(net.binding_count(), 50);
         assert_eq!(pool.len(), 50);
         for m in 0..50u32 {
-            let ip = pool.address_of(HostId(m)).unwrap();
+            let ip = address_of(&pool, HostId(m));
             assert_eq!(net.host_at(ip), Some(HostId(m)));
         }
     }
@@ -219,15 +241,13 @@ mod tests {
     fn most_members_move_within_two_mean_leases() {
         let mut net = Network::new(NetworkConfig::default());
         let mut pool = build(&mut net, 200, 100, SimTime::DAY);
-        let initial: Vec<Ipv4Addr> = (0..200u32)
-            .map(|m| pool.address_of(HostId(m)).unwrap())
-            .collect();
+        let initial: Vec<Ipv4Addr> = (0..200u32).map(|m| address_of(&pool, HostId(m))).collect();
         // Step hourly for 2 days.
         for h in 1..=48 {
             pool.renumber_expired(&mut net, SimTime::from_hours(h));
         }
         let moved = (0..200u32)
-            .filter(|&m| pool.address_of(HostId(m)).unwrap() != initial[m as usize])
+            .filter(|&m| address_of(&pool, HostId(m)) != initial[m as usize])
             .count();
         assert!(moved > 150, "moved={moved}");
     }
@@ -240,7 +260,7 @@ mod tests {
             pool.renumber_expired(&mut net, SimTime::from_weeks(w));
         }
         let initial_still: usize = (0..100u32)
-            .filter(|&m| pool.address_of(HostId(m)).unwrap() == Ipv4Addr::from(0x0505_0000 + m))
+            .filter(|&m| address_of(&pool, HostId(m)) == Ipv4Addr::from(0x0505_0000 + m))
             .count();
         assert!(initial_still >= 95, "still={initial_still}");
     }
@@ -249,10 +269,10 @@ mod tests {
     fn old_address_becomes_unbound_or_reassigned() {
         let mut net = Network::new(NetworkConfig::default());
         let mut pool = build(&mut net, 10, 40, SimTime::HOUR);
-        let before = pool.address_of(HostId(0)).unwrap();
+        let before = address_of(&pool, HostId(0));
         // Push far past the lease.
         pool.renumber_expired(&mut net, SimTime::from_days(1));
-        let after = pool.address_of(HostId(0)).unwrap();
+        let after = address_of(&pool, HostId(0));
         if before != after {
             // The vacated IP either is free or now belongs to someone else.
             match net.host_at(before) {
@@ -285,5 +305,58 @@ mod tests {
         pool.renumber_expired(&mut net, first + SimTime::HOUR);
         let second = pool.next_expiry().unwrap();
         assert!(second > first);
+    }
+
+    /// Seed 42, 50 members, 20 spare addresses, twelve 6-hour rounds:
+    /// the assignments recorded before members remembered their index
+    /// (when each renumbering searched `addresses` for the old one).
+    /// The pool RNG must still be consumed in exactly that order.
+    #[test]
+    fn renumbering_sequence_matches_golden_vector() {
+        const FINAL: [u32; 50] = [
+            38, 5, 13, 23, 37, 6, 25, 27, 64, 20, 21, 36, 47, 39, 51, 41, 45, 49, 65, 0, 31, 11,
+            58, 15, 68, 53, 22, 33, 40, 66, 17, 8, 4, 57, 35, 46, 43, 29, 30, 69, 9, 10, 52, 7, 2,
+            19, 24, 56, 14, 12,
+        ];
+        let mut net = Network::new(NetworkConfig::default());
+        let mut pool = build(&mut net, 50, 20, SimTime::DAY);
+        // Every round's full address list, in host order.
+        let mut history = Vec::new();
+        for round in 1..=12 {
+            pool.renumber_expired(&mut net, SimTime::from_hours(6 * round));
+            history.extend(pool.assignments().flat_map(|(_, ip)| ip.octets()));
+            assert_partition(&pool, &net);
+        }
+        assert_eq!(
+            crate::network::fnv64(&history),
+            0x52c0123a7701d443,
+            "some round diverged"
+        );
+        let last: Vec<u32> = pool
+            .assignments()
+            .map(|(_, ip)| u32::from(ip) - 0x0505_0000)
+            .collect();
+        assert_eq!(last, FINAL);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn index_and_free_list_stay_a_partition(
+            members in 1usize..40,
+            slack in 0usize..40,
+            mean_hours in 1u64..72,
+            steps in proptest::collection::vec(1u64..48, 1..20),
+        ) {
+            let mut net = Network::new(NetworkConfig::default());
+            let mut pool = build(&mut net, members, slack, mean_hours * SimTime::HOUR);
+            assert_partition(&pool, &net);
+            let mut now = 0;
+            for step in steps {
+                now += step;
+                pool.renumber_expired(&mut net, SimTime::from_hours(now));
+                assert_partition(&pool, &net);
+                proptest::prop_assert_eq!(net.binding_count(), members);
+            }
+        }
     }
 }

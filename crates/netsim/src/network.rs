@@ -28,6 +28,7 @@ use crate::sharded::CommitProf;
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -146,10 +147,52 @@ pub(crate) struct Filter {
 /// socket bindings. Held behind an `Arc` so shard workers can evaluate
 /// against a snapshot; mutated between windows via `Arc::make_mut`
 /// (workers have dropped their clones by then, so mutation is in place).
+///
+/// The maps are only ever probed (`get`/`insert`/`remove`/`len`, and an
+/// order-insensitive `retain`), never iterated for output, so their
+/// internal order is unobservable and the hasher is free to be cheap:
+/// every send asks both whether anything is bound at its destination.
 #[derive(Clone, Default)]
 pub(crate) struct RouteMaps {
-    pub(crate) bindings: HashMap<Ipv4Addr, HostId>,
-    pub(crate) socket_bindings: HashMap<(Ipv4Addr, u16), u32>,
+    pub(crate) bindings: HashMap<Ipv4Addr, HostId, BuildHasherDefault<RouteHasher>>,
+    pub(crate) socket_bindings: HashMap<(Ipv4Addr, u16), u32, BuildHasherDefault<RouteHasher>>,
+}
+
+/// Multiplicative hasher for the route maps' address keys: one
+/// multiply per word written, deterministic, no per-map key. The keys
+/// come from the simulation's own address plan, not from outside the
+/// program, so SipHash's collision resistance buys nothing here.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct RouteHasher(u64);
+
+impl RouteHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for RouteHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.mix(v as u64);
+    }
+
+    /// Slice length prefixes: the keys are fixed-width, so the length
+    /// distinguishes nothing.
+    fn write_usize(&mut self, _: usize) {}
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // indexes with the low ones.
+        self.0.rotate_left(26)
+    }
 }
 
 pub(crate) struct SocketState {
@@ -598,13 +641,21 @@ impl Network {
         direction: FilterDirection,
         active_from: SimTime,
     ) {
-        Arc::make_mut(&mut self.ev.filters).push(Filter {
+        self.insert_filter(Filter {
             lo: u32::from(lo),
             hi: u32::from(hi),
             direction,
             active_from,
             peer: None,
         });
+    }
+
+    /// Keep `filters` sorted by activation time, which lets
+    /// [`filters_match`] skip every filter not yet active.
+    fn insert_filter(&mut self, filter: Filter) {
+        let filters = Arc::make_mut(&mut self.ev.filters);
+        let at = filters.partition_point(|f| f.active_from <= filter.active_from);
+        filters.insert(at, filter);
     }
 
     /// Install a filter that drops traffic between `[lo, hi]` and the
@@ -618,7 +669,7 @@ impl Network {
         peer_hi: Ipv4Addr,
         active_from: SimTime,
     ) {
-        Arc::make_mut(&mut self.ev.filters).push(Filter {
+        self.insert_filter(Filter {
             lo: u32::from(lo),
             hi: u32::from(hi),
             direction: FilterDirection::Both,
@@ -901,16 +952,15 @@ impl Network {
     }
 }
 
-/// Does any active filter drop this datagram at time `at`? Free
-/// function so shard workers can evaluate it against a shared filter
-/// snapshot without a `Network`.
+/// Does any active filter drop this datagram at time `at`? `filters`
+/// is sorted by `active_from`, so only the prefix already active is
+/// examined. Free function so shard workers can evaluate it against a
+/// shared filter snapshot without a `Network`.
 pub(crate) fn filters_match(filters: &[Filter], dgram: &Datagram, at: SimTime) -> bool {
     let src = u32::from(dgram.src_ip);
     let dst = u32::from(dgram.dst_ip);
-    filters.iter().any(|f| {
-        if at < f.active_from {
-            return false;
-        }
+    let active = filters.partition_point(|f| f.active_from <= at);
+    filters[..active].iter().any(|f| {
         let range_hit = |v: u32| (f.lo..=f.hi).contains(&v);
         let dir_hit = match f.direction {
             FilterDirection::Inbound => range_hit(dst),
@@ -1560,5 +1610,63 @@ mod tests {
         assert_eq!((next.at, next.seq), (SimTime(10), 2));
         assert!(drops().is_empty());
         telemetry::recorder::disable();
+    }
+
+    proptest::proptest! {
+        /// Filters are stored sorted by activation time and only the
+        /// active prefix is walked: that must agree with asking every
+        /// filter, in the order the caller installed them, whether it
+        /// is active and hits.
+        #[test]
+        fn filters_match_equals_brute_force_over_any_insertion_order(
+            specs in proptest::collection::vec(
+                (0u32..64, 0u32..16, 0u8..3, 0u64..8, proptest::prelude::any::<bool>(), 0u32..64, 0u32..16),
+                0..12,
+            ),
+            probes in proptest::collection::vec((0u32..64, 0u32..64, 0u64..10), 1..24),
+        ) {
+            let mut net = Network::new(lossless());
+            for &(lo, span, dir, from, paired, plo, pspan) in &specs {
+                let (lo_ip, hi_ip) = (Ipv4Addr::from(lo), Ipv4Addr::from(lo + span));
+                if paired {
+                    let (a, b) = (Ipv4Addr::from(plo), Ipv4Addr::from(plo + pspan));
+                    net.add_pair_filter(lo_ip, hi_ip, a, b, SimTime(from));
+                } else {
+                    let direction = [
+                        FilterDirection::Inbound,
+                        FilterDirection::Outbound,
+                        FilterDirection::Both,
+                    ][dir as usize];
+                    net.add_filter(lo_ip, hi_ip, direction, SimTime(from));
+                }
+            }
+            for &(src, dst, at) in &probes {
+                let brute = specs.iter().any(|&(lo, span, dir, from, paired, plo, pspan)| {
+                    let within = |v: u32| lo <= v && v <= lo + span;
+                    if at < from {
+                        false
+                    } else if paired {
+                        // Both directions, and the endpoint the range
+                        // did not claim must sit in the peer range.
+                        let other = if within(dst) { src } else { dst };
+                        (within(dst) || within(src)) && plo <= other && other <= plo + pspan
+                    } else {
+                        match dir {
+                            0 => within(dst),
+                            1 => within(src),
+                            _ => within(dst) || within(src),
+                        }
+                    }
+                });
+                let d = Datagram::new(Ipv4Addr::from(src), 1, Ipv4Addr::from(dst), 53, &b""[..]);
+                proptest::prop_assert_eq!(
+                    filters_match(&net.ev.filters, &d, SimTime(at)),
+                    brute,
+                    "src={} dst={} at={} specs={:?}", src, dst, at, specs
+                );
+            }
+            let order: Vec<SimTime> = net.ev.filters.iter().map(|f| f.active_from).collect();
+            proptest::prop_assert!(order.windows(2).all(|w| w[0] <= w[1]), "sorted: {:?}", order);
+        }
     }
 }

@@ -50,12 +50,49 @@ impl GreatFirewall {
     }
 }
 
-impl PathObserver for GreatFirewall {
-    fn on_transit(&mut self, _now: SimTime, dgram: &Datagram) -> Vec<(u64, Datagram)> {
-        // Only queries headed *into* the censored space, port 53.
-        if dgram.dst_port != 53 || !self.inside(dgram.dst_ip) || self.inside(dgram.src_ip) {
-            return Vec::new();
+/// Lower-cased text of the first question's name, read straight off the
+/// wire into `buf` — no decode, no allocation. When it returns a name
+/// and [`Message::decode`] accepts the payload, the name is exactly
+/// `questions[0].qname.to_ascii_lower()`. `None` means "cannot tell
+/// cheaply" — no question, the root name, a compression pointer or
+/// reserved label type, a non-ASCII byte, truncation, an over-long
+/// name — never "no name": the caller decodes in full.
+fn peek_qname_lower<'a>(payload: &[u8], buf: &'a mut [u8; 255]) -> Option<&'a str> {
+    if payload.len() < 12 || payload[4..6] == [0, 0] {
+        return None;
+    }
+    let (mut pos, mut n) = (12, 0);
+    loop {
+        let len = *payload.get(pos)? as usize;
+        if len == 0 {
+            break;
         }
+        if len > 63 {
+            return None;
+        }
+        let label = payload.get(pos + 1..pos + 1 + len)?;
+        if n > 0 {
+            *buf.get_mut(n)? = b'.';
+            n += 1;
+        }
+        for (out, b) in buf.get_mut(n..n + len)?.iter_mut().zip(label) {
+            if !b.is_ascii() {
+                return None;
+            }
+            *out = b.to_ascii_lowercase();
+        }
+        n += len;
+        pos += 1 + len;
+    }
+    if n == 0 {
+        return None;
+    }
+    std::str::from_utf8(&buf[..n]).ok()
+}
+
+impl GreatFirewall {
+    /// The injection decision on the fully decoded query.
+    fn inject_decoded(&mut self, dgram: &Datagram) -> Vec<(u64, Datagram)> {
         let Ok(query) = Message::decode(&dgram.payload) else {
             return Vec::new();
         };
@@ -80,6 +117,24 @@ impl PathObserver for GreatFirewall {
             .build();
         self.injected += 1;
         vec![(self.injection_delay_ms, dgram.reply_with(resp.encode()))]
+    }
+}
+
+impl PathObserver for GreatFirewall {
+    fn on_transit(&mut self, _now: SimTime, dgram: &Datagram) -> Vec<(u64, Datagram)> {
+        // Only queries headed *into* the censored space, port 53.
+        if dgram.dst_port != 53 || !self.inside(dgram.dst_ip) || self.inside(dgram.src_ip) {
+            return Vec::new();
+        }
+        // Nearly everything crossing the border is a sweep probe for an
+        // uncensored name: reject those on a cheap read of the question.
+        // Being censored is necessary for injecting, so whatever the
+        // read cannot decide goes to the full decode unchanged.
+        let mut buf = [0u8; 255];
+        if peek_qname_lower(&dgram.payload, &mut buf).is_some_and(|n| !self.censored.contains(n)) {
+            return Vec::new();
+        }
+        self.inject_decoded(dgram)
     }
 
     fn min_delay_ms(&self) -> u64 {
@@ -181,5 +236,141 @@ mod tests {
             |v: &Vec<(u64, Datagram)>| Message::decode(&v[0].1.payload).unwrap().answer_ips()[0];
         assert_eq!(ip_of(&a), ip_of(&b));
         assert_ne!(ip_of(&a), ip_of(&c));
+    }
+
+    /// A query packet assembled by hand so that it can be malformed:
+    /// `qd` is the announced QDCOUNT, `labels` go in uncompressed.
+    fn raw_query(qd: u16, labels: &[&[u8]]) -> Vec<u8> {
+        let mut p = vec![0x12, 0x34, 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0];
+        p[4..6].copy_from_slice(&qd.to_be_bytes());
+        for l in labels {
+            p.push(l.len() as u8);
+            p.extend_from_slice(l);
+        }
+        p.extend_from_slice(&[0, 0, 1, 0, 1]); // root, QTYPE A, QCLASS IN
+        p
+    }
+
+    fn labels_of(name: &str) -> Vec<&[u8]> {
+        name.split('.').map(str::as_bytes).collect()
+    }
+
+    /// What the cheap read promises, checked on one payload: a name it
+    /// yields is the decoder's, and `on_transit` answers exactly as the
+    /// decode-only path does.
+    fn assert_agrees_with_decode(payload: &[u8]) {
+        let mut buf = [0u8; 255];
+        if let (Some(name), Ok(msg)) = (
+            peek_qname_lower(payload, &mut buf),
+            Message::decode(payload),
+        ) {
+            assert_eq!(name, msg.questions[0].qname.to_ascii_lower());
+        }
+        let d = Datagram::new(ip("100.0.0.1"), 40000, ip("110.1.2.3"), 53, payload);
+        assert_eq!(
+            gfw().on_transit(SimTime::ZERO, &d),
+            gfw().inject_decoded(&d),
+            "payload {payload:02x?}"
+        );
+    }
+
+    #[test]
+    fn fast_reject_matches_decode_on_each_query_shape() {
+        let injects = |payload: &[u8]| {
+            assert_agrees_with_decode(payload);
+            let d = Datagram::new(ip("100.0.0.1"), 40000, ip("110.1.2.3"), 53, payload);
+            gfw().on_transit(SimTime::ZERO, &d).len()
+        };
+        let censored = raw_query(1, &labels_of("facebook.example"));
+        assert_eq!(injects(&censored), 1);
+        assert_eq!(injects(&raw_query(1, &labels_of("FaceBook.eXample"))), 1);
+        assert_eq!(injects(&raw_query(1, &labels_of("harmless.example"))), 0);
+        // One label that merely renders like the censored name: the
+        // decoder's lower-cased text is the same string, so it injects.
+        assert_eq!(injects(&raw_query(1, &[b"facebook.example"])), 1);
+        // Bytes >= 0x80 render as two-byte chars — also where they
+        // happen to be UTF-8 already; the read steps aside.
+        assert_eq!(injects(&raw_query(1, &[b"faceb\xf6\xf6k", b"example"])), 0);
+        assert_eq!(injects(&raw_query(1, &[b"caf\xc3\xa9", b"example"])), 0);
+        // No question announced, although one is in the packet.
+        assert_eq!(injects(&raw_query(0, &labels_of("facebook.example"))), 0);
+        // Two announced, one present: the decoder overruns.
+        assert_eq!(injects(&raw_query(2, &labels_of("facebook.example"))), 0);
+        // Truncated inside the name, inside the fixed tail, and to a bare header.
+        for cut in [12, 15, 21, censored.len() - 5, censored.len() - 1] {
+            assert_eq!(injects(&censored[..cut]), 0, "cut at {cut}");
+        }
+        // Trailing padding is tolerated by the decoder.
+        let mut padded = censored.clone();
+        padded.extend_from_slice(&[0; 9]);
+        assert_eq!(injects(&padded), 1);
+        // The question's second label is a compression pointer to a
+        // copy of "example" further back... which a question cannot
+        // have (pointers go backwards), so point at the name itself:
+        // a loop the decoder rejects.
+        let mut looped = raw_query(1, &[b"facebook"]);
+        let at = 12 + 9;
+        looped.splice(at..at + 1, [0xc0, 12]);
+        assert_eq!(injects(&looped), 0);
+        // A pointer as the whole name, to offset 0: the header bytes
+        // decode as labels or fail; either way not the censored name.
+        let mut pointed = raw_query(1, &[]);
+        pointed.splice(12..13, [0xc0, 0]);
+        assert_eq!(injects(&pointed), 0);
+        // A reserved label type (0x40) is a decode error.
+        let mut reserved = censored.clone();
+        reserved[12] = 0x48;
+        assert_eq!(injects(&reserved), 0);
+        // The root name, and a name past the 255-octet wire limit.
+        assert_eq!(injects(&raw_query(1, &[])), 0);
+        assert_eq!(injects(&raw_query(1, &[&[b'a'; 63][..]; 5])), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn cheap_read_never_disagrees_with_decode_on_arbitrary_bytes(
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+        ) {
+            assert_agrees_with_decode(&payload);
+        }
+
+        /// Valid queries, then damaged: case flipped, a `.` or a high
+        /// byte or a pointer or a reserved type written somewhere,
+        /// QDCOUNT 0..3, cut short.
+        #[test]
+        fn cheap_read_never_disagrees_with_decode_on_mutated_queries(
+            censored in proptest::prelude::any::<bool>(),
+            labels in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::sample::select(b"aZ09-._\x80\xc3\xa9".to_vec()), 1..12),
+                0..5,
+            ),
+            case_mask in proptest::prelude::any::<u32>(),
+            qd in 0u16..3,
+            poke in (proptest::prelude::any::<bool>(), 0usize..64,
+                     proptest::sample::select(vec![b'.', 0x00, 0x2e, 0x40, 0x80, 0xc0, 0xff, 0x0c])),
+            cut in 0usize..96,
+        ) {
+            let mut labels = if censored {
+                vec![b"facebook".to_vec(), b"example".to_vec()]
+            } else {
+                labels
+            };
+            for (i, b) in labels.iter_mut().flatten().enumerate() {
+                if case_mask >> (i % 32) & 1 == 1 {
+                    *b = b.to_ascii_uppercase();
+                }
+            }
+            let labels: Vec<&[u8]> = labels.iter().map(Vec::as_slice).collect();
+            let mut payload = raw_query(qd, &labels);
+            let (poked, at, byte) = poke;
+            if poked && at < payload.len() {
+                payload[at] = byte;
+            }
+            payload.truncate(payload.len().min(12 + cut));
+            assert_agrees_with_decode(&payload);
+        }
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::encode::{target_from_qname, EnumProbeTemplate};
 use crate::probe::{ProbePolicy, RttEstimator};
-use crate::simio::SimScanner;
+use crate::simio::{ProbeBatch, SimScanner};
 use dnswire::{Message, Rcode};
 use netsim::SimTime;
 use scanstore::{Observation, SnapshotSink, SnapshotSource};
@@ -110,18 +110,18 @@ pub fn probe_alive_with_policy(
     } else {
         // Recorder off: hand probes to the engine a batch at a time
         // (byte-identical; lets the sharded engine parallelize).
-        let mut batch: Vec<(Ipv4Addr, Vec<u8>)> = Vec::with_capacity(BATCH);
+        let mut batch = ProbeBatch::default();
         for &ip in cohort {
-            batch.push((ip, tmpl.probe(ip)));
+            tmpl.stamp(ip, batch.push(ip, tmpl.probe_len()));
             sent += 1;
             if batch.len() == BATCH {
-                scanner.send_batch(world, 0, std::mem::take(&mut batch));
+                scanner.send_probes(world, 0, &mut batch);
                 delivered += scanner.pump(world, 500).delivered;
                 collect_alive(world, &scanner, &mut alive, &mut responded);
             }
         }
         if !batch.is_empty() {
-            scanner.send_batch(world, 0, batch);
+            scanner.send_probes(world, 0, &mut batch);
         }
     }
     delivered += scanner.pump(world, 5_000).delivered;

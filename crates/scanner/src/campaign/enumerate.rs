@@ -3,7 +3,7 @@
 
 use crate::encode::{target_from_qname, EnumProbeTemplate};
 use crate::lfsr::IpPermutation;
-use crate::simio::SimScanner;
+use crate::simio::{ProbeBatch, SimScanner};
 use dnswire::{Message, Rcode};
 use scanstore::{flags, Observation, ObservationSink};
 use serde::{Deserialize, Serialize};
@@ -101,24 +101,25 @@ pub fn enumerate_with_sink(
     // Probes are handed to the engine a batch at a time: one
     // `send_many` call per 4k targets lets the sharded engine evaluate
     // the probe pipeline on its workers while staying byte-identical
-    // to per-probe sends.
-    let mut batch: Vec<(Ipv4Addr, Vec<u8>)> = Vec::with_capacity(BATCH);
+    // to per-probe sends. Probes are stamped straight into the batch's
+    // reused buffer, so the sweep allocates per batch, not per probe.
+    let mut batch = ProbeBatch::default();
     let mut delivered = 0u64;
     for target in perm {
         if blacklist.contains(target) {
             result.skipped_blacklisted += 1;
             continue;
         }
-        batch.push((target, tmpl.probe(target)));
+        tmpl.stamp(target, batch.push(target, tmpl.probe_len()));
         result.probes_sent += 1;
         if batch.len() == BATCH {
-            scanner.send_batch(world, 0, std::mem::take(&mut batch));
+            scanner.send_probes(world, 0, &mut batch);
             delivered += scanner.pump(world, 500).delivered;
             collect(world, &scanner, &mut result, sink);
         }
     }
     if !batch.is_empty() {
-        scanner.send_batch(world, 0, batch);
+        scanner.send_probes(world, 0, &mut batch);
     }
     // Grace period for stragglers.
     delivered += scanner.pump(world, 5_000).delivered;

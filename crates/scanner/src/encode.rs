@@ -30,10 +30,19 @@ pub fn hex_ip(ip: std::net::Ipv4Addr) -> String {
 
 /// Parse a hex label back to an address.
 pub fn parse_hex_ip(label: &str) -> Option<std::net::Ipv4Addr> {
-    if label.len() != 8 {
-        return None;
-    }
-    u32::from_str_radix(label, 16).ok().map(Into::into)
+    parse_hex_label(label.as_bytes())
+}
+
+/// Eight label bytes, hex digits of either case, to an address —
+/// `u32::from_str_radix(label, 16)` without needing a `str`, including
+/// its acceptance of one leading `+` in place of the first digit.
+fn parse_hex_label(label: &[u8]) -> Option<std::net::Ipv4Addr> {
+    let label: &[u8; 8] = label.try_into().ok()?;
+    let digits = label.strip_prefix(b"+").unwrap_or(label);
+    digits
+        .iter()
+        .try_fold(0u32, |v, &b| Some(v << 4 | (b as char).to_digit(16)?))
+        .map(Into::into)
 }
 
 /// Build the enumeration query for `target`: random cache-busting
@@ -85,10 +94,29 @@ impl EnumProbeTemplate {
         }
     }
 
+    /// Length of every probe this template stamps.
+    pub fn probe_len(&self) -> usize {
+        self.bytes.len()
+    }
+
     /// Wire bytes of the enumeration query for `target`.
     pub fn probe(&self, target: std::net::Ipv4Addr) -> Vec<u8> {
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ u32::from(target) as u64);
         let mut out = self.bytes.clone();
+        self.patch(target, &mut out);
+        out
+    }
+
+    /// Write the enumeration query for `target` into `out`, which must
+    /// be [`probe_len`](Self::probe_len) bytes — a slot of a batch
+    /// buffer, so a sweep allocates per batch rather than per probe.
+    pub fn stamp(&self, target: std::net::Ipv4Addr, out: &mut [u8]) {
+        out.copy_from_slice(&self.bytes);
+        self.patch(target, out);
+    }
+
+    /// Overwrite the three fields of a template copy that vary per probe.
+    fn patch(&self, target: std::net::Ipv4Addr, out: &mut [u8]) {
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ u32::from(target) as u64);
         for slot in &mut out[PREFIX_AT..PREFIX_AT + 8] {
             *slot = b'a' + rng.gen_range(0..26u8);
         }
@@ -99,7 +127,6 @@ impl EnumProbeTemplate {
         }
         let txid: u16 = rng.gen();
         out[..2].copy_from_slice(&txid.to_be_bytes());
-        out
     }
 }
 
@@ -110,8 +137,7 @@ pub fn target_from_qname(qname: &Name) -> Option<std::net::Ipv4Addr> {
     if labels.len() < 3 {
         return None;
     }
-    let hex = String::from_utf8_lossy(&labels[1]).to_ascii_lowercase();
-    parse_hex_ip(&hex)
+    parse_hex_label(&labels[1])
 }
 
 /// Encoded form of a domain-scan probe for resolver `id`.
@@ -243,9 +269,55 @@ mod tests {
                 Ipv4Addr::new(192, 168, 0, 1),
                 Ipv4Addr::new(255, 255, 255, 255),
             ] {
-                let (msg, _) = enumeration_query(ip, zone, seed);
-                assert_eq!(tmpl.probe(ip), msg.encode(), "seed={seed} ip={ip}");
+                let wire = enumeration_query(ip, zone, seed).0.encode();
+                assert_eq!(tmpl.probe(ip), wire, "seed={seed} ip={ip}");
+                // Stamped into the middle of a batch buffer: the slot is
+                // the probe, its neighbours are untouched.
+                let n = tmpl.probe_len();
+                let mut buf = vec![0xAA; 3 * n + 7];
+                tmpl.stamp(ip, &mut buf[n + 7..2 * n + 7]);
+                assert_eq!(&buf[n + 7..2 * n + 7], &wire[..], "seed={seed} ip={ip}");
+                assert!(buf[..n + 7]
+                    .iter()
+                    .chain(&buf[2 * n + 7..])
+                    .all(|&b| b == 0xAA));
             }
         }
+    }
+
+    /// Echoed names come from whoever answered, so every shape of the
+    /// hex label must map to what `from_utf8_lossy` + `to_ascii_lowercase`
+    /// + `u32::from_str_radix` made of it.
+    #[test]
+    fn target_from_hostile_hex_labels() {
+        let parse = |hex: &[u8]| {
+            let labels = vec![b"prefix".to_vec(), hex.to_vec(), b"zone".to_vec()];
+            target_from_qname(&Name::from_labels(labels).unwrap())
+        };
+        assert_eq!(parse(b"0b16212c"), Some(Ipv4Addr::new(11, 22, 33, 44)));
+        assert_eq!(parse(b"0B16212C"), Some(Ipv4Addr::new(11, 22, 33, 44)));
+        assert_eq!(parse(b"Ff00aAbB"), Some(Ipv4Addr::new(255, 0, 170, 187)));
+        // `from_str_radix` takes a sign: `+` and seven digits is a number.
+        assert_eq!(parse(b"+b16212c"), Some(Ipv4Addr::new(11, 22, 33, 44)));
+        assert_eq!(parse(b"+0000001"), Some(Ipv4Addr::new(0, 0, 0, 1)));
+        assert_eq!(parse(b"-b16212c"), None);
+        assert_eq!(parse(b"++16212c"), None);
+        assert_eq!(parse(b"0b16212+"), None);
+        assert_eq!(parse(b"0b16212"), None, "seven bytes");
+        assert_eq!(parse(b"00b16212c"), None, "nine bytes");
+        assert_eq!(parse(b"0b16212g"), None);
+        assert_eq!(parse(b"0b 6212c"), None);
+        assert_eq!(parse(b"0b16\xff12c"), None, "not UTF-8");
+        assert_eq!(
+            parse(b"\xc3\xa9b16212"),
+            None,
+            "UTF-8, eight bytes, not hex"
+        );
+        assert_eq!(parse(b"\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8"), None);
+        // Fewer than three labels is not a scan name at all.
+        assert_eq!(
+            target_from_qname(&Name::parse("0b16212c.zone").unwrap()),
+            None
+        );
     }
 }

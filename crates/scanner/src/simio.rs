@@ -1,11 +1,48 @@
 //! The scanner's socket block over the simulated network.
+//!
+//! Sweeps send through a [`ProbeBatch`]: payloads are written back to
+//! back into one buffer the batch keeps between sends, and each send
+//! shares one copy of that buffer among the batch's datagrams as
+//! [`Bytes::slice`] views — two allocations per batch (the shared copy
+//! and the datagram vector), none per probe.
 
+use bytes::Bytes;
 use netsim::{Datagram, RunReport, SimTime, SocketHandle};
 use std::net::Ipv4Addr;
 use worldgen::World;
 
 /// Base port of the scanner's 512-port block (9 encoded bits).
 pub const BASE_PORT: u16 = 40_000;
+
+/// Probes waiting to be sent to port 53, payloads back to back in one
+/// reused buffer.
+#[derive(Default)]
+pub struct ProbeBatch {
+    buf: Vec<u8>,
+    /// `(target, end of its payload in buf)`, in send order.
+    probes: Vec<(Ipv4Addr, usize)>,
+}
+
+impl ProbeBatch {
+    /// Number of pending probes.
+    pub fn len(&self) -> usize {
+        self.probes.len()
+    }
+
+    /// Whether nothing is pending.
+    pub fn is_empty(&self) -> bool {
+        self.probes.is_empty()
+    }
+
+    /// Queue a `len`-byte probe to `dst` and return its payload slot,
+    /// zeroed, for the caller to fill.
+    pub fn push(&mut self, dst: Ipv4Addr, len: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + len, 0);
+        self.probes.push((dst, start + len));
+        &mut self.buf[start..]
+    }
+}
 
 /// A scanning endpoint: 512 UDP sockets on one vantage address.
 pub struct SimScanner {
@@ -36,16 +73,35 @@ impl SimScanner {
         );
     }
 
-    /// Send a whole probe batch to port 53 in one engine call.
-    /// Semantically identical to calling [`SimScanner::send`] per
-    /// target; the sharded engine evaluates the batch on its workers.
-    pub fn send_batch(&self, world: &mut World, offset: u16, batch: Vec<(Ipv4Addr, Vec<u8>)>) {
+    /// Send a whole probe batch to port 53 in one engine call, leaving
+    /// `batch` empty for reuse. Semantically identical to calling
+    /// [`SimScanner::send`] per target; the sharded engine evaluates
+    /// the batch on its workers.
+    pub fn send_probes(&self, world: &mut World, offset: u16, batch: &mut ProbeBatch) {
         debug_assert!(offset < crate::encode::PORT_SPAN);
+        let payloads = Bytes::copy_from_slice(&batch.buf);
+        batch.buf.clear();
+        let mut start = 0;
         let dgrams = batch
-            .into_iter()
-            .map(|(dst, payload)| Datagram::new(self.vantage, BASE_PORT + offset, dst, 53, payload))
+            .probes
+            .drain(..)
+            .map(|(dst, end)| {
+                let payload = payloads.slice(start..end);
+                start = end;
+                Datagram::new(self.vantage, BASE_PORT + offset, dst, 53, payload)
+            })
             .collect();
         world.net.send_many(dgrams);
+    }
+
+    /// [`SimScanner::send_probes`] for payloads the caller already
+    /// owns: they are copied into a batch buffer and sent the same way.
+    pub fn send_batch(&self, world: &mut World, offset: u16, batch: Vec<(Ipv4Addr, Vec<u8>)>) {
+        let mut probes = ProbeBatch::default();
+        for (dst, payload) in batch {
+            probes.push(dst, payload.len()).copy_from_slice(&payload);
+        }
+        self.send_probes(world, offset, &mut probes);
     }
 
     /// Let the simulation run for `ms` of virtual time, reporting what
@@ -107,5 +163,50 @@ mod tests {
         let got = scanner.drain(&mut w);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 7, "reply arrives on the sending port");
+    }
+
+    /// A reused batch, owned payloads and one `send` per target are
+    /// three spellings of the same sends.
+    #[test]
+    fn batched_sends_match_per_probe_sends() {
+        let run = |mode: u8| {
+            let mut w = build_world(WorldConfig::tiny(3));
+            let vantage = w.scanner_ip;
+            let scanner = SimScanner::open(&mut w, vantage);
+            let tmpl = crate::encode::EnumProbeTemplate::new(&w.catalog.scan_zone.clone(), 5);
+            let targets: Vec<Ipv4Addr> = w
+                .resolvers
+                .iter()
+                .filter(|m| m.spawn_week == 0)
+                .map(|m| m.initial_ip)
+                .take(40)
+                .collect();
+            let mut batch = ProbeBatch::default();
+            for half in targets.chunks(25) {
+                match mode {
+                    0 => half
+                        .iter()
+                        .for_each(|&ip| scanner.send(&mut w, 3, ip, tmpl.probe(ip))),
+                    1 => {
+                        let owned = half.iter().map(|&ip| (ip, tmpl.probe(ip))).collect();
+                        scanner.send_batch(&mut w, 3, owned);
+                    }
+                    _ => {
+                        for &ip in half {
+                            tmpl.stamp(ip, batch.push(ip, tmpl.probe_len()));
+                        }
+                        assert_eq!(batch.len(), half.len());
+                        scanner.send_probes(&mut w, 3, &mut batch);
+                        assert!(batch.is_empty());
+                    }
+                }
+            }
+            scanner.pump(&mut w, 3_000);
+            (scanner.drain(&mut w), w.net.stats())
+        };
+        let reference = run(0);
+        assert!(reference.0.len() > 20, "replies came back");
+        assert_eq!(run(1), reference);
+        assert_eq!(run(2), reference);
     }
 }

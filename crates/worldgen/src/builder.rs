@@ -1216,16 +1216,15 @@ pub fn build_world(cfg: WorldConfig) -> World {
                     seed: subseed(cfg.seed, 8000 + asn as u64),
                 },
                 ips_of_block(block),
-                members.clone(),
+                members,
                 SimTime::ZERO,
             );
-            for member in &members {
-                if let Some(&mi) = meta_cursor.get(member) {
+            for (member, ip) in pool.assignments() {
+                if let Some(mi) = meta_cursor.remove(&member) {
                     resolvers[mi].asn = asn;
-                    resolvers[mi].initial_ip = pool.address_of(*member).unwrap();
+                    resolvers[mi].initial_ip = ip;
                 }
             }
-            meta_cursor.retain(|h, _| !members.contains(h));
             pools.push(pool);
         }
 
@@ -1288,12 +1287,12 @@ pub fn build_world(cfg: WorldConfig) -> World {
                 &mut net,
                 ChurnConfig::stable(subseed(cfg.seed, 9000 + asn as u64)),
                 ips_of_block(block),
-                members.clone(),
+                members,
                 SimTime::ZERO,
             );
-            let base = resolvers.len() - members.len();
-            for (k, m) in members.iter().enumerate() {
-                resolvers[base + k].initial_ip = pool.address_of(*m).unwrap();
+            let base = resolvers.len() - pool.len();
+            for (k, (_, ip)) in pool.assignments().enumerate() {
+                resolvers[base + k].initial_ip = ip;
             }
             pools.push(pool);
             // The border filter that makes the whole AS vanish.

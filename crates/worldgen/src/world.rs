@@ -264,7 +264,10 @@ impl World {
         // Campaigns may have pushed the network clock forward without
         // going through us; catch up first so leases stay consistent.
         self.current = self.current.max(self.net.now());
+        let mut sp = telemetry::span("worldgen.advance", self.current.millis());
+        let (mut steps, mut renumbered) = (0u64, 0u64);
         while self.current < target {
+            steps += 1;
             let boundary = SimTime((self.current.millis() / STEP + 1) * STEP);
             let next = boundary.min(target);
             // Week-boundary lifecycle events.
@@ -280,11 +283,17 @@ impl World {
             // arbitrary campaign anchor must not perturb lease timing.
             if next == boundary {
                 for pool in &mut self.pools {
-                    pool.renumber_expired(&mut *self.net, next);
+                    renumbered += pool.renumber_expired(&mut *self.net, next) as u64;
                 }
             }
             self.current = next;
         }
+        telemetry::global()
+            .counter("worldgen.renumbered")
+            .add(renumbered);
+        sp.attr("steps", steps);
+        sp.attr("renumbered", renumbered);
+        sp.finish(self.current.millis());
     }
 
     /// Advance to the start of scan week `w` (scans run weekly from
