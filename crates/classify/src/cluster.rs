@@ -7,12 +7,22 @@
 //! Fine-grained: the same machinery over Jaccard distances between
 //! added/removed-tag multisets (page *modifications* relative to ground
 //! truth).
+//!
+//! The page distance matrix is the O(n²) part and is built once per
+//! call, row by row: row `i` prepares page `i` (its edit-distance
+//! patterns, [`htmlsim::distance::PreparedPage`]) and compares it
+//! against pages `i+1..n` only, so each worker hands back the
+//! upper-triangle tail of its rows and nothing else. Rows shrink along
+//! the range; the parallel map deals them round-robin, which gives every
+//! worker the same mix of long and short rows. Several linkages over the
+//! same pages ([`page_dendrograms`]) share one matrix.
 
 use htmlsim::diff::TagDelta;
-use htmlsim::distance::{jaccard_multiset, page_distance, FeatureWeights};
+use htmlsim::distance::{jaccard_multiset, FeatureWeights, PreparedPage};
 use htmlsim::PageFeatures;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Linkage criterion. The paper uses average linkage (UPGMA); single and
 /// complete are provided for the A-ABL2 ablation. All three are
@@ -204,22 +214,23 @@ impl Dendrogram {
     }
 }
 
-/// Build the page distance matrix in parallel.
-fn page_matrix(items: &[PageFeatures], weights: &FeatureWeights) -> Vec<f32> {
+/// Build the symmetric `n × n` page distance matrix in parallel.
+fn page_matrix<P: Borrow<PageFeatures> + Sync>(items: &[P], weights: &FeatureWeights) -> Vec<f32> {
     let n = items.len();
-    let mut dist = vec![0f32; n * n];
-    let rows: Vec<Vec<f32>> = (0..n)
+    // Row `i` holds the distances to items `i+1..n`.
+    let tails: Vec<Vec<f32>> = (0..n)
         .into_par_iter()
         .map(|i| {
-            let mut row = vec![0f32; n];
-            for j in (i + 1)..n {
-                row[j] = page_distance(&items[i], &items[j], weights) as f32;
-            }
-            row
+            let row = PreparedPage::new(items[i].borrow(), weights);
+            items[i + 1..]
+                .iter()
+                .map(|other| row.distance(other.borrow()) as f32)
+                .collect()
         })
         .collect();
-    for (i, row) in rows.into_iter().enumerate() {
-        for (j, v) in row.into_iter().enumerate().skip(i + 1) {
+    let mut dist = vec![0f32; n * n];
+    for (i, tail) in tails.into_iter().enumerate() {
+        for (j, v) in (i + 1..n).zip(tail) {
             dist[i * n + j] = v;
             dist[j * n + i] = v;
         }
@@ -227,25 +238,48 @@ fn page_matrix(items: &[PageFeatures], weights: &FeatureWeights) -> Vec<f32> {
     dist
 }
 
-/// Coarse-grained clustering of page feature vectors; cut at
-/// `threshold`. Uses average linkage, as the paper does.
-pub fn cluster_pages(
-    items: &[PageFeatures],
+/// The merge trees of `items` under `weights`, one per entry of
+/// `linkages`, all agglomerated from one distance matrix. Cut a tree at
+/// a threshold ([`Dendrogram::cut`]) to get flat clusters; A-ABL2 cuts
+/// each of three linkages' trees three times.
+pub fn page_dendrograms<P: Borrow<PageFeatures> + Sync>(
+    items: &[P],
+    weights: &FeatureWeights,
+    linkages: &[Linkage],
+) -> Vec<Dendrogram> {
+    let Some((&last, rest)) = linkages.split_last() else {
+        return Vec::new();
+    };
+    let n = items.len();
+    let dist = page_matrix(items, weights);
+    // Agglomeration consumes its matrix: all but the last work on a copy.
+    let mut trees: Vec<Dendrogram> = rest
+        .iter()
+        .map(|&linkage| agglomerate_with(n, dist.clone(), None, linkage))
+        .collect();
+    trees.push(agglomerate_with(n, dist, None, last));
+    trees
+}
+
+/// Coarse-grained clustering of page feature vectors (owned or
+/// borrowed); cut at `threshold`. Uses average linkage, as the paper
+/// does.
+pub fn cluster_pages<P: Borrow<PageFeatures> + Sync>(
+    items: &[P],
     weights: &FeatureWeights,
     threshold: f64,
 ) -> FlatClusters {
     cluster_pages_with(items, weights, threshold, Linkage::Average)
 }
 
-/// [`cluster_pages`] with an explicit linkage (A-ABL2).
-pub fn cluster_pages_with(
-    items: &[PageFeatures],
+/// [`cluster_pages`] with an explicit linkage.
+pub fn cluster_pages_with<P: Borrow<PageFeatures> + Sync>(
+    items: &[P],
     weights: &FeatureWeights,
     threshold: f64,
     linkage: Linkage,
 ) -> FlatClusters {
-    let dist = page_matrix(items, weights);
-    agglomerate_with(items.len(), dist, None, linkage).cut(threshold)
+    page_dendrograms(items, weights, &[linkage])[0].cut(threshold)
 }
 
 /// Fine-grained clustering of tag deltas by Jaccard distance over their
@@ -363,6 +397,76 @@ mod tests {
         // Each family in its own cluster(s): 3–6 clusters total is sane
         // (error pages have several idioms).
         assert!((3..=7).contains(&flat.len()), "clusters: {}", flat.len());
+    }
+
+    #[test]
+    fn page_matrix_equals_brute_force_and_is_symmetric() {
+        use htmlsim::distance::page_distance;
+        let mut interner = TagInterner::new();
+        let mut html: Vec<String> = Vec::new();
+        for s in 0..4u64 {
+            let ctx = PageCtx::new("site.example", s);
+            html.push(gen::legit_site(gen::SiteCategory::Banking, &ctx));
+            html.push(gen::legit_site(gen::SiteCategory::Ads, &ctx));
+            html.push(gen::http_error(404, &ctx));
+            html.push(gen::router_login(gen::RouterVendor::TpConnect, &ctx));
+            html.push(gen::phishing_kit_images("paypal", &ctx));
+            html.push(gen::search_page("Google", true, &ctx));
+            html.push(gen::fake_update_page("Flash", &ctx));
+        }
+        html.push(String::new());
+        let items: Vec<PageFeatures> = html
+            .iter()
+            .map(|h| PageFeatures::extract(h, &mut interner))
+            .collect();
+        let n = items.len();
+        for weights in [FeatureWeights::default(), FeatureWeights::without("title")] {
+            let dist = page_matrix(&items, &weights);
+            assert_eq!(dist.len(), n * n);
+            for i in 0..n {
+                for j in 0..n {
+                    let want = if i == j {
+                        0.0
+                    } else {
+                        page_distance(&items[i], &items[j], &weights) as f32
+                    };
+                    assert_eq!(dist[i * n + j].to_bits(), want.to_bits(), "cell ({i}, {j})");
+                    assert_eq!(dist[i * n + j].to_bits(), dist[j * n + i].to_bits());
+                }
+            }
+            // Borrowed items build the same matrix.
+            let refs: Vec<&PageFeatures> = items.iter().collect();
+            assert_eq!(page_matrix(&refs, &weights), dist);
+        }
+        assert!(page_matrix::<PageFeatures>(&[], &FeatureWeights::default()).is_empty());
+    }
+
+    #[test]
+    fn dendrograms_share_one_matrix_and_match_single_calls() {
+        let mut interner = TagInterner::new();
+        let items: Vec<PageFeatures> = (0..12u64)
+            .map(|s| {
+                let ctx = PageCtx::new("x.example", s);
+                let html = if s % 2 == 0 {
+                    gen::http_error(404, &ctx)
+                } else {
+                    gen::parking_page("parkco", &ctx)
+                };
+                PageFeatures::extract(&html, &mut interner)
+            })
+            .collect();
+        let w = FeatureWeights::default();
+        let linkages = [Linkage::Average, Linkage::Single, Linkage::Complete];
+        let trees = page_dendrograms(&items, &w, &linkages);
+        assert_eq!(trees.len(), 3);
+        for (tree, &linkage) in trees.iter().zip(&linkages) {
+            assert_eq!(tree, &page_dendrograms(&items, &w, &[linkage])[0]);
+            assert_eq!(
+                tree.cut(0.32),
+                cluster_pages_with(&items, &w, 0.32, linkage)
+            );
+        }
+        assert!(page_dendrograms(&items, &w, &[]).is_empty());
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub mod prefilter;
 pub mod snoopclass;
 
 pub use cluster::{
-    cluster_pages, cluster_pages_with, fine_cluster, Dendrogram, FlatClusters, Linkage,
+    cluster_pages, cluster_pages_with, fine_cluster, page_dendrograms, Dendrogram, FlatClusters,
+    Linkage,
 };
 pub use fingerprint::{classify_version, fingerprint_device, SoftwareClass};
 pub use labeler::{label_cluster, Label};

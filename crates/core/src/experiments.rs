@@ -974,19 +974,18 @@ pub fn ablations_report(cfg: &WorldConfig) -> String {
         out,
         "\nA-ABL2 — linkage criterion vs cluster purity and count:"
     );
-    for linkage in [
+    // One distance matrix for all nine rows: a tree per linkage, each
+    // cut at three thresholds.
+    let linkages = [
         classify::Linkage::Average,
         classify::Linkage::Single,
         classify::Linkage::Complete,
-    ] {
+    ];
+    let features: Vec<&PageFeatures> = items.iter().map(|(_, f)| f).collect();
+    let trees = classify::page_dendrograms(&features, &FeatureWeights::default(), &linkages);
+    for (linkage, tree) in linkages.iter().zip(&trees) {
         for threshold in [0.2, 0.32, 0.45] {
-            let features: Vec<PageFeatures> = items.iter().map(|(_, f)| f.clone()).collect();
-            let flat = classify::cluster_pages_with(
-                &features,
-                &FeatureWeights::default(),
-                threshold,
-                linkage,
-            );
+            let flat = tree.cut(threshold);
             let mut correct = 0usize;
             for members in &flat.clusters {
                 let mut counts = std::collections::HashMap::new();

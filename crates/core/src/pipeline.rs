@@ -3,7 +3,8 @@
 
 use classify::cases::{
     detect_ad_manipulation, detect_mail_interception, detect_malware_updates, detect_phishing,
-    detect_proxies, AdReport, CaseRecord, MailReport, MalwareReport, PhishFinding, ProxyReport,
+    detect_proxies, AdReport, CaseCorpus, CaseRecord, MailReport, MalwareReport, PhishFinding,
+    ProxyReport,
 };
 use classify::censorship::{
     detect_double_responses, ComplianceReport, DoubleResponseReport, LandingInventory,
@@ -12,7 +13,7 @@ use classify::labeler::{label_cluster, label_page, Label, LabelInput};
 use classify::{fine_cluster, FilterVerdict, PreFilter, TrustedView};
 use geodb::Country;
 use htmlsim::diff::tag_delta;
-use htmlsim::distance::{page_distance, FeatureWeights};
+use htmlsim::distance::{page_distance, FeatureWeights, PreparedPage};
 use htmlsim::{PageFeatures, TagInterner};
 use netsim::SimTime;
 use resolversim::{DomainCategory, Resolution};
@@ -21,7 +22,7 @@ use scanner::{
     TupleObs,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 use worldgen::world::ResponseClass;
 use worldgen::World;
@@ -364,17 +365,42 @@ pub fn run_analysis_with_fleet(
         .collect();
     let resolver_country: Vec<Option<Country>> = fleet.iter().map(|ip| geo.country(*ip)).collect();
 
-    let mut answered_pairs: HashSet<(u32, u16)> = HashSet::new();
+    // Category statistics accumulate in one slot per distinct category,
+    // resolved per domain here so the scan sink indexes instead of
+    // building a label per tuple. A slot stays `None` until its category
+    // sees a tuple; only those reach `per_category`.
+    let mut category_labels: Vec<&'static str> = Vec::new();
+    let category_slot: Vec<usize> = category_of
+        .iter()
+        .map(|c| {
+            let label = c.label();
+            category_labels
+                .iter()
+                .position(|&l| l == label)
+                .unwrap_or_else(|| {
+                    category_labels.push(label);
+                    category_labels.len() - 1
+                })
+        })
+        .collect();
+    let mut category_stats: Vec<Option<CategoryStats>> = vec![None; category_labels.len()];
+    // Answered (resolver, domain) slots: a dense fleet × domains bit
+    // matrix, with the count of set bits kept per resolver.
+    let n_dom = domain_names.len();
+    let mut answered_bits = vec![0u64; (fleet.len() * n_dom).div_ceil(64)];
+    let mut answered_slots: Vec<u64> = vec![0; fleet.len()];
     let scan_retries;
     {
-        let per_category = &mut report.per_category;
         let compliance = &mut report.censorship.compliance;
-        let answered_pairs = &mut answered_pairs;
         let mut sink = |t: TupleObs| {
-            answered_pairs.insert((t.resolver_idx, t.domain_idx));
             let di = t.domain_idx as usize;
-            let category = category_of[di].label().to_string();
-            let stats = per_category.entry(category).or_default();
+            let slot = t.resolver_idx as usize * n_dom + di;
+            let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+            if answered_bits[word] & bit == 0 {
+                answered_bits[word] |= bit;
+                answered_slots[t.resolver_idx as usize] += 1;
+            }
+            let stats = category_stats[category_slot[di]].get_or_insert_with(Default::default);
             if t.response_ordinal == 0 {
                 stats.responses += 1;
             }
@@ -449,6 +475,11 @@ pub fn run_analysis_with_fleet(
             &mut sink,
         );
     }
+    report.per_category = category_labels
+        .iter()
+        .zip(category_stats)
+        .filter_map(|(label, stats)| Some((label.to_string(), stats?)))
+        .collect();
     // Tuple-granularity coverage: every (resolver, domain) slot either
     // answered, or is charged to the scanner (`gave_up`) when a live
     // NOERROR resolver still sits at the address, or to churn/filtering
@@ -456,15 +487,12 @@ pub fn run_analysis_with_fleet(
     {
         let idx = world.responder_index();
         let week = (world.now().millis() / SimTime::WEEK) as u32;
-        let n_dom = domain_names.len() as u64;
+        let n_dom = n_dom as u64;
         let mut cov = Coverage {
             retries: scan_retries,
             ..Coverage::default()
         };
-        for (ri, &ip) in fleet.iter().enumerate() {
-            let answered = (0..domain_names.len())
-                .filter(|&di| answered_pairs.contains(&(ri as u32, di as u16)))
-                .count() as u64;
+        for (&ip, &answered) in fleet.iter().zip(&answered_slots) {
             cov.attempted += n_dom;
             cov.answered += answered;
             let expected = world
@@ -638,9 +666,6 @@ pub fn run_analysis_with_fleet(
     }
     let mut groups: Vec<PageGroup> = Vec::new();
     let mut by_fingerprint: HashMap<u64, usize> = HashMap::new();
-    let mut http_pairs = 0usize;
-    let mut no_http_lan = 0usize;
-    let mut no_http = 0usize;
     for (&(di, ip), got) in &pair_content {
         if cert_ok_pairs.contains(&(di, ip)) {
             continue;
@@ -651,13 +676,8 @@ pub fn run_analysis_with_fleet(
             .or(got.https_sni.as_ref())
             .or(got.https_nosni.as_ref())
         else {
-            no_http += 1;
-            if geodb::is_lan(ip) {
-                no_http_lan += 1;
-            }
             continue;
         };
-        http_pairs += 1;
         let features = PageFeatures::extract(&page.body, &mut interner);
         let fp = features.fingerprint();
         match by_fingerprint.get(&fp) {
@@ -705,15 +725,12 @@ pub fn run_analysis_with_fleet(
             0.0
         };
     }
-    let _ = (http_pairs, no_http, no_http_lan);
 
     // Cluster (capped) + nearest-exemplar assignment for the rest.
     let weights = FeatureWeights::default();
     let n_direct = groups.len().min(opts.cluster_cap);
-    let direct_features: Vec<PageFeatures> = groups[..n_direct]
-        .iter()
-        .map(|g| g.features.clone())
-        .collect();
+    let direct_features: Vec<&PageFeatures> =
+        groups[..n_direct].iter().map(|g| &g.features).collect();
     let flat = classify::cluster_pages(&direct_features, &weights, opts.cluster_threshold);
     report.clusters = flat.len();
     report.clustered_directly = n_direct;
@@ -748,9 +765,10 @@ pub fn run_analysis_with_fleet(
         // Nearest exemplar: first member of each cluster.
         let mut best = Label::Misc;
         let mut best_d = f64::INFINITY;
+        let page = PreparedPage::new(&groups[gi].features, &weights);
         for (ci, members) in flat.clusters.iter().enumerate() {
             if let Some(&m0) = members.first() {
-                let d = page_distance(&groups[gi].features, &groups[m0].features, &weights);
+                let d = page.distance(&groups[m0].features);
                 if d < best_d {
                     best_d = d;
                     best = cluster_labels[ci];
@@ -1005,29 +1023,42 @@ pub fn run_analysis_with_fleet(
     }
 
     // ---- Case studies ----
+    // One record per distinct (domain, target) pair, borrowing its
+    // acquired content and carrying the resolvers that answered with it.
     {
-        let mut records: Vec<CaseRecord> = Vec::new();
+        let mut sp_cases = telemetry::span("pipeline.cases", world.now().millis());
+        let mut by_pair: BTreeMap<(u16, Ipv4Addr), CaseRecord<'_>> = BTreeMap::new();
         let mut seen: BTreeSet<(u32, u16)> = BTreeSet::new();
+        let mut tuples = 0usize;
         for t in &unexpected {
             let Some(&ip) = t.ips.first() else { continue };
             if !seen.insert((t.resolver_idx, t.domain_idx)) {
                 continue;
             }
-            if let Some(got) = pair_content.get(&(t.domain_idx, ip)) {
-                records.push(CaseRecord {
-                    resolver_idx: t.resolver_idx,
-                    resolver_ip: t.resolver_ip,
-                    domain: domain_names[t.domain_idx as usize].clone(),
-                    target_ip: ip,
-                    acquired: got.clone(),
-                });
+            if let Some(acquired) = pair_content.get(&(t.domain_idx, ip)) {
+                tuples += 1;
+                by_pair
+                    .entry((t.domain_idx, ip))
+                    .or_insert_with(|| CaseRecord {
+                        domain: &domain_names[t.domain_idx as usize],
+                        target_ip: ip,
+                        acquired,
+                        resolvers: Vec::new(),
+                    })
+                    .resolvers
+                    .push(t.resolver_idx);
             }
         }
-        report.cases.proxies = detect_proxies(&records, &gt_bodies, opts.proxy_min_domains);
-        report.cases.phishing = detect_phishing(&records, &gt_bodies);
-        report.cases.ads = detect_ad_manipulation(&records, &gt_bodies);
-        report.cases.mail = detect_mail_interception(&records, &gt_mail_banners);
-        report.cases.malware = detect_malware_updates(&records);
+        let corpus = CaseCorpus::new(by_pair.into_values().collect(), &gt_bodies);
+        report.cases.proxies = detect_proxies(&corpus, opts.proxy_min_domains);
+        report.cases.phishing = detect_phishing(&corpus);
+        report.cases.ads = detect_ad_manipulation(&corpus);
+        report.cases.mail = detect_mail_interception(&corpus, &gt_mail_banners);
+        report.cases.malware = detect_malware_updates(&corpus);
+        sp_cases.attr("tuples", tuples);
+        sp_cases.attr("pairs", corpus.pairs());
+        sp_cases.attr("distinct_bodies", corpus.distinct_bodies());
+        sp_cases.finish(world.now().millis());
     }
 
     sp_run.attr("clusters", report.clusters);

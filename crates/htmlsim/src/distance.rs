@@ -1,46 +1,155 @@
 //! String and set distances, and the combined seven-feature page
 //! distance of Section 3.6.
+//!
+//! There is one edit-distance implementation: the exact bit-vector
+//! Levenshtein of Myers (1999) in Hyyrö's (2003) formulation, exposed as
+//! a *prepared pattern* ([`Pattern`]). Preparing a sequence builds one
+//! match mask per distinct symbol; comparing it against a text then
+//! advances a whole 64-row slice of the dynamic-programming column per
+//! machine word and text symbol — one word for patterns of up to 64
+//! symbols, `⌈m/64⌉` words with the horizontal deltas carried from word
+//! to word above that (up to the 2,048-tag and 4,096-byte feature caps,
+//! and beyond). [`levenshtein`], [`str_distance`], [`page_distance`] and
+//! the prepared row of the clustering matrix ([`PreparedPage`]) are thin
+//! callers of [`Pattern::distance`].
+//!
+//! The kernel computes the same integer as the textbook two-row dynamic
+//! program (kept in `tests/proptests.rs` as the oracle it is proven
+//! against), and every floating-point step downstream of that integer is
+//! unchanged, so normalized distances, page distances, `f32` matrix
+//! cells, merges and cluster ids are bit-identical to the DP's.
 
 use crate::page::PageFeatures;
 use std::collections::BTreeMap;
 
-/// Levenshtein edit distance over arbitrary comparable items.
+/// A sequence prepared as the pattern side of the bit-vector edit
+/// distance: build once, compare against many texts.
 ///
-/// Classic two-row dynamic program: O(n·m) time, O(min(n, m)) space.
-pub fn levenshtein<T: PartialEq>(a: &[T], b: &[T]) -> usize {
-    // Ensure `b` is the shorter side to bound the row width.
-    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    if short.is_empty() {
-        return long.len();
-    }
-    let mut row: Vec<usize> = (0..=short.len()).collect();
-    for (i, x) in long.iter().enumerate() {
-        let mut prev_diag = row[0];
-        row[0] = i + 1;
-        for (j, y) in short.iter().enumerate() {
-            let cost = if x == y { 0 } else { 1 };
-            let next = (prev_diag + cost).min(row[j] + 1).min(row[j + 1] + 1);
-            prev_diag = row[j + 1];
-            row[j + 1] = next;
+/// Symbols are anything that widens to `u16` — bytes and the 2-byte tag
+/// identifiers are what the workspace compares.
+#[derive(Debug)]
+pub struct Pattern {
+    len: usize,
+    /// `slot[symbol]` is the symbol's row in `masks`. Row 0 is all-zero
+    /// and serves every symbol that does not occur in the pattern.
+    slot: Vec<u32>,
+    /// `(distinct symbols + 1) × words` match masks, row-major: bit
+    /// `i % 64` of word `i / 64` is set iff `pattern[i]` is the symbol.
+    masks: Vec<u64>,
+}
+
+impl Pattern {
+    /// Build the match masks of `pattern`.
+    pub fn new<T: Copy + Into<u16>>(pattern: &[T]) -> Self {
+        let len = pattern.len();
+        let words = len.div_ceil(64);
+        let symbols = pattern
+            .iter()
+            .map(|&s| s.into() as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut slot = vec![0u32; symbols];
+        let mut rows = 1u32;
+        for &s in pattern {
+            let row = &mut slot[s.into() as usize];
+            if *row == 0 {
+                *row = rows;
+                rows += 1;
+            }
         }
+        let mut masks = vec![0u64; rows as usize * words];
+        for (i, &s) in pattern.iter().enumerate() {
+            let row = slot[s.into() as usize] as usize;
+            masks[row * words + i / 64] |= 1 << (i % 64);
+        }
+        Pattern { len, slot, masks }
     }
-    row[short.len()]
+
+    /// Levenshtein edit distance between the pattern and `text`:
+    /// O(⌈m/64⌉·n) word operations, exact.
+    pub fn distance<T: Copy + Into<u16>>(&self, text: &[T]) -> usize {
+        if self.len == 0 {
+            return text.len();
+        }
+        let words = self.len.div_ceil(64);
+        let masks_of = |symbol: T| {
+            let row = self.slot.get(symbol.into() as usize).copied().unwrap_or(0) as usize;
+            &self.masks[row * words..(row + 1) * words]
+        };
+        // The bit of the pattern's last row in the last word; the score
+        // follows the horizontal delta there.
+        let last = 1u64 << ((self.len - 1) % 64);
+        let mut score = self.len;
+
+        if words == 1 {
+            let (mut vp, mut vn) = (!0u64, 0u64);
+            for &symbol in text {
+                let x = masks_of(symbol)[0] | vn;
+                let d0 = ((x & vp).wrapping_add(vp) ^ vp) | x;
+                let hp = vn | !(d0 | vp);
+                let hn = d0 & vp;
+                score += usize::from(hp & last != 0);
+                score -= usize::from(hn & last != 0);
+                // Row 0 of the matrix grows by one per column: shift a
+                // +1 into the horizontal delta.
+                let hp = (hp << 1) | 1;
+                let hn = hn << 1;
+                vp = hn | !(d0 | hp);
+                vn = hp & d0;
+            }
+            return score;
+        }
+
+        // Blocked form: the same column step per word, the horizontal
+        // deltas leaving the top of one word entering the next.
+        let mut column = vec![(!0u64, 0u64); words];
+        for &symbol in text {
+            let eq = masks_of(symbol);
+            let (mut hp_in, mut hn_in) = (1u64, 0u64);
+            for (w, state) in column.iter_mut().enumerate() {
+                let (vp, vn) = *state;
+                let x = eq[w] | hn_in;
+                let d0 = ((x & vp).wrapping_add(vp) ^ vp) | x | vn;
+                let hp = vn | !(d0 | vp);
+                let hn = d0 & vp;
+                let top = if w + 1 == words { last } else { 1 << 63 };
+                let (hp_out, hn_out) = (u64::from(hp & top != 0), u64::from(hn & top != 0));
+                let hp = (hp << 1) | hp_in;
+                let hn = (hn << 1) | hn_in;
+                *state = (hn | !(d0 | hp), hp & d0);
+                (hp_in, hn_in) = (hp_out, hn_out);
+            }
+            score += hp_in as usize;
+            score -= hn_in as usize;
+        }
+        score
+    }
+
+    /// [`Pattern::distance`] normalized into `[0, 1]` by the longer
+    /// length. Two empty sequences have distance 0.
+    pub fn normalized<T: Copy + Into<u16>>(&self, text: &[T]) -> f64 {
+        let max = self.len.max(text.len());
+        if max == 0 {
+            return 0.0;
+        }
+        self.distance(text) as f64 / max as f64
+    }
+}
+
+/// Levenshtein edit distance over byte or 2-byte symbols.
+pub fn levenshtein<T: Copy + Into<u16>>(a: &[T], b: &[T]) -> usize {
+    Pattern::new(a).distance(b)
 }
 
 /// Levenshtein distance normalized into `[0, 1]` by the longer length.
 /// Two empty sequences have distance 0.
-pub fn levenshtein_normalized<T: PartialEq>(a: &[T], b: &[T]) -> f64 {
-    let max = a.len().max(b.len());
-    if max == 0 {
-        return 0.0;
-    }
-    levenshtein(a, b) as f64 / max as f64
+pub fn levenshtein_normalized<T: Copy + Into<u16>>(a: &[T], b: &[T]) -> f64 {
+    Pattern::new(a).normalized(b)
 }
 
-/// Levenshtein on string chars, normalized.
+/// Levenshtein on string bytes, normalized: the payloads are
+/// ASCII-dominated, so bytes stand in for chars.
 pub fn str_distance(a: &str, b: &str) -> f64 {
-    // Compare on bytes: the payloads are ASCII-dominated and byte
-    // comparison is what the O(n·m) budget is sized for.
     levenshtein_normalized(a.as_bytes(), b.as_bytes())
 }
 
@@ -165,36 +274,71 @@ impl FeatureWeights {
     }
 }
 
+/// A page prepared as one side of [`page_distance`] under fixed
+/// weights: the three edit-distance features' patterns are built once,
+/// then the page is compared against many others — one row of the
+/// clustering matrix.
+#[derive(Debug)]
+pub struct PreparedPage<'a> {
+    page: &'a PageFeatures,
+    weights: FeatureWeights,
+    // `None` where the feature's weight is zero.
+    tag_sequence: Option<Pattern>,
+    title: Option<Pattern>,
+    javascript: Option<Pattern>,
+}
+
+impl<'a> PreparedPage<'a> {
+    /// Prepare `page` for comparisons under `weights`.
+    pub fn new(page: &'a PageFeatures, weights: &FeatureWeights) -> Self {
+        PreparedPage {
+            page,
+            weights: *weights,
+            tag_sequence: (weights.tag_sequence > 0.0).then(|| Pattern::new(&page.tag_sequence)),
+            title: (weights.title > 0.0).then(|| Pattern::new(page.title.as_bytes())),
+            javascript: (weights.javascript > 0.0)
+                .then(|| Pattern::new(page.javascript.as_bytes())),
+        }
+    }
+
+    /// The combined page distance in `[0, 1]` to `other`: weighted mean
+    /// of the seven normalized per-feature distances (Section 3.6).
+    pub fn distance(&self, other: &PageFeatures) -> f64 {
+        let (a, b, w) = (self.page, other, &self.weights);
+        let total = w.total();
+        if total == 0.0 {
+            return 0.0;
+        }
+        let mut acc = 0.0;
+        if w.body_len > 0.0 {
+            acc += w.body_len * length_distance(a.body_len, b.body_len);
+        }
+        if w.tag_multiset > 0.0 {
+            acc += w.tag_multiset * jaccard_multiset(&a.tag_multiset, &b.tag_multiset);
+        }
+        if let Some(tags) = &self.tag_sequence {
+            acc += w.tag_sequence * tags.normalized(&b.tag_sequence);
+        }
+        if let Some(title) = &self.title {
+            acc += w.title * title.normalized(b.title.as_bytes());
+        }
+        if let Some(javascript) = &self.javascript {
+            acc += w.javascript * javascript.normalized(b.javascript.as_bytes());
+        }
+        if w.resources > 0.0 {
+            acc += w.resources * jaccard_multiset(&a.resources, &b.resources);
+        }
+        if w.links > 0.0 {
+            acc += w.links * jaccard_multiset(&a.links, &b.links);
+        }
+        acc / total
+    }
+}
+
 /// The combined page distance in `[0, 1]`: weighted mean of the seven
 /// normalized per-feature distances (Section 3.6).
 pub fn page_distance(a: &PageFeatures, b: &PageFeatures, w: &FeatureWeights) -> f64 {
-    let total = w.total();
-    if total == 0.0 {
-        return 0.0;
-    }
-    let mut acc = 0.0;
-    if w.body_len > 0.0 {
-        acc += w.body_len * length_distance(a.body_len, b.body_len);
-    }
-    if w.tag_multiset > 0.0 {
-        acc += w.tag_multiset * jaccard_multiset(&a.tag_multiset, &b.tag_multiset);
-    }
-    if w.tag_sequence > 0.0 {
-        acc += w.tag_sequence * levenshtein_normalized(&a.tag_sequence, &b.tag_sequence);
-    }
-    if w.title > 0.0 {
-        acc += w.title * str_distance(&a.title, &b.title);
-    }
-    if w.javascript > 0.0 {
-        acc += w.javascript * str_distance(&a.javascript, &b.javascript);
-    }
-    if w.resources > 0.0 {
-        acc += w.resources * jaccard_multiset(&a.resources, &b.resources);
-    }
-    if w.links > 0.0 {
-        acc += w.links * jaccard_multiset(&a.links, &b.links);
-    }
-    acc / total
+    PreparedPage::new(a, w).distance(b)
 }
 
 #[cfg(test)]

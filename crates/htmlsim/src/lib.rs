@@ -13,8 +13,9 @@
 //!   tag multiset and sequence (as interned 2-byte tag identifiers,
 //!   mirroring the paper's normalization), title, concatenated JavaScript,
 //!   embedded-resource (`src=`) and outgoing-link (`href=`) multisets.
-//! * [`distance`] — Levenshtein (plain + banded), multiset Jaccard, and
-//!   the combined seven-feature page distance of Section 3.6.
+//! * [`distance`] — exact bit-vector Levenshtein behind a prepared
+//!   pattern, multiset Jaccard, and the combined seven-feature page
+//!   distance of Section 3.6 (one-shot and as a prepared matrix row).
 //! * [`diff`] — Myers O(ND) diff used by the fine-grained clustering to
 //!   extract the added/removed tag sets between an unknown response and
 //!   its most similar ground-truth representation.
