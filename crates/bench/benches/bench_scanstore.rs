@@ -1,18 +1,14 @@
 //! scanstore throughput: segment writes, diff-cursor reads, and the
 //! delta-encoded format's compression ratio against naive JSON lines.
 //!
-//! Beyond the criterion timings printed to stdout, `main` re-measures
-//! each figure single-shot and dumps a machine-readable summary to
-//! `BENCH_scanstore.json` at the workspace root in the normalized
-//! `goingwild.bench.v1` schema ([`bench::perf::BenchReport`]): the
-//! store's own `scanstore.*` instrumentation supplies the byte/segment
-//! counters and the throughput figures land in `derived`.
+//! After the criterion timings the read group prints the workload's
+//! compression line. The ratio is asserted in tier-1
+//! (`scanstore/tests/store_roundtrip.rs`); the tracked size figure is
+//! gwbench's `scanstore.bytes_per_record`.
 
-use bench::perf::{peak_rss_kb, BenchConfig, BenchReport};
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use scanstore::{CampaignStore, Observation, SnapshotSink, SnapshotSource};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 const PER_WEEK: u32 = 20_000;
 const WEEKS: u32 = 8;
@@ -119,81 +115,13 @@ fn bench_read(c: &mut Criterion) {
         })
     });
     g.finish();
+
+    let stats = store.stats();
+    println!(
+        "compression: {} bytes on disk vs {} as JSON lines ({:.1}x)",
+        stats.bytes_written, stats.json_bytes_equiv, stats.compression_ratio
+    );
 }
 
 criterion_group!(benches, bench_write, bench_read);
-
-fn rates(report: &mut BenchReport, what: &str, records: u64, seconds: f64) {
-    report
-        .derived
-        .insert(format!("{what}_records"), records as f64);
-    report.derived.insert(format!("{what}_seconds"), seconds);
-    report
-        .derived
-        .insert(format!("{what}_records_per_sec"), records as f64 / seconds);
-}
-
-/// Single-shot re-measurement feeding `BENCH_scanstore.json`: runs with
-/// a cleared global registry so the emitted report holds exactly this
-/// workload's `scanstore.*` counters plus the throughput figures.
-fn summary() -> BenchReport {
-    telemetry::global().clear();
-    let tmp = TempDir::new("summary");
-    let start = Instant::now();
-    let store = populate(&tmp.0, WEEKS, PER_WEEK);
-    let write_secs = start.elapsed().as_secs_f64();
-    let stats = store.stats();
-
-    let start = Instant::now();
-    let mut upserts = 0u64;
-    for seq in 0..store.snapshot_count() - 1 {
-        upserts += store.diff(seq).expect("diff").upserts.len() as u64;
-    }
-    let diff_secs = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let mut records = 0u64;
-    store
-        .for_each_snapshot(&mut |snap| {
-            records += snap.records.len() as u64;
-            Ok(())
-        })
-        .expect("scan");
-    let scan_secs = start.elapsed().as_secs_f64();
-
-    let mut report = BenchReport::new(
-        "scanstore",
-        BenchConfig {
-            weeks: WEEKS,
-            shards: 1,
-            ..BenchConfig::default()
-        },
-    );
-    report.wall_clock_ms = ((write_secs + diff_secs + scan_secs) * 1000.0) as u64;
-    report.peak_rss_kb = peak_rss_kb();
-    for (k, v) in &telemetry::snapshot().counters {
-        if k.starts_with("scanstore.") {
-            report.counters.insert(k.clone(), *v);
-        }
-    }
-    report
-        .derived
-        .insert("records_per_week".into(), PER_WEEK as f64);
-    rates(&mut report, "write", stats.upserts_total, write_secs);
-    rates(&mut report, "diff_cursor", upserts, diff_secs);
-    rates(&mut report, "snapshot_scan", records, scan_secs);
-    report.notes = format!(
-        "single-shot re-measurement after the criterion groups; {} weeks x {} records",
-        WEEKS, PER_WEEK
-    );
-    report
-}
-
-fn main() {
-    benches();
-    let report = summary();
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scanstore.json");
-    let json = serde_json::to_string_pretty(&report).expect("serialize report") + "\n";
-    std::fs::write(&out, json).expect("write BENCH_scanstore.json");
-    println!("wrote {}", out.display());
-}
+criterion_main!(benches);

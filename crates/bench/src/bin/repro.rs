@@ -6,1825 +6,33 @@
 //! repro --exp fig1 --store runs/main   # collect once, re-serve from disk
 //! repro --list
 //! repro trace run.gwrs --probe 4.9.0.2 # replay one probe's timeline
-//! repro bench --against BENCH_repro_all.json --threshold 25
+//! repro --help                         # every flag; also `repro <sub> --help`
 //! ```
 //!
-//! Collect once, derive many: the selected experiments' campaign
-//! requirements are unioned and collected in one pass over one world
-//! ([`goingwild::collect_bundle`]), then every experiment derives its
-//! artifact from the immutable bundle — in parallel. `repro --exp all`
-//! therefore runs each campaign exactly once, and every single-
-//! experiment invocation prints byte-identical output to its section
-//! of the `all` run.
-//!
-//! `--list` enumerates every experiment id. With `--store <dir>` each
-//! campaign persists its snapshots in a [`scanstore::CampaignStore`]
-//! under `<dir>/<campaign>`: the first run collects (resuming from the
-//! last committed segment if a previous run was killed), subsequent
-//! runs serve the artifacts from disk without re-simulation.
-//!
-//! Observability:
-//!
-//! * `--metrics <path>` — write a one-shot telemetry snapshot (JSON)
-//!   of every counter/gauge/histogram touched by the run, including
-//!   the once-per-campaign proof counters `collect.world_builds` and
-//!   `collect.campaign_runs{campaign=…}`;
-//! * `--trace <path>` — stream JSON-lines span/event records (sim-time
-//!   only, byte-stable for a fixed seed);
-//! * `--record <path>` — arm the flight recorder and persist its
-//!   probe-level records (attempt → backoff → fault drop → response /
-//!   give-up) as a [`scanstore`] `GWRS` stream, replayable with
-//!   `repro trace <path>`; `--record-rate <f>` samples targets
-//!   deterministically (all-or-none per IP, default 1.0);
-//! * `--profile <path>` — enable the sim-time profiler and write a
-//!   flamegraph "folded" stack file (`path self_sim_ms` per line);
-//!   `-v` also prints the per-span quantile table on stderr;
-//! * `--quiet` / `-v` — status verbosity on stderr (reports on stdout
-//!   are unaffected).
-//!
-//! Chaos-ready scanning:
-//!
-//! * `--faults <profile>` — install a named [`netsim::FaultPlan`]
-//!   (`flaky`, `bursty`, `outage`, `flappy`, `ratelimited`, `hostile`)
-//!   into the simulated network; implies 3 probe attempts for the
-//!   retrying campaigns unless `--retries` says otherwise;
-//! * `--retries <n>` — total probe attempts per retrying campaign
-//!   (enumeration stays single-probe per the paper's Sec. 2.2);
-//! * `--strict-coverage <pct>` — print the per-campaign coverage
-//!   summary as usual, but exit with code 3 if any campaign's response
-//!   coverage falls below the gate.
-//!
-//! Subcommands:
-//!
-//! * `repro trace <stream.gwrs> [--campaign c] [--probe a.b.c.d]
-//!   [--asn n] [--fault reason] [--gave-up] [--limit n]` — query a
-//!   recorded stream: reconstruct a probe's full timeline, list the
-//!   probes a fault kind killed, or summarize the whole stream;
-//! * `repro bench [--bench
-//!   repro_all|recorder_overhead|sharded|serve_qps|serve_tracing|serve_overload]
-//!   [--out p.json] [--against baseline.json] [--threshold pct]
-//!   <workload flags>` — run a perf benchmark and emit a
-//!   `goingwild.bench.v1` report; with `--against`, exit 2 on workload
-//!   mismatch and 4 on a wall-clock regression beyond the threshold.
-//!   `sharded` times the identical workload on the sequential
-//!   reference engine and on the sharded engine (`--shards`, default
-//!   4) and derives `speedup_x`; `serve_qps` collects into `--store`,
-//!   starts the query daemon on a loopback port, and times the seeded
-//!   client fleet; `serve_tracing` is the same fleet with every
-//!   request traced into an attached stream and SLO burn evaluation
-//!   on — compared against the `serve_qps` baseline it bounds the
-//!   tracing overhead; `serve_overload` times the fleet with
-//!   admission control armed, then measures the shed path itself
-//!   under a slow-loris squad;
-//! * `repro serve --store <dir> [--addr host:port] [--cache-cap n]
-//!   [--refresh-ms n] [--metrics p.json] [--slo p99=5ms,err=0.1%]
-//!   [--slow-ms n] [--trace-sample n] [--debug-requests n]
-//!   [--trace t.jsonl] [--max-inflight n] [--max-queue n]
-//!   [--queue-wait-ms n] [--deadline-ms n]` — serve
-//!   the four query families (`/classify`, `/churn`, `/amplifiers`,
-//!   `/coverage`) over HTTP/JSON straight from an on-disk store,
-//!   refreshing when a writer commits new segments; SIGINT/SIGTERM
-//!   drains in-flight requests and flushes a final metrics snapshot.
-//!   The daemon also answers `/metrics` (JSON, or Prometheus text via
-//!   `?format=prometheus` / `Accept: text/plain`), `/slo`,
-//!   `/debug/requests`, and `/admin/scrub` (live store integrity
-//!   pass); with objectives set, `/healthz` degrades to 503 while the
-//!   burn rate breaches them. `--max-inflight` arms admission control
-//!   (DESIGN §13): above the cap, expensive queries shed immediately
-//!   and normal ones queue (`--max-queue`, `--queue-wait-ms`) before
-//!   shedding with uniform `429` bodies and a `Retry-After` hint;
-//!   `--deadline-ms` bounds each request end-to-end, answering
-//!   `503 deadline_exceeded` past it. With `--selftest
-//!   [--seed n] [--clients n] [--requests n]` it instead starts the
-//!   daemon in-process, replays the deterministic fleet, and prints a
-//!   byte-stable one-line report; `--selftest --chaos
-//!   overload|malformed|corruption` replays an adversarial profile
-//!   (slow-loris + burst overload, malformed/oversized requests, or
-//!   mid-refresh corruption and disk-full faults) and prints a
-//!   deterministic pass/fail report instead; `--fleet host:port`
-//!   replays the seeded fleet against an already-running daemon;
-//! * `repro scrub --store <dir> [--json]` — offline store integrity
-//!   pass: CRC + manifest cross-check with a per-segment verdict
-//!   (`ok`, `missing`, `size_mismatch`, `corrupt`, `seq_mismatch`)
-//!   for every campaign; exit 1 if anything is unhealthy;
-//! * `repro tail (--addr host:port | --file trace.jsonl)
-//!   [--interval-ms n] [--limit n] [--once] [--json]` — live ops
-//!   console over a running daemon (QPS, per-endpoint latency
-//!   quantiles, SLO burn, cache hit ratio, slow queries) or over a
-//!   recorded trace stream (traced requests plus `collect.progress`
-//!   heartbeats; unknown line types are skipped and counted);
-//!   `--once --json` prints one `goingwild.tail.v1` document for
-//!   scripts;
-//! * `repro shardstat [--json] [workload flags]` — run one quiet
-//!   sharded collect pass (defaults: `--exp fig2 --weeks 4`, at least
-//!   2 shards) with critical-path scaling capture armed and print the
-//!   measured per-shard accounting, horizon-stall attribution, and
-//!   the predicted speedup at 2/4/16 workers with the coordinator's
-//!   commit phase as the serial term (`goingwild.shardstat.v1`, byte-
-//!   identical across same-seed runs).
+//! This file only dispatches: the first argument picks a subcommand
+//! from [`bench::cli::COMMANDS`] (none means the default run), the one
+//! parser checks the rest against that command's flag table, and the
+//! command's module does the work.
 
-use bench::perf::{self, BenchConfig, BenchReport, CompareError};
-use goingwild::experiments::{self, known_experiment, DeriveOptions, Experiment, REGISTRY};
-use goingwild::{collect_bundle, BundleOptions, CampaignKind, WorldConfig};
-use netsim::FaultPlan;
-use scanner::ProbePolicy;
-use scanstore::StoredRecord;
-use serve::run_fleet;
-use std::collections::BTreeSet;
-use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
-use telemetry::recorder::RecordKind;
-
-#[derive(Clone)]
-struct Args {
-    exp: String,
-    scale: f64,
-    weeks: u32,
-    seed: u64,
-    snoop_sample: usize,
-    /// Worker shards for the simulated network (1 = the sequential
-    /// reference engine; byte-identical output at any value).
-    shards: usize,
-    /// Named network fault profile injected into the simulation.
-    faults: Option<String>,
-    /// Probe attempts per retrying campaign (`None` = 1, or 3 when
-    /// `--faults` is set).
-    retries: Option<u32>,
-    /// Exit non-zero when any campaign's coverage falls below this
-    /// percentage.
-    strict_coverage: Option<f64>,
-    /// Also dump machine-readable reports to this JSON file.
-    json: Option<String>,
-    /// Persist campaign snapshots under this directory.
-    store: Option<PathBuf>,
-    /// Write a one-shot telemetry metrics snapshot to this JSON file.
-    metrics: Option<String>,
-    /// Stream JSON-lines trace records (spans + events) to this file.
-    trace: Option<String>,
-    /// Persist flight-recorder probe records to this GWRS stream.
-    record: Option<String>,
-    /// Deterministic per-IP sampling rate for the flight recorder.
-    record_rate: f64,
-    /// Write the sim-time profiler's folded stacks to this file.
-    profile: Option<String>,
-    /// Status verbosity on stderr: 0 = --quiet, 1 = default, 2 = -v.
-    verbosity: u8,
-}
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("repro: {msg}");
-    eprintln!("run `repro --list` for the experiment ids, or see --help in the crate docs");
-    std::process::exit(2);
-}
-
-/// Parses a numeric flag value, exiting with a one-line usage error
-/// instead of panicking on garbage like `--weeks banana`.
-fn parse_num<T: std::str::FromStr>(flag: &str, value: String) -> T {
-    value
-        .parse()
-        .unwrap_or_else(|_| usage_error(&format!("{flag} expects a number, got `{value}`")))
-}
-
-fn print_experiment_list() {
-    use std::fmt::Write as _;
-    let mut out = String::from("experiment ids accepted by --exp (plus `all`):\n");
-    for e in REGISTRY {
-        let _ = writeln!(out, "  {:<10} {}", e.id, e.title);
-    }
-    // One write, errors ignored: `repro --list | head` must not panic.
-    let _ = std::io::Write::write_all(&mut std::io::stdout(), out.as_bytes());
-}
-
-fn parse_args(argv: Vec<String>) -> Args {
-    let mut args = Args {
-        exp: "all".to_string(),
-        scale: 0.0005,
-        weeks: 55,
-        seed: 2015_1028,
-        snoop_sample: 1_500,
-        shards: 1,
-        faults: None,
-        retries: None,
-        strict_coverage: None,
-        json: None,
-        store: None,
-        metrics: None,
-        trace: None,
-        record: None,
-        record_rate: 1.0,
-        profile: None,
-        verbosity: 1,
-    };
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        let mut grab = || {
-            it.next()
-                .unwrap_or_else(|| usage_error(&format!("{a} requires a value")))
-        };
-        match a.as_str() {
-            "--exp" => args.exp = grab(),
-            "--scale" => args.scale = parse_num("--scale", grab()),
-            "--weeks" => args.weeks = parse_num("--weeks", grab()),
-            "--seed" => args.seed = parse_num("--seed", grab()),
-            "--snoop-sample" => args.snoop_sample = parse_num("--snoop-sample", grab()),
-            "--shards" => args.shards = parse_num("--shards", grab()),
-            "--faults" => args.faults = Some(grab()),
-            "--retries" => args.retries = Some(parse_num("--retries", grab())),
-            "--strict-coverage" => {
-                args.strict_coverage = Some(parse_num("--strict-coverage", grab()))
-            }
-            "--json" => args.json = Some(grab()),
-            "--store" => args.store = Some(PathBuf::from(grab())),
-            "--metrics" => args.metrics = Some(grab()),
-            "--trace" => args.trace = Some(grab()),
-            "--record" => args.record = Some(grab()),
-            "--record-rate" => args.record_rate = parse_num("--record-rate", grab()),
-            "--profile" => args.profile = Some(grab()),
-            "--quiet" | "-q" => args.verbosity = 0,
-            "-v" | "--verbose" => args.verbosity = 2,
-            "--list" => {
-                print_experiment_list();
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown argument {other}")),
-        }
-    }
-    if !known_experiment(&args.exp) {
-        usage_error(&format!("unknown experiment id `{}`", args.exp));
-    }
-    if let Some(profile) = &args.faults {
-        if FaultPlan::named(profile, 0).is_none() {
-            usage_error(&format!(
-                "unknown fault profile `{profile}`; known profiles: {}",
-                FaultPlan::PROFILES.join(", ")
-            ));
-        }
-    }
-    if args.retries == Some(0) {
-        usage_error("--retries must be at least 1 (total probe attempts)");
-    }
-    if let Some(pct) = args.strict_coverage {
-        if !(0.0..=100.0).contains(&pct) {
-            usage_error("--strict-coverage expects a percentage in 0..=100");
-        }
-    }
-    if !(0.0..=1.0).contains(&args.record_rate) {
-        usage_error("--record-rate expects a fraction in 0..=1");
-    }
-    // Fail fast on unwritable outputs, before hours of simulation.
-    for (flag, path) in [
-        ("--json", &args.json),
-        ("--metrics", &args.metrics),
-        ("--trace", &args.trace),
-        ("--record", &args.record),
-        ("--profile", &args.profile),
-    ] {
-        if let Some(path) = path {
-            if let Err(e) = probe_writable_file(path) {
-                usage_error(&format!("{flag} path {path} is not writable: {e}"));
-            }
-        }
-    }
-    if let Some(dir) = &args.store {
-        if let Err(e) = probe_writable_dir(dir) {
-            usage_error(&format!(
-                "--store dir {} is not writable: {e}",
-                dir.display()
-            ));
-        }
-    }
-    args
-}
-
-/// Verifies the JSON report path can be created without clobbering
-/// anything on failure (existing files are left untouched).
-fn probe_writable_file(path: &str) -> std::io::Result<()> {
-    use std::fs::OpenOptions;
-    let existed = std::path::Path::new(path).exists();
-    OpenOptions::new().append(true).create(true).open(path)?;
-    if !existed {
-        let _ = std::fs::remove_file(path);
-    }
-    Ok(())
-}
-
-/// Verifies the store directory exists (creating it if needed) and
-/// accepts writes.
-fn probe_writable_dir(dir: &std::path::Path) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let probe = dir.join(".repro-write-probe.tmp");
-    std::fs::write(&probe, b"probe")?;
-    std::fs::remove_file(&probe)
-}
-
-fn cfg_of(args: &Args) -> WorldConfig {
-    WorldConfig {
-        seed: args.seed,
-        scale: args.scale,
-        udp_loss: 0.004,
-        weeks: args.weeks,
-        shards: args.shards,
-    }
-}
-
-/// The experiments `--exp` selects. For `all`, subsumed experiments'
-/// sections already appear byte-for-byte inside their subsumer's
-/// report, so they are skipped and each section prints exactly once.
-fn select_experiments(exp: &str) -> Vec<&'static Experiment> {
-    if exp == "all" {
-        REGISTRY
-            .iter()
-            .filter(|e| e.subsumed_by.is_none())
-            .collect()
-    } else {
-        vec![experiments::experiment(exp).expect("validated by known_experiment")]
-    }
-}
-
-/// Union of the selected experiments' campaign requirements.
-fn union_kinds(selected: &[&'static Experiment]) -> Vec<CampaignKind> {
-    selected
-        .iter()
-        .flat_map(|e| e.requires.iter().copied())
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect()
-}
+use bench::cli::{self, Stop};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("trace") => trace_main(argv[1..].to_vec()),
-        Some("bench") => bench_main(argv[1..].to_vec()),
-        Some("serve") => serve_main(argv[1..].to_vec()),
-        Some("scrub") => scrub_main(argv[1..].to_vec()),
-        Some("tail") => tail_main(argv[1..].to_vec()),
-        Some("shardstat") => shardstat_main(argv[1..].to_vec()),
-        _ => run_main(argv),
-    }
-}
-
-// ---------------------------------------------------------------------
-// `repro scrub` — offline store integrity pass.
-// ---------------------------------------------------------------------
-
-fn scrub_main(argv: Vec<String>) {
-    let mut store = None;
-    let mut json = false;
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        let mut grab = || {
-            it.next()
-                .unwrap_or_else(|| usage_error(&format!("{a} requires a value")))
-        };
-        match a.as_str() {
-            "--store" => store = Some(PathBuf::from(grab())),
-            "--json" => json = true,
-            other => usage_error(&format!("unknown scrub argument {other}")),
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let cmd = match argv.first().and_then(|word| cli::subcommand(word)) {
+        Some(cmd) => {
+            argv.remove(0);
+            cmd
         }
-    }
-    let Some(store) = store else {
-        usage_error("scrub requires --store <dir>");
+        None => &cli::RUN,
     };
-    let reports = scanstore::scrub_root(&store).unwrap_or_else(|e| {
-        eprintln!("repro scrub: {e}");
-        std::process::exit(1);
-    });
-    if reports.is_empty() {
-        eprintln!("repro scrub: {} holds no campaign stores", store.display());
-        std::process::exit(1);
-    }
-    let healthy = reports.iter().all(|(_, r)| r.healthy());
-    if json {
-        let mut out = String::from("{");
-        for (i, (name, report)) in reports.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&serde_json::to_string(name).expect("string serializes"));
-            out.push(':');
-            out.push_str(&report.to_json());
-        }
-        out.push('}');
-        println!("{out}");
-    } else {
-        for (name, report) in &reports {
-            let verdict = if report.healthy() { "ok" } else { "UNHEALTHY" };
-            println!(
-                "{name}: {verdict} ({} committed, {} segments checked, {} orphans)",
-                report.committed,
-                report.segments.len(),
-                report.orphans.len()
-            );
-            if !report.manifest_ok {
-                println!("  manifest: unreadable or wrong version");
-            }
-            for seg in report
-                .segments
-                .iter()
-                .filter(|s| s.verdict != scanstore::SegmentVerdict::Ok)
-            {
-                println!("  seg {} ({}): {:?}", seg.seq, seg.file, seg.verdict);
-            }
-        }
-    }
-    if !healthy {
-        std::process::exit(1);
-    }
-}
-
-// ---------------------------------------------------------------------
-// `repro tail` — live ops console over a daemon or a trace stream.
-// ---------------------------------------------------------------------
-
-fn tail_main(argv: Vec<String>) {
-    let mut opts = bench::tail::TailOptions::default();
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        let mut grab = || {
-            it.next()
-                .unwrap_or_else(|| usage_error(&format!("{a} requires a value")))
-        };
-        match a.as_str() {
-            "--addr" => opts.addr = Some(grab()),
-            "--file" => opts.file = Some(PathBuf::from(grab())),
-            "--interval-ms" => opts.interval_ms = parse_num("--interval-ms", grab()),
-            "--limit" => opts.limit = parse_num("--limit", grab()),
-            "--once" => opts.once = true,
-            "--json" => opts.json = true,
-            other => usage_error(&format!("unknown tail argument {other}")),
-        }
-    }
-    if let Err(e) = bench::tail::run_tail(&opts) {
-        eprintln!("repro tail: {e}");
-        std::process::exit(1);
-    }
-}
-
-// ---------------------------------------------------------------------
-// `repro serve` — long-running query service over a campaign store.
-// ---------------------------------------------------------------------
-
-struct ServeArgs {
-    opts: serve::ServeOptions,
-    selftest: bool,
-    /// Drive the seeded fleet against an already-running daemon at
-    /// this address instead of starting one (CI smoke traffic).
-    fleet_addr: Option<String>,
-    /// Write the request-trace stream (JSON lines) here.
-    trace: Option<String>,
-    /// Run this chaos profile instead of the plain selftest fleet.
-    chaos: Option<String>,
-    seed: u64,
-    clients: usize,
-    requests: usize,
-}
-
-fn parse_serve_args(argv: Vec<String>) -> ServeArgs {
-    let mut sa = ServeArgs {
-        opts: serve::ServeOptions {
-            announce: true,
-            ..serve::ServeOptions::default()
-        },
-        selftest: false,
-        fleet_addr: None,
-        trace: None,
-        chaos: None,
-        seed: 2015_1028,
-        clients: 4,
-        requests: 100,
-    };
-    let mut store = None;
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        let mut grab = || {
-            it.next()
-                .unwrap_or_else(|| usage_error(&format!("{a} requires a value")))
-        };
-        match a.as_str() {
-            "--store" => store = Some(PathBuf::from(grab())),
-            "--addr" => sa.opts.addr = grab(),
-            "--cache-cap" => sa.opts.cache_cap = parse_num("--cache-cap", grab()),
-            "--refresh-ms" => sa.opts.refresh_ms = parse_num("--refresh-ms", grab()),
-            "--metrics" => sa.opts.metrics = Some(PathBuf::from(grab())),
-            "--selftest" => sa.selftest = true,
-            "--fleet" => sa.fleet_addr = Some(grab()),
-            "--trace" => sa.trace = Some(grab()),
-            "--chaos" => sa.chaos = Some(grab()),
-            "--max-inflight" => {
-                sa.opts.admission.max_inflight = parse_num("--max-inflight", grab())
-            }
-            "--max-queue" => sa.opts.admission.max_queue = parse_num("--max-queue", grab()),
-            "--queue-wait-ms" => {
-                sa.opts.admission.queue_wait_ms = parse_num("--queue-wait-ms", grab())
-            }
-            "--deadline-ms" => sa.opts.admission.deadline_ms = parse_num("--deadline-ms", grab()),
-            "--seed" => sa.seed = parse_num("--seed", grab()),
-            "--clients" => sa.clients = parse_num("--clients", grab()),
-            "--requests" => sa.requests = parse_num("--requests", grab()),
-            "--trace-sample" => sa.opts.obs.trace_sample = parse_num("--trace-sample", grab()),
-            "--debug-requests" => {
-                sa.opts.obs.debug_requests = parse_num("--debug-requests", grab())
-            }
-            "--slow-ms" => {
-                sa.opts.obs.slow_us = parse_num::<u64>("--slow-ms", grab()).saturating_mul(1_000)
-            }
-            "--slo" => {
-                let spec = grab();
-                sa.opts.obs.slo = Some(
-                    telemetry::SloSpec::parse(&spec)
-                        .unwrap_or_else(|e| usage_error(&format!("--slo: {e}"))),
-                );
-            }
-            other => usage_error(&format!("unknown serve argument {other}")),
-        }
-    }
-    let Some(store) = store else {
-        usage_error(
-            "serve requires --store <dir> (a campaign store from `repro --exp … --store <dir>`)",
-        );
-    };
-    sa.opts.store = store;
-    if (sa.selftest || sa.fleet_addr.is_some()) && (sa.clients == 0 || sa.requests == 0) {
-        usage_error("--selftest/--fleet need at least 1 client and 1 request");
-    }
-    sa
-}
-
-fn serve_main(argv: Vec<String>) {
-    let sa = parse_serve_args(argv);
-    if let Some(profile) = &sa.chaos {
-        // Adversarial self-test: start a real daemon, attack it with
-        // the profile's hostile clients, and report pass/fail
-        // deterministically — stdout carries exactly one JSON line of
-        // booleans which two same-seed runs reproduce byte-for-byte;
-        // per-check details go to stderr.
-        if !sa.selftest {
-            usage_error("--chaos requires --selftest (profiles start their own daemon)");
-        }
-        let report = serve::run_chaos(&serve::ChaosOptions {
-            store: sa.opts.store.clone(),
-            profile: profile.clone(),
-            seed: sa.seed,
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("repro serve: chaos profile failed: {e}");
-            std::process::exit(1);
-        });
-        for c in &report.checks {
-            let verdict = if c.pass { "PASS" } else { "FAIL" };
-            eprintln!(
-                "repro serve: chaos {profile}: {verdict} {} — {}",
-                c.name, c.detail
-            );
-        }
-        println!("{}", report.deterministic_json());
-        if !report.pass() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(addr) = &sa.fleet_addr {
-        // Traffic generator only: replay the seeded fleet against a
-        // daemon that is already running (e.g. the CI tail-smoke job).
-        let addr: std::net::SocketAddr = addr
-            .parse()
-            .unwrap_or_else(|_| usage_error(&format!("--fleet expects host:port, got `{addr}`")));
-        let fleet = serve::FleetOptions {
-            addr,
-            store: sa.opts.store.clone(),
-            seed: sa.seed,
-            clients: sa.clients,
-            requests: sa.requests,
-        };
-        let report = run_fleet(&fleet).unwrap_or_else(|e| {
-            eprintln!("repro serve: fleet failed: {e}");
-            std::process::exit(1);
-        });
-        println!("{}", report.deterministic_json());
-        if report.errors > 0 {
-            eprintln!("repro serve: fleet saw {} errors", report.errors);
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(path) = &sa.trace {
-        // The daemon's request traces, as a followable JSON-lines
-        // stream (`repro tail --file`).
-        let file = std::fs::File::create(path)
-            .unwrap_or_else(|e| usage_error(&format!("--trace path {path}: {e}")));
-        telemetry::attach_trace(Box::new(std::io::BufWriter::new(file)));
-    }
-    if sa.selftest {
-        // Start the daemon in-process, replay the seeded fleet against
-        // it, and report deterministically: stdout carries exactly one
-        // JSON line which two same-seed runs must reproduce
-        // byte-for-byte; timing-dependent numbers go to stderr.
-        let opts = serve::ServeOptions {
-            announce: false,
-            ..sa.opts.clone()
-        };
-        let server = serve::RunningServer::start(&opts).unwrap_or_else(|e| {
-            eprintln!("repro serve: cannot start daemon: {e}");
-            std::process::exit(1);
-        });
-        let fleet = serve::FleetOptions {
-            addr: server.addr(),
-            store: sa.opts.store.clone(),
-            seed: sa.seed,
-            clients: sa.clients,
-            requests: sa.requests,
-        };
-        let report = run_fleet(&fleet).unwrap_or_else(|e| {
-            eprintln!("repro serve: fleet failed: {e}");
-            std::process::exit(1);
-        });
-        let summary = server.stop().unwrap_or_else(|e| {
-            eprintln!("repro serve: daemon shutdown failed: {e}");
-            std::process::exit(1);
-        });
-        if sa.trace.is_some() {
-            // Flush the buffered trace file before reporting.
-            let _ = telemetry::detach_trace();
-        }
-        println!("{}", report.deterministic_json());
-        eprintln!(
-            "repro serve: selftest {} requests in {} ms ({} qps), {} served, {} refreshes",
-            report.requests,
-            report.wall_ms,
-            (report.requests * 1000)
-                .checked_div(report.wall_ms)
-                .unwrap_or(0),
-            summary.requests,
-            summary.refreshes,
-        );
-        if report.errors > 0 {
-            eprintln!("repro serve: selftest saw {} errors", report.errors);
-            std::process::exit(1);
-        }
-        return;
-    }
-    serve::signal::install();
-    let result = serve::server::run(&sa.opts);
-    if sa.trace.is_some() {
-        let _ = telemetry::detach_trace();
-    }
-    match result {
-        Ok(summary) => eprintln!(
-            "repro serve: drained, {} requests served, {} engine refreshes",
-            summary.requests, summary.refreshes
-        ),
-        Err(e) => {
-            eprintln!("repro serve: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_main(argv: Vec<String>) {
-    let args = parse_args(argv);
-    telemetry::set_verbosity(match args.verbosity {
-        0 => telemetry::Level::Error,
-        1 => telemetry::Level::Info,
-        _ => telemetry::Level::Debug,
-    });
-    if let Some(path) = &args.trace {
-        let file = std::fs::File::create(path)
-            .unwrap_or_else(|e| usage_error(&format!("--trace path {path}: {e}")));
-        telemetry::attach_trace(Box::new(std::io::BufWriter::new(file)));
-    }
-    if args.record.is_some() {
-        telemetry::recorder::enable(
-            args.record_rate,
-            args.seed,
-            telemetry::recorder::DEFAULT_CAPACITY,
-        );
-    }
-    if args.profile.is_some() {
-        telemetry::enable_profile();
-    }
-    let cfg = cfg_of(&args);
-    let mut json_out = serde_json::Map::new();
-    println!(
-        "# Going Wild reproduction — scale {} (≈{} resolvers), seed {}\n",
-        cfg.scale,
-        (26_800_000.0 * cfg.scale) as u64,
-        cfg.seed
-    );
-
-    // Select experiments, union their campaign requirements, collect
-    // the bundle once, then derive every artifact from it in parallel.
-    let selected = select_experiments(&args.exp);
-    let kinds = union_kinds(&selected);
-    let fault_plan = args
-        .faults
-        .as_deref()
-        .map(|p| FaultPlan::named(p, args.seed).expect("validated by parse_args"));
-    // A fault profile without an explicit --retries implies the
-    // chaos-ready default of 3 attempts; otherwise campaigns stay
-    // single-probe (byte-identical to the pre-fault pipeline).
-    let attempts = args
-        .retries
-        .unwrap_or(if fault_plan.is_some() { 3 } else { 1 });
-    let bundle_opts = BundleOptions {
-        seed: args.seed,
-        weeks: args.weeks,
-        snoop_sample: args.snoop_sample,
-        faults: fault_plan,
-        probe: ProbePolicy::retrying(attempts),
-        ..BundleOptions::new(cfg.clone())
-    };
-    let bundle =
-        collect_bundle(&bundle_opts, &kinds, args.store.as_deref()).unwrap_or_else(|e| match &args
-            .store
-        {
-            Some(dir) => die_store(dir, &e),
-            None => {
-                eprintln!("repro: bundle collection failed: {e}");
-                std::process::exit(1);
-            }
-        });
-    let derive_opts = DeriveOptions {
-        cfg: cfg.clone(),
-        ..DeriveOptions::default()
-    };
-    let outputs = experiments::derive_all(&bundle, &selected, &derive_opts);
-    let mut failed = false;
-    for (exp, out) in selected.iter().zip(outputs) {
-        match out {
-            Ok(out) => {
-                println!("{}", out.text);
-                if args.json.is_some() {
-                    if let Some((key, value)) = out.json {
-                        // Experiments sharing a data product emit the
-                        // same key; first writer wins.
-                        if json_out.get(key).is_none() {
-                            json_out.insert(key.to_string(), value);
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("repro: experiment {} failed: {e}", exp.id);
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-
-    let coverage = bundle.coverage();
-    if !coverage.is_empty() {
-        println!("# Campaign coverage (this collection)");
-        for (kind, cov) in coverage {
-            println!(
-                "  {:<8} {:>6.2}%  attempted {}, answered {}, gave up {}, unreachable {}, retries {}{}",
-                kind.name(),
-                100.0 * cov.fraction(),
-                cov.attempted,
-                cov.answered,
-                cov.gave_up,
-                cov.unreachable,
-                cov.retries,
-                if cov.space { " (address space)" } else { "" },
-            );
-        }
-        println!();
-        if args.json.is_some() {
-            let cov_json: std::collections::BTreeMap<&'static str, &scanner::Coverage> =
-                coverage.iter().map(|(k, c)| (k.name(), c)).collect();
-            json_out.insert("coverage".into(), serde_json::to_value(&cov_json).unwrap());
-        }
-    }
-
-    let store_stats = bundle.store_stats();
-    if !store_stats.is_empty() {
-        println!(
-            "# Snapshot store — {}",
-            args.store.as_ref().expect("store set").display()
-        );
-        for (campaign, s) in &store_stats {
-            println!(
-                "  {campaign:<8} {} segments, {} live records, {} bytes on disk ({:.1}x vs JSON lines), {} recovery events{}",
-                s.segments,
-                s.live_records,
-                s.bytes_written,
-                s.compression_ratio,
-                s.recovery_events,
-                match s.resumed_at {
-                    Some(seq) => format!(", resumed at segment {seq}"),
-                    None => String::new(),
-                }
-            );
-        }
-        println!();
-        if args.json.is_some() {
-            let stores: std::collections::BTreeMap<String, &scanstore::StoreStats> = store_stats
-                .iter()
-                .map(|(campaign, s)| ((*campaign).to_string(), s))
-                .collect();
-            json_out.insert("store".into(), serde_json::to_value(&stores).unwrap());
-        }
-    }
-
-    if let Some(path) = &args.json {
-        std::fs::write(path, serde_json::to_string_pretty(&json_out).unwrap())
-            .expect("write json report");
-        telemetry::info(
-            "repro.json",
-            "wrote machine-readable reports",
-            &[("path", path.as_str().into())],
-            None,
-        );
-    }
-
-    // Flush the trace stream before the metrics snapshot so the two
-    // artifacts are consistent with each other.
-    let _ = telemetry::detach_trace();
-
-    // Persist the flight-recorder stream before the metrics snapshot,
-    // so its scanstore.recorder.* counters are part of the snapshot.
-    if let Some(path) = &args.record {
-        let stats = telemetry::recorder::stats();
-        let records = telemetry::recorder::drain();
-        telemetry::recorder::disable();
-        let mut stream = scanstore::RecorderStream::create(Path::new(path))
-            .unwrap_or_else(|e| usage_error(&format!("--record path {path}: {e}")));
-        stream.append(&records).expect("write recorder stream");
-        let (segments, n) = stream.finish().expect("sync recorder stream");
-        telemetry::info(
-            "repro.record",
-            "wrote flight-recorder stream",
-            &[
-                ("path", path.as_str().into()),
-                ("segments", segments.into()),
-                ("records", n.into()),
-                ("overwritten", stats.overwritten.into()),
-            ],
-            None,
-        );
-    }
-
-    if let Some(path) = &args.profile {
-        if let Some(profile) = telemetry::take_profile() {
-            std::fs::write(path, profile.folded_text()).expect("write folded profile");
-            if args.verbosity >= 2 {
-                eprint!("{}", profile.summary_table());
-            }
-            telemetry::info(
-                "repro.profile",
-                "wrote folded sim-time stacks",
-                &[
-                    ("path", path.as_str().into()),
-                    ("spans", (profile.spans().len() as u64).into()),
-                ],
-                None,
-            );
-        }
-    }
-
-    if let Some(path) = &args.metrics {
-        let snap = telemetry::snapshot();
-        std::fs::write(path, snap.to_json()).expect("write metrics snapshot");
-        if args.verbosity >= 2 {
-            eprint!("{}", snap.to_table());
-        }
-        telemetry::info(
-            "repro.metrics",
-            "wrote telemetry snapshot",
-            &[("path", path.as_str().into())],
-            None,
-        );
-    }
-
-    // The strict gate runs last so every artifact (reports, JSON,
-    // metrics, traces) is written even for a degraded run.
-    if let Some(pct) = args.strict_coverage {
-        let threshold = pct / 100.0;
-        let degraded = bundle.degraded(threshold);
-        if !degraded.is_empty() {
-            for kind in &degraded {
-                let cov = &bundle.coverage()[kind];
-                eprintln!(
-                    "repro: campaign `{}` coverage {:.2}% is below the --strict-coverage gate of {pct}%",
-                    kind.name(),
-                    100.0 * cov.fraction(),
-                );
-            }
-            std::process::exit(3);
-        }
-        eprintln!(
-            "repro: strict coverage gate passed ({} campaigns >= {pct}%)",
-            bundle.coverage().len()
-        );
-    }
-}
-
-/// A store failure is an environment problem, not a bug — report and
-/// exit non-zero instead of panicking.
-fn die_store(dir: &std::path::Path, err: &std::io::Error) -> ! {
-    eprintln!("repro: snapshot store at {} failed: {err}", dir.display());
-    std::process::exit(1);
-}
-
-// ---------------------------------------------------------------------
-// `repro shardstat` — critical-path scaling model (DESIGN §15).
-// ---------------------------------------------------------------------
-
-/// Runs one quiet sharded collect pass with scaling capture armed and
-/// prints the `goingwild.shardstat.v1` report: measured per-shard
-/// accounting, stall attribution, and predicted speedup at 2/4/8/16
-/// workers with the coordinator's commit phase as the serial term.
-/// Every figure is sim-side deterministic, so two same-seed
-/// invocations print byte-identical reports.
-fn shardstat_main(argv: Vec<String>) {
-    let mut json = false;
-    let mut rest = Vec::new();
-    for a in argv {
-        if a == "--json" {
-            json = true;
-        } else {
-            rest.push(a);
-        }
-    }
-    // Defaults tuned for a diagnostic, not a full reproduction: the
-    // Fig. 2 workload (enumeration + churn, the sharding-sensitive
-    // campaigns) over a short horizon. Any workload flag overrides.
-    let mut default_flag = |flag: &str, value: &str| {
-        if !rest.iter().any(|a| a == flag) {
-            rest.push(flag.to_string());
-            rest.push(value.to_string());
-        }
-    };
-    default_flag("--exp", "fig2");
-    default_flag("--weeks", "4");
-    let mut args = parse_args(rest);
-    if args.shards < 2 {
-        // The model measures the sharded engine; the sequential
-        // reference has no windows to attribute.
-        args.shards = 4;
-    }
-    telemetry::set_verbosity(telemetry::Level::Error);
-    netsim::scaling::enable();
-    run_workload(&args);
-    let Some(m) = netsim::scaling::take() else {
-        eprintln!("repro shardstat: the workload never flushed a scaling measurement");
-        std::process::exit(1);
-    };
-    if m.batches == 0 {
-        eprintln!("repro shardstat: the workload ran no sharded batches (is --scale too small?)");
-        std::process::exit(1);
-    }
-    let cfg = bench::shardstat::ShardstatConfig {
-        exp: args.exp.clone(),
-        scale: args.scale,
-        weeks: args.weeks,
-        seed: args.seed,
-        snoop_sample: args.snoop_sample,
-        shards: args.shards,
-    };
-    if json {
-        println!("{}", bench::shardstat::report_json(&cfg, &m));
-    } else {
-        print!("{}", bench::shardstat::report_text(&cfg, &m));
-    }
-}
-
-// ---------------------------------------------------------------------
-// `repro bench` — perf benchmarks in the goingwild.bench.v1 schema.
-// ---------------------------------------------------------------------
-
-struct BenchArgs {
-    bench: String,
-    out: Option<String>,
-    against: Option<String>,
-    threshold_pct: f64,
-    workload: Args,
-}
-
-fn parse_bench_args(argv: Vec<String>) -> BenchArgs {
-    let mut bench = "repro_all".to_string();
-    let mut out = None;
-    let mut against = None;
-    let mut threshold_pct = 10.0;
-    let mut rest = Vec::new();
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        let mut grab = || {
-            it.next()
-                .unwrap_or_else(|| usage_error(&format!("{a} requires a value")))
-        };
-        match a.as_str() {
-            "--bench" => bench = grab(),
-            "--out" => out = Some(grab()),
-            "--against" => against = Some(grab()),
-            "--threshold" => threshold_pct = parse_num("--threshold", grab()),
-            _ => rest.push(a),
-        }
-    }
-    if !matches!(
-        bench.as_str(),
-        "repro_all"
-            | "recorder_overhead"
-            | "sharded"
-            | "serve_qps"
-            | "serve_tracing"
-            | "serve_overload"
-    ) {
-        usage_error(&format!(
-            "unknown bench `{bench}`; known benches: repro_all, recorder_overhead, sharded, \
-             serve_qps, serve_tracing, serve_overload"
-        ));
-    }
-    if threshold_pct < 0.0 {
-        usage_error("--threshold expects a non-negative percentage");
-    }
-    let workload = parse_args(rest);
-    BenchArgs {
-        bench,
-        out,
-        against,
-        threshold_pct,
-        workload,
-    }
-}
-
-/// One quiet collect+derive pass over the workload; returns the
-/// measured wall-clock in milliseconds.
-fn run_workload(args: &Args) -> u64 {
-    let cfg = cfg_of(args);
-    let selected = select_experiments(&args.exp);
-    let kinds = union_kinds(&selected);
-    let fault_plan = args
-        .faults
-        .as_deref()
-        .map(|p| FaultPlan::named(p, args.seed).expect("validated by parse_args"));
-    let attempts = args
-        .retries
-        .unwrap_or(if fault_plan.is_some() { 3 } else { 1 });
-    let bundle_opts = BundleOptions {
-        seed: args.seed,
-        weeks: args.weeks,
-        snoop_sample: args.snoop_sample,
-        faults: fault_plan,
-        probe: ProbePolicy::retrying(attempts),
-        ..BundleOptions::new(cfg.clone())
-    };
-    let derive_opts = DeriveOptions {
-        cfg,
-        ..DeriveOptions::default()
-    };
-    let t0 = std::time::Instant::now();
-    let bundle = collect_bundle(&bundle_opts, &kinds, None).unwrap_or_else(|e| {
-        eprintln!("repro bench: bundle collection failed: {e}");
-        std::process::exit(1);
-    });
-    for (exp, out) in selected
-        .iter()
-        .zip(experiments::derive_all(&bundle, &selected, &derive_opts))
-    {
-        if let Err(e) = out {
-            eprintln!("repro bench: experiment {} failed: {e}", exp.id);
-            std::process::exit(1);
-        }
-    }
-    t0.elapsed().as_millis() as u64
-}
-
-/// Counter prefixes worth carrying in a bench report: enough to see
-/// *what* the benchmark did, without dumping the whole registry.
-const BENCH_COUNTER_PREFIXES: &[&str] = &[
-    "collect.",
-    "derive.experiment_runs",
-    "scanner.probes_sent",
-    "scanner.responses",
-    "scanner.retries",
-    "netsim.udp",
-    // Deterministic shard accounting only — the wall-clock side
-    // channel lives under `netsim.wall.` precisely so this prefix
-    // never drags nondeterministic values into a baseline.
-    "netsim.shard.",
-    "serve.",
-    "scanstore.view.",
-];
-
-fn bench_report(ba: &BenchArgs, wall_clock_ms: u64) -> BenchReport {
-    let args = &ba.workload;
-    let attempts = args
-        .retries
-        .unwrap_or(if args.faults.is_some() { 3 } else { 1 });
-    let mut report = BenchReport::new(
-        &ba.bench,
-        BenchConfig {
-            exp: args.exp.clone(),
-            scale: args.scale,
-            weeks: args.weeks,
-            seed: args.seed,
-            snoop_sample: args.snoop_sample,
-            shards: args.shards,
-            faults: args.faults.clone(),
-            retries: attempts,
-        },
-    );
-    report.wall_clock_ms = wall_clock_ms;
-    report.peak_rss_kb = perf::peak_rss_kb();
-    let snap = telemetry::snapshot();
-    report.sim_time_ms = snap.gauge("collect.sim_end_ms").unwrap_or(0.0) as u64;
-    for (k, v) in &snap.counters {
-        if BENCH_COUNTER_PREFIXES.iter().any(|p| k.starts_with(p)) {
-            report.counters.insert(k.clone(), *v);
-        }
-    }
-    report
-}
-
-/// Shared body of the serving-path benches: collect the workload's
-/// campaigns into `--store` (resumed for free when already
-/// collected), start the daemon on a loopback port with the given
-/// observability options, and time the seeded fleet.
-fn serve_bench(ba: &BenchArgs, obs: serve::ObsOptions, traced: bool) -> BenchReport {
-    let Some(store) = ba.workload.store.clone() else {
-        usage_error(&format!(
-            "--bench {} requires --store <dir> for the campaign store",
-            ba.bench
-        ));
-    };
-    let cfg = cfg_of(&ba.workload);
-    let selected = select_experiments(&ba.workload.exp);
-    let kinds = union_kinds(&selected);
-    let bundle_opts = BundleOptions {
-        seed: ba.workload.seed,
-        weeks: ba.workload.weeks,
-        snoop_sample: ba.workload.snoop_sample,
-        ..BundleOptions::new(cfg)
-    };
-    if let Err(e) = collect_bundle(&bundle_opts, &kinds, Some(&store)) {
-        eprintln!("repro bench: store collection failed: {e}");
-        std::process::exit(1);
-    }
-    let opts = serve::ServeOptions {
-        store: store.clone(),
-        refresh_ms: 0, // static store: measure pure query service
-        obs,
-        ..serve::ServeOptions::default()
-    };
-    let server = serve::RunningServer::start(&opts).unwrap_or_else(|e| {
-        eprintln!("repro bench: cannot start daemon: {e}");
-        std::process::exit(1);
-    });
-    let fleet = serve::FleetOptions {
-        addr: server.addr(),
-        store,
-        seed: ba.workload.seed,
-        clients: 4,
-        requests: 150,
-    };
-    // Warm-up pass (connects, caches, allocator), then the timed pass.
-    if let Err(e) = run_fleet(&fleet) {
-        eprintln!("repro bench: fleet failed: {e}");
-        std::process::exit(1);
-    }
-    let rep = run_fleet(&fleet).unwrap_or_else(|e| {
-        eprintln!("repro bench: fleet failed: {e}");
-        std::process::exit(1);
-    });
-    if rep.errors > 0 {
-        eprintln!("repro bench: fleet saw {} errors", rep.errors);
-        std::process::exit(1);
-    }
-    let _ = server.stop();
-    let mut r = bench_report(ba, rep.wall_ms.max(1));
-    r.derived.insert("requests".into(), rep.requests as f64);
-    r.derived.insert(
-        "qps".into(),
-        rep.requests as f64 * 1000.0 / rep.wall_ms.max(1) as f64,
-    );
-    r.derived.insert("bytes".into(), rep.bytes as f64);
-    let snap = telemetry::snapshot();
-    // Cache counters are labeled by endpoint: sum the family.
-    let hits = snap.counter_sum("serve.cache.hit");
-    let misses = snap.counter_sum("serve.cache.miss");
-    r.derived.insert(
-        "cache_hit_rate".into(),
-        hits as f64 / (hits + misses).max(1) as f64,
-    );
-    r.notes = if traced {
-        "wall_clock_ms is the timed fleet pass (4 clients x 150 requests, warm cache), \
-         every request traced into an attached stream with SLO evaluation on"
-            .into()
-    } else {
-        "wall_clock_ms is the timed fleet pass (4 clients x 150 requests, warm cache)".into()
-    };
-    r
-}
-
-/// One blocking GET against the bench daemon; returns the status.
-fn bench_fetch(addr: std::net::SocketAddr, target: &str) -> std::io::Result<u16> {
-    use std::io::{Read as _, Write as _};
-    let mut stream = std::net::TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
-    stream.set_nodelay(true)?;
-    write!(stream, "GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n")?;
-    let mut response = Vec::with_capacity(256);
-    stream.read_to_end(&mut response)?;
-    response
-        .strip_prefix(b"HTTP/1.1 ")
-        .and_then(|rest| std::str::from_utf8(rest.get(..3)?).ok())
-        .and_then(|code| code.parse::<u16>().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))
-}
-
-/// The overload bench: phase 1 times the seeded fleet with admission
-/// control armed at an uncontended cap (its steady-state cost is the
-/// acceptance number); phase 2 pins the daemon past a tiny cap with
-/// stalled connections and times the shed path itself.
-fn serve_overload_bench(ba: &BenchArgs) -> BenchReport {
-    use std::io::Write as _;
-    let Some(store) = ba.workload.store.clone() else {
-        usage_error("--bench serve_overload requires --store <dir> for the campaign store");
-    };
-    let cfg = cfg_of(&ba.workload);
-    let selected = select_experiments(&ba.workload.exp);
-    let kinds = union_kinds(&selected);
-    let bundle_opts = BundleOptions {
-        seed: ba.workload.seed,
-        weeks: ba.workload.weeks,
-        snoop_sample: ba.workload.snoop_sample,
-        ..BundleOptions::new(cfg)
-    };
-    if let Err(e) = collect_bundle(&bundle_opts, &kinds, Some(&store)) {
-        eprintln!("repro bench: store collection failed: {e}");
-        std::process::exit(1);
-    }
-
-    // Phase 1: the plain fleet with admission armed but uncontended.
-    let opts = serve::ServeOptions {
-        store: store.clone(),
-        refresh_ms: 0,
-        admission: serve::AdmissionOptions {
-            max_inflight: 64,
-            max_queue: 32,
-            queue_wait_ms: 50,
-            deadline_ms: 1_000,
-        },
-        ..serve::ServeOptions::default()
-    };
-    let server = serve::RunningServer::start(&opts).unwrap_or_else(|e| {
-        eprintln!("repro bench: cannot start daemon: {e}");
-        std::process::exit(1);
-    });
-    let fleet = serve::FleetOptions {
-        addr: server.addr(),
-        store: store.clone(),
-        seed: ba.workload.seed,
-        clients: 4,
-        requests: 150,
-    };
-    // Warm-up pass, then the timed pass.
-    if let Err(e) = run_fleet(&fleet) {
-        eprintln!("repro bench: fleet failed: {e}");
-        std::process::exit(1);
-    }
-    let rep = run_fleet(&fleet).unwrap_or_else(|e| {
-        eprintln!("repro bench: fleet failed: {e}");
-        std::process::exit(1);
-    });
-    if rep.errors > 0 {
-        eprintln!(
-            "repro bench: fleet saw {} errors under admission",
-            rep.errors
-        );
-        std::process::exit(1);
-    }
-    let _ = server.stop();
-
-    // Phase 2: pin the load signal past a tiny cap with stalled
-    // connections, then time pure sheds.
-    let opts = serve::ServeOptions {
-        store: store.clone(),
-        refresh_ms: 0,
-        admission: serve::AdmissionOptions {
-            max_inflight: 2,
-            max_queue: 0,
-            queue_wait_ms: 10,
-            deadline_ms: 0,
-        },
-        conn_timeout_ms: 30_000,
-        ..serve::ServeOptions::default()
-    };
-    let server = serve::RunningServer::start(&opts).unwrap_or_else(|e| {
-        eprintln!("repro bench: cannot start daemon: {e}");
-        std::process::exit(1);
-    });
-    let addr = server.addr();
-    let mut loris = Vec::with_capacity(6);
-    for _ in 0..6 {
-        let mut s = std::net::TcpStream::connect(addr).expect("loopback connect");
-        s.set_nodelay(true).expect("nodelay");
-        // A stalled partial head pins one live-connection slot.
-        s.write_all(b"GET /classify?ip=").expect("partial head");
-        loris.push(s);
-    }
-    for _ in 0..1000 {
-        let held = telemetry::snapshot()
-            .gauge("serve.inflight")
-            .is_some_and(|g| g >= 6.0);
-        if held {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    const SHEDS: u64 = 200;
-    let t0 = std::time::Instant::now();
-    for _ in 0..SHEDS {
-        match bench_fetch(addr, "/amplifiers?country=US") {
-            Ok(429) => {}
-            Ok(status) => {
-                eprintln!("repro bench: expected 429 under overload, got {status}");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("repro bench: shed request failed: {e}");
+    match cli::parse(cmd, argv) {
+        Ok(parsed) => {
+            if let Err(msg) = (cmd.run)(&parsed) {
+                eprintln!("{}: {msg}", cmd.invocation());
                 std::process::exit(1);
             }
         }
-    }
-    let shed_ms = t0.elapsed().as_millis().max(1) as u64;
-    drop(loris);
-    let _ = server.stop();
-
-    let mut r = bench_report(ba, rep.wall_ms.max(1));
-    r.derived.insert("requests".into(), rep.requests as f64);
-    r.derived.insert(
-        "qps".into(),
-        rep.requests as f64 * 1000.0 / rep.wall_ms.max(1) as f64,
-    );
-    r.derived.insert("shed_requests".into(), SHEDS as f64);
-    r.derived.insert("shed_ms".into(), shed_ms as f64);
-    r.derived
-        .insert("shed_qps".into(), SHEDS as f64 * 1000.0 / shed_ms as f64);
-    r.notes = "wall_clock_ms is the timed fleet pass (4 clients x 150 requests) with \
-               admission armed at an uncontended cap; shed_qps times 200 uniform 429s \
-               while 6 stalled connections hold the load above a cap of 2"
-        .into();
-    r
-}
-
-fn bench_main(argv: Vec<String>) {
-    let mut ba = parse_bench_args(argv);
-    // Benchmarks run quietly: status chatter on stderr would only blur
-    // the timings, and reports go to --out / stdout.
-    telemetry::set_verbosity(telemetry::Level::Error);
-    let bench_name = ba.bench.clone();
-    let mut report = match bench_name.as_str() {
-        "repro_all" => {
-            let wall = run_workload(&ba.workload);
-            bench_report(&ba, wall)
-        }
-        "recorder_overhead" => {
-            // Warm caches and allocators, then time the identical
-            // workload with the flight recorder off and on. Reps are
-            // interleaved (off, on, off, on, …) and each mode takes
-            // its minimum, so monotonic machine drift cancels instead
-            // of landing on one mode; the derived overhead percentage
-            // is the acceptance number.
-            run_workload(&ba.workload);
-            let mut off_ms = u64::MAX;
-            let mut on_ms = u64::MAX;
-            let mut recorded = 0;
-            for _ in 0..3 {
-                off_ms = off_ms.min(run_workload(&ba.workload));
-                telemetry::recorder::enable(
-                    1.0,
-                    ba.workload.seed,
-                    telemetry::recorder::DEFAULT_CAPACITY,
-                );
-                on_ms = on_ms.min(run_workload(&ba.workload));
-                recorded = telemetry::recorder::stats().recorded;
-                telemetry::recorder::disable();
-            }
-            let mut r = bench_report(&ba, on_ms);
-            r.derived.insert("off_ms".into(), off_ms as f64);
-            r.derived.insert("on_ms".into(), on_ms as f64);
-            r.derived.insert("records".into(), recorded as f64);
-            r.derived.insert(
-                "overhead_pct".into(),
-                if off_ms > 0 {
-                    100.0 * (on_ms as f64 - off_ms as f64) / off_ms as f64
-                } else {
-                    0.0
-                },
-            );
-            r.notes = "wall_clock_ms is the recorder-on run; overhead_pct = (on-off)/off".into();
-            r
-        }
-        "sharded" => {
-            // The identical workload on the sequential reference
-            // engine (--shards 1) and on the sharded engine. Passes
-            // are interleaved (seq, par, seq, par) and each engine
-            // takes its minimum, so monotonic machine drift cancels
-            // instead of landing on one engine; the derived
-            // `speedup_x` is the acceptance number. The very first
-            // pass also doubles as the warm-up, which the interleaved
-            // minimum absorbs.
-            let shards = if ba.workload.shards < 2 {
-                4
-            } else {
-                ba.workload.shards
-            };
-            let mut w = ba.workload.clone();
-            let mut seq_ms = u64::MAX;
-            let mut par_ms = u64::MAX;
-            for _ in 0..2 {
-                w.shards = 1;
-                seq_ms = seq_ms.min(run_workload(&w));
-                w.shards = shards;
-                par_ms = par_ms.min(run_workload(&w));
-            }
-            ba.workload.shards = shards;
-            let mut r = bench_report(&ba, par_ms);
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            r.derived.insert("seq_ms".into(), seq_ms as f64);
-            r.derived.insert("par_ms".into(), par_ms as f64);
-            r.derived.insert("shards".into(), shards as f64);
-            r.derived.insert("host_cpus".into(), cores as f64);
-            r.derived.insert(
-                "speedup_x".into(),
-                if par_ms > 0 {
-                    seq_ms as f64 / par_ms as f64
-                } else {
-                    0.0
-                },
-            );
-            // Per-shard load balance, from the deterministic shard
-            // accounting the parallel passes flushed (the sequential
-            // passes register no `netsim.shard.events` counters).
-            let snap = telemetry::snapshot();
-            let events: Vec<u64> = snap
-                .counters
-                .iter()
-                .filter(|(k, _)| k.starts_with("netsim.shard.events{"))
-                .map(|(_, v)| *v)
-                .collect();
-            if let (Some(&max), Some(&min)) = (events.iter().max(), events.iter().min()) {
-                r.derived.insert("shard_events_max".into(), max as f64);
-                r.derived.insert("shard_events_min".into(), min as f64);
-                r.derived.insert(
-                    "shard_imbalance_ratio".into(),
-                    max as f64 / min.max(1) as f64,
-                );
-            }
-            r.notes = format!(
-                "wall_clock_ms is the sharded pass ({shards} shards); speedup_x = seq/par, \
-                 best of 2 interleaved passes per engine, measured on a {cores}-cpu host \
-                 (shard workers cannot beat the sequential engine without idle cores to run on)"
-            );
-            r
-        }
-        "serve_qps" => {
-            // Observability at its defaults but with no SLO evaluation
-            // and no attached trace stream: the plain serving-path
-            // baseline.
-            serve_bench(&ba, serve::ObsOptions::default(), false)
-        }
-        "serve_tracing" => {
-            // The worst-case observability configuration: every
-            // request traced (sample stride 1), span lines actually
-            // serialized into an attached (discarding) trace stream,
-            // SLO burn evaluated, and a zero slow-query threshold so
-            // every trace is offered to the slow log. Compared against
-            // BENCH_serve.json this bounds the tracing overhead.
-            telemetry::attach_trace(Box::new(std::io::sink()));
-            let obs = serve::ObsOptions {
-                trace_sample: 1,
-                slow_us: 0,
-                slo: Some(telemetry::SloSpec::parse("p99=50ms,err=1%").expect("static spec")),
-                ..serve::ObsOptions::default()
-            };
-            let r = serve_bench(&ba, obs, true);
-            let _ = telemetry::detach_trace();
-            r
-        }
-        "serve_overload" => serve_overload_bench(&ba),
-        _ => unreachable!("validated by parse_bench_args"),
-    };
-    report.notes = if report.notes.is_empty() {
-        "recorded by `repro bench`".into()
-    } else {
-        report.notes
-    };
-
-    let json = serde_json::to_string_pretty(&report).unwrap() + "\n";
-    match &ba.out {
-        Some(path) => {
-            std::fs::write(path, &json).expect("write bench report");
-            eprintln!("repro bench: wrote {path}");
-        }
-        None => print!("{json}"),
-    }
-
-    if let Some(path) = &ba.against {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("repro bench: cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        let baseline: BenchReport = serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("repro bench: baseline {path} is not a bench report: {e}");
-            std::process::exit(2);
-        });
-        match perf::compare(&report, &baseline, ba.threshold_pct) {
-            Ok(verdict) => eprintln!("repro bench: {verdict}"),
-            Err(e @ (CompareError::BadSchema(_) | CompareError::ConfigMismatch(_))) => {
-                eprintln!("repro bench: {e}");
-                std::process::exit(2);
-            }
-            Err(e @ CompareError::Regression(_)) => {
-                eprintln!("repro bench: {e}");
-                std::process::exit(4);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// `repro trace` — query a recorded GWRS stream.
-// ---------------------------------------------------------------------
-
-struct TraceArgs {
-    stream: PathBuf,
-    campaign: Option<String>,
-    probe: Option<Ipv4Addr>,
-    asn: Option<u32>,
-    fault: Option<String>,
-    gave_up: bool,
-    limit: usize,
-}
-
-fn parse_trace_args(argv: Vec<String>) -> TraceArgs {
-    let mut stream = None;
-    let mut campaign = None;
-    let mut probe = None;
-    let mut asn = None;
-    let mut fault = None;
-    let mut gave_up = false;
-    let mut limit = 50usize;
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        let mut grab = || {
-            it.next()
-                .unwrap_or_else(|| usage_error(&format!("{a} requires a value")))
-        };
-        match a.as_str() {
-            "--campaign" => campaign = Some(grab()),
-            "--probe" => {
-                probe = Some(grab().parse::<Ipv4Addr>().unwrap_or_else(|_| {
-                    usage_error("--probe expects a dotted IPv4 address");
-                }))
-            }
-            "--asn" => asn = Some(parse_num("--asn", grab())),
-            "--fault" => fault = Some(grab()),
-            "--gave-up" => gave_up = true,
-            "--limit" => limit = parse_num("--limit", grab()),
-            other if !other.starts_with('-') && stream.is_none() => {
-                stream = Some(PathBuf::from(other))
-            }
-            other => usage_error(&format!("unknown trace argument {other}")),
-        }
-    }
-    let Some(stream) = stream else {
-        usage_error("trace requires a recorded stream path (from `repro --record <path>`)");
-    };
-    TraceArgs {
-        stream,
-        campaign,
-        probe,
-        asn,
-        fault,
-        gave_up,
-        limit,
-    }
-}
-
-fn fmt_ms(t_ms: u64) -> String {
-    format!("t+{}.{:03}s", t_ms / 1000, t_ms % 1000)
-}
-
-/// One human-readable timeline line per record.
-fn fmt_record(r: &StoredRecord) -> String {
-    let ip = Ipv4Addr::from(r.ip);
-    match r.kind {
-        RecordKind::Attempt => format!(
-            "{} {:<6} attempt #{} sent to {ip}{}",
-            fmt_ms(r.t_ms),
-            r.campaign,
-            r.attempt,
-            if r.asn != 0 {
-                format!(" (AS{})", r.asn)
-            } else {
-                String::new()
-            }
-        ),
-        RecordKind::Backoff => format!(
-            "{} {:<6} backoff: wait {} ms before attempt #{} (campaign-wide)",
-            fmt_ms(r.t_ms),
-            r.campaign,
-            r.value,
-            r.attempt
-        ),
-        RecordKind::Drop => format!(
-            "{} {:<6} attempt #{}: datagram for {ip} dropped by `{}`",
-            fmt_ms(r.t_ms),
-            r.campaign,
-            r.attempt,
-            r.reason
-        ),
-        RecordKind::Response => format!(
-            "{} {:<6} response from {ip}, rcode {}",
-            fmt_ms(r.t_ms),
-            r.campaign,
-            r.value
-        ),
-        RecordKind::GaveUp => format!(
-            "{} {:<6} gave up on {ip} after {} attempts{}",
-            fmt_ms(r.t_ms),
-            r.campaign,
-            r.value,
-            if r.asn != 0 {
-                format!(" (AS{})", r.asn)
-            } else {
-                String::new()
-            }
-        ),
-    }
-}
-
-fn trace_main(argv: Vec<String>) {
-    let ta = parse_trace_args(argv);
-    let mut records = scanstore::read_stream(&ta.stream).unwrap_or_else(|e| {
-        eprintln!("repro trace: cannot read {}: {e}", ta.stream.display());
-        std::process::exit(1);
-    });
-    // `read_stream` recovers by keeping the longest valid prefix — but
-    // a non-empty file yielding *zero* records is not a recovery, it's
-    // the wrong (or fully truncated) file. An empty stream file is
-    // legitimate: a recorder armed on a run that probed nothing.
-    if records.is_empty() {
-        let len = std::fs::metadata(&ta.stream).map(|m| m.len()).unwrap_or(0);
-        if len > 0 {
-            eprintln!(
-                "repro trace: {} ({len} bytes) contains no decodable GWRS segments — truncated or not a recorder stream",
-                ta.stream.display()
-            );
-            std::process::exit(1);
-        }
-    }
-    if let Some(c) = &ta.campaign {
-        records.retain(|r| &r.campaign == c);
-    }
-    // Buffered output, flushed in one write that ignores errors: a
-    // downstream `head` closing the pipe is not a failure.
-    let mut out = String::new();
-    render_trace(&ta, &records, &mut out);
-    use std::io::Write as _;
-    let _ = std::io::stdout().write_all(out.as_bytes());
-}
-
-fn render_trace(ta: &TraceArgs, records: &[StoredRecord], out: &mut String) {
-    use std::fmt::Write as _;
-    if records.is_empty() {
-        let _ = writeln!(out, "no records match (stream {})", ta.stream.display());
-        return;
-    }
-
-    if let Some(ip) = ta.probe {
-        // Full timeline for one probe: its own records plus the
-        // campaign-wide backoff decisions of the campaigns it was
-        // probed by, replayed in sequence order.
-        let ip_u32 = u32::from(ip);
-        let campaigns: BTreeSet<&str> = records
-            .iter()
-            .filter(|r| r.ip == ip_u32)
-            .map(|r| r.campaign.as_str())
-            .collect();
-        let timeline: Vec<&StoredRecord> = records
-            .iter()
-            .filter(|r| r.ip == ip_u32 || (r.ip == 0 && campaigns.contains(r.campaign.as_str())))
-            .collect();
-        let _ = writeln!(out, "# timeline for {ip} — {} records", timeline.len());
-        for r in timeline {
-            let _ = writeln!(out, "  [{:>6}] {}", r.seq, fmt_record(r));
-        }
-        return;
-    }
-
-    if let Some(asn) = ta.asn {
-        let ips: BTreeSet<u32> = records
-            .iter()
-            .filter(|r| r.asn == asn && r.ip != 0)
-            .map(|r| r.ip)
-            .collect();
-        let matching: Vec<&StoredRecord> = records.iter().filter(|r| ips.contains(&r.ip)).collect();
-        let _ = writeln!(
-            out,
-            "# AS{asn} — {} probes, {} records",
-            ips.len(),
-            matching.len()
-        );
-        print_limited(&matching, ta.limit, out);
-        return;
-    }
-
-    if let Some(reason) = &ta.fault {
-        let matching: Vec<&StoredRecord> = records
-            .iter()
-            .filter(|r| r.kind == RecordKind::Drop && &r.reason == reason)
-            .collect();
-        let _ = writeln!(
-            out,
-            "# drops caused by `{reason}` — {} records",
-            matching.len()
-        );
-        print_limited(&matching, ta.limit, out);
-        return;
-    }
-
-    if ta.gave_up {
-        let matching: Vec<&StoredRecord> = records
-            .iter()
-            .filter(|r| r.kind == RecordKind::GaveUp)
-            .collect();
-        let _ = writeln!(
-            out,
-            "# probes that exhausted every attempt — {}",
-            matching.len()
-        );
-        print_limited(&matching, ta.limit, out);
-        return;
-    }
-
-    // No filter: summarize the stream.
-    let mut by_campaign: std::collections::BTreeMap<&str, [u64; 5]> =
-        std::collections::BTreeMap::new();
-    let mut drop_reasons: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-    let mut probes: BTreeSet<u32> = BTreeSet::new();
-    for r in records {
-        by_campaign.entry(r.campaign.as_str()).or_default()[r.kind.to_u8() as usize] += 1;
-        if r.kind == RecordKind::Drop {
-            *drop_reasons.entry(r.reason.as_str()).or_default() += 1;
-        }
-        if r.ip != 0 {
-            probes.insert(r.ip);
-        }
-    }
-    let _ = writeln!(
-        out,
-        "# {} — {} records, {} distinct probes",
-        ta.stream.display(),
-        records.len(),
-        probes.len()
-    );
-    let _ = writeln!(
-        out,
-        "  {:<8} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "campaign", "attempts", "backoffs", "drops", "responses", "gave_up"
-    );
-    for (campaign, counts) in &by_campaign {
-        let _ = writeln!(
-            out,
-            "  {campaign:<8} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            counts[0], counts[1], counts[2], counts[3], counts[4]
-        );
-    }
-    if !drop_reasons.is_empty() {
-        let _ = writeln!(out, "  drop reasons:");
-        for (reason, n) in &drop_reasons {
-            let _ = writeln!(out, "    {reason:<12} {n}");
-        }
-    }
-    let _ = writeln!(
-        out,
-        "  filter with --probe/--asn/--fault/--gave-up/--campaign for timelines"
-    );
-}
-
-fn print_limited(records: &[&StoredRecord], limit: usize, out: &mut String) {
-    use std::fmt::Write as _;
-    let shown = if limit == 0 {
-        records.len()
-    } else {
-        records.len().min(limit)
-    };
-    for r in &records[..shown] {
-        let _ = writeln!(out, "  [{:>6}] {}", r.seq, fmt_record(r));
-    }
-    if shown < records.len() {
-        let _ = writeln!(
-            out,
-            "  … {} more (raise --limit, or 0 for all)",
-            records.len() - shown
-        );
+        Err(Stop::Help) => cli::emit(&cli::help(cmd)),
+        Err(Stop::Usage(msg)) => cli::usage_error(&msg),
     }
 }

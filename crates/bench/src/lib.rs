@@ -1,5 +1,10 @@
-//! Bench crate (criterion benches + repro binaries).
+//! The `repro` binary's subcommands behind one flag table
+//! ([`cli`]), plus the criterion benches under `benches/`.
 
-pub mod perf;
+pub mod cli;
+pub mod run;
+pub mod scrub;
+pub mod serve;
 pub mod shardstat;
 pub mod tail;
+pub mod trace;

@@ -10,15 +10,61 @@
 //! The JSON is hand-rolled with a fixed field order and fixed float
 //! formatting (`{:.4}`) precisely so CI can `diff` two runs.
 
+use crate::cli::Parsed;
+use crate::run::Workload;
 use netsim::scaling::{self, Measurement};
 use netsim::StallBound;
 use std::fmt::Write as _;
+
+/// Runs one quiet sharded collect pass with scaling capture armed and
+/// prints the `goingwild.shardstat.v1` report: measured per-shard
+/// accounting, stall attribution, and predicted speedup at 2/4/8/16
+/// workers with the coordinator's commit phase as the serial term.
+/// Every figure is sim-side deterministic, so two same-seed
+/// invocations print byte-identical reports.
+pub fn main(p: &Parsed) -> Result<(), String> {
+    // Defaults tuned for a diagnostic, not a full reproduction: the
+    // Fig. 2 workload (enumeration + churn, the sharding-sensitive
+    // campaigns) over a short horizon. Any workload flag overrides.
+    let mut w = Workload::from_flags(p, "fig2", 4);
+    if w.shards < 2 {
+        // The model measures the sharded engine; the sequential
+        // reference has no windows to attribute.
+        w.shards = 4;
+    }
+    telemetry::set_verbosity(telemetry::Level::Error);
+    scaling::enable();
+    let (_bundle, outputs) = w
+        .collect_and_derive(None)
+        .map_err(|e| format!("bundle collection failed: {e}"))?;
+    for (exp, out) in outputs {
+        out.map_err(|e| format!("experiment {} failed: {e}", exp.id))?;
+    }
+    let m = scaling::take().ok_or("the workload never flushed a scaling measurement")?;
+    if m.batches == 0 {
+        return Err("the workload ran no sharded batches (is --scale too small?)".into());
+    }
+    let cfg = ShardstatConfig {
+        exp: w.exp,
+        scale: w.scale,
+        weeks: w.weeks,
+        seed: w.seed,
+        snoop_sample: w.snoop_sample,
+        shards: w.shards,
+    };
+    if p.has("--json") {
+        println!("{}", report_json(&cfg, &m));
+    } else {
+        print!("{}", report_text(&cfg, &m));
+    }
+    Ok(())
+}
 
 /// Schema tag of the `--json` document.
 pub const SHARDSTAT_SCHEMA: &str = "goingwild.shardstat.v1";
 
 /// The workload identity stamped into the report, so a reader knows
-/// what was measured (mirrors `goingwild.bench.v1`'s config block).
+/// what was measured.
 #[derive(Debug, Clone)]
 pub struct ShardstatConfig {
     pub exp: String,

@@ -56,6 +56,20 @@ impl Default for TailOptions {
     }
 }
 
+/// `repro tail`: reads the flags over the defaults and runs the tail.
+pub fn main(p: &crate::cli::Parsed) -> Result<(), String> {
+    let d = TailOptions::default();
+    let opts = TailOptions {
+        addr: p.string("--addr"),
+        file: p.get("--file").map(PathBuf::from),
+        interval_ms: p.num("--interval-ms").unwrap_or(d.interval_ms),
+        once: p.has("--once"),
+        json: p.has("--json"),
+        limit: p.num("--limit").unwrap_or(d.limit),
+    };
+    run_tail(&opts)
+}
+
 /// Runs the tail until interrupted (or once, with `--once`).
 pub fn run_tail(opts: &TailOptions) -> Result<(), String> {
     match (&opts.addr, &opts.file) {

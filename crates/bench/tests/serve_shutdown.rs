@@ -150,36 +150,12 @@ fn trace_rejects_truncated_streams_without_panicking() {
 }
 
 #[test]
-fn bench_against_missing_baseline_exits_2() {
-    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "bench",
-            "--bench",
-            "repro_all",
-            "--exp",
-            "fig1",
-            "--scale",
-            "0.00002",
-            "--weeks",
-            "1",
-            "--against",
-            "/nonexistent/baseline.json",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(output.status.code(), Some(2), "expected exit 2");
-    let stderr = String::from_utf8(output.stderr).unwrap();
-    assert!(stderr.contains("cannot read baseline"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-}
-
-#[test]
 fn numeric_flag_garbage_is_a_usage_error_not_a_panic() {
     for args in [
         vec!["--weeks", "banana"],
         vec!["--seed", "not-a-number"],
         vec!["trace", "x.gwrs", "--limit", "many"],
-        vec!["bench", "--threshold", "high"],
+        vec!["tail", "--interval-ms", "soon"],
         vec!["serve", "--store", "s", "--refresh-ms", "soon"],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))

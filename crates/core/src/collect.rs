@@ -1306,8 +1306,8 @@ pub fn collect_bundle(
     if let Some(s) = bundle_span.take() {
         s.finish(world.now().millis());
     }
-    // Final simulated clock, read back by `repro bench` as the run's
-    // sim-time figure.
+    // Final simulated clock, so a `--metrics` snapshot records how much
+    // simulated time the run covered.
     telemetry::gauge("collect.sim_end_ms").set(world.now().millis() as f64);
 
     if opts.coverage {
