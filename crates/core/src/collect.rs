@@ -91,6 +91,14 @@ impl SnapshotSink for EnrichSink<'_> {
     fn commit(&mut self, label: &str, t_ms: u64, meta: &[(String, String)]) -> io::Result<u32> {
         self.inner.commit(label, t_ms, meta)
     }
+
+    fn begin_group(&mut self) {
+        self.inner.begin_group()
+    }
+
+    fn end_group(&mut self) -> io::Result<()> {
+        self.inner.end_group()
+    }
 }
 
 // =====================================================================

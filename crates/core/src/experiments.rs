@@ -936,7 +936,7 @@ pub fn ablations_report(cfg: &WorldConfig) -> String {
 
     // ---- A-ABL4: identifier channels under port rewriting ----
     {
-        use dnswire::{Message, MessageBuilder, Rcode, RecordType};
+        use dnswire::{MessageBuilder, MessageView, Rcode, RecordType};
         let mut ok_with_casing = 0;
         let mut ok_txid_only = 0;
         let trials = 4_096u32;
@@ -946,7 +946,7 @@ pub fn ablations_report(cfg: &WorldConfig) -> String {
             let q = MessageBuilder::query(p.txid, p.qname.clone(), RecordType::A).build();
             let resp = MessageBuilder::response_to(&q, Rcode::NoError).build();
             let wire = resp.encode();
-            let resp = Message::decode(&wire).unwrap();
+            let resp = MessageView::parse(&wire).unwrap();
             // Port rewritten: arrival offset is useless.
             if scanner::decode_probe(&resp, None) == Some(id % (1 << 25)) {
                 ok_with_casing += 1;

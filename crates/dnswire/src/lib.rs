@@ -18,6 +18,11 @@
 //! * [`RData`] — typed record data for A, NS, CNAME, SOA, PTR, MX, TXT
 //!   and AAAA records; anything else round-trips as opaque bytes.
 //! * [`MessageBuilder`] — an ergonomic builder for queries and responses.
+//! * [`MessageView`] — the borrowed form: the one wire parser, which
+//!   checks a packet and lends out header, names and records in place;
+//!   [`Message::decode`] is its owning collector.
+//! * [`ReplyWriter`] — a response written straight onto the wire from a
+//!   view of its query.
 //!
 //! The decoder is defensive: it never panics on untrusted input, bounds
 //! every read, and rejects compression-pointer loops. This matters
@@ -39,11 +44,15 @@
 pub mod error;
 pub mod message;
 pub mod name;
+pub mod reply;
 pub mod types;
+pub mod view;
 pub mod zeroxtwenty;
 
 pub use error::{DecodeError, NameError};
 pub use message::{Header, Message, MessageBuilder, Question, RData, ResourceRecord};
 pub use name::Name;
+pub use reply::ReplyWriter;
 pub use types::{Opcode, Rcode, RecordClass, RecordType};
+pub use view::{MessageView, NameView, QuestionView, RDataView, RecordView};
 pub use zeroxtwenty::{decode_0x20, encode_0x20};

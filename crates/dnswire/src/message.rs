@@ -4,6 +4,7 @@
 use crate::error::DecodeError;
 use crate::name::Name;
 use crate::types::{Opcode, Rcode, RecordClass, RecordType};
+use crate::view::MessageView;
 use serde::{Deserialize, Serialize};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -80,7 +81,7 @@ impl Header {
         w
     }
 
-    fn from_flags_word(id: u16, w: u16) -> Self {
+    pub(crate) fn from_flags_word(id: u16, w: u16) -> Self {
         Header {
             id,
             response: w & 0x8000 != 0,
@@ -321,96 +322,22 @@ impl Message {
             buf.extend_from_slice(&rr.rtype.to_u16().to_be_bytes());
             buf.extend_from_slice(&rr.rclass.to_u16().to_be_bytes());
             buf.extend_from_slice(&rr.ttl.to_be_bytes());
-            let mut rdata = Vec::new();
-            rr.rdata.encode_into(&mut rdata);
-            buf.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
-            buf.extend_from_slice(&rdata);
+            let rdlength_at = buf.len();
+            buf.extend_from_slice(&[0, 0]);
+            rr.rdata.encode_into(&mut buf);
+            let rdlength = (buf.len() - rdlength_at - 2) as u16;
+            buf[rdlength_at..rdlength_at + 2].copy_from_slice(&rdlength.to_be_bytes());
         }
         buf
     }
 
-    /// Decode from wire format. Tolerates trailing bytes after the last
-    /// announced record (some CPE stacks pad packets) but rejects any
-    /// structural inconsistency inside the announced sections.
+    /// Decode from wire format: the owning collector over
+    /// [`MessageView::parse`], which decides what is well formed.
+    /// Tolerates trailing bytes after the last announced record (some
+    /// CPE stacks pad packets) but rejects any structural inconsistency
+    /// inside the announced sections.
     pub fn decode(packet: &[u8]) -> Result<Message, DecodeError> {
-        if packet.len() < 12 {
-            return Err(DecodeError::Truncated { context: "header" });
-        }
-        let id = u16::from_be_bytes([packet[0], packet[1]]);
-        let flags = u16::from_be_bytes([packet[2], packet[3]]);
-        let qd = u16::from_be_bytes([packet[4], packet[5]]) as usize;
-        let an = u16::from_be_bytes([packet[6], packet[7]]) as usize;
-        let ns = u16::from_be_bytes([packet[8], packet[9]]) as usize;
-        let ar = u16::from_be_bytes([packet[10], packet[11]]) as usize;
-
-        let mut pos = 12usize;
-        let mut questions = Vec::with_capacity(qd.min(16));
-        for _ in 0..qd {
-            let (qname, next) = Name::decode(packet, pos)?;
-            pos = next;
-            let rest = packet
-                .get(pos..pos + 4)
-                .ok_or(DecodeError::SectionOverrun {
-                    section: "question",
-                })?;
-            let qtype = RecordType::from_u16(u16::from_be_bytes([rest[0], rest[1]]));
-            let qclass = RecordClass::from_u16(u16::from_be_bytes([rest[2], rest[3]]));
-            pos += 4;
-            questions.push(Question {
-                qname,
-                qtype,
-                qclass,
-            });
-        }
-
-        let decode_section = |count: usize,
-                              section: &'static str,
-                              pos: &mut usize|
-         -> Result<Vec<ResourceRecord>, DecodeError> {
-            let mut records = Vec::with_capacity(count.min(32));
-            for _ in 0..count {
-                let (name, next) = Name::decode(packet, *pos)?;
-                *pos = next;
-                let fixed = packet
-                    .get(*pos..*pos + 10)
-                    .ok_or(DecodeError::SectionOverrun { section })?;
-                let rtype = RecordType::from_u16(u16::from_be_bytes([fixed[0], fixed[1]]));
-                let rclass = RecordClass::from_u16(u16::from_be_bytes([fixed[2], fixed[3]]));
-                let ttl = u32::from_be_bytes([fixed[4], fixed[5], fixed[6], fixed[7]]);
-                let rdlen = u16::from_be_bytes([fixed[8], fixed[9]]) as usize;
-                *pos += 10;
-                let rdata_start = *pos;
-                let rdata_end = rdata_start + rdlen;
-                if packet.len() < rdata_end {
-                    return Err(DecodeError::BadRdLength {
-                        expected: rdlen,
-                        available: packet.len().saturating_sub(rdata_start),
-                    });
-                }
-                let rdata = decode_rdata(packet, rdata_start, rdata_end, rtype)?;
-                *pos = rdata_end;
-                records.push(ResourceRecord {
-                    name,
-                    rtype,
-                    rclass,
-                    ttl,
-                    rdata,
-                });
-            }
-            Ok(records)
-        };
-
-        let answers = decode_section(an, "answer", &mut pos)?;
-        let authorities = decode_section(ns, "authority", &mut pos)?;
-        let additionals = decode_section(ar, "additional", &mut pos)?;
-
-        Ok(Message {
-            header: Header::from_flags_word(id, flags),
-            questions,
-            answers,
-            authorities,
-            additionals,
-        })
+        Ok(MessageView::parse(packet)?.to_message())
     }
 
     /// All IPv4 addresses in the answer section, in order.
@@ -430,93 +357,6 @@ impl Message {
             .find(|rr| rr.rtype == RecordType::Opt)
             .map(|rr| rr.rclass.to_u16())
     }
-}
-
-fn decode_rdata(
-    packet: &[u8],
-    start: usize,
-    end: usize,
-    rtype: RecordType,
-) -> Result<RData, DecodeError> {
-    let raw = &packet[start..end];
-    let rdata = match rtype {
-        RecordType::A if raw.len() == 4 => RData::A(Ipv4Addr::new(raw[0], raw[1], raw[2], raw[3])),
-        RecordType::Aaaa if raw.len() == 16 => {
-            let mut o = [0u8; 16];
-            o.copy_from_slice(raw);
-            RData::Aaaa(Ipv6Addr::from(o))
-        }
-        RecordType::Ns | RecordType::Cname | RecordType::Ptr => {
-            // Names inside RDATA may use compression pointers into the
-            // full packet, so decode against `packet`, not `raw`.
-            let (name, next) = Name::decode(packet, start)?;
-            if next > end {
-                return Err(DecodeError::BadRdLength {
-                    expected: end - start,
-                    available: next - start,
-                });
-            }
-            match rtype {
-                RecordType::Ns => RData::Ns(name),
-                RecordType::Cname => RData::Cname(name),
-                _ => RData::Ptr(name),
-            }
-        }
-        RecordType::Mx if raw.len() >= 3 => {
-            let preference = u16::from_be_bytes([raw[0], raw[1]]);
-            let (exchange, next) = Name::decode(packet, start + 2)?;
-            if next > end {
-                return Err(DecodeError::BadRdLength {
-                    expected: end - start,
-                    available: next - start,
-                });
-            }
-            RData::Mx {
-                preference,
-                exchange,
-            }
-        }
-        RecordType::Txt => {
-            let mut parts = Vec::new();
-            let mut p = 0usize;
-            while p < raw.len() {
-                let l = raw[p] as usize;
-                p += 1;
-                if p + l > raw.len() {
-                    return Err(DecodeError::BadCharacterString);
-                }
-                parts.push(raw[p..p + l].to_vec());
-                p += l;
-            }
-            RData::Txt(parts)
-        }
-        RecordType::Soa => {
-            let (mname, next) = Name::decode(packet, start)?;
-            let (rname, next2) = Name::decode(packet, next)?;
-            let fixed = packet
-                .get(next2..next2 + 20)
-                .ok_or(DecodeError::Truncated {
-                    context: "SOA fixed fields",
-                })?;
-            if next2 + 20 > end {
-                return Err(DecodeError::BadRdLength {
-                    expected: end - start,
-                    available: next2 + 20 - start,
-                });
-            }
-            RData::Soa {
-                mname,
-                rname,
-                serial: u32::from_be_bytes([fixed[0], fixed[1], fixed[2], fixed[3]]),
-                refresh: u32::from_be_bytes([fixed[4], fixed[5], fixed[6], fixed[7]]),
-                retry: u32::from_be_bytes([fixed[8], fixed[9], fixed[10], fixed[11]]),
-                expire: u32::from_be_bytes([fixed[12], fixed[13], fixed[14], fixed[15]]),
-                minimum: u32::from_be_bytes([fixed[16], fixed[17], fixed[18], fixed[19]]),
-            }
-        }
-        _ => RData::Opaque(raw.to_vec()),
-    };
-    Ok(rdata)
 }
 
 /// Fluent builder for queries and responses.

@@ -34,27 +34,9 @@ impl Name {
     /// A single trailing dot is accepted and ignored; interior empty
     /// labels are rejected. The empty string and `"."` parse to the root.
     pub fn parse(text: &str) -> Result<Self, NameError> {
-        let trimmed = text.strip_suffix('.').unwrap_or(text);
-        if trimmed.is_empty() {
-            return Ok(Name::root());
-        }
-        let mut labels = Vec::new();
-        let mut wire_len = 1usize; // trailing root byte
-        for part in trimmed.split('.') {
-            if part.is_empty() {
-                return Err(NameError::EmptyLabel);
-            }
-            if part.len() > MAX_LABEL_LEN {
-                return Err(NameError::LabelTooLong {
-                    label: part.to_string(),
-                });
-            }
-            wire_len += 1 + part.len();
-            labels.push(part.as_bytes().to_vec());
-        }
-        if wire_len > MAX_NAME_WIRE_LEN {
-            return Err(NameError::NameTooLong);
-        }
+        let labels = text_labels(text)?
+            .map(|part| part.as_bytes().to_vec())
+            .collect();
         Ok(Name { labels })
     }
 
@@ -77,6 +59,13 @@ impl Name {
             return Err(NameError::NameTooLong);
         }
         Ok(Name { labels })
+    }
+
+    /// Copy out the labels of a name the walker has accepted.
+    pub(crate) fn from_wire_labels(labels: Labels<'_>) -> Self {
+        Name {
+            labels: labels.map(<[u8]>::to_vec).collect(),
+        }
     }
 
     /// Labels of this name, outermost (leftmost) first.
@@ -169,58 +158,164 @@ impl Name {
     /// past the first pointer if one was taken).
     pub fn decode(packet: &[u8], offset: usize) -> Result<(Name, usize), DecodeError> {
         let mut labels = Vec::new();
-        let mut wire_len = 1usize;
-        let mut pos = offset;
-        let mut end_of_name: Option<usize> = None; // set when first pointer taken
-        let mut hops = 0usize;
+        let next = walk_name(packet, offset, |label| labels.push(label.to_vec()))?;
+        Ok((Name { labels }, next))
+    }
+}
 
+/// The labels of a textual name such as `www.example.com` or
+/// `example.com.`, checked against the label and name length limits
+/// before the first one is yielded. The root (`""` or `"."`) has none.
+fn text_labels(text: &str) -> Result<impl Iterator<Item = &str>, NameError> {
+    let trimmed = text.strip_suffix('.').unwrap_or(text);
+    // `"".split('.')` yields one empty part; the root has no label.
+    let count = if trimmed.is_empty() {
+        0
+    } else {
+        trimmed.split('.').count()
+    };
+    let mut wire_len = 1usize; // trailing root byte
+    for part in trimmed.split('.').take(count) {
+        if part.is_empty() {
+            return Err(NameError::EmptyLabel);
+        }
+        if part.len() > MAX_LABEL_LEN {
+            return Err(NameError::LabelTooLong {
+                label: part.to_string(),
+            });
+        }
+        wire_len += 1 + part.len();
+    }
+    if wire_len > MAX_NAME_WIRE_LEN {
+        return Err(NameError::NameTooLong);
+    }
+    Ok(trimmed.split('.').take(count))
+}
+
+/// Append the (uncompressed) wire form of the textual name `text` to
+/// `buf` — [`Name::parse`] then [`Name::encode_into`] without the
+/// `Name`. On error `buf` is untouched.
+pub(crate) fn encode_text_into(text: &str, buf: &mut Vec<u8>) -> Result<(), NameError> {
+    for label in text_labels(text)? {
+        buf.push(label.len() as u8);
+        buf.extend_from_slice(label.as_bytes());
+    }
+    buf.push(0);
+    Ok(())
+}
+
+/// The one name parser: walk the name at `offset` in `packet`, handing
+/// each label to `on_label`, and return the offset just past the name
+/// *in the original stream* (past the first pointer if one was taken).
+///
+/// Follows RFC 1035 compression pointers (which may only point
+/// backwards), enforcing the 255-octet name limit and a pointer-hop
+/// budget so that malicious pointer loops terminate.
+pub(crate) fn walk_name<'a>(
+    packet: &'a [u8],
+    offset: usize,
+    mut on_label: impl FnMut(&'a [u8]),
+) -> Result<usize, DecodeError> {
+    let mut wire_len = 1usize;
+    let mut pos = offset;
+    let mut end_of_name: Option<usize> = None; // set when first pointer taken
+    let mut hops = 0usize;
+
+    loop {
+        let len_byte = *packet.get(pos).ok_or(DecodeError::Truncated {
+            context: "name label length",
+        })?;
+        match len_byte {
+            0 => return Ok(end_of_name.unwrap_or(pos + 1)),
+            l if l & 0xc0 == 0xc0 => {
+                let second = *packet.get(pos + 1).ok_or(DecodeError::Truncated {
+                    context: "compression pointer",
+                })?;
+                let target = (((l & 0x3f) as usize) << 8) | second as usize;
+                // Pointers must go strictly backwards to guarantee progress.
+                if target >= pos {
+                    return Err(DecodeError::BadPointer { offset: pos });
+                }
+                hops += 1;
+                if hops > MAX_POINTER_HOPS {
+                    return Err(DecodeError::BadPointer { offset: pos });
+                }
+                if end_of_name.is_none() {
+                    end_of_name = Some(pos + 2);
+                }
+                pos = target;
+            }
+            l if l & 0xc0 != 0 => {
+                return Err(DecodeError::BadLabelType { byte: l });
+            }
+            l => {
+                let l = l as usize;
+                let start = pos + 1;
+                let end = start + l;
+                let label = packet.get(start..end).ok_or(DecodeError::Truncated {
+                    context: "name label",
+                })?;
+                wire_len += 1 + l;
+                if wire_len > MAX_NAME_WIRE_LEN {
+                    return Err(DecodeError::NameTooLong);
+                }
+                on_label(label);
+                pos = end;
+            }
+        }
+    }
+}
+
+/// The labels of a name [`walk_name`] has accepted, outermost first,
+/// read in place: compression pointers are followed, nothing is
+/// copied. On a name that was never validated the iterator ends early
+/// instead of panicking.
+#[derive(Debug, Clone)]
+pub struct Labels<'a> {
+    packet: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Labels<'a> {
+    pub(crate) fn new(packet: &'a [u8], pos: usize) -> Self {
+        Labels { packet, pos }
+    }
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
         loop {
-            let len_byte = *packet.get(pos).ok_or(DecodeError::Truncated {
-                context: "name label length",
-            })?;
-            match len_byte {
-                0 => {
-                    let next = end_of_name.unwrap_or(pos + 1);
-                    let name = Name { labels };
-                    return Ok((name, next));
-                }
+            let len = *self.packet.get(self.pos)?;
+            match len {
+                0 => return None,
                 l if l & 0xc0 == 0xc0 => {
-                    let second = *packet.get(pos + 1).ok_or(DecodeError::Truncated {
-                        context: "compression pointer",
-                    })?;
+                    let second = *self.packet.get(self.pos + 1)?;
                     let target = (((l & 0x3f) as usize) << 8) | second as usize;
-                    // Pointers must go strictly backwards to guarantee progress.
-                    if target >= pos {
-                        return Err(DecodeError::BadPointer { offset: pos });
+                    if target >= self.pos {
+                        return None;
                     }
-                    hops += 1;
-                    if hops > MAX_POINTER_HOPS {
-                        return Err(DecodeError::BadPointer { offset: pos });
-                    }
-                    if end_of_name.is_none() {
-                        end_of_name = Some(pos + 2);
-                    }
-                    pos = target;
+                    self.pos = target;
                 }
-                l if l & 0xc0 != 0 => {
-                    return Err(DecodeError::BadLabelType { byte: l });
-                }
+                l if l & 0xc0 != 0 => return None,
                 l => {
-                    let l = l as usize;
-                    let start = pos + 1;
-                    let end = start + l;
-                    let label = packet.get(start..end).ok_or(DecodeError::Truncated {
-                        context: "name label",
-                    })?;
-                    wire_len += 1 + l;
-                    if wire_len > MAX_NAME_WIRE_LEN {
-                        return Err(DecodeError::NameTooLong);
-                    }
-                    labels.push(label.to_vec());
-                    pos = end;
+                    let start = self.pos + 1;
+                    let label = self.packet.get(start..start + l as usize)?;
+                    self.pos = start + l as usize;
+                    return Some(label);
                 }
             }
         }
+    }
+}
+
+impl<'a> IntoIterator for &'a Name {
+    type Item = &'a [u8];
+    type IntoIter = std::iter::Map<std::slice::Iter<'a, Vec<u8>>, fn(&'a Vec<u8>) -> &'a [u8]>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.labels.iter().map(Vec::as_slice)
     }
 }
 

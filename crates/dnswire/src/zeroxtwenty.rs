@@ -59,20 +59,17 @@ pub fn encode_0x20(name: &Name, value: u32, bits: u32) -> Name {
 }
 
 /// Decode the value carried in the casing of `name` (up to `bits` bits).
-pub fn decode_0x20(name: &Name, bits: u32) -> u32 {
+/// `name` is anything that yields labels: a `&Name`, or the
+/// [`NameView`](crate::NameView) of a question still on the wire.
+pub fn decode_0x20<'a>(name: impl IntoIterator<Item = &'a [u8]>, bits: u32) -> u32 {
     let mut value = 0u32;
-    let mut bit = 0u32;
-    'outer: for label in name.labels() {
-        for &b in label {
-            if b.is_ascii_alphabetic() {
-                if b.is_ascii_uppercase() {
-                    value |= 1 << bit;
-                }
-                bit += 1;
-                if bit >= bits {
-                    break 'outer;
-                }
-            }
+    let letters = name
+        .into_iter()
+        .flatten()
+        .filter(|b| b.is_ascii_alphabetic());
+    for (bit, b) in letters.take(bits.min(32) as usize).enumerate() {
+        if b.is_ascii_uppercase() {
+            value |= 1 << bit;
         }
     }
     value

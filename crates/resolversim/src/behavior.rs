@@ -1,7 +1,7 @@
 //! Resolver answer behaviours — the heart of the "manipulated DNS
 //! resolutions" phenomenon (Sections 3–4).
 
-use crate::universe::{DnsUniverse, DomainCategory, Resolution};
+use crate::universe::{DnsUniverse, DomainCategory};
 use geodb::{Country, Rir};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -126,7 +126,7 @@ pub struct QueryCtx<'a> {
     /// The DNS fabric.
     pub universe: &'a DnsUniverse,
     /// Query name, lower-cased, no trailing dot.
-    pub qname: String,
+    pub qname: &'a str,
     /// The category of the exact domain, if it is a catalog domain.
     pub category: Option<DomainCategory>,
     /// The resolver's region (drives CDN answers).
@@ -139,9 +139,12 @@ pub struct QueryCtx<'a> {
 
 impl QueryCtx<'_> {
     fn honest(&self) -> Answer {
-        match self.universe.resolve(&self.qname, self.region, self.salt) {
-            Resolution::Ips { ips, ttl } => Answer::Ips { ips, ttl },
-            Resolution::NxDomain => Answer::NxDomain,
+        match self.universe.lookup(self.qname, self.region, self.salt) {
+            Some(found) => Answer::Ips {
+                ips: found.ips().collect(),
+                ttl: found.ttl,
+            },
+            None => Answer::NxDomain,
         }
     }
 }
@@ -287,7 +290,7 @@ impl ResolverBehavior {
         match self {
             ResolverBehavior::Honest => Reply::single(ctx.honest()),
             ResolverBehavior::Censor { policy } => {
-                match policy.landing_for(&ctx.qname, ctx.category, ctx.salt) {
+                match policy.landing_for(ctx.qname, ctx.category, ctx.salt) {
                     Some(ip) => Reply::single(Answer::Ips {
                         ips: vec![ip],
                         ttl: 300,
@@ -299,7 +302,7 @@ impl ResolverBehavior {
                 censored,
                 escapes_gfw,
             } => {
-                if censored.contains(&ctx.qname) {
+                if censored.contains(ctx.qname) {
                     if *escapes_gfw {
                         // The forged first answer is injected on-path by
                         // [`crate::gfw::GreatFirewall`]; this resolver's
@@ -314,7 +317,7 @@ impl ResolverBehavior {
                         reply
                     } else {
                         Reply::single(Answer::Ips {
-                            ips: vec![forged_ip(ctx.salt, &ctx.qname)],
+                            ips: vec![forged_ip(ctx.salt, ctx.qname)],
                             ttl: 60,
                         })
                     }
@@ -368,7 +371,7 @@ impl ResolverBehavior {
                 }
             }
             ResolverBehavior::AdRedirect { targets, inject_ip } => {
-                if targets.contains(&ctx.qname) {
+                if targets.contains(ctx.qname) {
                     Reply::single(Answer::Ips {
                         ips: vec![*inject_ip],
                         ttl: 300,
@@ -389,7 +392,7 @@ impl ResolverBehavior {
                 }
             }
             ResolverBehavior::Phish { targets, phish_ip } => {
-                if targets.contains(&ctx.qname) {
+                if targets.contains(ctx.qname) {
                     Reply::single(Answer::Ips {
                         ips: vec![*phish_ip],
                         ttl: 300,
@@ -401,7 +404,7 @@ impl ResolverBehavior {
             ResolverBehavior::MailIntercept { mail_ips } => {
                 let is_mail = ctx
                     .universe
-                    .record(&ctx.qname)
+                    .record(ctx.qname)
                     .map(|r| r.is_mail_host)
                     .unwrap_or(false);
                 if is_mail && !mail_ips.is_empty() {
@@ -415,7 +418,7 @@ impl ResolverBehavior {
                 }
             }
             ResolverBehavior::MalwareRedirect { targets, ip } => {
-                if targets.contains(&ctx.qname) {
+                if targets.contains(ctx.qname) {
                     Reply::single(Answer::Ips {
                         ips: vec![*ip],
                         ttl: 300,
@@ -425,7 +428,7 @@ impl ResolverBehavior {
                 }
             }
             ResolverBehavior::Parking { targets, park_ips } => {
-                if targets.contains(&ctx.qname) && !park_ips.is_empty() {
+                if targets.contains(ctx.qname) && !park_ips.is_empty() {
                     let idx = (ctx.salt as usize) % park_ips.len();
                     Reply::single(Answer::Ips {
                         ips: vec![park_ips[idx]],
@@ -450,9 +453,9 @@ impl ResolverBehavior {
     pub fn censors(&self, ctx: &QueryCtx<'_>) -> bool {
         match self {
             ResolverBehavior::Censor { policy } => policy
-                .landing_for(&ctx.qname, ctx.category, ctx.salt)
+                .landing_for(ctx.qname, ctx.category, ctx.salt)
                 .is_some(),
-            ResolverBehavior::GfwPoisoned { censored, .. } => censored.contains(&ctx.qname),
+            ResolverBehavior::GfwPoisoned { censored, .. } => censored.contains(ctx.qname),
             ResolverBehavior::Layered { censor, .. } => censor.censors(ctx),
             _ => false,
         }
@@ -500,10 +503,10 @@ mod tests {
         u
     }
 
-    fn ctx<'a>(u: &'a DnsUniverse, qname: &str) -> QueryCtx<'a> {
+    fn ctx<'a>(u: &'a DnsUniverse, qname: &'a str) -> QueryCtx<'a> {
         QueryCtx {
             universe: u,
-            qname: qname.to_string(),
+            qname,
             category: u.record(qname).map(|r| r.category),
             region: Rir::Ripe,
             salt: 7,

@@ -13,7 +13,7 @@
 //! devices whose *upstream* answers the client directly — producing the
 //! source-mismatch signature the scanner keys on.
 
-use dnswire::Message;
+use dnswire::MessageView;
 use netsim::{Datagram, Host, HostCtx, SimTime, TcpRequest, TcpResponse};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -79,34 +79,36 @@ impl Host for ForwarderHost {
         if !self.alive.load(Ordering::Relaxed) {
             return;
         }
-        let Ok(msg) = Message::decode(&dgram.payload) else {
+        let Ok(msg) = MessageView::parse(&dgram.payload) else {
             return;
         };
-        if msg.header.response {
-            // An upstream answer: relay to whoever asked. The TXID was
-            // kept stable on the wire, so no rewriting is needed.
-            if let Some((client_ip, client_port)) = self.pending.remove(&msg.header.id) {
-                self.order.retain(|&t| t != msg.header.id);
+        // A proxy relays the packet it was handed, byte for byte; the
+        // TXID is kept stable on the wire (CPE forwarders mostly do),
+        // so no rewriting is needed in either direction.
+        let txid = msg.id();
+        if msg.is_response() {
+            // An upstream answer: relay to whoever asked.
+            if let Some((client_ip, client_port)) = self.pending.remove(&txid) {
+                self.order.retain(|&t| t != txid);
                 self.relayed_back += 1;
                 ctx.send_udp(Datagram::new(
                     ctx.local_ip,
                     53,
                     client_ip,
                     client_port,
-                    msg.encode(),
+                    dgram.payload.clone(),
                 ));
             }
             return;
         }
-        if msg.questions.is_empty() {
+        if msg.question().is_none() {
             return;
         }
-        // A client query: forward upstream. We keep the client's TXID on
-        // the wire (CPE forwarders mostly do) and key our state on it;
-        // colliding in-flight TXIDs from different clients are rare and
-        // resolved last-writer-wins, faithfully to cheap devices.
+        // A client query: forward upstream. Our state is keyed on the
+        // client's TXID; colliding in-flight TXIDs from different
+        // clients are rare and resolved last-writer-wins, faithfully to
+        // cheap devices.
         self.forwarded += 1;
-        let txid = msg.header.id;
         if self.leaky {
             // Broken NAT: the upstream sees the *client* as the source
             // and will answer it directly from the upstream's address.
@@ -115,7 +117,7 @@ impl Host for ForwarderHost {
                 dgram.src_port,
                 self.upstream,
                 53,
-                msg.encode(),
+                dgram.payload.clone(),
             ));
             return;
         }
@@ -132,7 +134,7 @@ impl Host for ForwarderHost {
             53,
             self.upstream,
             53,
-            msg.encode(),
+            dgram.payload.clone(),
         ));
     }
 
@@ -155,7 +157,7 @@ mod tests {
     use crate::device::DeviceProfile;
     use crate::software::{ChaosPolicy, SoftwareProfile};
     use crate::universe::{DnsUniverse, DomainCategory, DomainKind, DomainRecord};
-    use dnswire::{MessageBuilder, Name, RecordType};
+    use dnswire::{Message, MessageBuilder, Name, RecordType};
     use netsim::{Network, NetworkConfig};
     use std::sync::Arc;
 

@@ -10,7 +10,7 @@
 //! the `GfwPoisoned` resolver behaviour.
 
 use crate::behavior::forged_ip;
-use dnswire::{Message, MessageBuilder, Rcode, RecordClass, RecordType};
+use dnswire::{MessageView, Rcode, RecordClass, RecordType, ReplyWriter};
 use netsim::{Datagram, PathObserver, SimTime};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -51,9 +51,9 @@ impl GreatFirewall {
 }
 
 /// Lower-cased text of the first question's name, read straight off the
-/// wire into `buf` — no decode, no allocation. When it returns a name
-/// and [`Message::decode`] accepts the payload, the name is exactly
-/// `questions[0].qname.to_ascii_lower()`. `None` means "cannot tell
+/// wire into `buf` — no walk of the other sections. When it returns a
+/// name and [`MessageView::parse`] accepts the payload, the name is
+/// exactly the first question's `to_ascii_lower()`. `None` means "cannot tell
 /// cheaply" — no question, the root name, a compression pointer or
 /// reserved label type, a non-ASCII byte, truncation, an over-long
 /// name — never "no name": the caller decodes in full.
@@ -91,32 +91,31 @@ fn peek_qname_lower<'a>(payload: &[u8], buf: &'a mut [u8; 255]) -> Option<&'a st
 }
 
 impl GreatFirewall {
-    /// The injection decision on the fully decoded query.
+    /// The injection decision on the fully checked query.
     fn inject_decoded(&mut self, dgram: &Datagram) -> Vec<(u64, Datagram)> {
-        let Ok(query) = Message::decode(&dgram.payload) else {
+        let Ok(query) = MessageView::parse(&dgram.payload) else {
             return Vec::new();
         };
-        if query.header.response || query.questions.is_empty() {
+        let Some(q) = query.question().filter(|_| !query.is_response()) else {
             return Vec::new();
-        }
-        let q = &query.questions[0];
+        };
         if q.qclass != RecordClass::In || q.qtype != RecordType::A {
             return Vec::new();
         }
-        let qname = q.qname.to_ascii_lower();
-        if !self.censored.contains(&qname) {
+        let qname = q.name.to_ascii_lower();
+        let qname = qname.as_str();
+        if !self.censored.contains(qname) {
             return Vec::new();
         }
         // Forge an answer that looks like it came from the queried host.
         // The forged IP is a function of the *query name and destination*
         // so repeated probes are stable but different vantage points see
         // different addresses — matching the paper's "arbitrary IPs".
-        let forged = forged_ip(u32::from(dgram.dst_ip) as u64, &qname);
-        let resp = MessageBuilder::response_to(&query, Rcode::NoError)
-            .answer_a(q.qname.clone(), 300, forged)
-            .build();
+        let forged = forged_ip(u32::from(dgram.dst_ip) as u64, qname);
+        let mut resp = Vec::new();
+        ReplyWriter::new(&query, Rcode::NoError, &mut resp).answer_a(300, forged);
         self.injected += 1;
-        vec![(self.injection_delay_ms, dgram.reply_with(resp.encode()))]
+        vec![(self.injection_delay_ms, dgram.reply_with(resp))]
     }
 }
 
@@ -157,7 +156,7 @@ impl PathObserver for GreatFirewall {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnswire::Name;
+    use dnswire::{Message, MessageBuilder, Name};
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()

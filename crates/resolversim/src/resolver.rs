@@ -5,7 +5,7 @@ use crate::cachesim::{SnoopObservation, TldCacheSim};
 use crate::device::DeviceProfile;
 use crate::software::SoftwareProfile;
 use crate::universe::DnsUniverse;
-use dnswire::{Message, MessageBuilder, Name, Rcode, RecordClass, RecordType, ResourceRecord};
+use dnswire::{MessageView, Rcode, RecordClass, RecordType, ReplyWriter};
 use geodb::Rir;
 use netsim::{Datagram, Host, HostCtx, SimTime, TcpRequest, TcpResponse};
 use std::net::Ipv4Addr;
@@ -75,121 +75,123 @@ impl ResolverHost {
         self
     }
 
-    fn answer_to_message(&self, query: &Message, answer: &Answer) -> Option<Message> {
-        let qname = &query.questions[0].qname;
-        let msg = match answer {
+    /// The wire reply carrying `answer`, if it is one that speaks.
+    fn write_answer(
+        &self,
+        query: &MessageView<'_>,
+        qname: &str,
+        answer: &Answer,
+    ) -> Option<Vec<u8>> {
+        let rcode = match answer {
+            Answer::Ips { .. } | Answer::Empty | Answer::NsOnly { .. } => Rcode::NoError,
+            Answer::NxDomain => Rcode::NxDomain,
+            Answer::Refused => Rcode::Refused,
+            Answer::ServFail => Rcode::ServFail,
+            Answer::Silent => return None,
+        };
+        let mut buf = Vec::with_capacity(REPLY_CAPACITY);
+        let mut reply = ReplyWriter::new(query, rcode, &mut buf);
+        match answer {
             Answer::Ips { ips, ttl } => {
-                let mut b = MessageBuilder::response_to(query, Rcode::NoError);
                 // A validating resolver sets AD when the zone is signed
                 // and its own resolution validated — i.e. the answer is
                 // the genuine one. Forged/poisoned answers never carry
                 // AD (the Sec. 5 injector-race property).
-                let lower = qname.to_ascii_lower();
-                if self.universe.is_signed(&lower) {
-                    let legit = self.universe.all_legitimate_ips(&lower);
+                if self.universe.is_signed(qname) {
+                    let legit = self.universe.all_legitimate_ips(qname);
                     if !ips.is_empty() && ips.iter().all(|i| legit.contains(i)) {
-                        b = b.authentic_data(true);
+                        reply.authentic_data();
                     }
                 }
                 for ip in ips {
-                    b = b.answer_a(qname.clone(), *ttl, *ip);
+                    reply.answer_a(*ttl, *ip);
                 }
-                b.build()
             }
-            Answer::NxDomain => MessageBuilder::response_to(query, Rcode::NxDomain).build(),
-            Answer::Empty => MessageBuilder::response_to(query, Rcode::NoError).build(),
-            Answer::Refused => MessageBuilder::response_to(query, Rcode::Refused).build(),
-            Answer::ServFail => MessageBuilder::response_to(query, Rcode::ServFail).build(),
-            Answer::NsOnly { ns_host, ttl } => {
-                let ns_name = Name::parse(ns_host).ok()?;
-                MessageBuilder::response_to(query, Rcode::NoError)
-                    .authority(ResourceRecord::ns(qname.clone(), *ttl, ns_name))
-                    .build()
-            }
-            Answer::Silent => return None,
-        };
-        Some(msg)
+            Answer::NsOnly { ns_host, ttl } => reply.authority_ns(*ttl, ns_host).ok()?,
+            _ => {}
+        }
+        Some(buf)
     }
 
-    fn handle_chaos(&self, query: &Message) -> Option<Message> {
-        let qname = query.questions[0].qname.to_ascii_lower();
+    fn write_chaos(&self, query: &MessageView<'_>, qname: &str) -> Option<Vec<u8>> {
+        let mut buf = Vec::with_capacity(REPLY_CAPACITY);
         if qname != "version.bind" && qname != "version.server" {
-            return Some(MessageBuilder::response_to(query, Rcode::NotImp).build());
+            ReplyWriter::new(query, Rcode::NotImp, &mut buf);
+            return Some(buf);
         }
         match self.software.version_bind_answer() {
-            Some(text) => Some(
-                MessageBuilder::response_to(query, Rcode::NoError)
-                    .answer(ResourceRecord::chaos_txt(
-                        query.questions[0].qname.clone(),
-                        &text,
-                    ))
-                    .build(),
-            ),
-            None => match &self.software.chaos {
-                crate::software::ChaosPolicy::EmptyAnswer => {
-                    Some(MessageBuilder::response_to(query, Rcode::NoError).build())
-                }
-                crate::software::ChaosPolicy::Error(kind) => {
-                    Some(MessageBuilder::response_to(query, kind.rcode()).build())
-                }
-                // Genuine/Custom are handled by version_bind_answer.
-                _ => None,
-            },
+            Some(text) => ReplyWriter::new(query, Rcode::NoError, &mut buf).answer_chaos_txt(&text),
+            None => {
+                let rcode = match &self.software.chaos {
+                    crate::software::ChaosPolicy::EmptyAnswer => Rcode::NoError,
+                    crate::software::ChaosPolicy::Error(kind) => kind.rcode(),
+                    // Genuine/Custom are handled by version_bind_answer.
+                    _ => return None,
+                };
+                ReplyWriter::new(query, rcode, &mut buf);
+            }
         }
+        Some(buf)
     }
 
-    /// Handle an NS query for a snooped TLD. `tld_idx` is the TLD's
-    /// index in the universe's TLD list.
-    fn handle_ns_snoop(&mut self, query: &Message, now: SimTime) -> Option<Message> {
-        let qname = query.questions[0].qname.to_ascii_lower();
+    /// Answer an NS query for a snooped TLD from the cache model;
+    /// anything else asked for NS gets no reply.
+    fn write_ns_snoop(
+        &mut self,
+        query: &MessageView<'_>,
+        qname: &str,
+        now: SimTime,
+    ) -> Option<Vec<u8>> {
         let tlds = self.universe.tlds();
         let idx = tlds.iter().position(|t| t.name == qname)?;
         let obs = self
             .cache
             .observe(idx as u32, tlds[idx].ttl, now.millis() / 1000);
+        let mut buf = Vec::with_capacity(REPLY_CAPACITY);
         match obs {
             SnoopObservation::Cached { remaining_ttl } => {
-                let ns_name = Name::parse(&tlds[idx].ns_host).ok()?;
-                Some(
-                    MessageBuilder::response_to(query, Rcode::NoError)
-                        .answer(ResourceRecord::ns(
-                            query.questions[0].qname.clone(),
-                            remaining_ttl,
-                            ns_name,
-                        ))
-                        .build(),
-                )
+                ReplyWriter::new(query, Rcode::NoError, &mut buf)
+                    .answer_ns(remaining_ttl, &tlds[idx].ns_host)
+                    .ok()?;
             }
-            SnoopObservation::Absent => {
-                // RD=0 and not cached: nothing to return.
-                Some(MessageBuilder::response_to(query, Rcode::NoError).build())
+            // RD=0 and not cached, or a responder that answers empty:
+            // nothing to return.
+            SnoopObservation::Absent | SnoopObservation::Empty => {
+                ReplyWriter::new(query, Rcode::NoError, &mut buf);
             }
-            SnoopObservation::Empty => {
-                Some(MessageBuilder::response_to(query, Rcode::NoError).build())
-            }
-            SnoopObservation::Silent => None,
+            SnoopObservation::Silent => return None,
         }
+        Some(buf)
     }
 }
+
+/// Room for a typical reply — header, a question and two A records for
+/// a twenty-octet name — so writing one allocates once.
+const REPLY_CAPACITY: usize = 128;
 
 impl Host for ResolverHost {
     fn on_udp(&mut self, ctx: &mut HostCtx<'_>, dgram: &Datagram) {
         if !self.alive.load(Ordering::Relaxed) {
             return;
         }
-        let Ok(query) = Message::decode(&dgram.payload) else {
+        let Ok(query) = MessageView::parse(&dgram.payload) else {
             return;
         };
-        if query.header.response || query.questions.is_empty() {
+        if query.is_response() {
             return;
         }
+        let Some(question) = query.question() else {
+            return;
+        };
         self.queries_seen += 1;
-        let question = &query.questions[0];
+        // Lower-cased once, on the stack, for every lookup below.
+        let qname = question.name.to_ascii_lower();
+        let qname = qname.as_str();
 
         // CHAOS-class fingerprinting queries.
         if question.qclass == RecordClass::Ch {
-            if let Some(resp) = self.handle_chaos(&query) {
-                let mut out = dgram.reply_with(resp.encode());
+            if let Some(resp) = self.write_chaos(&query, qname) {
+                let mut out = dgram.reply_with(resp);
                 if self.behavior.rewrites_port() {
                     out.dst_port = out.dst_port.wrapping_add(1);
                 }
@@ -200,31 +202,31 @@ impl Host for ResolverHost {
 
         // Cache-snooping NS queries for known TLDs.
         if question.qtype == RecordType::Ns {
-            if let Some(resp) = self.handle_ns_snoop(&query, ctx.now) {
-                ctx.send_udp_delayed(dgram.reply_with(resp.encode()), self.response_delay_ms);
+            if let Some(resp) = self.write_ns_snoop(&query, qname, ctx.now) {
+                ctx.send_udp_delayed(dgram.reply_with(resp), self.response_delay_ms);
             }
             return;
         }
 
         // Everything else: A-record behaviour.
         if question.qtype != RecordType::A {
-            let resp = MessageBuilder::response_to(&query, Rcode::NotImp).build();
-            ctx.send_udp_delayed(dgram.reply_with(resp.encode()), self.response_delay_ms);
+            let mut resp = Vec::with_capacity(REPLY_CAPACITY);
+            ReplyWriter::new(&query, Rcode::NotImp, &mut resp);
+            ctx.send_udp_delayed(dgram.reply_with(resp), self.response_delay_ms);
             return;
         }
 
-        let qname_lower = question.qname.to_ascii_lower();
         let qctx = QueryCtx {
-            category: self.universe.record(&qname_lower).map(|r| r.category),
+            category: self.universe.record(qname).map(|r| r.category),
             universe: &self.universe,
-            qname: qname_lower,
+            qname,
             region: self.region,
             salt: self.salt,
             self_ip: ctx.local_ip,
         };
         let reply = self.behavior.answer(&qctx);
-        if let Some(resp) = self.answer_to_message(&query, &reply.primary) {
-            let mut out = dgram.reply_with(resp.encode());
+        if let Some(resp) = self.write_answer(&query, qname, &reply.primary) {
+            let mut out = dgram.reply_with(resp);
             if self.behavior.rewrites_port() {
                 out.dst_port = out.dst_port.wrapping_add(1);
             }
@@ -234,11 +236,8 @@ impl Host for ResolverHost {
             ctx.send_udp_delayed(out, self.response_delay_ms);
         }
         if let Some((extra_delay, answer)) = &reply.secondary {
-            if let Some(resp) = self.answer_to_message(&query, answer) {
-                ctx.send_udp_delayed(
-                    dgram.reply_with(resp.encode()),
-                    self.response_delay_ms + extra_delay,
-                );
+            if let Some(resp) = self.write_answer(&query, qname, answer) {
+                ctx.send_udp_delayed(dgram.reply_with(resp), self.response_delay_ms + extra_delay);
             }
         }
     }
@@ -282,6 +281,7 @@ mod tests {
     use crate::cachesim::CacheProfile;
     use crate::software::ChaosPolicy;
     use crate::universe::{DomainCategory, DomainKind, DomainRecord, TldInfo};
+    use dnswire::{Message, MessageBuilder, Name};
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()

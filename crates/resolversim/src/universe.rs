@@ -3,6 +3,7 @@
 
 use geodb::Rir;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -125,6 +126,35 @@ pub enum Resolution {
     NxDomain,
 }
 
+/// A legitimate resolution whose addresses are lent by the universe:
+/// what [`DnsUniverse::resolve`] copies out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lookup<'a> {
+    // A CDN answer is two consecutive edges of a ring, which need not
+    // be adjacent in memory: `head` then `tail`.
+    head: &'a [Ipv4Addr],
+    tail: &'a [Ipv4Addr],
+    /// Answer TTL.
+    pub ttl: u32,
+}
+
+impl<'a> Lookup<'a> {
+    /// Resolved addresses, in answer order.
+    pub fn ips(&self) -> impl Iterator<Item = Ipv4Addr> + 'a {
+        self.head.iter().chain(self.tail).copied()
+    }
+}
+
+/// `name` lower-cased, without a copy when it already is — which every
+/// name a resolver has read off the wire is.
+fn lower(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
 /// A top-level domain with its authoritative NS host (cache-snooping
 /// targets, Sec. 2.6).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -185,12 +215,12 @@ impl DnsUniverse {
 
     /// Whether a domain's zone is DNSSEC-signed.
     pub fn is_signed(&self, name: &str) -> bool {
-        self.signed.contains(&name.to_ascii_lowercase())
+        self.signed.contains(lower(name).as_ref())
     }
 
     /// Look up the record for an exact domain name.
     pub fn record(&self, name: &str) -> Option<&DomainRecord> {
-        self.domains.get(&name.to_ascii_lowercase())
+        self.domains.get(lower(name).as_ref())
     }
 
     /// All registered domains.
@@ -215,48 +245,56 @@ impl DnsUniverse {
     /// resolver's identity), mirroring how repeated CDN lookups return
     /// different subsets of a pool.
     pub fn resolve(&self, qname: &str, region: Rir, salt: u64) -> Resolution {
-        let name = qname.to_ascii_lowercase();
-        if let Some(rec) = self.domains.get(&name) {
-            return match &rec.kind {
-                DomainKind::Fixed(ips) => Resolution::Ips {
-                    ips: ips.clone(),
-                    ttl: rec.ttl,
-                },
+        match self.lookup(qname, region, salt) {
+            Some(found) => Resolution::Ips {
+                ips: found.ips().collect(),
+                ttl: found.ttl,
+            },
+            None => Resolution::NxDomain,
+        }
+    }
+
+    /// [`resolve`](Self::resolve) without copying the addresses out;
+    /// `None` is NXDOMAIN.
+    pub fn lookup(&self, qname: &str, region: Rir, salt: u64) -> Option<Lookup<'_>> {
+        let name = lower(qname);
+        if let Some(rec) = self.domains.get(name.as_ref()) {
+            let (head, tail): (&[Ipv4Addr], &[Ipv4Addr]) = match &rec.kind {
+                DomainKind::Fixed(ips) => (ips, &[]),
                 DomainKind::Cdn { pools } => {
-                    let pool = pools
+                    let (_, ips) = pools
                         .iter()
                         .find(|(r, _)| *r == region)
-                        .or_else(|| pools.first());
-                    match pool {
-                        Some((_, ips)) if !ips.is_empty() => {
-                            // Rotate: pick two consecutive edges by salt.
-                            let n = ips.len();
-                            let start = (salt as usize) % n;
-                            let mut out = vec![ips[start]];
-                            if n > 1 {
-                                out.push(ips[(start + 1) % n]);
-                            }
-                            Resolution::Ips {
-                                ips: out,
-                                ttl: rec.ttl,
-                            }
-                        }
-                        _ => Resolution::NxDomain,
-                    }
+                        .or_else(|| pools.first())
+                        .filter(|(_, ips)| !ips.is_empty())?;
+                    // Rotate: pick two consecutive edges by salt.
+                    let n = ips.len();
+                    let start = (salt as usize) % n;
+                    let next = (start + 1) % n;
+                    let second = if n > 1 { &ips[next..=next] } else { &[] };
+                    (&ips[start..=start], second)
                 }
-                DomainKind::NonExistent => Resolution::NxDomain,
+                DomainKind::NonExistent => return None,
             };
+            return Some(Lookup {
+                head,
+                tail,
+                ttl: rec.ttl,
+            });
         }
-        // Wildcard zones.
-        for (suffix, ips, ttl) in &self.wildcards {
-            if name == *suffix || name.ends_with(&format!(".{suffix}")) {
-                return Resolution::Ips {
-                    ips: ips.clone(),
-                    ttl: *ttl,
-                };
-            }
-        }
-        Resolution::NxDomain
+        // Wildcard zones: the suffix itself or anything label-aligned
+        // under it.
+        self.wildcards
+            .iter()
+            .find(|(suffix, _, _)| {
+                name.strip_suffix(suffix.as_str())
+                    .is_some_and(|head| head.is_empty() || head.ends_with('.'))
+            })
+            .map(|(_, ips, ttl)| Lookup {
+                head: ips,
+                tail: &[],
+                ttl: *ttl,
+            })
     }
 
     /// Every legitimate IP a domain may resolve to, across all regions —
@@ -264,7 +302,7 @@ impl DnsUniverse {
     /// to validate the prefilter, *not* by the prefilter itself (the
     /// pipeline must discover legitimacy the way the paper does).
     pub fn all_legitimate_ips(&self, name: &str) -> Vec<Ipv4Addr> {
-        match self.domains.get(&name.to_ascii_lowercase()) {
+        match self.domains.get(lower(name).as_ref()) {
             Some(rec) => match &rec.kind {
                 DomainKind::Fixed(ips) => ips.clone(),
                 DomainKind::Cdn { pools } => {

@@ -7,7 +7,7 @@
 //! IMAP/POP3/SMTP greeting banners.
 
 use crate::probe::{tcp_query_with_retry, ProbePolicy};
-use dnswire::{Message, MessageBuilder, Name, Rcode, RecordType};
+use dnswire::{MessageBuilder, MessageView, Name, Rcode, RecordType};
 use netsim::{Datagram, HttpRequest, MailProto, SimTime, TcpRequest, TlsCertificate};
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -74,10 +74,12 @@ pub fn resolve_at(
     let deadline = SimTime(world.net.now().millis() + 3_000);
     world.net.run_until(deadline);
     while let Some((_, d)) = world.net.recv(sock).expect("socket just opened") {
-        if let Ok(msg) = Message::decode(&d.payload) {
-            if msg.header.response && msg.header.id == txid {
-                return Some((msg.header.rcode, msg.answer_ips()));
+        match MessageView::parse(&d.payload) {
+            Ok(msg) if msg.is_response() && msg.id() == txid => {
+                return Some((msg.rcode(), msg.answer_ips().collect()));
             }
+            Ok(_) => {}
+            Err(_) => super::count_malformed("acquire", 1),
         }
     }
     None

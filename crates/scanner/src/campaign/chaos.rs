@@ -1,8 +1,9 @@
 //! CHAOS `version.bind` / `version.server` fingerprinting (Sec. 2.4).
 
+use crate::encode::QueryTemplate;
 use crate::probe::{ProbePolicy, RttEstimator};
 use crate::simio::SimScanner;
-use dnswire::{Message, MessageBuilder, Name, Rcode};
+use dnswire::{MessageBuilder, MessageView, Name, Rcode, RecordType};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -20,6 +21,13 @@ pub enum ChaosObservation {
     Version(String),
     /// No response to either query.
     Silent,
+}
+
+/// What the campaign keeps of one answer: its rcode and, when that is
+/// NOERROR, the non-empty text of its first TXT record.
+struct ChaosAnswer {
+    rcode: Rcode,
+    version: Option<String>,
 }
 
 /// Query `version.bind` and `version.server` at every resolver.
@@ -48,46 +56,47 @@ pub fn chaos_scan_with_policy(
     let mut sp = telemetry::span("campaign.chaos", world.now().millis());
     telemetry::recorder::set_context("chaos", 1);
     // txid → (resolver, which query).
-    let mut results: HashMap<Ipv4Addr, Vec<Option<Message>>> = HashMap::new();
+    let mut results: HashMap<Ipv4Addr, [Option<ChaosAnswer>; 2]> = HashMap::new();
     let mut txid_map: HashMap<u16, (Ipv4Addr, usize)> = HashMap::new();
+    let mut malformed = 0u64;
 
     const BATCH: usize = 2_000;
-    let qnames = [
-        Name::parse("version.bind").unwrap(),
-        Name::parse("version.server").unwrap(),
-    ];
+    // One pre-encoded query per name; probes differ in TXID only.
+    let queries = ["version.bind", "version.server"].map(|qname| {
+        let qname = Name::parse(qname).expect("a valid name");
+        QueryTemplate::new(&MessageBuilder::chaos_query(0, qname).build())
+    });
     let mut seq = 0u32;
     let mut pending = 0usize;
     for &ip in resolvers {
-        results.insert(ip, vec![None, None]);
-        for (which, qname) in qnames.iter().enumerate() {
+        results.insert(ip, [None, None]);
+        for (which, query) in queries.iter().enumerate() {
             // Transaction IDs must be unique among in-flight queries;
             // the map is flushed before the 16-bit space wraps.
             let txid = (seed as u16).wrapping_add(seq as u16);
-            let msg = MessageBuilder::chaos_query(txid, qname.clone()).build();
             txid_map.insert(txid, (ip, which));
             if let Some(asns) = &asn_of {
                 let asn = asns.get(&ip).copied().unwrap_or(0);
                 telemetry::recorder::attempt(u32::from(ip), asn, world.now().millis());
             }
-            scanner.send(world, (seq % 509) as u16, ip, msg.encode());
+            scanner.send(world, (seq % 509) as u16, ip, query.probe(txid.into()));
             seq += 1;
             pending += 1;
             if pending == BATCH {
                 pending = 0;
                 scanner.pump(world, 400);
-                collect(world, &scanner, &mut txid_map, &mut results, None);
+                malformed += collect(world, &scanner, &mut txid_map, &mut results, None);
             }
             if seq.is_multiple_of(60_000) {
                 // Long grace, then recycle the TXID space.
                 scanner.pump(world, 5_000);
-                collect(world, &scanner, &mut txid_map, &mut results, None);
+                malformed += collect(world, &scanner, &mut txid_map, &mut results, None);
                 txid_map.clear();
             }
         }
     }
     scanner.pump(world, 5_000);
-    collect(world, &scanner, &mut txid_map, &mut results, None);
+    malformed += collect(world, &scanner, &mut txid_map, &mut results, None);
 
     // Retransmission rounds: resend whatever query slots are still
     // empty, wait out the (adaptive) timeout, re-collect. The native
@@ -114,19 +123,23 @@ pub fn chaos_scan_with_policy(
             let sent_at = world.now().millis();
             for &(ip, which) in &missing {
                 let txid = (seed as u16).wrapping_add(seq as u16);
-                let msg = MessageBuilder::chaos_query(txid, qnames[which].clone()).build();
                 txid_map.insert(txid, (ip, which));
                 if let Some(asns) = &asn_of {
                     let asn = asns.get(&ip).copied().unwrap_or(0);
                     telemetry::recorder::attempt(u32::from(ip), asn, world.now().millis());
                 }
-                scanner.send(world, (seq % 509) as u16, ip, msg.encode());
+                scanner.send(
+                    world,
+                    (seq % 509) as u16,
+                    ip,
+                    queries[which].probe(txid.into()),
+                );
                 seq += 1;
                 pending += 1;
                 if pending == BATCH {
                     pending = 0;
                     scanner.pump(world, 400);
-                    collect(
+                    malformed += collect(
                         world,
                         &scanner,
                         &mut txid_map,
@@ -136,7 +149,7 @@ pub fn chaos_scan_with_policy(
                 }
                 if seq.is_multiple_of(60_000) {
                     scanner.pump(world, 5_000);
-                    collect(
+                    malformed += collect(
                         world,
                         &scanner,
                         &mut txid_map,
@@ -150,7 +163,7 @@ pub fn chaos_scan_with_policy(
             let wait = policy.wait_ms(round, &schedule, &est);
             telemetry::recorder::backoff(round as u32, wait, world.now().millis());
             scanner.pump(world, wait);
-            collect(
+            malformed += collect(
                 world,
                 &scanner,
                 &mut txid_map,
@@ -192,6 +205,7 @@ pub fn chaos_scan_with_policy(
     if retries > 0 {
         reg.counter_with("scanner.retries", &chaos).add(retries);
     }
+    super::count_malformed("chaos", malformed);
     sp.attr("probes_sent", seq as u64);
     sp.attr("responders", responders);
     sp.attr("silent", silent);
@@ -231,31 +245,37 @@ pub fn chaos_scan_with_sink(
     (observations, retries)
 }
 
+/// Fold what has arrived into `results`; returns how many packets the
+/// wire walker rejected.
 fn collect(
     world: &mut World,
     scanner: &SimScanner,
     txid_map: &mut HashMap<u16, (Ipv4Addr, usize)>,
-    results: &mut HashMap<Ipv4Addr, Vec<Option<Message>>>,
+    results: &mut HashMap<Ipv4Addr, [Option<ChaosAnswer>; 2]>,
     mut rtt: Option<(u64, &mut RttEstimator)>,
-) {
+) -> u64 {
+    let mut malformed = 0;
     for (_off, t, dgram) in scanner.drain(world) {
-        let Ok(msg) = Message::decode(&dgram.payload) else {
+        let Ok(msg) = MessageView::parse(&dgram.payload) else {
+            malformed += 1;
             continue;
         };
-        if !msg.header.response {
+        if !msg.is_response() {
             continue;
         }
-        if let Some(&(ip, which)) = txid_map.get(&msg.header.id) {
+        if let Some(&(ip, which)) = txid_map.get(&msg.id()) {
             if let Some(slots) = results.get_mut(&ip) {
                 if slots[which].is_none() {
+                    let rcode = msg.rcode();
                     if telemetry::recorder::enabled() {
-                        telemetry::recorder::response(
-                            u32::from(ip),
-                            msg.header.rcode.to_u8(),
-                            t.millis(),
-                        );
+                        telemetry::recorder::response(u32::from(ip), rcode.to_u8(), t.millis());
                     }
-                    slots[which] = Some(msg);
+                    let version = (rcode == Rcode::NoError)
+                        .then(|| msg.answers().find(|rr| rr.rtype == RecordType::Txt))
+                        .flatten()
+                        .and_then(|rr| rr.rdata().txt_joined())
+                        .filter(|s| !s.is_empty());
+                    slots[which] = Some(ChaosAnswer { rcode, version });
                     // Retransmission rounds feed the adaptive-timeout
                     // estimator with observed round trips.
                     if let Some((sent_at, est)) = &mut rtt {
@@ -265,20 +285,16 @@ fn collect(
             }
         }
     }
+    malformed
 }
 
-fn classify(slots: Vec<Option<Message>>) -> ChaosObservation {
+fn classify(slots: [Option<ChaosAnswer>; 2]) -> ChaosObservation {
     let mut any_response = false;
     let mut any_noerror_empty = false;
-    for slot in slots.iter().flatten() {
+    for slot in slots.into_iter().flatten() {
         any_response = true;
-        if slot.header.rcode == Rcode::NoError {
-            let version = slot
-                .answers
-                .iter()
-                .find_map(|rr| rr.rdata.txt_joined())
-                .filter(|s| !s.is_empty());
-            match version {
+        if slot.rcode == Rcode::NoError {
+            match slot.version {
                 Some(v) => return ChaosObservation::Version(v),
                 None => any_noerror_empty = true,
             }

@@ -15,7 +15,7 @@
 use crate::encode::{target_from_qname, EnumProbeTemplate};
 use crate::probe::{ProbePolicy, RttEstimator};
 use crate::simio::{ProbeBatch, SimScanner};
-use dnswire::{Message, Rcode};
+use dnswire::{MessageView, Rcode};
 use netsim::SimTime;
 use scanstore::{Observation, SnapshotSink, SnapshotSource};
 use serde::{Deserialize, Serialize};
@@ -91,6 +91,7 @@ pub fn probe_alive_with_policy(
     let mut responded = HashSet::new();
     let mut sent = 0usize;
     let mut delivered = 0u64;
+    let mut malformed = 0u64;
     telemetry::recorder::set_context("churn", 1);
     if asn_of.is_some() {
         // Recorder on: keep per-probe sends so attempt records stay
@@ -104,7 +105,7 @@ pub fn probe_alive_with_policy(
             sent += 1;
             if sent.is_multiple_of(BATCH) {
                 delivered += scanner.pump(world, 500).delivered;
-                collect_alive(world, &scanner, &mut alive, &mut responded);
+                malformed += collect_alive(world, &scanner, &mut alive, &mut responded);
             }
         }
     } else {
@@ -112,20 +113,20 @@ pub fn probe_alive_with_policy(
         // (byte-identical; lets the sharded engine parallelize).
         let mut batch = ProbeBatch::default();
         for &ip in cohort {
-            tmpl.stamp(ip, batch.push(ip, tmpl.probe_len()));
+            tmpl.stamp(ip, batch.push(0, ip, tmpl.probe_len()));
             sent += 1;
             if batch.len() == BATCH {
-                scanner.send_probes(world, 0, &mut batch);
+                scanner.send_probes(world, &mut batch);
                 delivered += scanner.pump(world, 500).delivered;
-                collect_alive(world, &scanner, &mut alive, &mut responded);
+                malformed += collect_alive(world, &scanner, &mut alive, &mut responded);
             }
         }
         if !batch.is_empty() {
-            scanner.send_probes(world, 0, &mut batch);
+            scanner.send_probes(world, &mut batch);
         }
     }
     delivered += scanner.pump(world, 5_000).delivered;
-    collect_alive(world, &scanner, &mut alive, &mut responded);
+    malformed += collect_alive(world, &scanner, &mut alive, &mut responded);
 
     // Retransmission rounds: the probe template is deterministic per
     // target, but resending at a later sim time re-rolls its fate.
@@ -153,7 +154,7 @@ pub fn probe_alive_with_policy(
                 batch += 1;
                 if batch.is_multiple_of(BATCH) {
                     delivered += scanner.pump(world, 500).delivered;
-                    collect_alive(world, &scanner, &mut alive, &mut responded);
+                    malformed += collect_alive(world, &scanner, &mut alive, &mut responded);
                 }
             }
             sent += missing.len();
@@ -161,7 +162,7 @@ pub fn probe_alive_with_policy(
             let wait = policy.wait_ms(round, &schedule, &est);
             telemetry::recorder::backoff(round as u32, wait, world.now().millis());
             delivered += scanner.pump(world, wait).delivered;
-            collect_alive(world, &scanner, &mut alive, &mut responded);
+            malformed += collect_alive(world, &scanner, &mut alive, &mut responded);
         }
     }
     if let Some(asns) = &asn_of {
@@ -191,36 +192,40 @@ pub fn probe_alive_with_policy(
     if retries > 0 {
         reg.counter_with("scanner.retries", &churn).add(retries);
     }
+    super::count_malformed("churn", malformed);
     (alive, retries)
 }
 
+/// Fold what has arrived into the alive set; returns how many packets
+/// the wire walker rejected.
 fn collect_alive(
     world: &mut World,
     scanner: &SimScanner,
     alive: &mut HashSet<Ipv4Addr>,
     responded: &mut HashSet<Ipv4Addr>,
-) {
+) -> u64 {
     let record = telemetry::recorder::enabled();
+    let mut malformed = 0;
     for (_o, t, d) in scanner.drain(world) {
-        let Ok(msg) = Message::decode(&d.payload) else {
+        let Ok(msg) = MessageView::parse(&d.payload) else {
+            malformed += 1;
             continue;
         };
-        if msg.header.response && !msg.questions.is_empty() {
-            if let Some(target) = target_from_qname(&msg.questions[0].qname) {
-                if record {
-                    responded.insert(target);
-                    telemetry::recorder::response(
-                        u32::from(target),
-                        msg.header.rcode.to_u8(),
-                        t.millis(),
-                    );
-                }
-                if msg.header.rcode == Rcode::NoError {
-                    alive.insert(target);
-                }
+        if !msg.is_response() {
+            continue;
+        }
+        if let Some(target) = msg.question().and_then(|q| target_from_qname(q.name)) {
+            let rcode = msg.rcode();
+            if record {
+                responded.insert(target);
+                telemetry::recorder::response(u32::from(target), rcode.to_u8(), t.millis());
+            }
+            if rcode == Rcode::NoError {
+                alive.insert(target);
             }
         }
     }
+    malformed
 }
 
 /// Target → ASN map for recorder records; `None` (free) when the

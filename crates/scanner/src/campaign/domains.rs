@@ -1,12 +1,11 @@
 //! The 155-domain scan (Sec. 3.3): A queries for every catalog domain
 //! at every open resolver, with the 25-bit resolver-identifier encoding.
 
-use crate::encode::{decode_probe, encode_probe};
+use crate::encode::{decode_probe, QueryTemplate};
 use crate::probe::{ProbePolicy, RttEstimator};
-use crate::simio::{SimScanner, BASE_PORT};
-use dnswire::{Message, MessageBuilder, Rcode, RecordType};
+use crate::simio::{ProbeBatch, SimScanner, BASE_PORT};
+use dnswire::{MessageView, NameView, Rcode, RecordType};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use worldgen::World;
 
@@ -76,25 +75,40 @@ pub fn scan_domains_streaming_with_policy(
         "resolver list exceeds the 25-bit identifier space"
     );
     let scanner = SimScanner::open(world, vantage);
-    // Response ordinals per (resolver, domain).
-    let mut ordinals: HashMap<(u32, u16), u8> = HashMap::new();
+    let mut drain = Drain {
+        resolvers,
+        domains,
+        seen: vec![0; resolvers.len() * domains.len()],
+        tuples: 0,
+        malformed: 0,
+    };
+    const BATCH: usize = 4_096;
+    let mut batch = ProbeBatch::default();
     let mut retries = 0u64;
 
     for (di, domain) in domains.iter().enumerate() {
-        let mut sent = 0usize;
-        for (ri, &ip) in resolvers.iter().enumerate() {
-            let p = encode_probe(ri as u32, domain);
-            let msg = MessageBuilder::query(p.txid, p.qname.clone(), RecordType::A).build();
-            scanner.send(world, p.port_offset, ip, msg.encode());
-            sent += 1;
-            if sent.is_multiple_of(4_096) {
+        // One pre-encoded query per domain; each probe is a copy with
+        // the resolver index patched into TXID and casing, sent from
+        // the port that carries the same high bits.
+        let tmpl = QueryTemplate::domain_probe(domain);
+        let stamp = |batch: &mut ProbeBatch, ri: usize| {
+            let slot = batch.push((ri >> 16) as u16, resolvers[ri], tmpl.probe_len());
+            tmpl.stamp(ri as u32, slot);
+        };
+        for ri in 0..resolvers.len() {
+            stamp(&mut batch, ri);
+            if batch.len() == BATCH {
+                scanner.send_probes(world, &mut batch);
                 scanner.pump(world, 400);
-                collect(world, &scanner, resolvers, domains, di, &mut ordinals, sink);
+                drain.collect(world, &scanner, di, sink);
             }
+        }
+        if !batch.is_empty() {
+            scanner.send_probes(world, &mut batch);
         }
         // Per-domain grace so cross-domain TXID collisions cannot happen.
         scanner.pump(world, 4_000);
-        collect(world, &scanner, resolvers, domains, di, &mut ordinals, sink);
+        drain.collect(world, &scanner, di, sink);
 
         // Retransmission rounds: probes are identity-encoded (TXID +
         // port + casing carry the resolver index), so a resend is the
@@ -105,34 +119,38 @@ pub fn scan_domains_streaming_with_policy(
             let schedule = policy.schedule(seed ^ 0xD0_0A15 ^ (di as u64) << 16);
             for round in 0..(policy.attempts - 1) as usize {
                 let missing: Vec<usize> = (0..resolvers.len())
-                    .filter(|&ri| !ordinals.contains_key(&(ri as u32, di as u16)))
+                    .filter(|&ri| drain.seen[di * resolvers.len() + ri] == 0)
                     .collect();
                 if missing.is_empty() {
                     break;
                 }
-                let mut batch = 0usize;
                 for &ri in &missing {
-                    let p = encode_probe(ri as u32, domain);
-                    let msg = MessageBuilder::query(p.txid, p.qname.clone(), RecordType::A).build();
-                    scanner.send(world, p.port_offset, resolvers[ri], msg.encode());
-                    batch += 1;
-                    if batch.is_multiple_of(4_096) {
+                    stamp(&mut batch, ri);
+                    if batch.len() == BATCH {
+                        scanner.send_probes(world, &mut batch);
                         scanner.pump(world, 400);
-                        collect(world, &scanner, resolvers, domains, di, &mut ordinals, sink);
+                        drain.collect(world, &scanner, di, sink);
                     }
+                }
+                if !batch.is_empty() {
+                    scanner.send_probes(world, &mut batch);
                 }
                 retries += missing.len() as u64;
                 scanner.pump(world, policy.wait_ms(round, &schedule, &est));
-                collect(world, &scanner, resolvers, domains, di, &mut ordinals, sink);
+                drain.collect(world, &scanner, di, sink);
             }
         }
-        let _ = seed;
     }
+    let reg = telemetry::global();
+    let campaign = [("campaign", "domains")];
+    reg.counter_with("scanner.probes_sent", &campaign)
+        .add((resolvers.len() * domains.len()) as u64 + retries);
+    reg.counter_with("scanner.responses", &campaign)
+        .add(drain.tuples);
     if retries > 0 {
-        telemetry::global()
-            .counter_with("scanner.retries", &[("campaign", "domains")])
-            .add(retries);
+        reg.counter_with("scanner.retries", &campaign).add(retries);
     }
+    super::count_malformed("domains", drain.malformed);
     retries
 }
 
@@ -151,66 +169,81 @@ pub fn scan_domains(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn collect(
-    world: &mut World,
-    scanner: &SimScanner,
-    resolvers: &[Ipv4Addr],
-    domains: &[String],
-    current_domain: usize,
-    ordinals: &mut HashMap<(u32, u16), u8>,
-    sink: &mut dyn FnMut(TupleObs),
-) {
-    for (port_offset, _t, dgram) in scanner.drain(world) {
-        let Ok(msg) = Message::decode(&dgram.payload) else {
-            continue;
-        };
-        if !msg.header.response || msg.questions.is_empty() {
-            continue;
+/// The receive side of one scan: correlates responses with the probes
+/// that caused them and numbers repeated answers.
+struct Drain<'a> {
+    resolvers: &'a [Ipv4Addr],
+    domains: &'a [String],
+    /// Responses so far to each probe, `[domain × resolvers + resolver]`,
+    /// saturating: the next response's ordinal, and zero exactly where a
+    /// retransmission is still owed.
+    seen: Vec<u8>,
+    tuples: u64,
+    malformed: u64,
+}
+
+impl Drain<'_> {
+    fn collect(
+        &mut self,
+        world: &mut World,
+        scanner: &SimScanner,
+        current_domain: usize,
+        sink: &mut dyn FnMut(TupleObs),
+    ) {
+        for (port_offset, _t, dgram) in scanner.drain(world) {
+            let Ok(msg) = MessageView::parse(&dgram.payload) else {
+                self.malformed += 1;
+                continue;
+            };
+            if !msg.is_response() {
+                continue;
+            }
+            let (Some(question), Some(id)) =
+                (msg.question(), decode_probe(&msg, Some(port_offset)))
+            else {
+                continue;
+            };
+            let ri = id as usize;
+            if ri >= self.resolvers.len() {
+                continue; // spoofed or corrupt
+            }
+            // Identify the domain from the echoed question.
+            let Some(di) = domain_index(self.domains, current_domain, question.name) else {
+                continue;
+            };
+            let seen = &mut self.seen[di * self.resolvers.len() + ri];
+            let ips: Vec<Ipv4Addr> = msg.answer_ips().collect();
+            let rcode = msg.rcode();
+            let ns_only = ips.is_empty()
+                && rcode == Rcode::NoError
+                && msg.authorities().any(|rr| rr.rtype == RecordType::Ns);
+            sink(TupleObs {
+                resolver_idx: id,
+                resolver_ip: self.resolvers[ri],
+                domain_idx: di as u16,
+                rcode,
+                ips,
+                response_ordinal: *seen,
+                src_ip: dgram.src_ip,
+                ns_only,
+            });
+            *seen = seen.saturating_add(1);
+            self.tuples += 1;
         }
-        let Some(id) = decode_probe(&msg, Some(port_offset)) else {
-            continue;
-        };
-        let ri = id as usize;
-        if ri >= resolvers.len() {
-            continue; // spoofed or corrupt
-        }
-        // Identify the domain from the echoed question.
-        let qname = msg.questions[0].qname.to_ascii_lower();
-        let Some(di) = domain_index(domains, current_domain, &qname) else {
-            continue;
-        };
-        let key = (id, di as u16);
-        let ordinal = ordinals.entry(key).or_insert(0);
-        let ips = msg.answer_ips();
-        let ns_only = ips.is_empty()
-            && msg.header.rcode == dnswire::Rcode::NoError
-            && msg
-                .authorities
-                .iter()
-                .any(|rr| rr.rtype == dnswire::RecordType::Ns);
-        let obs = TupleObs {
-            resolver_idx: id,
-            resolver_ip: resolvers[ri],
-            domain_idx: di as u16,
-            rcode: msg.header.rcode,
-            ips,
-            response_ordinal: *ordinal,
-            src_ip: dgram.src_ip,
-            ns_only,
-        };
-        *ordinal = ordinal.saturating_add(1);
-        sink(obs);
     }
 }
 
-/// Find the scanned domain matching the echoed qname, checking the
+/// Find the scanned domain matching the echoed qname — compared on the
+/// wire, against what its lower-cased text would be — checking the
 /// in-flight domain first (the common case).
-fn domain_index(domains: &[String], current: usize, qname: &str) -> Option<usize> {
-    if current < domains.len() && domains[current] == qname {
+fn domain_index(domains: &[String], current: usize, qname: NameView<'_>) -> Option<usize> {
+    if domains
+        .get(current)
+        .is_some_and(|d| qname.eq_ascii_lower(d))
+    {
         return Some(current);
     }
-    domains.iter().position(|d| d == qname)
+    domains.iter().position(|d| qname.eq_ascii_lower(d))
 }
 
 /// Port-block base, re-exported for response-side tooling.

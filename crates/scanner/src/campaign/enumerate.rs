@@ -4,7 +4,7 @@
 use crate::encode::{target_from_qname, EnumProbeTemplate};
 use crate::lfsr::IpPermutation;
 use crate::simio::{ProbeBatch, SimScanner};
-use dnswire::{Message, Rcode};
+use dnswire::{MessageView, Rcode};
 use scanstore::{flags, Observation, ObservationSink};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -105,25 +105,26 @@ pub fn enumerate_with_sink(
     // reused buffer, so the sweep allocates per batch, not per probe.
     let mut batch = ProbeBatch::default();
     let mut delivered = 0u64;
+    let mut malformed = 0u64;
     for target in perm {
         if blacklist.contains(target) {
             result.skipped_blacklisted += 1;
             continue;
         }
-        tmpl.stamp(target, batch.push(target, tmpl.probe_len()));
+        tmpl.stamp(target, batch.push(0, target, tmpl.probe_len()));
         result.probes_sent += 1;
         if batch.len() == BATCH {
-            scanner.send_probes(world, 0, &mut batch);
+            scanner.send_probes(world, &mut batch);
             delivered += scanner.pump(world, 500).delivered;
-            collect(world, &scanner, &mut result, sink);
+            malformed += collect(world, &scanner, &mut result, sink);
         }
     }
     if !batch.is_empty() {
-        scanner.send_probes(world, 0, &mut batch);
+        scanner.send_probes(world, &mut batch);
     }
     // Grace period for stragglers.
     delivered += scanner.pump(world, 5_000).delivered;
-    collect(world, &scanner, &mut result, sink);
+    malformed += collect(world, &scanner, &mut result, sink);
     scanner.close(world);
 
     let reg = telemetry::global();
@@ -149,6 +150,7 @@ pub fn enumerate_with_sink(
         )
         .add(n);
     }
+    super::count_malformed("enumerate", malformed);
     sp.attr("probes_sent", result.probes_sent);
     sp.attr("responders", responders);
     // Straight from the engine's RunReports — no re-deriving delivery
@@ -159,30 +161,34 @@ pub fn enumerate_with_sink(
     result
 }
 
+/// Fold what has arrived into `result`; returns how many packets the
+/// wire walker rejected (corrupted packets are ignored, Sec. 5).
 fn collect(
     world: &mut World,
     scanner: &SimScanner,
     result: &mut EnumerationResult,
     sink: &mut dyn ObservationSink,
-) {
+) -> u64 {
     let now_ms = world.now().millis();
+    let mut malformed = 0;
     for (_off, _t, dgram) in scanner.drain(world) {
-        let Ok(msg) = Message::decode(&dgram.payload) else {
-            continue; // corrupted packets are ignored (Sec. 5)
+        let Ok(msg) = MessageView::parse(&dgram.payload) else {
+            malformed += 1;
+            continue;
         };
-        if !msg.header.response || msg.questions.is_empty() {
+        if !msg.is_response() {
             continue;
         }
-        let Some(target) = target_from_qname(&msg.questions[0].qname) else {
+        let Some(target) = msg.question().and_then(|q| target_from_qname(q.name)) else {
             continue;
-        };
-        let obs = EnumObservation {
-            rcode: msg.header.rcode,
-            answered_from_other_ip: dgram.src_ip != target,
-            answers: msg.answer_ips(),
         };
         // First response wins (clients behave the same way).
         if let std::collections::hash_map::Entry::Vacant(e) = result.observations.entry(target) {
+            let obs = EnumObservation {
+                rcode: msg.rcode(),
+                answered_from_other_ip: dgram.src_ip != target,
+                answers: msg.answer_ips().collect(),
+            };
             sink.observe(Observation {
                 flags: if obs.answered_from_other_ip {
                     flags::PROXY
@@ -194,6 +200,7 @@ fn collect(
             e.insert(obs);
         }
     }
+    malformed
 }
 
 /// Dual-vantage verification (Sec. 2.2): scan from the secondary /8 and

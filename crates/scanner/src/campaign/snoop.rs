@@ -1,9 +1,10 @@
 //! DNS cache snooping (Sec. 2.6): non-recursive NS queries for 15 TLDs,
 //! every 60 minutes for 36 hours.
 
+use crate::encode::QueryTemplate;
 use crate::probe::{ProbePolicy, RttEstimator};
 use crate::simio::SimScanner;
-use dnswire::{Message, MessageBuilder, Name, RecordType};
+use dnswire::{MessageBuilder, MessageView, Name, RecordType};
 use netsim::SimTime;
 use scanstore::{Observation, SnapshotSink, SnapshotSource};
 use serde::{Deserialize, Serialize};
@@ -79,13 +80,18 @@ pub fn snoop_scan_with_policy(
     seed: u64,
     policy: &ProbePolicy,
 ) -> (HashMap<Ipv4Addr, SnoopResult>, u64) {
-    let tld_names: Vec<Name> = world
+    // One pre-encoded RD=0 NS query per TLD; probes differ in TXID only.
+    let tld_queries: Vec<QueryTemplate> = world
         .universe
         .tlds()
         .iter()
-        .map(|t| Name::parse(&t.name).expect("TLD names parse"))
+        .map(|t| {
+            let tld = Name::parse(&t.name).expect("TLD names parse");
+            let query = MessageBuilder::query(0, tld, RecordType::Ns).recursion_desired(false);
+            QueryTemplate::new(&query.build())
+        })
         .collect();
-    let tld_count = tld_names.len();
+    let tld_count = tld_queries.len();
 
     let mut results: HashMap<Ipv4Addr, SnoopResult> = resolvers
         .iter()
@@ -103,6 +109,7 @@ pub fn snoop_scan_with_policy(
 
     let start = world.now();
     let mut retries = 0u64;
+    let mut tally = Tally::default();
     for round in 0..rounds {
         world.advance_to(SimTime(start.millis() + round as u64 * SimTime::HOUR));
         let scanner = SimScanner::open(world, vantage);
@@ -110,29 +117,26 @@ pub fn snoop_scan_with_policy(
         let mut txid_map: HashMap<u16, (Ipv4Addr, usize)> = HashMap::new();
         let mut seq = 0u32;
         for &ip in resolvers {
-            for (ti, tld) in tld_names.iter().enumerate() {
+            for (ti, query) in tld_queries.iter().enumerate() {
                 let txid = (seed as u16)
                     .wrapping_add(seq as u16)
                     .wrapping_add((round as u16) << 3);
-                let msg = MessageBuilder::query(txid, tld.clone(), RecordType::Ns)
-                    .recursion_desired(false)
-                    .build();
                 txid_map.insert(txid, (ip, ti));
-                scanner.send(world, (seq % 509) as u16, ip, msg.encode());
+                scanner.send(world, (seq % 509) as u16, ip, query.probe(txid.into()));
                 seq += 1;
                 if seq.is_multiple_of(2_000) {
                     scanner.pump(world, 300);
-                    collect(world, &scanner, &txid_map, &mut results, round);
+                    tally.collect(world, &scanner, &txid_map, &mut results, round);
                 }
                 if seq.is_multiple_of(60_000) {
                     scanner.pump(world, 5_000);
-                    collect(world, &scanner, &txid_map, &mut results, round);
+                    tally.collect(world, &scanner, &txid_map, &mut results, round);
                     txid_map.clear();
                 }
             }
         }
         scanner.pump(world, 5_000);
-        collect(world, &scanner, &txid_map, &mut results, round);
+        tally.collect(world, &scanner, &txid_map, &mut results, round);
 
         // Retransmission rounds: resend the (resolver, TLD) slots that
         // stayed Silent, still inside this round's hour so the cache
@@ -158,30 +162,38 @@ pub fn snoop_scan_with_policy(
                     let txid = (seed as u16)
                         .wrapping_add(seq as u16)
                         .wrapping_add((round as u16) << 3);
-                    let msg = MessageBuilder::query(txid, tld_names[ti].clone(), RecordType::Ns)
-                        .recursion_desired(false)
-                        .build();
                     txid_map.insert(txid, (ip, ti));
-                    scanner.send(world, (seq % 509) as u16, ip, msg.encode());
+                    scanner.send(
+                        world,
+                        (seq % 509) as u16,
+                        ip,
+                        tld_queries[ti].probe(txid.into()),
+                    );
                     seq += 1;
                     if seq.is_multiple_of(2_000) {
                         scanner.pump(world, 300);
-                        collect(world, &scanner, &txid_map, &mut results, round);
+                        tally.collect(world, &scanner, &txid_map, &mut results, round);
                     }
                 }
                 retries += missing.len() as u64;
                 scanner.pump(world, policy.wait_ms(retry, &schedule, &est));
-                collect(world, &scanner, &txid_map, &mut results, round);
+                tally.collect(world, &scanner, &txid_map, &mut results, round);
                 txid_map.clear();
             }
         }
+        tally.probes += u64::from(seq);
         scanner.close(world);
     }
+    let reg = telemetry::global();
+    let campaign = [("campaign", "snoop")];
+    reg.counter_with("scanner.probes_sent", &campaign)
+        .add(tally.probes);
+    reg.counter_with("scanner.responses", &campaign)
+        .add(tally.responses);
     if retries > 0 {
-        telemetry::global()
-            .counter_with("scanner.retries", &[("campaign", "snoop")])
-            .add(retries);
+        reg.counter_with("scanner.retries", &campaign).add(retries);
     }
+    super::count_malformed("snoop", tally.malformed);
     (results, retries)
 }
 
@@ -218,8 +230,11 @@ pub fn decode_snoop_sample(value: u64) -> SnoopSample {
 /// campaign geometry in meta (rounds, TLD count, authoritative TTLs);
 /// snapshot `1 + round * tld_count + tld` (`snoop-r{round}-t{tld}`)
 /// holds one record per resolver whose sample for that (round, TLD)
-/// was not Silent, encoded in [`Observation::value`]. Returns the
-/// series and the number of retransmissions sent under `policy`.
+/// was not Silent, encoded in [`Observation::value`]. The campaign is
+/// all-or-nothing — a later round cannot be re-run without the cache
+/// interactions of the earlier ones — so its snapshots are committed
+/// as one group, one checkpoint. Returns the series and the number of
+/// retransmissions sent under `policy`.
 pub fn snoop_scan_with_sink(
     world: &mut World,
     vantage: Ipv4Addr,
@@ -244,6 +259,7 @@ pub fn snoop_scan_with_sink(
         (SNOOP_META_TLDS.to_string(), tld_count.to_string()),
         (SNOOP_META_FULL_TTLS.to_string(), full_ttls.join(",")),
     ];
+    sink.begin_group();
     for &ip in resolvers {
         sink.observe(Observation::at(u32::from(ip), 0, now_ms));
     }
@@ -261,6 +277,7 @@ pub fn snoop_scan_with_sink(
             sink.commit(&format!("snoop-r{round}-t{tld}"), now_ms, &[])?;
         }
     }
+    sink.end_group()?;
     sp.finish(world.now().millis());
     Ok((results, retries))
 }
@@ -331,33 +348,46 @@ pub fn snoop_full_ttls_from_source(src: &dyn SnapshotSource) -> io::Result<Vec<u
         .collect()
 }
 
-fn collect(
-    world: &mut World,
-    scanner: &SimScanner,
-    txid_map: &HashMap<u16, (Ipv4Addr, usize)>,
-    results: &mut HashMap<Ipv4Addr, SnoopResult>,
-    round: usize,
-) {
-    for (_o, _t, d) in scanner.drain(world) {
-        let Ok(msg) = Message::decode(&d.payload) else {
-            continue;
-        };
-        if !msg.header.response {
-            continue;
-        }
-        let Some(&(ip, tld)) = txid_map.get(&msg.header.id) else {
-            continue;
-        };
-        let sample = msg
-            .answers
-            .iter()
-            .find(|rr| rr.rtype == RecordType::Ns)
-            .map(|rr| SnoopSample::Ttl(rr.ttl))
-            .unwrap_or(SnoopSample::NoEntry);
-        if let Some(res) = results.get_mut(&ip) {
-            let idx = tld * res.rounds + round;
-            if res.samples[idx] == SnoopSample::Silent {
-                res.samples[idx] = sample;
+/// What the campaign sent and got back, for its counters.
+#[derive(Default)]
+struct Tally {
+    probes: u64,
+    /// (resolver, TLD, round) slots that got their first answer.
+    responses: u64,
+    malformed: u64,
+}
+
+impl Tally {
+    fn collect(
+        &mut self,
+        world: &mut World,
+        scanner: &SimScanner,
+        txid_map: &HashMap<u16, (Ipv4Addr, usize)>,
+        results: &mut HashMap<Ipv4Addr, SnoopResult>,
+        round: usize,
+    ) {
+        for (_o, _t, d) in scanner.drain(world) {
+            let Ok(msg) = MessageView::parse(&d.payload) else {
+                self.malformed += 1;
+                continue;
+            };
+            if !msg.is_response() {
+                continue;
+            }
+            let Some(&(ip, tld)) = txid_map.get(&msg.id()) else {
+                continue;
+            };
+            let sample = msg
+                .answers()
+                .find(|rr| rr.rtype == RecordType::Ns)
+                .map(|rr| SnoopSample::Ttl(rr.ttl))
+                .unwrap_or(SnoopSample::NoEntry);
+            if let Some(res) = results.get_mut(&ip) {
+                let idx = tld * res.rounds + round;
+                if res.samples[idx] == SnoopSample::Silent {
+                    res.samples[idx] = sample;
+                    self.responses += 1;
+                }
             }
         }
     }

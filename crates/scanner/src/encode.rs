@@ -11,7 +11,7 @@
 //!    9 bits in the UDP source port, and — redundantly, for resolvers
 //!    that rewrite ports — the same 9 bits in 0x20 casing.
 
-use dnswire::{decode_0x20, encode_0x20, Message, MessageBuilder, Name, RecordType};
+use dnswire::{decode_0x20, encode_0x20, Message, MessageBuilder, MessageView, Name, RecordType};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -130,14 +130,90 @@ impl EnumProbeTemplate {
     }
 }
 
-/// Extract the encoded target address from an echoed question name.
-pub fn target_from_qname(qname: &Name) -> Option<std::net::Ipv4Addr> {
+/// Extract the encoded target address from an echoed question name —
+/// a `&Name`, or the [`dnswire::NameView`] of a response still on the
+/// wire.
+pub fn target_from_qname<'a>(
+    qname: impl IntoIterator<Item = &'a [u8]>,
+) -> Option<std::net::Ipv4Addr> {
     // Labels: prefix . hexip . <zone...>
-    let labels = qname.labels();
-    if labels.len() < 3 {
-        return None;
+    let mut labels = qname.into_iter();
+    let (_prefix, hex, _zone) = (labels.next()?, labels.next()?, labels.next()?);
+    parse_hex_label(hex)
+}
+
+/// Pre-encoded wire template for the queries whose name does not vary
+/// between probes: the domain scan's (Sec. 3.3), the snooping
+/// campaign's NS queries, the CHAOS version queries. Stamping a probe
+/// copies the template and patches the identifier in; for a
+/// [`domain_probe`](Self::domain_probe) template the output is
+/// byte-identical to building [`encode_probe`]'s name into a query
+/// with [`MessageBuilder`] and encoding it.
+pub struct QueryTemplate {
+    bytes: Vec<u8>,
+    /// Offsets of the letters that carry identifier bits 16.. as 0x20
+    /// casing; none for a template that varies only the transaction ID.
+    casing_at: Vec<usize>,
+}
+
+impl QueryTemplate {
+    /// A template of `query` whose probes differ in transaction ID only.
+    pub fn new(query: &Message) -> Self {
+        QueryTemplate {
+            bytes: query.encode(),
+            casing_at: Vec::new(),
+        }
     }
-    parse_hex_label(&labels[1])
+
+    /// The domain scan's A query for `domain`: transaction ID and the
+    /// casing of the name's first [`PORT_BITS`] letters carry the
+    /// 25-bit resolver identifier.
+    pub fn domain_probe(domain: &str) -> Self {
+        let base = Name::parse(domain).expect("catalog domains are valid names");
+        let lower = encode_0x20(&base, 0, PORT_BITS);
+        let bytes = MessageBuilder::query(0, lower, RecordType::A)
+            .build()
+            .encode();
+        // The question name sits uncompressed right behind the header.
+        let mut casing_at = Vec::with_capacity(PORT_BITS as usize);
+        let mut pos = 12;
+        while bytes[pos] != 0 {
+            let label = pos + 1..pos + 1 + bytes[pos] as usize;
+            casing_at.extend(label.clone().filter(|&at| bytes[at].is_ascii_alphabetic()));
+            pos = label.end;
+        }
+        casing_at.truncate(PORT_BITS as usize);
+        QueryTemplate { bytes, casing_at }
+    }
+
+    /// Length of every probe this template stamps.
+    pub fn probe_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Wire bytes of the probe identified by `id`.
+    pub fn probe(&self, id: u32) -> Vec<u8> {
+        let mut out = self.bytes.clone();
+        self.patch(id, &mut out);
+        out
+    }
+
+    /// Write the probe identified by `id` into `out`, which must be
+    /// [`probe_len`](Self::probe_len) bytes — a slot of a batch buffer.
+    pub fn stamp(&self, id: u32, out: &mut [u8]) {
+        out.copy_from_slice(&self.bytes);
+        self.patch(id, out);
+    }
+
+    /// Low 16 bits into the transaction ID, the bits above into casing.
+    fn patch(&self, id: u32, out: &mut [u8]) {
+        out[..2].copy_from_slice(&(id as u16).to_be_bytes());
+        for (bit, &at) in self.casing_at.iter().enumerate() {
+            if (id >> (16 + bit)) & 1 == 1 {
+                out[at] = out[at].to_ascii_uppercase();
+            }
+        }
+    }
 }
 
 /// Encoded form of a domain-scan probe for resolver `id`.
@@ -172,12 +248,9 @@ pub fn encode_probe(id: u32, domain: &str) -> ProbeEncoding {
 /// block (or the caller cannot attribute it). The 0x20 casing of the
 /// echoed question is used when it disagrees with the arrival port —
 /// the redundancy that defeats port-rewriting resolvers.
-pub fn decode_probe(msg: &Message, arrival_port_offset: Option<u16>) -> Option<u32> {
-    if msg.questions.is_empty() {
-        return None;
-    }
-    let low = msg.header.id as u32;
-    let casing_bits = decode_0x20(&msg.questions[0].qname, PORT_BITS) as u16;
+pub fn decode_probe(msg: &MessageView<'_>, arrival_port_offset: Option<u16>) -> Option<u32> {
+    let low = msg.id() as u32;
+    let casing_bits = decode_0x20(msg.question()?.name, PORT_BITS) as u16;
     let high = match arrival_port_offset {
         Some(p) if p < PORT_SPAN && p == casing_bits => p,
         // Port missing or rewritten: trust the casing channel.
@@ -224,7 +297,10 @@ mod tests {
         for id in [0u32, 1, 0xffff, 0x10000, 0x1ffffff, 12_345_678] {
             let p = encode_probe(id, "paypal.example");
             let q = MessageBuilder::query(p.txid, p.qname.clone(), RecordType::A).build();
-            let resp = MessageBuilder::response_to(&q, dnswire::Rcode::NoError).build();
+            let resp = MessageBuilder::response_to(&q, dnswire::Rcode::NoError)
+                .build()
+                .encode();
+            let resp = MessageView::parse(&resp).unwrap();
             assert_eq!(
                 decode_probe(&resp, Some(p.port_offset)),
                 Some(id),
@@ -240,7 +316,10 @@ mod tests {
         let id = 0x1A3_4567u32;
         let p = encode_probe(id, "okcupid.example");
         let q = MessageBuilder::query(p.txid, p.qname.clone(), RecordType::A).build();
-        let resp = MessageBuilder::response_to(&q, dnswire::Rcode::NoError).build();
+        let resp = MessageBuilder::response_to(&q, dnswire::Rcode::NoError)
+            .build()
+            .encode();
+        let resp = MessageView::parse(&resp).unwrap();
         assert_eq!(decode_probe(&resp, None), Some(id));
         assert_eq!(decode_probe(&resp, Some(p.port_offset ^ 1)), Some(id));
     }
@@ -319,5 +398,39 @@ mod tests {
             target_from_qname(&Name::parse("0b16212c.zone").unwrap()),
             None
         );
+    }
+
+    /// The stamped domain probe is the built one, for every bit of the
+    /// 25-bit identifier and for names with fewer letters than bits.
+    #[test]
+    fn domain_template_matches_full_construction() {
+        let ids = (0..ID_BITS)
+            .flat_map(|bit| [1u32 << bit, (1 << bit) - 1, 0x0155_5555 ^ (1 << bit)])
+            .chain([0, 0x1ff_ffff, 12_345_678]);
+        for domain in [
+            "paypal.example",
+            "bet-at-home.example",
+            "MiXeD.Case.Example.",
+            "a1.b2",
+            "123.45",
+        ] {
+            let tmpl = QueryTemplate::domain_probe(domain);
+            for id in ids.clone() {
+                let p = encode_probe(id, domain);
+                let wire = MessageBuilder::query(p.txid, p.qname, RecordType::A)
+                    .build()
+                    .encode();
+                assert_eq!(tmpl.probe(id), wire, "domain={domain} id={id:#x}");
+                let mut slot = vec![0xAA; tmpl.probe_len()];
+                tmpl.stamp(id, &mut slot);
+                assert_eq!(slot, wire);
+            }
+        }
+        // A plain template varies the transaction ID and nothing else.
+        let query = MessageBuilder::chaos_query(0, Name::parse("Version.Bind").unwrap()).build();
+        let tmpl = QueryTemplate::new(&query);
+        let mut stamped = query.clone();
+        stamped.header.id = 0xbeef;
+        assert_eq!(tmpl.probe(0xbeef), stamped.encode());
     }
 }

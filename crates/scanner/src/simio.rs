@@ -19,8 +19,9 @@ pub const BASE_PORT: u16 = 40_000;
 #[derive(Default)]
 pub struct ProbeBatch {
     buf: Vec<u8>,
-    /// `(target, end of its payload in buf)`, in send order.
-    probes: Vec<(Ipv4Addr, usize)>,
+    /// `(port-block offset, target, end of its payload in buf)`, in
+    /// send order.
+    probes: Vec<(u16, Ipv4Addr, usize)>,
 }
 
 impl ProbeBatch {
@@ -34,12 +35,14 @@ impl ProbeBatch {
         self.probes.is_empty()
     }
 
-    /// Queue a `len`-byte probe to `dst` and return its payload slot,
-    /// zeroed, for the caller to fill.
-    pub fn push(&mut self, dst: Ipv4Addr, len: usize) -> &mut [u8] {
+    /// Queue a `len`-byte probe from port-block offset `offset` to
+    /// `dst` and return its payload slot, zeroed, for the caller to
+    /// fill.
+    pub fn push(&mut self, offset: u16, dst: Ipv4Addr, len: usize) -> &mut [u8] {
+        debug_assert!(offset < crate::encode::PORT_SPAN);
         let start = self.buf.len();
         self.buf.resize(start + len, 0);
-        self.probes.push((dst, start + len));
+        self.probes.push((offset, dst, start + len));
         &mut self.buf[start..]
     }
 }
@@ -77,15 +80,14 @@ impl SimScanner {
     /// `batch` empty for reuse. Semantically identical to calling
     /// [`SimScanner::send`] per target; the sharded engine evaluates
     /// the batch on its workers.
-    pub fn send_probes(&self, world: &mut World, offset: u16, batch: &mut ProbeBatch) {
-        debug_assert!(offset < crate::encode::PORT_SPAN);
+    pub fn send_probes(&self, world: &mut World, batch: &mut ProbeBatch) {
         let payloads = Bytes::copy_from_slice(&batch.buf);
         batch.buf.clear();
         let mut start = 0;
         let dgrams = batch
             .probes
             .drain(..)
-            .map(|(dst, end)| {
+            .map(|(offset, dst, end)| {
                 let payload = payloads.slice(start..end);
                 start = end;
                 Datagram::new(self.vantage, BASE_PORT + offset, dst, 53, payload)
@@ -99,9 +101,11 @@ impl SimScanner {
     pub fn send_batch(&self, world: &mut World, offset: u16, batch: Vec<(Ipv4Addr, Vec<u8>)>) {
         let mut probes = ProbeBatch::default();
         for (dst, payload) in batch {
-            probes.push(dst, payload.len()).copy_from_slice(&payload);
+            probes
+                .push(offset, dst, payload.len())
+                .copy_from_slice(&payload);
         }
-        self.send_probes(world, offset, &mut probes);
+        self.send_probes(world, &mut probes);
     }
 
     /// Let the simulation run for `ms` of virtual time, reporting what
@@ -125,11 +129,7 @@ impl SimScanner {
     pub fn drain(&self, world: &mut World) -> Vec<(u16, SimTime, Datagram)> {
         let mut out = Vec::new();
         for (off, sock) in self.sockets.iter().enumerate() {
-            for (t, d) in world
-                .net
-                .recv_all(*sock)
-                .expect("scanner socket still open")
-            {
+            while let Some((t, d)) = world.net.recv(*sock).expect("scanner socket still open") {
                 out.push((off as u16, t, d));
             }
         }
@@ -193,10 +193,10 @@ mod tests {
                     }
                     _ => {
                         for &ip in half {
-                            tmpl.stamp(ip, batch.push(ip, tmpl.probe_len()));
+                            tmpl.stamp(ip, batch.push(3, ip, tmpl.probe_len()));
                         }
                         assert_eq!(batch.len(), half.len());
-                        scanner.send_probes(&mut w, 3, &mut batch);
+                        scanner.send_probes(&mut w, &mut batch);
                         assert!(batch.is_empty());
                     }
                 }

@@ -10,7 +10,7 @@
 //! bounded number of probes in flight, mirroring the rate discipline of
 //! the paper's scanner.
 
-use dnswire::{Message, MessageBuilder, Name, Rcode, RecordType};
+use dnswire::{MessageBuilder, MessageView, Name, Rcode, RecordType};
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::time::Duration;
@@ -106,19 +106,19 @@ pub async fn scan_targets_paced(
             let Some(&txid) = expected.get(&peer) else {
                 continue;
             };
-            let Ok(msg) = Message::decode(&buf[..len]) else {
+            let Ok(msg) = MessageView::parse(&buf[..len]) else {
                 continue;
             };
-            if !msg.header.response || msg.header.id != txid {
+            if !msg.is_response() || msg.id() != txid {
                 continue;
             }
-            let txt = msg.answers.iter().find_map(|rr| rr.rdata.txt_joined());
+            let txt = msg.answers().find_map(|rr| rr.rdata().txt_joined());
             if results
                 .insert(
                     peer,
                     ProbeOutcome {
-                        rcode: msg.header.rcode,
-                        answers: msg.answer_ips(),
+                        rcode: msg.rcode(),
+                        answers: msg.answer_ips().collect(),
                         txt,
                     },
                 )

@@ -1,8 +1,9 @@
 //! Property tests for the scanner's algorithmic core: the LFSR
 //! permutation and the resolver-identifier encoding.
 
-use dnswire::{Message, MessageBuilder, Rcode, RecordType};
+use dnswire::{Message, MessageBuilder, MessageView, Rcode, RecordType};
 use proptest::prelude::*;
+use scanner::encode::QueryTemplate;
 use scanner::{decode_probe, encode_probe, enumeration_query, target_from_qname, IpPermutation};
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
@@ -54,9 +55,34 @@ proptest! {
         // through a real encode/decode cycle.
         let resp = MessageBuilder::response_to(&q, Rcode::NoError).build();
         let wire = resp.encode();
-        let resp = Message::decode(&wire).unwrap();
+        let resp = MessageView::parse(&wire).unwrap();
         let arrival = if rewrite_port { None } else { Some(p.port_offset) };
         prop_assert_eq!(decode_probe(&resp, arrival), Some(id));
+    }
+
+    /// A probe stamped from the domain template is the probe built
+    /// from scratch, for every identifier of the 25-bit space — and
+    /// carries it back out of an echoing response.
+    #[test]
+    fn stamped_domain_probe_is_the_built_probe(
+        id in 0u32..(1 << 25),
+        domain in proptest::sample::select(vec![
+            "okcupid.example", "bet-at-home.example", "a1.b2.example", "x.y", "UPPER.Example.",
+        ]),
+    ) {
+        let p = encode_probe(id, domain);
+        let built = MessageBuilder::query(p.txid, p.qname, RecordType::A).build().encode();
+        let tmpl = QueryTemplate::domain_probe(domain);
+        prop_assert_eq!(&tmpl.probe(id), &built);
+        let mut slot = vec![0u8; tmpl.probe_len()];
+        tmpl.stamp(id, &mut slot);
+        prop_assert_eq!(&slot, &built);
+        // Names with nine letters or more carry the whole identifier.
+        if domain != "x.y" {
+            let echoed = Message::decode(&built).unwrap();
+            let wire = MessageBuilder::response_to(&echoed, Rcode::NoError).build().encode();
+            prop_assert_eq!(decode_probe(&MessageView::parse(&wire).unwrap(), None), Some(id));
+        }
     }
 
     /// The enumeration scan name always carries the target address,

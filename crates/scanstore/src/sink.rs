@@ -28,6 +28,25 @@ pub trait SnapshotSink: ObservationSink {
     /// returns its sequence number. `meta` carries small key/value
     /// annotations (ground truth, per-scan counters).
     fn commit(&mut self, label: &str, t_ms: u64, meta: &[(String, String)]) -> io::Result<u32>;
+
+    /// Opens a group: the commits made until [`end_group`] form one
+    /// checkpoint. A sink that pays per checkpoint (the on-disk store)
+    /// may stage them and make them durable together; every other sink
+    /// has nothing to defer. For campaigns that are all-or-nothing
+    /// anyway, where a checkpoint per snapshot buys nothing.
+    ///
+    /// An error inside a group is a crash as far as the sink is
+    /// concerned: the caller drops the handle, and what is durable is
+    /// the checkpoint from before the group.
+    ///
+    /// [`end_group`]: SnapshotSink::end_group
+    fn begin_group(&mut self) {}
+
+    /// Closes the group opened by [`begin_group`](Self::begin_group):
+    /// on `Ok` every commit since is durable.
+    fn end_group(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Swallows everything. Lets campaign entry points keep a sink

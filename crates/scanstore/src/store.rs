@@ -9,13 +9,25 @@
 //! …
 //! ```
 //!
-//! Commit protocol: the segment file is written to `*.tmp`, fsynced,
-//! renamed into place, then the manifest is rewritten the same way.
-//! A crash between the two leaves an orphan segment that the next
-//! [`CampaignStore::open`] deletes — the checkpoint is whatever the
-//! manifest says. A torn or corrupted segment inside the committed
+//! Commit protocol: the segment file is written to `*.tmp` and renamed
+//! into place (*staged*); then the checkpoint is *sealed* — every
+//! staged segment fsynced, the directory fsynced, and only then the
+//! manifest rewritten (tmp, fsync, rename, directory fsync). The one
+//! ordering invariant: **no manifest ever names a segment that is not
+//! durable.** A commit on its own seals at once; inside
+//! [`begin_group`]…[`end_group`] commits only stage, and the group's
+//! end seals them all under one manifest — the fsyncs are issued after
+//! the last write instead of between writes, which is what an
+//! all-or-nothing campaign of hundreds of small snapshots wants.
+//!
+//! A crash (or an error) before the seal leaves orphan segments that
+//! the next [`CampaignStore::open`] deletes — the checkpoint is whatever
+//! the manifest says. A torn or corrupted segment inside the committed
 //! prefix rolls the checkpoint back to the longest valid prefix and
 //! counts a recovery event.
+//!
+//! [`begin_group`]: SnapshotSink::begin_group
+//! [`end_group`]: SnapshotSink::end_group
 
 use crate::record::{Observation, SnapshotDiff};
 use crate::segment::{self, Kind, Segment};
@@ -115,27 +127,45 @@ pub struct CampaignStore {
     current: Vec<Observation>,
     pending: Vec<Observation>,
     resumed_at: Option<u32>,
+    /// Segment files staged since the last seal — renamed into place,
+    /// named by `manifest` in memory, not yet fsynced or on disk in a
+    /// manifest.
+    staged: Vec<String>,
+    /// Inside `begin_group`…`end_group`: commits stage, the end seals.
+    grouping: bool,
 }
 
 fn seg_file_name(seq: u32) -> String {
     format!("seg-{seq:05}.gws")
 }
 
-/// Durably writes `bytes` to `dir/name` via tmp + fsync + rename.
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+/// Makes a rename inside `dir` durable.
+fn sync_dir(dir: &Path) {
+    if let Ok(d) = fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
+/// Writes `bytes` to `dir/name` via tmp + rename, so the name holds the
+/// old contents (or nothing) or the new, whole. With `durable` the
+/// contents are fsynced before the rename and the rename after it —
+/// the manifest, which is replaced in place and must survive a crash
+/// at any point. Without, nothing is synced: a staged segment, which
+/// nothing names until [`CampaignStore::seal`] has fsynced it, so a
+/// crash before that leaves at worst an orphan.
+fn write_renamed(dir: &Path, name: &str, bytes: &[u8], durable: bool) -> io::Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
     let dst = dir.join(name);
     if let Some(e) = crate::faults::write_error(&dst) {
         return Err(e);
     }
     fs::write(&tmp, bytes)?;
-    let f = fs::File::open(&tmp)?;
-    f.sync_all()?;
-    drop(f);
+    if durable {
+        fs::File::open(&tmp)?.sync_all()?;
+    }
     fs::rename(&tmp, &dst)?;
-    // Make the rename itself durable.
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
+    if durable {
+        sync_dir(dir);
     }
     Ok(())
 }
@@ -178,6 +208,8 @@ impl CampaignStore {
             current: Vec::new(),
             pending: Vec::new(),
             resumed_at: None,
+            staged: Vec::new(),
+            grouping: false,
         };
 
         // Validate the committed prefix in order, rebuilding the string
@@ -230,7 +262,7 @@ impl CampaignStore {
         if recovered || !manifest_readable {
             let bytes = serde_json::to_vec(&manifest)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            write_atomic(&store.dir, MANIFEST, &bytes)?;
+            write_renamed(&store.dir, MANIFEST, &bytes, true)?;
         }
 
         store.resumed_at = if valid > 0 { Some(valid) } else { None };
@@ -252,6 +284,20 @@ impl CampaignStore {
             meta: seg.meta,
             diff: seg.diff,
         });
+    }
+
+    /// Seals the checkpoint: makes every staged segment durable, and
+    /// only then writes the manifest that names them.
+    fn seal(&mut self) -> io::Result<()> {
+        for file in &self.staged {
+            fs::File::open(self.dir.join(file))?.sync_all()?;
+        }
+        sync_dir(&self.dir);
+        let manifest_bytes = serde_json::to_vec(&self.manifest)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        write_renamed(&self.dir, MANIFEST, &manifest_bytes, true)?;
+        self.staged.clear();
+        Ok(())
     }
 
     /// The store's root directory.
@@ -324,7 +370,8 @@ impl SnapshotSink for CampaignStore {
         };
         let bytes = segment::encode(&seg);
         let file = seg_file_name(seq);
-        write_atomic(&self.dir, &file, &bytes)?;
+        write_renamed(&self.dir, &file, &bytes, false)?;
+        self.staged.push(file.clone());
 
         self.manifest.segments.push(SegmentEntry {
             seq,
@@ -337,9 +384,9 @@ impl SnapshotSink for CampaignStore {
             t_ms,
         });
         self.manifest.committed = seq + 1;
-        let manifest_bytes = serde_json::to_vec(&self.manifest)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        write_atomic(&self.dir, MANIFEST, &manifest_bytes)?;
+        if !self.grouping {
+            self.seal()?;
+        }
 
         let reg = telemetry::global();
         reg.counter_with("scanstore.segments_written", &[("backend", "disk")])
@@ -375,6 +422,18 @@ impl SnapshotSink for CampaignStore {
             diff: seg.diff,
         });
         Ok(seq)
+    }
+
+    fn begin_group(&mut self) {
+        self.grouping = true;
+    }
+
+    fn end_group(&mut self) -> io::Result<()> {
+        self.grouping = false;
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        self.seal()
     }
 }
 

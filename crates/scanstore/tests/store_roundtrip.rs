@@ -1,16 +1,20 @@
 //! Integration tests for the persistent store: property-based
-//! encode/decode round-trips, torn-write recovery, and
-//! checkpoint/resume semantics.
+//! encode/decode round-trips, torn-write recovery,
+//! checkpoint/resume semantics, and the crash points of a grouped
+//! checkpoint.
 
 use proptest::prelude::*;
 use scanstore::record::{decode_record, encode_record};
 use scanstore::segment::{self, Kind, Segment};
 use scanstore::varint::Reader;
 use scanstore::{
-    CampaignStore, Observation, ObservationSink, SnapshotDiff, SnapshotSink, SnapshotSource,
+    CampaignStore, FaultSpec, Observation, ObservationSink, SnapshotDiff, SnapshotSink,
+    SnapshotSource, StoreView,
 };
+use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// A scratch directory that cleans up on drop.
 struct TempDir(PathBuf);
@@ -327,4 +331,174 @@ fn diff_cursor_matches_materialized_snapshots() {
         assert_eq!(store.diff(seq).unwrap(), expect);
     }
     assert!(store.diff(2).is_err(), "no diff past the last snapshot");
+}
+
+/// One week's commit that also interns a string of its own, so the
+/// string table moves with every segment.
+fn commit_tagged_week(store: &mut CampaignStore, w: u32) -> io::Result<u32> {
+    let tag = store.intern(&format!("tag-{w}"));
+    for ip in 0..60u32 {
+        if !(ip + w).is_multiple_of(5) {
+            let mut o = obs(ip, (ip % 3) as u8);
+            o.country = tag;
+            store.observe(o);
+        }
+    }
+    store.commit(&format!("week-{w}"), BASE_MS + u64::from(w), &[])
+}
+
+/// Every file of a store directory, by name.
+fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| {
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn grouped_and_ungrouped_commits_leave_identical_directories() {
+    let (plain, grouped) = (TempDir::new("plain"), TempDir::new("grouped"));
+    {
+        let mut store = CampaignStore::open(&plain.0).unwrap();
+        for w in 0..9 {
+            commit_tagged_week(&mut store, w).unwrap();
+        }
+    }
+    {
+        let mut store = CampaignStore::open(&grouped.0).unwrap();
+        commit_tagged_week(&mut store, 0).unwrap();
+        store.begin_group();
+        for w in 1..7 {
+            assert_eq!(commit_tagged_week(&mut store, w).unwrap(), w);
+        }
+        assert_eq!(
+            store.snapshot_count(),
+            7,
+            "the handle sees its staged commits"
+        );
+        // A reader that opens now sees the checkpoint before the group,
+        // whatever segment files are lying about.
+        let reader = StoreView::open(&grouped.0).unwrap();
+        assert_eq!(reader.snapshot_count(), 1);
+        assert!(!reader.recovered());
+        assert!(grouped.0.join("seg-00006.gws").exists());
+        store.end_group().unwrap();
+        assert_eq!(reader.refresh().unwrap().snapshot_count(), 7);
+        // An empty group and commits after a group are ordinary.
+        store.begin_group();
+        store.end_group().unwrap();
+        for w in 7..9 {
+            commit_tagged_week(&mut store, w).unwrap();
+        }
+    }
+    let files = dir_bytes(&plain.0);
+    assert_eq!(files.len(), 10, "nine segments and the manifest");
+    assert_eq!(dir_bytes(&grouped.0), files);
+    let store = CampaignStore::open(&grouped.0).unwrap();
+    assert_eq!(store.snapshot_count(), 9);
+    assert_eq!(store.stats().recovery_events, 0);
+}
+
+/// A group dies after `k` of its six segments were staged, for `k` at
+/// the start, after one, in the middle and at the last segment, and at
+/// the manifest write that would have sealed it. Whatever the point,
+/// the directory reopens at the checkpoint before the group.
+///
+/// The fault shim is process-wide and single-slot, so every arming of
+/// this binary lives in this one test.
+#[test]
+fn a_failed_group_leaves_the_previous_checkpoint() {
+    let reference = TempDir::new("group-reference");
+    let (before_files, before_current) = {
+        let mut store = CampaignStore::open(&reference.0).unwrap();
+        commit_tagged_week(&mut store, 0).unwrap();
+        commit_tagged_week(&mut store, 1).unwrap();
+        (dir_bytes(&reference.0), store.snapshot(1).unwrap().records)
+    };
+    let crash_points = [
+        ("seg-00002", 0u32),
+        ("seg-00003", 1),
+        ("seg-00005", 3),
+        ("seg-00007", 5),
+        ("manifest.json", 6),
+    ];
+    for (failing_file, staged) in crash_points {
+        let tmp = TempDir::new(&format!("group-crash-{staged}"));
+        let mut store = CampaignStore::open(&tmp.0).unwrap();
+        commit_tagged_week(&mut store, 0).unwrap();
+        commit_tagged_week(&mut store, 1).unwrap();
+
+        scanstore::faults::arm(&FaultSpec {
+            scope: tmp.0.join(failing_file).to_string_lossy().into_owned(),
+            write_enospc: 1,
+            ..FaultSpec::default()
+        });
+        store.begin_group();
+        let outcome = (2..8)
+            .try_for_each(|w| commit_tagged_week(&mut store, w).map(drop))
+            .and_then(|()| store.end_group());
+        scanstore::faults::disarm();
+        let err = outcome.expect_err("the armed write fails the group");
+        assert!(err.to_string().contains("injected fault"), "{err}");
+        assert_eq!(
+            store.snapshot_count(),
+            2 + staged,
+            "crash point {failing_file}"
+        );
+        drop(store);
+
+        // What the crash left: the old manifest and `staged` orphans.
+        let reader = StoreView::open(&tmp.0).unwrap();
+        assert_eq!(reader.snapshot_count(), 2, "crash point {failing_file}");
+        assert!(!reader.recovered());
+        assert_eq!(
+            dir_bytes(&tmp.0).len(),
+            before_files.len() + staged as usize,
+            "crash point {failing_file}"
+        );
+
+        // Reopening sweeps them and resumes from before the group.
+        let mut store = CampaignStore::open(&tmp.0).unwrap();
+        assert_eq!(store.snapshot_count(), 2, "crash point {failing_file}");
+        assert_eq!(store.resumed_at(), Some(2));
+        assert_eq!(
+            store.stats().recovery_events,
+            0,
+            "orphans are not a rollback"
+        );
+        assert_eq!(store.stats().live_records, before_current.len() as u64);
+        assert_eq!(store.snapshot(1).unwrap().records, before_current);
+        assert_eq!(
+            dir_bytes(&tmp.0),
+            before_files,
+            "crash point {failing_file}"
+        );
+        // The string table is the pre-group one: the group's strings are
+        // gone and the next new string takes the first free id.
+        let tag1 = store.intern("tag-1");
+        assert_eq!((store.string(tag1), store.string(tag1 + 1)), ("tag-1", ""));
+        assert_eq!(store.intern("tag-2"), tag1 + 1);
+        drop(store);
+
+        // The retried group then lands as if nothing had happened.
+        let mut store = CampaignStore::open(&tmp.0).unwrap();
+        store.begin_group();
+        for w in 2..8 {
+            commit_tagged_week(&mut store, w).unwrap();
+        }
+        store.end_group().unwrap();
+        drop(store);
+        let mut plain = CampaignStore::open(&reference.0).unwrap();
+        for w in plain.snapshot_count()..8 {
+            commit_tagged_week(&mut plain, w).unwrap();
+        }
+        drop(plain);
+        assert_eq!(dir_bytes(&tmp.0), dir_bytes(&reference.0));
+    }
 }

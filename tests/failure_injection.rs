@@ -5,9 +5,12 @@
 //! so with UDP loss probability `p` a round trip survives with
 //! probability `(1-p)²` and the observed fleet shrinks accordingly.
 
-use goingwild::{run_analysis, AnalysisOptions, WorldConfig};
+use goingwild::{
+    collect_bundle, run_analysis, AnalysisOptions, BundleOptions, CampaignKind, WorldConfig,
+};
 use netsim::{FaultEvent, FaultPlan, SimTime};
 use scanner::{enumerate, probe_alive_with_policy, Coverage, ProbePolicy};
+use scanstore::FaultSpec;
 use std::net::Ipv4Addr;
 use worldgen::build_world;
 
@@ -198,4 +201,75 @@ fn coverage_fraction_reflects_gave_up_but_not_unreachable() {
     assert_eq!(cov.attempted, 110);
     assert_eq!(cov.answered, 100);
     assert!(cov.space, "absorbing a space row marks the aggregate");
+}
+
+/// The disk fills while the snooping campaign writes its sixth segment.
+/// The campaign is all-or-nothing and commits as one group, so the
+/// failed burst leaves nothing committed; `collect_bundle` reopens the
+/// store and re-runs the campaign once into a well-formed store. (When
+/// every snapshot was its own checkpoint, the retry appended a second
+/// campaign behind the five segments of the first: 66 segments where a
+/// complete store has 61, samples filed under the wrong round and TLD,
+/// and a directory the next run refused to read.)
+#[test]
+fn snoop_retry_after_a_failed_write_leaves_a_well_formed_store() {
+    let dir = std::env::temp_dir().join(format!("gw-snoop-retry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = WorldConfig {
+        weeks: 1,
+        ..WorldConfig::tiny(SEED)
+    };
+    let opts = BundleOptions {
+        snoop_sample: 40,
+        snoop_rounds: 4,
+        ..BundleOptions::new(cfg)
+    };
+    let kinds = [CampaignKind::Fleet, CampaignKind::Snoop];
+    let snoop = [("campaign", "snoop")];
+    let retried = || {
+        telemetry::global()
+            .counter_with("collect.campaign_retried", &snoop)
+            .get()
+    };
+    let runs = || {
+        telemetry::global()
+            .counter_with("collect.campaign_runs", &snoop)
+            .get()
+    };
+
+    let (retried_before, runs_before) = (retried(), runs());
+    scanstore::faults::arm(&FaultSpec {
+        scope: dir.join("snoop/seg-00005").to_string_lossy().into_owned(),
+        write_enospc: 1,
+        ..FaultSpec::default()
+    });
+    let collected = collect_bundle(&opts, &kinds, Some(&dir));
+    scanstore::faults::disarm();
+    let bundle = collected.expect("the retry succeeds");
+    assert_eq!(retried() - retried_before, 1, "one retry");
+    assert_eq!(runs() - runs_before, 1, "one campaign run, retried inside");
+
+    let store = bundle.source(CampaignKind::Snoop).unwrap();
+    let sample = store.snapshot(0).unwrap();
+    assert_eq!(sample.label, "sample");
+    let tlds: u32 = sample.meta_value("tld_count").unwrap().parse().unwrap();
+    assert_eq!(sample.meta_value("rounds"), Some("4"));
+    assert_eq!(store.snapshot_count(), 1 + 4 * tlds, "a complete campaign");
+    assert_eq!(store.snapshot(1).unwrap().label, "snoop-r0-t0");
+    let utilization = goingwild::util_from_source(store).expect("derives");
+    assert_eq!(utilization.probed, sample.records.len() as u64);
+    drop(bundle);
+
+    // The directory is one the next run serves from, and a clean one.
+    let again = collect_bundle(&opts, &kinds, Some(&dir)).expect("served from the store");
+    assert_eq!(runs() - runs_before, 1, "nothing re-ran");
+    assert_eq!(
+        again.source(CampaignKind::Snoop).unwrap().snapshot_count(),
+        1 + 4 * tlds
+    );
+    for (name, report) in scanstore::scrub_root(&dir).unwrap() {
+        assert!(report.healthy(), "{name}: {}", report.to_json());
+        assert!(report.orphans.is_empty(), "{name}: {:?}", report.orphans);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
