@@ -130,10 +130,15 @@ fn list_prints_every_experiment_id() {
     }
 }
 
-/// Records the flaky Fig. 2 run on a tiny world into `stream`.
-fn record(stream: &Path, extra: &[&str]) {
-    let mut args = vec!["--exp", "fig2", "--weeks", "2", "--scale", "0.00005"];
-    args.extend(["--faults", "flaky", "--quiet", "--record"]);
+/// Fig. 2 on a tiny world under the flaky profile; Table 3 on one large
+/// enough that CHAOS gives up on a few resolvers under the hostile one.
+const FLAKY_FIG2: [&str; 6] = ["--exp", "fig2", "--scale", "0.00005", "--faults", "flaky"];
+const HOSTILE_TAB3: [&str; 6] = ["--exp", "tab3", "--scale", "0.0002", "--faults", "hostile"];
+
+/// Records `run` into `stream`.
+fn record(stream: &Path, run: &[&str], extra: &[&str]) {
+    let mut args = run.to_vec();
+    args.extend(["--weeks", "2", "--quiet", "--record"]);
     args.push(stream.to_str().unwrap());
     args.extend_from_slice(extra);
     let out = repro(&args);
@@ -160,8 +165,8 @@ fn recorded_streams_replay_identically_across_same_seed_runs() {
     // Cargo's scratch directory for this test target, under `target/`.
     let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
     let (a, b) = (tmp.join("a.gwrs"), tmp.join("b.gwrs"));
-    record(&a, &[]);
-    record(&b, &[]);
+    record(&a, &FLAKY_FIG2, &[]);
+    record(&b, &FLAKY_FIG2, &[]);
 
     let gave_up = trace(&a, &["--gave-up"]);
     assert_eq!(gave_up, trace(&b, &["--gave-up"]));
@@ -179,7 +184,7 @@ fn recorded_streams_replay_identically_across_same_seed_runs() {
     // Sampling is per address: at half rate the stream holds fewer
     // probes, but not none.
     let half = tmp.join("half.gwrs");
-    record(&half, &["--record-rate", "0.5"]);
+    record(&half, &FLAKY_FIG2, &["--record-rate", "0.5"]);
     let probes = |summary: String| -> u64 {
         let tail = summary.split(" records, ").nth(1).expect("summary line");
         tail.split(' ')
@@ -190,4 +195,14 @@ fn recorded_streams_replay_identically_across_same_seed_runs() {
     };
     let (all, sampled) = (probes(trace(&a, &[])), probes(trace(&half, &[])));
     assert!(0 < sampled && sampled < all, "{sampled} of {all} probes");
+
+    // CHAOS gives up in fleet order, not a hash map's: with several
+    // give-ups the whole stream is still the same bytes on every run.
+    let (c, d) = (tmp.join("c.gwrs"), tmp.join("d.gwrs"));
+    record(&c, &HOSTILE_TAB3, &["--record-rate", "1.0"]);
+    record(&d, &HOSTILE_TAB3, &["--record-rate", "1.0"]);
+    let gave_up = trace(&c, &["--gave-up"]);
+    assert!(gave_up.matches("gave up on ").count() >= 2, "{gave_up}");
+    let bytes = |stream: &Path| std::fs::read(stream).expect("read stream");
+    assert!(bytes(&c) == bytes(&d), "same seed, different streams");
 }

@@ -27,10 +27,7 @@ use geodb::{GeoDb, RdnsDb};
 use netsim::{FaultPlan, SimTime};
 use scanner::campaign::churn as churn_campaign;
 use scanner::campaign::enumerate::VerificationReport;
-use scanner::{
-    churn_from_source, enumerate_with_sink, response_coverage, track_cohort_with_sink, Coverage,
-    ProbePolicy,
-};
+use scanner::{churn_from_source, enumerate_with_sink, response_coverage, Coverage, ProbePolicy};
 use scanstore::{
     flags, CampaignStore, MemoryStore, Observation, ObservationSink, SnapshotSink, SnapshotSource,
     StoreStats,
@@ -110,39 +107,9 @@ const META_TRUTH: &str = "truth";
 const META_PROBES: &str = "probes_sent";
 const META_SKIPPED: &str = "skipped_blacklisted";
 
-/// Run the weekly enumeration campaign, committing one snapshot per
-/// week. Weeks before `start_week` are assumed committed in the sink
-/// already and are skipped (checkpoint resume).
-pub fn collect_weekly(
-    cfg: WorldConfig,
-    weeks: u32,
-    start_week: u32,
-    sink: &mut dyn SnapshotSink,
-) -> io::Result<()> {
-    let mut world = build_world(cfg);
-    let blacklist = scanner::Blacklist::new(
-        world.blacklist_ranges.clone(),
-        world.blacklist_singles.clone(),
-    );
-    if start_week > 0 {
-        telemetry::info(
-            "campaign.resume",
-            "resuming weekly campaign from checkpoint",
-            &[("start_week", start_week.into()), ("weeks", weeks.into())],
-            Some(world.now().millis()),
-        );
-    }
-    for week in start_week..weeks {
-        world.advance_to_week(week);
-        weekly_scan_week(&mut world, week, &blacklist, sink)?;
-    }
-    Ok(())
-}
-
 /// One weekly enumeration round at the world's current time: scans,
-/// enriches, and commits the `week-{week}` snapshot. Shared by
-/// [`collect_weekly`] and the bundle engine. Returns the sweep's
-/// space coverage (probes dispatched over probes planned).
+/// enriches, and commits the `week-{week}` snapshot. Returns the
+/// sweep's space coverage (probes dispatched over probes planned).
 fn weekly_scan_week(
     world: &mut World,
     week: u32,
@@ -250,37 +217,6 @@ pub fn fig1_from_source(src: &dyn SnapshotSource) -> io::Result<Fig1Report> {
 // =====================================================================
 // Churn cohort tracking (Fig. 2)
 // =====================================================================
-
-/// Run the churn campaign into `sink`, resuming past any committed
-/// rounds. The cohort comes from a fresh enumeration on the first run
-/// and is read back from snapshot 0 on resume.
-pub fn collect_churn<S: SnapshotSink + SnapshotSource>(
-    cfg: WorldConfig,
-    weeks: u32,
-    sink: &mut S,
-) -> io::Result<()> {
-    let committed = sink.snapshot_count();
-    if committed >= weeks + 2 {
-        return Ok(()); // cohort + day1 + weekly rounds all durable
-    }
-    let mut world = build_world(cfg);
-    let vantage = world.scanner_ip;
-    let cohort: Vec<std::net::Ipv4Addr> = if committed == 0 {
-        scanner::enumerate(&mut world, vantage, 0xF162).noerror_ips()
-    } else {
-        sink.snapshot(0)?.records.iter().map(|o| o.ipv4()).collect()
-    };
-    let mut enriched = EnrichSink::new(&world, sink);
-    track_cohort_with_sink(
-        &mut world,
-        vantage,
-        &cohort,
-        weeks,
-        0xF162,
-        &mut enriched,
-        committed,
-    )
-}
 
 /// Derive Figure 2 from a committed churn snapshot sequence.
 pub fn fig2_from_source(src: &dyn SnapshotSource) -> io::Result<Fig2Report> {
@@ -620,9 +556,9 @@ enum Task {
     Chaos,
     Banner,
     Domains,
-    Day1,
     Snoop,
-    ChurnWeek(u32),
+    /// Round 0 is day one; round `w` is week `w`.
+    ChurnRound(u32),
     VerifyPrimary,
     VerifySecondary,
 }
@@ -633,7 +569,7 @@ impl Task {
         match self {
             Task::Week(_) => CampaignKind::Weekly,
             Task::Fleet => CampaignKind::Fleet,
-            Task::Cohort | Task::Day1 | Task::ChurnWeek(_) => CampaignKind::Churn,
+            Task::Cohort | Task::ChurnRound(_) => CampaignKind::Churn,
             Task::Chaos => CampaignKind::Chaos,
             Task::Banner => CampaignKind::Banner,
             Task::Domains => CampaignKind::Domains,
@@ -881,12 +817,10 @@ pub fn collect_bundle(
     }
     if want.contains(&Churn) {
         tasks.push((FLEET_ANCHOR, Task::Cohort));
-        tasks.push((CHURN_DAY1_ANCHOR, Task::Day1));
+        tasks.push((CHURN_DAY1_ANCHOR, Task::ChurnRound(0)));
         for w in 1..=churn_weeks {
-            tasks.push((
-                w as u64 * SimTime::WEEK + CHURN_WEEK_OFFSET,
-                Task::ChurnWeek(w),
-            ));
+            let anchor = w as u64 * SimTime::WEEK + CHURN_WEEK_OFFSET;
+            tasks.push((anchor, Task::ChurnRound(w)));
         }
     }
     if want.contains(&Domains) {
@@ -1034,50 +968,17 @@ pub fn collect_bundle(
                 )?;
                 cohort = Some(ips);
             }
-            Task::Day1 => {
-                if committed[&Churn] >= 2 {
-                    continue;
-                }
-                mark_ran(&mut ran, Churn);
-                let ips = cohort.as_ref().expect("cohort precedes day1");
-                let (alive, retries) = with_checkpoint_retry(
-                    Churn,
-                    store_dir,
-                    &mut data,
-                    &mut world,
-                    &mut |world, data| {
-                        let (alive, retries) = churn_campaign::probe_alive_with_policy(
-                            world,
-                            vantage,
-                            ips,
-                            CHURN_SEED ^ 0xD1,
-                            &opts.probe,
-                        );
-                        let meta = churn_campaign::day1_leaver_meta(world, ips, &alive);
-                        let sink = data.get_mut(&Churn).unwrap().sink();
-                        let mut enriched = EnrichSink::new(world, sink);
-                        churn_campaign::commit_round(
-                            world,
-                            &mut enriched,
-                            ips.iter().copied().filter(|ip| alive.contains(ip)),
-                            "day1",
-                            &meta,
-                        )?;
-                        Ok((alive, retries))
-                    },
-                )?;
-                absorb(
-                    &mut coverage,
-                    Churn,
-                    response_coverage(&world, ips, true, &alive, retries),
-                );
-            }
-            Task::ChurnWeek(w) => {
+            Task::ChurnRound(w) => {
+                // The cohort is snapshot 0, so this round is `w + 1`.
                 if w + 1 < committed[&Churn] {
                     continue;
                 }
+                let (seed, label) = match w {
+                    0 => (CHURN_SEED ^ 0xD1, "day1".to_string()),
+                    w => (CHURN_SEED ^ (w as u64) << 8, format!("week-{w}")),
+                };
                 mark_ran(&mut ran, Churn);
-                let ips = cohort.as_ref().expect("cohort precedes churn weeks");
+                let ips = cohort.as_ref().expect("cohort precedes churn rounds");
                 let (alive, retries) = with_checkpoint_retry(
                     Churn,
                     store_dir,
@@ -1088,23 +989,29 @@ pub fn collect_bundle(
                             world,
                             vantage,
                             ips,
-                            CHURN_SEED ^ (w as u64) << 8,
+                            seed,
                             &opts.probe,
                         );
-                        telemetry::debug(
-                            "campaign.churn.round",
-                            "weekly re-probe committed",
-                            &[("week", w.into()), ("alive", alive.len().into())],
-                            Some(world.now().millis()),
-                        );
+                        let meta = match w {
+                            0 => churn_campaign::day1_leaver_meta(world, ips, &alive),
+                            w => {
+                                telemetry::debug(
+                                    "campaign.churn.round",
+                                    "weekly re-probe committed",
+                                    &[("week", w.into()), ("alive", alive.len().into())],
+                                    Some(world.now().millis()),
+                                );
+                                Vec::new()
+                            }
+                        };
                         let sink = data.get_mut(&Churn).unwrap().sink();
                         let mut enriched = EnrichSink::new(world, sink);
                         churn_campaign::commit_round(
                             world,
                             &mut enriched,
                             ips.iter().copied().filter(|ip| alive.contains(ip)),
-                            &format!("week-{w}"),
-                            &[],
+                            &label,
+                            &meta,
                         )?;
                         Ok((alive, retries))
                     },
@@ -1226,8 +1133,13 @@ pub fn collect_bundle(
                     &mut data,
                     &mut world,
                     &mut |world, data| {
-                        let alive =
-                            churn_campaign::probe_alive(world, vantage, ips, SNOOP_SEED ^ 0xA11E);
+                        let (alive, _) = churn_campaign::probe_alive_with_policy(
+                            world,
+                            vantage,
+                            ips,
+                            SNOOP_SEED ^ 0xA11E,
+                            &ProbePolicy::single(),
+                        );
                         let sample: Vec<Ipv4Addr> = ips
                             .iter()
                             .copied()
@@ -1354,14 +1266,16 @@ fn banner_collect(
 ) -> io::Result<Coverage> {
     let (banners, coverage) = scanner::banner_scan_ex(world, fleet, policy);
     let now_ms = world.now().millis();
-    for (&ip, obs) in &banners {
+    // In fleet order, not the map's: string ids are handed out in
+    // observation order and the store must not depend on a hasher.
+    for (ip, obs) in fleet.iter().filter_map(|ip| Some((ip, banners.get(ip)?))) {
         let fp = fingerprint_device(obs);
         let device = sink.intern(&format!("{}|{}", fp.class.label(), fp.os.label()));
         sink.observe(Observation {
             flags: flags::TCP_RESPONSIVE,
             banner_hash: scanstore::fnv1a(obs.corpus().as_bytes()),
             device,
-            ..Observation::at(u32::from(ip), 0, now_ms)
+            ..Observation::at(u32::from(*ip), 0, now_ms)
         });
     }
     let meta = vec![(META_FLEET.to_string(), fleet.len().to_string())];

@@ -41,10 +41,10 @@ pub mod pipeline;
 pub mod report;
 
 pub use collect::{
-    analysis_from_source, collect_bundle, collect_churn, collect_weekly, fig1_from_source,
-    fig2_from_source, ground_truth_from_source, table3_from_source, table4_from_source,
-    util_from_source, verification_from_source, BundleData, BundleOptions, CampaignData,
-    CampaignKind, EnrichSink, GroundTruth,
+    analysis_from_source, collect_bundle, fig1_from_source, fig2_from_source,
+    ground_truth_from_source, table3_from_source, table4_from_source, util_from_source,
+    verification_from_source, BundleData, BundleOptions, CampaignData, CampaignKind, EnrichSink,
+    GroundTruth,
 };
 pub use experiments::{DeriveOptions, Experiment, ExperimentOutput};
 pub use pipeline::{run_analysis, run_analysis_with_fleet, AnalysisOptions, AnalysisReport};

@@ -73,13 +73,15 @@ pub fn resolve_at(
     );
     let deadline = SimTime(world.net.now().millis() + 3_000);
     world.net.run_until(deadline);
-    while let Some((_, d)) = world.net.recv(sock).expect("socket just opened") {
+    let replies = world.net.recv_all(sock).expect("socket just opened");
+    world.net.close_socket(sock).expect("socket just opened");
+    for (_, d) in replies {
         match MessageView::parse(&d.payload) {
             Ok(msg) if msg.is_response() && msg.id() == txid => {
                 return Some((msg.rcode(), msg.answer_ips().collect()));
             }
             Ok(_) => {}
-            Err(_) => super::count_malformed("acquire", 1),
+            Err(_) => super::count("responses_malformed", "acquire", 1),
         }
     }
     None

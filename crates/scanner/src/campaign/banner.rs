@@ -140,25 +140,3 @@ pub fn banner_scan_ex(
     }
     (out, cov)
 }
-
-/// Like [`banner_scan`], but also writes each TCP-responsive host into
-/// `sink` with the [`scanstore::flags::TCP_RESPONSIVE`] flag and the
-/// FNV-1a hash of its banner corpus.
-pub fn banner_scan_with_sink(
-    world: &mut World,
-    resolvers: &[Ipv4Addr],
-    policy: &ProbePolicy,
-    sink: &mut dyn scanstore::ObservationSink,
-) -> (HashMap<Ipv4Addr, BannerObservation>, Coverage) {
-    use scanstore::{flags, fnv1a, Observation};
-    let (observations, coverage) = banner_scan_ex(world, resolvers, policy);
-    let now_ms = world.now().millis();
-    for (&ip, obs) in &observations {
-        sink.observe(Observation {
-            flags: flags::TCP_RESPONSIVE,
-            banner_hash: fnv1a(obs.corpus().as_bytes()),
-            ..Observation::at(u32::from(ip), 0, now_ms)
-        });
-    }
-    (observations, coverage)
-}

@@ -9,14 +9,15 @@
 //! probe round (`cohort`, `day1`, `week-1`…) — and the Figure 2 numbers
 //! are derived back out of any [`SnapshotSource`] by
 //! [`churn_from_source`], so a reopened on-disk store yields the same
-//! report as the live run. Already-committed rounds are skipped on
-//! resume.
+//! report as the live run. The bundle engine schedules the rounds and
+//! skips the ones its store already holds.
 
+use super::sweep::{self, Campaign, Outcome, Sweep};
 use crate::encode::{target_from_qname, EnumProbeTemplate};
-use crate::probe::{ProbePolicy, RttEstimator};
-use crate::simio::{ProbeBatch, SimScanner};
+use crate::probe::ProbePolicy;
+use crate::simio::ProbeBatch;
 use dnswire::{MessageView, Rcode};
-use netsim::SimTime;
+use netsim::{Datagram, SimTime};
 use scanstore::{Observation, SnapshotSink, SnapshotSource};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -51,24 +52,14 @@ impl ChurnResult {
     }
 }
 
-/// Probe `cohort` addresses and return those answering NOERROR.
+/// Probe `cohort` addresses and return those answering NOERROR, and
+/// the number of retransmissions sent: under a retrying [`ProbePolicy`]
+/// addresses that have not answered NOERROR are re-probed in backed-off
+/// rounds.
 ///
 /// Public so campaign drivers (the bundle engine) can schedule churn
-/// rounds at their own anchors; [`track_cohort_with_sink`] composes the
-/// same pieces on a relative schedule.
-pub fn probe_alive(
-    world: &mut World,
-    vantage: Ipv4Addr,
-    cohort: &[Ipv4Addr],
-    seed: u64,
-) -> HashSet<Ipv4Addr> {
-    probe_alive_with_policy(world, vantage, cohort, seed, &ProbePolicy::single()).0
-}
-
-/// [`probe_alive`] under an explicit [`ProbePolicy`]: addresses that
-/// stayed silent are re-probed in backed-off retransmission rounds.
-/// Returns the alive set and the number of retransmissions sent. A
-/// single-attempt policy is byte-identical to [`probe_alive`].
+/// rounds at their own anchors; [`track_cohort`] composes the same
+/// pieces on a relative schedule.
 pub fn probe_alive_with_policy(
     world: &mut World,
     vantage: Ipv4Addr,
@@ -77,173 +68,62 @@ pub fn probe_alive_with_policy(
     policy: &ProbePolicy,
 ) -> (HashSet<Ipv4Addr>, u64) {
     let zone = world.catalog.scan_zone.clone();
-    // When the flight recorder is on, resolve target ASNs once up
-    // front and publish the probe context so netsim drop records and
-    // our attempt/response records share a campaign/attempt identity.
-    let asn_of = recorder_asn_map(world, cohort);
-    let scanner = SimScanner::open(world, vantage);
-    let tmpl = EnumProbeTemplate::new(&zone, seed);
-    const BATCH: usize = 4_096;
-    let mut alive = HashSet::new();
-    // Every address that answered at all (any rcode) — only tracked
-    // while the recorder is on, so give-ups aren't misattributed to
-    // resolvers that answered with an error rcode.
-    let mut responded = HashSet::new();
-    let mut sent = 0usize;
-    let mut delivered = 0u64;
-    let mut malformed = 0u64;
-    telemetry::recorder::set_context("churn", 1);
-    if asn_of.is_some() {
-        // Recorder on: keep per-probe sends so attempt records stay
-        // interleaved with the engine's drop records exactly as before.
-        for &ip in cohort {
-            if let Some(asns) = &asn_of {
-                let asn = asns.get(&ip).copied().unwrap_or(0);
-                telemetry::recorder::attempt(u32::from(ip), asn, world.now().millis());
-            }
-            scanner.send(world, 0, ip, tmpl.probe(ip));
-            sent += 1;
-            if sent.is_multiple_of(BATCH) {
-                delivered += scanner.pump(world, 500).delivered;
-                malformed += collect_alive(world, &scanner, &mut alive, &mut responded);
-            }
-        }
-    } else {
-        // Recorder off: hand probes to the engine a batch at a time
-        // (byte-identical; lets the sharded engine parallelize).
-        let mut batch = ProbeBatch::default();
-        for &ip in cohort {
-            tmpl.stamp(ip, batch.push(0, ip, tmpl.probe_len()));
-            sent += 1;
-            if batch.len() == BATCH {
-                scanner.send_probes(world, &mut batch);
-                delivered += scanner.pump(world, 500).delivered;
-                malformed += collect_alive(world, &scanner, &mut alive, &mut responded);
-            }
-        }
-        if !batch.is_empty() {
-            scanner.send_probes(world, &mut batch);
-        }
-    }
-    delivered += scanner.pump(world, 5_000).delivered;
-    malformed += collect_alive(world, &scanner, &mut alive, &mut responded);
-
-    // Retransmission rounds: the probe template is deterministic per
-    // target, but resending at a later sim time re-rolls its fate.
-    let mut retries = 0u64;
-    if policy.attempts > 1 {
-        let est = RttEstimator::new();
-        let schedule = policy.schedule(seed ^ 0xC4_0412);
-        for round in 0..(policy.attempts - 1) as usize {
-            let missing: Vec<Ipv4Addr> = cohort
-                .iter()
-                .copied()
-                .filter(|ip| !alive.contains(ip))
-                .collect();
-            if missing.is_empty() {
-                break;
-            }
-            telemetry::recorder::set_context("churn", round as u32 + 2);
-            let mut batch = 0usize;
-            for &ip in &missing {
-                if let Some(asns) = &asn_of {
-                    let asn = asns.get(&ip).copied().unwrap_or(0);
-                    telemetry::recorder::attempt(u32::from(ip), asn, world.now().millis());
-                }
-                scanner.send(world, 0, ip, tmpl.probe(ip));
-                batch += 1;
-                if batch.is_multiple_of(BATCH) {
-                    delivered += scanner.pump(world, 500).delivered;
-                    malformed += collect_alive(world, &scanner, &mut alive, &mut responded);
-                }
-            }
-            sent += missing.len();
-            retries += missing.len() as u64;
-            let wait = policy.wait_ms(round, &schedule, &est);
-            telemetry::recorder::backoff(round as u32, wait, world.now().millis());
-            delivered += scanner.pump(world, wait).delivered;
-            malformed += collect_alive(world, &scanner, &mut alive, &mut responded);
-        }
-    }
-    if let Some(asns) = &asn_of {
-        let now = world.now().millis();
-        for &ip in cohort
-            .iter()
-            .filter(|ip| !alive.contains(ip) && !responded.contains(ip))
-        {
-            let asn = asns.get(&ip).copied().unwrap_or(0);
-            telemetry::recorder::gave_up(u32::from(ip), asn, policy.attempts, now);
-        }
-    }
-    telemetry::recorder::clear_context();
-
-    let reg = telemetry::global();
-    let churn = [("campaign", "churn")];
-    reg.counter_with("scanner.probes_sent", &churn)
-        .add(sent as u64);
-    reg.counter_with("scanner.responses", &churn)
-        .add(alive.len() as u64);
-    reg.counter_with("scanner.timeouts", &churn)
-        .add((sent as u64).saturating_sub(alive.len() as u64));
-    // Straight from the engine's RunReports — no re-deriving delivery
-    // totals from before/after stats snapshots.
-    reg.counter_with("scanner.net_delivered", &churn)
-        .add(delivered);
-    if retries > 0 {
-        reg.counter_with("scanner.retries", &churn).add(retries);
-    }
-    super::count_malformed("churn", malformed);
-    (alive, retries)
+    let liveness = Liveness {
+        cohort,
+        tmpl: EnumProbeTemplate::new(&zone, seed),
+        alive: HashSet::new(),
+        responded: HashSet::new(),
+    };
+    let mut sweep = Sweep::open(world, vantage, liveness, *policy);
+    sweep.scan(world, cohort.iter().copied(), seed, 0);
+    let (Liveness { alive, .. }, tally) = sweep.finish(world);
+    super::count("responses", "churn", alive.len() as u64);
+    let timeouts = tally.probes.saturating_sub(alive.len() as u64);
+    super::count("timeouts", "churn", timeouts);
+    super::count("net_delivered", "churn", tally.delivered);
+    (alive, tally.retries)
 }
 
-/// Fold what has arrived into the alive set; returns how many packets
-/// the wire walker rejected.
-fn collect_alive(
-    world: &mut World,
-    scanner: &SimScanner,
-    alive: &mut HashSet<Ipv4Addr>,
-    responded: &mut HashSet<Ipv4Addr>,
-) -> u64 {
-    let record = telemetry::recorder::enabled();
-    let mut malformed = 0;
-    for (_o, t, d) in scanner.drain(world) {
-        let Ok(msg) = MessageView::parse(&d.payload) else {
-            malformed += 1;
-            continue;
+/// The enumeration's hex-IP question, asked of a fixed cohort. The
+/// probe is the same datagram every time it is sent to a target.
+struct Liveness<'a> {
+    cohort: &'a [Ipv4Addr],
+    tmpl: EnumProbeTemplate,
+    alive: HashSet<Ipv4Addr>,
+    /// Every address that answered at all, whatever the rcode.
+    responded: HashSet<Ipv4Addr>,
+}
+
+impl Campaign for Liveness<'_> {
+    const P: sweep::Params = sweep::CHURN;
+    type Slot = Ipv4Addr;
+
+    fn stamp(&mut self, ip: Ipv4Addr, _seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr {
+        self.tmpl
+            .stamp(ip, batch.push(0, ip, self.tmpl.probe_len()));
+        ip
+    }
+
+    fn read(&mut self, msg: &MessageView<'_>, _port_offset: u16, _dgram: &Datagram) -> Outcome {
+        let Some(target) = msg.question().and_then(|q| target_from_qname(q.name)) else {
+            return Outcome::Unsolicited;
         };
-        if !msg.is_response() {
-            continue;
+        // Any NOERROR counts, a later one too: an address that first
+        // answered with an error is re-probed.
+        if msg.rcode() == Rcode::NoError {
+            self.alive.insert(target);
         }
-        if let Some(target) = msg.question().and_then(|q| target_from_qname(q.name)) {
-            let rcode = msg.rcode();
-            if record {
-                responded.insert(target);
-                telemetry::recorder::response(u32::from(target), rcode.to_u8(), t.millis());
-            }
-            if rcode == Rcode::NoError {
-                alive.insert(target);
-            }
+        if self.responded.insert(target) {
+            Outcome::Matched(target)
+        } else {
+            Outcome::Duplicate(target)
         }
     }
-    malformed
-}
 
-/// Target → ASN map for recorder records; `None` (free) when the
-/// flight recorder is off.
-pub(crate) fn recorder_asn_map(
-    world: &World,
-    targets: &[Ipv4Addr],
-) -> Option<std::collections::HashMap<Ipv4Addr, u32>> {
-    telemetry::recorder::enabled().then(|| {
-        let idx = world.responder_index();
-        targets
-            .iter()
-            .filter_map(|&ip| {
-                let host = world.net.host_at(ip)?;
-                Some((ip, idx.get(&host)?.asn))
-            })
-            .collect()
-    })
+    fn missing(&self) -> Vec<Ipv4Addr> {
+        let silent = |ip: &Ipv4Addr| !self.alive.contains(ip);
+        self.cohort.iter().copied().filter(silent).collect()
+    }
 }
 
 /// Meta keys carried by the `day1` snapshot.
@@ -293,66 +173,41 @@ pub fn commit_round(
     sink.commit(label, now_ms, meta)
 }
 
-/// Run the full churn experiment against `sink`: a cohort snapshot,
-/// the day-one probe, then weekly probes for `weeks` weeks. Advances
-/// world time as it goes. The first `committed` probe rounds are
-/// skipped — they are already durable in the sink — so a killed run
-/// resumes where its checkpoint left off.
-pub fn track_cohort_with_sink(
+/// Run the full churn experiment in memory: a cohort snapshot, the
+/// day-one probe, then weekly probes for `weeks` weeks. Advances world
+/// time as it goes.
+pub fn track_cohort(
     world: &mut World,
     vantage: Ipv4Addr,
     cohort: &[Ipv4Addr],
     weeks: u32,
     seed: u64,
-    sink: &mut dyn SnapshotSink,
-    committed: u32,
-) -> io::Result<()> {
+) -> ChurnResult {
+    let mut mem = scanstore::MemoryStore::new();
     let t0 = world.now();
     let mut sp = telemetry::span("campaign.churn", t0.millis());
     sp.attr("cohort", cohort.len());
     sp.attr("weeks", weeks);
-    sp.attr("resumed_rounds", committed);
-    if committed == 0 {
-        commit_round(world, sink, cohort.iter().copied(), "cohort", &[])?;
-    }
-
-    // Day 1.
-    world.advance_to(SimTime(t0.millis() + SimTime::DAY));
-    if committed < 2 {
-        let alive_day1 = probe_alive(world, vantage, cohort, seed ^ 0xD1);
-        let meta = day1_leaver_meta(world, cohort, &alive_day1);
-        commit_round(
-            world,
-            sink,
-            cohort.iter().copied().filter(|ip| alive_day1.contains(ip)),
-            "day1",
-            &meta,
-        )?;
-    }
-
-    // Weekly probes.
-    for w in 1..=weeks {
-        world.advance_to(SimTime(t0.millis() + w as u64 * SimTime::WEEK));
-        if w + 1 < committed {
-            continue;
-        }
-        let alive = probe_alive(world, vantage, cohort, seed ^ (w as u64) << 8);
-        telemetry::debug(
-            "campaign.churn.round",
-            "weekly re-probe committed",
-            &[("week", w.into()), ("alive", alive.len().into())],
-            Some(world.now().millis()),
-        );
-        commit_round(
-            world,
-            sink,
-            cohort.iter().copied().filter(|ip| alive.contains(ip)),
-            &format!("week-{w}"),
-            &[],
-        )?;
+    let infallible = "in-memory sink cannot fail";
+    commit_round(world, &mut mem, cohort.iter().copied(), "cohort", &[]).expect(infallible);
+    // Round 0 is day one; round `w` is week `w`.
+    for w in 0..=weeks as u64 {
+        let (after, seed, label) = match w {
+            0 => (SimTime::DAY, seed ^ 0xD1, "day1".to_string()),
+            w => (w * SimTime::WEEK, seed ^ w << 8, format!("week-{w}")),
+        };
+        world.advance_to(SimTime(t0.millis() + after));
+        let single = ProbePolicy::single();
+        let (alive, _) = probe_alive_with_policy(world, vantage, cohort, seed, &single);
+        let meta = match w {
+            0 => day1_leaver_meta(world, cohort, &alive),
+            _ => Vec::new(),
+        };
+        let survivors = cohort.iter().copied().filter(|ip| alive.contains(ip));
+        commit_round(world, &mut mem, survivors, &label, &meta).expect(infallible);
     }
     sp.finish(world.now().millis());
-    Ok(())
+    churn_from_source(&mem).expect("in-memory source cannot fail")
 }
 
 /// Derive the Figure 2 numbers back out of a committed snapshot
@@ -377,19 +232,4 @@ pub fn churn_from_source(src: &dyn SnapshotSource) -> io::Result<ChurnResult> {
         Ok(())
     })?;
     Ok(result)
-}
-
-/// Run the full churn experiment in memory: day-one probe, then weekly
-/// probes for `weeks` weeks. Advances world time as it goes.
-pub fn track_cohort(
-    world: &mut World,
-    vantage: Ipv4Addr,
-    cohort: &[Ipv4Addr],
-    weeks: u32,
-    seed: u64,
-) -> ChurnResult {
-    let mut mem = scanstore::MemoryStore::new();
-    track_cohort_with_sink(world, vantage, cohort, weeks, seed, &mut mem, 0)
-        .expect("in-memory sink cannot fail");
-    churn_from_source(&mem).expect("in-memory source cannot fail")
 }

@@ -1,12 +1,16 @@
 //! The Internet-wide enumeration scan (Sec. 2.2) and the dual-vantage
 //! verification scan.
 
+use super::sweep::{self, Campaign, Outcome, Sweep};
 use crate::encode::{target_from_qname, EnumProbeTemplate};
 use crate::lfsr::IpPermutation;
-use crate::simio::{ProbeBatch, SimScanner};
+use crate::probe::ProbePolicy;
+use crate::simio::ProbeBatch;
 use dnswire::{MessageView, Rcode};
+use netsim::Datagram;
 use scanstore::{flags, Observation, ObservationSink};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use worldgen::World;
@@ -91,116 +95,92 @@ pub fn enumerate_with_sink(
         world.blacklist_ranges.clone(),
         world.blacklist_singles.clone(),
     );
-    let scanner = SimScanner::open(world, vantage);
-    let perm = IpPermutation::new(&ranges, seed);
-    let tmpl = EnumProbeTemplate::new(&zone, seed);
+    let sweeper = Sweeper {
+        tmpl: EnumProbeTemplate::new(&zone, seed),
+        result: EnumerationResult::default(),
+        sink,
+        now_ms: world.now().millis(),
+    };
+    // The ZMap-style sweep is deliberately single-probe (Sec. 2.2).
+    let mut sweep = Sweep::open(world, vantage, sweeper, ProbePolicy::single());
     let mut sp = telemetry::span("campaign.enumerate", world.now().millis());
 
-    let mut result = EnumerationResult::default();
-    const BATCH: usize = 4_096;
-    // Probes are handed to the engine a batch at a time: one
-    // `send_many` call per 4k targets lets the sharded engine evaluate
-    // the probe pipeline on its workers while staying byte-identical
-    // to per-probe sends. Probes are stamped straight into the batch's
-    // reused buffer, so the sweep allocates per batch, not per probe.
-    let mut batch = ProbeBatch::default();
-    let mut delivered = 0u64;
-    let mut malformed = 0u64;
-    for target in perm {
-        if blacklist.contains(target) {
-            result.skipped_blacklisted += 1;
-            continue;
-        }
-        tmpl.stamp(target, batch.push(0, target, tmpl.probe_len()));
-        result.probes_sent += 1;
-        if batch.len() == BATCH {
-            scanner.send_probes(world, &mut batch);
-            delivered += scanner.pump(world, 500).delivered;
-            malformed += collect(world, &scanner, &mut result, sink);
-        }
-    }
-    if !batch.is_empty() {
-        scanner.send_probes(world, &mut batch);
-    }
-    // Grace period for stragglers.
-    delivered += scanner.pump(world, 5_000).delivered;
-    malformed += collect(world, &scanner, &mut result, sink);
-    scanner.close(world);
+    let mut skipped = 0u64;
+    let targets = IpPermutation::new(&ranges, seed).filter(|&target| {
+        let skip = blacklist.contains(target);
+        skipped += u64::from(skip);
+        !skip
+    });
+    sweep.scan(world, targets, seed, 0);
+    let (Sweeper { mut result, .. }, tally) = sweep.finish(world);
+    (result.probes_sent, result.skipped_blacklisted) = (tally.probes, skipped);
 
     let reg = telemetry::global();
-    let enumerate = [("campaign", "enumerate")];
-    reg.counter_with("scanner.probes_sent", &enumerate)
-        .add(result.probes_sent);
-    reg.counter("scanner.blacklist_skips")
-        .add(result.skipped_blacklisted);
+    reg.counter("scanner.blacklist_skips").add(skipped);
     let responders = result.observations.len() as u64;
-    reg.counter_with("scanner.timeouts", &enumerate)
-        .add(result.probes_sent.saturating_sub(responders));
-    // Sorted so labeled counters register in a stable order.
-    let mut by_rcode: Vec<(&str, u64)> = result
-        .counts()
-        .into_iter()
-        .filter(|&(mnemonic, _)| mnemonic != "ALL")
-        .collect();
-    by_rcode.sort_unstable();
-    for (mnemonic, n) in by_rcode {
-        reg.counter_with(
-            "scanner.responses",
-            &[("campaign", "enumerate"), ("rcode", mnemonic)],
-        )
-        .add(n);
+    let timeouts = result.probes_sent.saturating_sub(responders);
+    super::count("timeouts", "enumerate", timeouts);
+    for (mnemonic, n) in result.counts() {
+        if mnemonic != "ALL" {
+            let labels = [("campaign", "enumerate"), ("rcode", mnemonic)];
+            reg.counter_with("scanner.responses", &labels).add(n);
+        }
     }
-    super::count_malformed("enumerate", malformed);
     sp.attr("probes_sent", result.probes_sent);
     sp.attr("responders", responders);
-    // Straight from the engine's RunReports — no re-deriving delivery
-    // totals from before/after stats snapshots.
-    sp.attr("net_delivered", delivered);
+    sp.attr("net_delivered", tally.delivered);
     sp.attr("blacklist_skips", result.skipped_blacklisted);
     sp.finish(world.now().millis());
     result
 }
 
-/// Fold what has arrived into `result`; returns how many packets the
-/// wire walker rejected (corrupted packets are ignored, Sec. 5).
-fn collect(
-    world: &mut World,
-    scanner: &SimScanner,
-    result: &mut EnumerationResult,
-    sink: &mut dyn ObservationSink,
-) -> u64 {
-    let now_ms = world.now().millis();
-    let mut malformed = 0;
-    for (_off, _t, dgram) in scanner.drain(world) {
-        let Ok(msg) = MessageView::parse(&dgram.payload) else {
-            malformed += 1;
-            continue;
-        };
-        if !msg.is_response() {
-            continue;
-        }
+/// The hex-IP question: every target is asked for a name that spells
+/// its own address, so an answer names the probe it belongs to.
+struct Sweeper<'a> {
+    tmpl: EnumProbeTemplate,
+    result: EnumerationResult,
+    sink: &'a mut dyn ObservationSink,
+    now_ms: u64,
+}
+
+impl Campaign for Sweeper<'_> {
+    const P: sweep::Params = sweep::ENUMERATE;
+    type Slot = Ipv4Addr;
+
+    fn stamp(&mut self, target: Ipv4Addr, _seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr {
+        self.tmpl
+            .stamp(target, batch.push(0, target, self.tmpl.probe_len()));
+        target
+    }
+
+    fn read(&mut self, msg: &MessageView<'_>, _port_offset: u16, dgram: &Datagram) -> Outcome {
         let Some(target) = msg.question().and_then(|q| target_from_qname(q.name)) else {
-            continue;
+            return Outcome::Unsolicited;
         };
         // First response wins (clients behave the same way).
-        if let std::collections::hash_map::Entry::Vacant(e) = result.observations.entry(target) {
-            let obs = EnumObservation {
-                rcode: msg.rcode(),
-                answered_from_other_ip: dgram.src_ip != target,
-                answers: msg.answer_ips().collect(),
-            };
-            sink.observe(Observation {
-                flags: if obs.answered_from_other_ip {
-                    flags::PROXY
-                } else {
-                    0
-                },
-                ..Observation::at(u32::from(target), obs.rcode.to_u8(), now_ms)
-            });
-            e.insert(obs);
-        }
+        let Entry::Vacant(e) = self.result.observations.entry(target) else {
+            return Outcome::Duplicate(target);
+        };
+        let obs = EnumObservation {
+            rcode: msg.rcode(),
+            answered_from_other_ip: dgram.src_ip != target,
+            answers: msg.answer_ips().collect(),
+        };
+        self.sink.observe(Observation {
+            flags: if obs.answered_from_other_ip {
+                flags::PROXY
+            } else {
+                0
+            },
+            ..Observation::at(u32::from(target), obs.rcode.to_u8(), self.now_ms)
+        });
+        e.insert(obs);
+        Outcome::Matched(target)
     }
-    malformed
+
+    fn missing(&self) -> Vec<Ipv4Addr> {
+        Vec::new()
+    }
 }
 
 /// Dual-vantage verification (Sec. 2.2): scan from the secondary /8 and

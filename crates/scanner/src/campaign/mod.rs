@@ -1,4 +1,7 @@
-//! Measurement campaigns.
+//! Measurement campaigns. The five that speak UDP — enumeration, churn,
+//! CHAOS, snooping, the domain scan — say what to ask and how to read
+//! the answer; `sweep` is the loop that sends, waits, retries and
+//! counts for all of them.
 
 pub mod acquire;
 pub mod banner;
@@ -7,14 +10,91 @@ pub mod churn;
 pub mod domains;
 pub mod enumerate;
 pub mod snoop;
+mod sweep;
 
-/// Responses the wire walker rejected are counted, not skipped
-/// silently — in a counter that exists only once there is one to
-/// count, so a clean run's metrics stay as they were.
-fn count_malformed(campaign: &'static str, n: u64) {
-    if n > 0 {
-        telemetry::global()
-            .counter_with("scanner.responses_malformed", &[("campaign", campaign)])
-            .add(n);
+/// Adds `n` to the counter `scanner.{name}{campaign}`.
+fn count(name: &str, campaign: &'static str, n: u64) {
+    telemetry::global()
+        .counter_with(&format!("scanner.{name}"), &[("campaign", campaign)])
+        .add(n);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sweep::Tally;
+    use crate::simio::BASE_PORT;
+    use dnswire::{MessageBuilder, Name, Rcode, RecordType};
+    use std::cell::RefCell;
+    use worldgen::{build_world, WorldConfig};
+
+    thread_local! {
+        /// The tally of every sweep this thread finished, in order.
+        pub(super) static FINISHED: RefCell<Vec<(&'static str, Tally)>> =
+            const { RefCell::new(Vec::new()) };
+    }
+
+    /// All five campaigns, retrying under the `hostile` profile: every
+    /// sweep's buckets re-sum to what it drained, and the published
+    /// counters are the returned tallies.
+    #[test]
+    fn every_drained_packet_lands_in_one_counted_bucket() {
+        let mut world = build_world(WorldConfig::tiny(0x7A11));
+        let vantage = world.scanner_ip;
+        let fleet = crate::enumerate(&mut world, vantage, 1).noerror_ips();
+        // Three strangers' packets, in flight to the port block when
+        // the next sweep opens it: garbage, a query, and a response to
+        // a question nobody asked.
+        let port = world.net.open_socket(vantage, BASE_PORT);
+        let name = Name::parse("stray.example").expect("a valid name");
+        let query = MessageBuilder::query(7, name, RecordType::A).build();
+        let reply = MessageBuilder::response_to(&query, Rcode::NoError).build();
+        for payload in [vec![0xFF; 5], query.encode(), reply.encode()] {
+            let stray = netsim::Datagram::new(fleet[0], 53, vantage, BASE_PORT, payload);
+            world.net.send(stray, None);
+        }
+        world.net.close_socket(port).expect("just opened");
+        let plan = netsim::FaultPlan::named("hostile", 0x7A11).expect("a built-in profile");
+        world.net.set_fault_plan(plan);
+        let policy = crate::ProbePolicy::retrying(3);
+        let domains = ["facebook.example", "paypal.example"].map(String::from);
+        let (tuples, null) = (&mut |_| {}, &mut scanstore::NullSink);
+
+        crate::enumerate(&mut world, vantage, 2);
+        crate::probe_alive_with_policy(&mut world, vantage, &fleet, 3, &policy);
+        crate::chaos_scan_with_sink(&mut world, vantage, &fleet, 4, &policy, null);
+        crate::snoop_scan_with_policy(&mut world, vantage, &fleet[..150], 2, 5, &policy);
+        let scan_domains = crate::scan_domains_streaming_with_policy;
+        scan_domains(&mut world, vantage, &fleet, &domains, 6, &policy, tuples);
+
+        let closed = FINISHED.with(|finished| finished.take());
+        assert_eq!(closed.len(), 7, "one sweep per port block opened");
+        for (campaign, t) in &closed {
+            let buckets = t.matched + t.duplicate + t.unsolicited + t.not_response + t.malformed;
+            assert_eq!(t.drained, buckets, "{campaign}: {t:?}");
+            assert!(t.matched > 0, "{campaign}: {t:?}");
+        }
+        type Column = fn(&Tally) -> u64;
+        let columns: [(&str, Column); 6] = [
+            ("probes_sent", |t| t.probes),
+            ("retries", |t| t.retries),
+            ("responses_duplicate", |t| t.duplicate),
+            ("responses_unsolicited", |t| t.unsolicited),
+            ("responses_not_response", |t| t.not_response),
+            ("responses_malformed", |t| t.malformed),
+        ];
+        for campaign in ["enumerate", "churn", "chaos", "snoop", "domains"] {
+            let sweeps = closed.iter().filter(|(name, _)| *name == campaign);
+            let totals = columns.map(|(_, get)| sweeps.clone().map(|(_, t)| get(t)).sum::<u64>());
+            let published = columns.map(|(name, _)| {
+                let labels = [("campaign", campaign)];
+                let counter = telemetry::global().counter_with(&format!("scanner.{name}"), &labels);
+                counter.get()
+            });
+            assert_eq!(published, totals, "{campaign}");
+            // The strays reached the first sweep after them, and only it.
+            let strays = u64::from(campaign == "enumerate");
+            assert_eq!(totals[3..], [strays, strays, strays], "{campaign}");
+            assert_eq!(totals[1] > 0, campaign != "enumerate", "{campaign} retries");
+        }
     }
 }

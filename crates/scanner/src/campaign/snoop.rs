@@ -1,9 +1,9 @@
 //! DNS cache snooping (Sec. 2.6): non-recursive NS queries for 15 TLDs,
 //! every 60 minutes for 36 hours.
 
+use super::sweep::{self, Answer, Grid, Sweep};
 use crate::encode::QueryTemplate;
-use crate::probe::{ProbePolicy, RttEstimator};
-use crate::simio::SimScanner;
+use crate::probe::ProbePolicy;
 use dnswire::{MessageBuilder, MessageView, Name, RecordType};
 use netsim::SimTime;
 use scanstore::{Observation, SnapshotSink, SnapshotSource};
@@ -36,6 +36,15 @@ pub struct SnoopResult {
 }
 
 impl SnoopResult {
+    /// A series with every sample still [`SnoopSample::Silent`].
+    fn silent(tld_count: usize, rounds: usize) -> SnoopResult {
+        SnoopResult {
+            tld_count,
+            rounds,
+            samples: vec![SnoopSample::Silent; tld_count * rounds],
+        }
+    }
+
     /// The sample for `(tld, round)`.
     pub fn get(&self, tld: usize, round: usize) -> SnoopSample {
         self.samples[tld * self.rounds + round]
@@ -56,22 +65,16 @@ pub fn snoop_scan(
     rounds: usize,
     seed: u64,
 ) -> HashMap<Ipv4Addr, SnoopResult> {
-    snoop_scan_with_policy(
-        world,
-        vantage,
-        resolvers,
-        rounds,
-        seed,
-        &ProbePolicy::single(),
-    )
-    .0
+    let policy = ProbePolicy::single();
+    snoop_scan_with_policy(world, vantage, resolvers, rounds, seed, &policy).0
 }
 
 /// [`snoop_scan`] under an explicit [`ProbePolicy`]: within each hourly
 /// round, (resolver, TLD) slots still Silent after the native sweep are
-/// retransmitted in backed-off rounds before the hour closes. Returns
-/// the series and the number of retransmissions. A single-attempt
-/// policy is byte-identical to [`snoop_scan`].
+/// retransmitted in backed-off rounds before the hour closes — still
+/// inside the hour, so the cache state being snooped is the same.
+/// Returns the series and the number of retransmissions. A
+/// single-attempt policy is byte-identical to [`snoop_scan`].
 pub fn snoop_scan_with_policy(
     world: &mut World,
     vantage: Ipv4Addr,
@@ -81,7 +84,7 @@ pub fn snoop_scan_with_policy(
     policy: &ProbePolicy,
 ) -> (HashMap<Ipv4Addr, SnoopResult>, u64) {
     // One pre-encoded RD=0 NS query per TLD; probes differ in TXID only.
-    let tld_queries: Vec<QueryTemplate> = world
+    let queries: Vec<QueryTemplate> = world
         .universe
         .tlds()
         .iter()
@@ -91,110 +94,40 @@ pub fn snoop_scan_with_policy(
             QueryTemplate::new(&query.build())
         })
         .collect();
-    let tld_count = tld_queries.len();
-
-    let mut results: HashMap<Ipv4Addr, SnoopResult> = resolvers
-        .iter()
-        .map(|&ip| {
-            (
-                ip,
-                SnoopResult {
-                    tld_count,
-                    rounds,
-                    samples: vec![SnoopSample::Silent; tld_count * rounds],
-                },
-            )
-        })
-        .collect();
-
+    let tld_count = queries.len();
+    let mut results = vec![SnoopResult::silent(tld_count, rounds); resolvers.len()];
     let start = world.now();
-    let mut retries = 0u64;
-    let mut tally = Tally::default();
+    let (mut retries, mut responses) = (0u64, 0u64);
     for round in 0..rounds {
         world.advance_to(SimTime(start.millis() + round as u64 * SimTime::HOUR));
-        let scanner = SimScanner::open(world, vantage);
-        // txid → (resolver, tld).
-        let mut txid_map: HashMap<u16, (Ipv4Addr, usize)> = HashMap::new();
-        let mut seq = 0u32;
-        for &ip in resolvers {
-            for (ti, query) in tld_queries.iter().enumerate() {
-                let txid = (seed as u16)
-                    .wrapping_add(seq as u16)
-                    .wrapping_add((round as u16) << 3);
-                txid_map.insert(txid, (ip, ti));
-                scanner.send(world, (seq % 509) as u16, ip, query.probe(txid.into()));
-                seq += 1;
-                if seq.is_multiple_of(2_000) {
-                    scanner.pump(world, 300);
-                    tally.collect(world, &scanner, &txid_map, &mut results, round);
-                }
-                if seq.is_multiple_of(60_000) {
-                    scanner.pump(world, 5_000);
-                    tally.collect(world, &scanner, &txid_map, &mut results, round);
-                    txid_map.clear();
-                }
+        // One port block, and one TXID sequence, per hourly round.
+        let first_txid = (seed as u16).wrapping_add((round as u16) << 3);
+        let grid = Grid::<SnoopSample>::new(resolvers, &queries, first_txid);
+        let mut sweep = Sweep::open(world, vantage, grid, *policy);
+        sweep.scan(world, 0..resolvers.len() * tld_count, seed, round as u64);
+        let (grid, tally) = sweep.finish(world);
+        for (slot, sample) in grid.answers.into_iter().enumerate() {
+            if let Some(sample) = sample {
+                let (resolver, tld) = (slot / tld_count, slot % tld_count);
+                results[resolver].samples[tld * rounds + round] = sample;
             }
         }
-        scanner.pump(world, 5_000);
-        tally.collect(world, &scanner, &txid_map, &mut results, round);
+        retries += tally.retries;
+        responses += tally.matched;
+    }
+    // (resolver, TLD, round) slots that got their first answer.
+    super::count("responses", "snoop", responses);
+    (resolvers.iter().copied().zip(results).collect(), retries)
+}
 
-        // Retransmission rounds: resend the (resolver, TLD) slots that
-        // stayed Silent, still inside this round's hour so the cache
-        // state being snooped is the same. With `attempts == 1` this
-        // loop never runs and the campaign is byte-identical.
-        if policy.attempts > 1 {
-            let est = RttEstimator::new();
-            let schedule = policy.schedule(seed ^ 0x5_0090 ^ (round as u64) << 20);
-            txid_map.clear();
-            for retry in 0..(policy.attempts - 1) as usize {
-                let mut missing: Vec<(Ipv4Addr, usize)> = Vec::new();
-                for &ip in resolvers {
-                    for ti in 0..tld_count {
-                        if results[&ip].get(ti, round) == SnoopSample::Silent {
-                            missing.push((ip, ti));
-                        }
-                    }
-                }
-                if missing.is_empty() {
-                    break;
-                }
-                for &(ip, ti) in &missing {
-                    let txid = (seed as u16)
-                        .wrapping_add(seq as u16)
-                        .wrapping_add((round as u16) << 3);
-                    txid_map.insert(txid, (ip, ti));
-                    scanner.send(
-                        world,
-                        (seq % 509) as u16,
-                        ip,
-                        tld_queries[ti].probe(txid.into()),
-                    );
-                    seq += 1;
-                    if seq.is_multiple_of(2_000) {
-                        scanner.pump(world, 300);
-                        tally.collect(world, &scanner, &txid_map, &mut results, round);
-                    }
-                }
-                retries += missing.len() as u64;
-                scanner.pump(world, policy.wait_ms(retry, &schedule, &est));
-                tally.collect(world, &scanner, &txid_map, &mut results, round);
-                txid_map.clear();
-            }
-        }
-        tally.probes += u64::from(seq);
-        scanner.close(world);
+/// Is the TLD's NS record cached, and for how much longer.
+impl Answer for SnoopSample {
+    const P: sweep::Params = sweep::SNOOP;
+
+    fn read(msg: &MessageView<'_>) -> SnoopSample {
+        let ns = msg.answers().find(|rr| rr.rtype == RecordType::Ns);
+        ns.map_or(SnoopSample::NoEntry, |rr| SnoopSample::Ttl(rr.ttl))
     }
-    let reg = telemetry::global();
-    let campaign = [("campaign", "snoop")];
-    reg.counter_with("scanner.probes_sent", &campaign)
-        .add(tally.probes);
-    reg.counter_with("scanner.responses", &campaign)
-        .add(tally.responses);
-    if retries > 0 {
-        reg.counter_with("scanner.retries", &campaign).add(retries);
-    }
-    super::count_malformed("snoop", tally.malformed);
-    (results, retries)
 }
 
 /// Meta keys carried by the snooping campaign's `sample` snapshot.
@@ -303,16 +236,7 @@ pub fn snoop_from_source(src: &dyn SnapshotSource) -> io::Result<HashMap<Ipv4Add
     let mut results: HashMap<Ipv4Addr, SnoopResult> = sample
         .records
         .iter()
-        .map(|o| {
-            (
-                o.ipv4(),
-                SnoopResult {
-                    tld_count,
-                    rounds,
-                    samples: vec![SnoopSample::Silent; tld_count * rounds],
-                },
-            )
-        })
+        .map(|o| (o.ipv4(), SnoopResult::silent(tld_count, rounds)))
         .collect();
     src.for_each_snapshot(&mut |snap| {
         if snap.seq == 0 {
@@ -346,49 +270,4 @@ pub fn snoop_full_ttls_from_source(src: &dyn SnapshotSource) -> io::Result<Vec<u
                 .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad full_ttls meta entry"))
         })
         .collect()
-}
-
-/// What the campaign sent and got back, for its counters.
-#[derive(Default)]
-struct Tally {
-    probes: u64,
-    /// (resolver, TLD, round) slots that got their first answer.
-    responses: u64,
-    malformed: u64,
-}
-
-impl Tally {
-    fn collect(
-        &mut self,
-        world: &mut World,
-        scanner: &SimScanner,
-        txid_map: &HashMap<u16, (Ipv4Addr, usize)>,
-        results: &mut HashMap<Ipv4Addr, SnoopResult>,
-        round: usize,
-    ) {
-        for (_o, _t, d) in scanner.drain(world) {
-            let Ok(msg) = MessageView::parse(&d.payload) else {
-                self.malformed += 1;
-                continue;
-            };
-            if !msg.is_response() {
-                continue;
-            }
-            let Some(&(ip, tld)) = txid_map.get(&msg.id()) else {
-                continue;
-            };
-            let sample = msg
-                .answers()
-                .find(|rr| rr.rtype == RecordType::Ns)
-                .map(|rr| SnoopSample::Ttl(rr.ttl))
-                .unwrap_or(SnoopSample::NoEntry);
-            if let Some(res) = results.get_mut(&ip) {
-                let idx = tld * res.rounds + round;
-                if res.samples[idx] == SnoopSample::Silent {
-                    res.samples[idx] = sample;
-                    self.responses += 1;
-                }
-            }
-        }
-    }
 }

@@ -1,0 +1,412 @@
+//! The one sweep loop behind every UDP campaign.
+//!
+//! A campaign says what to ask and how to read an answer ([`Campaign`]).
+//! This module owns the rest, once: the scanner's port block from open
+//! to close, the reused [`ProbeBatch`], the pump cadence, TXID-space
+//! recycling, the drain and its accounting, retransmission rounds and
+//! their backed-off waits, the flight-recorder protocol and the counter
+//! epilogue. Where the campaigns differ in numbers, the numbers are the
+//! rows of one table, [`Params`].
+
+use crate::encode::QueryTemplate;
+use crate::probe::{ProbePolicy, RttEstimator};
+use crate::simio::{ProbeBatch, SimScanner};
+use dnswire::MessageView;
+use netsim::{Datagram, HostId};
+use std::collections::{HashMap, HashSet};
+use std::net::Ipv4Addr;
+use telemetry::recorder;
+use worldgen::world::ResponderState;
+use worldgen::World;
+
+/// What the campaigns differ in as numbers; DESIGN §8 mirrors the rows.
+/// TXID, port offset and template are the campaign's, in its `stamp`.
+pub(crate) struct Params {
+    /// Telemetry label and flight-recorder context.
+    pub name: &'static str,
+    /// A round pumps the network for `pump_ms` after every `batch`
+    /// probes; a scan waits `grace_ms` for stragglers once its native
+    /// round is out.
+    pub batch: usize,
+    pub pump_ms: u64,
+    pub grace_ms: u64,
+    /// TXIDs number the probes in send order, so the 16-bit space is
+    /// recycled every [`RECYCLE_EVERY`] probes.
+    pub recycles: bool,
+    /// Attempts, responses and give-ups go to the flight recorder.
+    pub recorded: bool,
+    /// Answers to retransmissions feed the adaptive-timeout estimator.
+    pub feeds_estimator: bool,
+    /// Retransmission jitter key: `seed ^ key.0 ^ index << key.1`, the
+    /// index being the hourly round or the domain.
+    pub key: (u64, u32),
+}
+
+pub(crate) const ENUMERATE: Params = Params {
+    name: "enumerate",
+    batch: 4_096,
+    pump_ms: 500,
+    grace_ms: 5_000,
+    recycles: false,
+    recorded: false,
+    feeds_estimator: false,
+    key: (0, 0), // never retransmits
+};
+pub(crate) const CHURN: Params = Params {
+    name: "churn",
+    recorded: true,
+    key: (0xC4_0412, 0),
+    ..ENUMERATE
+};
+pub(crate) const CHAOS: Params = Params {
+    name: "chaos",
+    batch: 2_000,
+    pump_ms: 400,
+    recycles: true,
+    recorded: true,
+    feeds_estimator: true,
+    key: (0xC4A05, 0),
+    ..ENUMERATE
+};
+pub(crate) const SNOOP: Params = Params {
+    name: "snoop",
+    batch: 2_000,
+    pump_ms: 300,
+    recycles: true,
+    key: (0x5_0090, 20),
+    ..ENUMERATE
+};
+pub(crate) const DOMAINS: Params = Params {
+    name: "domains",
+    pump_ms: 400,
+    grace_ms: 4_000,
+    key: (0xD0_0A15, 16),
+    ..ENUMERATE
+};
+
+/// Probes between two recyclings of the TXID space; a grace period
+/// lets the outstanding ones land first.
+const RECYCLE_EVERY: u64 = 60_000;
+
+/// What a response turned out to be. The address is the probed one.
+pub(crate) enum Outcome {
+    /// The first answer to a probe.
+    Matched(Ipv4Addr),
+    /// A further answer to a probe already answered.
+    Duplicate(Ipv4Addr),
+    /// Names no outstanding probe: a stranger's packet, or a reply whose
+    /// TXID has been recycled, which cannot be told from one.
+    Unsolicited,
+}
+
+/// What a campaign supplies.
+pub(crate) trait Campaign {
+    /// Its row of the table.
+    const P: Params;
+    /// One question to one target.
+    type Slot: Copy;
+
+    /// Queue the probe for `slot`, the `seq`-th this sweep sends, and
+    /// return the address it goes to.
+    fn stamp(&mut self, slot: Self::Slot, seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr;
+
+    /// Fold a response into the campaign's result.
+    fn read(&mut self, msg: &MessageView<'_>, port_offset: u16, dgram: &Datagram) -> Outcome;
+
+    /// Slots still unanswered, in native order.
+    fn missing(&self) -> Vec<Self::Slot>;
+
+    /// Forget which TXID stands for which slot.
+    fn recycle(&mut self) {}
+}
+
+/// What a sweep sent and where every packet it drained went: `drained`
+/// is the sum of the five buckets below it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    /// Probes sent, retransmissions included.
+    pub probes: u64,
+    pub retries: u64,
+    /// Datagrams the network delivered while the sweep pumped it,
+    /// straight from the engine's `RunReport`s.
+    pub delivered: u64,
+    pub drained: u64,
+    pub matched: u64,
+    pub duplicate: u64,
+    pub unsolicited: u64,
+    pub not_response: u64,
+    pub malformed: u64,
+}
+
+/// What a recorded sweep remembers for the flight recorder: every
+/// address in the order it was probed, and which of them answered.
+struct Flight {
+    responders: HashMap<HostId, ResponderState>,
+    probed: Vec<Ipv4Addr>,
+    answered: HashSet<Ipv4Addr>,
+}
+
+impl Flight {
+    fn asn(&self, world: &World, ip: Ipv4Addr) -> u32 {
+        let responder = world.net.host_at(ip).and_then(|h| self.responders.get(&h));
+        responder.map_or(0, |r| r.asn)
+    }
+}
+
+/// One scanner port block, from open to close, and the campaign
+/// scanning through it.
+pub(crate) struct Sweep<C: Campaign> {
+    pub campaign: C,
+    scanner: SimScanner,
+    policy: ProbePolicy,
+    batch: ProbeBatch,
+    seq: u64,
+    est: RttEstimator,
+    /// When the retransmission round being answered began, while
+    /// answers feed the estimator.
+    feed: Option<u64>,
+    flight: Option<Flight>,
+    tally: Tally,
+}
+
+impl<C: Campaign> Sweep<C> {
+    pub fn open(world: &mut World, vantage: Ipv4Addr, campaign: C, policy: ProbePolicy) -> Self {
+        // Publish the probe context, so netsim's drop records share a
+        // campaign/attempt identity with our attempt/response records.
+        let flight = (C::P.recorded && recorder::enabled()).then(|| {
+            recorder::set_context(C::P.name, 1);
+            Flight {
+                responders: world.responder_index(),
+                probed: Vec::new(),
+                answered: HashSet::new(),
+            }
+        });
+        Sweep {
+            campaign,
+            scanner: SimScanner::open(world, vantage),
+            policy,
+            batch: ProbeBatch::default(),
+            seq: 0,
+            est: RttEstimator::new(),
+            feed: None,
+            flight,
+            tally: Tally::default(),
+        }
+    }
+
+    /// Probe `slots` in order, wait out the grace period, then resend
+    /// whatever the campaign still misses in backed-off rounds — a
+    /// resend at a later sim time re-rolls the probe's fate.
+    pub fn scan<I>(&mut self, world: &mut World, slots: I, seed: u64, index: u64)
+    where
+        I: IntoIterator<Item = C::Slot>,
+    {
+        self.round(world, slots);
+        self.wait(world, C::P.grace_ms);
+        if self.policy.attempts > 1 {
+            self.est = RttEstimator::new();
+            let key = seed ^ C::P.key.0 ^ (index << C::P.key.1);
+            let schedule = self.policy.schedule(key);
+            for round in 0..(self.policy.attempts - 1) as usize {
+                // Answers to the round before count only if they came
+                // within its wait.
+                self.campaign.recycle();
+                let missing = self.campaign.missing();
+                if missing.is_empty() {
+                    break;
+                }
+                if self.flight.is_some() {
+                    recorder::set_context(C::P.name, round as u32 + 2);
+                }
+                self.feed = C::P.feeds_estimator.then(|| world.now().millis());
+                self.tally.retries += missing.len() as u64;
+                self.round(world, missing);
+                let wait = self.policy.wait_ms(round, &schedule, &self.est);
+                if self.flight.is_some() {
+                    recorder::backoff(round as u32, wait, world.now().millis());
+                }
+                self.wait(world, wait);
+            }
+            self.feed = None;
+        }
+    }
+
+    /// Send one round, a batch at a time: one `send_many` lets the
+    /// sharded engine evaluate the probes on its workers and is
+    /// byte-identical to per-probe sends.
+    fn round(&mut self, world: &mut World, slots: impl IntoIterator<Item = C::Slot>) {
+        let mut pending = 0;
+        for slot in slots {
+            let target = self.campaign.stamp(slot, self.seq, &mut self.batch);
+            self.seq += 1;
+            self.tally.probes += 1;
+            pending += 1;
+            if let Some(flight) = &mut self.flight {
+                flight.probed.push(target);
+                let asn = flight.asn(world, target);
+                recorder::attempt(u32::from(target), asn, world.now().millis());
+                // A batch of one, so attempt records stay interleaved
+                // with the engine's drop records.
+                self.scanner.send_probes(world, &mut self.batch);
+            }
+            if pending == C::P.batch {
+                pending = 0;
+                self.scanner.send_probes(world, &mut self.batch);
+                self.wait(world, C::P.pump_ms);
+            }
+            if C::P.recycles && self.seq.is_multiple_of(RECYCLE_EVERY) {
+                self.scanner.send_probes(world, &mut self.batch);
+                self.wait(world, C::P.grace_ms);
+                self.campaign.recycle();
+            }
+        }
+        self.scanner.send_probes(world, &mut self.batch);
+    }
+
+    /// Let the network run for `ms`, then put everything that arrived
+    /// in exactly one bucket (corrupted packets are ignored, Sec. 5 —
+    /// and counted).
+    fn wait(&mut self, world: &mut World, ms: u64) {
+        self.tally.delivered += self.scanner.pump(world, ms).delivered;
+        for (port_offset, at, dgram) in self.scanner.drain(world) {
+            self.tally.drained += 1;
+            let Ok(msg) = MessageView::parse(&dgram.payload) else {
+                self.tally.malformed += 1;
+                continue;
+            };
+            if !msg.is_response() {
+                self.tally.not_response += 1;
+                continue;
+            }
+            let target = match self.campaign.read(&msg, port_offset, &dgram) {
+                Outcome::Matched(target) => {
+                    self.tally.matched += 1;
+                    if let Some(sent_at) = self.feed {
+                        self.est.observe(at.millis().saturating_sub(sent_at) as f64);
+                    }
+                    target
+                }
+                Outcome::Duplicate(target) => {
+                    self.tally.duplicate += 1;
+                    target
+                }
+                Outcome::Unsolicited => {
+                    self.tally.unsolicited += 1;
+                    continue;
+                }
+            };
+            if let Some(flight) = &mut self.flight {
+                flight.answered.insert(target);
+                recorder::response(u32::from(target), msg.rcode().to_u8(), at.millis());
+            }
+        }
+    }
+
+    /// Close the port block, record who never answered — in the order
+    /// they were probed — and publish the counters; those a clean run
+    /// has no use for exist only once there is something to count.
+    pub fn finish(mut self, world: &mut World) -> (C, Tally) {
+        self.scanner.close(world);
+        if let Some(mut flight) = self.flight.take() {
+            let now = world.now().millis();
+            for ip in std::mem::take(&mut flight.probed) {
+                if flight.answered.insert(ip) {
+                    let asn = flight.asn(world, ip);
+                    recorder::gave_up(u32::from(ip), asn, self.policy.attempts, now);
+                }
+            }
+            recorder::clear_context();
+        }
+        let t = self.tally;
+        debug_assert_eq!(
+            t.drained,
+            t.matched + t.duplicate + t.unsolicited + t.not_response + t.malformed
+        );
+        super::count("probes_sent", C::P.name, t.probes);
+        for (name, n) in [
+            ("retries", t.retries),
+            ("responses_malformed", t.malformed),
+            ("responses_duplicate", t.duplicate),
+            ("responses_unsolicited", t.unsolicited),
+            ("responses_not_response", t.not_response),
+        ] {
+            if n > 0 {
+                super::count(name, C::P.name, n);
+            }
+        }
+        #[cfg(test)]
+        super::tests::FINISHED.with(|done| done.borrow_mut().push((C::P.name, t)));
+        (self.campaign, t)
+    }
+}
+
+/// What a [`Grid`] campaign keeps of one answer.
+pub(crate) trait Answer {
+    /// The campaign's row of the table.
+    const P: Params;
+
+    fn read(msg: &MessageView<'_>) -> Self;
+}
+
+/// The campaign that asks every resolver the same few questions, a slot
+/// each, `resolver × questions + question`. Probes differ in TXID only,
+/// and the TXID is the probe's sequence number — so it says which slot
+/// an answer fills, and must be recycled before the 16 bits wrap.
+pub(crate) struct Grid<'a, A> {
+    resolvers: &'a [Ipv4Addr],
+    queries: &'a [QueryTemplate],
+    /// TXID of the sweep's first probe.
+    first_txid: u16,
+    txids: HashMap<u16, usize>,
+    /// The first answer to each slot.
+    pub answers: Vec<Option<A>>,
+}
+
+impl<'a, A> Grid<'a, A> {
+    pub fn new(resolvers: &'a [Ipv4Addr], queries: &'a [QueryTemplate], first_txid: u16) -> Self {
+        let answers = (0..resolvers.len() * queries.len()).map(|_| None);
+        Grid {
+            resolvers,
+            answers: answers.collect(),
+            queries,
+            first_txid,
+            txids: HashMap::new(),
+        }
+    }
+}
+
+impl<A: Answer> Campaign for Grid<'_, A> {
+    const P: Params = A::P;
+    type Slot = usize;
+
+    fn stamp(&mut self, slot: usize, seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr {
+        let txid = self.first_txid.wrapping_add(seq as u16);
+        self.txids.insert(txid, slot);
+        let ip = self.resolvers[slot / self.queries.len()];
+        let query = &self.queries[slot % self.queries.len()];
+        let payload = batch.push((seq % 509) as u16, ip, query.probe_len());
+        query.stamp(txid.into(), payload);
+        ip
+    }
+
+    fn read(&mut self, msg: &MessageView<'_>, _port_offset: u16, _dgram: &Datagram) -> Outcome {
+        let Some(&slot) = self.txids.get(&msg.id()) else {
+            return Outcome::Unsolicited;
+        };
+        let ip = self.resolvers[slot / self.queries.len()];
+        if self.answers[slot].is_some() {
+            return Outcome::Duplicate(ip);
+        }
+        self.answers[slot] = Some(A::read(msg));
+        Outcome::Matched(ip)
+    }
+
+    fn missing(&self) -> Vec<usize> {
+        let unanswered = |slot: &usize| self.answers[*slot].is_none();
+        (0..self.answers.len()).filter(unanswered).collect()
+    }
+
+    fn recycle(&mut self) {
+        self.txids.clear();
+    }
+}

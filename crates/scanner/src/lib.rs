@@ -8,11 +8,14 @@
 //!   encoding (16-bit TXID + 9-bit source port + 0x20 redundancy,
 //!   Sec. 3.3).
 //! * [`simio`] — the scanner's socket block over a simulated [`World`].
+//! * [`probe`] — the retransmission policy and coverage accounting.
 //! * [`campaign`] — the campaigns: weekly enumeration (Fig. 1),
 //!   dual-vantage verification (Sec. 2.2), CHAOS software fingerprinting
 //!   (Table 3), TCP banner grabs (Table 4), cohort churn tracking
 //!   (Fig. 2), cache snooping (Sec. 2.6), the 155-domain scan
-//!   (Sec. 3.3), and HTTP(S)/mail data acquisition (Sec. 3.5).
+//!   (Sec. 3.3), and HTTP(S)/mail data acquisition (Sec. 3.5). The five
+//!   that speak UDP say what to ask and how to read the answer; one
+//!   loop, `campaign::sweep`, sends, waits, retransmits and counts.
 //! * [`tokio_scan`] — a real-socket (tokio UDP) driver implementing the
 //!   enumeration and domain probes against live resolvers; exercised on
 //!   loopback against `resolversim::tokioserve` fleets.
@@ -32,16 +35,10 @@ pub use blacklist::Blacklist;
 pub use campaign::acquire::{
     acquire, acquire_trusted, acquire_with_policy, resolve_at, Acquired, FetchedPage,
 };
-pub use campaign::banner::{banner_scan, banner_scan_ex, banner_scan_with_sink, BannerObservation};
-pub use campaign::chaos::{
-    chaos_scan, chaos_scan_with_policy, chaos_scan_with_sink, ChaosObservation,
-};
-pub use campaign::churn::{
-    churn_from_source, probe_alive_with_policy, track_cohort, track_cohort_with_sink, ChurnResult,
-};
-pub use campaign::domains::{
-    scan_domains, scan_domains_streaming, scan_domains_streaming_with_policy, TupleObs,
-};
+pub use campaign::banner::{banner_scan, banner_scan_ex, BannerObservation};
+pub use campaign::chaos::{chaos_scan, chaos_scan_with_sink, ChaosObservation};
+pub use campaign::churn::{churn_from_source, probe_alive_with_policy, track_cohort, ChurnResult};
+pub use campaign::domains::{scan_domains, scan_domains_streaming_with_policy, TupleObs};
 pub use campaign::enumerate::{enumerate, enumerate_with_sink, EnumObservation, EnumerationResult};
 pub use campaign::snoop::{
     decode_snoop_sample, encode_snoop_sample, snoop_from_source, snoop_full_ttls_from_source,

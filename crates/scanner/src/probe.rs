@@ -1,5 +1,7 @@
-//! The unified probe engine: retry/backoff policy, adaptive timeouts,
-//! and per-campaign coverage accounting.
+//! The policy side of the unified probe engine: retry/backoff policy,
+//! adaptive timeouts, and per-campaign coverage accounting. The engine
+//! itself is `campaign::sweep`, the one loop behind every UDP campaign;
+//! [`tcp_query_with_retry`] is its TCP counterpart.
 //!
 //! The paper's client-side scans retransmit queries and tolerate
 //! partial coverage (Sec. 2.2, Sec. 3.1); only the ZMap-style
@@ -11,9 +13,9 @@
 //! declare a campaign *degraded* instead of returning silently thin
 //! results.
 //!
-//! The default policy is a single attempt, under which every campaign's
-//! traffic is byte-identical to the engine-less code path — proven by
-//! `tests/bundle_equivalence.rs`.
+//! The default policy is a single attempt, under which no
+//! retransmission round runs — `crates/scanner/tests/sweep_golden.rs`
+//! pins every campaign's single-attempt traffic.
 
 use netsim::{SimTime, TcpError, TcpRequest, TcpResponse};
 use serde::{Deserialize, Serialize};
@@ -147,10 +149,6 @@ impl RttEstimator {
     /// Retransmission timeout, when at least one sample exists.
     pub fn rto_ms(&self) -> Option<u64> {
         (self.samples > 0).then(|| (self.srtt + 4.0 * self.rttvar).ceil() as u64)
-    }
-
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 }
 

@@ -62,11 +62,6 @@ impl SimScanner {
         SimScanner { vantage, sockets }
     }
 
-    /// The vantage address.
-    pub fn vantage(&self) -> Ipv4Addr {
-        self.vantage
-    }
-
     /// Send a DNS payload to `dst:53` from port-block offset `offset`.
     pub fn send(&self, world: &mut World, offset: u16, dst: Ipv4Addr, payload: Vec<u8>) {
         debug_assert!(offset < crate::encode::PORT_SPAN);
@@ -76,11 +71,14 @@ impl SimScanner {
         );
     }
 
-    /// Send a whole probe batch to port 53 in one engine call, leaving
-    /// `batch` empty for reuse. Semantically identical to calling
-    /// [`SimScanner::send`] per target; the sharded engine evaluates
-    /// the batch on its workers.
+    /// Send a whole probe batch to port 53 in one engine call (none for
+    /// an empty batch), leaving `batch` empty for reuse. Semantically
+    /// identical to calling [`SimScanner::send`] per target; the sharded
+    /// engine evaluates the batch on its workers.
     pub fn send_probes(&self, world: &mut World, batch: &mut ProbeBatch) {
+        if batch.is_empty() {
+            return;
+        }
         let payloads = Bytes::copy_from_slice(&batch.buf);
         batch.buf.clear();
         let mut start = 0;

@@ -3,15 +3,19 @@
 //! The acceptance bar: `repro --exp fig1 --store <dir>` run twice must
 //! produce identical output, with the second run serving from the
 //! store; a killed first run must resume from the last committed
-//! segment rather than week 0. These tests assert exactly that at
-//! `WorldConfig::tiny` through the same library entry points the
-//! binary uses: `collect_weekly`/`collect_churn` into a store (or an
-//! in-memory sink for the scratch reference), `*_from_source` back out.
+//! segment rather than week 0; and a store is a pure function of
+//! `(seed, scale, flags)`, every byte of every campaign directory.
+//! These tests assert exactly that at `WorldConfig::tiny` through the
+//! library entry point the binary uses: `collect_bundle` into a store
+//! directory (or into memory for the scratch reference),
+//! `*_from_source` back out.
 
 use goingwild::experiments::table1_country_flux;
 use goingwild::experiments::{Fig1Report, Fig2Report};
-use goingwild::{collect_churn, collect_weekly, fig1_from_source, fig2_from_source, WorldConfig};
-use scanstore::{CampaignStore, MemoryStore, SnapshotSource, StoreStats};
+use goingwild::{
+    collect_bundle, fig1_from_source, fig2_from_source, BundleOptions, CampaignKind, WorldConfig,
+};
+use scanstore::StoreStats;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -32,35 +36,52 @@ impl Drop for TempDir {
     }
 }
 
-/// Scratch reference: the weekly campaign into a throwaway in-memory
-/// sink, derived straight back out.
-fn scratch_fig1(cfg: WorldConfig, weeks: u32) -> Fig1Report {
-    let mut mem = MemoryStore::new();
-    collect_weekly(cfg, weeks, 0, &mut mem).expect("in-memory sink cannot fail");
-    fig1_from_source(&mem).expect("in-memory source cannot fail")
+/// Run (or resume, or merely reopen) `kind` for `weeks` weeks — into
+/// the persistent store under `dir`, or into a throwaway in-memory sink
+/// for the scratch reference — and derive a report back out of it.
+fn collected<R>(
+    cfg: WorldConfig,
+    weeks: u32,
+    kind: CampaignKind,
+    dir: Option<&Path>,
+    derive: fn(&dyn scanstore::SnapshotSource) -> io::Result<R>,
+) -> io::Result<(R, Option<StoreStats>)> {
+    let opts = BundleOptions {
+        weeks,
+        ..BundleOptions::new(cfg)
+    };
+    let bundle = collect_bundle(&opts, &[kind], dir)?;
+    let stats = bundle
+        .store_stats()
+        .into_iter()
+        .find(|(name, _)| *name == kind.name());
+    Ok((derive(bundle.source(kind)?)?, stats.map(|(_, stats)| stats)))
 }
 
-/// Run (or resume, or merely reopen) the weekly campaign against the
-/// persistent store under `dir` and derive Figure 1 from it.
+fn scratch_fig1(cfg: WorldConfig, weeks: u32) -> Fig1Report {
+    let scratch = collected(cfg, weeks, CampaignKind::Weekly, None, fig1_from_source);
+    scratch.expect("in-memory sink cannot fail").0
+}
+
 fn stored_fig1(cfg: WorldConfig, weeks: u32, dir: &Path) -> io::Result<(Fig1Report, StoreStats)> {
-    let mut store = CampaignStore::open(dir.join("weekly"))?;
-    let committed = store.snapshot_count();
-    if committed < weeks {
-        collect_weekly(cfg, weeks, committed, &mut store)?;
-    }
-    Ok((fig1_from_source(&store)?, store.stats()))
+    let (report, stats) = collected(
+        cfg,
+        weeks,
+        CampaignKind::Weekly,
+        Some(dir),
+        fig1_from_source,
+    )?;
+    Ok((report, stats.expect("a disk-backed campaign")))
 }
 
 fn scratch_fig2(cfg: WorldConfig, weeks: u32) -> Fig2Report {
-    let mut mem = MemoryStore::new();
-    collect_churn(cfg, weeks, &mut mem).expect("in-memory sink cannot fail");
-    fig2_from_source(&mem).expect("in-memory source cannot fail")
+    let scratch = collected(cfg, weeks, CampaignKind::Churn, None, fig2_from_source);
+    scratch.expect("in-memory sink cannot fail").0
 }
 
 fn stored_fig2(cfg: WorldConfig, weeks: u32, dir: &Path) -> io::Result<(Fig2Report, StoreStats)> {
-    let mut store = CampaignStore::open(dir.join("churn"))?;
-    collect_churn(cfg, weeks, &mut store)?;
-    Ok((fig2_from_source(&store)?, store.stats()))
+    let (report, stats) = collected(cfg, weeks, CampaignKind::Churn, Some(dir), fig2_from_source)?;
+    Ok((report, stats.expect("a disk-backed campaign")))
 }
 
 fn weekly_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
@@ -173,4 +194,55 @@ fn fig2_from_store_matches_scratch_and_reopens_clean() {
         serde_json::to_string(&first).unwrap(),
         serde_json::to_string(&second).unwrap(),
     );
+}
+
+/// Every file under `dir`, by path relative to it.
+fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        for entry in fs::read_dir(&d).expect("store dir") {
+            let path = entry.expect("dirent").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let rel = path.strip_prefix(dir).expect("under dir").to_path_buf();
+                files.push((rel, fs::read(&path).expect("read")));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// Two collections of every campaign with the same options write the
+/// same bytes — `chaos/` and `banner/` included, whose observations
+/// (and so string ids) used to follow a `HashMap`'s iteration order.
+#[test]
+fn two_collections_of_every_campaign_write_identical_stores() {
+    let cfg = WorldConfig {
+        weeks: 2,
+        ..WorldConfig::tiny(0xE3)
+    };
+    let opts = BundleOptions {
+        snoop_sample: 40,
+        snoop_rounds: 2,
+        ..BundleOptions::new(cfg)
+    };
+    let (a, b) = (TempDir::new("all-a"), TempDir::new("all-b"));
+    for dir in [&a, &b] {
+        collect_bundle(&opts, &CampaignKind::ALL, Some(&dir.0)).expect("collect");
+    }
+    let (a, b) = (tree(&a.0), tree(&b.0));
+    assert!(a.iter().any(|(path, _)| path.starts_with("chaos")));
+    assert!(a.iter().any(|(path, _)| path.starts_with("banner")));
+    for ((path_a, bytes_a), (path_b, bytes_b)) in a.iter().zip(&b) {
+        assert_eq!(path_a, path_b);
+        assert!(
+            bytes_a == bytes_b,
+            "{} differs between two runs",
+            path_a.display()
+        );
+    }
+    assert_eq!(a.len(), b.len());
 }

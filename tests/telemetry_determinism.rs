@@ -3,10 +3,9 @@
 //! not any exporter is attached.
 
 use goingwild::{
-    collect_bundle, collect_weekly, experiments, fig1_from_source, run_analysis, AnalysisOptions,
+    collect_bundle, experiments, fig1_from_source, run_analysis, AnalysisOptions, BundleData,
     BundleOptions, CampaignKind, DeriveOptions, WorldConfig,
 };
-use scanstore::MemoryStore;
 use std::sync::{Arc, Mutex, OnceLock};
 use worldgen::build_world;
 
@@ -50,11 +49,20 @@ fn cfg() -> WorldConfig {
     }
 }
 
+/// One campaign of `cfg()`, collected into memory the way the binary
+/// collects it.
+fn collect(kind: CampaignKind, weeks: u32) -> BundleData {
+    let opts = BundleOptions {
+        weeks,
+        ..BundleOptions::new(cfg())
+    };
+    collect_bundle(&opts, &[kind], None).expect("collect")
+}
+
 fn traced_weekly_run() -> Vec<u8> {
     let buf = SharedBuf::default();
     telemetry::attach_trace(Box::new(buf.clone()));
-    let mut store = MemoryStore::new();
-    collect_weekly(cfg(), 3, 0, &mut store).expect("collect");
+    collect(CampaignKind::Weekly, 3);
     telemetry::detach_trace().expect("flush trace");
     buf.contents()
 }
@@ -85,9 +93,8 @@ fn reports_are_unchanged_by_exporters() {
 
     // Bare run: no trace attached, registry left as-is.
     let bare = {
-        let mut store = MemoryStore::new();
-        collect_weekly(cfg(), 3, 0, &mut store).expect("collect");
-        fig1_from_source(&store).expect("derive")
+        let bundle = collect(CampaignKind::Weekly, 3);
+        fig1_from_source(bundle.source(CampaignKind::Weekly).unwrap()).expect("derive")
     };
 
     // Instrumented run: trace attached, registry cleared first.
@@ -95,11 +102,10 @@ fn reports_are_unchanged_by_exporters() {
         telemetry::global().clear();
         let buf = SharedBuf::default();
         telemetry::attach_trace(Box::new(buf.clone()));
-        let mut store = MemoryStore::new();
-        collect_weekly(cfg(), 3, 0, &mut store).expect("collect");
+        let bundle = collect(CampaignKind::Weekly, 3);
         telemetry::detach_trace().expect("flush trace");
         assert!(!buf.contents().is_empty());
-        fig1_from_source(&store).expect("derive")
+        fig1_from_source(bundle.source(CampaignKind::Weekly).unwrap()).expect("derive")
     };
 
     assert_eq!(
@@ -202,8 +208,7 @@ fn flight_recorder_does_not_perturb_traces() {
     let traced_churn_run = || {
         let buf = SharedBuf::default();
         telemetry::attach_trace(Box::new(buf.clone()));
-        let mut store = MemoryStore::new();
-        goingwild::collect_churn(cfg(), 2, &mut store).expect("collect");
+        collect(CampaignKind::Churn, 2);
         telemetry::detach_trace().expect("flush trace");
         buf.contents()
     };
