@@ -96,6 +96,11 @@ pub struct ReadIndex {
     entries: Vec<IndexEntry>,
     labels: Vec<(String, u32)>,
     asn_series: BTreeMap<u32, AsnSeries>,
+    /// Positions in `entries`, ordered by the interned country id of
+    /// the latest observation, then ascending. A per-country query reads
+    /// its own records instead of streaming every 88-byte entry through
+    /// the cache to compare one field of each.
+    by_country: Vec<u32>,
     snapshot_sizes: Vec<u64>,
 }
 
@@ -172,12 +177,15 @@ impl ReadIndex {
         for e in &mut entries {
             e.live = e.last_seq == last;
         }
+        let mut by_country: Vec<u32> = (0..entries.len() as u32).collect();
+        by_country.sort_unstable_by_key(|&at| (entries[at as usize].latest.country, at));
         telemetry::histogram("scanstore.view.index_build_us", &VIEW_WALL_BOUNDS_US)
             .observe(t0.elapsed().as_micros() as u64);
         ReadIndex {
             entries,
             labels,
             asn_series,
+            by_country,
             snapshot_sizes,
         }
     }
@@ -200,6 +208,17 @@ impl ReadIndex {
     pub fn asn_series(&self, asn: u32) -> Option<&AsnSeries> {
         probe_counter().inc();
         self.asn_series.get(&asn)
+    }
+
+    /// The entries whose latest observation carries the interned country
+    /// id `country` (see [`StoreView::string_ids`]), by ascending IP.
+    pub fn in_country(&self, country: u32) -> impl Iterator<Item = &IndexEntry> + '_ {
+        probe_counter().inc();
+        let of = |at: &u32| self.entries[*at as usize].latest.country;
+        let first = self.by_country.partition_point(|at| of(at) < country);
+        let len = self.by_country[first..].partition_point(|at| of(at) == country);
+        let at = &self.by_country[first..first + len];
+        at.iter().map(|&at| &self.entries[at as usize])
     }
 
     /// Every AS with at least one observation, ascending.
@@ -360,6 +379,16 @@ impl StoreView {
     /// The per-generation read index.
     pub fn index(&self) -> &ReadIndex {
         &self.index
+    }
+
+    /// Every id the string table holds `s` under: at most one in a store
+    /// [`CampaignStore`](crate::CampaignStore) wrote, which never interns
+    /// a string twice. Resolved once, it lets a query over the index
+    /// compare ids instead of strings.
+    pub fn string_ids<'a>(&'a self, s: &'a str) -> impl Iterator<Item = u32> + 'a {
+        let ids = self.strings.iter().enumerate();
+        ids.filter(move |(_, have)| *have == s)
+            .map(|(id, _)| id as u32)
     }
 
     /// `(label, t_ms, meta)` of snapshot `seq`, without materializing
@@ -585,6 +614,37 @@ mod tests {
         assert_eq!(as3.present, vec![0, 1, 1]);
         assert_eq!(as3.survivors, vec![0, 0, 0], "AS3 joined after the cohort");
         assert_eq!(idx.snapshot_sizes(), &[3, 3, 2]);
+    }
+
+    #[test]
+    fn country_index_follows_the_latest_observation() {
+        let tmp = TempDir::new("country");
+        let mut store = CampaignStore::open(&tmp.0).unwrap();
+        let (us, de) = (store.intern("US"), store.intern("DE"));
+        // 20 moves from DE to US in week 1; 30 is seen in week 0 only.
+        for (week, seen) in [vec![(10, us), (20, de), (30, de)], vec![(10, us), (20, us)]]
+            .iter()
+            .enumerate()
+        {
+            for &(ip, country) in seen {
+                store.observe(Observation {
+                    country,
+                    ..Observation::at(ip, 0, 1_000)
+                });
+            }
+            store.commit(&format!("week-{week}"), 1_000, &[]).unwrap();
+        }
+        let view = StoreView::open(&tmp.0).unwrap();
+        let ips_in = |country: &str| -> Vec<u32> {
+            let ids = view.string_ids(country);
+            ids.flat_map(|id| view.index().in_country(id))
+                .map(|e| e.ip)
+                .collect()
+        };
+        assert_eq!(ips_in("US"), [10, 20]);
+        assert_eq!(ips_in("DE"), [30], "churned out, still indexed");
+        assert_eq!(ips_in("FR"), [0u32; 0]);
+        assert_eq!(view.string_ids("US").collect::<Vec<_>>(), [us]);
     }
 
     #[test]

@@ -23,6 +23,8 @@ use telemetry::{reqtrace, RequestCtx};
 pub struct QueryEngine {
     root: PathBuf,
     views: BTreeMap<String, StoreView>,
+    /// [`QueryEngine::generation_tag`], rendered once per engine.
+    tag: String,
 }
 
 /// Campaign subdirectories of `root` that hold a store manifest. The
@@ -74,7 +76,18 @@ impl QueryEngine {
                 ),
             ));
         }
-        Ok(QueryEngine { root, views })
+        Ok(QueryEngine::over(root, views))
+    }
+
+    fn over(root: PathBuf, views: BTreeMap<String, StoreView>) -> QueryEngine {
+        let mut tag = String::new();
+        for (name, view) in &views {
+            if !tag.is_empty() {
+                tag.push(',');
+            }
+            let _ = write!(tag, "{name}:{}", view.generation());
+        }
+        QueryEngine { root, views, tag }
     }
 
     /// Re-reads every campaign's manifest, decoding only new segments,
@@ -95,27 +108,14 @@ impl QueryEngine {
                 changed = true;
             }
         }
-        Ok((
-            QueryEngine {
-                root: self.root.clone(),
-                views,
-            },
-            changed,
-        ))
+        Ok((QueryEngine::over(self.root.clone(), views), changed))
     }
 
     /// A compact tag identifying the engine's store generations, e.g.
     /// `banner:3,weekly:8`. Cache keys embed it so a refresh naturally
     /// invalidates stale entries.
-    pub fn generation_tag(&self) -> String {
-        let mut tag = String::new();
-        for (name, view) in &self.views {
-            if !tag.is_empty() {
-                tag.push(',');
-            }
-            let _ = write!(tag, "{name}:{}", view.generation());
-        }
-        tag
+    pub fn generation_tag(&self) -> &str {
+        &self.tag
     }
 
     /// Campaign names, sorted.
@@ -369,16 +369,20 @@ impl QueryEngine {
         let probe = reqtrace::begin(ctx, "probe");
         reqtrace::note(ctx, probe, name);
         let mut candidates: Vec<&IndexEntry> = view
-            .index()
-            .entries()
-            .iter()
-            .filter(|e| e.live && e.latest.rcode == 0 && view.string(e.latest.country) == country)
+            .string_ids(country)
+            .flat_map(|id| view.index().in_country(id))
+            .filter(|e| e.live && e.latest.rcode == 0)
             .collect();
         let total = candidates.len();
         // Highest score first; ties resolve by address so the ranking
-        // is a total order.
-        candidates.sort_by_key(|e| (std::cmp::Reverse(amp_score(e)), e.ip));
-        candidates.truncate(limit);
+        // is a total order — selecting the top `limit` and sorting only
+        // those yields the list a full sort would.
+        let rank = |e: &&IndexEntry| (std::cmp::Reverse(amp_score(e)), e.ip);
+        if total > limit {
+            candidates.select_nth_unstable_by_key(limit, rank);
+            candidates.truncate(limit);
+        }
+        candidates.sort_unstable_by_key(rank);
         reqtrace::end(ctx, probe);
         if deadline.expired() {
             return deadline_response("amplifiers");
@@ -686,6 +690,52 @@ mod tests {
         assert_eq!(engine.handle("/coverage?campaign=nope").status, 404);
 
         assert_eq!(engine.handle("/nope").status, 404);
+    }
+
+    #[test]
+    fn amplifiers_top_k_is_a_prefix_of_the_full_ranking() {
+        let tmp = TempDir::new("topk");
+        let mut store = CampaignStore::open(tmp.0.join("weekly")).unwrap();
+        let us = store.intern("US");
+        let soft = store.intern("dnsmasq-2.51");
+        // 40 resolvers whose scores collide often (rounds 1..=3, two
+        // flags, a banner), so ties on the address decide much of it.
+        for week in 0u32..3 {
+            for ip in (1u32..=40).filter(|ip| ip % 3 + week >= 2) {
+                let mut o = Observation::at(ip, 0, 1_000 + u64::from(week));
+                o.country = us;
+                if ip % 4 == 0 {
+                    o.flags = scanstore::flags::TCP_RESPONSIVE;
+                }
+                if ip % 5 == 0 {
+                    o.software = soft;
+                }
+                store.observe(o);
+            }
+            store.commit(&format!("week-{week}"), 1_000, &[]).unwrap();
+        }
+        let engine = QueryEngine::open(&tmp.0).unwrap();
+        // (score, ip) of every candidate of a response, in its order.
+        let ranking = |limit: usize| -> Vec<(u64, String)> {
+            let b = body(&engine.handle(&format!("/amplifiers?country=US&limit={limit}")));
+            let field = |c: &str, key: &str| {
+                let rest = &c[c.find(key).unwrap() + key.len()..];
+                rest[..rest.find([',', '"']).unwrap()].to_string()
+            };
+            b.split("{\"ip\":\"")
+                .skip(1)
+                .map(|c| (field(c, "\"score\":").parse().unwrap(), field(c, "")))
+                .collect()
+        };
+        let full = ranking(200);
+        assert_eq!(full.len(), 40);
+        let by_ip = |ip: &str| u32::from(ip.parse::<Ipv4Addr>().unwrap());
+        assert!(full
+            .windows(2)
+            .all(|w| w[0].0 > w[1].0 || (w[0].0 == w[1].0 && by_ip(&w[0].1) < by_ip(&w[1].1))));
+        for limit in [1, 7, 39, 40, 41] {
+            assert_eq!(ranking(limit), full[..limit.min(full.len())], "{limit}");
+        }
     }
 
     #[test]

@@ -244,6 +244,7 @@ async fn serve_loop(
     let mut last_refresh = Instant::now();
     let conn_timeout = Duration::from_millis(opts.conn_timeout_ms.max(1));
     let inflight_gauge = telemetry::gauge("serve.inflight");
+    let accepted_conns = telemetry::counter("serve.conns.accepted");
     loop {
         // Checked at the top of every iteration, not in the timer
         // branch: under sustained load the accept branch wins every
@@ -265,14 +266,19 @@ async fn serve_loop(
                     // trace id, so it is assigned at accept, in accept
                     // order.
                     let conn = state.conns.fetch_add(1, Ordering::SeqCst);
+                    accepted_conns.inc();
                     let conn_state = Arc::clone(&state);
                     let task_gauge = inflight_gauge.clone();
                     tokio::spawn(async move {
-                        let _ = tokio::time::timeout(
+                        // Every accepted connection ends in exactly one
+                        // counted outcome; the buckets exist once non-zero.
+                        let outcome = tokio::time::timeout(
                             conn_timeout,
                             handle_connection(Arc::clone(&conn_state), stream, conn),
                         )
-                        .await;
+                        .await
+                        .unwrap_or("timed_out");
+                        telemetry::counter_with("serve.conns", &[("outcome", outcome)]).inc();
                         let n = conn_state.inflight.fetch_sub(1, Ordering::SeqCst);
                         task_gauge.set(n.saturating_sub(1) as f64);
                     });
@@ -330,12 +336,19 @@ fn refresh_engine(state: &ServerState) {
 }
 
 /// Reads one request, gates it through admission, answers it (through
-/// the cache), and closes.
-async fn handle_connection(state: Arc<ServerState>, mut stream: TcpStream, conn: u64) {
+/// the cache), and closes. Returns the connection's
+/// `serve.conns{outcome=…}` bucket: `answered` once a response (error
+/// responses and sheds included) was handed to the socket,
+/// `closed_early` if the client left before a complete head.
+async fn handle_connection(
+    state: Arc<ServerState>,
+    mut stream: TcpStream,
+    conn: u64,
+) -> &'static str {
     let head = match read_head(&mut stream).await {
         HeadRead::Head(head) => head,
         // Early EOF or a transport error: nothing to answer.
-        HeadRead::Closed => return,
+        HeadRead::Closed => return "closed_early",
         HeadRead::TooLarge => {
             state.requests.fetch_add(1, Ordering::SeqCst);
             telemetry::counter_with("serve.shed", &[("reason", "oversized")]).inc();
@@ -343,7 +356,7 @@ async fn handle_connection(state: Arc<ServerState>, mut stream: TcpStream, conn:
             state.obs.record("other", resp.status, 0);
             let _ = stream.write_all(&resp.to_wire()).await;
             let _ = stream.shutdown_write();
-            return;
+            return "answered";
         }
         HeadRead::BadUtf8 => {
             state.requests.fetch_add(1, Ordering::SeqCst);
@@ -351,7 +364,7 @@ async fn handle_connection(state: Arc<ServerState>, mut stream: TcpStream, conn:
             state.obs.record("other", resp.status, 0);
             let _ = stream.write_all(&resp.to_wire()).await;
             let _ = stream.shutdown_write();
-            return;
+            return "answered";
         }
     };
     let ordinal = state.requests.fetch_add(1, Ordering::SeqCst);
@@ -366,13 +379,14 @@ async fn handle_connection(state: Arc<ServerState>, mut stream: TcpStream, conn:
                     .record(endpoint, resp.status, t0.elapsed().as_micros() as u64);
                 let _ = stream.write_all(&resp.to_wire()).await;
                 let _ = stream.shutdown_write();
-                return;
+                return "answered";
             }
         }
     }
     let wire = serve_request(&state, &head, conn, ordinal);
     let _ = stream.write_all(&wire).await;
     let _ = stream.shutdown_write();
+    "answered"
 }
 
 /// Answers one request: routes it, and records latency (every
@@ -456,14 +470,14 @@ fn route(
 /// served is stale but valid) whose body flags the degradation.
 fn degraded_healthz(state: &ServerState) -> Response {
     let health = state.breaker.lock().health();
-    let tag = state.engine.read().generation_tag();
+    let engine = state.engine.read();
     let mut body = String::with_capacity(96);
     let _ = write!(
         body,
         "{{\"ok\":true,\"degraded\":true,\"breaker\":\"{}\",\"generations\":\"",
         health.state.tag()
     );
-    escape_json(&tag, &mut body);
+    escape_json(engine.generation_tag(), &mut body);
     body.push_str("\"}\n");
     Response::ok_live(body, CONTENT_TYPE_JSON)
 }
@@ -531,9 +545,13 @@ fn answer(
     let engine = state.engine.read().clone();
     let tag = engine.generation_tag();
     if let Some(c) = ctx.as_mut() {
-        c.set_generation(&tag);
+        c.set_generation(tag);
     }
     let endpoint = endpoint_of(path);
+    // The tag stays in the key although a refresh clears the cache: a
+    // request pinned to the old engine can finish after the clear, and
+    // only its old tag keeps the body it `put`s from answering requests
+    // of the new generation.
     let key = format!("{tag}|{target}");
     let span = reqtrace::begin(ctx, "cache");
     let hit = {
@@ -562,6 +580,7 @@ fn answer(
 }
 
 /// How reading a request head ended.
+#[derive(Debug, PartialEq, Eq)]
 enum HeadRead {
     /// A complete head, valid UTF-8.
     Head(String),
@@ -585,15 +604,68 @@ async fn read_head(stream: &mut TcpStream) -> HeadRead {
         if n == 0 {
             return HeadRead::Closed;
         }
-        head.extend_from_slice(&buf[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") {
-            return match String::from_utf8(head) {
-                Ok(s) => HeadRead::Head(s),
-                Err(_) => HeadRead::BadUtf8,
-            };
+        if let Some(done) = push_head(&mut head, &buf[..n]) {
+            return done;
         }
-        if head.len() > MAX_HEAD_BYTES {
-            return HeadRead::TooLarge;
+    }
+}
+
+/// Appends one read's bytes to `head`; `Some` once the head is complete
+/// or over the limit.
+fn push_head(head: &mut Vec<u8>, chunk: &[u8]) -> Option<HeadRead> {
+    head.extend_from_slice(chunk);
+    // A terminator this read completed starts at most three bytes before
+    // the chunk. Rescanning from the top instead is quadratic in a head
+    // dribbled a byte at a time: 33 M comparisons before the 431.
+    let from = head.len().saturating_sub(chunk.len() + 3);
+    if head[from..].windows(4).any(|w| w == b"\r\n\r\n") {
+        return Some(match String::from_utf8(std::mem::take(head)) {
+            Ok(s) => HeadRead::Head(s),
+            Err(_) => HeadRead::BadUtf8,
+        });
+    }
+    (head.len() > MAX_HEAD_BYTES).then_some(HeadRead::TooLarge)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const REQUEST: &[u8] = b"GET /classify?ip=192.0.2.1 HTTP/1.1\r\nHost: t\r\n\r\n";
+
+    fn feed<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> Option<HeadRead> {
+        let mut head = Vec::new();
+        let mut chunks = chunks.into_iter();
+        let done = chunks.find_map(|chunk| push_head(&mut head, chunk));
+        assert!(chunks.next().is_none(), "head ended before its last chunk");
+        done
+    }
+
+    #[test]
+    fn a_split_terminator_parses_like_a_single_write() {
+        let whole = Some(HeadRead::Head(String::from_utf8(REQUEST.to_vec()).unwrap()));
+        assert_eq!(feed([REQUEST]), whole);
+        // The terminator is the last four bytes: a read boundary right
+        // before it, and after one, two and three of its bytes.
+        for cut in REQUEST.len() - 4..REQUEST.len() {
+            let (a, b) = REQUEST.split_at(cut);
+            assert_eq!(feed([a, b]), whole, "cut at {cut}");
         }
+        assert_eq!(feed(REQUEST.chunks(1)), whole, "a byte at a time");
+        assert_eq!(feed(REQUEST[..REQUEST.len() - 1].chunks(1)), None);
+    }
+
+    #[test]
+    fn the_head_limit_still_answers_431() {
+        // Dribbled, never terminated: the shape that used to go quadratic.
+        let dribble = vec![b'a'; MAX_HEAD_BYTES + 1];
+        assert_eq!(feed(dribble.chunks(1)), Some(HeadRead::TooLarge));
+        assert_eq!(feed(dribble[..MAX_HEAD_BYTES].chunks(1)), None);
+        // A terminator that arrives with the byte that crosses the limit
+        // still wins, as it did when the whole buffer was rescanned.
+        let mut long = vec![b'a'; MAX_HEAD_BYTES - 2];
+        long.extend_from_slice(b"\r\n\r\n");
+        assert!(matches!(feed(long.chunks(1024)), Some(HeadRead::Head(_))));
+        assert_eq!(feed([&b"\xff\r\n\r\n"[..]]), Some(HeadRead::BadUtf8));
     }
 }
