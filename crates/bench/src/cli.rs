@@ -96,8 +96,9 @@ const RUN_FLAGS: &[Flag] = &[
 pub const RUN: Command = Command {
     name: "",
     summary: "regenerate the paper's tables and figures",
-    about: "Collects the selected experiments' campaigns in one pass over one simulated\n\
-            world, then derives every experiment's artifact from that bundle. Defaults:\n\
+    about: "Collects the selected experiments' campaigns in one pass over one schedule\n\
+            (each campaign once; the domain scan beside the others, on a simulated world\n\
+            of its own), then derives every experiment's artifact from that bundle. Defaults:\n\
             --exp all --scale 0.0005 --weeks 55 --seed 20151028 --snoop-sample 1500 --shards 1.",
     positional: None,
     flags: &[WORKLOAD, RUN_FLAGS],

@@ -1,9 +1,10 @@
 //! `repro [flags]` — regenerate the paper's tables and figures.
 //!
 //! Collect once, derive many: the selected experiments' campaign
-//! requirements are unioned and collected in one pass over one world
-//! ([`goingwild::collect_bundle`]), then every experiment derives its
-//! artifact from the immutable bundle — in parallel. `repro --exp all`
+//! requirements are unioned and collected in one pass over one schedule
+//! ([`goingwild::collect_bundle`]: each campaign once, a world per
+//! lane), then every experiment derives its artifact from the
+//! immutable bundle — in parallel. `repro --exp all`
 //! therefore runs each campaign exactly once, and every single-
 //! experiment invocation prints byte-identical output to its section
 //! of the `all` run.

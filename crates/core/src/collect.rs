@@ -14,10 +14,13 @@
 //! collection and derivation code, which is what the byte-for-byte
 //! equivalence tests assert.
 //!
-//! Resume caveat: the simulated network draws its loss realization from
-//! a global packet counter, so a resumed campaign sees a *different but
-//! statistically identical* loss pattern for the remaining rounds than
-//! an uninterrupted run would have. Committed rounds are never altered.
+//! Resume: every roll of the simulated network — loss, jitter, fault
+//! bursts — is a hash of the flow it falls on, never of how many packets
+//! went before, so the rounds a resumed campaign re-simulates are the
+//! rounds an uninterrupted run would have committed, byte for byte
+//! (`tests/store_equivalence.rs` kills a campaign at 1 % loss and
+//! compares). The same property lets a bundle's campaigns run on
+//! separate worlds side by side — see [`collect_bundle`].
 
 use crate::experiments::{Fig1Report, Fig2Report, Table3Report, Table4Report, UtilReport, WeekRow};
 use classify::snoopclass::{classify_snoop, estimate_full_ttls};
@@ -37,6 +40,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::Ipv4Addr;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
+use std::sync::Arc;
 use worldgen::{build_world, World, WorldConfig};
 
 /// Wraps a sink and enriches every observation with the GeoIP country
@@ -44,12 +50,12 @@ use worldgen::{build_world, World, WorldConfig};
 /// attributes are queryable from the store without the world.
 pub struct EnrichSink<'a> {
     inner: &'a mut dyn SnapshotSink,
-    geo: GeoDb,
-    rdns: RdnsDb,
+    geo: Arc<GeoDb>,
+    rdns: Arc<RdnsDb>,
 }
 
 impl<'a> EnrichSink<'a> {
-    /// Captures the world's geo/rDNS databases for enrichment.
+    /// Shares the world's geo/rDNS databases for enrichment.
     pub fn new(world: &World, inner: &'a mut dyn SnapshotSink) -> EnrichSink<'a> {
         EnrichSink {
             geo: world.geo.clone(),
@@ -163,10 +169,7 @@ fn weekly_scan_week(
         ],
         Some(world.now().millis()),
     );
-    Ok(Coverage::space(
-        result.probes_sent + result.skipped_blacklisted,
-        result.probes_sent,
-    ))
+    Ok(sweep_coverage(&result))
 }
 
 /// Derive the Figure 1 series (and the per-country snapshots Tables
@@ -579,24 +582,27 @@ impl Task {
     }
 }
 
+/// What a lane reports about a task it executed, for the
+/// `collect.progress` heartbeat: the campaign, the lane world's clock
+/// and its per-shard load so far.
+struct Beat {
+    campaign: CampaignKind,
+    sim_ms: u64,
+    shards: netsim::ShardStats,
+}
+
 /// One `collect.progress` heartbeat after each executed bundle task:
 /// a deterministic trace line (campaign, done/total, per-shard load
 /// shares, sim time — `repro tail --file` aggregates these) plus, at
 /// info verbosity, a progress line with a wall-clock ETA on stderr.
 /// The ETA never enters the trace: wall time stays in the stderr side
 /// channel so traces remain byte-identical across runs (DESIGN §15).
-fn heartbeat_progress(
-    world: &World,
-    campaign: CampaignKind,
-    done: usize,
-    total: usize,
-    started: std::time::Instant,
-) {
+fn heartbeat_progress(beat: &Beat, done: usize, total: usize, started: std::time::Instant) {
     let to_stderr = telemetry::Level::Info <= telemetry::verbosity();
     if !to_stderr && !telemetry::trace_enabled() {
         return;
     }
-    let ss = world.net.shard_stats();
+    let (campaign, ss) = (beat.campaign, &beat.shards);
     let total_events: u64 = ss.events.iter().sum();
     let mut load = String::new();
     for (i, &e) in ss.events.iter().enumerate() {
@@ -609,7 +615,7 @@ fn heartbeat_progress(
     let permille = (done * 1000).checked_div(total).unwrap_or(1000) as u64;
     telemetry::heartbeat(
         "collect.progress",
-        world.now().millis(),
+        beat.sim_ms,
         &[
             ("campaign", campaign.name().into()),
             ("done", done.into()),
@@ -646,44 +652,57 @@ fn mark_ran(ran: &mut BTreeSet<CampaignKind>, kind: CampaignKind) {
 /// The per-campaign sink map threaded through every bundle task.
 type BundleSinks = BTreeMap<CampaignKind, CampaignData>;
 
-/// Run one campaign task with graceful degradation: when the task
-/// fails against a disk-backed store, the (possibly mid-write) store
-/// handle is discarded, the store is reopened from its last durable
-/// checkpoint — `CampaignStore::open` drops any uncommitted tail —
-/// and the task is retried once before the error propagates. Memory
-/// bundles have no checkpoint to fall back to and fail immediately.
-fn with_checkpoint_retry<T>(
-    kind: CampaignKind,
-    store_dir: Option<&Path>,
-    data: &mut BundleSinks,
-    world: &mut World,
-    f: &mut dyn FnMut(&mut World, &mut BundleSinks) -> io::Result<T>,
-) -> io::Result<T> {
-    match f(world, data) {
-        Ok(v) => Ok(v),
-        Err(err) => {
-            let Some(dir) = store_dir else {
-                return Err(err);
-            };
-            telemetry::global()
-                .counter_with("collect.campaign_retried", &[("campaign", kind.name())])
-                .inc();
-            telemetry::warn(
-                "collect.retry",
-                "campaign failed; reopening store from last checkpoint and retrying once",
-                &[
-                    ("campaign", kind.name().into()),
-                    ("error", err.to_string().into()),
-                ],
-                Some(world.now().millis()),
-            );
-            data.insert(
-                kind,
-                CampaignData::Disk(CampaignStore::open(dir.join(kind.name()))?),
-            );
-            f(world, data)
-        }
+/// A lane's world and the stores of the campaigns it runs.
+struct Lane<'a> {
+    world: World,
+    data: BundleSinks,
+    store_dir: Option<&'a Path>,
+}
+
+impl Lane<'_> {
+    /// Run one task of campaign `kind` against its store, with graceful
+    /// degradation: when the task fails against a disk-backed store, the
+    /// (possibly mid-write) store handle is discarded, the store is
+    /// reopened from its last durable checkpoint — `CampaignStore::open`
+    /// drops any uncommitted tail — and the task is retried once before
+    /// the error propagates. Memory bundles have no checkpoint to fall
+    /// back to and fail immediately.
+    fn retrying<T>(
+        &mut self,
+        kind: CampaignKind,
+        f: &mut dyn FnMut(&mut World, &mut dyn SnapshotSink) -> io::Result<T>,
+    ) -> io::Result<T> {
+        let store = self.data.get_mut(&kind).expect("a lane holds its stores");
+        let err = match f(&mut self.world, store.sink()) {
+            Ok(v) => return Ok(v),
+            Err(err) => err,
+        };
+        let Some(dir) = self.store_dir else {
+            return Err(err);
+        };
+        telemetry::global()
+            .counter_with("collect.campaign_retried", &[("campaign", kind.name())])
+            .inc();
+        telemetry::warn(
+            "collect.retry",
+            "campaign failed; reopening store from last checkpoint and retrying once",
+            &[
+                ("campaign", kind.name().into()),
+                ("error", err.to_string().into()),
+            ],
+            Some(self.world.now().millis()),
+        );
+        *store = CampaignData::Disk(CampaignStore::open(dir.join(kind.name()))?);
+        f(&mut self.world, store.sink())
     }
+}
+
+/// Address-space coverage of one enumeration sweep.
+fn sweep_coverage(result: &scanner::EnumerationResult) -> Coverage {
+    Coverage::space(
+        result.probes_sent + result.skipped_blacklisted,
+        result.probes_sent,
+    )
 }
 
 /// The fleet, read back from a committed fleet snapshot: NOERROR
@@ -700,14 +719,22 @@ fn fleet_from_source(src: &dyn SnapshotSource) -> io::Result<Vec<Ipv4Addr>> {
 }
 
 /// Collect every campaign in `kinds` (plus the shared fleet when any
-/// dependent campaign asks for it) in one pass over one world. With
-/// `store_dir` each campaign persists under its own subdirectory and
-/// completed campaigns are served from disk without re-simulation;
-/// without it everything streams into memory.
+/// dependent campaign asks for it) in one pass over one schedule, each
+/// campaign at most once. With `store_dir` each campaign persists under
+/// its own subdirectory and completed campaigns are served from disk
+/// without re-simulation; without it everything streams into memory.
 ///
-/// Telemetry proves the once-ness: `collect.world_builds` counts world
-/// constructions and `collect.campaign_runs{campaign=…}` counts actual
-/// campaign executions (resumes served from a store do not count).
+/// The schedule runs on *lanes* (DESIGN §3, "Lanes"): a bundle that has
+/// to run `Domains` and anything besides `Fleet` runs `Fleet → Domains`
+/// on one lane and every other campaign on a second; any other bundle
+/// is one lane. A lane is a thread with a world of its own, so the
+/// result — reports, stores, trace, recorder and profile streams — is
+/// the sequential one, byte for byte, whatever the scheduler does.
+///
+/// Telemetry proves the once-ness: `collect.lanes` and
+/// `collect.world_builds` count lanes and the worlds they built (one
+/// each), and `collect.campaign_runs{campaign=…}` counts actual campaign
+/// executions (resumes served from a store do not count).
 pub fn collect_bundle(
     opts: &BundleOptions,
     kinds: &[CampaignKind],
@@ -778,25 +805,12 @@ pub fn collect_bundle(
         }); // fully served from the store
     }
 
-    let mut world = build_world(opts.cfg.clone());
-    telemetry::counter("collect.world_builds").inc();
-    if let Some(plan) = &opts.faults {
-        if !plan.is_noop() {
-            telemetry::info(
-                "collect.faults",
-                "injecting network fault plan",
-                &[],
-                Some(world.now().millis()),
-            );
-        }
-        world.net.set_fault_plan(plan.clone());
-    }
-    let truth = capture_ground_truth(&world);
-    let vantage = world.scanner_ip;
-    let blacklist = scanner::Blacklist::new(
-        world.blacklist_ranges.clone(),
-        world.blacklist_singles.clone(),
-    );
+    let running = |kind: CampaignKind| want.contains(&kind) && needs_run(kind);
+    let two_lanes = running(Domains)
+        && [Weekly, Chaos, Banner, Snoop, Churn, Verify]
+            .into_iter()
+            .any(running);
+    let lane_of = |kind: CampaignKind| usize::from(two_lanes && !matches!(kind, Fleet | Domains));
 
     // The absolute schedule; stable sort keeps same-anchor push order
     // (fleet before churn's cohort commit, which sends no packets).
@@ -836,6 +850,231 @@ pub fn collect_bundle(
     }
     tasks.sort_by_key(|&(anchor, _)| anchor);
 
+    let sched = Schedule {
+        opts,
+        store_dir,
+        tasks: tasks
+            .into_iter()
+            .map(|(anchor, task)| (anchor, task, lane_of(task.campaign())))
+            .collect(),
+        committed,
+        stop: AtomicBool::new(false),
+    };
+    let mut sinks: Vec<BundleSinks> = (0..=usize::from(two_lanes))
+        .map(|_| BTreeMap::new())
+        .collect();
+    for (kind, store) in data {
+        sinks[lane_of(kind)].insert(kind, store);
+    }
+    telemetry::counter("collect.lanes").add(sinks.len() as u64);
+    let (fleet_tx, fleet_rx) = mpsc::channel();
+    let handoffs = [Handoff::Give(fleet_tx), Handoff::Take(fleet_rx)];
+    let (flush_tx, flush_rx) = mpsc::channel::<Flush>();
+
+    let mut bundle_span = None;
+    let ends = std::thread::scope(|scope| {
+        let lanes: Vec<_> = sinks
+            .into_iter()
+            .zip(handoffs)
+            .enumerate()
+            .map(|(lane, (data, handoff))| {
+                let (sched, flush_tx) = (&sched, flush_tx.clone());
+                scope.spawn(move || {
+                    let end = run_lane(sched, lane, data, handoff, &flush_tx);
+                    if end.is_err() {
+                        sched.stop.store(true, Ordering::Relaxed);
+                    }
+                    end
+                })
+            })
+            .collect();
+        drop(flush_tx);
+
+        // The replayer: whatever the lanes finish first, the ordered
+        // side channels receive slot after slot in schedule order, each
+        // as soon as every earlier slot has been written.
+        let total_tasks = sched.tasks.len();
+        let collect_started = std::time::Instant::now();
+        let mut pending = BTreeMap::new();
+        let (mut next, mut clock_ms, mut tasks_done) = (0usize, 0u64, 0usize);
+        for flush in flush_rx {
+            pending.insert(flush.slot, flush);
+            while let Some(flush) = pending.remove(&next) {
+                flush.capture.replay(clock_ms);
+                clock_ms = flush.clock_ms;
+                if next == 0 {
+                    if opts.faults.as_ref().is_some_and(|plan| !plan.is_noop()) {
+                        telemetry::info(
+                            "collect.faults",
+                            "injecting network fault plan",
+                            &[],
+                            Some(clock_ms),
+                        );
+                    }
+                    // Root profiling span for the whole collect phase.
+                    // Opened only under `--profile`: an unconditional
+                    // span would shift span ids/parents in every trace,
+                    // breaking byte-identity with pre-profiler traces.
+                    bundle_span = telemetry::profiling_enabled().then(|| {
+                        let mut s = telemetry::span("collect.bundle", clock_ms);
+                        s.attr("tasks", total_tasks);
+                        s
+                    });
+                }
+                if let Some(beat) = &flush.beat {
+                    tasks_done += 1;
+                    heartbeat_progress(beat, tasks_done, total_tasks, collect_started);
+                }
+                next += 1;
+            }
+        }
+        lanes
+            .into_iter()
+            .map(|lane| lane.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect::<io::Result<Vec<LaneEnd>>>()
+    })?;
+
+    // What the lanes each know a part of is published once, here: the
+    // final simulated clock (so a `--metrics` snapshot records how much
+    // simulated time the run covered) and the sharded engine's load
+    // imbalance, over both worlds' deliveries.
+    let sim_end_ms = ends.iter().map(|e| e.sim_end_ms).max().unwrap_or(0);
+    if let Some(s) = bundle_span.take() {
+        s.finish(sim_end_ms);
+    }
+    telemetry::gauge("collect.sim_end_ms").set(sim_end_ms as f64);
+    let mut shards = ends[0].shards.clone();
+    for end in &ends[1..] {
+        for (mine, theirs) in shards.events.iter_mut().zip(&end.shards.events) {
+            *mine += theirs;
+        }
+    }
+    if shards.shards > 1 {
+        telemetry::gauge("netsim.shard.imbalance_permille").set(shards.imbalance_permille() as f64);
+    }
+
+    let mut data = BundleSinks::new();
+    let mut coverage: BTreeMap<CampaignKind, Coverage> = BTreeMap::new();
+    for end in ends {
+        data.extend(end.data);
+        coverage.extend(end.coverage);
+    }
+    if opts.coverage {
+        for (kind, cov) in &coverage {
+            if cov.fraction() < opts.degraded_threshold {
+                telemetry::global()
+                    .counter_with("collect.campaign_degraded", &[("campaign", kind.name())])
+                    .inc();
+                telemetry::warn(
+                    "collect.degraded",
+                    "campaign coverage below threshold",
+                    &[
+                        ("campaign", kind.name().into()),
+                        ("fraction", cov.fraction().into()),
+                        ("threshold", opts.degraded_threshold.into()),
+                        ("gave_up", cov.gave_up.into()),
+                        ("unreachable", cov.unreachable.into()),
+                    ],
+                    Some(sim_end_ms),
+                );
+            }
+        }
+    }
+    Ok(BundleData { data, coverage })
+}
+
+/// What every lane of one collection shares.
+struct Schedule<'a> {
+    opts: &'a BundleOptions,
+    store_dir: Option<&'a Path>,
+    /// `(anchor, task, owning lane)`, in anchor order.
+    tasks: Vec<(u64, Task, usize)>,
+    /// Snapshots each campaign's store held when the collection began.
+    committed: BTreeMap<CampaignKind, u32>,
+    /// Raised by a lane that failed; the others stop at their next task.
+    stop: AtomicBool,
+}
+
+/// The fleet as it crosses lanes: the NOERROR list and where the clock
+/// stood when its sweep was done — the churn cohort is stamped with it.
+type FleetHandoff = (Vec<Ipv4Addr>, SimTime);
+
+/// A lane's end of the one-shot fleet channel. A lane that dies drops
+/// its end, so the other one stops instead of waiting.
+enum Handoff {
+    Give(mpsc::Sender<FleetHandoff>),
+    Take(mpsc::Receiver<FleetHandoff>),
+}
+
+/// One schedule slot's output to the ordered side channels, on its way
+/// to the replayer: slot 0 is the world build, slot `i + 1` task `i`.
+struct Flush {
+    slot: usize,
+    capture: telemetry::Capture,
+    /// Where the lane's clock stood after the slot, pumping included.
+    clock_ms: u64,
+    /// `Some` if the task ran (a task served from the store beats not).
+    beat: Option<Beat>,
+}
+
+/// What a lane hands back when its last task is done.
+struct LaneEnd {
+    data: BundleSinks,
+    coverage: BTreeMap<CampaignKind, Coverage>,
+    sim_end_ms: u64,
+    shards: netsim::ShardStats,
+}
+
+/// Where a world's clock stands, the network's pumping included
+/// (`World::now` catches up with it at the next `advance_to`).
+fn clock(world: &World) -> SimTime {
+    world.now().max(world.net.now())
+}
+
+/// Walks the schedule on a world of its own and runs the tasks `lane`
+/// owns, each under a [`telemetry::Capture`] that goes to the replayer.
+/// Another lane's task is only an anchor to advance to, so that this
+/// world crosses every lease boundary in the same `advance_to` as the
+/// schedule does; the exception is the fleet, which the lane takes over
+/// — list and clock — where the schedule has it swept.
+fn run_lane(
+    sched: &Schedule,
+    lane: usize,
+    data: BundleSinks,
+    handoff: Handoff,
+    out: &mpsc::Sender<Flush>,
+) -> io::Result<LaneEnd> {
+    use CampaignKind::*;
+    let Schedule {
+        opts, store_dir, ..
+    } = *sched;
+    telemetry::Capture::begin();
+    let mut world = build_world(opts.cfg.clone());
+    telemetry::counter("collect.world_builds").inc();
+    if let Some(plan) = &opts.faults {
+        world.net.set_fault_plan(plan.clone());
+    }
+    let built = telemetry::Capture::end();
+    if lane == 0 {
+        let _ = out.send(Flush {
+            slot: 0,
+            capture: built,
+            clock_ms: world.now().millis(),
+            beat: None,
+        });
+    }
+    let truth = capture_ground_truth(&world);
+    let vantage = world.scanner_ip;
+    let blacklist = scanner::Blacklist::new(
+        world.blacklist_ranges.clone(),
+        world.blacklist_singles.clone(),
+    );
+    let mut own = Lane {
+        world,
+        data,
+        store_dir,
+    };
+
     let mut fleet: Option<Vec<Ipv4Addr>> = None;
     let mut cohort: Option<Vec<Ipv4Addr>> = None;
     let mut ran: BTreeSet<CampaignKind> = BTreeSet::new();
@@ -847,55 +1086,43 @@ pub fn collect_bundle(
             }
         };
 
-    // Root profiling span for the whole collect phase. Opened only
-    // under `--profile`: an unconditional span would shift span
-    // ids/parents in every trace, breaking byte-identity with
-    // pre-profiler traces.
-    let mut bundle_span = telemetry::profiling_enabled().then(|| {
-        let mut s = telemetry::span("collect.bundle", world.now().millis());
-        s.attr("tasks", tasks.len());
-        s
-    });
-    let total_tasks = tasks.len();
-    let mut tasks_done = 0usize;
-    let collect_started = std::time::Instant::now();
-    for (anchor, task) in tasks {
-        world.advance_to(SimTime(anchor));
-        match task {
-            Task::Week(w) => {
-                if w < committed[&Weekly] {
-                    continue;
-                }
-                mark_ran(&mut ran, Weekly);
-                let cov = with_checkpoint_retry(
-                    Weekly,
-                    store_dir,
-                    &mut data,
-                    &mut world,
-                    &mut |world, data| {
-                        weekly_scan_week(
-                            world,
-                            w,
-                            &blacklist,
-                            data.get_mut(&Weekly).unwrap().sink(),
-                        )
-                    },
-                )?;
-                absorb(&mut coverage, Weekly, cov);
+    let last = sched.tasks.iter().rposition(|&(_, _, owner)| owner == lane);
+    for (index, &(anchor, task, owner)) in sched.tasks.iter().enumerate() {
+        if Some(index) > last || sched.stop.load(Ordering::Relaxed) {
+            break;
+        }
+        telemetry::Capture::begin();
+        own.world.advance_to(SimTime(anchor));
+        if owner != lane {
+            if let (Task::Fleet, Handoff::Take(rx)) = (task, &handoff) {
+                // A closed channel: the fleet's lane failed, and its
+                // error is the collection's.
+                let Ok((ips, swept)) = rx.recv() else { break };
+                own.world.advance_to(swept);
+                fleet = Some(ips);
             }
-            Task::Fleet => {
-                if committed[&Fleet] >= 1 {
-                    fleet = Some(fleet_from_source(data[&Fleet].source())?);
-                    continue;
+            drop(telemetry::Capture::end());
+            continue;
+        }
+        let executed = 'task: {
+            match task {
+                Task::Week(w) => {
+                    if w < sched.committed[&Weekly] {
+                        break 'task false;
+                    }
+                    mark_ran(&mut ran, Weekly);
+                    let cov = own.retrying(Weekly, &mut |world, sink| {
+                        weekly_scan_week(world, w, &blacklist, sink)
+                    })?;
+                    absorb(&mut coverage, Weekly, cov);
                 }
-                mark_ran(&mut ran, Fleet);
-                let result = with_checkpoint_retry(
-                    Fleet,
-                    store_dir,
-                    &mut data,
-                    &mut world,
-                    &mut |world, data| {
-                        let sink = data.get_mut(&Fleet).unwrap().sink();
+                Task::Fleet => {
+                    if sched.committed[&Fleet] >= 1 {
+                        fleet = Some(fleet_from_source(own.data[&Fleet].source())?);
+                        break 'task false;
+                    }
+                    mark_ran(&mut ran, Fleet);
+                    let result = own.retrying(Fleet, &mut |world, sink| {
                         let mut enriched = EnrichSink::new(world, sink);
                         let result = enumerate_with_sink(world, vantage, opts.seed, &mut enriched);
                         let meta = vec![
@@ -916,75 +1143,39 @@ pub fn collect_bundle(
                             &[("open_resolvers", result.noerror_ips().len().into())],
                             Some(world.now().millis()),
                         );
-                        data.get_mut(&Fleet).unwrap().sink().commit(
-                            "fleet",
-                            world.now().millis(),
-                            &meta,
-                        )?;
+                        sink.commit("fleet", world.now().millis(), &meta)?;
                         Ok(result)
-                    },
-                )?;
-                absorb(
-                    &mut coverage,
-                    Fleet,
-                    Coverage::space(
-                        result.probes_sent + result.skipped_blacklisted,
-                        result.probes_sent,
-                    ),
-                );
-                fleet = Some(result.noerror_ips());
-            }
-            Task::Cohort => {
-                if committed[&Churn] >= 1 {
-                    cohort = Some(
-                        data[&Churn]
-                            .source()
-                            .snapshot(0)?
-                            .records
-                            .iter()
-                            .map(|o| o.ipv4())
-                            .collect(),
-                    );
-                    continue;
+                    })?;
+                    absorb(&mut coverage, Fleet, sweep_coverage(&result));
+                    fleet = Some(result.noerror_ips());
                 }
-                mark_ran(&mut ran, Churn);
-                let ips = fleet.clone().expect("fleet precedes churn cohort");
-                with_checkpoint_retry(
-                    Churn,
-                    store_dir,
-                    &mut data,
-                    &mut world,
-                    &mut |world, data| {
-                        let sink = data.get_mut(&Churn).unwrap().sink();
+                Task::Cohort => {
+                    if sched.committed[&Churn] >= 1 {
+                        let cohort_snapshot = own.data[&Churn].source().snapshot(0)?;
+                        cohort = Some(cohort_snapshot.records.iter().map(|o| o.ipv4()).collect());
+                        break 'task false;
+                    }
+                    mark_ran(&mut ran, Churn);
+                    let ips = fleet.clone().expect("fleet precedes churn cohort");
+                    own.retrying(Churn, &mut |world, sink| {
                         let mut enriched = EnrichSink::new(world, sink);
-                        churn_campaign::commit_round(
-                            world,
-                            &mut enriched,
-                            ips.iter().copied(),
-                            "cohort",
-                            &[],
-                        )
-                    },
-                )?;
-                cohort = Some(ips);
-            }
-            Task::ChurnRound(w) => {
-                // The cohort is snapshot 0, so this round is `w + 1`.
-                if w + 1 < committed[&Churn] {
-                    continue;
+                        let cohort = ips.iter().copied();
+                        churn_campaign::commit_round(world, &mut enriched, cohort, "cohort", &[])
+                    })?;
+                    cohort = Some(ips);
                 }
-                let (seed, label) = match w {
-                    0 => (CHURN_SEED ^ 0xD1, "day1".to_string()),
-                    w => (CHURN_SEED ^ (w as u64) << 8, format!("week-{w}")),
-                };
-                mark_ran(&mut ran, Churn);
-                let ips = cohort.as_ref().expect("cohort precedes churn rounds");
-                let (alive, retries) = with_checkpoint_retry(
-                    Churn,
-                    store_dir,
-                    &mut data,
-                    &mut world,
-                    &mut |world, data| {
+                Task::ChurnRound(w) => {
+                    // The cohort is snapshot 0, so this round is `w + 1`.
+                    if w + 1 < sched.committed[&Churn] {
+                        break 'task false;
+                    }
+                    let (seed, label) = match w {
+                        0 => (CHURN_SEED ^ 0xD1, "day1".to_string()),
+                        w => (CHURN_SEED ^ (w as u64) << 8, format!("week-{w}")),
+                    };
+                    mark_ran(&mut ran, Churn);
+                    let ips = cohort.as_ref().expect("cohort precedes churn rounds");
+                    let (alive, retries) = own.retrying(Churn, &mut |world, sink| {
                         let (alive, retries) = churn_campaign::probe_alive_with_policy(
                             world,
                             vantage,
@@ -1004,37 +1195,21 @@ pub fn collect_bundle(
                                 Vec::new()
                             }
                         };
-                        let sink = data.get_mut(&Churn).unwrap().sink();
                         let mut enriched = EnrichSink::new(world, sink);
-                        churn_campaign::commit_round(
-                            world,
-                            &mut enriched,
-                            ips.iter().copied().filter(|ip| alive.contains(ip)),
-                            &label,
-                            &meta,
-                        )?;
+                        let still = ips.iter().copied().filter(|ip| alive.contains(ip));
+                        churn_campaign::commit_round(world, &mut enriched, still, &label, &meta)?;
                         Ok((alive, retries))
-                    },
-                )?;
-                absorb(
-                    &mut coverage,
-                    Churn,
-                    response_coverage(&world, ips, true, &alive, retries),
-                );
-            }
-            Task::Chaos => {
-                if committed[&Chaos] >= 1 {
-                    continue;
+                    })?;
+                    let cov = response_coverage(&own.world, ips, true, &alive, retries);
+                    absorb(&mut coverage, Churn, cov);
                 }
-                mark_ran(&mut ran, Chaos);
-                let ips = fleet.as_ref().expect("fleet precedes chaos");
-                let observations = with_checkpoint_retry(
-                    Chaos,
-                    store_dir,
-                    &mut data,
-                    &mut world,
-                    &mut |world, data| {
-                        let sink = data.get_mut(&Chaos).unwrap().sink();
+                Task::Chaos => {
+                    if sched.committed[&Chaos] >= 1 {
+                        break 'task false;
+                    }
+                    mark_ran(&mut ran, Chaos);
+                    let ips = fleet.as_ref().expect("fleet precedes chaos");
+                    let (observations, retries) = own.retrying(Chaos, &mut |world, sink| {
                         let mut enriched = EnrichSink::new(world, sink);
                         let observations = scanner::chaos_scan_with_sink(
                             world,
@@ -1044,95 +1219,61 @@ pub fn collect_bundle(
                             &opts.probe,
                             &mut enriched,
                         );
-                        data.get_mut(&Chaos).unwrap().sink().commit(
-                            "chaos",
-                            world.now().millis(),
-                            &[],
-                        )?;
+                        sink.commit("chaos", world.now().millis(), &[])?;
                         Ok(observations)
-                    },
-                )?;
-                let (observations, retries) = observations;
-                let answered: std::collections::HashSet<Ipv4Addr> = observations
-                    .iter()
-                    .filter(|(_, o)| **o != scanner::ChaosObservation::Silent)
-                    .map(|(&ip, _)| ip)
-                    .collect();
-                absorb(
-                    &mut coverage,
-                    Chaos,
-                    response_coverage(&world, ips, false, &answered, retries),
-                );
-            }
-            Task::Banner => {
-                if committed[&Banner] >= 1 {
-                    continue;
+                    })?;
+                    let answered: std::collections::HashSet<Ipv4Addr> = observations
+                        .iter()
+                        .filter(|(_, o)| **o != scanner::ChaosObservation::Silent)
+                        .map(|(&ip, _)| ip)
+                        .collect();
+                    let cov = response_coverage(&own.world, ips, false, &answered, retries);
+                    absorb(&mut coverage, Chaos, cov);
                 }
-                mark_ran(&mut ran, Banner);
-                let ips = fleet.clone().expect("fleet precedes banner");
-                let cov = with_checkpoint_retry(
-                    Banner,
-                    store_dir,
-                    &mut data,
-                    &mut world,
-                    &mut |world, data| {
-                        banner_collect(
-                            world,
-                            &ips,
-                            &opts.probe,
-                            data.get_mut(&Banner).unwrap().sink(),
-                        )
-                    },
-                )?;
-                absorb(&mut coverage, Banner, cov);
-            }
-            Task::Domains => {
-                if committed[&Domains] >= 1 {
-                    continue;
+                Task::Banner => {
+                    if sched.committed[&Banner] >= 1 {
+                        break 'task false;
+                    }
+                    mark_ran(&mut ran, Banner);
+                    let ips = fleet.as_ref().expect("fleet precedes banner");
+                    let cov = own.retrying(Banner, &mut |world, sink| {
+                        banner_collect(world, ips, &opts.probe, sink)
+                    })?;
+                    absorb(&mut coverage, Banner, cov);
                 }
-                mark_ran(&mut ran, Domains);
-                let ips = fleet.clone().expect("fleet precedes domains");
-                // One shared probe policy for every campaign in the
-                // bundle, the domain scan included.
-                let mut aopts = opts.analysis.clone();
-                aopts.probe = opts.probe;
-                let report = with_checkpoint_retry(
-                    Domains,
-                    store_dir,
-                    &mut data,
-                    &mut world,
-                    &mut |world, data| {
+                Task::Domains => {
+                    if sched.committed[&Domains] >= 1 {
+                        break 'task false;
+                    }
+                    mark_ran(&mut ran, Domains);
+                    let ips = fleet.as_ref().expect("fleet precedes domains");
+                    // One shared probe policy for every campaign in the
+                    // bundle, the domain scan included.
+                    let mut aopts = opts.analysis.clone();
+                    aopts.probe = opts.probe;
+                    let report = own.retrying(Domains, &mut |world, sink| {
                         let report =
                             crate::pipeline::run_analysis_with_fleet(world, ips.clone(), &aopts);
                         let json = serde_json::to_string(&report)
                             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                        data.get_mut(&Domains).unwrap().sink().commit(
-                            "analysis",
-                            world.now().millis(),
-                            &[(META_ANALYSIS_REPORT.to_string(), json)],
-                        )?;
+                        let meta = [(META_ANALYSIS_REPORT.to_string(), json)];
+                        sink.commit("analysis", world.now().millis(), &meta)?;
                         Ok(report)
-                    },
-                )?;
-                absorb(&mut coverage, Domains, report.domains_coverage);
-            }
-            Task::Snoop => {
-                if committed[&Snoop] > 0 {
-                    continue; // completeness validated above
+                    })?;
+                    absorb(&mut coverage, Domains, report.domains_coverage);
                 }
-                mark_ran(&mut ran, Snoop);
-                // Snooping starts a day after enumeration; DHCP churn
-                // has already moved a good share of the fleet, so probe
-                // for liveness first and sample resolvers still at
-                // their address — as the paper snooped resolvers from
-                // the current scan, not a stale list.
-                let ips = fleet.as_ref().expect("fleet precedes snoop");
-                let (sample, results, retries) = with_checkpoint_retry(
-                    Snoop,
-                    store_dir,
-                    &mut data,
-                    &mut world,
-                    &mut |world, data| {
+                Task::Snoop => {
+                    if sched.committed[&Snoop] > 0 {
+                        break 'task false; // completeness validated above
+                    }
+                    mark_ran(&mut ran, Snoop);
+                    // Snooping starts a day after enumeration; DHCP churn
+                    // has already moved a good share of the fleet, so probe
+                    // for liveness first and sample resolvers still at
+                    // their address — as the paper snooped resolvers from
+                    // the current scan, not a stale list.
+                    let ips = fleet.as_ref().expect("fleet precedes snoop");
+                    let (sample, results, retries) = own.retrying(Snoop, &mut |world, sink| {
                         let (alive, _) = churn_campaign::probe_alive_with_policy(
                             world,
                             vantage,
@@ -1153,105 +1294,66 @@ pub fn collect_bundle(
                             opts.snoop_rounds,
                             SNOOP_SEED,
                             &opts.probe,
-                            data.get_mut(&Snoop).unwrap().sink(),
+                            sink,
                         )?;
                         Ok((sample, results, retries))
-                    },
-                )?;
-                // Resolver-granularity coverage: a snooped resolver is
-                // answered when any (round, TLD) sample got a response.
-                let answered: std::collections::HashSet<Ipv4Addr> = results
-                    .iter()
-                    .filter(|(_, r)| r.samples.iter().any(|s| *s != scanner::SnoopSample::Silent))
-                    .map(|(&ip, _)| ip)
-                    .collect();
-                absorb(
-                    &mut coverage,
-                    Snoop,
-                    response_coverage(&world, &sample, false, &answered, retries),
-                );
-            }
-            Task::VerifyPrimary | Task::VerifySecondary => {
-                let (pass, label) = match task {
-                    Task::VerifyPrimary => (1, "primary"),
-                    _ => (2, "secondary"),
-                };
-                if committed[&Verify] >= pass {
-                    continue;
+                    })?;
+                    // Resolver-granularity coverage: a snooped resolver is
+                    // answered when any (round, TLD) sample got a response.
+                    let answered: std::collections::HashSet<Ipv4Addr> = results
+                        .iter()
+                        .filter(|(_, r)| {
+                            r.samples.iter().any(|s| *s != scanner::SnoopSample::Silent)
+                        })
+                        .map(|(&ip, _)| ip)
+                        .collect();
+                    let cov = response_coverage(&own.world, &sample, false, &answered, retries);
+                    absorb(&mut coverage, Snoop, cov);
                 }
-                mark_ran(&mut ran, Verify);
-                let (van, seed) = match task {
-                    Task::VerifyPrimary => (vantage, opts.seed),
-                    _ => (world.scanner2_ip, opts.seed ^ 0x5EC0),
-                };
-                let result = with_checkpoint_retry(
-                    Verify,
-                    store_dir,
-                    &mut data,
-                    &mut world,
-                    &mut |world, data| {
-                        let sink = data.get_mut(&Verify).unwrap().sink();
+                Task::VerifyPrimary | Task::VerifySecondary => {
+                    let (pass, label, van, seed) = match task {
+                        Task::VerifyPrimary => (1, "primary", vantage, opts.seed),
+                        _ => (2, "secondary", own.world.scanner2_ip, opts.seed ^ 0x5EC0),
+                    };
+                    if sched.committed[&Verify] >= pass {
+                        break 'task false;
+                    }
+                    mark_ran(&mut ran, Verify);
+                    let result = own.retrying(Verify, &mut |world, sink| {
                         let mut enriched = EnrichSink::new(world, sink);
                         let result = enumerate_with_sink(world, van, seed, &mut enriched);
-                        data.get_mut(&Verify).unwrap().sink().commit(
-                            label,
-                            world.now().millis(),
-                            &[],
-                        )?;
+                        sink.commit(label, world.now().millis(), &[])?;
                         Ok(result)
-                    },
-                )?;
-                absorb(
-                    &mut coverage,
-                    Verify,
-                    Coverage::space(
-                        result.probes_sent + result.skipped_blacklisted,
-                        result.probes_sent,
-                    ),
-                );
+                    })?;
+                    absorb(&mut coverage, Verify, sweep_coverage(&result));
+                }
             }
+            true
+        };
+        let world = &own.world;
+        if let (Task::Fleet, Handoff::Give(tx), Some(ips)) = (task, &handoff, &fleet) {
+            let _ = tx.send((ips.clone(), clock(world)));
         }
-        // Resumed (checkpointed) tasks `continue` out of the match and
-        // never reach this point, so heartbeat streams stay a pure
-        // function of the work actually executed.
-        tasks_done += 1;
-        heartbeat_progress(
-            &world,
-            task.campaign(),
-            tasks_done,
-            total_tasks,
-            collect_started,
-        );
+        // Tasks served from a store report no beat, so heartbeat streams
+        // stay a pure function of the work actually executed.
+        let _ = out.send(Flush {
+            slot: index + 1,
+            capture: telemetry::Capture::end(),
+            clock_ms: clock(world).millis(),
+            beat: executed.then(|| Beat {
+                campaign: task.campaign(),
+                sim_ms: world.now().millis(),
+                shards: world.net.shard_stats(),
+            }),
+        });
     }
-    if let Some(s) = bundle_span.take() {
-        s.finish(world.now().millis());
-    }
-    // Final simulated clock, so a `--metrics` snapshot records how much
-    // simulated time the run covered.
-    telemetry::gauge("collect.sim_end_ms").set(world.now().millis() as f64);
-
-    if opts.coverage {
-        for (kind, cov) in &coverage {
-            if cov.fraction() < opts.degraded_threshold {
-                telemetry::global()
-                    .counter_with("collect.campaign_degraded", &[("campaign", kind.name())])
-                    .inc();
-                telemetry::warn(
-                    "collect.degraded",
-                    "campaign coverage below threshold",
-                    &[
-                        ("campaign", kind.name().into()),
-                        ("fraction", cov.fraction().into()),
-                        ("threshold", opts.degraded_threshold.into()),
-                        ("gave_up", cov.gave_up.into()),
-                        ("unreachable", cov.unreachable.into()),
-                    ],
-                    Some(world.now().millis()),
-                );
-            }
-        }
-    }
-    Ok(BundleData { data, coverage })
+    let Lane { world, data, .. } = own;
+    Ok(LaneEnd {
+        data,
+        coverage,
+        sim_end_ms: world.now().millis(),
+        shards: world.net.shard_stats(),
+    })
 }
 
 /// Runs the TCP banner grab and commits one enriched snapshot: the

@@ -4,7 +4,8 @@
 //! This crate is the public façade: it glues the substrates together
 //! and exposes one runner per paper artifact (every table and figure),
 //! behind a collect-once / derive-many split: [`collect_bundle`] runs
-//! every required campaign at most once over a single world, and the
+//! every required campaign at most once on one schedule (two lanes, a
+//! world each, when the domain scan has company), and the
 //! [`experiments::REGISTRY`] derives each artifact from the resulting
 //! immutable snapshot stores (in parallel via [`experiments::derive_all`]).
 //!

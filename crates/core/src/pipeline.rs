@@ -312,8 +312,8 @@ pub fn run_analysis_with_fleet(
             Resolution::NxDomain => Vec::new(),
         }
     };
-    // The prefilter borrows geo/rdns; clone the databases out of the
-    // world so the world stays mutable for scanning.
+    // The prefilter borrows geo/rdns; take the shared pointers out of
+    // the world so the world stays mutable for scanning.
     let geo = world.geo.clone();
     let rdns = world.rdns.clone();
     let prefilter = PreFilter::new(

@@ -396,12 +396,6 @@ impl SnapshotSink for CampaignStore {
         reg.counter("scanstore.json_bytes_equiv").add(json_bytes);
         reg.counter_with("scanstore.records_committed", &[("backend", "disk")])
             .add(seg.diff.upserts.len() as u64);
-        let total_bytes: u64 = self.manifest.segments.iter().map(|e| e.bytes).sum();
-        let total_json: u64 = self.manifest.segments.iter().map(|e| e.json_bytes).sum();
-        if total_bytes > 0 {
-            reg.gauge("scanstore.compression_ratio")
-                .set(total_json as f64 / total_bytes as f64);
-        }
         telemetry::debug(
             "scanstore.commit",
             "segment committed",

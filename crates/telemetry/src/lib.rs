@@ -28,6 +28,11 @@
 //!   values at once, renderable as JSON ([`Snapshot::to_json`]), a
 //!   human-readable table ([`Snapshot::to_table`]), or Prometheus
 //!   text exposition ([`prometheus::render`]).
+//! - **Capture and replay** ([`Capture`]): a thread can collect what it
+//!   would have written to the ordered outputs — trace lines, span
+//!   closes, flight-recorder records — and another thread writes it out
+//!   later, so work done on several threads leaves the stream a
+//!   sequential run leaves.
 //! - **Request-scoped observability** ([`reqtrace`], [`rolling`]):
 //!   per-request span trees under deterministic trace ids (pure
 //!   functions of connection/request ordinals), a bounded ring of
@@ -43,6 +48,7 @@
 //! snapshot. Two runs of the same seeded workload with a fresh trace
 //! attached therefore produce byte-identical trace files.
 
+mod capture;
 mod json;
 mod metrics;
 pub mod prometheus;
@@ -53,6 +59,7 @@ pub mod rolling;
 mod snapshot;
 mod trace;
 
+pub use capture::Capture;
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{global, Registry};
 pub use reqtrace::{RequestCtx, RequestRing, RequestTrace, SlowLog};

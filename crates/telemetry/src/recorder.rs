@@ -240,20 +240,32 @@ fn record(kind: RecordKind, ip: u32, asn: u32, value: u64, reason: &'static str,
     if ip != 0 && !sample_hit(s, ip) {
         return;
     }
-    push(
-        s,
-        ProbeRecord {
-            seq: 0,
-            t_ms,
-            kind,
-            campaign,
-            ip,
-            asn,
-            attempt,
-            value,
-            reason: if kind == RecordKind::Drop { reason } else { "" },
-        },
-    );
+    let rec = ProbeRecord {
+        seq: 0,
+        t_ms,
+        kind,
+        campaign,
+        ip,
+        asn,
+        attempt,
+        value,
+        reason: if kind == RecordKind::Drop { reason } else { "" },
+    };
+    // A capturing thread keeps the record for its replay, which is
+    // when it gets its place in the ring and its sequence number.
+    if let Some(rec) = crate::capture::offer_record(rec) {
+        push(s, rec);
+    }
+}
+
+/// Appends captured records to the ring, in order.
+pub(crate) fn replay(records: Vec<ProbeRecord>) {
+    let mut g = STATE.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(s) = g.as_mut() {
+        for rec in records {
+            push(s, rec);
+        }
+    }
 }
 
 /// Records a probe send to `ip` (context supplies campaign/attempt).
@@ -429,6 +441,36 @@ mod tests {
         clear_context();
         disable();
         assert_eq!(first, again);
+    }
+
+    #[test]
+    fn captured_records_take_their_sequence_numbers_at_replay() {
+        let _g = lock();
+        enable(1.0, 7, 1024);
+        let unit = |k: u32| {
+            crate::Capture::begin();
+            set_context("churn", 1);
+            attempt(k, 0, u64::from(k));
+            response(k, 0, u64::from(k) + 1);
+            clear_context();
+            crate::Capture::end()
+        };
+        // Captured 2, 1 on other threads, replayed 1, 2.
+        let second = std::thread::spawn(move || unit(2)).join().unwrap();
+        let first = std::thread::spawn(move || unit(1)).join().unwrap();
+        assert_eq!(
+            stats().recorded,
+            0,
+            "nothing reaches the ring before replay"
+        );
+        first.replay(0);
+        second.replay(0);
+        let recs = drain();
+        disable();
+        assert_eq!(
+            recs.iter().map(|r| (r.seq, r.ip)).collect::<Vec<_>>(),
+            vec![(0, 1), (1, 1), (2, 2), (3, 2)]
+        );
     }
 
     #[test]

@@ -121,10 +121,10 @@ pub fn emit(t: &RequestTrace) {
     if !trace::trace_enabled() {
         return;
     }
-    trace::emit_line(|seq, out| {
+    trace::emit_line(|out| {
         let _ = write!(
             out,
-            "{{\"seq\":{seq},\"type\":\"request\",\"trace_id\":\"{:016x}\",\"conn\":{},\"ordinal\":{},\"target\":",
+            "\"type\":\"request\",\"trace_id\":\"{:016x}\",\"conn\":{},\"ordinal\":{},\"target\":",
             t.trace_id, t.conn, t.ordinal
         );
         json::push_str(out, &t.target);

@@ -99,7 +99,7 @@ impl Snapshot {
     /// {
     ///   "telemetry": "goingwild.metrics.v1",
     ///   "counters": {"netsim.udp_sent": 1234},
-    ///   "gauges": {"scanstore.compression_ratio": 9.9},
+    ///   "gauges": {"netsim.queue_depth_max": 99},
     ///   "histograms": {
     ///     "scanner.token_wait_ms": {
     ///       "count": 3, "sum": 42,
@@ -210,7 +210,7 @@ mod tests {
         reg.counter("scanner.probes_sent").add(42);
         reg.counter_with("scanner.responses", &[("rcode", "0")])
             .add(40);
-        reg.gauge("scanstore.compression_ratio").set(9.9);
+        reg.gauge("netsim.queue_depth_max").set(9.9);
         let h = reg.histogram("scanner.token_wait_ms", &[1, 10]);
         h.observe(5);
         h.observe(500);
@@ -223,7 +223,7 @@ mod tests {
         assert!(js.contains("\"telemetry\": \"goingwild.metrics.v1\""));
         assert!(js.contains("\"scanner.probes_sent\": 42"));
         assert!(js.contains("\"scanner.responses{rcode=0}\": 40"));
-        assert!(js.contains("\"scanstore.compression_ratio\": 9.9"));
+        assert!(js.contains("\"netsim.queue_depth_max\": 9.9"));
         assert!(js.contains("\"buckets\": [[1, 0], [10, 1]], \"overflow\": 1"));
         // Derived quantile estimates and the exact max follow overflow.
         assert!(js.contains("\"p50\": "));
@@ -238,7 +238,7 @@ mod tests {
     fn table_lists_every_metric() {
         let t = sample().to_table();
         assert!(t.contains("scanner.probes_sent"));
-        assert!(t.contains("scanstore.compression_ratio"));
+        assert!(t.contains("netsim.queue_depth_max"));
         assert!(t.contains("count=2"));
     }
 
@@ -272,7 +272,7 @@ mod tests {
         let snap = sample();
         assert_eq!(snap.counter("scanner.probes_sent"), Some(42));
         assert_eq!(snap.counter("missing"), None);
-        assert_eq!(snap.gauge("scanstore.compression_ratio"), Some(9.9));
+        assert_eq!(snap.gauge("netsim.queue_depth_max"), Some(9.9));
         assert!(snap.has_nonzero_counter("scanner."));
         assert!(!snap.has_nonzero_counter("netsim."));
     }

@@ -6,6 +6,7 @@
 //! durations are measured but surface only as `span.<name>.wall_us`
 //! counters in the metrics snapshot, never in the trace.
 
+use crate::capture;
 use crate::json;
 use crate::registry::global;
 use std::cell::RefCell;
@@ -109,19 +110,36 @@ pub fn trace_enabled() -> bool {
     TRACE_ON.load(Ordering::Relaxed)
 }
 
-/// Writes one trace line; `build` receives the line's sequence number.
+/// Emits one trace line. `build` writes the line from `"type":` on;
+/// the sequence number is prepended when the line reaches the stream —
+/// now, or at replay if this thread is capturing ([`crate::Capture`]).
 /// Crate-visible so [`crate::reqtrace`] can emit request lines into
 /// the same sequenced stream.
-pub(crate) fn emit_line(build: impl FnOnce(u64, &mut String)) {
+pub(crate) fn emit_line(build: impl FnOnce(&mut String)) {
+    let mut body = String::with_capacity(160);
+    build(&mut body);
+    if let Some(body) = capture::offer_line(body) {
+        write_line(&body);
+    }
+}
+
+/// Writes one line to the attached trace, giving it the next `seq`.
+pub(crate) fn write_line(body: &str) {
     let mut g = TRACE.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(sink) = g.as_mut() {
-        let seq = sink.seq;
-        sink.seq += 1;
-        let mut line = String::with_capacity(160);
-        build(seq, &mut line);
+        let mut line = String::with_capacity(body.len() + 24);
+        let _ = write!(line, "{{\"seq\":{},", sink.seq);
+        line.push_str(body);
         line.push('\n');
+        sink.seq += 1;
         let _ = sink.w.write_all(line.as_bytes());
     }
+}
+
+/// Takes `n` consecutive span ids off the global counter; returns the
+/// first.
+pub(crate) fn reserve_ids(n: u64) -> u64 {
+    NEXT_ID.fetch_add(n, Ordering::Relaxed)
 }
 
 // ------------------------------------------------------------- attributes
@@ -255,8 +273,8 @@ pub fn event(level: Level, name: &str, msg: &str, attrs: &[(&str, Value)], sim_m
         eprintln!("{line}");
     }
     if to_trace {
-        emit_line(|seq, out| {
-            let _ = write!(out, "{{\"seq\":{seq},\"type\":\"event\",\"level\":");
+        emit_line(|out| {
+            out.push_str("\"type\":\"event\",\"level\":");
             json::push_str(out, level.as_str());
             out.push_str(",\"name\":");
             json::push_str(out, name);
@@ -285,8 +303,8 @@ pub fn heartbeat(name: &str, sim_ms: u64, attrs: &[(&str, Value)]) {
     if !trace_enabled() {
         return;
     }
-    emit_line(|seq, out| {
-        let _ = write!(out, "{{\"seq\":{seq},\"type\":\"heartbeat\",\"name\":");
+    emit_line(|out| {
+        out.push_str("\"type\":\"heartbeat\",\"name\":");
         json::push_str(out, name);
         let _ = write!(out, ",\"sim_ms\":{sim_ms}");
         out.push_str(",\"attrs\":");
@@ -340,10 +358,13 @@ pub fn span_quiet(name: &str, sim_start_ms: u64) -> Span {
 }
 
 fn new_span(name: &str, sim_start_ms: u64, quiet: bool) -> Span {
-    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    // While this thread is capturing, ids are local to the capture and
+    // the spans open before it began are not its parents.
+    let id = capture::next_span_id().unwrap_or_else(|| reserve_ids(1));
+    let base = capture::base_depth();
     let parent = SPAN_STACK.with(|s| {
         let mut s = s.borrow_mut();
-        let parent = s.last().map(|f| f.id);
+        let parent = s.get(base..).and_then(|own| own.last()).map(|f| f.id);
         s.push(Frame {
             id,
             name: name.to_string(),
@@ -361,6 +382,11 @@ fn new_span(name: &str, sim_start_ms: u64, quiet: bool) -> Span {
         done: false,
         quiet,
     }
+}
+
+/// Open spans on this thread.
+pub(crate) fn depth() -> usize {
+    SPAN_STACK.with(|s| s.borrow().len())
 }
 
 impl Span {
@@ -382,27 +408,27 @@ impl Span {
         // Pop our frame, credit our total to the parent's child-time,
         // and (when profiling) capture the folded ancestor path while
         // the ancestors are still on the stack.
+        let base = capture::base_depth();
         let (child_ms, path) = SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             match s.iter().rposition(|f| f.id == self.id) {
                 Some(pos) => {
                     let path = profiling_enabled().then(|| {
                         let mut p = String::new();
-                        for f in &s[..pos] {
+                        for f in &s[base.min(pos)..pos] {
                             p.push_str(&f.name);
                             p.push(';');
                         }
-                        p.push_str(&self.name);
                         p
                     });
                     let frame = s.remove(pos);
-                    if pos > 0 {
+                    if pos > base {
                         let parent = &mut s[pos - 1];
                         parent.child_sim_ms = parent.child_sim_ms.saturating_add(sim_ms);
                     }
                     (frame.child_sim_ms, path)
                 }
-                None => (0, profiling_enabled().then(|| self.name.clone())),
+                None => (0, profiling_enabled().then(String::new)),
             }
         });
         let self_ms = sim_ms.saturating_sub(child_ms);
@@ -415,10 +441,75 @@ impl Span {
             .add(self_ms);
         reg.counter(&format!("span.{}.wall_us", self.name))
             .add(wall_us);
-        if let Some(path) = path {
+        if path.is_none() && (self.quiet || !trace_enabled()) {
+            return;
+        }
+        let closed = ClosedSpan {
+            id: self.id,
+            parent: self.parent,
+            name: std::mem::take(&mut self.name),
+            path,
+            sim_start: self.sim_start,
+            sim_end: sim_end_ms,
+            child_ms,
+            attrs: std::mem::take(&mut self.attrs),
+            quiet: self.quiet,
+        };
+        if let Some(closed) = capture::offer_span(closed) {
+            closed.publish();
+        }
+    }
+}
+
+/// A closed span on its way to the profile and the trace stream —
+/// directly, or through a [`crate::Capture`].
+pub(crate) struct ClosedSpan {
+    id: u64,
+    parent: Option<u64>,
+    name: String,
+    /// The ancestors' names, each followed by `;` — `Some` while
+    /// profiling.
+    path: Option<String>,
+    sim_start: u64,
+    sim_end: u64,
+    child_ms: u64,
+    attrs: Vec<(String, Value)>,
+    quiet: bool,
+}
+
+impl ClosedSpan {
+    /// Replays a captured span on this thread: ids move from the
+    /// capture's numbering to `id_base..`, and a span that was
+    /// top-level in its capture closes as a child of the innermost span
+    /// open here, starting no earlier than `not_before`.
+    pub(crate) fn replay(mut self, id_base: u64, not_before: u64) {
+        self.id += id_base;
+        self.parent = self.parent.map(|p| p + id_base);
+        SPAN_STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            if let Some(path) = &mut self.path {
+                let outer: String = s.iter().flat_map(|f| [f.name.as_str(), ";"]).collect();
+                path.insert_str(0, &outer);
+            }
+            if self.parent.is_none() {
+                self.sim_start = self.sim_start.max(not_before);
+                if let Some(top) = s.last_mut() {
+                    self.parent = Some(top.id);
+                    let sim_ms = self.sim_end.saturating_sub(self.sim_start);
+                    top.child_sim_ms = top.child_sim_ms.saturating_add(sim_ms);
+                }
+            }
+        });
+        self.publish();
+    }
+
+    fn publish(&self) {
+        let sim_ms = self.sim_end.saturating_sub(self.sim_start);
+        if let Some(path) = &self.path {
             let mut g = PROFILE.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(p) = g.as_mut() {
-                *p.folded.entry(path).or_insert(0) += self_ms;
+                let self_ms = sim_ms.saturating_sub(self.child_ms);
+                *p.folded.entry(format!("{path}{}", self.name)).or_insert(0) += self_ms;
                 let e = p.per_span.entry(self.name.clone()).or_default();
                 e.count += 1;
                 e.self_ms += self_ms;
@@ -426,8 +517,8 @@ impl Span {
             }
         }
         if !self.quiet && trace_enabled() {
-            emit_line(|seq, out| {
-                let _ = write!(out, "{{\"seq\":{seq},\"type\":\"span\",\"id\":{}", self.id);
+            emit_line(|out| {
+                let _ = write!(out, "\"type\":\"span\",\"id\":{}", self.id);
                 match self.parent {
                     Some(p) => {
                         let _ = write!(out, ",\"parent\":{p}");
@@ -438,8 +529,8 @@ impl Span {
                 json::push_str(out, &self.name);
                 let _ = write!(
                     out,
-                    ",\"sim_start_ms\":{},\"sim_end_ms\":{sim_end_ms}",
-                    self.sim_start
+                    ",\"sim_start_ms\":{},\"sim_end_ms\":{}",
+                    self.sim_start, self.sim_end
                 );
                 out.push_str(",\"attrs\":");
                 push_attrs_json(out, &self.attrs);
@@ -818,6 +909,107 @@ mod tests {
         // Off path: contributions while disabled are dropped.
         profile_contrib("shard_commit;schedule", "shard_commit.schedule", &[99]);
         assert!(take_profile().is_none());
+    }
+
+    /// One unit of work as a lane would run it: nested spans, an event,
+    /// all at sim times derived from `k`.
+    fn unit(k: u64) {
+        let mut outer = span("unit", k * 100);
+        outer.attr("k", k);
+        let inner = span("unit.inner", k * 100 + 10);
+        event(Level::Debug, "tick", "", &[], Some(k * 100 + 20));
+        inner.finish(k * 100 + 50);
+        outer.finish(k * 100 + 90);
+    }
+
+    /// Runs three units under a root span with trace and profiler on;
+    /// `run_units` decides where and in which order they execute.
+    fn traced_units(run_units: impl FnOnce()) -> (String, String) {
+        let buf = SharedBuf::default();
+        attach_trace(Box::new(buf.clone()));
+        enable_profile();
+        let root = span("root", 0);
+        run_units();
+        root.finish(300);
+        detach_trace().unwrap();
+        (buf.take(), take_profile().unwrap().folded_text())
+    }
+
+    #[test]
+    fn captures_replayed_in_order_reproduce_the_sequential_stream() {
+        let _g = test_lock();
+        let sequential = traced_units(|| (0..3).for_each(unit));
+        // Each unit on a thread of its own, finishing in the reverse
+        // order, replayed in the schedule's.
+        let replayed = traced_units(|| {
+            let mut captures: Vec<(u64, crate::Capture)> = (0..3)
+                .rev()
+                .map(|k| {
+                    let run = move || {
+                        crate::Capture::begin();
+                        unit(k);
+                        crate::Capture::end()
+                    };
+                    (k, std::thread::spawn(run).join().unwrap())
+                })
+                .collect();
+            captures.sort_by_key(|&(k, _)| k);
+            for (_, capture) in captures {
+                capture.replay(0);
+            }
+        });
+        assert_eq!(sequential, replayed);
+
+        let (stream, folded) = replayed;
+        assert!(folded.contains("root;unit;unit.inner 120\n"), "{folded}");
+        let mut ids = Vec::new();
+        for (i, line) in stream.lines().enumerate() {
+            assert!(
+                line.starts_with(&format!("{{\"seq\":{i},")),
+                "dense seq: {line}"
+            );
+            if let Some(id) = line.split("\"id\":").nth(1) {
+                ids.push(id.split(',').next().unwrap().to_string());
+            }
+        }
+        for line in stream.lines().filter(|l| l.contains("\"parent\":")) {
+            let parent = line.split("\"parent\":").nth(1).unwrap();
+            let parent = parent.split(',').next().unwrap();
+            assert!(
+                parent == "null" || ids.iter().any(|id| id == parent),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_capture_replayed_at_once_is_a_pass_through() {
+        let _g = test_lock();
+        let direct = traced_units(|| (0..3).for_each(unit));
+        let captured = traced_units(|| {
+            for k in 0..3 {
+                crate::Capture::begin();
+                unit(k);
+                crate::Capture::end().replay(0);
+            }
+        });
+        assert_eq!(direct, captured);
+    }
+
+    #[test]
+    fn replay_starts_top_level_spans_no_earlier_than_the_previous_unit_ended() {
+        let _g = test_lock();
+        let (stream, folded) = traced_units(|| {
+            crate::Capture::begin();
+            unit(1);
+            crate::Capture::end().replay(130);
+        });
+        // The unit's outer span ran 100..190 on its own clock; the
+        // stream's clock was taken until 130. Its child is untouched.
+        assert!(stream.contains("\"name\":\"unit\",\"sim_start_ms\":130,\"sim_end_ms\":190"));
+        assert!(stream.contains("\"name\":\"unit.inner\",\"sim_start_ms\":110"));
+        assert!(folded.contains("root;unit 20\n"), "{folded}");
+        assert!(folded.contains("root 240\n"), "{folded}");
     }
 
     #[test]

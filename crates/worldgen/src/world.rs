@@ -157,10 +157,11 @@ pub struct World {
     pub net: NetHandle,
     /// Authoritative DNS data.
     pub universe: Arc<DnsUniverse>,
-    /// IP-to-country/AS database.
-    pub geo: GeoDb,
-    /// Reverse-DNS database.
-    pub rdns: RdnsDb,
+    /// IP-to-country/AS database. Built once and never written again,
+    /// so whoever needs it beside a `&mut World` clones the pointer.
+    pub geo: Arc<GeoDb>,
+    /// Reverse-DNS database (shared the same way).
+    pub rdns: Arc<RdnsDb>,
     /// The scanned-domain catalog.
     pub catalog: DomainCatalog,
     /// Ground-truth record per resolver.
@@ -214,8 +215,8 @@ impl World {
             cfg,
             net,
             universe,
-            geo,
-            rdns,
+            geo: Arc::new(geo),
+            rdns: Arc::new(rdns),
             catalog,
             resolvers,
             infra,

@@ -8,16 +8,23 @@
 //! registry experiment from one full bundle, re-collect each distinct
 //! requirement subset alone, and compare the rendered outputs.
 
+mod common;
+
+use common::{tree, SharedBuf, TempDir};
 use goingwild::experiments::{self, DeriveOptions, Experiment};
-use goingwild::{collect_bundle, BundleOptions, CampaignKind, WorldConfig};
+use goingwild::{collect_bundle, BundleData, BundleOptions, CampaignKind, WorldConfig};
 use netsim::FaultPlan;
 use scanner::ProbePolicy;
+use scanstore::fnv1a;
 use std::collections::BTreeMap;
+use std::fs;
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// `collect_bundle` counts world builds and campaign runs in the
-/// process-global telemetry registry, and the first test asserts on
-/// those counters, so the tests in this binary take turns.
+/// `collect_bundle` counts lanes, world builds and campaign runs in the
+/// process-global telemetry registry, several tests assert on those
+/// counters or attach the process-global trace sink, so the tests in
+/// this binary take turns.
 fn exclusive() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -28,27 +35,16 @@ fn exclusive() -> MutexGuard<'static, ()> {
 #[test]
 fn subset_derivations_match_full_bundle_and_campaigns_run_once() {
     let _guard = exclusive();
-    let cfg = WorldConfig {
-        weeks: 2,
-        ..WorldConfig::tiny(20151028)
-    };
-    let opts = BundleOptions {
-        snoop_sample: 60,
-        snoop_rounds: 4,
-        ..BundleOptions::new(cfg.clone())
-    };
-    let dopts = DeriveOptions {
-        cfg: cfg.clone(),
-        ..DeriveOptions::default()
-    };
+    let (opts, dopts) = lane_opts();
 
-    // The full bundle: one world build, each campaign at most once.
+    // The full bundle: two lanes, a world each, each campaign at most
+    // once.
     telemetry::global().clear();
     let full = collect_bundle(&opts, &CampaignKind::ALL, None).expect("full bundle");
     assert_eq!(
-        telemetry::counter("collect.world_builds").get(),
-        1,
-        "the whole bundle must share one world build"
+        lanes_and_world_builds(),
+        (2, 2),
+        "the full bundle runs on two lanes, one world each"
     );
     for kind in CampaignKind::ALL {
         let runs = telemetry::global()
@@ -60,10 +56,7 @@ fn subset_derivations_match_full_bundle_and_campaigns_run_once() {
     // The ablations are self-contained (empty requirements), so subset
     // identity is vacuous for them — and they are the one experiment
     // that builds worlds inside its derivation.
-    let exps: Vec<&'static Experiment> = experiments::REGISTRY
-        .iter()
-        .filter(|e| !e.requires.is_empty())
-        .collect();
+    let exps = campaign_experiments();
     let full_outputs = experiments::derive_all(&full, &exps, &dopts);
 
     // Re-collect each distinct requirement set alone and compare every
@@ -73,7 +66,18 @@ fn subset_derivations_match_full_bundle_and_campaigns_run_once() {
         groups.entry(e.requires.to_vec()).or_default().push(i);
     }
     for (kinds, members) in groups {
+        telemetry::global().clear();
         let mini = collect_bundle(&opts, &kinds, None).expect("subset bundle");
+        let domains_has_company = kinds.contains(&CampaignKind::Domains)
+            && kinds
+                .iter()
+                .any(|k| !matches!(k, CampaignKind::Fleet | CampaignKind::Domains));
+        let lanes = 1 + u64::from(domains_has_company);
+        assert_eq!(
+            lanes_and_world_builds(),
+            (lanes, lanes),
+            "a bundle of {kinds:?}: one lane unless Domains has company, a world per lane"
+        );
         for i in members {
             let exp = exps[i];
             let from_full = &full_outputs[i].as_ref().expect("derive from full").text;
@@ -89,6 +93,14 @@ fn subset_derivations_match_full_bundle_and_campaigns_run_once() {
     }
 }
 
+/// `(collect.lanes, collect.world_builds)` since the registry was cleared.
+fn lanes_and_world_builds() -> (u64, u64) {
+    (
+        telemetry::counter("collect.lanes").get(),
+        telemetry::counter("collect.world_builds").get(),
+    )
+}
+
 /// The sharded engine must be invisible in every artifact: the full
 /// bundle collected at 2, 4 and 8 shards derives reports byte-identical
 /// to the single-threaded reference engine — the in-process assertion
@@ -97,29 +109,11 @@ fn subset_derivations_match_full_bundle_and_campaigns_run_once() {
 fn sharded_bundles_are_byte_identical_to_sequential() {
     let _guard = exclusive();
     let mk = |shards: usize| {
-        let cfg = WorldConfig {
-            weeks: 2,
-            shards,
-            ..WorldConfig::tiny(20151028)
-        };
-        let opts = BundleOptions {
-            snoop_sample: 60,
-            snoop_rounds: 4,
-            ..BundleOptions::new(cfg.clone())
-        };
-        let dopts = DeriveOptions {
-            cfg,
-            ..DeriveOptions::default()
-        };
+        let (mut opts, mut dopts) = lane_opts();
+        opts.cfg.shards = shards;
+        dopts.cfg.shards = shards;
         let bundle = collect_bundle(&opts, &CampaignKind::ALL, None).expect("bundle");
-        let exps: Vec<&'static Experiment> = experiments::REGISTRY
-            .iter()
-            .filter(|e| !e.requires.is_empty())
-            .collect();
-        experiments::derive_all(&bundle, &exps, &dopts)
-            .into_iter()
-            .map(|r| r.expect("derive").text)
-            .collect::<Vec<String>>()
+        reports(&bundle, &campaign_experiments(), &dopts)
     };
     let reference = mk(1);
     for shards in [2, 4, 8] {
@@ -138,31 +132,16 @@ fn sharded_bundles_are_byte_identical_to_sequential() {
 #[test]
 fn noop_fault_plan_and_single_probe_policy_are_byte_identical() {
     let _guard = exclusive();
-    let cfg = WorldConfig {
-        weeks: 2,
-        ..WorldConfig::tiny(20151028)
-    };
-    let base = BundleOptions {
-        snoop_sample: 60,
-        snoop_rounds: 4,
-        ..BundleOptions::new(cfg.clone())
-    };
+    let (base, dopts) = lane_opts();
     let disarmed = BundleOptions {
         faults: Some(FaultPlan::none()),
         probe: ProbePolicy::single(),
         coverage: true,
         ..base.clone()
     };
-    let dopts = DeriveOptions {
-        cfg: cfg.clone(),
-        ..DeriveOptions::default()
-    };
     let plain = collect_bundle(&base, &CampaignKind::ALL, None).expect("plain bundle");
     let chaos_ready = collect_bundle(&disarmed, &CampaignKind::ALL, None).expect("disarmed bundle");
-    let exps: Vec<&'static Experiment> = experiments::REGISTRY
-        .iter()
-        .filter(|e| !e.requires.is_empty())
-        .collect();
+    let exps = campaign_experiments();
     let a = experiments::derive_all(&plain, &exps, &dopts);
     let b = experiments::derive_all(&chaos_ready, &exps, &dopts);
     for ((exp, ra), rb) in exps.iter().zip(a).zip(b) {
@@ -191,5 +170,296 @@ fn noop_fault_plan_and_single_probe_policy_are_byte_identical() {
             kind.name(),
             cov.fraction()
         );
+    }
+}
+
+// =====================================================================
+// The lane contract
+// =====================================================================
+
+/// The suite's bundle: every campaign and every pipeline stage at
+/// `WorldConfig::tiny`, the whole domain catalog included.
+fn lane_opts() -> (BundleOptions, DeriveOptions) {
+    let cfg = WorldConfig {
+        weeks: 2,
+        ..WorldConfig::tiny(20151028)
+    };
+    let opts = BundleOptions {
+        snoop_sample: 60,
+        snoop_rounds: 4,
+        ..BundleOptions::new(cfg.clone())
+    };
+    let dopts = DeriveOptions {
+        cfg,
+        ..DeriveOptions::default()
+    };
+    (opts, dopts)
+}
+
+/// The same with a domain of each kind instead of all 155: what the
+/// lanes owe each other does not depend on the catalog's size, and the
+/// domain scan is most of a debug-build collection.
+fn small_lane_opts() -> (BundleOptions, DeriveOptions) {
+    let (mut opts, mut dopts) = lane_opts();
+    opts.cfg.scale = 0.00005;
+    dopts.cfg.scale = 0.00005;
+    opts.snoop_sample = 30;
+    opts.snoop_rounds = 2;
+    opts.analysis.domains = Some(
+        [
+            "facebook.example",
+            "youporn.example",
+            "paypal.example",
+            "adnet-one.example",
+            "qzxkjv.example",
+            "update.adobe.example",
+            "torproject.example",
+            "gt.gwild.example",
+        ]
+        .map(String::from)
+        .to_vec(),
+    );
+    (opts, dopts)
+}
+
+/// The registry experiments that derive from collected campaigns.
+fn campaign_experiments() -> Vec<&'static Experiment> {
+    experiments::REGISTRY
+        .iter()
+        .filter(|e| !e.requires.is_empty())
+        .collect()
+}
+
+fn reports(
+    bundle: &BundleData,
+    exps: &[&'static Experiment],
+    dopts: &DeriveOptions,
+) -> Vec<String> {
+    experiments::derive_all(bundle, exps, dopts)
+        .into_iter()
+        .map(|r| r.expect("derive").text)
+        .collect()
+}
+
+/// A full bundle into a disk store, and every campaign collected alone
+/// (with the fleet it depends on) into a store of its own: every file
+/// the lone collection wrote is byte-identical in the full store, and
+/// every report it can derive reads the same. With `faults`, under that
+/// profile with three attempts per probe — the fault plan's state lives
+/// in the world, so each lane's world must see what the lone world saw.
+fn assert_full_store_equals_each_campaign_alone(name: &str, faults: Option<&str>) {
+    let (mut opts, dopts) = small_lane_opts();
+    if let Some(profile) = faults {
+        opts.faults = Some(FaultPlan::named(profile, opts.seed).expect("profile"));
+        opts.probe = ProbePolicy::retrying(3);
+    }
+    let exps = campaign_experiments();
+    let full_dir = TempDir::new(&format!("{name}-full"));
+    let full = collect_bundle(&opts, &CampaignKind::ALL, Some(&full_dir.0)).expect("full bundle");
+    assert_eq!(
+        faults.is_some(),
+        full.coverage().values().any(|cov| cov.retries > 0),
+        "{name}: retransmissions happen under faults, and only there"
+    );
+    let full_tree: BTreeMap<_, _> = tree(&full_dir.0).into_iter().collect();
+    let full_reports = reports(&full, &exps, &dopts);
+
+    let mut compared = 0;
+    for kind in CampaignKind::ALL {
+        let dir = TempDir::new(&format!("{name}-{}", kind.name()));
+        let alone = collect_bundle(&opts, &[kind], Some(&dir.0)).expect("lone campaign");
+        for (path, bytes) in tree(&dir.0) {
+            assert!(
+                full_tree.get(&path) == Some(&bytes),
+                "{name}: {} differs between the full bundle and `{}` collected alone",
+                path.display(),
+                kind.name()
+            );
+            compared += 1;
+        }
+        for (exp, from_full) in exps.iter().zip(&full_reports) {
+            if exp.requires.iter().all(|k| alone.has(*k)) {
+                let from_alone = (exp.derive)(&alone, &dopts).expect("derive").text;
+                assert_eq!(*from_full, from_alone, "{name}: experiment `{}`", exp.id);
+            }
+        }
+    }
+    // Every file of the full store was some lone collection's file too.
+    assert!(
+        compared >= full_tree.len(),
+        "{compared} < {}",
+        full_tree.len()
+    );
+    for kind in CampaignKind::ALL {
+        assert!(full_tree.keys().any(|p| p.starts_with(kind.name())));
+    }
+
+    // The cohort snapshot carries the instant the fleet sweep finished,
+    // which the churn lane never swept: it crossed lanes.
+    let cohort = full
+        .source(CampaignKind::Churn)
+        .and_then(|src| src.snapshot(0))
+        .expect("cohort snapshot");
+    assert!(
+        cohort.t_ms > netsim::SimTime::HOUR,
+        "cohort stamped {} ms: the fleet sweep's pumping is missing",
+        cohort.t_ms
+    );
+}
+
+#[test]
+fn full_store_equals_each_campaign_collected_alone() {
+    let _guard = exclusive();
+    assert_full_store_equals_each_campaign_alone("pristine", None);
+}
+
+#[test]
+fn full_store_equals_each_campaign_collected_alone_under_faults() {
+    let _guard = exclusive();
+    for profile in ["flaky", "ratelimited", "hostile"] {
+        assert_full_store_equals_each_campaign_alone(profile, Some(profile));
+    }
+}
+
+/// FNV digests of one full bundle's four kinds of output.
+#[derive(Debug, PartialEq, Eq)]
+struct Digests {
+    reports: u64,
+    store: u64,
+    trace: u64,
+    record: u64,
+}
+
+/// Collects the full bundle of `opts` into a fresh disk store with a
+/// trace and the flight recorder attached.
+fn traced_full_bundle(name: &str, (opts, dopts): (BundleOptions, DeriveOptions)) -> Digests {
+    let dir = TempDir::new(name);
+    let buf = SharedBuf::default();
+    telemetry::global().clear();
+    telemetry::attach_trace(Box::new(buf.clone()));
+    telemetry::recorder::enable(1.0, opts.seed, telemetry::recorder::DEFAULT_CAPACITY);
+    let bundle = collect_bundle(&opts, &CampaignKind::ALL, Some(&dir.0)).expect("full bundle");
+    telemetry::detach_trace().expect("flush trace");
+    let records = telemetry::recorder::drain();
+    telemetry::recorder::disable();
+    assert!(!records.is_empty(), "the recorder captured nothing");
+
+    let mut store = Vec::new();
+    for (path, bytes) in tree(&dir.0) {
+        store.extend_from_slice(path.to_string_lossy().as_bytes());
+        store.extend_from_slice(&bytes);
+    }
+    let record: String = records.iter().map(|r| format!("{r:?}\n")).collect();
+    Digests {
+        reports: fnv1a(
+            reports(&bundle, &campaign_experiments(), &dopts)
+                .concat()
+                .as_bytes(),
+        ),
+        store: fnv1a(&store),
+        trace: fnv1a(&buf.contents()),
+        record: fnv1a(record.as_bytes()),
+    }
+}
+
+/// "Byte-identical to the sequential bundle" as a test: these digests
+/// were recorded at the commit before the lanes, where `collect_bundle`
+/// walked the schedule on one thread over one world.
+#[test]
+fn full_bundle_reproduces_the_sequential_digests() {
+    let _guard = exclusive();
+    assert_eq!(
+        traced_full_bundle("sequential-digests", lane_opts()),
+        Digests {
+            reports: 8770696989380860093,
+            store: 2913415903122669133,
+            trace: 1753389207985058338,
+            record: 15630869906560790951,
+        }
+    );
+}
+
+/// Nothing the scheduler does reaches an output: five collections in one
+/// process, lanes racing differently each time, one digest — and each
+/// collection ran every campaign once.
+#[test]
+fn five_traced_full_bundles_have_one_digest() {
+    let _guard = exclusive();
+    let first = traced_full_bundle("five-0", small_lane_opts());
+    for round in 1..5 {
+        let again = traced_full_bundle(&format!("five-{round}"), small_lane_opts());
+        assert_eq!(first, again, "round {round}");
+        for kind in CampaignKind::ALL {
+            let runs = telemetry::global()
+                .counter_with("collect.campaign_runs", &[("campaign", kind.name())])
+                .get();
+            assert_eq!(runs, 1, "campaign `{}` must run exactly once", kind.name());
+        }
+    }
+}
+
+/// Two `--metrics` snapshots of the same full bundle agree key for key
+/// and value for value, wall-clock counters aside: no gauge is "whoever
+/// wrote last".
+#[test]
+fn two_metrics_snapshots_of_the_full_bundle_are_equal() {
+    let _guard = exclusive();
+    let snapshot = || {
+        let (opts, _) = small_lane_opts();
+        telemetry::global().clear();
+        collect_bundle(&opts, &CampaignKind::ALL, None).expect("full bundle");
+        telemetry::snapshot()
+            .to_json()
+            .lines()
+            .filter(|l| !l.contains("wall_us"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let (a, b) = (snapshot(), snapshot());
+    assert!(a.contains("collect.sim_end_ms") && a.contains("collect.lanes"));
+    assert_eq!(a, b);
+}
+
+/// Makes `store`'s first commit fail: a segment is renamed into place,
+/// and a file cannot be renamed over a non-empty directory.
+fn block_first_segment(store: &Path) {
+    fs::create_dir_all(store.join("seg-00000.gws/blocker")).expect("blocker");
+}
+
+/// A lane that fails ends the collection with its error — the other lane
+/// neither hangs nor panics — and a re-run on the repaired directory
+/// picks every campaign up from its own checkpoint.
+#[test]
+fn a_failing_lane_fails_the_collection_and_a_rerun_resumes() {
+    let _guard = exclusive();
+    let (opts, dopts) = small_lane_opts();
+    let exps = campaign_experiments();
+    let want = reports(
+        &collect_bundle(&opts, &CampaignKind::ALL, None).expect("reference"),
+        &exps,
+        &dopts,
+    );
+    for broken in [CampaignKind::Domains, CampaignKind::Snoop] {
+        let dir = TempDir::new(&format!("broken-{}", broken.name()));
+        block_first_segment(&dir.0.join(broken.name()));
+        let err = collect_bundle(&opts, &CampaignKind::ALL, Some(&dir.0))
+            .err()
+            .unwrap_or_else(|| panic!("a blocked `{}` store must fail", broken.name()));
+        assert!(
+            !err.to_string().contains("lane"),
+            "the error is the store's, not a lane's complaint about another: {err}"
+        );
+
+        fs::remove_dir_all(dir.0.join(broken.name()).join("seg-00000.gws")).expect("repair");
+        telemetry::global().clear();
+        let resumed = collect_bundle(&opts, &CampaignKind::ALL, Some(&dir.0)).expect("re-run");
+        assert_eq!(want, reports(&resumed, &exps, &dopts), "{}", broken.name());
+        let runs = |kind: CampaignKind| {
+            telemetry::global()
+                .counter_with("collect.campaign_runs", &[("campaign", kind.name())])
+                .get()
+        };
+        assert_eq!(runs(broken), 1, "`{}` runs on the re-run", broken.name());
+        assert_eq!(runs(CampaignKind::Fleet), 0, "the fleet was committed");
     }
 }

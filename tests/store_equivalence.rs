@@ -18,23 +18,10 @@ use goingwild::{
 use scanstore::StoreStats;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("gw-equiv-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&path);
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
+mod common;
+use common::{tree, TempDir};
 
 /// Run (or resume, or merely reopen) `kind` for `weeks` weeks — into
 /// the persistent store under `dir`, or into a throwaway in-memory sink
@@ -142,7 +129,13 @@ fn fig1_from_store_is_byte_identical_to_scratch() {
 #[test]
 fn killed_weekly_campaign_resumes_from_checkpoint() {
     const WEEKS: u32 = 3;
-    let cfg = WorldConfig::tiny(0xE1);
+    // At 1 % packet loss: every loss roll is keyed on the flow, not on a
+    // count of the packets sent before it, so the weeks re-simulated
+    // after a kill lose exactly the packets the uninterrupted run lost.
+    let cfg = WorldConfig {
+        udp_loss: 0.01,
+        ..WorldConfig::tiny(0xE1)
+    };
     let tmp = TempDir::new("resume");
 
     // A run killed after committing week 0 (simulated by collecting a
@@ -163,12 +156,17 @@ fn killed_weekly_campaign_resumes_from_checkpoint() {
         seg0,
         "the committed prefix is never rewritten"
     );
-    // The tiny world is loss-free, so the resumed campaign reproduces
-    // the uninterrupted run exactly.
+    // The resumed campaign reproduces the uninterrupted run exactly —
+    // and the loss is real: the loss-free world answers more.
     let scratch = scratch_fig1(cfg, WEEKS);
     assert_eq!(
         serde_json::to_string(&scratch).unwrap(),
         serde_json::to_string(&resumed).unwrap(),
+    );
+    let lossless = scratch_fig1(WorldConfig::tiny(0xE1), WEEKS);
+    assert!(
+        lossless.weeks[WEEKS as usize - 1].all > resumed.weeks[WEEKS as usize - 1].all,
+        "1 % loss must cost the last sweep some responders"
     );
 }
 
@@ -194,25 +192,6 @@ fn fig2_from_store_matches_scratch_and_reopens_clean() {
         serde_json::to_string(&first).unwrap(),
         serde_json::to_string(&second).unwrap(),
     );
-}
-
-/// Every file under `dir`, by path relative to it.
-fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
-    let mut files = Vec::new();
-    let mut pending = vec![dir.to_path_buf()];
-    while let Some(d) = pending.pop() {
-        for entry in fs::read_dir(&d).expect("store dir") {
-            let path = entry.expect("dirent").path();
-            if path.is_dir() {
-                pending.push(path);
-            } else {
-                let rel = path.strip_prefix(dir).expect("under dir").to_path_buf();
-                files.push((rel, fs::read(&path).expect("read")));
-            }
-        }
-    }
-    files.sort();
-    files
 }
 
 /// Two collections of every campaign with the same options write the

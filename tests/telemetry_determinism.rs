@@ -6,8 +6,11 @@ use goingwild::{
     collect_bundle, experiments, fig1_from_source, run_analysis, AnalysisOptions, BundleData,
     BundleOptions, CampaignKind, DeriveOptions, WorldConfig,
 };
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use worldgen::build_world;
+
+mod common;
+use common::SharedBuf;
 
 /// The trace sink and span-id counter are process-global, so the tests
 /// in this binary take turns.
@@ -16,27 +19,6 @@ fn exclusive() -> std::sync::MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-}
-
-/// An in-memory trace sink the test can read back after detaching.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn contents(&self) -> Vec<u8> {
-        self.0.lock().unwrap().clone()
-    }
-}
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 fn cfg() -> WorldConfig {
