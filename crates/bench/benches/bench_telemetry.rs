@@ -9,7 +9,7 @@
 //! gwbench's `trace.overhead_pct`.
 
 use netsim::host::EchoHost;
-use netsim::{Datagram, NetEngine, Network, NetworkConfig, SimTime};
+use netsim::{Datagram, Network, NetworkConfig, SimTime};
 use std::net::Ipv4Addr;
 use std::time::Instant;
 
@@ -38,15 +38,12 @@ fn echo_workload(instrumented: bool) -> (u64, f64) {
     let start = Instant::now();
     for i in 0..PACKETS {
         let dst = targets[(i % TARGETS) as usize];
-        net.send_udp(Datagram::new(
-            src,
-            40_000,
-            dst,
-            53,
-            i.to_be_bytes().to_vec(),
-        ));
+        net.send(
+            Datagram::new(src, 40_000, dst, 53, i.to_be_bytes().to_vec()),
+            None,
+        );
     }
-    let delivered = NetEngine::run_to_idle(&mut net, SimTime::from_secs(3_600)).delivered;
+    let delivered = net.run_to_idle(SimTime::from_secs(3_600)).delivered;
     (delivered, start.elapsed().as_secs_f64())
 }
 

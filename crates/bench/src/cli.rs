@@ -52,8 +52,8 @@ pub struct Command {
     pub about: &'static str,
     /// Metavar of the single positional argument, if it takes one.
     pub positional: Option<&'static str>,
-    /// The accepted flags, as groups so subcommands can share one.
-    pub flags: &'static [&'static [Flag]],
+    /// The accepted flags, in help order.
+    pub flags: &'static [Flag],
     /// Runs the subcommand over its parsed arguments. An `Err` is a
     /// runtime failure: the dispatcher prints it after `repro <sub>: `
     /// and exits 1.
@@ -64,21 +64,15 @@ pub struct Command {
 // is `rustfmt::skip` because rustfmt would stack every cell on a line
 // of its own.
 
-/// The workload selection `repro` and `repro shardstat` share.
 #[rustfmt::skip]
-const WORKLOAD: &[Flag] = &[
+const RUN_FLAGS: &[Flag] = &[
     val("--exp", "id", "experiment to regenerate: an id from --list, or `all`"),
     val("--scale", "f", "world size relative to the paper's 26.8 M resolvers"),
     val("--weeks", "n", "simulated weeks of the weekly enumeration"),
     val("--seed", "n", "world seed; output is a pure function of seed, scale and flags"),
     val("--snoop-sample", "n", "resolvers probed by the cache-snooping campaign"),
-    val("--shards", "n", "network shards; 1 = sequential engine, output identical at any n"),
     val("--faults", "profile", "flaky|bursty|outage|flappy|ratelimited|hostile; implies 3 tries"),
     val("--retries", "n", "probe attempts per retrying campaign (enumeration stays at one)"),
-];
-
-#[rustfmt::skip]
-const RUN_FLAGS: &[Flag] = &[
     val("--strict-coverage", "pct", "exit 3 if a campaign's response coverage falls below pct"),
     val("--json", "path", "also write the machine-readable reports to this file"),
     val("--store", "dir", "persist campaign snapshots; resume a killed run, re-serve a done one"),
@@ -99,9 +93,9 @@ pub const RUN: Command = Command {
     about: "Collects the selected experiments' campaigns in one pass over one schedule\n\
             (each campaign once; the domain scan beside the others, on a simulated world\n\
             of its own), then derives every experiment's artifact from that bundle. Defaults:\n\
-            --exp all --scale 0.0005 --weeks 55 --seed 20151028 --snoop-sample 1500 --shards 1.",
+            --exp all --scale 0.0005 --weeks 55 --seed 20151028 --snoop-sample 1500.",
     positional: None,
-    flags: &[WORKLOAD, RUN_FLAGS],
+    flags: RUN_FLAGS,
     run: crate::run::main,
 };
 
@@ -137,7 +131,7 @@ pub const SERVE: Command = Command {
             straight from an on-disk store, refreshing as a writer commits; also /metrics,\n\
             /slo, /debug/requests, /admin/scrub. SIGINT/SIGTERM drains, then flushes metrics.",
     positional: None,
-    flags: &[SERVE_FLAGS],
+    flags: SERVE_FLAGS,
     run: crate::serve::main,
 };
 
@@ -158,7 +152,7 @@ pub const TRACE: Command = Command {
     about: "Reads a stream written by `repro --record`: one probe's timeline, the probes a\n\
             fault kind killed, or with no filter a summary of the whole stream.",
     positional: Some("stream.gwrs"),
-    flags: &[TRACE_FLAGS],
+    flags: TRACE_FLAGS,
     run: crate::trace::main,
 };
 
@@ -176,7 +170,7 @@ pub const SCRUB: Command = Command {
             verdict per segment (ok, missing, size_mismatch, corrupt, seq_mismatch).\n\
             Exit 1 if anything is unhealthy.",
     positional: None,
-    flags: &[SCRUB_FLAGS],
+    flags: SCRUB_FLAGS,
     run: crate::scrub::main,
 };
 
@@ -198,29 +192,12 @@ pub const TAIL: Command = Command {
             of a running daemon, or the traced requests and collect.progress heartbeats of\n\
             a recorded trace stream.",
     positional: None,
-    flags: &[TAIL_FLAGS],
+    flags: TAIL_FLAGS,
     run: crate::tail::main,
 };
 
-#[rustfmt::skip]
-const SHARDSTAT_FLAGS: &[Flag] = &[
-    switch("--json", None, "print goingwild.shardstat.v1 JSON instead of the text report"),
-];
-
-/// `repro shardstat`: critical-path scaling report of the sharded engine.
-pub const SHARDSTAT: Command = Command {
-    name: "shardstat",
-    summary: "critical-path scaling report of the sharded engine",
-    about: "Runs one quiet sharded collect pass (defaults --exp fig2 --weeks 4, at least 2\n\
-            shards) and prints per-shard accounting, horizon-stall attribution and the\n\
-            predicted speedup at 1/2/4/8/16 workers; byte-identical across same-seed runs.",
-    positional: None,
-    flags: &[SHARDSTAT_FLAGS, WORKLOAD],
-    run: crate::shardstat::main,
-};
-
 /// Every command, the default run first.
-pub const COMMANDS: &[&Command] = &[&RUN, &SERVE, &TRACE, &SCRUB, &TAIL, &SHARDSTAT];
+pub const COMMANDS: &[&Command] = &[&RUN, &SERVE, &TRACE, &SCRUB, &TAIL];
 
 /// The subcommand a first argument names, if any.
 pub fn subcommand(word: &str) -> Option<&'static Command> {
@@ -233,7 +210,7 @@ pub fn subcommand(word: &str) -> Option<&'static Command> {
 impl Command {
     /// Every flag of the command, in help order.
     pub fn flags(&self) -> impl Iterator<Item = &'static Flag> {
-        self.flags.iter().flat_map(|group| group.iter())
+        self.flags.iter()
     }
 
     fn find(&self, arg: &str) -> Option<&'static Flag> {

@@ -5,6 +5,5 @@ pub mod cli;
 pub mod run;
 pub mod scrub;
 pub mod serve;
-pub mod shardstat;
 pub mod tail;
 pub mod trace;

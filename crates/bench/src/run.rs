@@ -17,16 +17,13 @@ use scanner::ProbePolicy;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-/// The workload flags `repro` and `repro shardstat` share.
+/// What `repro` collects: the world, the experiments and the faults.
 pub struct Workload {
     pub exp: String,
     pub scale: f64,
     pub weeks: u32,
     pub seed: u64,
     pub snoop_sample: usize,
-    /// Worker shards for the simulated network (1 = the sequential
-    /// reference engine; byte-identical output at any value).
-    pub shards: usize,
     /// Named network fault profile injected into the simulation.
     faults: Option<String>,
     /// Probe attempts per retrying campaign (`None` = 1, or 3 when
@@ -35,16 +32,14 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Reads and validates the workload flags; `exp` and `weeks` are
-    /// the caller's defaults for `--exp` and `--weeks`.
-    pub fn from_flags(p: &Parsed, exp: &str, weeks: u32) -> Workload {
+    /// Reads and validates the workload flags.
+    pub fn from_flags(p: &Parsed) -> Workload {
         let w = Workload {
-            exp: p.string("--exp").unwrap_or_else(|| exp.to_string()),
+            exp: p.string("--exp").unwrap_or_else(|| "all".to_string()),
             scale: p.num("--scale").unwrap_or(0.0005),
-            weeks: p.num("--weeks").unwrap_or(weeks),
+            weeks: p.num("--weeks").unwrap_or(55),
             seed: p.num("--seed").unwrap_or(2015_1028),
             snoop_sample: p.num("--snoop-sample").unwrap_or(1_500),
-            shards: p.num("--shards").unwrap_or(1),
             faults: p.string("--faults"),
             retries: p.num("--retries"),
         };
@@ -71,7 +66,7 @@ impl Workload {
             scale: self.scale,
             udp_loss: 0.004,
             weeks: self.weeks,
-            shards: self.shards,
+            ..WorldConfig::default()
         }
     }
 
@@ -172,7 +167,7 @@ pub fn main(p: &Parsed) -> Result<(), String> {
         print_experiment_list();
         return Ok(());
     }
-    let workload = Workload::from_flags(p, "all", 55);
+    let workload = Workload::from_flags(p);
     let strict_coverage: Option<f64> = p.num("--strict-coverage");
     if strict_coverage.is_some_and(|pct| !(0.0..=100.0).contains(&pct)) {
         usage_error("--strict-coverage expects a percentage in 0..=100");

@@ -338,7 +338,7 @@ struct FileAgg {
     skipped: u64,
     /// Unparseable lines (torn tail of a live file).
     torn: u64,
-    /// `type: "heartbeat"` progress lines (DESIGN §15).
+    /// `type: "heartbeat"` progress lines (DESIGN §9).
     heartbeats: u64,
     last_heartbeat: Option<Value>,
 }
@@ -387,11 +387,6 @@ impl FileAgg {
             ("done", get(attrs, "done").clone()),
             ("total", get(attrs, "total").clone()),
             ("permille", get(attrs, "permille").clone()),
-            ("shards", get(attrs, "shards").clone()),
-            (
-                "shard_load_permille",
-                get(attrs, "shard_load_permille").clone(),
-            ),
             ("sim_ms", get(hb, "sim_ms").clone()),
         ])
     }
@@ -437,14 +432,12 @@ fn render_file(doc: &Value) -> String {
     if !matches!(progress, Value::Null) {
         let _ = writeln!(
             out,
-            "progress: {} {}/{} tasks ({}%) campaign={} shards={} load={} sim_ms={} ({} heartbeats)",
+            "progress: {} {}/{} tasks ({}%) campaign={} sim_ms={} ({} heartbeats)",
             as_str(get(progress, "name")).unwrap_or("?"),
             as_u64(get(progress, "done")),
             as_u64(get(progress, "total")),
             as_u64(get(progress, "permille")) / 10,
             as_str(get(progress, "campaign")).unwrap_or("?"),
-            as_u64(get(progress, "shards")),
-            as_str(get(progress, "shard_load_permille")).unwrap_or("?"),
             as_u64(get(progress, "sim_ms")),
             as_u64(get(progress, "heartbeats")),
         );
@@ -546,13 +539,13 @@ mod tests {
     fn file_aggregation_folds_heartbeats_and_unknown_types() {
         let mut agg = FileAgg::default();
         agg.ingest(concat!(
-            r#"{"seq":1,"type":"heartbeat","name":"collect.progress","sim_ms":604800000,"attrs":{"campaign":"weekly","done":1,"total":4,"permille":250,"shards":4,"shard_load_permille":"251/249/250/250"}}"#,
+            r#"{"seq":1,"type":"heartbeat","name":"collect.progress","sim_ms":604800000,"attrs":{"campaign":"weekly","done":1,"total":4,"permille":250}}"#,
             "\n",
             r#"{"seq":2,"type":"event","name":"x","sim_ms":1,"attrs":{}}"#,
             "\n",
             r#"{"seq":3,"type":"wormhole","payload":"from the future"}"#,
             "\n",
-            r#"{"seq":4,"type":"heartbeat","name":"collect.progress","sim_ms":1209600000,"attrs":{"campaign":"churn","done":3,"total":4,"permille":750,"shards":4,"shard_load_permille":"250/250/250/250"}}"#,
+            r#"{"seq":4,"type":"heartbeat","name":"collect.progress","sim_ms":1209600000,"attrs":{"campaign":"churn","done":3,"total":4,"permille":750}}"#,
             "\n",
         ));
         let doc = agg.to_doc("file:test");

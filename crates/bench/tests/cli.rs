@@ -63,7 +63,7 @@ fn every_flag_in_the_table_parses() {
     }
     // The tracked size of the operator surface: distinct flag names
     // over all subcommands, `--help` aside.
-    assert_eq!(names.len(), 44, "{names:?}");
+    assert_eq!(names.len(), 43, "{names:?}");
 }
 
 #[test]
@@ -110,14 +110,32 @@ fn readme_flag_reference_matches_the_table() {
     );
 }
 
-#[test]
-fn the_removed_bench_subcommand_is_a_usage_error() {
-    let out = repro(&["bench", "--bench", "repro_all"]);
-    assert_eq!(out.status.code(), Some(2));
+/// `args` exit 2 with the usage text, naming `unknown` as the argument
+/// nothing accepts.
+fn assert_unknown_argument(args: &[&str], unknown: &str) {
+    let out = repro(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown argument bench"), "{stderr}");
+    assert!(
+        stderr.contains(&format!("unknown argument {unknown}")),
+        "{stderr}"
+    );
     assert!(stderr.contains("--help"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn the_removed_bench_subcommand_is_a_usage_error() {
+    assert_unknown_argument(&["bench", "--bench", "repro_all"], "bench");
+}
+
+#[test]
+fn the_removed_sharded_engine_left_no_flag_or_subcommand() {
+    assert_unknown_argument(&["--exp", "fig1", "--shards", "2"], "--shards");
+    assert_unknown_argument(&["shardstat", "--json"], "shardstat");
+    assert_eq!(COMMANDS.len(), 5);
+    let defaults = cli::RUN.about.lines().last().expect("about text");
+    assert!(defaults.ends_with("--snoop-sample 1500."), "{defaults}");
 }
 
 #[test]

@@ -583,46 +583,33 @@ impl Task {
 }
 
 /// What a lane reports about a task it executed, for the
-/// `collect.progress` heartbeat: the campaign, the lane world's clock
-/// and its per-shard load so far.
+/// `collect.progress` heartbeat: the campaign and the lane world's
+/// clock.
 struct Beat {
     campaign: CampaignKind,
     sim_ms: u64,
-    shards: netsim::ShardStats,
 }
 
 /// One `collect.progress` heartbeat after each executed bundle task:
-/// a deterministic trace line (campaign, done/total, per-shard load
-/// shares, sim time — `repro tail --file` aggregates these) plus, at
-/// info verbosity, a progress line with a wall-clock ETA on stderr.
-/// The ETA never enters the trace: wall time stays in the stderr side
-/// channel so traces remain byte-identical across runs (DESIGN §15).
+/// a deterministic trace line (campaign, done/total, sim time —
+/// `repro tail --file` aggregates these) plus, at info verbosity, a
+/// progress line with a wall-clock ETA on stderr. The ETA never enters
+/// the trace: wall time stays in the stderr side channel so traces
+/// remain byte-identical across runs (DESIGN §9).
 fn heartbeat_progress(beat: &Beat, done: usize, total: usize, started: std::time::Instant) {
     let to_stderr = telemetry::Level::Info <= telemetry::verbosity();
     if !to_stderr && !telemetry::trace_enabled() {
         return;
-    }
-    let (campaign, ss) = (beat.campaign, &beat.shards);
-    let total_events: u64 = ss.events.iter().sum();
-    let mut load = String::new();
-    for (i, &e) in ss.events.iter().enumerate() {
-        if i > 0 {
-            load.push('/');
-        }
-        let share = (e * 1000).checked_div(total_events).unwrap_or(0);
-        load.push_str(&share.to_string());
     }
     let permille = (done * 1000).checked_div(total).unwrap_or(1000) as u64;
     telemetry::heartbeat(
         "collect.progress",
         beat.sim_ms,
         &[
-            ("campaign", campaign.name().into()),
+            ("campaign", beat.campaign.name().into()),
             ("done", done.into()),
             ("total", total.into()),
             ("permille", permille.into()),
-            ("shards", ss.shards.into()),
-            ("shard_load_permille", load.into()),
         ],
     );
     if to_stderr {
@@ -632,10 +619,9 @@ fn heartbeat_progress(beat: &Beat, done: usize, total: usize, started: std::time
             started.elapsed().as_secs_f64() / done as f64 * (total - done) as f64
         };
         eprintln!(
-            "[info ] collect.progress: {done}/{total} tasks ({}%) campaign={} shards={} eta~{:.0}s",
+            "[info ] collect.progress: {done}/{total} tasks ({}%) campaign={} eta~{:.0}s",
             permille / 10,
-            campaign.name(),
-            ss.shards,
+            beat.campaign.name(),
             eta_s,
         );
     }
@@ -935,23 +921,13 @@ pub fn collect_bundle(
     })?;
 
     // What the lanes each know a part of is published once, here: the
-    // final simulated clock (so a `--metrics` snapshot records how much
-    // simulated time the run covered) and the sharded engine's load
-    // imbalance, over both worlds' deliveries.
+    // final simulated clock, so a `--metrics` snapshot records how much
+    // simulated time the run covered.
     let sim_end_ms = ends.iter().map(|e| e.sim_end_ms).max().unwrap_or(0);
     if let Some(s) = bundle_span.take() {
         s.finish(sim_end_ms);
     }
     telemetry::gauge("collect.sim_end_ms").set(sim_end_ms as f64);
-    let mut shards = ends[0].shards.clone();
-    for end in &ends[1..] {
-        for (mine, theirs) in shards.events.iter_mut().zip(&end.shards.events) {
-            *mine += theirs;
-        }
-    }
-    if shards.shards > 1 {
-        telemetry::gauge("netsim.shard.imbalance_permille").set(shards.imbalance_permille() as f64);
-    }
 
     let mut data = BundleSinks::new();
     let mut coverage: BTreeMap<CampaignKind, Coverage> = BTreeMap::new();
@@ -1022,7 +998,6 @@ struct LaneEnd {
     data: BundleSinks,
     coverage: BTreeMap<CampaignKind, Coverage>,
     sim_end_ms: u64,
-    shards: netsim::ShardStats,
 }
 
 /// Where a world's clock stands, the network's pumping included
@@ -1343,7 +1318,6 @@ fn run_lane(
             beat: executed.then(|| Beat {
                 campaign: task.campaign(),
                 sim_ms: world.now().millis(),
-                shards: world.net.shard_stats(),
             }),
         });
     }
@@ -1352,7 +1326,6 @@ fn run_lane(
         data,
         coverage,
         sim_end_ms: world.now().millis(),
-        shards: world.net.shard_stats(),
     })
 }
 

@@ -14,8 +14,7 @@
 //! address in the pool: releasing it at lease expiry is a push onto the
 //! free list, not a search of the address table.
 
-use crate::engine::NetEngine;
-use crate::network::HostId;
+use crate::network::{HostId, Network};
 use crate::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -74,7 +73,7 @@ impl LeasePool {
     /// `addresses[i]`, the rest go to the free list. Panics if the pool
     /// is smaller than the membership — an impossible ISP.
     pub fn new(
-        net: &mut dyn NetEngine,
+        net: &mut Network,
         cfg: ChurnConfig,
         addresses: Vec<Ipv4Addr>,
         members: Vec<HostId>,
@@ -119,7 +118,7 @@ impl LeasePool {
     /// member's old address goes back to the free list and it draws a
     /// fresh address — possibly, by chance, the same one. Returns the
     /// number of members that changed address.
-    pub fn renumber_expired(&mut self, net: &mut dyn NetEngine, now: SimTime) -> usize {
+    pub fn renumber_expired(&mut self, net: &mut Network, now: SimTime) -> usize {
         let mut changed = 0;
         for i in 0..self.members.len() {
             if self.members[i].lease_expires > now {
@@ -171,7 +170,7 @@ impl LeasePool {
 mod tests {
     use super::*;
     use crate::host::EchoHost;
-    use crate::network::{Network, NetworkConfig};
+    use crate::network::NetworkConfig;
 
     fn pool_addresses(n: usize) -> Vec<Ipv4Addr> {
         (0..n as u32)

@@ -315,9 +315,8 @@ impl DropCause {
 
 /// Outcome of the *pure* fault stages (explicit events, outage and flap
 /// windows, burst chains, spikes) for one UDP datagram. No counters are
-/// touched while deciding — only pure caches advance — so the sharded
-/// engine can evaluate this speculatively on worker threads and commit
-/// counters later, in global packet order, on the coordinator.
+/// touched while deciding — only pure caches advance; `Network::commit`
+/// bumps them, in send order.
 pub(crate) enum UdpDecision {
     /// Drop for the tagged cause; no counter has been bumped yet.
     Drop(DropCause),
@@ -395,16 +394,6 @@ impl FaultState {
             buckets: HashMap::new(),
             stats,
         }
-    }
-
-    /// A cache-only replica for speculative, pure decisions on a worker
-    /// thread: same plan, cold caches, zeroed counters. Replicas only
-    /// ever run [`FaultState::udp_decide`], whose outputs are pure
-    /// functions of `(plan, packet)`, so cold caches cannot change any
-    /// decision — and the counters the replica never touches stay with
-    /// the authoritative state.
-    pub(crate) fn fork_replica(&self) -> FaultState {
-        FaultState::new(self.plan.clone(), FaultStats::default())
     }
 
     /// Burst-chain state for `entity` at `slot`. A pure function of

@@ -281,9 +281,8 @@ impl std::fmt::Display for TcpError {
 impl std::error::Error for TcpError {}
 
 /// A simulated host. One instance may be bound to several IPs
-/// (multi-homing) or renumbered over time (churn). Hosts are `Send`
-/// because the sharded engine moves them onto worker threads.
-pub trait Host: Send {
+/// (multi-homing) or renumbered over time (churn).
+pub trait Host {
     /// Handle an incoming UDP datagram.
     fn on_udp(&mut self, ctx: &mut HostCtx<'_>, dgram: &Datagram);
 
@@ -311,11 +310,11 @@ impl Host for NullHost {
 /// Convenience: a host wrapping a closure, for tests.
 pub struct FnHost<F>(pub F)
 where
-    F: FnMut(&mut HostCtx<'_>, &Datagram) + Send;
+    F: FnMut(&mut HostCtx<'_>, &Datagram);
 
 impl<F> Host for FnHost<F>
 where
-    F: FnMut(&mut HostCtx<'_>, &Datagram) + Send,
+    F: FnMut(&mut HostCtx<'_>, &Datagram),
 {
     fn on_udp(&mut self, ctx: &mut HostCtx<'_>, dgram: &Datagram) {
         (self.0)(ctx, dgram);

@@ -26,16 +26,13 @@
 //! bit-for-bit. Event ordering is total (time, then insertion sequence).
 
 pub mod churn;
-pub mod engine;
 pub mod faults;
 pub mod host;
 pub mod network;
 pub mod packet;
-pub mod sharded;
 pub mod time;
 
 pub use churn::{ChurnConfig, LeasePool};
-pub use engine::{NetEngine, NetHandle, RunReport, SocketError};
 pub use faults::{
     BurstLoss, FaultEvent, FaultPlan, FaultStats, FaultWindows, LatencySpikes, RateLimit,
 };
@@ -44,8 +41,8 @@ pub use host::{
     TlsCertificate,
 };
 pub use network::{
-    FilterDirection, HostId, NetStats, Network, NetworkConfig, PathObserver, SocketHandle,
+    FilterDirection, HostId, NetStats, Network, NetworkConfig, PathObserver, RunReport,
+    SocketError, SocketHandle,
 };
 pub use packet::Datagram;
-pub use sharded::{scaling, ShardStats, ShardedNet, StallBound};
 pub use time::SimTime;

@@ -1,37 +1,27 @@
 //! The event-driven network core and the one send pipeline.
 //!
-//! Every datagram — a driver send, a host reply, at any shard count —
-//! takes the same two steps:
+//! Every datagram — a driver send or a host reply — takes the same two
+//! steps:
 //!
 //! 1. **evaluate** ([`Evaluator::eval`], pure): observers → filters → dark
 //!    space → pure fault stages → loss roll → path latency, producing an
-//!    [`Emission`]. It reads only the packet and frozen views of the
-//!    network (config, filters, route maps, observers, fault caches), so
-//!    it may run on any thread.
+//!    [`Emission`]. It reads only the packet and the network's config,
+//!    filters, route maps, observers and fault caches.
 //! 2. **commit** ([`Network::commit`], ordered): stats, fault counters,
 //!    flight-recorder records, the rate-limit token bucket and heap
-//!    scheduling, applied in global send order.
+//!    scheduling, applied in send order.
 //!
-//! [`Network`] is the inline case: it evaluates and commits one datagram
-//! at a time inside a sequential event loop (pop → route → host → send),
-//! and is the reference the equivalence suites compare against.
-//! [`crate::sharded::ShardedNet`] holds a `Network`, evaluates on worker
-//! threads and commits on the coordinator through the same two
-//! functions. Delivery routing ([`Network::route`]) and TCP admission
-//! ([`Network::tcp_admit`]) are likewise written once and shared.
+//! [`Network`] evaluates and commits one datagram at a time inside a
+//! sequential event loop (pop → route → host → send).
 
-use crate::engine::{RunReport, SocketError};
 use crate::faults::{DropCause, FaultPlan, FaultState, FaultStats, UdpDecision};
-use crate::host::{Host, HostCtx, TcpError, TcpRequest};
+use crate::host::{Host, HostCtx, TcpError, TcpRequest, TcpResponse};
 use crate::packet::Datagram;
-use crate::sharded::CommitProf;
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Identifier of a simulated host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,6 +31,38 @@ pub struct HostId(pub u32);
 /// are driven from outside the simulation rather than by a [`Host`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SocketHandle(pub u32);
+
+/// Typed misuse errors for measurement sockets: the network reports
+/// what is wrong with a handle instead of panicking on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SocketError {
+    /// The socket was valid once but has been closed.
+    Closed,
+    /// The handle never referred to a socket of this network.
+    Unknown,
+}
+
+impl std::fmt::Display for SocketError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SocketError::Closed => write!(f, "socket already closed"),
+            SocketError::Unknown => write!(f, "unknown socket handle"),
+        }
+    }
+}
+
+impl std::error::Error for SocketError {}
+
+/// What a run call actually did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunReport {
+    /// Events dispatched by this call.
+    pub events: u64,
+    /// Datagrams delivered (to hosts or sockets) by this call.
+    pub delivered: u64,
+    /// The clock after the call.
+    pub end: SimTime,
+}
 
 /// Which traffic a network filter drops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,33 +80,10 @@ pub enum FilterDirection {
 /// `(delay_ms, datagram)`; injected datagrams are delivered directly
 /// (the injector is on-path, so it wins races against end-to-end paths
 /// when its delay is smaller).
-///
-/// Observers are `Send` so the sharded engine can evaluate them on
-/// worker threads.
-pub trait PathObserver: Send {
+pub trait PathObserver {
     /// Observe a datagram at send time; return `(delay_ms, datagram)`
     /// injections to deliver.
     fn on_transit(&mut self, now: SimTime, dgram: &Datagram) -> Vec<(u64, Datagram)>;
-
-    /// The smallest injection delay this observer can ever return, in
-    /// milliseconds. The sharded engine's conservative lookahead is
-    /// bounded by it — an injector that can answer faster than the
-    /// minimum path latency shrinks the safe horizon. The default
-    /// (`u64::MAX`) means "never injects faster than path latency".
-    fn min_delay_ms(&self) -> u64 {
-        u64::MAX
-    }
-
-    /// A behaviourally identical replica for a shard worker thread.
-    /// Required by [`crate::sharded::ShardedNet`]: observers must be
-    /// pure per-packet functions (any internal state may only be
-    /// bookkeeping), so a fork observing a subset of the traffic
-    /// injects exactly what the original would have injected for that
-    /// subset. Returning `None` (the default) makes the network
-    /// unshardable while this observer is installed.
-    fn fork(&self) -> Option<Box<dyn PathObserver>> {
-        None
-    }
 }
 
 /// Tunables for the transport model.
@@ -131,31 +130,28 @@ pub struct NetStats {
     pub tcp_queries: u64,
 }
 
-#[derive(Clone)]
-pub(crate) struct Filter {
-    pub(crate) lo: u32,
-    pub(crate) hi: u32,
-    pub(crate) direction: FilterDirection,
-    pub(crate) active_from: SimTime,
+struct Filter {
+    lo: u32,
+    hi: u32,
+    direction: FilterDirection,
+    active_from: SimTime,
     /// When set, the filter only applies to traffic whose *other*
     /// endpoint falls in this range — e.g. a network that blocks one
     /// scanning /8 but is otherwise reachable (Sec. 2.3, explanation i).
-    pub(crate) peer: Option<(u32, u32)>,
+    peer: Option<(u32, u32)>,
 }
 
 /// The route state sends and deliveries are resolved against: IP and
-/// socket bindings. Held behind an `Arc` so shard workers can evaluate
-/// against a snapshot; mutated between windows via `Arc::make_mut`
-/// (workers have dropped their clones by then, so mutation is in place).
+/// socket bindings.
 ///
 /// The maps are only ever probed (`get`/`insert`/`remove`/`len`, and an
 /// order-insensitive `retain`), never iterated for output, so their
 /// internal order is unobservable and the hasher is free to be cheap:
 /// every send asks both whether anything is bound at its destination.
-#[derive(Clone, Default)]
-pub(crate) struct RouteMaps {
-    pub(crate) bindings: HashMap<Ipv4Addr, HostId, BuildHasherDefault<RouteHasher>>,
-    pub(crate) socket_bindings: HashMap<(Ipv4Addr, u16), u32, BuildHasherDefault<RouteHasher>>,
+#[derive(Default)]
+struct RouteMaps {
+    bindings: HashMap<Ipv4Addr, HostId, BuildHasherDefault<RouteHasher>>,
+    socket_bindings: HashMap<(Ipv4Addr, u16), u32, BuildHasherDefault<RouteHasher>>,
 }
 
 /// Multiplicative hasher for the route maps' address keys: one
@@ -163,7 +159,7 @@ pub(crate) struct RouteMaps {
 /// come from the simulation's own address plan, not from outside the
 /// program, so SipHash's collision resistance buys nothing here.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct RouteHasher(u64);
+struct RouteHasher(u64);
 
 impl RouteHasher {
     fn mix(&mut self, word: u64) {
@@ -195,11 +191,11 @@ impl Hasher for RouteHasher {
     }
 }
 
-pub(crate) struct SocketState {
-    pub(crate) queue: VecDeque<(SimTime, Datagram)>,
-    /// False once the socket has been closed; the engine facade turns
-    /// use-after-close into a typed error instead of a silent no-op.
-    pub(crate) open: bool,
+struct SocketState {
+    queue: VecDeque<(SimTime, Datagram)>,
+    /// False once the socket has been closed: use-after-close is a
+    /// typed error instead of a silent no-op.
+    open: bool,
 }
 
 /// Pre-fetched global-registry handles. The hot path only bumps the
@@ -207,7 +203,7 @@ pub(crate) struct SocketState {
 /// atomic counters are updated in bulk — deltas since the last flush —
 /// at the end of each event-loop run and TCP query, so instrumentation
 /// adds no per-packet cost.
-pub(crate) struct NetTelemetry {
+struct NetTelemetry {
     udp_sent: telemetry::Counter,
     udp_delivered: telemetry::Counter,
     udp_lost: telemetry::Counter,
@@ -216,7 +212,7 @@ pub(crate) struct NetTelemetry {
     injected: telemetry::Counter,
     tcp_queries: telemetry::Counter,
     events_dispatched: telemetry::Counter,
-    pub(crate) run_to_idle_calls: telemetry::Counter,
+    run_to_idle_calls: telemetry::Counter,
     queue_depth_max: telemetry::Gauge,
     fault_burst_drops: telemetry::Counter,
     fault_outage_drops: telemetry::Counter,
@@ -259,13 +255,7 @@ impl NetTelemetry {
         }
     }
 
-    pub(crate) fn flush(
-        &mut self,
-        stats: NetStats,
-        dispatched: u64,
-        queue_max: u64,
-        faults: FaultStats,
-    ) {
+    fn flush(&mut self, stats: NetStats, dispatched: u64, queue_max: u64, faults: FaultStats) {
         self.udp_sent.add(stats.udp_sent - self.synced.udp_sent);
         self.udp_delivered
             .add(stats.udp_delivered - self.synced.udp_delivered);
@@ -314,10 +304,10 @@ impl NetTelemetry {
     }
 }
 
-pub(crate) struct Event {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) dgram: Datagram,
+struct Event {
+    at: SimTime,
+    seq: u64,
+    dgram: Datagram,
 }
 
 // Order events by (time, seq) — BinaryHeap is a max-heap, so wrap in
@@ -340,7 +330,7 @@ impl Ord for Event {
 }
 
 /// What the pure pipeline decided for one send.
-pub(crate) enum Outcome {
+enum Outcome {
     /// Dropped by an active filter at send time.
     Filtered,
     /// Addressed to dark space.
@@ -355,8 +345,7 @@ pub(crate) enum Outcome {
         landing: Option<(SimTime, Datagram)>,
     },
     /// A DNS query gated by the stateful rate-limit bucket: the bucket
-    /// (and the stages ordered after it) run at commit, in global send
-    /// order.
+    /// (and the stages ordered after it) run at commit, in send order.
     Deferred {
         dgram: Datagram,
         key: u64,
@@ -364,14 +353,9 @@ pub(crate) enum Outcome {
     },
 }
 
-/// The evaluation of one send: identity for committing in order,
+/// The evaluation of one send: what commit records about the packet,
 /// observer injections, and the pipeline outcome.
-pub(crate) struct Emission {
-    /// Global order of the parent (pop order for host deliveries, batch
-    /// index for driver sends; unused by inline sends).
-    pub(crate) parent: u64,
-    /// Index among the parent's sends.
-    pub(crate) emit: u32,
+struct Emission {
     /// Send instant (drives recorder timestamps and bucket refill).
     at: SimTime,
     src: Ipv4Addr,
@@ -379,52 +363,24 @@ pub(crate) struct Emission {
     dst_port: u16,
     /// On-path observer injections, already timestamped.
     injections: Vec<(SimTime, Datagram)>,
-    pub(crate) outcome: Outcome,
+    outcome: Outcome,
 }
 
 /// Everything evaluation reads besides the packet and the route maps.
-/// A [`Network`] owns the live one — whose fault state is also the
-/// authoritative one commit updates — and every shard worker a
-/// [`fork`](Evaluator::fork) of it.
-pub(crate) struct Evaluator {
-    pub(crate) cfg: NetworkConfig,
-    pub(crate) filters: Arc<Vec<Filter>>,
-    pub(crate) injectors: Vec<Box<dyn PathObserver>>,
-    pub(crate) faults: Option<FaultState>,
+/// Its fault state is also the one commit updates.
+struct Evaluator {
+    cfg: NetworkConfig,
+    filters: Vec<Filter>,
+    injectors: Vec<Box<dyn PathObserver>>,
+    faults: Option<FaultState>,
 }
 
 impl Evaluator {
-    /// A behaviourally identical replica for a shard worker: shared
-    /// filters, forked observers, a cache-only fault replica.
-    pub(crate) fn fork(&self) -> Evaluator {
-        Evaluator {
-            cfg: self.cfg.clone(),
-            filters: Arc::clone(&self.filters),
-            injectors: self
-                .injectors
-                .iter()
-                .map(|inj| {
-                    inj.fork().expect(
-                        "every installed PathObserver must support fork() to shard the network",
-                    )
-                })
-                .collect(),
-            faults: self.faults.as_ref().map(|f| f.fork_replica()),
-        }
-    }
-
     /// Evaluate the send pipeline for one datagram departing at `at`.
     /// Pure: commits nothing — the caller hands the returned
-    /// [`Emission`] to [`Network::commit`] where (and when) global
-    /// state lives.
-    pub(crate) fn eval(
-        &mut self,
-        maps: &RouteMaps,
-        dgram: Datagram,
-        at: SimTime,
-        parent: u64,
-        emit: u32,
-    ) -> Emission {
+    /// [`Emission`] to [`Network::commit`], where the network's state
+    /// lives.
+    fn eval(&mut self, maps: &RouteMaps, dgram: Datagram, at: SimTime) -> Emission {
         let (src, dst, dst_port) = (dgram.src_ip, dgram.dst_ip, dgram.dst_port);
         // On-path observers see the packet (and may inject) whatever its
         // own fate turns out to be.
@@ -474,8 +430,6 @@ impl Evaluator {
             }
         };
         Emission {
-            parent,
-            emit,
             at,
             src,
             dst,
@@ -507,28 +461,22 @@ fn fly(
     Some((at + latency, dgram))
 }
 
-/// The simulated network: the engine state plus the sequential event
-/// loop. Fields are crate-visible because
-/// [`crate::sharded::ShardedNet`] holds a `Network` (its `hosts` moved
-/// out to the shard workers) and drives the same state through the same
-/// commit, routing and admission functions.
+/// The simulated network: topology, sockets, the send pipeline's state
+/// and the sequential event loop.
 pub struct Network {
-    pub(crate) ev: Evaluator,
-    pub(crate) now: SimTime,
+    ev: Evaluator,
+    now: SimTime,
     seq: u64,
-    pub(crate) events: BinaryHeap<Reverse<Event>>,
-    pub(crate) hosts: Vec<Box<dyn Host>>,
-    pub(crate) maps: Arc<RouteMaps>,
-    pub(crate) host_ips: Vec<Vec<Ipv4Addr>>,
+    events: BinaryHeap<Reverse<Event>>,
+    hosts: Vec<Box<dyn Host>>,
+    maps: RouteMaps,
+    host_ips: Vec<Vec<Ipv4Addr>>,
     sockets: Vec<SocketState>,
-    pub(crate) stats: NetStats,
-    pub(crate) telemetry: Option<NetTelemetry>,
-    pub(crate) events_dispatched: u64,
+    stats: NetStats,
+    telemetry: Option<NetTelemetry>,
+    events_dispatched: u64,
     queue_depth_max: u64,
     scratch: Vec<(u64, Datagram)>,
-    /// Commit-phase wall profiler. Only the sharded engine installs one
-    /// (under `--profile`); the sequential engine pays a `None` check.
-    pub(crate) commit_prof: Option<Box<CommitProf>>,
 }
 
 impl Network {
@@ -537,7 +485,7 @@ impl Network {
         let mut net = Network {
             ev: Evaluator {
                 cfg,
-                filters: Arc::default(),
+                filters: Vec::new(),
                 injectors: Vec::new(),
                 faults: None,
             },
@@ -545,7 +493,7 @@ impl Network {
             seq: 0,
             events: BinaryHeap::new(),
             hosts: Vec::new(),
-            maps: Arc::default(),
+            maps: RouteMaps::default(),
             host_ips: Vec::new(),
             sockets: Vec::new(),
             stats: NetStats::default(),
@@ -553,7 +501,6 @@ impl Network {
             events_dispatched: 0,
             queue_depth_max: 0,
             scratch: Vec::new(),
-            commit_prof: None,
         };
         net.set_instrumentation(true);
         net
@@ -590,6 +537,18 @@ impl Network {
         self.stats
     }
 
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Advance the clock without processing events (any still pending
+    /// before `t` are processed first on the next run call). Useful to
+    /// jump between weekly scans.
+    pub fn advance_to(&mut self, t: SimTime) {
+        self.now = self.now.max(t);
+    }
+
     // ---- topology -------------------------------------------------
 
     /// Register a host behaviour. The host starts with no IP bindings.
@@ -603,7 +562,7 @@ impl Network {
     /// Bind `ip` to `host`, displacing any previous binding of that IP.
     pub fn bind_ip(&mut self, ip: Ipv4Addr, host: HostId) {
         assert!((host.0 as usize) < self.host_ips.len(), "unknown host");
-        if let Some(prev) = Arc::make_mut(&mut self.maps).bindings.insert(ip, host) {
+        if let Some(prev) = self.maps.bindings.insert(ip, host) {
             if prev != host {
                 self.host_ips[prev.0 as usize].retain(|&i| i != ip);
             }
@@ -616,7 +575,7 @@ impl Network {
 
     /// Remove the binding of `ip`, if any.
     pub fn unbind_ip(&mut self, ip: Ipv4Addr) {
-        if let Some(host) = Arc::make_mut(&mut self.maps).bindings.remove(&ip) {
+        if let Some(host) = self.maps.bindings.remove(&ip) {
             self.host_ips[host.0 as usize].retain(|&i| i != ip);
         }
     }
@@ -624,6 +583,16 @@ impl Network {
     /// Host currently bound to `ip`.
     pub fn host_at(&self, ip: Ipv4Addr) -> Option<HostId> {
         self.maps.bindings.get(&ip).copied()
+    }
+
+    /// IPs currently bound to `host`.
+    pub fn ips_of(&self, host: HostId) -> &[Ipv4Addr] {
+        &self.host_ips[host.0 as usize]
+    }
+
+    /// Number of bound IPs.
+    pub fn binding_count(&self) -> usize {
+        self.maps.bindings.len()
     }
 
     /// Install an on-path observer.
@@ -653,7 +622,7 @@ impl Network {
     /// Keep `filters` sorted by activation time, which lets
     /// [`filters_match`] skip every filter not yet active.
     fn insert_filter(&mut self, filter: Filter) {
-        let filters = Arc::make_mut(&mut self.ev.filters);
+        let filters = &mut self.ev.filters;
         let at = filters.partition_point(|f| f.active_from <= filter.active_from);
         filters.insert(at, filter);
     }
@@ -687,18 +656,13 @@ impl Network {
             queue: VecDeque::new(),
             open: true,
         });
-        Arc::make_mut(&mut self.maps)
-            .socket_bindings
-            .insert((ip, port), id);
+        self.maps.socket_bindings.insert((ip, port), id);
         SocketHandle(id)
     }
 
     /// The state behind an open socket handle, or what is wrong with
     /// the handle.
-    pub(crate) fn socket_mut(
-        &mut self,
-        sock: SocketHandle,
-    ) -> Result<&mut SocketState, SocketError> {
+    fn socket_mut(&mut self, sock: SocketHandle) -> Result<&mut SocketState, SocketError> {
         match self.sockets.get_mut(sock.0 as usize) {
             None => Err(SocketError::Unknown),
             Some(s) if !s.open => Err(SocketError::Closed),
@@ -708,48 +672,46 @@ impl Network {
 
     /// Close a measurement socket: unbinds its address and drops any
     /// queued datagrams. Campaigns close their port blocks so long
-    /// multi-scan experiments do not accumulate dead queues.
-    pub(crate) fn close_socket(&mut self, sock: SocketHandle) -> Result<(), SocketError> {
+    /// multi-scan experiments do not accumulate dead queues. Double
+    /// close is a typed error.
+    pub fn close_socket(&mut self, sock: SocketHandle) -> Result<(), SocketError> {
         let state = self.socket_mut(sock)?;
         state.queue.clear();
         state.queue.shrink_to_fit();
         state.open = false;
-        Arc::make_mut(&mut self.maps)
-            .socket_bindings
-            .retain(|_, &mut id| id != sock.0);
+        self.maps.socket_bindings.retain(|_, &mut id| id != sock.0);
         Ok(())
     }
 
     /// Receive the next datagram queued on a socket.
-    pub fn recv(&mut self, sock: SocketHandle) -> Option<(SimTime, Datagram)> {
-        self.sockets[sock.0 as usize].queue.pop_front()
+    pub fn recv(&mut self, sock: SocketHandle) -> Result<Option<(SimTime, Datagram)>, SocketError> {
+        Ok(self.socket_mut(sock)?.queue.pop_front())
     }
 
     /// Drain all queued datagrams on a socket.
-    pub fn recv_all(&mut self, sock: SocketHandle) -> Vec<(SimTime, Datagram)> {
-        self.sockets[sock.0 as usize].queue.drain(..).collect()
+    pub fn recv_all(
+        &mut self,
+        sock: SocketHandle,
+    ) -> Result<Vec<(SimTime, Datagram)>, SocketError> {
+        Ok(self.socket_mut(sock)?.queue.drain(..).collect())
     }
 
     // ---- the send pipeline: evaluate, then commit -------------------
 
-    /// Send a datagram (from a measurement socket or any synthesized
-    /// source) at the current time.
-    pub fn send_udp(&mut self, dgram: Datagram) {
-        self.send_at(dgram, self.now);
-    }
-
-    /// The inline case of the pipeline: evaluate one datagram against
-    /// the live state and commit it immediately. Every send that does
-    /// not come back from a shard worker funnels through here.
-    pub(crate) fn send_at(&mut self, dgram: Datagram, at: SimTime) {
-        let e = self.ev.eval(&self.maps, dgram, at.max(self.now), 0, 0);
+    /// Send a datagram (from a measurement socket, a host or any
+    /// synthesized source), either now (`at: None`) or at a given future
+    /// departure time: evaluate it against the live state and commit it
+    /// immediately.
+    pub fn send(&mut self, dgram: Datagram, at: Option<SimTime>) {
+        let at = at.unwrap_or(self.now).max(self.now);
+        let e = self.ev.eval(&self.maps, dgram, at);
         self.commit(e);
     }
 
     /// Commit one evaluated send: the single point where stats, fault
     /// counters, recorder records, token buckets and heap scheduling
-    /// happen. Emissions must arrive in global send order.
-    pub(crate) fn commit(&mut self, e: Emission) {
+    /// happen. Emissions must arrive in send order.
+    fn commit(&mut self, e: Emission) {
         self.stats.udp_sent += 1;
         // Injections are scheduled (and take their `seq`) before the
         // packet's own outcome.
@@ -779,13 +741,8 @@ impl Network {
                 key,
                 extra_ms,
             } => {
-                let t0 = self.commit_prof.as_ref().map(|_| Instant::now());
                 let fs = self.ev.faults.as_mut().expect("Deferred implies a plan");
-                let decision = fs.udp_bucket_tail(e.at, e.src, e.dst, key, extra_ms);
-                if let (Some(p), Some(t0)) = (&mut self.commit_prof, t0) {
-                    p.bucket_ns += t0.elapsed().as_nanos() as u64;
-                }
-                match decision {
+                match fs.udp_bucket_tail(e.at, e.src, e.dst, key, extra_ms) {
                     Err(cause) => return self.lose(e.src, e.dst, e.dst_port, cause.as_str(), e.at),
                     Ok(extra_ms) => fly(&self.ev.cfg, dgram, e.at, key, extra_ms),
                 }
@@ -807,18 +764,18 @@ impl Network {
     /// append its drop record.
     fn lose(&mut self, src: Ipv4Addr, dst: Ipv4Addr, port: u16, cause: &'static str, at: SimTime) {
         self.stats.udp_lost += 1;
-        if !telemetry::recorder::enabled() {
-            return;
-        }
-        let t0 = self.commit_prof.as_ref().map(|_| Instant::now());
-        telemetry::recorder::drop_fault(u32::from(src), u32::from(dst), port, cause, at.millis());
-        if let (Some(p), Some(t0)) = (&mut self.commit_prof, t0) {
-            p.recorder_ns += t0.elapsed().as_nanos() as u64;
+        if telemetry::recorder::enabled() {
+            telemetry::recorder::drop_fault(
+                u32::from(src),
+                u32::from(dst),
+                port,
+                cause,
+                at.millis(),
+            );
         }
     }
 
     fn schedule(&mut self, dgram: Datagram, at: SimTime) {
-        let t0 = self.commit_prof.as_ref().map(|_| Instant::now());
         self.seq += 1;
         self.events.push(Reverse(Event {
             at,
@@ -826,16 +783,13 @@ impl Network {
             dgram,
         }));
         self.queue_depth_max = self.queue_depth_max.max(self.events.len() as u64);
-        if let (Some(p), Some(t0)) = (&mut self.commit_prof, t0) {
-            p.schedule_ns += t0.elapsed().as_nanos() as u64;
-        }
     }
 
     // ---- event loop ------------------------------------------------
 
     /// Pop the next event due at or before `t`, advancing the clock to
     /// it.
-    pub(crate) fn pop_due(&mut self, t: SimTime) -> Option<Datagram> {
+    fn pop_due(&mut self, t: SimTime) -> Option<Datagram> {
         if self.events.peek()?.0.at > t {
             return None;
         }
@@ -847,8 +801,9 @@ impl Network {
 
     /// Route one popped datagram: filter → socket → host binding →
     /// unbound, counting whichever it hits. Socket deliveries are
-    /// queued here; a host delivery is returned for the engine to run.
-    pub(crate) fn route(&mut self, dgram: Datagram) -> Option<(HostId, Datagram)> {
+    /// queued here; a host delivery is returned for the event loop to
+    /// run.
+    fn route(&mut self, dgram: Datagram) -> Option<(HostId, Datagram)> {
         // Filters also apply at delivery time: a filter activated while
         // the packet was in flight still kills it, which matches how
         // border filtering behaves.
@@ -889,7 +844,7 @@ impl Network {
             let mut ctx = HostCtx::new(now, dgram.dst_ip, &mut outgoing);
             self.hosts[host.0 as usize].on_udp(&mut ctx, &dgram);
             for (delay, out) in outgoing.drain(..) {
-                self.send_at(out, now + delay);
+                self.send(out, Some(now + delay));
             }
             self.scratch = outgoing;
         }
@@ -899,14 +854,22 @@ impl Network {
             events: self.events_dispatched - events_before,
             delivered: self.stats.udp_delivered - delivered_before,
             end: self.now,
-            stalls: 0,
         }
+    }
+
+    /// Process events until the queue is empty or the clock passes
+    /// `deadline`.
+    pub fn run_to_idle(&mut self, deadline: SimTime) -> RunReport {
+        if let Some(t) = &self.telemetry {
+            t.run_to_idle_calls.inc();
+        }
+        self.run_until(deadline)
     }
 
     /// Push the deltas accumulated in the plain counters since the last
     /// flush out to the shared telemetry handles. Called at event-loop
     /// quiescent points, never per packet.
-    pub(crate) fn flush_telemetry(&mut self) {
+    fn flush_telemetry(&mut self) {
         let faults = self.fault_stats();
         if let Some(t) = &mut self.telemetry {
             t.flush(
@@ -923,8 +886,8 @@ impl Network {
     /// Admit a TCP request to `(dst_ip, port)` at the current simulated
     /// time: count it, then filter → fault plan → loss roll → binding
     /// lookup. Synchronous: the result reflects the binding state *now*.
-    /// Returns the host the engine must run the request on.
-    pub(crate) fn tcp_admit(
+    /// Returns the host to run the request on.
+    fn tcp_admit(
         &mut self,
         dst_ip: Ipv4Addr,
         port: u16,
@@ -950,13 +913,25 @@ impl Network {
         }
         self.host_at(dst_ip).ok_or(TcpError::Unreachable)
     }
+
+    /// Issue a synchronous TCP request at the current simulated time.
+    pub fn tcp_query(
+        &mut self,
+        dst_ip: Ipv4Addr,
+        port: u16,
+        req: &TcpRequest,
+    ) -> Result<TcpResponse, TcpError> {
+        let host = self.tcp_admit(dst_ip, port, req)?;
+        self.hosts[host.0 as usize]
+            .on_tcp(self.now, dst_ip, port, req)
+            .ok_or(TcpError::Refused)
+    }
 }
 
 /// Does any active filter drop this datagram at time `at`? `filters`
 /// is sorted by `active_from`, so only the prefix already active is
-/// examined. Free function so shard workers can evaluate it against a
-/// shared filter snapshot without a `Network`.
-pub(crate) fn filters_match(filters: &[Filter], dgram: &Datagram, at: SimTime) -> bool {
+/// examined.
+fn filters_match(filters: &[Filter], dgram: &Datagram, at: SimTime) -> bool {
     let src = u32::from(dgram.src_ip);
     let dst = u32::from(dgram.dst_ip);
     let active = filters.partition_point(|f| f.active_from <= at);
@@ -983,8 +958,8 @@ pub(crate) fn filters_match(filters: &[Filter], dgram: &Datagram, at: SimTime) -
 }
 
 /// Deterministic one-way latency for a packet, a pure function of the
-/// config and flow identity (shared with shard workers).
-pub(crate) fn path_latency(cfg: &NetworkConfig, src: Ipv4Addr, dst: Ipv4Addr, key: u64) -> u64 {
+/// config and flow identity.
+fn path_latency(cfg: &NetworkConfig, src: Ipv4Addr, dst: Ipv4Addr, key: u64) -> u64 {
     let (lo, hi) = cfg.latency_ms;
     if hi <= lo {
         return lo;
@@ -1014,15 +989,15 @@ pub(crate) fn mix64(a: u64, b: u64, c: u64) -> u64 {
 
 /// Channel discriminators keeping loss, jitter, and TCP rolls mutually
 /// independent even when drawn from the same flow key.
-pub(crate) const LOSS_CHANNEL: u64 = 0x1055;
-pub(crate) const JITTER_CHANNEL: u64 = 0x117e4;
-pub(crate) const TCP_CHANNEL: u64 = 0x7c9;
+const LOSS_CHANNEL: u64 = 0x1055;
+const JITTER_CHANNEL: u64 = 0x117e4;
+const TCP_CHANNEL: u64 = 0x7c9;
 
 /// A datagram's deterministic flow identity: send time, endpoints, and
 /// payload. Two sends are keyed identically only if they are the same
 /// packet sent at the same instant — so per-packet randomness depends
 /// on the packet alone, never on unrelated traffic.
-pub(crate) fn flow_key(at: SimTime, d: &Datagram) -> u64 {
+fn flow_key(at: SimTime, d: &Datagram) -> u64 {
     let ends = ((u32::from(d.src_ip) as u64) << 32) | u32::from(d.dst_ip) as u64;
     let ports = ((d.src_port as u64) << 16) | d.dst_port as u64;
     mix64(at.millis(), ends, mix64(ports, fnv64(&d.payload), 0))
@@ -1030,7 +1005,7 @@ pub(crate) fn flow_key(at: SimTime, d: &Datagram) -> u64 {
 
 /// Flow identity of a TCP exchange: time, target endpoint, and the
 /// request's content.
-pub(crate) fn tcp_key(now: SimTime, dst: Ipv4Addr, port: u16, req: &TcpRequest) -> u64 {
+fn tcp_key(now: SimTime, dst: Ipv4Addr, port: u16, req: &TcpRequest) -> u64 {
     let which = match req {
         TcpRequest::BannerProbe => 1,
         TcpRequest::Http(h) => {
@@ -1068,7 +1043,6 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::NetEngine;
     use crate::host::{EchoHost, FnHost};
 
     fn ip(s: &str) -> Ipv4Addr {
@@ -1090,34 +1064,28 @@ mod tests {
         let h = net.add_host(Box::new(EchoHost));
         net.bind_ip(ip("9.9.9.9"), h);
         let sock = net.open_socket(ip("100.0.0.1"), 40000);
-        net.send_udp(Datagram::new(
-            ip("100.0.0.1"),
-            40000,
-            ip("9.9.9.9"),
-            53,
-            &b"ping"[..],
-        ));
+        net.send(
+            Datagram::new(ip("100.0.0.1"), 40000, ip("9.9.9.9"), 53, &b"ping"[..]),
+            None,
+        );
         net.run_until(SimTime::from_secs(5));
-        let (at, reply) = net.recv(sock).expect("echo reply");
+        let (at, reply) = net.recv(sock).unwrap().expect("echo reply");
         assert_eq!(&reply.payload[..], b"ping");
         assert_eq!(reply.src_ip, ip("9.9.9.9"));
         assert!(at.millis() >= 10, "two path traversals take time");
-        assert!(net.recv(sock).is_none());
+        assert!(net.recv(sock).unwrap().is_none());
     }
 
     #[test]
     fn unbound_ip_drops_silently() {
         let mut net = Network::new(lossless());
         let sock = net.open_socket(ip("100.0.0.1"), 40000);
-        net.send_udp(Datagram::new(
-            ip("100.0.0.1"),
-            40000,
-            ip("8.8.8.8"),
-            53,
-            &b"x"[..],
-        ));
+        net.send(
+            Datagram::new(ip("100.0.0.1"), 40000, ip("8.8.8.8"), 53, &b"x"[..]),
+            None,
+        );
         net.run_until(SimTime::from_secs(5));
-        assert!(net.recv(sock).is_none());
+        assert!(net.recv(sock).unwrap().is_none());
         assert_eq!(net.stats().udp_unbound, 1);
     }
 
@@ -1134,16 +1102,20 @@ mod tests {
             net.bind_ip(ip("9.9.9.9"), h);
             let sock = net.open_socket(ip("100.0.0.1"), 40000);
             for i in 0..200u16 {
-                net.send_udp(Datagram::new(
-                    ip("100.0.0.1"),
-                    40000,
-                    ip("9.9.9.9"),
-                    53,
-                    i.to_be_bytes().to_vec(),
-                ));
+                net.send(
+                    Datagram::new(
+                        ip("100.0.0.1"),
+                        40000,
+                        ip("9.9.9.9"),
+                        53,
+                        i.to_be_bytes().to_vec(),
+                    ),
+                    None,
+                );
             }
             net.run_until(SimTime::from_secs(30));
             net.recv_all(sock)
+                .unwrap()
                 .into_iter()
                 .map(|(t, d)| (t, d.payload.to_vec()))
                 .collect::<Vec<_>>()
@@ -1161,18 +1133,21 @@ mod tests {
         net.bind_ip(ip("9.9.9.9"), h);
         let sock = net.open_socket(ip("100.0.0.1"), 40000);
         for i in 0..1000u16 {
-            net.send_udp(Datagram::new(
-                ip("100.0.0.1"),
-                40000,
-                ip("9.9.9.9"),
-                53,
-                i.to_be_bytes().to_vec(),
-            ));
+            net.send(
+                Datagram::new(
+                    ip("100.0.0.1"),
+                    40000,
+                    ip("9.9.9.9"),
+                    53,
+                    i.to_be_bytes().to_vec(),
+                ),
+                None,
+            );
         }
         net.run_until(SimTime::from_secs(60));
         // Loss applies independently to the query and the reply, so the
         // round-trip survival rate is (1-p)^2 = 0.25.
-        let received = net.recv_all(sock).len();
+        let received = net.recv_all(sock).unwrap().len();
         assert!((150..350).contains(&received), "received={received}");
         let lost = net.stats().udp_lost;
         assert!((650..850).contains(&lost), "lost={lost}");
@@ -1190,26 +1165,21 @@ mod tests {
         let target = ip("9.9.9.9");
         net.bind_ip(target, a);
         let sock = net.open_socket(ip("100.0.0.1"), 40000);
-        net.send_udp(Datagram::new(
-            ip("100.0.0.1"),
-            40000,
-            target,
-            53,
-            &b"q1"[..],
-        ));
+        net.send(
+            Datagram::new(ip("100.0.0.1"), 40000, target, 53, &b"q1"[..]),
+            None,
+        );
         net.run_until(SimTime::from_secs(2));
         net.bind_ip(target, b);
         assert_eq!(net.ips_of(a), &[] as &[Ipv4Addr]);
-        net.send_udp(Datagram::new(
-            ip("100.0.0.1"),
-            40000,
-            target,
-            53,
-            &b"q2"[..],
-        ));
+        net.send(
+            Datagram::new(ip("100.0.0.1"), 40000, target, 53, &b"q2"[..]),
+            None,
+        );
         net.run_until(SimTime::from_secs(4));
         let replies: Vec<_> = net
             .recv_all(sock)
+            .unwrap()
             .into_iter()
             .map(|(_, d)| d.payload.to_vec())
             .collect();
@@ -1229,26 +1199,20 @@ mod tests {
         );
         let sock = net.open_socket(ip("100.0.0.1"), 40000);
         // Before activation: works.
-        net.send_udp(Datagram::new(
-            ip("100.0.0.1"),
-            40000,
-            ip("9.9.9.9"),
-            53,
-            &b"a"[..],
-        ));
+        net.send(
+            Datagram::new(ip("100.0.0.1"), 40000, ip("9.9.9.9"), 53, &b"a"[..]),
+            None,
+        );
         net.run_until(SimTime::from_secs(5));
-        assert_eq!(net.recv_all(sock).len(), 1);
+        assert_eq!(net.recv_all(sock).unwrap().len(), 1);
         // After activation: dropped.
         net.advance_to(SimTime::from_days(8));
-        net.send_udp(Datagram::new(
-            ip("100.0.0.1"),
-            40000,
-            ip("9.9.9.9"),
-            53,
-            &b"b"[..],
-        ));
+        net.send(
+            Datagram::new(ip("100.0.0.1"), 40000, ip("9.9.9.9"), 53, &b"b"[..]),
+            None,
+        );
         net.run_until(SimTime::from_days(8) + SimTime::MINUTE);
-        assert!(net.recv(sock).is_none());
+        assert!(net.recv(sock).unwrap().is_none());
         assert!(net.stats().udp_filtered >= 1);
     }
 
@@ -1266,15 +1230,12 @@ mod tests {
             SimTime::ZERO,
         );
         let sock = net.open_socket(ip("100.0.0.1"), 40000);
-        net.send_udp(Datagram::new(
-            ip("100.0.0.1"),
-            40000,
-            ip("9.9.9.9"),
-            53,
-            &b"a"[..],
-        ));
+        net.send(
+            Datagram::new(ip("100.0.0.1"), 40000, ip("9.9.9.9"), 53, &b"a"[..]),
+            None,
+        );
         net.run_until(SimTime::from_secs(5));
-        assert!(net.recv(sock).is_none());
+        assert!(net.recv(sock).unwrap().is_none());
         assert_eq!(
             net.stats().udp_delivered,
             1,
@@ -1301,16 +1262,14 @@ mod tests {
         net.bind_ip(ip("9.9.9.9"), h);
         net.add_injector(Box::new(Forger));
         let sock = net.open_socket(ip("100.0.0.1"), 40000);
-        net.send_udp(Datagram::new(
-            ip("100.0.0.1"),
-            40000,
-            ip("9.9.9.9"),
-            53,
-            &b"censored?"[..],
-        ));
+        net.send(
+            Datagram::new(ip("100.0.0.1"), 40000, ip("9.9.9.9"), 53, &b"censored?"[..]),
+            None,
+        );
         net.run_until(SimTime::from_secs(5));
         let replies: Vec<_> = net
             .recv_all(sock)
+            .unwrap()
             .into_iter()
             .map(|(t, d)| (t, d.payload.to_vec()))
             .collect();
@@ -1358,17 +1317,15 @@ mod tests {
         net.bind_ip(ip("9.9.9.9"), h);
         let sock = net.open_socket(ip("100.0.0.1"), 40000);
         for i in 0..10u8 {
-            net.send_udp(Datagram::new(
-                ip("100.0.0.1"),
-                40000,
-                ip("9.9.9.9"),
-                53,
-                vec![i],
-            ));
+            net.send(
+                Datagram::new(ip("100.0.0.1"), 40000, ip("9.9.9.9"), 53, vec![i]),
+                None,
+            );
         }
         net.run_until(SimTime::from_secs(5));
         let order: Vec<u8> = net
             .recv_all(sock)
+            .unwrap()
             .iter()
             .map(|(_, d)| d.payload[0])
             .collect();
@@ -1401,6 +1358,7 @@ mod tests {
             net.run_until(SimTime::from_secs(120));
             let got: Vec<_> = net
                 .recv_all(sock)
+                .unwrap()
                 .into_iter()
                 .map(|(t, d)| (t, d.payload.to_vec()))
                 .collect();
@@ -1464,15 +1422,12 @@ mod tests {
             ..FaultPlan::none()
         });
         let sock = net.open_socket(ip("100.0.0.1"), 40000);
-        net.send_udp(Datagram::new(
-            ip("100.0.0.1"),
-            40000,
-            ip("9.9.9.9"),
-            53,
-            &b"ping"[..],
-        ));
+        net.send(
+            Datagram::new(ip("100.0.0.1"), 40000, ip("9.9.9.9"), 53, &b"ping"[..]),
+            None,
+        );
         net.run_until(SimTime::from_secs(5));
-        let (at, reply) = net.recv(sock).expect("delayed but delivered");
+        let (at, reply) = net.recv(sock).unwrap().expect("delayed but delivered");
         assert_eq!(&reply.payload[..], b"ping");
         // Both directions crossed the spiked prefix: ≥800ms extra.
         assert!(at.millis() >= 800, "arrived at {}", at.millis());
@@ -1566,7 +1521,7 @@ mod tests {
         ];
         for (why, loss, plan, dst, stats, faults, drop) in table {
             let mut net = fresh(loss, plan);
-            net.send_udp(query(dst, b"q"));
+            net.send(query(dst, b"q"), None);
             assert_eq!(net.stats(), stats, "{why}");
             assert_eq!(net.fault_stats(), faults, "{why}");
             assert_eq!(drops(), Vec::from_iter(drop), "{why}");
@@ -1577,10 +1532,7 @@ mod tests {
         // leaves the bucket alone, and commit order — not evaluation
         // order — decides who gets the one token.
         let mut net = fresh(0.0, plan(vec![], None, one_token));
-        let mut eval = |payload| {
-            net.ev
-                .eval(&net.maps, query(bound, payload), SimTime::ZERO, 0, 0)
-        };
+        let mut eval = |payload| net.ev.eval(&net.maps, query(bound, payload), SimTime::ZERO);
         let (first, second) = (eval(b"1"), eval(b"2"));
         assert!(matches!(first.outcome, Outcome::Deferred { .. }));
         assert!(matches!(second.outcome, Outcome::Deferred { .. }));
@@ -1595,7 +1547,7 @@ mod tests {
         // before the packet's own outcome: forged reply and query land
         // at the same instant, and the forged one pops first.
         let mut net = fresh(0.0, FaultPlan::none());
-        net.send_udp(query(bound, b"censored?"));
+        net.send(query(bound, b"censored?"), None);
         let scheduled = NetStats {
             injected: 1,
             ..sent

@@ -212,9 +212,9 @@ mod tests {
         let sock = net.open_socket(client, 41_000);
         let q = MessageBuilder::query(0xABCD, Name::parse("fwd.example").unwrap(), RecordType::A)
             .build();
-        net.send_udp(Datagram::new(client, 41_000, fwd_ip, 53, q.encode()));
+        net.send(Datagram::new(client, 41_000, fwd_ip, 53, q.encode()), None);
         net.run_until(netsim::SimTime::from_secs(5));
-        let got = net.recv_all(sock);
+        let got = net.recv_all(sock).unwrap();
         assert_eq!(got.len(), 1);
         let (_, d) = &got[0];
         // The answer comes back FROM the forwarder (transparent relay).
@@ -231,9 +231,9 @@ mod tests {
         let sock = net.open_socket(client, 41_001);
         let q = MessageBuilder::query(0x7777, Name::parse("fwd.example").unwrap(), RecordType::A)
             .build();
-        net.send_udp(Datagram::new(client, 41_001, fwd_ip, 53, q.encode()));
+        net.send(Datagram::new(client, 41_001, fwd_ip, 53, q.encode()), None);
         net.run_until(netsim::SimTime::from_secs(5));
-        let got = net.recv_all(sock);
+        let got = net.recv_all(sock).unwrap();
         assert_eq!(got.len(), 1);
         let (_, d) = &got[0];
         // The upstream answered the client directly: source mismatch —
@@ -251,14 +251,17 @@ mod tests {
         let client = ip("100.0.0.1");
         let sock = net.open_socket(client, 41_002);
         // Garbage payload.
-        net.send_udp(Datagram::new(client, 41_002, fwd_ip, 53, &b"\xff\x00"[..]));
+        net.send(
+            Datagram::new(client, 41_002, fwd_ip, 53, &b"\xff\x00"[..]),
+            None,
+        );
         // Unsolicited response (no pending entry).
         let q = MessageBuilder::query(0x9999, Name::parse("fwd.example").unwrap(), RecordType::A)
             .build();
         let r = MessageBuilder::response_to(&q, dnswire::Rcode::NoError).build();
-        net.send_udp(Datagram::new(client, 41_002, fwd_ip, 53, r.encode()));
+        net.send(Datagram::new(client, 41_002, fwd_ip, 53, r.encode()), None);
         net.run_until(netsim::SimTime::from_secs(3));
-        assert!(net.recv_all(sock).is_empty());
+        assert!(net.recv_all(sock).unwrap().is_empty());
     }
 
     #[test]

@@ -135,22 +135,6 @@ impl PathObserver for GreatFirewall {
         }
         self.inject_decoded(dgram)
     }
-
-    fn min_delay_ms(&self) -> u64 {
-        self.injection_delay_ms
-    }
-
-    fn fork(&self) -> Option<Box<dyn PathObserver>> {
-        // Injection is a pure function of the observed packet (`injected`
-        // is bookkeeping only), so a replica seeing a traffic subset
-        // injects exactly what the original would have for that subset.
-        Some(Box::new(GreatFirewall {
-            ranges: self.ranges.clone(),
-            censored: Arc::clone(&self.censored),
-            injection_delay_ms: self.injection_delay_ms,
-            injected: 0,
-        }))
-    }
 }
 
 #[cfg(test)]

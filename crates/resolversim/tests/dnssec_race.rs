@@ -75,15 +75,13 @@ fn query(net: &mut Network, resolver_ip: Ipv4Addr) -> Vec<Message> {
         RecordType::A,
     )
     .build();
-    net.send_udp(Datagram::new(
-        client_ip,
-        47_000,
-        resolver_ip,
-        53,
-        q.encode(),
-    ));
+    net.send(
+        Datagram::new(client_ip, 47_000, resolver_ip, 53, q.encode()),
+        None,
+    );
     net.run_until(SimTime::from_secs(10));
     net.recv_all(sock)
+        .unwrap()
         .into_iter()
         .filter_map(|(_, d)| Message::decode(&d.payload).ok())
         .filter(|m| m.header.id == 0xD05 && m.header.response)

@@ -133,7 +133,7 @@ fn fetch_chain(
         // a same-instant TCP retry would deterministically repeat the
         // first outcome).
         let (res, _retries) = tcp_query_with_retry(
-            &mut *world.net,
+            &mut world.net,
             policy,
             "acquire",
             ip,

@@ -83,7 +83,7 @@ pub fn banner_scan_ex(
         };
         for port in PROBE_PORTS {
             let (res, r) = tcp_query_with_retry(
-                &mut *world.net,
+                &mut world.net,
                 policy,
                 "banner",
                 ip,
@@ -100,7 +100,7 @@ pub fn banner_scan_ex(
         }
         // HTTP body often carries the device identity (login pages).
         let (res, r) = tcp_query_with_retry(
-            &mut *world.net,
+            &mut world.net,
             policy,
             "banner",
             ip,

@@ -231,9 +231,7 @@ impl<C: Campaign> Sweep<C> {
         }
     }
 
-    /// Send one round, a batch at a time: one `send_many` lets the
-    /// sharded engine evaluate the probes on its workers and is
-    /// byte-identical to per-probe sends.
+    /// Send one round, a batch at a time.
     fn round(&mut self, world: &mut World, slots: impl IntoIterator<Item = C::Slot>) {
         let mut pending = 0;
         for slot in slots {

@@ -262,7 +262,7 @@ pub fn response_coverage(
 /// the same outcome), other errors return immediately. Returns the
 /// final outcome and the number of retries spent.
 pub fn tcp_query_with_retry(
-    net: &mut dyn netsim::NetEngine,
+    net: &mut netsim::Network,
     policy: &ProbePolicy,
     campaign: &'static str,
     dst: Ipv4Addr,

@@ -3,8 +3,8 @@
 //! Sweeps send through a [`ProbeBatch`]: payloads are written back to
 //! back into one buffer the batch keeps between sends, and each send
 //! shares one copy of that buffer among the batch's datagrams as
-//! [`Bytes::slice`] views — two allocations per batch (the shared copy
-//! and the datagram vector), none per probe.
+//! [`Bytes::slice`] views — one allocation per batch (the shared
+//! copy), none per probe.
 
 use bytes::Bytes;
 use netsim::{Datagram, RunReport, SimTime, SocketHandle};
@@ -71,10 +71,9 @@ impl SimScanner {
         );
     }
 
-    /// Send a whole probe batch to port 53 in one engine call (none for
-    /// an empty batch), leaving `batch` empty for reuse. Semantically
-    /// identical to calling [`SimScanner::send`] per target; the sharded
-    /// engine evaluates the batch on its workers.
+    /// Send a whole probe batch to port 53, leaving `batch` empty for
+    /// reuse. Identical to calling [`SimScanner::send`] per target,
+    /// except that the payloads share one allocation.
     pub fn send_probes(&self, world: &mut World, batch: &mut ProbeBatch) {
         if batch.is_empty() {
             return;
@@ -82,16 +81,14 @@ impl SimScanner {
         let payloads = Bytes::copy_from_slice(&batch.buf);
         batch.buf.clear();
         let mut start = 0;
-        let dgrams = batch
-            .probes
-            .drain(..)
-            .map(|(offset, dst, end)| {
-                let payload = payloads.slice(start..end);
-                start = end;
-                Datagram::new(self.vantage, BASE_PORT + offset, dst, 53, payload)
-            })
-            .collect();
-        world.net.send_many(dgrams);
+        for (offset, dst, end) in batch.probes.drain(..) {
+            let payload = payloads.slice(start..end);
+            start = end;
+            world.net.send(
+                Datagram::new(self.vantage, BASE_PORT + offset, dst, 53, payload),
+                None,
+            );
+        }
     }
 
     /// [`SimScanner::send_probes`] for payloads the caller already

@@ -66,9 +66,9 @@ pub use reqtrace::{RequestCtx, RequestRing, RequestTrace, SlowLog};
 pub use rolling::{BurnState, RollingWindow, SloSpec, WindowStats};
 pub use snapshot::{HistogramData, Snapshot};
 pub use trace::{
-    attach_trace, detach_trace, enable_profile, enabled, event, heartbeat, profile_contrib,
-    profiling_enabled, set_verbosity, span, span_quiet, take_profile, trace_enabled, verbosity,
-    Level, Profile, Span, SpanProfile, Value,
+    attach_trace, detach_trace, enable_profile, enabled, event, heartbeat, profiling_enabled,
+    set_verbosity, span, span_quiet, take_profile, trace_enabled, verbosity, Level, Profile, Span,
+    SpanProfile, Value,
 };
 
 /// A counter handle from the global registry.

@@ -623,29 +623,6 @@ pub fn take_profile() -> Option<Profile> {
     })
 }
 
-/// Feeds externally measured samples into the active profile, outside
-/// the span stack: `sum(samples)` accumulates under the folded `path`
-/// (`;`-separated, flamegraph style) and each sample becomes one
-/// duration of the pseudo-span `name`, so it gets exact nearest-rank
-/// percentiles in the summary table. Units are whatever the caller
-/// measured — the sharded engine's commit-phase profiler feeds wall
-/// microseconds here, kept apart from the sim-ms span stacks by its
-/// own `shard_commit` folded root. A no-op while profiling is off.
-pub fn profile_contrib(path: &str, name: &str, samples: &[u64]) {
-    if samples.is_empty() || !profiling_enabled() {
-        return;
-    }
-    let mut g = PROFILE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(p) = g.as_mut() {
-        let sum: u64 = samples.iter().sum();
-        *p.folded.entry(path.to_string()).or_insert(0) += sum;
-        let e = p.per_span.entry(name.to_string()).or_default();
-        e.count += samples.len() as u64;
-        e.self_ms += sum;
-        e.durations.extend_from_slice(samples);
-    }
-}
-
 /// Exact nearest-rank quantile over a sorted slice.
 fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
@@ -885,30 +862,6 @@ mod tests {
         assert!(lines[0].contains("\"sim_ms\":12000"));
         assert!(lines[0].contains("\"attrs\":{\"done\":3,\"total\":9}"));
         assert!(!a.contains("wall"), "no wall clock in heartbeat lines");
-    }
-
-    #[test]
-    fn profile_contrib_folds_and_gets_percentiles() {
-        let _g = test_lock();
-        enable_profile();
-        profile_contrib("shard_commit;schedule", "shard_commit.schedule", &[10, 30]);
-        profile_contrib("shard_commit;schedule", "shard_commit.schedule", &[20]);
-        let prof = take_profile().expect("profile collected");
-        assert!(
-            prof.folded_text().contains("shard_commit;schedule 60\n"),
-            "folded:\n{}",
-            prof.folded_text()
-        );
-        let s = prof
-            .spans()
-            .iter()
-            .find(|s| s.name == "shard_commit.schedule")
-            .unwrap();
-        assert_eq!((s.count, s.self_sim_ms), (3, 60));
-        assert_eq!((s.p50, s.max), (20, 30));
-        // Off path: contributions while disabled are dropped.
-        profile_contrib("shard_commit;schedule", "shard_commit.schedule", &[99]);
-        assert!(take_profile().is_none());
     }
 
     /// One unit of work as a lane would run it: nested spans, an event,

@@ -16,9 +16,11 @@ pub struct WorldConfig {
     pub udp_loss: f64,
     /// Number of weeks the world evolves (the paper observed 55).
     pub weeks: u32,
-    /// Event-loop shards the simulated Internet runs on (1 = the
-    /// single-threaded reference engine). Any value produces
-    /// byte-identical results; more shards only buy wall-clock speed.
+    /// Read by nothing: the sharded engine it selected is gone. The
+    /// field stays only because `gwbench/` (which this tree's PRs may
+    /// not edit alongside program code) still assigns it; ROADMAP item
+    /// 3(d) deletes it.
+    #[doc(hidden)]
     pub shards: usize,
 }
 

@@ -3,7 +3,7 @@
 use crate::catalog::DomainCatalog;
 use crate::plan::{BehaviorKind, ChurnClass, DeviceClassPlan, WorldConfig};
 use geodb::{Country, GeoDb, RdnsDb};
-use netsim::{HostId, LeasePool, NetHandle, Network, SimTime};
+use netsim::{HostId, LeasePool, Network, SimTime};
 use resolversim::DnsUniverse;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -151,10 +151,8 @@ pub struct WorldStats {
 pub struct World {
     /// The configuration the world was built from.
     pub cfg: WorldConfig,
-    /// The packet-level simulator, behind the engine facade: the
-    /// single-threaded reference engine at `cfg.shards <= 1`, the
-    /// byte-identical sharded engine otherwise.
-    pub net: NetHandle,
+    /// The packet-level simulator.
+    pub net: Network,
     /// Authoritative DNS data.
     pub universe: Arc<DnsUniverse>,
     /// IP-to-country/AS database. Built once and never written again,
@@ -207,10 +205,6 @@ impl World {
         blacklist_ranges: Vec<(Ipv4Addr, Ipv4Addr)>,
         blacklist_singles: Vec<Ipv4Addr>,
     ) -> Self {
-        // The allocated regions double as the shard partition: a lease
-        // pool renumbers within one region, so its hosts stay on one
-        // shard for the world's whole lifetime.
-        let net = NetHandle::sharded(net, cfg.shards, &allocated);
         World {
             cfg,
             net,
@@ -284,7 +278,7 @@ impl World {
             // arbitrary campaign anchor must not perturb lease timing.
             if next == boundary {
                 for pool in &mut self.pools {
-                    renumbered += pool.renumber_expired(&mut *self.net, next) as u64;
+                    renumbered += pool.renumber_expired(&mut self.net, next) as u64;
                 }
             }
             self.current = next;

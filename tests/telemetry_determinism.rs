@@ -27,7 +27,7 @@ fn cfg() -> WorldConfig {
         scale: 0.0001,
         udp_loss: 0.004,
         weeks: 3,
-        shards: 1,
+        ..WorldConfig::default()
     }
 }
 
