@@ -132,6 +132,48 @@ impl Workload {
 /// Each selected experiment with its artifact, or why it failed.
 pub type Derived = Vec<(&'static Experiment, std::io::Result<ExperimentOutput>)>;
 
+/// `-v`: where the memory went. Every `mem.<scope>.<owner>_bytes` gauge
+/// is a row (a world row counted once per world built); what the
+/// process's high-water mark holds beyond them is printed, not hidden.
+fn print_mem_ledger(snap: &telemetry::Snapshot) {
+    let worlds = snap.counter("collect.world_builds").unwrap_or(0).max(1) as f64;
+    let resolvers = snap.gauge("mem.world.resolvers").unwrap_or(0.0).max(1.0);
+    let mut rows: Vec<(&str, f64)> = Vec::new();
+    for (key, bytes) in &snap.gauges {
+        let owner = key
+            .strip_prefix("mem.")
+            .and_then(|k| k.strip_suffix("_bytes"));
+        match owner {
+            Some(owner) if owner.starts_with("world.") => rows.push((owner, bytes * worlds)),
+            Some(owner) if owner.contains('.') => rows.push((owner, *bytes)),
+            _ => {} // a scope's total, or not a ledger gauge
+        }
+    }
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let hwm = status.lines().find_map(|line| {
+        let kb = line.strip_prefix("VmHWM:")?.trim().strip_suffix("kB")?;
+        Some(kb.trim().parse::<f64>().ok()? * 1024.0)
+    });
+    let attributed: f64 = rows.iter().map(|row| row.1).sum();
+    if let Some(hwm) = hwm {
+        rows.push(("unattributed", hwm - attributed));
+    }
+    let whole = hwm.unwrap_or(attributed).max(1.0);
+    eprintln!("memory ledger — {worlds} world(s) of {resolvers} resolvers");
+    eprintln!(
+        "  {:<26} {:>13} {:>11} {:>6}",
+        "owner", "bytes", "B/resolver", "share"
+    );
+    for (owner, bytes) in rows {
+        let (each, share) = (bytes / resolvers, 100.0 * bytes / whole);
+        eprintln!("  {owner:<26} {bytes:>13.0} {each:>11.1} {share:>5.1}%");
+    }
+    match hwm {
+        Some(hwm) => eprintln!("  VmHWM {hwm:.0} bytes, {attributed:.0} attributed"),
+        None => eprintln!("  VmHWM n/a, {attributed:.0} bytes attributed"),
+    }
+}
+
 fn print_experiment_list() {
     use std::fmt::Write as _;
     let mut out = String::from("experiment ids accepted by --exp (plus `all`):\n");
@@ -382,6 +424,9 @@ pub fn main(p: &Parsed) -> Result<(), String> {
             &[("path", path.as_str().into())],
             None,
         );
+    }
+    if verbose {
+        print_mem_ledger(&telemetry::snapshot());
     }
 
     // The strict gate runs last so every artifact (reports, JSON,

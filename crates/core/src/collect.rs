@@ -411,6 +411,24 @@ impl CampaignData {
     fn count(&self) -> u32 {
         self.source().snapshot_count()
     }
+
+    fn resident_bytes(&self) -> usize {
+        match self {
+            CampaignData::Mem(m) => m.resident_bytes(),
+            CampaignData::Disk(d) => d.resident_bytes(),
+        }
+    }
+}
+
+/// Publishes memory-ledger rows as `mem.<scope>.<owner>_bytes` gauges
+/// and their sum as `mem.<scope>_bytes`. The rows are pure functions of
+/// the inputs and go through `set_max`, so any lane may publish them.
+pub(crate) fn publish_mem(scope: &str, rows: &[(&str, usize)]) {
+    for (owner, bytes) in rows {
+        telemetry::gauge(&format!("mem.{scope}.{owner}_bytes")).set_max(*bytes as f64);
+    }
+    let total: usize = rows.iter().map(|row| row.1).sum();
+    telemetry::gauge(&format!("mem.{scope}_bytes")).set_max(total as f64);
 }
 
 /// The immutable result of a bundle collection: one snapshot source
@@ -935,6 +953,11 @@ pub fn collect_bundle(
         data.extend(end.data);
         coverage.extend(end.coverage);
     }
+    let stores: Vec<(&str, usize)> = data
+        .iter()
+        .map(|(kind, store)| (kind.name(), store.resident_bytes()))
+        .collect();
+    publish_mem("store", &stores);
     if opts.coverage {
         for (kind, cov) in &coverage {
             if cov.fraction() < opts.degraded_threshold {
@@ -1026,6 +1049,10 @@ fn run_lane(
     telemetry::Capture::begin();
     let mut world = build_world(opts.cfg.clone());
     telemetry::counter("collect.world_builds").inc();
+    publish_mem("world", &world.mem_ledger());
+    // The ledger's denominator: `worldgen.resolvers` is whichever world
+    // was built last, and an ablation builds a smaller one at derive time.
+    telemetry::gauge("mem.world.resolvers").set_max(world.resolvers.len() as f64);
     if let Some(plan) = &opts.faults {
         world.net.set_fault_plan(plan.clone());
     }

@@ -475,6 +475,18 @@ pub fn run_analysis_with_fleet(
             &mut sink,
         );
     }
+    // What the scan left behind, at its largest (before certificates
+    // rescue tuples), for the memory ledger: a tuple's answers are one
+    // more allocation, of four addresses; a suspicious resolver's
+    // patterns a hash table of 16-byte entries and 56-byte tree leaves.
+    let patterns = per_resolver
+        .iter()
+        .map(|pr| pr.ip_sets.capacity() * 8 / 7 * 17 + pr.distinct_single.len().div_ceil(11) * 56);
+    let scan_bytes = (unexpected.len() + social_tuples.len())
+        * (std::mem::size_of::<TupleObs>() + 4 * std::mem::size_of::<Ipv4Addr>())
+        + std::mem::size_of_val(per_resolver.as_slice())
+        + patterns.sum::<usize>()
+        + std::mem::size_of_val(answered_bits.as_slice());
     report.per_category = category_labels
         .iter()
         .zip(category_stats)
@@ -485,7 +497,6 @@ pub fn run_analysis_with_fleet(
     // NOERROR resolver still sits at the address, or to churn/filtering
     // (`unreachable`) otherwise.
     {
-        let idx = world.responder_index();
         let week = (world.now().millis() / SimTime::WEEK) as u32;
         let n_dom = n_dom as u64;
         let mut cov = Coverage {
@@ -498,7 +509,7 @@ pub fn run_analysis_with_fleet(
             let expected = world
                 .net
                 .host_at(ip)
-                .and_then(|h| idx.get(&h).copied())
+                .and_then(|h| world.responder(h))
                 .map(|s| {
                     s.alive
                         && s.class == ResponseClass::NoError
@@ -736,6 +747,25 @@ pub fn run_analysis_with_fleet(
     report.clustered_directly = n_direct;
     report.assigned_to_exemplar = groups.len() - n_direct;
     telemetry::counter("pipeline.clusters_formed").add(flat.len() as u64);
+    // The stage's large transients, for the memory ledger: what the
+    // scan held, every fetched body plus the unique pages' copies, and
+    // `page_matrix`'s triangle beside its square of `f32`s.
+    let fetched = pair_content
+        .values()
+        .flat_map(|got| [&got.http, &got.https_sni, &got.https_nosni])
+        .flatten()
+        .map(|page| page.body.len());
+    crate::collect::publish_mem(
+        "analysis",
+        &[
+            ("scan", scan_bytes),
+            (
+                "pages",
+                fetched.sum::<usize>() + groups.iter().map(|g| g.body.len()).sum::<usize>(),
+            ),
+            ("matrix", 6 * n_direct * n_direct),
+        ],
+    );
     sp_cluster.attr("unique_pages", groups.len());
     sp_cluster.attr("clusters", flat.len());
     sp_cluster.attr("clustered_directly", n_direct);

@@ -10,9 +10,10 @@
 //! individual IP↔host associations decay — the effect Figure 2 plots.
 //!
 //! A pool carries far more addresses than members (worldgen gives
-//! consumer pools 40× slack), so each member remembers the index of its
-//! address in the pool: releasing it at lease expiry is a push onto the
-//! free list, not a search of the address table.
+//! consumer pools 40× slack), and its addresses are one contiguous
+//! block, so the pool holds `(first, len)` and an address is `first +
+//! idx`. Each member remembers the index of its address: releasing it at
+//! lease expiry is a push onto the free list, not a search.
 
 use crate::network::{HostId, Network};
 use crate::time::SimTime;
@@ -52,49 +53,54 @@ impl ChurnConfig {
 struct Member {
     host: HostId,
     current_ip: Ipv4Addr,
-    /// Index of `current_ip` in the pool's `addresses`.
+    /// Offset of `current_ip` from the pool's first address.
     idx: u32,
     lease_expires: SimTime,
 }
 
-/// A DHCP pool: `members` hosts sharing `addresses` (|addresses| ≥
-/// |members|; the surplus models the ISP's free address headroom).
+/// A DHCP pool: `members` hosts sharing the `len` addresses from
+/// `first` (`len` ≥ |members|; the surplus models the ISP's free address
+/// headroom).
 pub struct LeasePool {
     cfg: ChurnConfig,
-    addresses: Vec<Ipv4Addr>,
+    first: u32,
+    len: u32,
     members: Vec<Member>,
-    /// Indexes into `addresses` currently unassigned.
+    /// Offsets from `first` currently unassigned.
     free: Vec<u32>,
     rng: SmallRng,
 }
 
 impl LeasePool {
-    /// Create the pool and perform initial assignment: member `i` gets
-    /// `addresses[i]`, the rest go to the free list. Panics if the pool
-    /// is smaller than the membership — an impossible ISP.
+    /// Create the pool over the inclusive address `block` and perform
+    /// initial assignment: member `i` gets the block's `i`-th address,
+    /// the rest go to the free list. Panics if the pool is smaller than
+    /// the membership — an impossible ISP.
     pub fn new(
         net: &mut Network,
         cfg: ChurnConfig,
-        addresses: Vec<Ipv4Addr>,
+        block: (Ipv4Addr, Ipv4Addr),
         members: Vec<HostId>,
         now: SimTime,
     ) -> Self {
+        let first = u32::from(block.0);
+        let len = u32::from(block.1) - first + 1;
         assert!(
-            addresses.len() >= members.len(),
-            "pool of {} addresses cannot hold {} members",
-            addresses.len(),
+            len as usize >= members.len(),
+            "pool of {len} addresses cannot hold {} members",
             members.len()
         );
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let mut pool = LeasePool {
-            free: (members.len() as u32..addresses.len() as u32).collect(),
+            free: (members.len() as u32..len).collect(),
             members: Vec::with_capacity(members.len()),
-            addresses,
+            first,
+            len,
             rng,
             cfg,
         };
         for (i, host) in members.into_iter().enumerate() {
-            let ip = pool.addresses[i];
+            let ip = pool.address(i as u32);
             net.bind_ip(ip, host);
             let lease = pool.draw_lease();
             pool.members.push(Member {
@@ -105,6 +111,11 @@ impl LeasePool {
             });
         }
         pool
+    }
+
+    fn address(&self, idx: u32) -> Ipv4Addr {
+        debug_assert!(idx < self.len);
+        Ipv4Addr::from(self.first + idx)
     }
 
     fn draw_lease(&mut self) -> u64 {
@@ -131,7 +142,7 @@ impl LeasePool {
             // Draw a new one.
             let pick = self.rng.gen_range(0..self.free.len());
             let new_idx = self.free.swap_remove(pick);
-            let new_ip = self.addresses[new_idx as usize];
+            let new_ip = self.address(new_idx);
             net.bind_ip(new_ip, self.members[i].host);
             self.members[i].current_ip = new_ip;
             self.members[i].idx = new_idx;
@@ -145,7 +156,7 @@ impl LeasePool {
     }
 
     /// Every member with its current address, in membership order —
-    /// right after [`LeasePool::new`], member `i` at `addresses[i]`.
+    /// right after [`LeasePool::new`], member `i` at the block's `i`-th.
     pub fn assignments(&self) -> impl Iterator<Item = (HostId, Ipv4Addr)> + '_ {
         self.members.iter().map(|m| (m.host, m.current_ip))
     }
@@ -160,6 +171,14 @@ impl LeasePool {
         self.members.is_empty()
     }
 
+    /// Resident bytes, from lengths: `(members, free list)`.
+    pub fn resident_bytes(&self) -> (usize, usize) {
+        (
+            self.members.len() * std::mem::size_of::<Member>(),
+            self.free.len() * std::mem::size_of::<u32>(),
+        )
+    }
+
     /// The earliest pending lease expiry, for adaptive stepping.
     pub fn next_expiry(&self) -> Option<SimTime> {
         self.members.iter().map(|m| m.lease_expires).min()
@@ -172,10 +191,9 @@ mod tests {
     use crate::host::EchoHost;
     use crate::network::NetworkConfig;
 
-    fn pool_addresses(n: usize) -> Vec<Ipv4Addr> {
-        (0..n as u32)
-            .map(|i| Ipv4Addr::from(0x0505_0000 + i))
-            .collect()
+    fn pool_addresses(n: usize) -> (Ipv4Addr, Ipv4Addr) {
+        let first = 0x0505_0000u32;
+        (Ipv4Addr::from(first), Ipv4Addr::from(first + n as u32 - 1))
     }
 
     fn build(net: &mut Network, members: usize, slack: usize, mean_lease: u64) -> LeasePool {
@@ -202,9 +220,9 @@ mod tests {
     /// The index each member remembers is where its address is, and
     /// the free list holds exactly the addresses nobody has.
     fn assert_partition(pool: &LeasePool, net: &Network) {
-        let mut seen = vec![false; pool.addresses.len()];
+        let mut seen = vec![false; pool.len as usize];
         for m in &pool.members {
-            assert_eq!(m.current_ip, pool.addresses[m.idx as usize]);
+            assert_eq!(m.current_ip, pool.address(m.idx));
             assert_eq!(net.host_at(m.current_ip), Some(m.host));
             assert!(!std::mem::replace(&mut seen[m.idx as usize], true));
         }

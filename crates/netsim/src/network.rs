@@ -461,6 +461,41 @@ fn fly(
     Some((at + latency, dgram))
 }
 
+/// The addresses bound to one host, in binding order. Nearly every host
+/// has exactly one, which is held in place.
+enum BoundIps {
+    None,
+    One(Ipv4Addr),
+    Many(Vec<Ipv4Addr>),
+}
+
+impl BoundIps {
+    fn as_slice(&self) -> &[Ipv4Addr] {
+        match self {
+            BoundIps::None => &[],
+            BoundIps::One(ip) => std::slice::from_ref(ip),
+            BoundIps::Many(ips) => ips,
+        }
+    }
+
+    fn push(&mut self, ip: Ipv4Addr) {
+        match self {
+            BoundIps::None => *self = BoundIps::One(ip),
+            BoundIps::One(first) if *first != ip => *self = BoundIps::Many(vec![*first, ip]),
+            BoundIps::Many(ips) if !ips.contains(&ip) => ips.push(ip),
+            _ => {} // already bound
+        }
+    }
+
+    fn remove(&mut self, ip: Ipv4Addr) {
+        match self {
+            BoundIps::One(only) if *only == ip => *self = BoundIps::None,
+            BoundIps::Many(ips) => ips.retain(|&i| i != ip),
+            _ => {}
+        }
+    }
+}
+
 /// The simulated network: topology, sockets, the send pipeline's state
 /// and the sequential event loop.
 pub struct Network {
@@ -470,7 +505,7 @@ pub struct Network {
     events: BinaryHeap<Reverse<Event>>,
     hosts: Vec<Box<dyn Host>>,
     maps: RouteMaps,
-    host_ips: Vec<Vec<Ipv4Addr>>,
+    host_ips: Vec<BoundIps>,
     sockets: Vec<SocketState>,
     stats: NetStats,
     telemetry: Option<NetTelemetry>,
@@ -555,8 +590,22 @@ impl Network {
     pub fn add_host(&mut self, host: Box<dyn Host>) -> HostId {
         let id = HostId(self.hosts.len() as u32);
         self.hosts.push(host);
-        self.host_ips.push(Vec::new());
+        self.host_ips.push(BoundIps::None);
         id
+    }
+
+    /// Resident bytes of the topology, from lengths: the hosts, the
+    /// address → host table (a hash table touches every bucket it
+    /// allocated) and the per-host address lists.
+    pub fn resident_bytes(&self) -> [usize; 3] {
+        use std::mem::{size_of, size_of_val};
+        let boxed = |h: &dyn Host| size_of::<Box<dyn Host>>() + size_of_val(h);
+        let buckets = self.maps.bindings.capacity() * 8 / 7;
+        [
+            self.hosts.iter().map(|h| boxed(h.as_ref())).sum(),
+            buckets * (size_of::<(Ipv4Addr, HostId)>() + 1),
+            self.host_ips.len() * size_of::<BoundIps>(),
+        ]
     }
 
     /// Bind `ip` to `host`, displacing any previous binding of that IP.
@@ -564,19 +613,16 @@ impl Network {
         assert!((host.0 as usize) < self.host_ips.len(), "unknown host");
         if let Some(prev) = self.maps.bindings.insert(ip, host) {
             if prev != host {
-                self.host_ips[prev.0 as usize].retain(|&i| i != ip);
+                self.host_ips[prev.0 as usize].remove(ip);
             }
         }
-        let ips = &mut self.host_ips[host.0 as usize];
-        if !ips.contains(&ip) {
-            ips.push(ip);
-        }
+        self.host_ips[host.0 as usize].push(ip);
     }
 
     /// Remove the binding of `ip`, if any.
     pub fn unbind_ip(&mut self, ip: Ipv4Addr) {
         if let Some(host) = self.maps.bindings.remove(&ip) {
-            self.host_ips[host.0 as usize].retain(|&i| i != ip);
+            self.host_ips[host.0 as usize].remove(ip);
         }
     }
 
@@ -587,7 +633,7 @@ impl Network {
 
     /// IPs currently bound to `host`.
     pub fn ips_of(&self, host: HostId) -> &[Ipv4Addr] {
-        &self.host_ips[host.0 as usize]
+        self.host_ips[host.0 as usize].as_slice()
     }
 
     /// Number of bound IPs.

@@ -173,9 +173,10 @@ mod script {
     /// (some with future departure times), a 600-datagram burst, churn
     /// renumbering between windows, and a fault-plan swap mid-run.
     pub fn run_script(net: &mut Network, members: Vec<HostId>, sends: &[(u8, u8)]) -> Observed {
-        let pool_ips: Vec<Ipv4Addr> = (0..POOL_SIZE)
-            .map(|i| Ipv4Addr::from(POOL_BASE + i))
-            .collect();
+        let pool_ips = (
+            Ipv4Addr::from(POOL_BASE),
+            Ipv4Addr::from(POOL_BASE + POOL_SIZE - 1),
+        );
         let mut pool = LeasePool::new(
             net,
             ChurnConfig {

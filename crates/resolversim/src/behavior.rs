@@ -268,8 +268,8 @@ pub enum ResolverBehavior {
     Parking {
         /// Re-registered domains.
         targets: Arc<BTreeSet<String>>,
-        /// Parking landers.
-        park_ips: Vec<Ipv4Addr>,
+        /// Parking landers (a boxed slice keeps the enum at 32 bytes).
+        park_ips: Box<[Ipv4Addr]>,
     },
     /// Censorship layered over another behaviour: `censor` (which must
     /// be [`ResolverBehavior::Censor`] or [`ResolverBehavior::GfwPoisoned`])

@@ -13,12 +13,12 @@
 //! devices whose *upstream* answers the client directly — producing the
 //! source-mismatch signature the scanner keys on.
 
+use crate::resolver::Alive;
 use dnswire::MessageView;
 use netsim::{Datagram, Host, HostCtx, SimTime, TcpRequest, TcpResponse};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
 /// Upper bound on in-flight forwarded queries; beyond it the oldest
 /// entries are dropped (cheap CPE devices have tiny state tables).
@@ -42,7 +42,7 @@ pub struct ForwarderHost {
     /// Upstream answers relayed to clients.
     pub relayed_back: u64,
     /// Liveness switch (shared with the world's lifecycle driver).
-    pub alive: Arc<AtomicBool>,
+    pub alive: Alive,
 }
 
 impl ForwarderHost {
@@ -55,12 +55,12 @@ impl ForwarderHost {
             order: Vec::new(),
             forwarded: 0,
             relayed_back: 0,
-            alive: Arc::new(AtomicBool::new(true)),
+            alive: Alive::new(true),
         }
     }
 
-    /// Share a liveness flag with the caller.
-    pub fn with_alive(mut self, alive: Arc<AtomicBool>) -> Self {
+    /// Share a liveness switch with the caller.
+    pub fn with_alive(mut self, alive: Alive) -> Self {
         self.alive = alive;
         self
     }

@@ -41,7 +41,7 @@ pub use cachesim::{CacheProfile, SnoopObservation, TldCacheSim};
 pub use device::{DeviceClass, DeviceOs, DeviceProfile};
 pub use forwarder::ForwarderHost;
 pub use gfw::GreatFirewall;
-pub use resolver::ResolverHost;
+pub use resolver::{Alive, ResolverHost};
 pub use software::{ChaosPolicy, SoftwareProfile};
 pub use universe::{DnsUniverse, DomainCategory, DomainKind, DomainRecord, Resolution};
 pub use webhost::{WebHost, WebRole};

@@ -9,8 +9,55 @@ use dnswire::{MessageView, Rcode, RecordClass, RecordType, ReplyWriter};
 use geodb::Rir;
 use netsim::{Datagram, Host, HostCtx, SimTime, TcpRequest, TcpResponse};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A resolver's liveness switch, read and written like an `AtomicBool`:
+/// one bit of a vector its whole population shares (behind a thin
+/// pointer, so the handle is 16 bytes). Clones share the bit.
+#[derive(Debug, Clone)]
+pub struct Alive {
+    bits: Arc<Vec<AtomicU64>>,
+    idx: u32,
+}
+
+impl Alive {
+    /// `n` switches over one bit vector, all off.
+    pub fn group(n: usize) -> impl Iterator<Item = Alive> {
+        let words = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0));
+        let bits = Arc::new(words.collect::<Vec<_>>());
+        (0..n as u32).map(move |idx| Alive {
+            bits: bits.clone(),
+            idx,
+        })
+    }
+
+    /// A switch of its own, for a host built outside a world.
+    pub fn new(alive: bool) -> Alive {
+        Alive::group(1).next().expect("one switch").set(alive)
+    }
+
+    /// The switch, set to `alive`.
+    pub fn set(self, alive: bool) -> Alive {
+        self.store(alive, Ordering::Relaxed);
+        self
+    }
+
+    /// Whether the resolver is alive.
+    pub fn load(&self, order: Ordering) -> bool {
+        self.bits[self.idx as usize / 64].load(order) >> (self.idx % 64) & 1 == 1
+    }
+
+    /// Switch the resolver on or off.
+    pub fn store(&self, alive: bool, order: Ordering) {
+        let (word, bit) = (&self.bits[self.idx as usize / 64], 1u64 << (self.idx % 64));
+        if alive {
+            word.fetch_or(bit, order);
+        } else {
+            word.fetch_and(!bit, order);
+        }
+    }
+}
 
 /// An open recursive DNS resolver (or something that answers like one).
 pub struct ResolverHost {
@@ -18,8 +65,8 @@ pub struct ResolverHost {
     pub universe: Arc<DnsUniverse>,
     /// How it answers A queries.
     pub behavior: ResolverBehavior,
-    /// CHAOS fingerprint profile.
-    pub software: SoftwareProfile,
+    /// CHAOS fingerprint profile, shared by every resolver that runs it.
+    pub software: Arc<SoftwareProfile>,
     /// TCP-surface fingerprint profile.
     pub device: DeviceProfile,
     /// TLD-cache model for snooping.
@@ -29,14 +76,12 @@ pub struct ResolverHost {
     /// Per-resolver deterministic salt (landing-page choice, CDN edge
     /// rotation, forged-IP generation).
     pub salt: u64,
-    /// Host-side processing delay added to every response.
-    pub response_delay_ms: u64,
     /// Queries answered (observability for tests).
-    pub queries_seen: u64,
+    pub queries_seen: u32,
     /// Liveness switch shared with the world's lifecycle driver: a
     /// retired (or not-yet-spawned) resolver stays bound to its IP but
     /// answers nothing.
-    pub alive: Arc<AtomicBool>,
+    pub alive: Alive,
     /// When set, responses carry this source address instead of the
     /// queried one — a DNS proxy / multi-homed host (Sec. 2.2 found
     /// 630k-750k such responders per weekly scan).
@@ -48,7 +93,7 @@ impl ResolverHost {
     pub fn new(
         universe: Arc<DnsUniverse>,
         behavior: ResolverBehavior,
-        software: SoftwareProfile,
+        software: impl Into<Arc<SoftwareProfile>>,
         device: DeviceProfile,
         cache: TldCacheSim,
         region: Rir,
@@ -57,22 +102,26 @@ impl ResolverHost {
         ResolverHost {
             universe,
             behavior,
-            software,
+            software: software.into(),
             device,
             cache,
             region,
             salt,
-            response_delay_ms: 1 + (salt % 7),
             queries_seen: 0,
-            alive: Arc::new(AtomicBool::new(true)),
+            alive: Alive::new(true),
             reply_src: None,
         }
     }
 
-    /// Share a liveness flag with the caller (world lifecycle events).
-    pub fn with_alive(mut self, alive: Arc<AtomicBool>) -> Self {
+    /// Share a liveness switch with the caller (world lifecycle events).
+    pub fn with_alive(mut self, alive: Alive) -> Self {
         self.alive = alive;
         self
+    }
+
+    /// Host-side processing delay added to every response.
+    pub fn response_delay_ms(&self) -> u64 {
+        1 + self.salt % 7
     }
 
     /// The wire reply carrying `answer`, if it is one that speaks.
@@ -195,7 +244,7 @@ impl Host for ResolverHost {
                 if self.behavior.rewrites_port() {
                     out.dst_port = out.dst_port.wrapping_add(1);
                 }
-                ctx.send_udp_delayed(out, self.response_delay_ms);
+                ctx.send_udp_delayed(out, self.response_delay_ms());
             }
             return;
         }
@@ -203,7 +252,7 @@ impl Host for ResolverHost {
         // Cache-snooping NS queries for known TLDs.
         if question.qtype == RecordType::Ns {
             if let Some(resp) = self.write_ns_snoop(&query, qname, ctx.now) {
-                ctx.send_udp_delayed(dgram.reply_with(resp), self.response_delay_ms);
+                ctx.send_udp_delayed(dgram.reply_with(resp), self.response_delay_ms());
             }
             return;
         }
@@ -212,7 +261,7 @@ impl Host for ResolverHost {
         if question.qtype != RecordType::A {
             let mut resp = Vec::with_capacity(REPLY_CAPACITY);
             ReplyWriter::new(&query, Rcode::NotImp, &mut resp);
-            ctx.send_udp_delayed(dgram.reply_with(resp), self.response_delay_ms);
+            ctx.send_udp_delayed(dgram.reply_with(resp), self.response_delay_ms());
             return;
         }
 
@@ -233,11 +282,14 @@ impl Host for ResolverHost {
             if let Some(src) = self.reply_src {
                 out.src_ip = src;
             }
-            ctx.send_udp_delayed(out, self.response_delay_ms);
+            ctx.send_udp_delayed(out, self.response_delay_ms());
         }
         if let Some((extra_delay, answer)) = &reply.secondary {
             if let Some(resp) = self.write_answer(&query, qname, answer) {
-                ctx.send_udp_delayed(dgram.reply_with(resp), self.response_delay_ms + extra_delay);
+                ctx.send_udp_delayed(
+                    dgram.reply_with(resp),
+                    self.response_delay_ms() + extra_delay,
+                );
             }
         }
     }
@@ -368,11 +420,11 @@ mod tests {
     #[test]
     fn chaos_error_policy() {
         let mut h = host(ResolverBehavior::Honest);
-        h.software = SoftwareProfile::new(
+        h.software = Arc::new(SoftwareProfile::new(
             "BIND",
             "9.9.5",
             ChaosPolicy::Error(crate::software::ChaosErrorKind::Refused),
-        );
+        ));
         let q = MessageBuilder::chaos_query(1, Name::parse("version.bind").unwrap()).build();
         let d = Datagram::new(ip("100.0.0.1"), 40000, ip("5.5.5.5"), 53, q.encode());
         let out = run(&mut h, &d);

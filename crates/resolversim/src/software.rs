@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// 19.9M responding resolvers): 42.7% error for both queries, 4.6%
 /// NOERROR with no version, 18.8% administrator-overridden strings,
 /// 33.9% genuine software versions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ChaosPolicy {
     /// REFUSED or SERVFAIL for both version queries.
     Error(ChaosErrorKind),
@@ -21,7 +21,7 @@ pub enum ChaosPolicy {
 }
 
 /// Which error code the resolver uses for CHAOS queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ChaosErrorKind {
     /// Answers REFUSED.
     Refused,
@@ -47,8 +47,6 @@ pub struct SoftwareProfile {
     pub family: String,
     /// Version string as emitted in `version.bind`, e.g. `"9.8.2"`.
     pub version: String,
-    /// CVE exposure classes (informational; reproduced in Table 3).
-    pub cve_classes: Vec<String>,
     /// How this instance answers CHAOS queries.
     pub chaos: ChaosPolicy,
 }
@@ -59,7 +57,6 @@ impl SoftwareProfile {
         SoftwareProfile {
             family: family.to_string(),
             version: version.to_string(),
-            cve_classes: Vec::new(),
             chaos,
         }
     }

@@ -133,19 +133,19 @@ fn oracle_on_udp(host: &mut ResolverHost, ctx: &mut HostCtx<'_>, dgram: &Datagra
             if host.behavior.rewrites_port() {
                 out.dst_port = out.dst_port.wrapping_add(1);
             }
-            ctx.send_udp_delayed(out, host.response_delay_ms);
+            ctx.send_udp_delayed(out, host.response_delay_ms());
         }
         return;
     }
     if question.qtype == RecordType::Ns {
         if let Some(resp) = oracle_ns_snoop(host, &query, ctx.now) {
-            ctx.send_udp_delayed(dgram.reply_with(resp.encode()), host.response_delay_ms);
+            ctx.send_udp_delayed(dgram.reply_with(resp.encode()), host.response_delay_ms());
         }
         return;
     }
     if question.qtype != RecordType::A {
         let resp = MessageBuilder::response_to(&query, Rcode::NotImp).build();
-        ctx.send_udp_delayed(dgram.reply_with(resp.encode()), host.response_delay_ms);
+        ctx.send_udp_delayed(dgram.reply_with(resp.encode()), host.response_delay_ms());
         return;
     }
     let qname_lower = question.qname.to_ascii_lower();
@@ -166,13 +166,13 @@ fn oracle_on_udp(host: &mut ResolverHost, ctx: &mut HostCtx<'_>, dgram: &Datagra
         if let Some(src) = host.reply_src {
             out.src_ip = src;
         }
-        ctx.send_udp_delayed(out, host.response_delay_ms);
+        ctx.send_udp_delayed(out, host.response_delay_ms());
     }
     if let Some((extra_delay, answer)) = &reply.secondary {
         if let Some(resp) = oracle_answer(host, &query, answer) {
             ctx.send_udp_delayed(
                 dgram.reply_with(resp.encode()),
-                host.response_delay_ms + extra_delay,
+                host.response_delay_ms() + extra_delay,
             );
         }
     }
@@ -390,7 +390,7 @@ fn behaviors() -> Vec<ResolverBehavior> {
         },
         Parking {
             targets: set(&["gone.example"]),
-            park_ips: vec![ip("203.0.113.94"), ip("203.0.113.95")],
+            park_ips: [ip("203.0.113.94"), ip("203.0.113.95")].into(),
         },
         Layered {
             censor: Box::new(censor()),

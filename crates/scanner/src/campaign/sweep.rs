@@ -12,11 +12,10 @@ use crate::encode::QueryTemplate;
 use crate::probe::{ProbePolicy, RttEstimator};
 use crate::simio::{ProbeBatch, SimScanner};
 use dnswire::MessageView;
-use netsim::{Datagram, HostId};
+use netsim::Datagram;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use telemetry::recorder;
-use worldgen::world::ResponderState;
 use worldgen::World;
 
 /// What the campaigns differ in as numbers; DESIGN §8 mirrors the rows.
@@ -141,16 +140,14 @@ pub(crate) struct Tally {
 /// What a recorded sweep remembers for the flight recorder: every
 /// address in the order it was probed, and which of them answered.
 struct Flight {
-    responders: HashMap<HostId, ResponderState>,
     probed: Vec<Ipv4Addr>,
     answered: HashSet<Ipv4Addr>,
 }
 
-impl Flight {
-    fn asn(&self, world: &World, ip: Ipv4Addr) -> u32 {
-        let responder = world.net.host_at(ip).and_then(|h| self.responders.get(&h));
-        responder.map_or(0, |r| r.asn)
-    }
+/// The AS of the resolver behind `ip`, 0 if none is.
+fn asn_at(world: &World, ip: Ipv4Addr) -> u32 {
+    let responder = world.net.host_at(ip).and_then(|h| world.responder(h));
+    responder.map_or(0, |r| r.asn)
 }
 
 /// One scanner port block, from open to close, and the campaign
@@ -176,7 +173,6 @@ impl<C: Campaign> Sweep<C> {
         let flight = (C::P.recorded && recorder::enabled()).then(|| {
             recorder::set_context(C::P.name, 1);
             Flight {
-                responders: world.responder_index(),
                 probed: Vec::new(),
                 answered: HashSet::new(),
             }
@@ -241,7 +237,7 @@ impl<C: Campaign> Sweep<C> {
             pending += 1;
             if let Some(flight) = &mut self.flight {
                 flight.probed.push(target);
-                let asn = flight.asn(world, target);
+                let asn = asn_at(world, target);
                 recorder::attempt(u32::from(target), asn, world.now().millis());
                 // A batch of one, so attempt records stay interleaved
                 // with the engine's drop records.
@@ -309,7 +305,7 @@ impl<C: Campaign> Sweep<C> {
             let now = world.now().millis();
             for ip in std::mem::take(&mut flight.probed) {
                 if flight.answered.insert(ip) {
-                    let asn = flight.asn(world, ip);
+                    let asn = asn_at(world, ip);
                     recorder::gave_up(u32::from(ip), asn, self.policy.attempts, now);
                 }
             }

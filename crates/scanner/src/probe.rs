@@ -222,7 +222,6 @@ pub fn response_coverage(
     answered: &HashSet<Ipv4Addr>,
     retries: u64,
 ) -> Coverage {
-    let idx = world.responder_index();
     let week = (world.now().millis() / SimTime::WEEK) as u32;
     let mut cov = Coverage {
         attempted: targets.len() as u64,
@@ -237,7 +236,7 @@ pub fn response_coverage(
         let expected = world
             .net
             .host_at(ip)
-            .and_then(|h| idx.get(&h))
+            .and_then(|h| world.responder(h))
             .map(|s| {
                 s.alive
                     && (!require_noerror || s.class == ResponseClass::NoError)

@@ -4,9 +4,10 @@
 //! same [`SnapshotSource`] — which is what makes the store-vs-scratch
 //! equivalence tests byte-for-byte.
 
-use crate::record::Observation;
+use crate::record::{decode_records, encode_records, Observation};
 use crate::sink::{ObservationSink, SnapshotSink};
 use crate::source::{Snapshot, SnapshotSource};
+use crate::varint::Reader;
 use std::collections::HashMap;
 use std::io;
 
@@ -19,13 +20,40 @@ pub(crate) fn seal_pending(pending: &mut Vec<Observation>) -> Vec<Observation> {
     records
 }
 
+/// A committed snapshot, its records held as the bytes of the record
+/// codec the disk segments use (gap-coded addresses, varint fields,
+/// timestamps relative to `t_ms`): a weekly record is ≈ 10 bytes here
+/// and 64 as an [`Observation`].
+#[derive(Debug)]
+struct Packed {
+    label: String,
+    t_ms: u64,
+    meta: Vec<(String, String)>,
+    count: usize,
+    records: Vec<u8>,
+}
+
+impl Packed {
+    fn unpack(&self, seq: u32) -> io::Result<Snapshot> {
+        let mut reader = Reader::new(&self.records);
+        let records = decode_records(&mut reader, self.count, self.t_ms)?;
+        Ok(Snapshot {
+            seq,
+            label: self.label.clone(),
+            t_ms: self.t_ms,
+            meta: self.meta.clone(),
+            records,
+        })
+    }
+}
+
 /// An in-memory snapshot sequence with interned strings.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
     strings: Vec<String>,
     ids: HashMap<String, u32>,
     pending: Vec<Observation>,
-    snapshots: Vec<Snapshot>,
+    snapshots: Vec<Packed>,
 }
 
 impl MemoryStore {
@@ -39,9 +67,16 @@ impl MemoryStore {
         }
     }
 
-    /// All committed snapshots, in commit order.
-    pub fn snapshots(&self) -> &[Snapshot] {
-        &self.snapshots
+    /// Resident bytes, from lengths: the packed records and their meta,
+    /// uncommitted observations and the string table (each string is
+    /// held twice, by id and as lookup key).
+    pub fn resident_bytes(&self) -> usize {
+        let meta = |s: &Packed| s.meta.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>();
+        let packed = self.snapshots.iter().map(|s| s.records.len() + meta(s));
+        let strings = self.strings.iter().map(|s| 2 * s.len());
+        packed.sum::<usize>()
+            + strings.sum::<usize>()
+            + self.pending.len() * std::mem::size_of::<Observation>()
     }
 }
 
@@ -73,12 +108,15 @@ impl SnapshotSink for MemoryStore {
             .inc();
         reg.counter_with("scanstore.records_committed", &[("backend", "memory")])
             .add(records.len() as u64);
-        self.snapshots.push(Snapshot {
-            seq,
+        let mut packed = Vec::with_capacity(records.len() * 12);
+        encode_records(&mut packed, &records, t_ms);
+        packed.shrink_to_fit();
+        self.snapshots.push(Packed {
             label: label.to_string(),
             t_ms,
             meta: meta.to_vec(),
-            records,
+            count: records.len(),
+            records: packed,
         });
         Ok(seq)
     }
@@ -99,15 +137,8 @@ impl SnapshotSource for MemoryStore {
     fn snapshot(&self, seq: u32) -> io::Result<Snapshot> {
         self.snapshots
             .get(seq as usize)
-            .cloned()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no snapshot {seq}")))
-    }
-
-    fn for_each_snapshot(&self, f: &mut dyn FnMut(&Snapshot) -> io::Result<()>) -> io::Result<()> {
-        for snap in &self.snapshots {
-            f(snap)?;
-        }
-        Ok(())
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no snapshot {seq}")))?
+            .unpack(seq)
     }
 
     fn find_label(&self, label: &str) -> Option<u32> {

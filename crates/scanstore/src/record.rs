@@ -156,6 +156,28 @@ pub fn decode_record(r: &mut Reader<'_>, prev_ip: u32, base_ms: u64) -> io::Resu
     })
 }
 
+/// Encodes `records` (sorted by IP) back to back, each address gap-coded
+/// against its predecessor's.
+pub fn encode_records(out: &mut Vec<u8>, records: &[Observation], base_ms: u64) {
+    let mut prev = 0u32;
+    for o in records {
+        encode_record(out, o, prev, base_ms);
+        prev = o.ip;
+    }
+}
+
+/// Decodes `n` records written by [`encode_records`].
+pub fn decode_records(r: &mut Reader<'_>, n: usize, base_ms: u64) -> io::Result<Vec<Observation>> {
+    let mut records = Vec::with_capacity(n.min(1 << 20));
+    let mut prev = 0u32;
+    for _ in 0..n {
+        let o = decode_record(r, prev, base_ms)?;
+        prev = o.ip;
+        records.push(o);
+    }
+    Ok(records)
+}
+
 /// The delta between two consecutive snapshots: IPs that disappeared
 /// plus records that were added or changed. Records present in the
 /// previous snapshot and untouched are carried implicitly.

@@ -22,7 +22,7 @@
 //! back to the previous segment.
 
 use crate::crc32::crc32;
-use crate::record::{decode_record, encode_record, SnapshotDiff};
+use crate::record::{decode_records, encode_records, SnapshotDiff};
 use crate::varint::{put_u64, Reader};
 use std::io;
 
@@ -102,11 +102,7 @@ pub fn encode(seg: &Segment) -> Vec<u8> {
         prev = ip;
     }
     put_u64(&mut out, seg.diff.upserts.len() as u64);
-    let mut prev = 0u32;
-    for o in &seg.diff.upserts {
-        encode_record(&mut out, o, prev, seg.t_ms);
-        prev = o.ip;
-    }
+    encode_records(&mut out, &seg.diff.upserts, seg.t_ms);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -164,13 +160,7 @@ pub fn decode(buf: &[u8]) -> io::Result<Segment> {
         prev = ip;
     }
     let upsert_count = r.u64()? as usize;
-    let mut upserts = Vec::with_capacity(upsert_count.min(1 << 20));
-    let mut prev = 0u32;
-    for _ in 0..upsert_count {
-        let o = decode_record(&mut r, prev, t_ms)?;
-        prev = o.ip;
-        upserts.push(o);
-    }
+    let upserts = decode_records(&mut r, upsert_count, t_ms)?;
     if r.remaining() != 0 {
         return Err(invalid("trailing bytes after segment payload"));
     }

@@ -311,6 +311,21 @@ impl CampaignStore {
         self.resumed_at
     }
 
+    /// Resident bytes, from lengths: every segment's delta is held
+    /// decoded, beside the current snapshot, uncommitted observations
+    /// and the string table (each string twice, by id and as key).
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let diffs = self.segments.iter().map(|s| &s.diff);
+        let (upserts, removed) = diffs.fold((0, 0), |sum, d| {
+            (sum.0 + d.upserts.len(), sum.1 + d.removed.len())
+        });
+        let strings = self.strings.iter().map(|s| 2 * s.len());
+        (upserts + self.current.len() + self.pending.len()) * size_of::<Observation>()
+            + removed * size_of::<u32>()
+            + strings.sum::<usize>()
+    }
+
     /// Current store statistics.
     pub fn stats(&self) -> StoreStats {
         let bytes_written: u64 = self.manifest.segments.iter().map(|e| e.bytes).sum();

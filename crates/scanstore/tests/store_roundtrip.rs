@@ -8,8 +8,8 @@ use scanstore::record::{decode_record, encode_record};
 use scanstore::segment::{self, Kind, Segment};
 use scanstore::varint::Reader;
 use scanstore::{
-    CampaignStore, FaultSpec, Observation, ObservationSink, SnapshotDiff, SnapshotSink,
-    SnapshotSource, StoreView,
+    CampaignStore, FaultSpec, MemoryStore, Observation, ObservationSink, SnapshotDiff,
+    SnapshotSink, SnapshotSource, StoreView,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -73,8 +73,78 @@ fn arb_batch() -> impl Strategy<Value = Vec<Observation>> {
     })
 }
 
+/// Observations at the edges of the record codec: the last address,
+/// all-ones payloads, a last-seen before the first-seen, and a
+/// first-seen before the snapshot's own timestamp (`BASE_MS`).
+fn arb_edge_observation() -> impl Strategy<Value = Observation> {
+    (
+        arb_observation(),
+        prop_oneof![Just(u32::MAX), any::<u32>()],
+        prop_oneof![Just(u64::MAX), any::<u64>()],
+        prop_oneof![Just(u64::MAX), Just(0u64), any::<u64>()],
+        0u64..2 * BASE_MS,
+        0u64..2 * BASE_MS,
+    )
+        .prop_map(|(o, ip, banner_hash, value, first, last)| Observation {
+            ip,
+            banner_hash,
+            value,
+            first_seen_ms: first,
+            last_seen_ms: last,
+            ..o
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The in-memory store keeps a committed snapshot as record-codec
+    /// bytes; whatever went in must come back out, one snapshot at a
+    /// time or streamed, with labels, meta and strings as committed.
+    #[test]
+    fn memory_store_packed_snapshots_roundtrip(
+        batches in proptest::collection::vec(
+            proptest::collection::vec(arb_edge_observation(), 0..60),
+            1..5,
+        ),
+    ) {
+        let mut store = MemoryStore::new();
+        let us = store.intern("US");
+        let mut sealed = Vec::new();
+        for (w, batch) in batches.iter().enumerate() {
+            for o in batch {
+                store.observe(*o);
+            }
+            let meta = vec![("truth".to_string(), w.to_string())];
+            let seq = store.commit(&format!("week-{w}"), BASE_MS + w as u64, &meta).unwrap();
+            prop_assert_eq!(seq as usize, w);
+            // What a commit seals: sorted by address, first one wins.
+            let mut want = batch.clone();
+            want.sort_by_key(|o| o.ip);
+            want.dedup_by_key(|o| o.ip);
+            sealed.push(want);
+        }
+        prop_assert_eq!(store.snapshot_count() as usize, batches.len());
+        let mut streamed = Vec::new();
+        store.for_each_snapshot(&mut |snap| {
+            streamed.push(snap.clone());
+            Ok(())
+        }).unwrap();
+        for (w, want) in sealed.iter().enumerate() {
+            let snap = store.snapshot(w as u32).unwrap();
+            prop_assert_eq!(&snap.records, want);
+            prop_assert_eq!(snap.seq as usize, w);
+            prop_assert_eq!(&snap.label, &format!("week-{w}"));
+            prop_assert_eq!(snap.t_ms, BASE_MS + w as u64);
+            prop_assert_eq!(snap.meta_value("truth"), Some(w.to_string().as_str()));
+            prop_assert_eq!(&streamed[w], &snap);
+            prop_assert_eq!(store.find_label(&format!("week-{w}")), Some(w as u32));
+        }
+        prop_assert_eq!(streamed.len(), sealed.len());
+        prop_assert_eq!(store.find_label("week-9"), None);
+        prop_assert!(store.snapshot(batches.len() as u32).is_err());
+        prop_assert_eq!(store.string(us), "US");
+    }
 
     #[test]
     fn record_roundtrip_arbitrary(obs in arb_observation(), prev in any::<u32>()) {

@@ -13,13 +13,12 @@ use resolversim::software::{
 use resolversim::universe::TldInfo;
 use resolversim::webhost::{AdMode, MailBanners};
 use resolversim::{
-    CacheProfile, CensorPolicy, CensorRule, ChaosPolicy, DeviceClass, DeviceOs, DeviceProfile,
-    DnsUniverse, DomainCategory, DomainKind, DomainRecord, ForwarderHost, GreatFirewall,
-    ResolverBehavior, ResolverHost, SoftwareProfile, TldCacheSim, WebHost, WebRole,
+    Alive, CacheProfile, CensorPolicy, CensorRule, ChaosPolicy, DeviceClass, DeviceOs,
+    DeviceProfile, DnsUniverse, DomainCategory, DomainKind, DomainRecord, ForwarderHost,
+    GreatFirewall, ResolverBehavior, ResolverHost, SoftwareProfile, TldCacheSim, WebHost, WebRole,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Address-block allocator over non-reserved space, skipping the
@@ -74,10 +73,9 @@ impl Allocator {
     }
 }
 
-fn ips_of_block(range: (Ipv4Addr, Ipv4Addr)) -> Vec<Ipv4Addr> {
-    (u32::from(range.0)..=u32::from(range.1))
-        .map(Ipv4Addr::from)
-        .collect()
+/// Every address of an allocated block, in order.
+fn addresses(block: (Ipv4Addr, Ipv4Addr)) -> impl Iterator<Item = Ipv4Addr> {
+    (u32::from(block.0)..=u32::from(block.1)).map(Ipv4Addr::from)
 }
 
 /// Deterministic sub-seed derivation.
@@ -86,6 +84,28 @@ fn subseed(seed: u64, tag: u64) -> u64 {
     z ^= z >> 33;
     z = z.wrapping_mul(0xff51afd7ed558ccd);
     z ^ (z >> 33)
+}
+
+/// A shared software profile and its Table 3 key.
+type SharedProfile = (Arc<SoftwareProfile>, Arc<str>);
+
+/// One world's distinct software profiles: each is built once and
+/// shared by every resolver that runs it.
+type ProfileTable = HashMap<(&'static str, &'static str, ChaosPolicy), SharedProfile>;
+
+fn shared_profile(
+    table: &mut ProfileTable,
+    family: &'static str,
+    version: &'static str,
+    chaos: ChaosPolicy,
+) -> SharedProfile {
+    let entry = table.entry((family, version, chaos));
+    let shared = entry.or_insert_with_key(|(family, version, chaos)| {
+        let profile = SoftwareProfile::new(family, version, chaos.clone());
+        let key = profile.table_key().into();
+        (Arc::new(profile), key)
+    });
+    shared.clone()
 }
 
 /// Build the world. Pure function of `cfg`.
@@ -150,7 +170,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
             },
         )
         .expect("hosting block");
-    let mut hosting_ips = ips_of_block(hosting_block).into_iter();
+    let mut hosting_ips = addresses(hosting_block);
     let mut next_hosting_ip = move || hosting_ips.next().expect("hosting space exhausted");
 
     // Measurement AuthNS (answers the scan zone and the GT domain).
@@ -234,8 +254,8 @@ pub fn build_world(cfg: WorldConfig) -> World {
                     },
                 )
                 .expect("cdn block");
-            let ips = ips_of_block(block);
-            for (k, &ip) in ips.iter().take(3).enumerate() {
+            let ips: Vec<Ipv4Addr> = addresses(block).take(3).collect();
+            for (k, &ip) in ips.iter().enumerate() {
                 // One edge kept disabled to model outdated CDN IPs.
                 let role = if k == 2 && region == Rir::Afrinic && pi == 1 {
                     WebRole::DisabledEdge
@@ -252,7 +272,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
                 net.bind_ip(ip, host);
                 web_hosts += 1;
             }
-            cdn_pools.insert((pi, region), ips.into_iter().take(3).collect());
+            cdn_pools.insert((pi, region), ips);
         }
     }
 
@@ -634,7 +654,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
             .expect("gov block");
         let country_name = country_display(plan.code);
         let mut ips = Vec::new();
-        for ip in ips_of_block(block) {
+        for ip in addresses(block) {
             let host = net.add_host(Box::new(WebHost::new(
                 WebRole::CensorLanding {
                     country: country_name.to_string(),
@@ -849,6 +869,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
     ];
 
     let mut resolvers: Vec<ResolverMeta> = Vec::new();
+    let mut profiles = ProfileTable::new();
     let mut pools: Vec<LeasePool> = Vec::new();
     let mut border_filtered: Vec<(u32, u32)> = Vec::new();
     let churn_mix = ChurnClass::mix();
@@ -891,6 +912,9 @@ pub fn build_world(cfg: WorldConfig) -> World {
         let servfail = ((start as f64) * RESPONSE_CLASS_PLAN.servfail_max_fraction) as usize;
 
         let total = start + spawners + refused + servfail;
+        // One liveness vector per country (and one for the blocker
+        // networks): a population's size is known where it begins.
+        let mut switches = Alive::group(total + special_count);
 
         let mut country_rng = SmallRng::seed_from_u64(subseed(cfg.seed, 1000 + ci as u64));
 
@@ -913,7 +937,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
             let isp_host = net.add_host(Box::new(ResolverHost::new(
                 universe.clone(),
                 isp_behavior,
-                SoftwareProfile::new("BIND", "9.9.5", ChaosPolicy::Genuine),
+                shared_profile(&mut profiles, "BIND", "9.9.5", ChaosPolicy::Genuine).0,
                 DeviceProfile::closed(),
                 TldCacheSim::new(CacheProfile::InUse {
                     refresh_gap_s: 2,
@@ -1084,8 +1108,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
                 ChaosPolicy::Genuine
             };
             let chaos_genuine = matches!(chaos, ChaosPolicy::Genuine);
-            let software = SoftwareProfile::new(&family, &version, chaos);
-            let software_key = software.table_key();
+            let (software, software_key) = shared_profile(&mut profiles, family, version, chaos);
 
             // Cache / utilization profile.
             let cache = sample_cache_profile(&mut country_rng, salt);
@@ -1109,7 +1132,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
                 salt,
             );
 
-            let alive = Arc::new(AtomicBool::new(spawn_week == 0));
+            let alive = switches.next().expect("sized above").set(spawn_week == 0);
             // ~2.5% of resolvers are CPE forwarding proxies with broken
             // NAT: the upstream ISP recursive answers the client
             // directly, from its own address (Sec. 2.2: 630k-750k
@@ -1215,7 +1238,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
                     mean_lease_ms: mean_lease,
                     seed: subseed(cfg.seed, 8000 + asn as u64),
                 },
-                ips_of_block(block),
+                block,
                 members,
                 SimTime::ZERO,
             );
@@ -1251,14 +1274,16 @@ pub fn build_world(cfg: WorldConfig) -> World {
                     },
                 )
                 .expect("special block");
-            let mut members = Vec::new();
+            let (software, software_key) =
+                shared_profile(&mut profiles, "BIND", "9.8.2", ChaosPolicy::Genuine);
+            let mut members = Vec::with_capacity(count);
             for j in 0..count {
                 let salt = subseed(cfg.seed, (0xAAAA_0000 + (ci as u64)) << 16 | j as u64);
-                let alive = Arc::new(AtomicBool::new(true));
+                let alive = switches.next().expect("sized above").set(true);
                 let host = ResolverHost::new(
                     universe.clone(),
                     ResolverBehavior::Honest,
-                    SoftwareProfile::new("BIND", "9.8.2", ChaosPolicy::Genuine),
+                    software.clone(),
                     DeviceProfile::closed(),
                     TldCacheSim::new(CacheProfile::EmptyAnswer),
                     region,
@@ -1275,7 +1300,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
                     response_class: ResponseClass::NoError,
                     churn: ChurnClass::Static,
                     device: None,
-                    software_key: "BIND 9.8.2".into(),
+                    software_key: software_key.clone(),
                     chaos_genuine: true,
                     spawn_week: 0,
                     retire_week: None,
@@ -1286,7 +1311,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
             let pool = LeasePool::new(
                 &mut net,
                 ChurnConfig::stable(subseed(cfg.seed, 9000 + asn as u64)),
-                ips_of_block(block),
+                block,
                 members,
                 SimTime::ZERO,
             );
@@ -1311,6 +1336,9 @@ pub fn build_world(cfg: WorldConfig) -> World {
     {
         let mut bl_rng = SmallRng::seed_from_u64(subseed(cfg.seed, 0xB10C));
         let per_net = cfg.scaled_min(77_000 / 21, 2) as usize;
+        let (software, software_key) =
+            shared_profile(&mut profiles, "Dnsmasq", "2.52", ChaosPolicy::Genuine);
+        let mut switches = Alive::group(21 * per_net);
         for n in 0..21usize {
             let cc = Country::new(COUNTRY_PLANS[n % COUNTRY_PLANS.len()].code);
             let region = Rir::for_country(cc);
@@ -1334,14 +1362,12 @@ pub fn build_world(cfg: WorldConfig) -> World {
                     },
                 )
                 .expect("blocker block");
-            let ips = ips_of_block(block);
-            #[allow(clippy::needless_range_loop)]
-            for j in 0..per_net {
-                let alive = Arc::new(AtomicBool::new(true));
+            for (j, ip) in addresses(block).take(per_net).enumerate() {
+                let alive = switches.next().expect("sized above").set(true);
                 let host = ResolverHost::new(
                     universe.clone(),
                     ResolverBehavior::Honest,
-                    SoftwareProfile::new("Dnsmasq", "2.52", ChaosPolicy::Genuine),
+                    software.clone(),
                     DeviceProfile::closed(),
                     TldCacheSim::new(CacheProfile::EmptyAnswer),
                     region,
@@ -1349,7 +1375,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
                 )
                 .with_alive(alive.clone());
                 let host_id = net.add_host(Box::new(host));
-                net.bind_ip(ips[j], host_id);
+                net.bind_ip(ip, host_id);
                 resolvers.push(ResolverMeta {
                     host: host_id,
                     country: cc,
@@ -1358,11 +1384,11 @@ pub fn build_world(cfg: WorldConfig) -> World {
                     response_class: ResponseClass::NoError,
                     churn: ChurnClass::Static,
                     device: None,
-                    software_key: "Dnsmasq 2.52".into(),
+                    software_key: software_key.clone(),
                     chaos_genuine: true,
                     spawn_week: 0,
                     retire_week: None,
-                    initial_ip: ips[j],
+                    initial_ip: ip,
                     alive,
                 });
             }
@@ -1387,6 +1413,8 @@ pub fn build_world(cfg: WorldConfig) -> World {
 
     let rdns = RdnsDb::new(rdns_builder.build(), rdns_overrides);
 
+    // The vector lives as long as the world: hand its growth slack back.
+    resolvers.shrink_to_fit();
     let stats = WorldStats {
         resolvers: resolvers.len(),
         web_hosts,
@@ -1433,6 +1461,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
         rdns,
         catalog,
         resolvers,
+        profiles.into_values().collect(),
         infra,
         pools,
         allocated,
@@ -1524,21 +1553,21 @@ fn country_display(code: &str) -> &'static str {
 }
 
 /// Sample a software family+version from Table 3 + tail.
-fn sample_software(rng: &mut SmallRng) -> (String, String) {
+fn sample_software(rng: &mut SmallRng) -> (&'static str, &'static str) {
     let mut u = rng.gen::<f64>();
     for (family, version, share, _) in TABLE3_SOFTWARE {
         if u < *share {
-            return (family.to_string(), version.to_string());
+            return (family, version);
         }
         u -= share;
     }
     for (family, version, share) in TAIL_SOFTWARE {
         if u < *share {
-            return (family.to_string(), version.to_string());
+            return (family, version);
         }
         u -= share;
     }
-    ("BIND".to_string(), "9.9.4".to_string())
+    ("BIND", "9.9.4")
 }
 
 /// Sample a cache/utilization profile per the Sec. 2.6 shares.
@@ -1697,18 +1726,18 @@ fn materialize_behavior(
         },
         BehaviorKind::ParkingStale => ResolverBehavior::Parking {
             targets: parking_stale_targets.clone(),
-            park_ips: infra.parking_ips.clone(),
+            park_ips: infra.parking_ips.as_slice().into(),
         },
         BehaviorKind::ParkingTor => ResolverBehavior::Parking {
             targets: parking_tor_targets.clone(),
-            park_ips: infra.parking_ips.clone(),
+            park_ips: infra.parking_ips.as_slice().into(),
         },
         // Re-registered malware domains monetized through search landers
         // (semantically a targeted redirect; the label comes from the
         // target host's content).
         BehaviorKind::MalwareSearch => ResolverBehavior::Parking {
             targets: malware_search_targets.clone(),
-            park_ips: infra.search_ips.clone(),
+            park_ips: infra.search_ips.as_slice().into(),
         },
         BehaviorKind::AdInjectBanner => ResolverBehavior::AdRedirect {
             targets: ad_targets.clone(),

@@ -4,10 +4,10 @@ use crate::catalog::DomainCatalog;
 use crate::plan::{BehaviorKind, ChurnClass, DeviceClassPlan, WorldConfig};
 use geodb::{Country, GeoDb, RdnsDb};
 use netsim::{HostId, LeasePool, Network, SimTime};
-use resolversim::DnsUniverse;
+use resolversim::{Alive, DnsUniverse, SoftwareProfile};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Response class a resolver exhibits in the weekly enumeration scan
@@ -43,8 +43,9 @@ pub struct ResolverMeta {
     pub churn: ChurnClass,
     /// TCP device template, if the host exposes TCP services.
     pub device: Option<DeviceClassPlan>,
-    /// `"BIND 9.8.2"`-style key if the CHAOS scan can learn it.
-    pub software_key: String,
+    /// `"BIND 9.8.2"`-style key if the CHAOS scan can learn it — one
+    /// string per distinct profile, shared.
+    pub software_key: Arc<str>,
     /// Whether CHAOS queries reveal the genuine version.
     pub chaos_genuine: bool,
     /// Week the resolver first appears (0 = present at study start).
@@ -53,8 +54,8 @@ pub struct ResolverMeta {
     pub retire_week: Option<u32>,
     /// Address at world-build time (changes with churn).
     pub initial_ip: Ipv4Addr,
-    /// Liveness flag shared with the simulated host.
-    pub alive: Arc<AtomicBool>,
+    /// Liveness switch shared with the simulated host.
+    pub alive: Alive,
 }
 
 /// Index of the special-purpose infrastructure the generator placed —
@@ -162,12 +163,16 @@ pub struct World {
     pub rdns: Arc<RdnsDb>,
     /// The scanned-domain catalog.
     pub catalog: DomainCatalog,
-    /// Ground-truth record per resolver.
+    /// Ground-truth record per resolver, in `HostId` order (the order
+    /// hosts were built in): [`World::responder`] searches it by host.
     pub resolvers: Vec<ResolverMeta>,
     /// Oracle index of planted infrastructure.
     pub infra: InfraIndex,
     /// Aggregate counts.
     pub stats: WorldStats,
+    /// Every distinct software profile with its Table 3 key; resolvers
+    /// share these.
+    profiles: Vec<(Arc<SoftwareProfile>, Arc<str>)>,
     pub(crate) pools: Vec<LeasePool>,
     /// Allocated address ranges — the scannable universe.
     pub(crate) allocated: Vec<(Ipv4Addr, Ipv4Addr)>,
@@ -196,6 +201,7 @@ impl World {
         rdns: RdnsDb,
         catalog: DomainCatalog,
         resolvers: Vec<ResolverMeta>,
+        profiles: Vec<(Arc<SoftwareProfile>, Arc<str>)>,
         infra: InfraIndex,
         pools: Vec<LeasePool>,
         allocated: Vec<(Ipv4Addr, Ipv4Addr)>,
@@ -205,6 +211,7 @@ impl World {
         blacklist_ranges: Vec<(Ipv4Addr, Ipv4Addr)>,
         blacklist_singles: Vec<Ipv4Addr>,
     ) -> Self {
+        assert!(resolvers.windows(2).all(|pair| pair[0].host < pair[1].host));
         World {
             cfg,
             net,
@@ -213,6 +220,7 @@ impl World {
             rdns: Arc::new(rdns),
             catalog,
             resolvers,
+            profiles,
             infra,
             stats,
             pools,
@@ -326,24 +334,70 @@ impl World {
         out
     }
 
-    /// One-shot index of every resolver's current responder state,
-    /// keyed by host — built once per coverage computation so
-    /// per-target lookups stay O(1) (`net.host_at` + one hash probe)
-    /// instead of scanning the resolver table per address.
-    pub fn responder_index(&self) -> std::collections::HashMap<netsim::HostId, ResponderState> {
-        self.resolvers
+    /// Where this world's resident bytes are, owner by owner, counted
+    /// from lengths: growth slack is never written, so never resident.
+    /// The small fixed tables are counted shallowly (a range of each of
+    /// the two range maps per block, strings by length).
+    pub fn mem_ledger(&self) -> Vec<(&'static str, usize)> {
+        use std::mem::size_of;
+        let [hosts, bindings, host_ips] = self.net.resident_bytes();
+        let pools = self.pools.iter().map(LeasePool::resident_bytes);
+        let (members, free) = pools.fold((0, 0), |sum, pool| (sum.0 + pool.0, sum.1 + pool.1));
+        let profiles = self.profiles.iter().map(|(profile, key)| {
+            size_of::<SoftwareProfile>() + profile.family.len() + profile.version.len() + key.len()
+        });
+        let ranges = size_of::<geodb::NetBlock>() + size_of::<geodb::RdnsPattern>() + 16;
+        let ases = self
+            .geo
+            .ases()
             .iter()
-            .map(|m| {
-                (
-                    m.host,
-                    ResponderState {
-                        class: m.response_class,
-                        alive: m.alive.load(Ordering::Relaxed),
-                        asn: m.asn,
-                    },
-                )
-            })
-            .collect()
+            .map(|a| size_of::<geodb::AsInfo>() + a.name.len());
+        let geo_rdns = self.geo.block_count() * ranges
+            + ases.sum::<usize>()
+            + self.rdns.override_count() * size_of::<(u32, String)>();
+        let records = self
+            .universe
+            .domains()
+            .map(|d| size_of::<(String, resolversim::DomainRecord)>() + 2 * d.name.len());
+        let catalog = self
+            .catalog
+            .domains
+            .iter()
+            .map(|d| size_of::<crate::catalog::CatalogDomain>() + d.name.len());
+        vec![
+            ("hosts", hosts),
+            ("profiles", profiles.sum()),
+            ("routes.bindings", bindings),
+            ("routes.host_ips", host_ips),
+            ("pools.members", members),
+            ("pools.free", free),
+            (
+                "resolver_meta",
+                self.resolvers.len() * size_of::<ResolverMeta>(),
+            ),
+            ("liveness", self.resolvers.len().div_ceil(64) * 8),
+            ("geo_rdns", geo_rdns),
+            (
+                "universe_catalog",
+                records.sum::<usize>() + catalog.sum::<usize>(),
+            ),
+        ]
+    }
+
+    /// The current responder state of the resolver behind `host`, if
+    /// the host is one: coverage accounting probes a handful of
+    /// addresses (`net.host_at`, then this) against a world of many.
+    pub fn responder(&self, host: HostId) -> Option<ResponderState> {
+        let i = self
+            .resolvers
+            .binary_search_by_key(&host, |m| m.host)
+            .ok()?;
+        let m = &self.resolvers[i];
+        Some(ResponderState {
+            class: m.response_class,
+            alive: m.alive.load(Ordering::Relaxed),
+            asn: m.asn,
+        })
     }
 }
 
