@@ -14,16 +14,11 @@ pub fn main(p: &Parsed) -> Result<(), String> {
     }
     let healthy = reports.iter().all(|(_, r)| r.healthy());
     if json {
-        let mut out = String::from("{");
-        for (i, (name, report)) in reports.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let out = telemetry::json::to_string(|o| {
+            for (name, report) in &reports {
+                o.object(name, |o| report.write_json(o));
             }
-            out.push_str(&serde_json::to_string(name).expect("string serializes"));
-            out.push(':');
-            out.push_str(&report.to_json());
-        }
-        out.push('}');
+        });
         println!("{out}");
     } else {
         for (name, report) in &reports {

@@ -21,13 +21,12 @@ use htmlsim::diff::TagDelta;
 use htmlsim::distance::{jaccard_multiset, FeatureWeights, PreparedPage};
 use htmlsim::PageFeatures;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
 /// Linkage criterion. The paper uses average linkage (UPGMA); single and
 /// complete are provided for the A-ABL2 ablation. All three are
 /// *reducible*, so the nearest-neighbor-chain algorithm is exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Linkage {
     /// Minimum pairwise distance.
     Single,
@@ -39,7 +38,7 @@ pub enum Linkage {
 
 /// A merge tree. Leaves are `0..n_leaves`; the `i`-th merge creates
 /// internal node `n_leaves + i`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dendrogram {
     /// Number of leaves.
     pub n_leaves: usize,
@@ -48,7 +47,7 @@ pub struct Dendrogram {
 }
 
 /// A flat clustering produced by cutting a dendrogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatClusters {
     /// `assignment[leaf] = cluster id` (dense, 0-based).
     pub assignment: Vec<usize>,

@@ -7,7 +7,6 @@
 
 use resolversim::{DeviceClass, DeviceOs};
 use scanner::BannerObservation;
-use serde::{Deserialize, Serialize};
 
 /// A fingerprint rule: if the corpus contains `token` (case-insensitive),
 /// attribute the class/OS. Earlier rules win.
@@ -164,7 +163,7 @@ pub const RULES: &[FingerprintRule] = &[
 ];
 
 /// The fingerprinting result for one host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceFingerprint {
     /// Hardware class.
     pub class: DeviceClass,
@@ -201,7 +200,7 @@ pub fn fingerprint_device(obs: &BannerObservation) -> DeviceFingerprint {
 }
 
 /// Classification of a CHAOS version string (Table 3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SoftwareClass {
     /// Recognized `family version` pair.
     Known {

@@ -6,10 +6,8 @@
 //! blocking language outranks generic login/search/parking cues, and
 //! HTTP errors are recognized by status code or error-page idiom.
 
-use serde::{Deserialize, Serialize};
-
 /// Table 5's seven labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Label {
     /// Protection-provider / parental-control block pages.
     Blocking,

@@ -19,14 +19,13 @@ use dnswire::Rcode;
 use geodb::{GeoDb, RdnsDb};
 use netsim::TlsCertificate;
 use scanner::TupleObs;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 /// Trusted resolutions: what *our* resolvers say each domain maps to.
 /// Built once per scan from multiple vantage regions, mirroring the
 /// paper's "we perform a DNS A lookup at (trusted) recursive resolvers".
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrustedView {
     /// Domain → trusted A records.
     pub ips: BTreeMap<String, Vec<Ipv4Addr>>,
@@ -42,7 +41,7 @@ impl TrustedView {
 }
 
 /// Verdict for one tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FilterVerdict {
     /// Expected NXDOMAIN / empty answer for a nonexistent domain.
     ExpectedNx,
@@ -227,7 +226,7 @@ impl<'a> PreFilter<'a> {
 }
 
 /// Which certificate rule validated an address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CertRule {
     /// Valid chain covering the domain, served with SNI.
     SniValid,

@@ -7,10 +7,9 @@
 //! comparing with the previous expiry bounds the refresh gap.
 
 use scanner::{SnoopResult, SnoopSample};
-use serde::{Deserialize, Serialize};
 
 /// Utilization classes (Sec. 2.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum UtilizationClass {
     /// Never answered any snooping query.
     Unresponsive,

@@ -242,7 +242,7 @@ pub fn derive_all(
 // =====================================================================
 
 /// One weekly scan's counts.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct WeekRow {
     /// Scan week (0-based).
     pub week: u32,
@@ -261,7 +261,7 @@ pub struct WeekRow {
 }
 
 /// Figure 1 series, plus the per-country snapshots Table 1/2 need.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Fig1Report {
     /// One row per weekly scan.
     pub weeks: Vec<WeekRow>,
@@ -298,7 +298,7 @@ impl Fig1Report {
 // =====================================================================
 
 /// Fluctuation row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FluxRow {
     /// Country code or AS key.
     pub key: String,
@@ -367,7 +367,7 @@ pub fn table2_rir_flux(fig1: &Fig1Report) -> Vec<FluxRow> {
 // E-TAB3 — CHAOS software fingerprinting
 // =====================================================================
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 /// CHAOS fingerprinting summary (Table 3).
 pub struct Table3Report {
     /// Resolvers that answered the CHAOS scan.
@@ -427,7 +427,7 @@ impl Table3Report {
 // E-TAB4 — device fingerprinting
 // =====================================================================
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 /// Device fingerprinting summary (Table 4).
 pub struct Table4Report {
     /// Resolvers probed.
@@ -445,7 +445,7 @@ pub struct Table4Report {
 // =====================================================================
 
 /// Figure 2 data plus the dynamic-rDNS attribution.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Fig2Report {
     /// Measured cohort survival.
     pub churn: ChurnResult,
@@ -455,7 +455,7 @@ pub struct Fig2Report {
 // E-UTIL — cache snooping utilization
 // =====================================================================
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 /// Cache-utilization summary (Sec. 2.6).
 pub struct UtilReport {
     /// Resolvers snooped.

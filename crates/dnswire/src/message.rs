@@ -5,12 +5,11 @@ use crate::error::DecodeError;
 use crate::name::Name;
 use crate::types::{Opcode, Rcode, RecordClass, RecordType};
 use crate::view::MessageView;
-use serde::{Deserialize, Serialize};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Fixed 12-octet message header (RFC 1035 §4.1.1), with flag bits
 /// expanded into booleans.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Header {
     /// Transaction ID. The domain-scan campaign stores 16 of the 25
     /// resolver-identifier bits here (Section 3.3 of the paper).
@@ -98,7 +97,7 @@ impl Header {
 }
 
 /// A question-section entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
     /// Queried name.
     pub qname: Name,
@@ -110,7 +109,7 @@ pub struct Question {
 
 /// Typed record data. Unmodelled types carry opaque bytes so they
 /// survive a decode→encode round trip unchanged.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RData {
     /// IPv4 address.
     A(Ipv4Addr),
@@ -232,7 +231,7 @@ impl RData {
 }
 
 /// A resource record (answer, authority, or additional section entry).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceRecord {
     /// Owner name.
     pub name: Name,
@@ -282,7 +281,7 @@ impl ResourceRecord {
 }
 
 /// A complete DNS message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Fixed header.
     pub header: Header,

@@ -2,7 +2,6 @@
 //! compression-pointer support, and case-insensitive semantics.
 
 use crate::error::{DecodeError, NameError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of octets in a wire-encoded name (RFC 1035 §3.1).
@@ -18,7 +17,7 @@ const MAX_POINTER_HOPS: usize = 64;
 /// this is essential for the 0x20-encoding correlator in the scanner,
 /// which recovers information bits from answer casing — while equality
 /// and hashing are ASCII-case-insensitive per RFC 1035 §2.3.3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Name {
     labels: Vec<Vec<u8>>,
 }

@@ -1,13 +1,11 @@
 //! Scalar protocol enumerations: record types, classes, opcodes, rcodes.
 
-use serde::{Deserialize, Serialize};
-
 /// DNS resource-record type (the TYPE / QTYPE field).
 ///
 /// Only the types exercised by the *Going Wild* measurement get named
 /// variants; everything else is preserved verbatim in [`RecordType::Other`]
 /// so unknown records survive a decode/encode round trip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RecordType {
     /// IPv4 host address (the workhorse of the study).
     A,
@@ -71,7 +69,7 @@ impl RecordType {
 
 /// DNS class. `IN` for ordinary resolution, `CH` (CHAOS) for the
 /// `version.bind` software-fingerprinting scan of Section 2.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordClass {
     /// Internet.
     In,
@@ -110,7 +108,7 @@ impl RecordClass {
 }
 
 /// Header OPCODE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// Standard query.
     Query,
@@ -146,7 +144,7 @@ impl Opcode {
 
 /// Response code (RCODE). The study's weekly scans bucket resolvers by
 /// exactly these statuses (Figure 1: `NOERROR`, `REFUSED`, `SERVFAIL`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rcode {
     /// Successful response.
     NoError,

@@ -21,11 +21,10 @@ pub use rangemap::IpRangeMap;
 pub use rdns::{RdnsDb, RdnsPattern};
 pub use rir::Rir;
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Information about one autonomous system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsInfo {
     /// Autonomous system number.
     pub asn: u32,
@@ -40,7 +39,7 @@ pub struct AsInfo {
 }
 
 /// One allocated network block: the unit of the synthetic databases.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetBlock {
     /// GeoIP country of the block.
     pub country: Country,
@@ -52,7 +51,7 @@ pub struct NetBlock {
 }
 
 /// The combined geo/AS database: IP → [`NetBlock`], plus the AS registry.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GeoDb {
     blocks: IpRangeMap<NetBlock>,
     ases: Vec<AsInfo>,

@@ -1,10 +1,9 @@
 //! A sorted, non-overlapping interval map over the IPv4 address space.
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// One entry: inclusive `[start, end]` mapped to a value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Range<T> {
     start: u32,
     end: u32,
@@ -14,7 +13,7 @@ struct Range<T> {
 /// An immutable interval map with O(log n) point lookups. Construct via
 /// [`IpRangeMap::builder`], which validates ordering and rejects
 /// overlaps at insert time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IpRangeMap<T> {
     ranges: Vec<Range<T>>,
 }

@@ -9,7 +9,6 @@
 //!   rDNS name's forward A record maps back to the IP (only the domain
 //!   owner can set up the A record).
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 use crate::rangemap::IpRangeMap;
@@ -28,7 +27,7 @@ pub const DYNAMIC_TOKENS: &[&str] = &[
 ];
 
 /// How hosts in a block are named in the reverse zone.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RdnsPattern {
     /// `host-<a>-<b>-<c>-<d>.<infix>.<zone>` where `infix` carries a
     /// dynamic-assignment token, e.g. `host-5-5-1-2.dynamic.ttnet.example`.
@@ -84,7 +83,7 @@ impl RdnsPattern {
 
 /// The reverse zone: IP ranges with naming patterns plus point overrides
 /// for individual service hosts (web servers, mail servers, CDN edges).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RdnsDb {
     patterns: IpRangeMap<RdnsPattern>,
     /// Sorted `(ip, name)` overrides; consulted before the range patterns.

@@ -2,11 +2,10 @@
 //! Table 2.
 
 use crate::country::Country;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five Regional Internet Registries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rir {
     /// RIPE NCC — Europe, Middle East, Central Asia.
     Ripe,

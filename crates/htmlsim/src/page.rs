@@ -3,7 +3,6 @@
 
 use crate::tagid::TagInterner;
 use crate::token::{tokenize, Token};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Cap on the amount of JavaScript fed to the edit-distance feature.
@@ -20,7 +19,7 @@ pub const TAG_SEQ_CAP: usize = 2048;
 /// All multisets are stored as sorted `(item, count)` maps so that
 /// Jaccard computation is a linear merge and the struct has a canonical,
 /// hashable serialized form (used for response deduplication).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageFeatures {
     /// Raw body length in bytes (feature 1: length difference).
     pub body_len: usize,

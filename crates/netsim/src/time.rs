@@ -1,15 +1,12 @@
 //! Simulated time: milliseconds since the simulation epoch.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time, in milliseconds since the epoch (which
 /// experiments conventionally set to the paper's first scan date,
 /// Jan 31, 2014).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

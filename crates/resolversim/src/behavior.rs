@@ -3,14 +3,13 @@
 
 use crate::universe::{DnsUniverse, DomainCategory};
 use geodb::{Country, Rir};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// One censorship rule: which domains are redirected, and to which
 /// landing-page addresses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CensorRule {
     /// Categories blocked wholesale (e.g. Adult, Gambling).
     pub categories: Vec<DomainCategory>,
@@ -33,7 +32,7 @@ impl CensorRule {
 }
 
 /// A country's DNS censorship policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CensorPolicy {
     /// The censoring country.
     pub country: Country,

@@ -11,11 +11,9 @@
 //! exactly what a snooping observer can distinguish, and keeps a
 //! 36-hour × 15-TLD × millions-of-resolvers campaign cheap.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-resolver cache-snooping behaviour class. Population shares come
 /// from Sec. 2.6's findings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CacheProfile {
     /// Replies to NS queries with an empty answer (7.3% of resolvers).
     EmptyAnswer,
@@ -72,7 +70,7 @@ pub enum SnoopObservation {
 }
 
 /// Closed-form cache simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TldCacheSim {
     profile: CacheProfile,
     /// Number of NS queries answered so far (for `SingleThenSilent`).

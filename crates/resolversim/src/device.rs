@@ -7,10 +7,9 @@
 //! the scanner side (`classify::fingerprint`) carries the matching rules.
 
 use netsim::{HttpResponse, TcpRequest, TcpResponse};
-use serde::{Deserialize, Serialize};
 
 /// Hardware category (Table 4, hardware columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DeviceClass {
     /// Routers, modems, gateways.
     Router,
@@ -51,7 +50,7 @@ impl DeviceClass {
 }
 
 /// Operating system category (Table 4, OS columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DeviceOs {
     /// Generic Linux.
     Linux,
@@ -91,7 +90,7 @@ impl DeviceOs {
 }
 
 /// A device's externally observable TCP surface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceProfile {
     /// Hardware category.
     pub class: DeviceClass,

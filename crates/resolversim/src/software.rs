@@ -2,13 +2,12 @@
 //! `version.server` scan sees (Section 2.4, Table 3).
 
 use dnswire::Rcode;
-use serde::{Deserialize, Serialize};
 
 /// How a resolver answers CHAOS version queries. The paper's shares (of
 /// 19.9M responding resolvers): 42.7% error for both queries, 4.6%
 /// NOERROR with no version, 18.8% administrator-overridden strings,
 /// 33.9% genuine software versions.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ChaosPolicy {
     /// REFUSED or SERVFAIL for both version queries.
     Error(ChaosErrorKind),
@@ -21,7 +20,7 @@ pub enum ChaosPolicy {
 }
 
 /// Which error code the resolver uses for CHAOS queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChaosErrorKind {
     /// Answers REFUSED.
     Refused,
@@ -41,7 +40,7 @@ impl ChaosErrorKind {
 
 /// A concrete DNS server software + version, with the CVE exposure notes
 /// the paper reports in Table 3.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoftwareProfile {
     /// Vendor family, e.g. `"BIND"`.
     pub family: String,

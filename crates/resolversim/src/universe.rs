@@ -2,14 +2,13 @@
 //! them, and the TLD infrastructure.
 
 use geodb::Rir;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// The paper's 13 domain categories (Section 3.2) plus the ground-truth
 /// domain operated by the measurement team.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DomainCategory {
     /// Advertisement providers.
     Ads,
@@ -83,7 +82,7 @@ impl DomainCategory {
 }
 
 /// How a domain's legitimate A records are produced.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DomainKind {
     /// A fixed set of addresses (single-homed or small multi-homed).
     Fixed(Vec<Ipv4Addr>),
@@ -98,7 +97,7 @@ pub enum DomainKind {
 }
 
 /// One domain in the universe.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainRecord {
     /// Lower-case FQDN without trailing dot.
     pub name: String,
@@ -157,7 +156,7 @@ fn lower(name: &str) -> Cow<'_, str> {
 
 /// A top-level domain with its authoritative NS host (cache-snooping
 /// targets, Sec. 2.6).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TldInfo {
     /// E.g. `"com"` or `"co.uk"`.
     pub name: String,
@@ -169,7 +168,7 @@ pub struct TldInfo {
 }
 
 /// The authoritative DNS fabric shared by all honest hosts.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DnsUniverse {
     domains: HashMap<String, DomainRecord>,
     /// Wildcard zones: any subdomain of `suffix` resolves to these IPs.

@@ -6,11 +6,10 @@
 //! scans, we ignore blacklisted IP addresses in all of our scanning
 //! results".
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// A set of excluded ranges and individual addresses.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Blacklist {
     /// Inclusive `[lo, hi]` ranges, sorted by `lo`, non-overlapping.
     ranges: Vec<(u32, u32)>,

@@ -9,7 +9,6 @@
 use crate::probe::{tcp_query_with_retry, ProbePolicy};
 use dnswire::{MessageBuilder, MessageView, Name, Rcode, RecordType};
 use netsim::{Datagram, HttpRequest, MailProto, SimTime, TcpRequest, TlsCertificate};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 use worldgen::World;
 
@@ -17,14 +16,13 @@ use worldgen::World;
 pub const MAX_REDIRECTS: u8 = 2;
 
 /// A fetched page after redirect-following.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FetchedPage {
     /// Final HTTP status.
     pub status: u16,
     /// Final response body.
     pub body: String,
     /// Certificate observed on the TLS handshake (TLS fetches only).
-    #[serde(skip)]
     pub certificate: Option<TlsCertificate>,
     /// Number of redirects followed.
     pub redirects: u8,
@@ -35,7 +33,7 @@ pub struct FetchedPage {
 }
 
 /// Everything acquired for one tuple.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Acquired {
     /// Plain-HTTP fetch result.
     pub http: Option<FetchedPage>,

@@ -6,7 +6,6 @@
 
 use crate::probe::{tcp_query_with_retry, Coverage, ProbePolicy};
 use netsim::{HttpRequest, TcpError, TcpRequest};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use worldgen::World;
@@ -15,7 +14,7 @@ use worldgen::World;
 pub const PROBE_PORTS: [u16; 4] = [21, 22, 23, 80];
 
 /// Banners collected from one host.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BannerObservation {
     /// `(port, banner text)` for every responsive service.
     pub banners: Vec<(u16, String)>,

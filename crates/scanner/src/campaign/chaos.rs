@@ -4,13 +4,12 @@ use super::sweep::{self, Answer, Grid, Sweep};
 use crate::encode::QueryTemplate;
 use crate::probe::ProbePolicy;
 use dnswire::{MessageBuilder, MessageView, Name, Rcode, RecordType};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use worldgen::World;
 
 /// Outcome of the two CHAOS queries against one resolver.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChaosObservation {
     /// Both queries errored (REFUSED / SERVFAIL).
     Errors,

@@ -19,14 +19,14 @@ use crate::simio::ProbeBatch;
 use dnswire::{MessageView, Rcode};
 use netsim::{Datagram, SimTime};
 use scanstore::{Observation, SnapshotSink, SnapshotSource};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 use std::io;
 use std::net::Ipv4Addr;
 use worldgen::World;
 
 /// The churn experiment's outputs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ChurnResult {
     /// Cohort size at week 0.
     pub cohort: u64,

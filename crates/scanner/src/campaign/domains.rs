@@ -7,12 +7,11 @@ use crate::probe::ProbePolicy;
 use crate::simio::ProbeBatch;
 use dnswire::{MessageView, NameView, Rcode, RecordType};
 use netsim::Datagram;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 use worldgen::World;
 
 /// One correlated DNS response from the domain scan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TupleObs {
     /// Index into the scanned resolver list.
     pub resolver_idx: u32,

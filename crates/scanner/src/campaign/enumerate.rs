@@ -9,14 +9,14 @@ use crate::simio::ProbeBatch;
 use dnswire::{MessageView, Rcode};
 use netsim::Datagram;
 use scanstore::{flags, Observation, ObservationSink};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use worldgen::World;
 
 /// What one target IP answered.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnumObservation {
     /// Response code of the first answer.
     pub rcode: Rcode,
@@ -28,7 +28,7 @@ pub struct EnumObservation {
 }
 
 /// Result of one enumeration scan.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EnumerationResult {
     /// Keyed by the *probed target* (recovered from the hex-IP label,
     /// not the response source).
@@ -185,7 +185,7 @@ impl Campaign for Sweeper<'_> {
 
 /// Dual-vantage verification (Sec. 2.2): scan from the secondary /8 and
 /// report hosts visible there but not in `primary`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct VerificationReport {
     /// Hosts answering the verification scan but absent from the weekly
     /// scan, per rcode mnemonic.

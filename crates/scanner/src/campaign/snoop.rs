@@ -7,14 +7,13 @@ use crate::probe::ProbePolicy;
 use dnswire::{MessageBuilder, MessageView, Name, RecordType};
 use netsim::SimTime;
 use scanstore::{Observation, SnapshotSink, SnapshotSource};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
 use std::net::Ipv4Addr;
 use worldgen::World;
 
 /// One observation of one TLD's cache state at one resolver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnoopSample {
     /// NS record present with this remaining TTL.
     Ttl(u32),
@@ -25,7 +24,7 @@ pub enum SnoopSample {
 }
 
 /// Full snooping series for one resolver: `series[tld][round]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SnoopResult {
     /// Number of snooped TLDs.
     pub tld_count: usize,

@@ -12,7 +12,6 @@
 //! it picks the smallest sufficient LFSR degree and skips values beyond
 //! the space size (the classic cycle-walking trick).
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Maximal-length tap masks (Galois form) per degree. Polynomials from
@@ -28,7 +27,7 @@ const TAPS: &[(u8, u32)] = &[
 ];
 
 /// A Galois LFSR over `degree` bits with maximal period.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lfsr {
     state: u32,
     taps: u32,

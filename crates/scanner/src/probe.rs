@@ -18,14 +18,14 @@
 //! pins every campaign's single-attempt traffic.
 
 use netsim::{SimTime, TcpError, TcpRequest, TcpResponse};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use worldgen::world::ResponseClass;
 use worldgen::World;
 
 /// Retransmission policy for one campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbePolicy {
     /// Total attempts per target (1 = no retransmission).
     pub attempts: u32,
@@ -160,7 +160,7 @@ impl RttEstimator {
 /// counts answers against targets that *could* have answered: targets
 /// with no live responder behind them (`unreachable`) are excluded from
 /// the denominator, so coverage measures the scanner, not the churn.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Coverage {
     /// Targets (or probes, for space coverage) the campaign attempted.
     pub attempted: u64,

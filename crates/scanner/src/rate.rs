@@ -7,10 +7,8 @@
 //! dry the caller learns how long to wait. It is pure state — no clocks
 //! — so it works under both simulated and wall-clock time.
 
-use serde::{Deserialize, Serialize};
-
 /// A token bucket over millisecond timestamps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TokenBucket {
     /// Tokens added per millisecond.
     rate_per_ms: f64,

@@ -41,4 +41,4 @@ pub use scrub::{scrub_root, scrub_store, ScrubReport, SegmentVerdict};
 pub use sink::{NullSink, ObservationSink, SnapshotSink};
 pub use source::{cohort_survival, Snapshot, SnapshotSource};
 pub use store::{CampaignStore, SegmentEntry, StoreStats};
-pub use view::{AsnSeries, IndexEntry, ReadIndex, StoreView};
+pub use view::{campaign_dirs, AsnSeries, IndexEntry, ReadIndex, StoreView};

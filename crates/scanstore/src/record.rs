@@ -6,7 +6,7 @@
 //! population costs a few bytes per week regardless of fleet size.
 
 use crate::varint::{put_i64, put_u64, Reader};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::io;
 
 /// Bit flags carried by every observation.
@@ -44,7 +44,7 @@ pub mod flags {
 /// One per-host observation within a snapshot. String-valued fields
 /// (software banner, device token, country, rDNS token) are interned
 /// ids into the campaign's string table; `0` means absent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct Observation {
     /// Probed IPv4 address as a big-endian integer.
     pub ip: u32,

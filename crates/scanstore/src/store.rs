@@ -83,7 +83,7 @@ impl Manifest {
 }
 
 /// Store-level statistics surfaced in the `repro` report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StoreStats {
     /// Committed segments.
     pub segments: u32,

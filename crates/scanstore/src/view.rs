@@ -32,19 +32,21 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The slice of the manifest a reader needs. Deserialized leniently so
-/// a view never fails on writer-side additions to the manifest schema.
+/// The slice of the manifest a reader — a view or the scrubber —
+/// needs. Deserialized leniently so a reader never fails on
+/// writer-side additions to the manifest schema.
 #[derive(Debug, Clone, Deserialize)]
-struct ManifestView {
-    version: u32,
-    committed: u32,
-    segments: Vec<ManifestEntry>,
+pub(crate) struct ManifestView {
+    pub(crate) version: u32,
+    pub(crate) committed: u32,
+    pub(crate) segments: Vec<ManifestEntry>,
 }
 
 #[derive(Debug, Clone, Deserialize)]
-struct ManifestEntry {
-    seq: u32,
-    file: String,
+pub(crate) struct ManifestEntry {
+    pub(crate) seq: u32,
+    pub(crate) file: String,
+    pub(crate) bytes: u64,
 }
 
 const MANIFEST: &str = "manifest.json";
@@ -235,6 +237,29 @@ impl ReadIndex {
     pub fn snapshot_sizes(&self) -> &[u64] {
         &self.snapshot_sizes
     }
+}
+
+/// The campaign stores under `root`, as `(name, dir)` sorted by name:
+/// `root` itself (named after its directory) when it holds a manifest,
+/// otherwise every subdirectory that does. Names are directory names —
+/// input from outside the program, escaped wherever they are written.
+pub fn campaign_dirs(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
+    if root.join(MANIFEST).is_file() {
+        let name = root
+            .file_name()
+            .map_or_else(|| "store".to_string(), |n| n.to_string_lossy().into_owned());
+        return Ok(vec![(name, root.to_path_buf())]);
+    }
+    let mut dirs = Vec::new();
+    for dirent in fs::read_dir(root)? {
+        let dirent = dirent?;
+        let path = dirent.path();
+        if path.is_dir() && path.join(MANIFEST).is_file() {
+            dirs.push((dirent.file_name().to_string_lossy().into_owned(), path));
+        }
+    }
+    dirs.sort();
+    Ok(dirs)
 }
 
 /// `(label, t_ms, meta)` of one committed snapshot segment.

@@ -17,11 +17,11 @@ use crate::fleet::{chaos_burst, fetch, raw_request, LorisSquad};
 use crate::server::{RunningServer, ServeOptions};
 use scanstore::sink::{ObservationSink, SnapshotSink};
 use scanstore::{CampaignStore, FaultSpec, Observation};
-use std::fmt::Write as _;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+use telemetry::json;
 
 /// The profiles `--chaos` accepts.
 pub const PROFILES: [&str; 3] = ["overload", "malformed", "corruption"];
@@ -65,22 +65,19 @@ impl ChaosReport {
     /// The deterministic report line: profile, seed, and per-check
     /// booleans only — no timings, counts, or other run-variant data.
     pub fn deterministic_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"chaos\":\"{}\",\"seed\":{},\"pass\":{},\"checks\":[",
-            self.profile,
-            self.seed,
-            self.pass()
-        );
-        for (i, c) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"check\":\"{}\",\"pass\":{}}}", c.name, c.pass);
-        }
-        out.push_str("]}");
-        out
+        json::to_string(|o| {
+            o.field("chaos", &self.profile);
+            o.field("seed", self.seed);
+            o.field("pass", self.pass());
+            o.array("checks", |a| {
+                for c in &self.checks {
+                    a.object(|o| {
+                        o.field("check", c.name);
+                        o.field("pass", c.pass);
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -135,6 +132,12 @@ fn body_of(addr: SocketAddr, target: &str) -> String {
     fetch(addr, target)
         .map(|(_, b)| String::from_utf8_lossy(&b).into_owned())
         .unwrap_or_default()
+}
+
+/// Whether `body` holds `"key":value` as the daemon writes it.
+fn has(body: impl AsRef<[u8]>, key: &str, value: impl json::Encode) -> bool {
+    let member = json::to_string(|o| o.field(key, value));
+    String::from_utf8_lossy(body.as_ref()).contains(&member[1..member.len() - 1])
 }
 
 fn counter_value(key: &str) -> u64 {
@@ -253,7 +256,7 @@ fn overload_profile(store: &Path, seed: u64) -> io::Result<Vec<ChaosCheck>> {
 
     checks.push(check(
         "slo_ok",
-        body_of(addr, "/slo").contains("\"state\":\"ok\""),
+        has(body_of(addr, "/slo"), "state", "ok"),
         "sheds are 4xx, so the error-budget burn stays ok",
     ));
     checks.push(check(
@@ -298,7 +301,7 @@ fn malformed_profile(store: &Path) -> io::Result<Vec<ChaosCheck>> {
     let (garbage_status, garbage_body) = raw_request(addr, b"GARBAGE\r\n\r\n")?;
     checks.push(check(
         "garbage_line_400",
-        garbage_status == 400 && String::from_utf8_lossy(&garbage_body).contains("\"status\":400"),
+        garbage_status == 400 && has(&garbage_body, "status", 400u16),
         "a garbage request line answers a uniform 400 body",
     ));
 
@@ -308,7 +311,7 @@ fn malformed_profile(store: &Path) -> io::Result<Vec<ChaosCheck>> {
     let (utf8_status, utf8_body) = raw_request(addr, b"GET /\xff\xff HTTP/1.1\r\n\r\n")?;
     checks.push(check(
         "bad_utf8_400",
-        utf8_status == 400 && String::from_utf8_lossy(&utf8_body).contains("\"status\":400"),
+        utf8_status == 400 && has(&utf8_body, "status", 400u16),
         "a non-UTF-8 head answers a uniform 400 body",
     ));
 
@@ -320,14 +323,14 @@ fn malformed_profile(store: &Path) -> io::Result<Vec<ChaosCheck>> {
     checks.push(check(
         "oversized_431",
         big_status == 431
-            && String::from_utf8_lossy(&big_body).contains("\"status\":431")
+            && has(&big_body, "status", 431u16)
             && counter_value("serve.shed{reason=oversized}") > oversized_before,
         "an oversized head answers 431 and ticks serve.shed{reason=oversized}",
     ));
 
     checks.push(check(
         "unknown_path_404",
-        status_of(addr, "/nope") == 404 && body_of(addr, "/nope").contains("\"status\":404"),
+        status_of(addr, "/nope") == 404 && has(body_of(addr, "/nope"), "status", 404u16),
         "unknown paths answer a uniform 404 body",
     ));
     checks.push(check(
@@ -369,27 +372,6 @@ fn copy_tree(src: &Path, dst: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// The campaign directory inside `root` a writer can commit to: the
-/// root itself when it is a single store, otherwise the first
-/// subdirectory (sorted) holding a manifest.
-fn first_campaign_dir(root: &Path) -> io::Result<PathBuf> {
-    if root.join("manifest.json").is_file() {
-        return Ok(root.to_path_buf());
-    }
-    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.join("manifest.json").is_file())
-        .collect();
-    dirs.sort();
-    dirs.into_iter().next().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("{} holds no campaign manifest", root.display()),
-        )
-    })
-}
-
 /// Commits one fresh observation so the daemon's refresh has
 /// something new to pick up.
 fn commit_ip(store: &mut CampaignStore, label: &str, ip: u32, t_ms: u64) -> io::Result<()> {
@@ -399,8 +381,11 @@ fn commit_ip(store: &mut CampaignStore, label: &str, ip: u32, t_ms: u64) -> io::
 }
 
 fn found(addr: SocketAddr, ip: u32) -> bool {
-    let body = body_of(addr, &format!("/classify?ip=0.0.0.{ip}"));
-    body.contains("\"found\":true")
+    has(
+        body_of(addr, &format!("/classify?ip=0.0.0.{ip}")),
+        "found",
+        true,
+    )
 }
 
 /// Corruption: refresh faults trip the breaker (daemon serves the
@@ -419,7 +404,13 @@ fn corruption_profile(store: &Path) -> io::Result<Vec<ChaosCheck>> {
 }
 
 fn corruption_checks(scratch: &Path, scope: &str) -> io::Result<Vec<ChaosCheck>> {
-    let campaign = first_campaign_dir(scratch)?;
+    // The first campaign directory: the one a writer commits to.
+    let Some((_, campaign)) = scanstore::campaign_dirs(scratch)?.into_iter().next() else {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("{} holds no campaign manifest", scratch.display()),
+        ));
+    };
     let opts = ServeOptions {
         store: scratch.to_path_buf(),
         refresh_ms: 25,
@@ -462,9 +453,7 @@ fn corruption_checks(scratch: &Path, scope: &str) -> io::Result<Vec<ChaosCheck>>
         });
         checks.push(check(
             "breaker_trips",
-            poll(400, 5, || {
-                body_of(addr, "/healthz").contains("\"degraded\":true")
-            }),
+            poll(400, 5, || has(body_of(addr, "/healthz"), "degraded", true)),
             "consecutive refresh failures trip the breaker; healthz reports degraded",
         ));
         checks.push(check(
@@ -475,7 +464,7 @@ fn corruption_checks(scratch: &Path, scope: &str) -> io::Result<Vec<ChaosCheck>>
         let slo = body_of(addr, "/slo");
         checks.push(check(
             "slo_reports_breaker",
-            slo.contains("\"breaker\":\"open\"") || slo.contains("\"breaker\":\"half_open\""),
+            has(&slo, "breaker", "open") || has(&slo, "breaker", "half_open"),
             "the /slo refresh block shows the breaker non-closed",
         ));
     }
@@ -530,7 +519,7 @@ fn corruption_checks(scratch: &Path, scope: &str) -> io::Result<Vec<ChaosCheck>>
     let scrub = body_of(addr, "/admin/scrub");
     checks.push(check(
         "scrub_detects",
-        scrub.contains("\"healthy\":false") && scrub.contains("size_mismatch"),
+        has(&scrub, "healthy", false) && scrub.contains("size_mismatch"),
         "/admin/scrub flags the truncated segment",
     ));
 

@@ -22,6 +22,7 @@ use std::io::{self, Read as _, Write as _};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use telemetry::json;
 
 /// Fleet configuration.
 #[derive(Debug, Clone)]
@@ -58,10 +59,12 @@ impl FleetReport {
     /// The run's outcome without wall-clock fields: byte-identical
     /// across same-seed runs, so CI can diff it directly.
     pub fn deterministic_json(&self) -> String {
-        format!(
-            "{{\"requests\":{},\"errors\":{},\"bytes\":{},\"digest\":\"{:016x}\"}}",
-            self.requests, self.errors, self.bytes, self.digest
-        )
+        json::to_string(|o| {
+            o.field("requests", self.requests);
+            o.field("errors", self.errors);
+            o.field("bytes", self.bytes);
+            o.field("digest", json::Text(format_args!("{:016x}", self.digest)));
+        })
     }
 }
 
@@ -172,21 +175,14 @@ struct ClientReport {
 
 /// Issues one blocking request; returns `(status, response bytes)`.
 pub(crate) fn fetch(addr: SocketAddr, target: &str) -> io::Result<(u16, Vec<u8>)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_nodelay(true)?;
-    write!(
-        stream,
-        "GET {target} HTTP/1.1\r\nHost: fleet\r\nConnection: close\r\n\r\n"
-    )?;
-    let mut response = Vec::with_capacity(1024);
-    stream.read_to_end(&mut response)?;
-    let status = response
-        .strip_prefix(b"HTTP/1.1 ")
-        .and_then(|rest| std::str::from_utf8(rest.get(..3)?).ok())
-        .and_then(|code| code.parse::<u16>().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, response))
+    let head = format!("GET {target} HTTP/1.1\r\nHost: fleet\r\nConnection: close\r\n\r\n");
+    match raw_request(addr, head.as_bytes())? {
+        (0, _) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "bad status line",
+        )),
+        answered => Ok(answered),
+    }
 }
 
 fn run_client(addr: SocketAddr, plan: &Plan, seed: u64, requests: usize) -> ClientReport {
@@ -304,14 +300,9 @@ pub(crate) fn raw_request(addr: SocketAddr, head: &[u8]) -> io::Result<(u16, Vec
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_nodelay(true)?;
     stream.write_all(head)?;
-    let mut response = Vec::new();
+    let mut response = Vec::with_capacity(1024);
     stream.read_to_end(&mut response)?;
-    let status = response
-        .strip_prefix(b"HTTP/1.1 ")
-        .and_then(|rest| std::str::from_utf8(rest.get(..3)?).ok())
-        .and_then(|code| code.parse::<u16>().ok())
-        .unwrap_or(0);
-    Ok((status, response))
+    Ok((crate::http::wire_status(&response), response))
 }
 
 /// Status-class tally of a seeded overload burst.

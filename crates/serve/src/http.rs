@@ -5,6 +5,8 @@
 //! `Content-Length`, JSON bodies. Responses carry no wall-clock
 //! headers, so a response is a pure function of (store, request).
 
+use telemetry::json;
+
 /// A computed response, before serialization to the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -25,15 +27,20 @@ pub struct Response {
 /// Default body content type.
 pub const CONTENT_TYPE_JSON: &str = "application/json";
 
+/// A response body: one JSON object, newline-terminated.
+pub fn json_body(capacity: usize, fill: impl FnOnce(&mut json::Object<'_>)) -> String {
+    let mut body = String::with_capacity(capacity);
+    json::object(&mut body, fill);
+    body.push('\n');
+    body
+}
+
 impl Response {
     /// A cacheable 200 with a JSON body.
     pub fn ok(body: String) -> Response {
         Response {
-            status: 200,
-            body: body.into_bytes(),
             cacheable: true,
-            content_type: CONTENT_TYPE_JSON,
-            retry_after: None,
+            ..Response::ok_live(body, CONTENT_TYPE_JSON)
         }
     }
 
@@ -52,17 +59,13 @@ impl Response {
     /// through here, so the body shape is uniform:
     /// `{"error": <message>, "status": <code>}` with fixed key order.
     pub fn error(status: u16, message: &str) -> Response {
-        let mut body = String::from("{\"error\":\"");
-        escape_json(message, &mut body);
-        body.push_str("\",\"status\":");
-        let _ = std::fmt::Write::write_fmt(&mut body, format_args!("{status}"));
-        body.push_str("}\n");
+        let body = json_body(32 + message.len(), |o| {
+            o.field("error", message);
+            o.field("status", status);
+        });
         Response {
             status,
-            body: body.into_bytes(),
-            cacheable: false,
-            content_type: CONTENT_TYPE_JSON,
-            retry_after: None,
+            ..Response::ok_live(body, CONTENT_TYPE_JSON)
         }
     }
 
@@ -148,23 +151,6 @@ pub fn split_target(target: &str) -> (&str, Vec<(&str, &str)>) {
     }
 }
 
-/// Escapes `s` into `out` as JSON string contents (no quotes added).
-pub fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,13 +176,6 @@ mod tests {
         assert!(wire.contains("Content-Length: 12\r\n"));
         assert!(wire.ends_with("{\"ok\":true}\n"));
         assert!(!wire.contains("Date:"), "no wall-clock headers");
-    }
-
-    #[test]
-    fn escaping() {
-        let mut out = String::new();
-        escape_json("a\"b\\c\nd\u{1}", &mut out);
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
     }
 
     #[test]

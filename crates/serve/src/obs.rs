@@ -17,11 +17,11 @@
 //! burn rates; the server flips `/healthz` to 503 while it holds.
 
 use crate::breaker::RefreshHealth;
-use crate::http::{escape_json, Response, CONTENT_TYPE_JSON};
+use crate::http::{json_body, Response, CONTENT_TYPE_JSON};
 use parking_lot::Mutex;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
+use telemetry::json::Fixed;
 use telemetry::rolling::{BurnState, FAST_WINDOW_S, LATENCY_BOUNDS_US, SLOW_WINDOW_S};
 use telemetry::{reqtrace, Histogram, RequestRing, RequestTrace, RollingWindow, SloSpec, SlowLog};
 
@@ -203,78 +203,57 @@ impl ServeObs {
             Some(b) if b.breached() => "breach",
             Some(_) => "ok",
         };
-        let mut body = String::with_capacity(1024);
-        body.push_str("{\"query\":\"slo\",\"objectives\":");
-        match &self.opts.slo {
-            Some(slo) => {
-                body.push('"');
-                escape_json(&slo.render(), &mut body);
-                body.push('"');
+        let body = json_body(1024, |o| {
+            o.field("query", "slo");
+            o.field("objectives", self.opts.slo.as_ref().map(SloSpec::render));
+            o.field("state", state);
+            o.field("uptime_s", now_s);
+            match &burn {
+                None => o.null("burn"),
+                Some(b) => o.object("burn", |o| {
+                    o.field("threshold", telemetry::rolling::BURN_THRESHOLD);
+                    for (key, window_s, w) in [
+                        ("fast", FAST_WINDOW_S, &b.fast),
+                        ("slow", SLOW_WINDOW_S, &b.slow),
+                    ] {
+                        o.object(key, |o| {
+                            o.field("window_s", window_s);
+                            o.field("latency", Fixed(w.latency, 3));
+                            o.field("error", Fixed(w.error, 3));
+                            o.field("count", w.count);
+                        });
+                    }
+                }),
             }
-            None => body.push_str("null"),
-        }
-        let _ = write!(
-            body,
-            ",\"state\":\"{state}\",\"uptime_s\":{now_s},\"burn\":"
-        );
-        match &burn {
-            None => body.push_str("null"),
-            Some(b) => {
-                let _ = write!(
-                    body,
-                    "{{\"threshold\":{},\"fast\":{{\"window_s\":{FAST_WINDOW_S},\"latency\":{:.3},\"error\":{:.3},\"count\":{}}},\
-                     \"slow\":{{\"window_s\":{SLOW_WINDOW_S},\"latency\":{:.3},\"error\":{:.3},\"count\":{}}}}}",
-                    telemetry::rolling::BURN_THRESHOLD,
-                    b.fast.latency,
-                    b.fast.error,
-                    b.fast.count,
-                    b.slow.latency,
-                    b.slow.error,
-                    b.slow.count,
-                );
+            match refresh {
+                None => o.null("refresh"),
+                Some(h) => o.object("refresh", |o| {
+                    o.field("breaker", h.state.tag());
+                    o.field("degraded", h.degraded());
+                    o.field("consecutive_failures", h.consecutive_failures);
+                    o.field("trips", h.trips);
+                }),
             }
-        }
-        body.push_str(",\"refresh\":");
-        match refresh {
-            None => body.push_str("null"),
-            Some(h) => {
-                let _ = write!(
-                    body,
-                    "{{\"breaker\":\"{}\",\"degraded\":{},\"consecutive_failures\":{},\"trips\":{}}}",
-                    h.state.tag(),
-                    h.degraded(),
-                    h.consecutive_failures,
-                    h.trips,
-                );
-            }
-        }
-        let _ = write!(body, ",\"window_s\":{FAST_WINDOW_S},\"endpoints\":{{");
-        let mut first = true;
-        for ep in &self.lat {
-            let stats = ep.window.lock().window(now_s, FAST_WINDOW_S);
-            if stats.count == 0 {
-                continue;
-            }
-            if !first {
-                body.push(',');
-            }
-            first = false;
-            let _ = write!(
-                body,
-                "\"{}\":{{\"count\":{},\"errors\":{},\"over\":{},\"qps\":{:.2},\
-                 \"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}",
-                ep.name,
-                stats.count,
-                stats.errors,
-                stats.over,
-                stats.count as f64 / FAST_WINDOW_S as f64,
-                stats.quantile_us(0.50).round() as u64,
-                stats.quantile_us(0.90).round() as u64,
-                stats.quantile_us(0.99).round() as u64,
-                stats.max_us,
-            );
-        }
-        body.push_str("}}\n");
+            o.field("window_s", FAST_WINDOW_S);
+            o.object("endpoints", |o| {
+                for ep in &self.lat {
+                    let stats = ep.window.lock().window(now_s, FAST_WINDOW_S);
+                    if stats.count == 0 {
+                        continue;
+                    }
+                    o.object(ep.name, |o| {
+                        o.field("count", stats.count);
+                        o.field("errors", stats.errors);
+                        o.field("over", stats.over);
+                        o.field("qps", Fixed(stats.count as f64 / FAST_WINDOW_S as f64, 2));
+                        for (key, q) in [("p50_us", 0.50), ("p90_us", 0.90), ("p99_us", 0.99)] {
+                            o.field(key, stats.quantile_us(q).round() as u64);
+                        }
+                        o.field("max_us", stats.max_us);
+                    });
+                }
+            });
+        });
         Response::ok_live(body, CONTENT_TYPE_JSON)
     }
 
@@ -285,27 +264,18 @@ impl ServeObs {
         let limit = limit.min(DEBUG_LIMIT_MAX);
         let recent = self.ring.recent(limit);
         let slow = self.slow.recent(limit);
-        let mut body = String::with_capacity(512 + recent.len() * 256);
-        let _ = write!(
-            body,
-            "{{\"query\":\"debug_requests\",\"returned\":{},\"slow_threshold_us\":{},\"requests\":[",
-            recent.len(),
-            self.slow.threshold_us()
-        );
-        for (i, t) in recent.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
+        let body = json_body(512 + recent.len() * 256, |o| {
+            o.field("query", "debug_requests");
+            o.field("returned", recent.len());
+            o.field("slow_threshold_us", self.slow.threshold_us());
+            for (key, traces) in [("requests", &recent), ("slow", &slow)] {
+                o.array(key, |a| {
+                    for t in traces {
+                        a.object(|o| t.write_json(o, true));
+                    }
+                });
             }
-            t.debug_json(&mut body);
-        }
-        let _ = write!(body, "],\"slow\":[");
-        for (i, t) in slow.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            t.debug_json(&mut body);
-        }
-        body.push_str("]}\n");
+        });
         Response::ok_live(body, CONTENT_TYPE_JSON)
     }
 }

@@ -24,13 +24,11 @@ use crate::breaker::{BreakerOptions, RefreshBreaker};
 use crate::cache::LruCache;
 use crate::engine::QueryEngine;
 use crate::http::{
-    escape_json, header_value, parse_request_line, split_target, wire_status, Response,
-    CONTENT_TYPE_JSON,
+    header_value, parse_request_line, split_target, wire_status, Response, CONTENT_TYPE_JSON,
 };
 use crate::obs::{endpoint_of, ObsOptions, ServeObs};
 use crate::signal;
 use parking_lot::{Mutex, RwLock};
-use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -349,18 +347,14 @@ async fn handle_connection(
         HeadRead::Head(head) => head,
         // Early EOF or a transport error: nothing to answer.
         HeadRead::Closed => return "closed_early",
-        HeadRead::TooLarge => {
+        unreadable => {
             state.requests.fetch_add(1, Ordering::SeqCst);
-            telemetry::counter_with("serve.shed", &[("reason", "oversized")]).inc();
-            let resp = Response::error(431, "request head exceeds 8192 bytes");
-            state.obs.record("other", resp.status, 0);
-            let _ = stream.write_all(&resp.to_wire()).await;
-            let _ = stream.shutdown_write();
-            return "answered";
-        }
-        HeadRead::BadUtf8 => {
-            state.requests.fetch_add(1, Ordering::SeqCst);
-            let resp = Response::error(400, "request head is not valid UTF-8");
+            let resp = if unreadable == HeadRead::TooLarge {
+                telemetry::counter_with("serve.shed", &[("reason", "oversized")]).inc();
+                Response::error(431, "request head exceeds 8192 bytes")
+            } else {
+                Response::error(400, "request head is not valid UTF-8")
+            };
             state.obs.record("other", resp.status, 0);
             let _ = stream.write_all(&resp.to_wire()).await;
             let _ = stream.shutdown_write();
@@ -471,14 +465,12 @@ fn route(
 fn degraded_healthz(state: &ServerState) -> Response {
     let health = state.breaker.lock().health();
     let engine = state.engine.read();
-    let mut body = String::with_capacity(96);
-    let _ = write!(
-        body,
-        "{{\"ok\":true,\"degraded\":true,\"breaker\":\"{}\",\"generations\":\"",
-        health.state.tag()
-    );
-    escape_json(engine.generation_tag(), &mut body);
-    body.push_str("\"}\n");
+    let body = crate::http::json_body(96, |o| {
+        o.field("ok", true);
+        o.field("degraded", true);
+        o.field("breaker", health.state.tag());
+        o.field("generations", engine.generation_tag());
+    });
     Response::ok_live(body, CONTENT_TYPE_JSON)
 }
 
@@ -487,22 +479,15 @@ fn degraded_healthz(state: &ServerState) -> Response {
 fn scrub_response(state: &ServerState) -> Response {
     match scanstore::scrub_root(&state.store) {
         Ok(reports) => {
-            let healthy = reports.iter().all(|(_, r)| r.healthy());
-            let mut body = String::with_capacity(256);
-            let _ = write!(
-                body,
-                "{{\"query\":\"scrub\",\"healthy\":{healthy},\"campaigns\":{{"
-            );
-            for (i, (name, report)) in reports.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push('"');
-                escape_json(name, &mut body);
-                body.push_str("\":");
-                body.push_str(&report.to_json());
-            }
-            body.push_str("}}\n");
+            let body = crate::http::json_body(256, |o| {
+                o.field("query", "scrub");
+                o.field("healthy", reports.iter().all(|(_, r)| r.healthy()));
+                o.object("campaigns", |o| {
+                    for (name, report) in &reports {
+                        o.object(name, |o| report.write_json(o));
+                    }
+                });
+            });
             Response::ok_live(body, CONTENT_TYPE_JSON)
         }
         Err(e) => Response::error(500, &format!("scrub failed: {e}")),

@@ -39,7 +39,7 @@ pub struct Capture {
 }
 
 enum Item {
-    /// A trace line from `"type":` on; the replay prepends `seq`.
+    /// A trace line's object without its `seq`; the replay adds it.
     Line(String),
     Span(ClosedSpan),
 }

@@ -2,7 +2,8 @@
 //!
 //! This crate sits *below* every other crate in the workspace graph
 //! (`netsim` depends on it), so it is std-only: metric handles are
-//! plain atomics and both exporters hand-roll their JSON.
+//! plain atomics, and every hand-built JSON document of the workspace
+//! (this trace stream, the query service's bodies) goes through [`json`].
 //!
 //! # Model
 //!
@@ -49,7 +50,7 @@
 //! attached therefore produce byte-identical trace files.
 
 mod capture;
-mod json;
+pub mod json;
 mod metrics;
 pub mod prometheus;
 pub mod recorder;

@@ -110,14 +110,14 @@ pub fn trace_enabled() -> bool {
     TRACE_ON.load(Ordering::Relaxed)
 }
 
-/// Emits one trace line. `build` writes the line from `"type":` on;
-/// the sequence number is prepended when the line reaches the stream —
-/// now, or at replay if this thread is capturing ([`crate::Capture`]).
+/// Emits one trace line. `build` writes the line's members from
+/// `type` on; `seq` goes first when the line reaches the stream — now,
+/// or at replay if this thread is capturing ([`crate::Capture`]).
 /// Crate-visible so [`crate::reqtrace`] can emit request lines into
 /// the same sequenced stream.
-pub(crate) fn emit_line(build: impl FnOnce(&mut String)) {
+pub(crate) fn emit_line(build: impl FnOnce(&mut json::Object<'_>)) {
     let mut body = String::with_capacity(160);
-    build(&mut body);
+    json::object(&mut body, build);
     if let Some(body) = capture::offer_line(body) {
         write_line(&body);
     }
@@ -128,8 +128,10 @@ pub(crate) fn write_line(body: &str) {
     let mut g = TRACE.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(sink) = g.as_mut() {
         let mut line = String::with_capacity(body.len() + 24);
-        let _ = write!(line, "{{\"seq\":{},", sink.seq);
-        line.push_str(body);
+        json::object(&mut line, |o| {
+            o.field("seq", sink.seq);
+            o.merge(body);
+        });
         line.push('\n');
         sink.seq += 1;
         let _ = sink.w.write_all(line.as_bytes());
@@ -159,23 +161,19 @@ pub enum Value {
     Bool(bool),
 }
 
-impl Value {
-    fn push_json(&self, out: &mut String) {
+impl json::Encode for Value {
+    fn encode(&self, out: &mut String) {
         match self {
-            Value::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::F64(v) => json::push_f64(out, *v),
-            Value::Str(s) => json::push_str(out, s),
-            Value::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
+            Value::U64(v) => v.encode(out),
+            Value::I64(v) => v.encode(out),
+            Value::F64(v) => v.encode(out),
+            Value::Str(s) => s.encode(out),
+            Value::Bool(b) => b.encode(out),
         }
     }
+}
 
+impl Value {
     fn push_plain(&self, out: &mut String) {
         match self {
             Value::U64(v) => {
@@ -236,17 +234,12 @@ impl From<bool> for Value {
     }
 }
 
-fn push_attrs_json(out: &mut String, attrs: &[(impl AsRef<str>, Value)]) {
-    out.push('{');
-    for (i, (k, v)) in attrs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+fn attrs_json(o: &mut json::Object<'_>, attrs: &[(impl AsRef<str>, Value)]) {
+    o.object("attrs", |a| {
+        for (k, v) in attrs {
+            a.field(k.as_ref(), v);
         }
-        json::push_str(out, k.as_ref());
-        out.push(':');
-        v.push_json(out);
-    }
-    out.push('}');
+    });
 }
 
 // ------------------------------------------------------------------ events
@@ -273,22 +266,13 @@ pub fn event(level: Level, name: &str, msg: &str, attrs: &[(&str, Value)], sim_m
         eprintln!("{line}");
     }
     if to_trace {
-        emit_line(|out| {
-            out.push_str("\"type\":\"event\",\"level\":");
-            json::push_str(out, level.as_str());
-            out.push_str(",\"name\":");
-            json::push_str(out, name);
-            out.push_str(",\"msg\":");
-            json::push_str(out, msg);
-            match sim_ms {
-                Some(t) => {
-                    let _ = write!(out, ",\"sim_ms\":{t}");
-                }
-                None => out.push_str(",\"sim_ms\":null"),
-            }
-            out.push_str(",\"attrs\":");
-            push_attrs_json(out, attrs);
-            out.push('}');
+        emit_line(|o| {
+            o.field("type", "event");
+            o.field("level", level.as_str());
+            o.field("name", name);
+            o.field("msg", msg);
+            o.field("sim_ms", sim_ms);
+            attrs_json(o, attrs);
         });
     }
 }
@@ -303,13 +287,11 @@ pub fn heartbeat(name: &str, sim_ms: u64, attrs: &[(&str, Value)]) {
     if !trace_enabled() {
         return;
     }
-    emit_line(|out| {
-        out.push_str("\"type\":\"heartbeat\",\"name\":");
-        json::push_str(out, name);
-        let _ = write!(out, ",\"sim_ms\":{sim_ms}");
-        out.push_str(",\"attrs\":");
-        push_attrs_json(out, attrs);
-        out.push('}');
+    emit_line(|o| {
+        o.field("type", "heartbeat");
+        o.field("name", name);
+        o.field("sim_ms", sim_ms);
+        attrs_json(o, attrs);
     });
 }
 
@@ -517,24 +499,14 @@ impl ClosedSpan {
             }
         }
         if !self.quiet && trace_enabled() {
-            emit_line(|out| {
-                let _ = write!(out, "\"type\":\"span\",\"id\":{}", self.id);
-                match self.parent {
-                    Some(p) => {
-                        let _ = write!(out, ",\"parent\":{p}");
-                    }
-                    None => out.push_str(",\"parent\":null"),
-                }
-                out.push_str(",\"name\":");
-                json::push_str(out, &self.name);
-                let _ = write!(
-                    out,
-                    ",\"sim_start_ms\":{},\"sim_end_ms\":{}",
-                    self.sim_start, self.sim_end
-                );
-                out.push_str(",\"attrs\":");
-                push_attrs_json(out, &self.attrs);
-                out.push('}');
+            emit_line(|o| {
+                o.field("type", "span");
+                o.field("id", self.id);
+                o.field("parent", self.parent);
+                o.field("name", &self.name);
+                o.field("sim_start_ms", self.sim_start);
+                o.field("sim_end_ms", self.sim_end);
+                attrs_json(o, &self.attrs);
             });
         }
     }

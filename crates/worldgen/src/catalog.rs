@@ -8,10 +8,9 @@
 //! popular domains + 8 typo-squats), 5 Tracking, 22 Misc — 154 + GT.
 
 use resolversim::DomainCategory;
-use serde::{Deserialize, Serialize};
 
 /// One catalog entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogDomain {
     /// Lower-case FQDN.
     pub name: String,
@@ -65,7 +64,7 @@ impl CatalogDomain {
 }
 
 /// The full catalog.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainCatalog {
     /// All scanned domains (154 + ground truth).
     pub domains: Vec<CatalogDomain>,

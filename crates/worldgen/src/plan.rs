@@ -1,10 +1,8 @@
 //! The population plan: every distribution the generator is calibrated
 //! to, as data. Numbers cite the paper section they come from.
 
-use serde::{Deserialize, Serialize};
-
 /// Top-level generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Master seed; every random decision derives from it.
     pub seed: u64,
@@ -60,7 +58,7 @@ impl WorldConfig {
 }
 
 /// Per-country population plan (Table 1 + countries named in the text).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CountryPlan {
     /// ISO 3166 alpha-2 country code.
     pub code: &'static str,
@@ -384,7 +382,7 @@ pub const COUNTRY_PLANS: &[CountryPlan] = &[
 /// IP-lease churn classes (Sec. 2.5 / Figure 2). Shares calibrated so
 /// that ≈40% of the initial cohort renumbers within a day, ≈52% within
 /// a week, and ≈4% is still on its address after 55 weeks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChurnClass {
     /// Consumer broadband with ~1-day leases.
     Daily,
@@ -429,7 +427,7 @@ impl ChurnClass {
 /// Ground-truth behaviour classes. Shares are the *base* population mix;
 /// country censorship and case-study micro-populations are layered on
 /// top by the builder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BehaviorKind {
     /// Relays answers unmodified.
     Honest,
@@ -1024,7 +1022,7 @@ pub const DEVICE_MIX: &[(crate::plan::DeviceClassPlan, f64)] = &[
 ];
 
 /// Concrete device templates the builder instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClassPlan {
     /// ZyXEL CPE (ZyNOS banners on FTP/Telnet/HTTP).
     RouterZyNos,

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 /// Response class a resolver exhibits in the weekly enumeration scan
 /// (Figure 1's series).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResponseClass {
     /// Answers enumeration probes with NOERROR.
     NoError,
@@ -21,8 +21,6 @@ pub enum ResponseClass {
     /// Answers with SERVFAIL.
     ServFail,
 }
-
-use serde::{Deserialize, Serialize};
 
 /// Ground-truth record for one resolver — what the generator decided.
 /// The measurement pipeline never reads this; experiments use it to
