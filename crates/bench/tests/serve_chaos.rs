@@ -5,38 +5,11 @@
 
 #![cfg(unix)]
 
-use scanstore::{CampaignStore, Observation, ObservationSink, SnapshotSink};
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::{seed_weekly, TempDir};
+use std::path::Path;
 use std::process::Command;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("gw-chaos-t-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn seed_store(root: &Path) {
-    let mut store = CampaignStore::open(root.join("weekly")).unwrap();
-    for ip in 1u32..=64 {
-        store.observe(Observation::at(ip, 0, 1_000));
-    }
-    store.commit("week-0", 1_000, &[]).unwrap();
-    for ip in 1u32..=48 {
-        store.observe(Observation::at(ip, 0, 2_000));
-    }
-    store.commit("week-1", 2_000, &[]).unwrap();
-}
 
 /// Runs `repro serve --selftest` (plus `extra`) and returns
 /// (exit code, stdout).
@@ -56,7 +29,7 @@ fn run_selftest(store: &Path, extra: &[&str]) -> (i32, String) {
 #[test]
 fn malformed_profile_passes_and_is_byte_identical() {
     let tmp = TempDir::new("malformed");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64, 48]);
     let (code_a, out_a) = run_selftest(&tmp.0, &["--chaos", "malformed"]);
     let (code_b, out_b) = run_selftest(&tmp.0, &["--chaos", "malformed"]);
     assert_eq!(code_a, 0, "{out_a}");
@@ -71,7 +44,7 @@ fn malformed_profile_passes_and_is_byte_identical() {
 #[test]
 fn overload_profile_passes() {
     let tmp = TempDir::new("overload");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64, 48]);
     let (code, out) = run_selftest(&tmp.0, &["--chaos", "overload"]);
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("\"chaos\":\"overload\""), "{out}");
@@ -81,7 +54,7 @@ fn overload_profile_passes() {
 #[test]
 fn corruption_profile_passes() {
     let tmp = TempDir::new("corruption");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64, 48]);
     let (code, out) = run_selftest(&tmp.0, &["--chaos", "corruption"]);
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("\"chaos\":\"corruption\""), "{out}");
@@ -91,7 +64,7 @@ fn corruption_profile_passes() {
 #[test]
 fn unknown_profile_is_a_usage_error() {
     let tmp = TempDir::new("unknown");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64, 48]);
     let (code, _) = run_selftest(&tmp.0, &["--chaos", "nope"]);
     assert_ne!(code, 0);
 }
@@ -102,7 +75,7 @@ fn unknown_profile_is_a_usage_error() {
 #[test]
 fn uncontended_hardening_flags_leave_selftest_identical() {
     let tmp = TempDir::new("flags");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64, 48]);
     let (code_plain, plain) = run_selftest(&tmp.0, &[]);
     let (code_armed, armed) = run_selftest(
         &tmp.0,
@@ -125,7 +98,7 @@ fn uncontended_hardening_flags_leave_selftest_identical() {
 #[test]
 fn tuning_flags_leave_selftest_identical() {
     let tmp = TempDir::new("tuning");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64, 48]);
     let (code_plain, plain) = run_selftest(&tmp.0, &[]);
     let (code_tuned, tuned) = run_selftest(
         &tmp.0,
@@ -148,7 +121,7 @@ fn tuning_flags_leave_selftest_identical() {
 #[test]
 fn scrub_cli_gates_on_store_damage() {
     let tmp = TempDir::new("scrub");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64, 48]);
     let healthy = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["scrub", "--store", tmp.0.to_str().unwrap()])
         .output()

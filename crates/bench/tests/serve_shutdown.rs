@@ -4,37 +4,14 @@
 
 #![cfg(unix)]
 
-use scanstore::{CampaignStore, Observation, ObservationSink, SnapshotSink};
+mod common;
+
+use common::{seed_weekly, TempDir};
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("gw-shutdown-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn seed_store(root: &Path) {
-    let mut store = CampaignStore::open(root.join("weekly")).unwrap();
-    for ip in 1u32..=64 {
-        store.observe(Observation::at(ip, 0, 1_000));
-    }
-    store.commit("week-0", 1_000, &[]).unwrap();
-}
 
 /// Starts `repro serve` over `store` and waits for the line announcing
 /// its bound address (the daemon prints it once it is ready).
@@ -106,7 +83,7 @@ fn terminate(mut child: Child) -> String {
 #[test]
 fn sigterm_drains_and_flushes_metrics() {
     let tmp = TempDir::new("sigterm");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64]);
     let metrics = tmp.0.join("serve-metrics.json");
     let (child, addr) = spawn_daemon(&tmp.0, &["--metrics", metrics.to_str().unwrap()]);
 
@@ -135,7 +112,7 @@ fn sigterm_drains_and_flushes_metrics() {
 #[cfg(target_os = "linux")]
 fn idle_daemon_sleeps_and_still_drains() {
     let tmp = TempDir::new("idle");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64]);
     let (child, addr) = spawn_daemon(&tmp.0, &[]);
     // `serve::run` drives the runtime on the main thread, whose counters
     // `/proc/<pid>/status` reports.

@@ -84,11 +84,8 @@ fn refresh_rolls_back_on_mid_commit_corruption() {
         report.segments[2].verdict,
         SegmentVerdict::SizeMismatch { .. }
     ));
-    assert!(
-        report.to_json().contains("size_mismatch"),
-        "{}",
-        report.to_json()
-    );
+    let json = telemetry::json::to_string(|o| report.write_json(o));
+    assert!(json.contains("size_mismatch"), "{json}");
 }
 
 #[test]
@@ -99,7 +96,7 @@ fn scrub_passes_a_clean_store_and_lists_orphans() {
     commit_ip(&mut store, "week-1", 20, 2_000);
 
     let report = scrub_store(&tmp.0).unwrap();
-    assert!(report.healthy(), "{}", report.to_json());
+    assert!(report.healthy(), "{report:?}");
     assert_eq!(report.committed, 2);
     assert_eq!(report.segments.len(), 2);
     assert!(report.orphans.is_empty());

@@ -268,7 +268,7 @@ fn snoop_retry_after_a_failed_write_leaves_a_well_formed_store() {
         1 + 4 * tlds
     );
     for (name, report) in scanstore::scrub_root(&dir).unwrap() {
-        assert!(report.healthy(), "{name}: {}", report.to_json());
+        assert!(report.healthy(), "{name}: {report:?}");
         assert!(report.orphans.is_empty(), "{name}: {:?}", report.orphans);
     }
     let _ = std::fs::remove_dir_all(&dir);
