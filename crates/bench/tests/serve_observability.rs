@@ -5,37 +5,14 @@
 
 #![cfg(unix)]
 
-use scanstore::{CampaignStore, Observation, ObservationSink, SnapshotSink};
+mod common;
+
+use common::{seed_weekly, TempDir};
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("gw-obs-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn seed_store(root: &Path) {
-    let mut store = CampaignStore::open(root.join("weekly")).unwrap();
-    for ip in 1u32..=64 {
-        store.observe(Observation::at(ip, 0, 1_000));
-    }
-    store.commit("week-0", 1_000, &[]).unwrap();
-}
 
 /// A daemon child that is killed on drop, so a failing assertion
 /// cannot leak a process.
@@ -137,7 +114,7 @@ fn selftest(store: &Path, trace: Option<&Path>, extra: &[&str]) -> (String, Vec<
 #[test]
 fn same_seed_trace_streams_are_byte_identical() {
     let tmp = TempDir::new("trace-determinism");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64]);
     let t1 = tmp.0.join("t1.jsonl");
     let t2 = tmp.0.join("t2.jsonl");
     // One sequential client: request and connection ordinals are then
@@ -163,7 +140,7 @@ fn same_seed_trace_streams_are_byte_identical() {
 #[test]
 fn disabling_tracing_leaves_selftest_output_unchanged() {
     let tmp = TempDir::new("trace-off");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64]);
     let (on, _) = selftest(&tmp.0, None, &[]);
     let (off, _) = selftest(&tmp.0, None, &["--trace-sample", "0"]);
     assert_eq!(on, off, "tracing changed the served bytes");
@@ -172,7 +149,7 @@ fn disabling_tracing_leaves_selftest_output_unchanged() {
 #[test]
 fn slo_breach_degrades_healthz_to_503() {
     let tmp = TempDir::new("slo-breach");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64]);
     // A 0µs latency objective: every request is over budget, so the
     // burn rate must cross the threshold once both windows fill.
     let daemon = Daemon::start(&tmp.0, &["--slo", "p99=0us"]);
@@ -201,7 +178,7 @@ fn slo_breach_degrades_healthz_to_503() {
 #[test]
 fn generous_slo_stays_healthy() {
     let tmp = TempDir::new("slo-ok");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64]);
     let daemon = Daemon::start(&tmp.0, &["--slo", "p99=5s,err=50%"]);
     for i in 0..20u32 {
         let (status, _) = get(&daemon.addr, &format!("/classify?ip=0.0.0.{}", 1 + i % 64));
@@ -217,7 +194,7 @@ fn generous_slo_stays_healthy() {
 #[test]
 fn metrics_content_negotiation_and_debug_requests() {
     let tmp = TempDir::new("negotiate");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64]);
     let daemon = Daemon::start(&tmp.0, &[]);
     let (status, _) = get(&daemon.addr, "/classify?ip=0.0.0.1");
     assert_eq!(status, 200);
@@ -267,7 +244,7 @@ fn metrics_content_negotiation_and_debug_requests() {
 #[test]
 fn tail_once_json_reads_a_live_daemon() {
     let tmp = TempDir::new("tail-live");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64]);
     let daemon = Daemon::start(&tmp.0, &["--slo", "p99=5s"]);
     for i in 0..10u32 {
         let (status, _) = get(&daemon.addr, &format!("/classify?ip=0.0.0.{}", 1 + i % 64));
@@ -300,7 +277,7 @@ fn tail_once_json_reads_a_live_daemon() {
 #[test]
 fn tail_follows_a_recorded_trace_file() {
     let tmp = TempDir::new("tail-file");
-    seed_store(&tmp.0);
+    seed_weekly(&tmp.0, &[64]);
     let trace = tmp.0.join("trace.jsonl");
     let (_, bytes) = selftest(&tmp.0, Some(&trace), &[]);
     assert!(!bytes.is_empty());

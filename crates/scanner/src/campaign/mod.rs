@@ -74,13 +74,15 @@ mod tests {
             assert!(t.matched > 0, "{campaign}: {t:?}");
         }
         type Column = fn(&Tally) -> u64;
-        let columns: [(&str, Column); 6] = [
+        let columns: [(&str, Column); 8] = [
             ("probes_sent", |t| t.probes),
             ("retries", |t| t.retries),
             ("responses_duplicate", |t| t.duplicate),
             ("responses_unsolicited", |t| t.unsolicited),
             ("responses_not_response", |t| t.not_response),
             ("responses_malformed", |t| t.malformed),
+            ("drained", |t| t.drained),
+            ("responses_matched", |t| t.matched),
         ];
         for campaign in ["enumerate", "churn", "chaos", "snoop", "domains"] {
             let sweeps = closed.iter().filter(|(name, _)| *name == campaign);
@@ -93,7 +95,7 @@ mod tests {
             assert_eq!(published, totals, "{campaign}");
             // The strays reached the first sweep after them, and only it.
             let strays = u64::from(campaign == "enumerate");
-            assert_eq!(totals[3..], [strays, strays, strays], "{campaign}");
+            assert_eq!(totals[3..6], [strays, strays, strays], "{campaign}");
             assert_eq!(totals[1] > 0, campaign != "enumerate", "{campaign} retries");
         }
     }

@@ -3,13 +3,15 @@
 //! A campaign says what to ask and how to read an answer ([`Campaign`]).
 //! This module owns the rest, once: the scanner's port block from open
 //! to close, the reused [`ProbeBatch`], the pump cadence, TXID-space
-//! recycling, the drain and its accounting, retransmission rounds and
-//! their backed-off waits, the flight-recorder protocol and the counter
-//! epilogue. Where the campaigns differ in numbers, the numbers are the
+//! recycling, the drain and its accounting, retransmission rounds, the
+//! flight-recorder protocol and the counter epilogue. Retransmission
+//! round `r` waits `schedule[r]` of the policy's one jittered backoff
+//! schedule, keyed per campaign; nothing observed during a scan changes
+//! a wait. Where the campaigns differ in numbers, the numbers are the
 //! rows of one table, [`Params`].
 
 use crate::encode::QueryTemplate;
-use crate::probe::{ProbePolicy, RttEstimator};
+use crate::probe::ProbePolicy;
 use crate::simio::{ProbeBatch, SimScanner};
 use dnswire::MessageView;
 use netsim::Datagram;
@@ -34,8 +36,6 @@ pub(crate) struct Params {
     pub recycles: bool,
     /// Attempts, responses and give-ups go to the flight recorder.
     pub recorded: bool,
-    /// Answers to retransmissions feed the adaptive-timeout estimator.
-    pub feeds_estimator: bool,
     /// Retransmission jitter key: `seed ^ key.0 ^ index << key.1`, the
     /// index being the hourly round or the domain.
     pub key: (u64, u32),
@@ -48,7 +48,6 @@ pub(crate) const ENUMERATE: Params = Params {
     grace_ms: 5_000,
     recycles: false,
     recorded: false,
-    feeds_estimator: false,
     key: (0, 0), // never retransmits
 };
 pub(crate) const CHURN: Params = Params {
@@ -63,7 +62,6 @@ pub(crate) const CHAOS: Params = Params {
     pump_ms: 400,
     recycles: true,
     recorded: true,
-    feeds_estimator: true,
     key: (0xC4A05, 0),
     ..ENUMERATE
 };
@@ -158,10 +156,6 @@ pub(crate) struct Sweep<C: Campaign> {
     policy: ProbePolicy,
     batch: ProbeBatch,
     seq: u64,
-    est: RttEstimator,
-    /// When the retransmission round being answered began, while
-    /// answers feed the estimator.
-    feed: Option<u64>,
     flight: Option<Flight>,
     tally: Tally,
 }
@@ -183,8 +177,6 @@ impl<C: Campaign> Sweep<C> {
             policy,
             batch: ProbeBatch::default(),
             seq: 0,
-            est: RttEstimator::new(),
-            feed: None,
             flight,
             tally: Tally::default(),
         }
@@ -200,10 +192,10 @@ impl<C: Campaign> Sweep<C> {
         self.round(world, slots);
         self.wait(world, C::P.grace_ms);
         if self.policy.attempts > 1 {
-            self.est = RttEstimator::new();
             let key = seed ^ C::P.key.0 ^ (index << C::P.key.1);
             let schedule = self.policy.schedule(key);
-            for round in 0..(self.policy.attempts - 1) as usize {
+            // Round r waits schedule[r]; the last entry goes unused.
+            for (round, &wait) in schedule[..schedule.len() - 1].iter().enumerate() {
                 // Answers to the round before count only if they came
                 // within its wait.
                 self.campaign.recycle();
@@ -214,16 +206,13 @@ impl<C: Campaign> Sweep<C> {
                 if self.flight.is_some() {
                     recorder::set_context(C::P.name, round as u32 + 2);
                 }
-                self.feed = C::P.feeds_estimator.then(|| world.now().millis());
                 self.tally.retries += missing.len() as u64;
                 self.round(world, missing);
-                let wait = self.policy.wait_ms(round, &schedule, &self.est);
                 if self.flight.is_some() {
                     recorder::backoff(round as u32, wait, world.now().millis());
                 }
                 self.wait(world, wait);
             }
-            self.feed = None;
         }
     }
 
@@ -275,9 +264,6 @@ impl<C: Campaign> Sweep<C> {
             let target = match self.campaign.read(&msg, port_offset, &dgram) {
                 Outcome::Matched(target) => {
                     self.tally.matched += 1;
-                    if let Some(sent_at) = self.feed {
-                        self.est.observe(at.millis().saturating_sub(sent_at) as f64);
-                    }
                     target
                 }
                 Outcome::Duplicate(target) => {
@@ -297,8 +283,10 @@ impl<C: Campaign> Sweep<C> {
     }
 
     /// Close the port block, record who never answered — in the order
-    /// they were probed — and publish the counters; those a clean run
-    /// has no use for exist only once there is something to count.
+    /// they were probed — and publish the counters: what was sent, and
+    /// the drain funnel `drained == responses_matched + the four other
+    /// buckets`; the buckets a clean run has no use for exist only once
+    /// there is something to count.
     pub fn finish(mut self, world: &mut World) -> (C, Tally) {
         self.scanner.close(world);
         if let Some(mut flight) = self.flight.take() {
@@ -316,7 +304,13 @@ impl<C: Campaign> Sweep<C> {
             t.drained,
             t.matched + t.duplicate + t.unsolicited + t.not_response + t.malformed
         );
-        super::count("probes_sent", C::P.name, t.probes);
+        for (name, n) in [
+            ("probes_sent", t.probes),
+            ("drained", t.drained),
+            ("responses_matched", t.matched),
+        ] {
+            super::count(name, C::P.name, n);
+        }
         for (name, n) in [
             ("retries", t.retries),
             ("responses_malformed", t.malformed),

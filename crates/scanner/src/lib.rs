@@ -46,5 +46,5 @@ pub use campaign::snoop::{
 };
 pub use encode::{decode_probe, encode_probe, enumeration_query, target_from_qname};
 pub use lfsr::{IpPermutation, Lfsr};
-pub use probe::{response_coverage, tcp_query_with_retry, Coverage, ProbePolicy, RttEstimator};
+pub use probe::{response_coverage, tcp_query_with_retry, Coverage, ProbePolicy};
 pub use rate::TokenBucket;

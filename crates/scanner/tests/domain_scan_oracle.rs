@@ -61,9 +61,8 @@ fn reference_scan(
             &mut out,
         );
         if policy.attempts > 1 {
-            let est = scanner::RttEstimator::new();
             let schedule = policy.schedule(seed ^ 0xD0_0A15 ^ (di as u64) << 16);
-            for round in 0..(policy.attempts - 1) as usize {
+            for &wait in &schedule[..schedule.len() - 1] {
                 let missing: Vec<usize> = (0..resolvers.len())
                     .filter(|&ri| !ordinals.contains_key(&(ri as u32, di as u16)))
                     .collect();
@@ -89,7 +88,7 @@ fn reference_scan(
                     }
                 }
                 retries += missing.len() as u64;
-                scanner.pump(world, policy.wait_ms(round, &schedule, &est));
+                scanner.pump(world, wait);
                 collect(
                     world,
                     &scanner,

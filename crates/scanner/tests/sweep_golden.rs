@@ -8,9 +8,11 @@
 //! The first constant of each pair is the byte-identity contract of
 //! `ProbePolicy::single()` and never changes. The second changes only
 //! when the retransmission path deliberately diverges; each such change
-//! is listed, with its cause, next to the constant. (Both listed below
-//! were confirmed by applying the one rule to the old loops at 589f32d:
-//! five lines there reproduce the new digests exactly.)
+//! is listed, with its cause, next to the constant. (Each listed below
+//! was confirmed by applying its one rule to the code before it: for
+//! the two pump-counter changes, five lines in the old loops at
+//! 589f32d; for the adaptive timeout, one line in the old policy.
+//! Each reproduces the new digest exactly.)
 //!
 //! Target lists are padded with dark addresses so that native sweeps
 //! and retransmission rounds both cross a pump boundary — the place the
@@ -135,7 +137,14 @@ fn chaos_is_pinned() {
     // now restarts with every retransmission round; it used to carry
     // over from the native sweep, so the first 400 ms pump of a round
     // fell wherever the native sweep had left it.
-    check("chaos", run, 0x870d_10b7_1578_d150, 0x860f_dbd1_6966_ed24);
+    //
+    // Then 0x860f_dbd1_6966_ed24, until the adaptive timeout went.
+    // Retransmission round r now waits schedule[r], the jittered
+    // backoff step; it used to wait an RTO grown from the answers to
+    // round r, timed from the round's start (rto × 2^r, clamped to
+    // [250, 6000] ms). Switching the adaptive timeout off in the old
+    // `ProbePolicy::single()`, one field, reproduces this digest exactly.
+    check("chaos", run, 0x870d_10b7_1578_d150, 0x0266_51e0_0708_b752);
 }
 
 #[test]

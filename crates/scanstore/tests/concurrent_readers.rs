@@ -8,28 +8,14 @@
 //! any view whose contents disagree with its own generation number
 //! caught the store mid-commit.
 
+mod common;
+
+use common::TempDir;
 use scanstore::{CampaignStore, Observation, ObservationSink, SnapshotSink, StoreView};
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("scanstress-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&path);
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
 
 const BASE_MS: u64 = 1_000_000;
 const COMMITS: u32 = 24;

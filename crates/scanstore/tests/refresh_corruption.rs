@@ -1,27 +1,12 @@
 //! Reader resilience under mid-commit corruption, and the faults/scrub
 //! surfaces that back the serve-chaos harness (DESIGN §13).
 
+mod common;
+
+use common::TempDir;
 use scanstore::sink::{ObservationSink, SnapshotSink};
 use scanstore::{scrub_store, CampaignStore, FaultSpec, Observation, SegmentVerdict, StoreView};
 use std::fs;
-use std::path::PathBuf;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("gw-corrupt-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&path);
-        fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
 
 fn commit_ip(store: &mut CampaignStore, label: &str, ip: u32, t_ms: u64) {
     store.observe(Observation::at(ip, 0, t_ms));

@@ -3,6 +3,9 @@
 //! checkpoint/resume semantics, and the crash points of a grouped
 //! checkpoint.
 
+mod common;
+
+use common::TempDir;
 use proptest::prelude::*;
 use scanstore::record::{decode_record, encode_record};
 use scanstore::segment::{self, Kind, Segment};
@@ -14,24 +17,7 @@ use scanstore::{
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-
-/// A scratch directory that cleans up on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("scanstore-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&path);
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
+use std::path::Path;
 
 const BASE_MS: u64 = 1_000_000;
 

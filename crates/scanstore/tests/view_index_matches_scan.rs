@@ -3,29 +3,14 @@
 //! arbitrary committed stores. The scan side goes through the writer's
 //! own `CampaignStore` reader, so the two paths share no index code.
 
+mod common;
+
+use common::TempDir;
 use proptest::prelude::*;
 use scanstore::{
     CampaignStore, Observation, ObservationSink, SnapshotSink, SnapshotSource, StoreView,
 };
 use std::collections::{BTreeMap, HashMap};
-use std::fs;
-use std::path::PathBuf;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("scanview-{}-{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&path);
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
 
 const BASE_MS: u64 = 1_000_000;
 

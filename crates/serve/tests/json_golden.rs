@@ -6,7 +6,9 @@
 //! hand-written emitters these documents used to come from; any change
 //! to an output byte fails here.
 
-use scanstore::{CampaignStore, Observation, ObservationSink, SnapshotSink};
+mod common;
+
+use common::{seed_store, TempDir};
 use serve::chaos::ChaosCheck;
 use serve::http::Response;
 use serve::{
@@ -15,76 +17,8 @@ use serve::{
 };
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 use telemetry::{RequestTrace, SloSpec};
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let path =
-            std::env::temp_dir().join(format!("gw-json-golden-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Two campaigns whose strings need escaping everywhere a value is
-/// written: software, device, rDNS, snapshot labels and commit meta.
-fn seed_store(root: &Path) {
-    let mut weekly = CampaignStore::open(root.join("weekly")).unwrap();
-    let us = weekly.intern("US");
-    let de = weekly.intern("DE");
-    let soft = weekly.intern("dnsmasq \"2.51\"\t\u{1}");
-    let device = weekly.intern("router\\cpe");
-    let rdns = weekly.intern("dyn-ü\u{1f600}");
-    for week in 0u32..3 {
-        for ip in [10u32, 20, 30, 40] {
-            if ip == 40 && week > 0 {
-                continue;
-            }
-            let mut o = Observation::at(ip, if ip == 30 { 5 } else { 0 }, 1_000 + u64::from(week));
-            o.country = if ip == 20 { de } else { us };
-            o.asn = if ip == 20 { 2 } else { 1 };
-            if ip == 10 {
-                o.software = soft;
-                o.device = device;
-                o.rdns = rdns;
-                o.flags = scanstore::flags::TCP_RESPONSIVE | scanstore::flags::PROXY;
-                o.banner_hash = 0xdead_beef;
-                o.value = 7;
-            }
-            weekly.observe(o);
-        }
-        let label = if week == 1 {
-            "week \"1\"".to_string()
-        } else {
-            format!("week-{week}")
-        };
-        let meta = [
-            ("vantage".to_string(), format!("ams\\{week}")),
-            ("note".to_string(), "tab\there\n\u{1f}".to_string()),
-        ];
-        weekly
-            .commit(&label, 1_000 + u64::from(week), &meta)
-            .unwrap();
-    }
-    let mut banner = CampaignStore::open(root.join("banner")).unwrap();
-    let us = banner.intern("US");
-    let mut o = Observation::at(10, 0, 5_000);
-    o.country = us;
-    o.asn = 1;
-    banner.observe(o);
-    banner.commit("scan", 5_000, &[]).unwrap();
-}
 
 /// Compares every pinned document and reports all mismatches at once,
 /// each as a Rust literal ready to paste.

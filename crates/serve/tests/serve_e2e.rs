@@ -2,30 +2,16 @@
 //! four query families from a store collected by the PR 3 bundle
 //! pipeline, plus determinism and live-refresh guarantees.
 
+mod common;
+
+use common::TempDir;
 use goingwild::{collect_bundle, BundleOptions, CampaignKind, WorldConfig};
 use scanstore::{CampaignStore, Observation, ObservationSink, SnapshotSink};
 use serve::{run_fleet, FleetOptions, RunningServer, ServeOptions};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("gw-serve-e2e-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Collects a small two-week weekly campaign into `dir` with the real
 /// bundle pipeline.

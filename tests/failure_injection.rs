@@ -9,10 +9,13 @@ use goingwild::{
     collect_bundle, run_analysis, AnalysisOptions, BundleOptions, CampaignKind, WorldConfig,
 };
 use netsim::{FaultEvent, FaultPlan, SimTime};
-use scanner::{enumerate, probe_alive_with_policy, Coverage, ProbePolicy};
+use scanner::{
+    chaos_scan_with_sink, enumerate, probe_alive_with_policy, ChaosObservation, Coverage,
+    ProbePolicy,
+};
 use scanstore::FaultSpec;
 use std::net::Ipv4Addr;
-use worldgen::build_world;
+use worldgen::{build_world, World};
 
 const SEED: u64 = 20151028;
 
@@ -145,43 +148,64 @@ fn flapping_resolver_during_churn_is_not_misreported_as_gone() {
     );
 }
 
+/// What a retrying campaign heard from `fleet` under `policy`.
+type Answers = fn(&mut World, Ipv4Addr, &[Ipv4Addr], &ProbePolicy) -> usize;
+
 #[test]
 fn retrying_campaign_under_iid_loss_recovers_the_lossless_fleet() {
-    // The lossless fleet and its one-probe-per-address liveness
-    // baseline.
-    let (fleet, baseline) = {
-        let mut world = build_world(lossy_cfg(0.0));
-        let vantage = world.scanner_ip;
-        let fleet = enumerate(&mut world, vantage, SEED).noerror_ips();
-        let (alive, _) =
-            probe_alive_with_policy(&mut world, vantage, &fleet, 0x11, &ProbePolicy::single());
-        (fleet, alive.len())
-    };
-    // The same campaign instant under 5% i.i.d. loss: enumeration
-    // advances the network clock on a fixed schedule, so re-running it
-    // synchronizes the probe round with the baseline world.
-    let alive_at = |policy: &ProbePolicy| {
-        let mut world = build_world(lossy_cfg(0.05));
-        let vantage = world.scanner_ip;
-        let _ = enumerate(&mut world, vantage, SEED);
-        probe_alive_with_policy(&mut world, vantage, &fleet, 0x11, policy)
-            .0
-            .len()
-    };
-    let single = alive_at(&ProbePolicy::single());
-    let retried = alive_at(&ProbePolicy::retrying(3));
-    // One probe survives the round trip with ≈0.95² ≈ 90% probability…
-    assert!(
-        (single as f64) < 0.97 * baseline as f64,
-        "single-probe under 5% loss should fall well short of the \
-         lossless baseline: {single} vs {baseline}"
-    );
-    // …while three backed-off attempts recover ≥99% of the fleet.
-    assert!(
-        (retried as f64) >= 0.99 * baseline as f64,
-        "three attempts under 5% loss must recover ≥99% of the \
-         lossless fleet: {retried} vs {baseline}"
-    );
+    // Per campaign, an i.i.d. loss rate that costs one probe per target
+    // well over 3% of the answers: 5% for churn's one query a host; 15%
+    // for CHAOS, whose resolver goes silent only if both of its queries
+    // are lost.
+    let cases: [(&str, f64, Answers); 2] = [
+        // The resolvers found alive.
+        ("churn", 0.05, |world, vantage, fleet, policy| {
+            probe_alive_with_policy(world, vantage, fleet, 0x11, policy)
+                .0
+                .len()
+        }),
+        // The resolvers that answered either query.
+        ("chaos", 0.15, |world, vantage, fleet, policy| {
+            let sink = &mut scanstore::NullSink;
+            let (obs, _) = chaos_scan_with_sink(world, vantage, fleet, 0x11, policy, sink);
+            obs.values()
+                .filter(|o| **o != ChaosObservation::Silent)
+                .count()
+        }),
+    ];
+    for (campaign, loss, answers) in cases {
+        // The lossless fleet and its one-probe-per-address baseline.
+        let (fleet, baseline) = {
+            let mut world = build_world(lossy_cfg(0.0));
+            let vantage = world.scanner_ip;
+            let fleet = enumerate(&mut world, vantage, SEED).noerror_ips();
+            let baseline = answers(&mut world, vantage, &fleet, &ProbePolicy::single());
+            (fleet, baseline)
+        };
+        // The same campaign instant under loss: enumeration advances
+        // the network clock on a fixed schedule, so re-running it
+        // synchronizes the probe round with the baseline world.
+        let answers_at = |policy: &ProbePolicy| {
+            let mut world = build_world(lossy_cfg(loss));
+            let vantage = world.scanner_ip;
+            let _ = enumerate(&mut world, vantage, SEED);
+            answers(&mut world, vantage, &fleet, policy)
+        };
+        let single = answers_at(&ProbePolicy::single());
+        let retried = answers_at(&ProbePolicy::retrying(3));
+        // One probe survives the round trip with (1 − loss)²…
+        assert!(
+            (single as f64) < 0.97 * baseline as f64,
+            "{campaign}: single-probe under {loss} loss should fall well \
+             short of the lossless baseline: {single} vs {baseline}"
+        );
+        // …while three backed-off attempts recover ≥99% of the fleet.
+        assert!(
+            (retried as f64) >= 0.99 * baseline as f64,
+            "{campaign}: three attempts under {loss} loss must recover \
+             ≥99% of the lossless fleet: {retried} vs {baseline}"
+        );
+    }
 }
 
 #[test]
