@@ -12,7 +12,7 @@
 //! report as the live run. The bundle engine schedules the rounds and
 //! skips the ones its store already holds.
 
-use super::sweep::{self, Campaign, Outcome, Sweep};
+use super::sweep::{self, Campaign, Inline, Outcome, Sweep};
 use crate::encode::{target_from_qname, EnumProbeTemplate};
 use crate::probe::ProbePolicy;
 use crate::simio::ProbeBatch;
@@ -96,13 +96,6 @@ struct Liveness<'a> {
 
 impl Campaign for Liveness<'_> {
     const P: sweep::Params = sweep::CHURN;
-    type Slot = Ipv4Addr;
-
-    fn stamp(&mut self, ip: Ipv4Addr, _seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr {
-        self.tmpl
-            .stamp(ip, batch.push(0, ip, self.tmpl.probe_len()));
-        ip
-    }
 
     fn read(&mut self, msg: &MessageView<'_>, _port_offset: u16, _dgram: &Datagram) -> Outcome {
         let Some(target) = msg.question().and_then(|q| target_from_qname(q.name)) else {
@@ -118,6 +111,16 @@ impl Campaign for Liveness<'_> {
         } else {
             Outcome::Duplicate(target)
         }
+    }
+}
+
+impl Inline for Liveness<'_> {
+    type Slot = Ipv4Addr;
+
+    fn stamp(&mut self, ip: Ipv4Addr, _seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr {
+        self.tmpl
+            .stamp(ip, batch.push(0, ip, self.tmpl.probe_len()));
+        ip
     }
 
     fn missing(&self) -> Vec<Ipv4Addr> {

@@ -1,7 +1,7 @@
 //! The 155-domain scan (Sec. 3.3): A queries for every catalog domain
 //! at every open resolver, with the 25-bit resolver-identifier encoding.
 
-use super::sweep::{self, Campaign, Outcome, Sweep};
+use super::sweep::{self, Campaign, Inline, Outcome, Sweep};
 use crate::encode::{decode_probe, QueryTemplate};
 use crate::probe::ProbePolicy;
 use crate::simio::ProbeBatch;
@@ -111,15 +111,6 @@ struct DomainScan<'a> {
 
 impl Campaign for DomainScan<'_> {
     const P: sweep::Params = sweep::DOMAINS;
-    type Slot = u32;
-
-    fn stamp(&mut self, ri: u32, _seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr {
-        let tmpl = &self.tmpls[self.current];
-        let ip = self.resolvers[ri as usize];
-        // Sent from the port that carries the index's high bits.
-        tmpl.stamp(ri, batch.push((ri >> 16) as u16, ip, tmpl.probe_len()));
-        ip
-    }
 
     fn read(&mut self, msg: &MessageView<'_>, port_offset: u16, dgram: &Datagram) -> Outcome {
         let (Some(question), Some(id)) = (msg.question(), decode_probe(msg, Some(port_offset)))
@@ -157,6 +148,18 @@ impl Campaign for DomainScan<'_> {
         } else {
             Outcome::Duplicate(self.resolvers[ri])
         }
+    }
+}
+
+impl Inline for DomainScan<'_> {
+    type Slot = u32;
+
+    fn stamp(&mut self, ri: u32, _seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr {
+        let tmpl = &self.tmpls[self.current];
+        let ip = self.resolvers[ri as usize];
+        // Sent from the port that carries the index's high bits.
+        tmpl.stamp(ri, batch.push((ri >> 16) as u16, ip, tmpl.probe_len()));
+        ip
     }
 
     fn missing(&self) -> Vec<u32> {

@@ -5,7 +5,6 @@ use super::sweep::{self, Campaign, Outcome, Sweep};
 use crate::encode::{target_from_qname, EnumProbeTemplate};
 use crate::lfsr::IpPermutation;
 use crate::probe::ProbePolicy;
-use crate::simio::ProbeBatch;
 use dnswire::{MessageView, Rcode};
 use netsim::Datagram;
 use scanstore::{flags, Observation, ObservationSink};
@@ -95,8 +94,8 @@ pub fn enumerate_with_sink(
         world.blacklist_ranges.clone(),
         world.blacklist_singles.clone(),
     );
+    let tmpl = EnumProbeTemplate::new(&zone, seed);
     let sweeper = Sweeper {
-        tmpl: EnumProbeTemplate::new(&zone, seed),
         result: EnumerationResult::default(),
         sink,
         now_ms: world.now().millis(),
@@ -105,13 +104,17 @@ pub fn enumerate_with_sink(
     let mut sweep = Sweep::open(world, vantage, sweeper, ProbePolicy::single());
     let mut sp = telemetry::span("campaign.enumerate", world.now().millis());
 
+    // Walked and stamped on the stamper thread: a probe depends on
+    // `(seed, target)` alone, never on the world.
     let mut skipped = 0u64;
     let targets = IpPermutation::new(&ranges, seed).filter(|&target| {
         let skip = blacklist.contains(target);
         skipped += u64::from(skip);
         !skip
     });
-    sweep.scan(world, targets, seed, 0);
+    sweep.scan_ahead(world, targets, |target, chunk| {
+        tmpl.stamp(target, chunk.push(0, target, tmpl.probe_len()));
+    });
     let (Sweeper { mut result, .. }, tally) = sweep.finish(world);
     (result.probes_sent, result.skipped_blacklisted) = (tally.probes, skipped);
 
@@ -137,7 +140,6 @@ pub fn enumerate_with_sink(
 /// The hex-IP question: every target is asked for a name that spells
 /// its own address, so an answer names the probe it belongs to.
 struct Sweeper<'a> {
-    tmpl: EnumProbeTemplate,
     result: EnumerationResult,
     sink: &'a mut dyn ObservationSink,
     now_ms: u64,
@@ -145,13 +147,6 @@ struct Sweeper<'a> {
 
 impl Campaign for Sweeper<'_> {
     const P: sweep::Params = sweep::ENUMERATE;
-    type Slot = Ipv4Addr;
-
-    fn stamp(&mut self, target: Ipv4Addr, _seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr {
-        self.tmpl
-            .stamp(target, batch.push(0, target, self.tmpl.probe_len()));
-        target
-    }
 
     fn read(&mut self, msg: &MessageView<'_>, _port_offset: u16, dgram: &Datagram) -> Outcome {
         let Some(target) = msg.question().and_then(|q| target_from_qname(q.name)) else {
@@ -176,10 +171,6 @@ impl Campaign for Sweeper<'_> {
         });
         e.insert(obs);
         Outcome::Matched(target)
-    }
-
-    fn missing(&self) -> Vec<Ipv4Addr> {
-        Vec::new()
     }
 }
 

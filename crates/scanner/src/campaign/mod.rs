@@ -21,10 +21,12 @@ fn count(name: &str, campaign: &'static str, n: u64) {
 
 #[cfg(test)]
 mod tests {
-    use super::sweep::Tally;
+    use super::sweep::{Campaign, Outcome, Params, Sweep, Tally};
     use crate::simio::BASE_PORT;
-    use dnswire::{MessageBuilder, Name, Rcode, RecordType};
+    use dnswire::{MessageBuilder, MessageView, Name, Rcode, RecordType};
+    use netsim::Datagram;
     use std::cell::RefCell;
+    use std::net::Ipv4Addr;
     use worldgen::{build_world, WorldConfig};
 
     thread_local! {
@@ -98,5 +100,38 @@ mod tests {
             assert_eq!(totals[3..6], [strays, strays, strays], "{campaign}");
             assert_eq!(totals[1] > 0, campaign != "enumerate", "{campaign} retries");
         }
+        // Only the sweep stamped ahead waited for a stamper.
+        for campaign in ["enumerate", "churn", "chaos", "snoop", "domains"] {
+            let key = format!("scanner.stamp_wait.wall_us{{campaign={campaign}}}");
+            let published = telemetry::snapshot().counter(&key).is_some();
+            assert_eq!(published, campaign == "enumerate", "{key}");
+        }
+    }
+
+    /// A stamper that panics fails its sweep: the sending thread stops
+    /// taking chunks and the panic reaches the caller, so a sweep cut
+    /// short never returns as if it were whole.
+    #[test]
+    #[should_panic(expected = "the stamper failed")]
+    fn a_stamper_panic_fails_the_sweep() {
+        struct Deaf;
+        impl Campaign for Deaf {
+            const P: Params = super::sweep::ENUMERATE;
+
+            fn read(&mut self, _: &MessageView<'_>, _: u16, _: &Datagram) -> Outcome {
+                Outcome::Unsolicited
+            }
+        }
+        let mut world = build_world(WorldConfig::tiny(3));
+        let vantage = world.scanner_ip;
+        let mut sweep = Sweep::open(&mut world, vantage, Deaf, crate::ProbePolicy::single());
+        let targets = (0..10_000).map(|i| Ipv4Addr::from(0x0A00_0000 + i));
+        sweep.scan_ahead(&mut world, targets, |target, chunk| {
+            assert!(
+                u32::from(target) < 0x0A00_0000 + 5_000,
+                "the stamper failed"
+            );
+            chunk.push(0, target, 12);
+        });
     }
 }

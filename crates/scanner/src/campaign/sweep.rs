@@ -9,6 +9,14 @@
 //! schedule, keyed per campaign; nothing observed during a scan changes
 //! a wait. Where the campaigns differ in numbers, the numbers are the
 //! rows of one table, [`Params`].
+//!
+//! Probes are stamped in one of two places, and sent from one. An
+//! [`Inline`] campaign stamps each slot in the loop, because its probe
+//! reads the sweep's state. A campaign whose probe depends on its target
+//! alone is stamped ahead, on a scoped thread of its own
+//! ([`Sweep::scan_ahead`]). Either way the probes leave from this thread
+//! with the same [`Sweep::cadence`], so the bytes and the simulated
+//! instants do not depend on which thread stamped them.
 
 use crate::encode::QueryTemplate;
 use crate::probe::ProbePolicy;
@@ -17,6 +25,8 @@ use dnswire::MessageView;
 use netsim::Datagram;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 use telemetry::recorder;
 use worldgen::World;
 
@@ -85,6 +95,16 @@ pub(crate) const DOMAINS: Params = Params {
 /// lets the outstanding ones land first.
 const RECYCLE_EVERY: u64 = 60_000;
 
+/// Probes in one chunk a stamper hands over. It divides the batch of
+/// every campaign stamped ahead (asserted at compile time), so every pump
+/// falls between two chunks.
+const CHUNK: usize = 1_024;
+
+/// Full chunks that may wait for the lane. With the one being stamped
+/// and the one being sent, at most `AHEAD + 2` chunks exist, however
+/// far the stamper could run ahead.
+const AHEAD: usize = 4;
+
 /// What a response turned out to be. The address is the probed one.
 pub(crate) enum Outcome {
     /// The first answer to a probe.
@@ -96,10 +116,22 @@ pub(crate) enum Outcome {
     Unsolicited,
 }
 
-/// What a campaign supplies.
+/// What every campaign supplies.
 pub(crate) trait Campaign {
     /// Its row of the table.
     const P: Params;
+
+    /// Fold a response into the campaign's result.
+    fn read(&mut self, msg: &MessageView<'_>, port_offset: u16, dgram: &Datagram) -> Outcome;
+
+    /// Forget which TXID stands for which slot.
+    fn recycle(&mut self) {}
+}
+
+/// A campaign stamped in the loop, slot by slot, because a probe reads
+/// the sweep's state: its TXID table, its sequence number, the flight
+/// recorder's interleaving. Only such a campaign retransmits.
+pub(crate) trait Inline: Campaign {
     /// One question to one target.
     type Slot: Copy;
 
@@ -107,14 +139,8 @@ pub(crate) trait Campaign {
     /// return the address it goes to.
     fn stamp(&mut self, slot: Self::Slot, seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr;
 
-    /// Fold a response into the campaign's result.
-    fn read(&mut self, msg: &MessageView<'_>, port_offset: u16, dgram: &Datagram) -> Outcome;
-
     /// Slots still unanswered, in native order.
     fn missing(&self) -> Vec<Self::Slot>;
-
-    /// Forget which TXID stands for which slot.
-    fn recycle(&mut self) {}
 }
 
 /// What a sweep sent and where every packet it drained went: `drained`
@@ -156,7 +182,11 @@ pub(crate) struct Sweep<C: Campaign> {
     policy: ProbePolicy,
     batch: ProbeBatch,
     seq: u64,
+    /// Probes of this round since its last pump.
+    pending: usize,
     flight: Option<Flight>,
+    /// How long this thread waited for a stamper, if one ran.
+    stamp_wait: Option<Duration>,
     tally: Tally,
 }
 
@@ -177,73 +207,97 @@ impl<C: Campaign> Sweep<C> {
             policy,
             batch: ProbeBatch::default(),
             seq: 0,
+            pending: 0,
             flight,
+            stamp_wait: None,
             tally: Tally::default(),
         }
     }
 
-    /// Probe `slots` in order, wait out the grace period, then resend
-    /// whatever the campaign still misses in backed-off rounds — a
-    /// resend at a later sim time re-rolls the probe's fate.
-    pub fn scan<I>(&mut self, world: &mut World, slots: I, seed: u64, index: u64)
+    /// The native round of a single-probe campaign whose probe depends on
+    /// its target alone, then the grace period. A scoped stamper thread
+    /// walks `targets` and `stamp`s them into chunks of [`CHUNK`] probes;
+    /// this thread sends each chunk as it arrives, keeps the cadence, and
+    /// hands the spent chunk back for reuse. The stamper is joined before
+    /// this returns, so whatever `targets` counted is complete by then,
+    /// and a stamper that panicked fails the sweep here.
+    pub fn scan_ahead<I, F>(&mut self, world: &mut World, targets: I, stamp: F)
     where
-        I: IntoIterator<Item = C::Slot>,
+        I: Iterator<Item = Ipv4Addr> + Send,
+        F: Fn(Ipv4Addr, &mut ProbeBatch) + Send,
     {
-        self.round(world, slots);
-        self.wait(world, C::P.grace_ms);
-        if self.policy.attempts > 1 {
-            let key = seed ^ C::P.key.0 ^ (index << C::P.key.1);
-            let schedule = self.policy.schedule(key);
-            // Round r waits schedule[r]; the last entry goes unused.
-            for (round, &wait) in schedule[..schedule.len() - 1].iter().enumerate() {
-                // Answers to the round before count only if they came
-                // within its wait.
-                self.campaign.recycle();
-                let missing = self.campaign.missing();
-                if missing.is_empty() {
-                    break;
-                }
-                if self.flight.is_some() {
-                    recorder::set_context(C::P.name, round as u32 + 2);
-                }
-                self.tally.retries += missing.len() as u64;
-                self.round(world, missing);
-                if self.flight.is_some() {
-                    recorder::backoff(round as u32, wait, world.now().millis());
-                }
-                self.wait(world, wait);
-            }
+        const {
+            let p = C::P;
+            assert!(p.batch.is_multiple_of(CHUNK) && !p.recycles && !p.recorded);
         }
+        assert_eq!(
+            self.policy.attempts, 1,
+            "a sweep stamped ahead never retransmits"
+        );
+        let mut waited = Duration::ZERO;
+        self.pending = 0;
+        std::thread::scope(|scope| {
+            let (full, chunks) = mpsc::sync_channel(AHEAD);
+            let (spent, returned) = mpsc::channel();
+            let stamper = scope.spawn(move || {
+                let mut chunk = ProbeBatch::default();
+                for target in targets {
+                    stamp(target, &mut chunk);
+                    if chunk.len() == CHUNK {
+                        // The lane is gone only if it panicked.
+                        if full.send(chunk).is_err() {
+                            return;
+                        }
+                        chunk = returned.try_recv().unwrap_or_default();
+                    }
+                }
+                if !chunk.is_empty() {
+                    let _ = full.send(chunk);
+                }
+            });
+            let mut next = || {
+                chunks.try_recv().or_else(|_| {
+                    // Empty, or the stamper is done and this returns at once.
+                    let blocked = Instant::now();
+                    let chunk = chunks.recv();
+                    waited += blocked.elapsed();
+                    chunk
+                })
+            };
+            while let Ok(mut chunk) = next() {
+                let n = chunk.len();
+                self.scanner.send_probes(world, &mut chunk);
+                self.cadence(world, n);
+                // The stamper has finished if nobody takes it back.
+                let _ = spent.send(chunk);
+            }
+            stamper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        });
+        self.stamp_wait = Some(waited);
+        self.wait(world, C::P.grace_ms);
     }
 
-    /// Send one round, a batch at a time.
-    fn round(&mut self, world: &mut World, slots: impl IntoIterator<Item = C::Slot>) {
-        let mut pending = 0;
-        for slot in slots {
-            let target = self.campaign.stamp(slot, self.seq, &mut self.batch);
-            self.seq += 1;
-            self.tally.probes += 1;
-            pending += 1;
-            if let Some(flight) = &mut self.flight {
-                flight.probed.push(target);
-                let asn = asn_at(world, target);
-                recorder::attempt(u32::from(target), asn, world.now().millis());
-                // A batch of one, so attempt records stay interleaved
-                // with the engine's drop records.
-                self.scanner.send_probes(world, &mut self.batch);
-            }
-            if pending == C::P.batch {
-                pending = 0;
-                self.scanner.send_probes(world, &mut self.batch);
-                self.wait(world, C::P.pump_ms);
-            }
-            if C::P.recycles && self.seq.is_multiple_of(RECYCLE_EVERY) {
-                self.scanner.send_probes(world, &mut self.batch);
-                self.wait(world, C::P.grace_ms);
-                self.campaign.recycle();
-            }
+    /// Count `n` more probes of this round, sent or queued in the batch,
+    /// and keep the cadence every round keeps: after each `P.batch` of
+    /// them the network is pumped, and a recycling campaign waits out a
+    /// grace period and forgets its TXIDs every [`RECYCLE_EVERY`] probes
+    /// of the sweep. What is queued leaves before the network runs.
+    fn cadence(&mut self, world: &mut World, n: usize) {
+        self.seq += n as u64;
+        self.tally.probes += n as u64;
+        self.pending += n;
+        if self.pending == C::P.batch {
+            self.pending = 0;
+            self.scanner.send_probes(world, &mut self.batch);
+            self.wait(world, C::P.pump_ms);
         }
-        self.scanner.send_probes(world, &mut self.batch);
+        if C::P.recycles && self.seq.is_multiple_of(RECYCLE_EVERY) {
+            self.scanner.send_probes(world, &mut self.batch);
+            self.wait(world, C::P.grace_ms);
+            self.campaign.recycle();
+        }
     }
 
     /// Let the network run for `ms`, then put everything that arrived
@@ -322,9 +376,68 @@ impl<C: Campaign> Sweep<C> {
                 super::count(name, C::P.name, n);
             }
         }
+        // Wall-clock, so `wall_us` in the name keeps it out of every
+        // comparison of deterministic outputs.
+        if let Some(waited) = self.stamp_wait {
+            super::count("stamp_wait.wall_us", C::P.name, waited.as_micros() as u64);
+        }
         #[cfg(test)]
         super::tests::FINISHED.with(|done| done.borrow_mut().push((C::P.name, t)));
         (self.campaign, t)
+    }
+}
+
+impl<C: Inline> Sweep<C> {
+    /// Probe `slots` in order, wait out the grace period, then resend
+    /// whatever the campaign still misses in backed-off rounds — a
+    /// resend at a later sim time re-rolls the probe's fate.
+    pub fn scan<I>(&mut self, world: &mut World, slots: I, seed: u64, index: u64)
+    where
+        I: IntoIterator<Item = C::Slot>,
+    {
+        self.round(world, slots);
+        self.wait(world, C::P.grace_ms);
+        if self.policy.attempts > 1 {
+            let key = seed ^ C::P.key.0 ^ (index << C::P.key.1);
+            let schedule = self.policy.schedule(key);
+            // Round r waits schedule[r]; the last entry goes unused.
+            for (round, &wait) in schedule[..schedule.len() - 1].iter().enumerate() {
+                // Answers to the round before count only if they came
+                // within its wait.
+                self.campaign.recycle();
+                let missing = self.campaign.missing();
+                if missing.is_empty() {
+                    break;
+                }
+                if self.flight.is_some() {
+                    recorder::set_context(C::P.name, round as u32 + 2);
+                }
+                self.tally.retries += missing.len() as u64;
+                self.round(world, missing);
+                if self.flight.is_some() {
+                    recorder::backoff(round as u32, wait, world.now().millis());
+                }
+                self.wait(world, wait);
+            }
+        }
+    }
+
+    /// Send one round, a batch at a time.
+    fn round(&mut self, world: &mut World, slots: impl IntoIterator<Item = C::Slot>) {
+        self.pending = 0;
+        for slot in slots {
+            let target = self.campaign.stamp(slot, self.seq, &mut self.batch);
+            if let Some(flight) = &mut self.flight {
+                flight.probed.push(target);
+                let asn = asn_at(world, target);
+                recorder::attempt(u32::from(target), asn, world.now().millis());
+                // A batch of one, so attempt records stay interleaved
+                // with the engine's drop records.
+                self.scanner.send_probes(world, &mut self.batch);
+            }
+            self.cadence(world, 1);
+        }
+        self.scanner.send_probes(world, &mut self.batch);
     }
 }
 
@@ -365,17 +478,6 @@ impl<'a, A> Grid<'a, A> {
 
 impl<A: Answer> Campaign for Grid<'_, A> {
     const P: Params = A::P;
-    type Slot = usize;
-
-    fn stamp(&mut self, slot: usize, seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr {
-        let txid = self.first_txid.wrapping_add(seq as u16);
-        self.txids.insert(txid, slot);
-        let ip = self.resolvers[slot / self.queries.len()];
-        let query = &self.queries[slot % self.queries.len()];
-        let payload = batch.push((seq % 509) as u16, ip, query.probe_len());
-        query.stamp(txid.into(), payload);
-        ip
-    }
 
     fn read(&mut self, msg: &MessageView<'_>, _port_offset: u16, _dgram: &Datagram) -> Outcome {
         let Some(&slot) = self.txids.get(&msg.id()) else {
@@ -389,12 +491,26 @@ impl<A: Answer> Campaign for Grid<'_, A> {
         Outcome::Matched(ip)
     }
 
+    fn recycle(&mut self) {
+        self.txids.clear();
+    }
+}
+
+impl<A: Answer> Inline for Grid<'_, A> {
+    type Slot = usize;
+
+    fn stamp(&mut self, slot: usize, seq: u64, batch: &mut ProbeBatch) -> Ipv4Addr {
+        let txid = self.first_txid.wrapping_add(seq as u16);
+        self.txids.insert(txid, slot);
+        let ip = self.resolvers[slot / self.queries.len()];
+        let query = &self.queries[slot % self.queries.len()];
+        let payload = batch.push((seq % 509) as u16, ip, query.probe_len());
+        query.stamp(txid.into(), payload);
+        ip
+    }
+
     fn missing(&self) -> Vec<usize> {
         let unanswered = |slot: &usize| self.answers[*slot].is_none();
         (0..self.answers.len()).filter(unanswered).collect()
-    }
-
-    fn recycle(&mut self) {
-        self.txids.clear();
     }
 }

@@ -13,6 +13,7 @@ pub struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Allocations (and reallocations) made by the process so far.
@@ -25,6 +26,17 @@ pub fn live_bytes() -> u64 {
     LIVE_BYTES.load(Ordering::Relaxed)
 }
 
+/// The most [`live_bytes`] have been since the last
+/// [`reset_peak_live_bytes`].
+pub fn peak_live_bytes() -> u64 {
+    PEAK_LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Start a new high-water mark at today's [`live_bytes`].
+pub fn reset_peak_live_bytes() {
+    PEAK_LIVE_BYTES.store(live_bytes(), Ordering::Relaxed);
+}
+
 /// Allocations made and not yet freed.
 pub fn live_allocations() -> u64 {
     LIVE_ALLOCATIONS.load(Ordering::Relaxed)
@@ -33,7 +45,12 @@ pub fn live_allocations() -> u64 {
 fn born(size: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     LIVE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    grow(size as u64);
+}
+
+fn grow(bytes: u64) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -58,9 +75,13 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // Wrapping: the two steps net out to `new_size - old size`.
-        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        match (new_size as u64).checked_sub(layout.size() as u64) {
+            Some(more) => grow(more),
+            None => {
+                let less = layout.size() - new_size;
+                LIVE_BYTES.fetch_sub(less as u64, Ordering::Relaxed);
+            }
+        }
         System.realloc(ptr, layout, new_size)
     }
 }
