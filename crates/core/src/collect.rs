@@ -355,17 +355,18 @@ pub struct BundleOptions {
     /// Retransmission policy shared by every retrying campaign
     /// (enumeration sweeps stay single-probe regardless — Sec. 2.2).
     pub probe: ProbePolicy,
-    /// Track per-campaign [`Coverage`] during collection. Purely
-    /// observational: coverage never alters campaign traffic.
-    pub coverage: bool,
-    /// Coverage fraction below which a campaign is flagged degraded.
-    pub degraded_threshold: f64,
 }
+
+/// Coverage fraction below which a collected campaign is flagged
+/// degraded (`collect.campaign_degraded`). Per-campaign [`Coverage`]
+/// is always tracked; it is purely observational and never alters
+/// campaign traffic.
+const DEGRADED_THRESHOLD: f64 = 0.95;
 
 impl BundleOptions {
     /// Defaults matching `repro`: seed/weeks from the world config,
     /// 1,500 snooped resolvers, 36 rounds, no faults, single-probe
-    /// policy, coverage tracked with a 95% degradation threshold.
+    /// policy.
     pub fn new(cfg: WorldConfig) -> BundleOptions {
         BundleOptions {
             seed: cfg.seed,
@@ -376,8 +377,6 @@ impl BundleOptions {
             analysis: crate::pipeline::AnalysisOptions::default(),
             faults: None,
             probe: ProbePolicy::single(),
-            coverage: true,
-            degraded_threshold: 0.95,
         }
     }
 }
@@ -958,25 +957,23 @@ pub fn collect_bundle(
         .map(|(kind, store)| (kind.name(), store.resident_bytes()))
         .collect();
     publish_mem("store", &stores);
-    if opts.coverage {
-        for (kind, cov) in &coverage {
-            if cov.fraction() < opts.degraded_threshold {
-                telemetry::global()
-                    .counter_with("collect.campaign_degraded", &[("campaign", kind.name())])
-                    .inc();
-                telemetry::warn(
-                    "collect.degraded",
-                    "campaign coverage below threshold",
-                    &[
-                        ("campaign", kind.name().into()),
-                        ("fraction", cov.fraction().into()),
-                        ("threshold", opts.degraded_threshold.into()),
-                        ("gave_up", cov.gave_up.into()),
-                        ("unreachable", cov.unreachable.into()),
-                    ],
-                    Some(sim_end_ms),
-                );
-            }
+    for (kind, cov) in &coverage {
+        if cov.fraction() < DEGRADED_THRESHOLD {
+            telemetry::global()
+                .counter_with("collect.campaign_degraded", &[("campaign", kind.name())])
+                .inc();
+            telemetry::warn(
+                "collect.degraded",
+                "campaign coverage below threshold",
+                &[
+                    ("campaign", kind.name().into()),
+                    ("fraction", cov.fraction().into()),
+                    ("threshold", DEGRADED_THRESHOLD.into()),
+                    ("gave_up", cov.gave_up.into()),
+                    ("unreachable", cov.unreachable.into()),
+                ],
+                Some(sim_end_ms),
+            );
         }
     }
     Ok(BundleData { data, coverage })
@@ -1083,9 +1080,7 @@ fn run_lane(
     let mut coverage: BTreeMap<CampaignKind, Coverage> = BTreeMap::new();
     let absorb =
         |coverage: &mut BTreeMap<CampaignKind, Coverage>, kind: CampaignKind, cov: Coverage| {
-            if opts.coverage {
-                coverage.entry(kind).or_default().absorb(&cov);
-            }
+            coverage.entry(kind).or_default().absorb(&cov);
         };
 
     let last = sched.tasks.iter().rposition(|&(_, _, owner)| owner == lane);

@@ -1,12 +1,14 @@
 //! Deterministic storage-fault injection for the serve-chaos harness.
 //!
-//! The shim sits on three choke points of the store's I/O:
-//! manifest reads ([`view`]), segment decodes ([`view`]), and atomic
-//! writes ([`store`]). Arming a [`FaultSpec`] makes the next N
-//! operations at each point fail as if the disk had; the serve-chaos
-//! harness uses this to trip the refresh circuit breaker, force
-//! reader rollbacks, and fail writer commits without touching real
-//! hardware.
+//! The shim sits on three choke points of the store's I/O: the
+//! manifest read and the segment check of `disk.rs`, and atomic writes
+//! ([`store`]). The two read points are the only way any reader reaches
+//! the disk, so they fire on writer opens and scrubs inside an armed
+//! scope as well as on view opens and refreshes. Arming a
+//! [`FaultSpec`] makes the next N operations at each point fail as if
+//! the disk had; the serve-chaos harness uses this to trip the refresh
+//! circuit breaker, force reader rollbacks, and fail writer commits
+//! without touching real hardware.
 //!
 //! The shim is process-global but **scope-filtered**: a fault only
 //! fires for paths containing the armed scope substring (typically
@@ -14,7 +16,6 @@
 //! same process never trip each other's faults. While disarmed the
 //! cost on the store's I/O paths is a single relaxed atomic load.
 //!
-//! [`view`]: crate::view
 //! [`store`]: crate::store
 
 use std::io;
@@ -32,8 +33,9 @@ pub struct FaultSpec {
     /// Manifest reads to fail with an injected I/O error — the
     /// refresh path surfaces these as `StoreView::refresh` errors.
     pub manifest_read_errors: u32,
-    /// Segment decodes to fail as if the file were torn — the reader
-    /// rolls back to the longest valid prefix.
+    /// Segment checks to fail as if the file were corrupt — a reader
+    /// rolls back to the longest valid prefix, a scrub reports
+    /// `corrupt`.
     pub segment_corruptions: u32,
     /// Atomic writes to fail with an injected disk-full error.
     pub write_enospc: u32,

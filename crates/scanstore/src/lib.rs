@@ -14,6 +14,10 @@
 //!   from the last committed segment; torn or corrupted segments roll
 //!   the checkpoint back to the longest valid prefix.
 //!
+//! Every reader of a store directory — the writer's open, the
+//! read-only [`StoreView`] and the scrubber — goes through `disk.rs`:
+//! one manifest type, one segment check, one prefix loader.
+//!
 //! Report code reads either store through [`SnapshotSource`] —
 //! snapshot iterators, adjacent-snapshot diff cursors, and
 //! [`cohort_survival`] tracking — so figures and tables derived from
@@ -21,6 +25,7 @@
 //! over the same snapshots.
 
 pub mod crc32;
+mod disk;
 pub mod faults;
 pub mod memory;
 pub mod record;
@@ -33,12 +38,13 @@ pub mod store;
 pub mod varint;
 pub mod view;
 
+pub use disk::{SegmentEntry, SegmentVerdict};
 pub use faults::FaultSpec;
 pub use memory::MemoryStore;
 pub use record::{flags, fnv1a, Observation, SnapshotDiff};
 pub use recorder::{read_stream, RecorderStream, StoredRecord};
-pub use scrub::{scrub_root, scrub_store, ScrubReport, SegmentVerdict};
+pub use scrub::{scrub_root, scrub_store, ScrubReport};
 pub use sink::{NullSink, ObservationSink, SnapshotSink};
 pub use source::{cohort_survival, Snapshot, SnapshotSource};
-pub use store::{CampaignStore, SegmentEntry, StoreStats};
+pub use store::{CampaignStore, StoreStats};
 pub use view::{campaign_dirs, AsnSeries, IndexEntry, ReadIndex, StoreView};

@@ -1,47 +1,16 @@
-//! Store integrity scrub: decode every committed segment (full CRC
-//! check), cross-check the manifest's bookkeeping against the bytes
-//! on disk, and report a per-segment verdict. Read-only — scrubbing
+//! Store integrity scrub: put every committed segment through the one
+//! segment check (`disk.rs`: size, CRC, sequence) and report a
+//! per-segment verdict. Read-only — scrubbing
 //! never repairs, deletes, or rewrites anything; the writer's own
 //! open-time recovery stays the only mutating path.
 //!
 //! Backs the daemon's `/admin/scrub` endpoint and the `repro scrub`
 //! CLI (DESIGN §13).
 
-use crate::segment;
-use crate::view::{ManifestEntry, ManifestView};
+use crate::disk::{check_segment, read_manifest, SegmentVerdict};
 use std::fs;
 use std::io;
 use std::path::Path;
-
-/// Verdict for one committed segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SegmentVerdict {
-    /// Decoded cleanly and matches the manifest entry.
-    Ok,
-    /// The manifest lists the file but it is not on disk.
-    Missing,
-    /// On-disk size differs from the manifest's byte count (truncated
-    /// or rewritten out-of-band).
-    SizeMismatch { manifest: u64, disk: u64 },
-    /// The bytes failed to decode: bad magic, CRC mismatch, torn tail.
-    Corrupt { error: String },
-    /// Decoded, but the segment header's sequence number disagrees
-    /// with the manifest (files swapped or copied over each other).
-    SeqMismatch { header: u32 },
-}
-
-impl SegmentVerdict {
-    /// Short lowercase tag, used in reports and counter labels.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            SegmentVerdict::Ok => "ok",
-            SegmentVerdict::Missing => "missing",
-            SegmentVerdict::SizeMismatch { .. } => "size_mismatch",
-            SegmentVerdict::Corrupt { .. } => "corrupt",
-            SegmentVerdict::SeqMismatch { .. } => "seq_mismatch",
-        }
-    }
-}
 
 /// One scrubbed segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,13 +39,13 @@ pub struct ScrubReport {
 }
 
 impl ScrubReport {
-    /// The manifest parsed and every committed segment decoded clean.
+    /// The manifest parsed, lists every segment it commits, and each
+    /// passed the check — exactly when a view opens without rolling
+    /// back.
     pub fn healthy(&self) -> bool {
         self.manifest_ok
-            && self
-                .segments
-                .iter()
-                .all(|s| s.verdict == SegmentVerdict::Ok)
+            && self.segments.len() == self.committed as usize
+            && self.bad_segments() == 0
     }
 
     /// Committed segments that failed the scrub.
@@ -114,49 +83,37 @@ impl ScrubReport {
     }
 }
 
-/// Scrubs one store directory: reads the manifest, CRC-decodes every
-/// committed segment, and cross-checks sizes and sequence numbers.
+/// Scrubs one store directory: reads the manifest and puts every
+/// committed segment through the check the writer and the view load
+/// by, reporting each verdict rather than stopping at the first.
 pub fn scrub_store(dir: &Path) -> io::Result<ScrubReport> {
-    let manifest = match fs::read(dir.join("manifest.json")) {
-        Ok(bytes) => match serde_json::from_slice::<ManifestView>(&bytes) {
-            Ok(m) if m.version == 1 => Some(m),
-            Ok(_) | Err(_) => {
-                telemetry::counter("scanstore.scrub.bad_manifests").inc();
-                return Ok(ScrubReport {
-                    committed: 0,
-                    manifest_ok: false,
-                    segments: Vec::new(),
-                    orphans: Vec::new(),
-                });
-            }
-        },
-        Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-        Err(e) => return Err(e),
+    let Some(manifest) = read_manifest(dir)? else {
+        telemetry::counter("scanstore.scrub.bad_manifests").inc();
+        return Ok(ScrubReport {
+            committed: 0,
+            manifest_ok: false,
+            segments: Vec::new(),
+            orphans: Vec::new(),
+        });
     };
 
-    let mut committed = 0;
     let mut segments = Vec::new();
-    let mut listed = Vec::new();
-    if let Some(m) = &manifest {
-        committed = m.committed;
-        for entry in m.segments.iter().take(m.committed as usize) {
-            listed.push(entry.file.clone());
-            let verdict = scrub_segment(dir, entry);
-            telemetry::counter_with("scanstore.scrub.segments", &[("verdict", verdict.tag())])
-                .inc();
-            segments.push(SegmentReport {
-                seq: entry.seq,
-                file: entry.file.clone(),
-                verdict,
-            });
-        }
+    for (position, entry) in manifest.committed_entries().enumerate() {
+        let checked = check_segment(dir, entry, position as u32).err();
+        let verdict = checked.unwrap_or(SegmentVerdict::Ok);
+        telemetry::counter_with("scanstore.scrub.segments", &[("verdict", verdict.tag())]).inc();
+        segments.push(SegmentReport {
+            seq: entry.seq,
+            file: entry.file.clone(),
+            verdict,
+        });
     }
 
     let mut orphans = Vec::new();
     for dirent in fs::read_dir(dir)? {
         let name = dirent?.file_name().to_string_lossy().into_owned();
         let looks_like_segment = name.starts_with("seg-") || name.ends_with(".tmp");
-        if looks_like_segment && !listed.contains(&name) {
+        if looks_like_segment && !segments.iter().any(|s| s.file == name) {
             orphans.push(name);
         }
     }
@@ -164,37 +121,11 @@ pub fn scrub_store(dir: &Path) -> io::Result<ScrubReport> {
 
     telemetry::counter("scanstore.scrub.runs").inc();
     Ok(ScrubReport {
-        committed,
+        committed: manifest.committed,
         manifest_ok: true,
         segments,
         orphans,
     })
-}
-
-fn scrub_segment(dir: &Path, entry: &ManifestEntry) -> SegmentVerdict {
-    let path = dir.join(&entry.file);
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return SegmentVerdict::Missing,
-        Err(e) => {
-            return SegmentVerdict::Corrupt {
-                error: e.to_string(),
-            }
-        }
-    };
-    if bytes.len() as u64 != entry.bytes {
-        return SegmentVerdict::SizeMismatch {
-            manifest: entry.bytes,
-            disk: bytes.len() as u64,
-        };
-    }
-    match segment::decode(&bytes) {
-        Ok(seg) if seg.seq == entry.seq => SegmentVerdict::Ok,
-        Ok(seg) => SegmentVerdict::SeqMismatch { header: seg.seq },
-        Err(e) => SegmentVerdict::Corrupt {
-            error: e.to_string(),
-        },
-    }
 }
 
 /// Scrubs every store of [`campaign_dirs`](crate::campaign_dirs)`(root)`,

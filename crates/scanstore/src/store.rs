@@ -22,65 +22,24 @@
 //!
 //! A crash (or an error) before the seal leaves orphan segments that
 //! the next [`CampaignStore::open`] deletes — the checkpoint is whatever
-//! the manifest says. A torn or corrupted segment inside the committed
-//! prefix rolls the checkpoint back to the longest valid prefix and
-//! counts a recovery event.
+//! the manifest says. A segment inside the committed prefix that fails
+//! the one segment check (`disk.rs`, which the view and the
+//! scrubber read by too) rolls the checkpoint back to the longest valid
+//! prefix and counts a recovery event.
 //!
 //! [`begin_group`]: SnapshotSink::begin_group
 //! [`end_group`]: SnapshotSink::end_group
 
+use crate::disk::{read_manifest, Committed, Manifest, OnDisk, SegmentEntry, MANIFEST};
 use crate::record::{Observation, SnapshotDiff};
 use crate::segment::{self, Kind, Segment};
 use crate::sink::{ObservationSink, SnapshotSink};
-use crate::source::{Snapshot, SnapshotSource};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-const MANIFEST: &str = "manifest.json";
-const MANIFEST_VERSION: u32 = 1;
-
-/// Per-segment bookkeeping persisted in the manifest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SegmentEntry {
-    /// Sequence number (matches the segment header).
-    pub seq: u32,
-    /// File name within the store directory.
-    pub file: String,
-    /// Encoded size on disk, CRC included.
-    pub bytes: u64,
-    /// Upserted records in this segment.
-    pub records: u64,
-    /// Removed IPs in this segment.
-    pub removed: u64,
-    /// Size the same upserts would occupy as naive JSON lines.
-    pub json_bytes: u64,
-    /// Snapshot label.
-    pub label: String,
-    /// Snapshot timestamp.
-    pub t_ms: u64,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Manifest {
-    version: u32,
-    committed: u32,
-    recovery_events: u32,
-    segments: Vec<SegmentEntry>,
-}
-
-impl Manifest {
-    fn empty() -> Manifest {
-        Manifest {
-            version: MANIFEST_VERSION,
-            committed: 0,
-            recovery_events: 0,
-            segments: Vec::new(),
-        }
-    }
-}
+use std::sync::Arc;
 
 /// Store-level statistics surfaced in the `repro` report.
 #[derive(Debug, Clone, Serialize)]
@@ -105,23 +64,15 @@ pub struct StoreStats {
     pub resumed_at: Option<u32>,
 }
 
-/// A validated, replayable segment held in memory after `open`.
-#[derive(Debug)]
-struct StoredSegment {
-    label: String,
-    t_ms: u64,
-    meta: Vec<(String, String)>,
-    diff: SnapshotDiff,
-}
-
 /// Append-only, delta-encoded, crash-safe snapshot store rooted at a
 /// directory.
 #[derive(Debug)]
 pub struct CampaignStore {
     dir: PathBuf,
     manifest: Manifest,
-    segments: Vec<StoredSegment>,
-    strings: Vec<String>,
+    /// Every commit, staged or sealed, and every interned string,
+    /// committed or not.
+    disk: Committed,
     ids: HashMap<String, u32>,
     new_strings: Vec<String>,
     current: Vec<Observation>,
@@ -181,60 +132,30 @@ fn json_line_bytes(records: &[Observation]) -> u64 {
         .sum()
 }
 
+/// Replaces the manifest durably.
+fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
+    let bytes = serde_json::to_vec(manifest)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    write_renamed(dir, MANIFEST, &bytes, true)
+}
+
 impl CampaignStore {
-    /// Opens (or creates) the store at `dir`, validating every
-    /// committed segment. Corruption anywhere in the committed prefix
-    /// rolls the checkpoint back to the longest valid prefix; orphan
-    /// segments and temp files beyond the checkpoint are deleted.
+    /// Opens (or creates) the store at `dir`, loading the committed
+    /// prefix that passes the segment check. A failure anywhere in it
+    /// rolls the checkpoint back to the longest valid prefix and counts
+    /// a recovery; orphan segments and temp files beyond the checkpoint
+    /// are deleted.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<CampaignStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let (mut manifest, manifest_readable) = match fs::read(dir.join(MANIFEST)) {
-            Ok(bytes) => match serde_json::from_slice::<Manifest>(&bytes) {
-                Ok(m) if m.version == MANIFEST_VERSION => (m, true),
-                _ => (Manifest::empty(), false),
-            },
-            Err(e) if e.kind() == io::ErrorKind::NotFound => (Manifest::empty(), true),
-            Err(e) => return Err(e),
-        };
+        let read = read_manifest(&dir)?;
+        let manifest_readable = read.is_some();
+        let mut manifest = read.unwrap_or_else(Manifest::empty);
+        let mut disk = Committed::default();
+        let recovered = !disk.load(&dir, &manifest) || !manifest_readable;
+        let valid = disk.segments.len() as u32;
+        telemetry::counter("scanstore.crc_validations").add(u64::from(valid));
 
-        let mut store = CampaignStore {
-            dir,
-            manifest: Manifest::empty(),
-            segments: Vec::new(),
-            strings: vec![String::new()],
-            ids: HashMap::new(),
-            new_strings: Vec::new(),
-            current: Vec::new(),
-            pending: Vec::new(),
-            resumed_at: None,
-            staged: Vec::new(),
-            grouping: false,
-        };
-
-        // Validate the committed prefix in order, rebuilding the string
-        // table and the latest snapshot as we go.
-        let crc_validations = telemetry::counter("scanstore.crc_validations");
-        let mut valid = 0u32;
-        for entry in manifest.segments.iter().take(manifest.committed as usize) {
-            let ok = fs::read(store.dir.join(&entry.file))
-                .ok()
-                .and_then(|bytes| segment::decode(&bytes).ok())
-                .filter(|seg| seg.seq == valid)
-                .map(|seg| store.absorb(seg));
-            match ok {
-                Some(()) => {
-                    valid += 1;
-                    crc_validations.inc();
-                }
-                None => break,
-            }
-        }
-
-        let mut recovered = !manifest_readable;
-        if valid < manifest.committed {
-            recovered = true;
-        }
         manifest.committed = valid;
         manifest.segments.truncate(valid as usize);
         if recovered {
@@ -250,7 +171,7 @@ impl CampaignStore {
 
         // Delete anything past the checkpoint: orphan segments from a
         // crash mid-commit, stray temp files, segments beyond a rollback.
-        for dirent in fs::read_dir(&store.dir)? {
+        for dirent in fs::read_dir(&dir)? {
             let dirent = dirent?;
             let name = dirent.file_name().to_string_lossy().into_owned();
             let keep = name == MANIFEST || manifest.segments.iter().any(|e| e.file == name);
@@ -258,32 +179,28 @@ impl CampaignStore {
                 let _ = fs::remove_file(dirent.path());
             }
         }
-
-        if recovered || !manifest_readable {
-            let bytes = serde_json::to_vec(&manifest)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            write_renamed(&store.dir, MANIFEST, &bytes, true)?;
+        if recovered {
+            write_manifest(&dir, &manifest)?;
         }
 
-        store.resumed_at = if valid > 0 { Some(valid) } else { None };
-        store.manifest = manifest;
-        Ok(store)
-    }
-
-    /// Folds a validated segment into the in-memory replay state.
-    fn absorb(&mut self, seg: Segment) {
-        for s in &seg.new_strings {
-            let id = self.strings.len() as u32;
-            self.strings.push(s.clone());
-            self.ids.insert(s.clone(), id);
-        }
-        self.current = seg.diff.apply(&self.current);
-        self.segments.push(StoredSegment {
-            label: seg.label,
-            t_ms: seg.t_ms,
-            meta: seg.meta,
-            diff: seg.diff,
-        });
+        let ids = disk.strings.iter().enumerate().skip(1);
+        let ids = ids.map(|(id, s)| (s.clone(), id as u32)).collect();
+        let current = disk
+            .segments
+            .iter()
+            .fold(Vec::new(), |records, seg| seg.diff.apply(&records));
+        Ok(CampaignStore {
+            dir,
+            manifest,
+            disk,
+            ids,
+            new_strings: Vec::new(),
+            current,
+            pending: Vec::new(),
+            resumed_at: (valid > 0).then_some(valid),
+            staged: Vec::new(),
+            grouping: false,
+        })
     }
 
     /// Seals the checkpoint: makes every staged segment durable, and
@@ -293,9 +210,7 @@ impl CampaignStore {
             fs::File::open(self.dir.join(file))?.sync_all()?;
         }
         sync_dir(&self.dir);
-        let manifest_bytes = serde_json::to_vec(&self.manifest)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        write_renamed(&self.dir, MANIFEST, &manifest_bytes, true)?;
+        write_manifest(&self.dir, &self.manifest)?;
         self.staged.clear();
         Ok(())
     }
@@ -316,11 +231,11 @@ impl CampaignStore {
     /// and the string table (each string twice, by id and as key).
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let diffs = self.segments.iter().map(|s| &s.diff);
+        let diffs = self.disk.segments.iter().map(|s| &s.diff);
         let (upserts, removed) = diffs.fold((0, 0), |sum, d| {
             (sum.0 + d.upserts.len(), sum.1 + d.removed.len())
         });
-        let strings = self.strings.iter().map(|s| 2 * s.len());
+        let strings = self.disk.strings.iter().map(|s| 2 * s.len());
         (upserts + self.current.len() + self.pending.len()) * size_of::<Observation>()
             + removed * size_of::<u32>()
             + strings.sum::<usize>()
@@ -360,8 +275,8 @@ impl ObservationSink for CampaignStore {
         if let Some(&id) = self.ids.get(s) {
             return id;
         }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
+        let id = self.disk.strings.len() as u32;
+        Arc::make_mut(&mut self.disk.strings).push(s.to_string());
         self.ids.insert(s.to_string(), id);
         self.new_strings.push(s.to_string());
         id
@@ -374,7 +289,7 @@ impl SnapshotSink for CampaignStore {
         let records = crate::memory::seal_pending(&mut self.pending);
         let diff = SnapshotDiff::between(&self.current, &records);
         let json_bytes = json_line_bytes(&diff.upserts);
-        let seg = Segment {
+        let mut seg = Segment {
             seq,
             t_ms,
             kind: if seq == 0 { Kind::Full } else { Kind::Delta },
@@ -388,17 +303,22 @@ impl SnapshotSink for CampaignStore {
         write_renamed(&self.dir, &file, &bytes, false)?;
         self.staged.push(file.clone());
 
+        let upserts = seg.diff.upserts.len();
         self.manifest.segments.push(SegmentEntry {
             seq,
             file,
             bytes: bytes.len() as u64,
-            records: seg.diff.upserts.len() as u64,
+            records: upserts as u64,
             removed: seg.diff.removed.len() as u64,
             json_bytes,
             label: label.to_string(),
             t_ms,
         });
         self.manifest.committed = seq + 1;
+        // `intern` already put this segment's strings in the table.
+        seg.new_strings = Vec::new();
+        self.disk.segments.push(Arc::new(seg));
+        self.current = records;
         if !self.grouping {
             self.seal()?;
         }
@@ -410,7 +330,7 @@ impl SnapshotSink for CampaignStore {
             .add(bytes.len() as u64);
         reg.counter("scanstore.json_bytes_equiv").add(json_bytes);
         reg.counter_with("scanstore.records_committed", &[("backend", "disk")])
-            .add(seg.diff.upserts.len() as u64);
+            .add(upserts as u64);
         telemetry::debug(
             "scanstore.commit",
             "segment committed",
@@ -418,18 +338,10 @@ impl SnapshotSink for CampaignStore {
                 ("label", label.into()),
                 ("seq", seq.into()),
                 ("bytes", bytes.len().into()),
-                ("records", seg.diff.upserts.len().into()),
+                ("records", upserts.into()),
             ],
             Some(t_ms),
         );
-
-        self.current = records;
-        self.segments.push(StoredSegment {
-            label: seg.label,
-            t_ms: seg.t_ms,
-            meta: seg.meta,
-            diff: seg.diff,
-        });
         Ok(seq)
     }
 
@@ -446,75 +358,8 @@ impl SnapshotSink for CampaignStore {
     }
 }
 
-impl SnapshotSource for CampaignStore {
-    fn snapshot_count(&self) -> u32 {
-        self.manifest.committed
-    }
-
-    fn string(&self, id: u32) -> &str {
-        self.strings
-            .get(id as usize)
-            .map(String::as_str)
-            .unwrap_or("")
-    }
-
-    fn snapshot(&self, seq: u32) -> io::Result<Snapshot> {
-        if seq >= self.snapshot_count() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no snapshot {seq}"),
-            ));
-        }
-        let mut records = Vec::new();
-        for stored in &self.segments[..=seq as usize] {
-            records = stored.diff.apply(&records);
-        }
-        let stored = &self.segments[seq as usize];
-        Ok(Snapshot {
-            seq,
-            label: stored.label.clone(),
-            t_ms: stored.t_ms,
-            meta: stored.meta.clone(),
-            records,
-        })
-    }
-
-    /// Single incremental replay over the stored deltas — each
-    /// snapshot costs one `apply`, not a replay from scratch.
-    fn for_each_snapshot(&self, f: &mut dyn FnMut(&Snapshot) -> io::Result<()>) -> io::Result<()> {
-        let mut records: Vec<Observation> = Vec::new();
-        for (seq, stored) in self.segments.iter().enumerate() {
-            records = stored.diff.apply(&records);
-            let snap = Snapshot {
-                seq: seq as u32,
-                label: stored.label.clone(),
-                t_ms: stored.t_ms,
-                meta: stored.meta.clone(),
-                records,
-            };
-            f(&snap)?;
-            records = snap.records;
-        }
-        Ok(())
-    }
-
-    /// Labels are indexed in memory after `open`; no replay needed.
-    fn find_label(&self, label: &str) -> Option<u32> {
-        self.segments
-            .iter()
-            .position(|s| s.label == label)
-            .map(|i| i as u32)
-    }
-
-    /// Adjacent diffs are served straight from the stored delta ops —
-    /// no snapshot materialization.
-    fn diff(&self, seq: u32) -> io::Result<SnapshotDiff> {
-        let next = seq
-            .checked_add(1)
-            .filter(|&n| n < self.snapshot_count())
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("no diff from {seq}"))
-            })?;
-        Ok(self.segments[next as usize].diff.clone())
+impl OnDisk for CampaignStore {
+    fn committed(&self) -> &Committed {
+        &self.disk
     }
 }

@@ -4,64 +4,36 @@
 //! [`CampaignStore::open`] is a *writer* open: it deletes orphan
 //! segments and rewrites the manifest, which is unsafe while another
 //! process is still committing to the same directory. [`StoreView`]
-//! is the reader-side counterpart:
+//! is the reader-side counterpart. It reads the store through the same
+//! manifest reader, segment check and prefix loader as the writer
+//! (`disk.rs`), so a view holds exactly the segments a writer
+//! open would keep, and the same [`SnapshotSource`] impl serves both.
+//! On top of that:
 //!
 //! * it never writes, renames, or deletes anything;
-//! * a torn tail (manifest listing a segment whose file is missing,
-//!   truncated, or corrupt — e.g. a writer crashed mid-commit) rolls
-//!   the view back to the longest valid prefix *in memory only*;
+//! * a committed segment that fails the check (missing, truncated or
+//!   corrupt — e.g. a writer crashed mid-commit) rolls the view back to
+//!   the longest valid prefix *in memory only*;
 //! * decoded segments are held behind [`Arc`], so cloning a view is
 //!   cheap and [`StoreView::refresh`] after a new commit re-decodes
-//!   only the new segments;
+//!   only the new segments — unless the writer rolled back since, in
+//!   which case it reads the store again from the start;
 //! * every view generation carries a [`ReadIndex`] — a sorted,
 //!   string-interned per-IP index plus per-AS presence series — built
 //!   once per manifest generation so point lookups cost a binary
 //!   search instead of a segment replay.
 //!
-//! Views implement [`SnapshotSource`], so every existing derivation
-//! runs unchanged over a `StoreView`.
+//! [`CampaignStore::open`]: crate::CampaignStore::open
+//! [`SnapshotSource`]: crate::SnapshotSource
 
+use crate::disk::{read_manifest, Committed, Manifest, OnDisk, MANIFEST};
 use crate::record::Observation;
-use crate::segment::{self, Segment};
-use crate::source::{Snapshot, SnapshotSource};
-use crate::SnapshotDiff;
-use serde::Deserialize;
+use crate::segment::Segment;
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// The slice of the manifest a reader — a view or the scrubber —
-/// needs. Deserialized leniently so a reader never fails on
-/// writer-side additions to the manifest schema.
-#[derive(Debug, Clone, Deserialize)]
-pub(crate) struct ManifestView {
-    pub(crate) version: u32,
-    pub(crate) committed: u32,
-    pub(crate) segments: Vec<ManifestEntry>,
-}
-
-#[derive(Debug, Clone, Deserialize)]
-pub(crate) struct ManifestEntry {
-    pub(crate) seq: u32,
-    pub(crate) file: String,
-    pub(crate) bytes: u64,
-}
-
-const MANIFEST: &str = "manifest.json";
-const MANIFEST_VERSION: u32 = 1;
-
-/// One decoded, immutable segment shared across view generations.
-#[derive(Debug)]
-struct ViewSegment {
-    file: String,
-    label: String,
-    t_ms: u64,
-    meta: Vec<(String, String)>,
-    new_strings: Vec<String>,
-    diff: SnapshotDiff,
-}
 
 /// Per-IP summary in the read-side index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,12 +63,11 @@ pub struct AsnSeries {
     pub survivors: Vec<u64>,
 }
 
-/// Immutable per-generation read index: sorted IP entries, label map,
-/// per-AS series, per-snapshot sizes.
+/// Immutable per-generation read index: sorted IP entries, per-AS
+/// series, per-snapshot sizes.
 #[derive(Debug, Default)]
 pub struct ReadIndex {
     entries: Vec<IndexEntry>,
-    labels: Vec<(String, u32)>,
     asn_series: BTreeMap<u32, AsnSeries>,
     /// Positions in `entries`, ordered by the interned country id of
     /// the latest observation, then ascending. A per-country query reads
@@ -116,11 +87,10 @@ fn probe_counter() -> &'static telemetry::Counter {
 
 impl ReadIndex {
     /// Builds the index by replaying `segments` in commit order.
-    fn build(segments: &[Arc<ViewSegment>]) -> ReadIndex {
+    fn build(segments: &[Arc<Segment>]) -> ReadIndex {
         let t0 = std::time::Instant::now();
         let last = segments.len().wrapping_sub(1) as u32;
         let mut entries: HashMap<u32, IndexEntry> = HashMap::new();
-        let mut labels: Vec<(String, u32)> = Vec::new();
         let mut asn_series: BTreeMap<u32, AsnSeries> = BTreeMap::new();
         let mut snapshot_sizes = Vec::with_capacity(segments.len());
         // AS of each snapshot-0 IP, for the survival series.
@@ -128,9 +98,6 @@ impl ReadIndex {
         let mut current: Vec<Observation> = Vec::new();
         for (seq, seg) in segments.iter().enumerate() {
             let seq = seq as u32;
-            if !labels.iter().any(|(l, _)| *l == seg.label) {
-                labels.push((seg.label.clone(), seq));
-            }
             current = seg.diff.apply(&current);
             snapshot_sizes.push(current.len() as u64);
             if seq == 0 {
@@ -185,7 +152,6 @@ impl ReadIndex {
             .observe(t0.elapsed().as_micros() as u64);
         ReadIndex {
             entries,
-            labels,
             asn_series,
             by_country,
             snapshot_sizes,
@@ -228,11 +194,6 @@ impl ReadIndex {
         self.asn_series.keys().copied()
     }
 
-    /// `(label, seq)` of the first snapshot per distinct label.
-    pub fn labels(&self) -> &[(String, u32)] {
-        &self.labels
-    }
-
     /// Records in each snapshot, by seq.
     pub fn snapshot_sizes(&self) -> &[u64] {
         &self.snapshot_sizes
@@ -273,77 +234,27 @@ pub type SegmentMeta<'a> = (&'a str, u64, &'a [(String, String)]);
 #[derive(Debug, Clone)]
 pub struct StoreView {
     dir: PathBuf,
-    generation: u32,
+    /// The manifest's `recovery_events` when this view read it.
+    recovery_events: u32,
     recovered: bool,
-    segments: Vec<Arc<ViewSegment>>,
-    strings: Arc<Vec<String>>,
+    committed: Committed,
     index: Arc<ReadIndex>,
-}
-
-fn read_manifest(dir: &Path) -> io::Result<Option<ManifestView>> {
-    if let Some(e) = crate::faults::manifest_read_error(&dir.join(MANIFEST)) {
-        return Err(e);
-    }
-    match fs::read(dir.join(MANIFEST)) {
-        Ok(bytes) => match serde_json::from_slice::<ManifestView>(&bytes) {
-            Ok(m) if m.version == MANIFEST_VERSION => Ok(Some(m)),
-            // Unknown version or unparsable bytes: treat as empty
-            // rather than failing the reader — the writer commits the
-            // manifest atomically, so this is a foreign file, not a
-            // torn write.
-            _ => Ok(None),
-        },
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
 }
 
 /// Wall-time bounds (µs) for segment-decode and index-build
 /// histograms: these feed `/metrics`, never the trace stream.
 const VIEW_WALL_BOUNDS_US: [u64; 8] = [50, 100, 250, 500, 1_000, 5_000, 25_000, 100_000];
 
-/// Decodes the committed segment at `entry`, verifying its sequence
-/// number. Any read or decode failure yields `None` (torn tail).
-fn decode_entry(dir: &Path, entry: &ManifestEntry, want_seq: u32) -> Option<Arc<ViewSegment>> {
-    if crate::faults::segment_corrupt(&dir.join(&entry.file)) {
-        return None;
-    }
-    let t0 = std::time::Instant::now();
-    let bytes = fs::read(dir.join(&entry.file)).ok()?;
-    let seg: Segment = segment::decode(&bytes).ok()?;
-    if seg.seq != want_seq || entry.seq != want_seq {
-        return None;
-    }
-    telemetry::counter("scanstore.view.segments_decoded").inc();
-    telemetry::histogram("scanstore.view.decode_us", &VIEW_WALL_BOUNDS_US)
-        .observe(t0.elapsed().as_micros() as u64);
-    Some(Arc::new(ViewSegment {
-        file: entry.file.clone(),
-        label: seg.label,
-        t_ms: seg.t_ms,
-        meta: seg.meta,
-        new_strings: seg.new_strings,
-        diff: seg.diff,
-    }))
-}
-
-fn string_table(segments: &[Arc<ViewSegment>]) -> Vec<String> {
-    let mut strings = vec![String::new()];
-    for seg in segments {
-        strings.extend(seg.new_strings.iter().cloned());
-    }
-    strings
-}
-
 impl StoreView {
     /// Opens a read-only view of the store at `dir`.
     ///
     /// Unlike [`CampaignStore::open`](crate::CampaignStore::open), this
     /// never mutates the directory: a missing manifest yields an empty
-    /// view (generation 0), and a torn tail — segments the manifest
-    /// lists but that are missing, truncated, or corrupt because a
-    /// writer is mid-commit or crashed — rolls the view back to the
-    /// longest valid prefix in memory and sets [`StoreView::recovered`].
+    /// view (generation 0), and a committed segment that fails the
+    /// check — missing, truncated, or corrupt because a writer is
+    /// mid-commit or crashed — rolls the view back to the longest valid
+    /// prefix in memory and sets [`StoreView::recovered`], as does a
+    /// manifest that does not parse.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<StoreView> {
         let dir = dir.as_ref().to_path_buf();
         if !dir.is_dir() {
@@ -353,36 +264,32 @@ impl StoreView {
             ));
         }
         let manifest = read_manifest(&dir)?;
-        let mut segments: Vec<Arc<ViewSegment>> = Vec::new();
-        let mut recovered = false;
-        if let Some(m) = &manifest {
-            for entry in m.segments.iter().take(m.committed as usize) {
-                match decode_entry(&dir, entry, segments.len() as u32) {
-                    Some(seg) => segments.push(seg),
-                    None => {
-                        recovered = true;
-                        break;
-                    }
-                }
-            }
-            if segments.len() < m.committed as usize {
-                recovered = true;
-            }
+        telemetry::counter("scanstore.view.opens").inc();
+        Ok(StoreView::load(dir, manifest, Committed::default()))
+    }
+
+    /// Loads what `manifest` commits beyond `committed` and indexes the
+    /// result.
+    fn load(dir: PathBuf, manifest: Option<Manifest>, mut committed: Committed) -> StoreView {
+        let t0 = std::time::Instant::now();
+        let held = committed.segments.len();
+        let recovered = !manifest.as_ref().is_some_and(|m| committed.load(&dir, m));
+        let decoded = committed.segments.len() - held;
+        if decoded > 0 {
+            telemetry::counter("scanstore.view.segments_decoded").add(decoded as u64);
+            telemetry::histogram("scanstore.view.decode_us", &VIEW_WALL_BOUNDS_US)
+                .observe(t0.elapsed().as_micros() as u64);
         }
         if recovered {
             telemetry::counter("scanstore.view.rollbacks").inc();
         }
-        telemetry::counter("scanstore.view.opens").inc();
-        let strings = Arc::new(string_table(&segments));
-        let index = Arc::new(ReadIndex::build(&segments));
-        Ok(StoreView {
+        StoreView {
             dir,
-            generation: segments.len() as u32,
+            recovery_events: manifest.map_or(0, |m| m.recovery_events),
             recovered,
-            segments,
-            strings,
-            index,
-        })
+            index: Arc::new(ReadIndex::build(&committed.segments)),
+            committed,
+        }
     }
 
     /// The store's root directory.
@@ -393,12 +300,21 @@ impl StoreView {
     /// Committed snapshots in this view (the manifest generation the
     /// view was built from, after any in-memory rollback).
     pub fn generation(&self) -> u32 {
-        self.generation
+        self.committed.segments.len() as u32
     }
 
-    /// Whether the open rolled back past a torn tail.
+    /// Whether the open rolled back past a segment that failed the
+    /// check, or read a manifest that does not parse.
     pub fn recovered(&self) -> bool {
         self.recovered
+    }
+
+    /// Whether `other` holds this view's very segments, not merely as
+    /// many: after a writer rollback a refresh can return the same
+    /// generation with different contents.
+    pub fn same_segments(&self, other: &StoreView) -> bool {
+        let (mine, theirs) = (&self.committed.segments, &other.committed.segments);
+        mine.len() == theirs.len() && mine.iter().zip(theirs).all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
     /// The per-generation read index.
@@ -411,7 +327,7 @@ impl StoreView {
     /// a string twice. Resolved once, it lets a query over the index
     /// compare ids instead of strings.
     pub fn string_ids<'a>(&'a self, s: &'a str) -> impl Iterator<Item = u32> + 'a {
-        let ids = self.strings.iter().enumerate();
+        let ids = self.committed.strings.iter().enumerate();
         ids.filter(move |(_, have)| *have == s)
             .map(|(id, _)| id as u32)
     }
@@ -419,7 +335,8 @@ impl StoreView {
     /// `(label, t_ms, meta)` of snapshot `seq`, without materializing
     /// its records.
     pub fn segment_meta(&self, seq: u32) -> Option<SegmentMeta<'_>> {
-        self.segments
+        self.committed
+            .segments
             .get(seq as usize)
             .map(|s| (s.label.as_str(), s.t_ms, s.meta.as_slice()))
     }
@@ -429,131 +346,36 @@ impl StoreView {
     ///
     /// * unchanged manifest → a cheap clone (all `Arc`s shared);
     /// * new commits on top of our prefix → only the new segments are
-    ///   decoded; the old prefix (and its decode cost) is reused;
-    /// * anything else (rollback, rewritten files) → full reopen.
+    ///   checked and decoded; the prefix (and its decode cost) is reused;
+    /// * a writer rollback since this view read the manifest (its
+    ///   `recovery_events` moved), fewer commits than the view holds, or
+    ///   a manifest that does not parse → full reopen.
     pub fn refresh(&self) -> io::Result<StoreView> {
         let manifest = read_manifest(&self.dir)?;
-        let m = match manifest {
-            Some(m) => m,
-            None => {
-                // Store reset to empty underneath us.
-                if self.generation == 0 {
-                    return Ok(self.clone());
-                }
-                telemetry::counter_with("scanstore.view.refreshes", &[("kind", "reopen")]).inc();
-                return StoreView::open(&self.dir);
-            }
+        let held = self.generation();
+        let same_history = |m: &Manifest| m.recovery_events == self.recovery_events;
+        let unchanged = match &manifest {
+            Some(m) => same_history(m) && m.committed == held && !self.recovered,
+            None => held == 0 && self.recovered,
         };
-        let committed = m.committed as usize;
-        let prefix_matches = committed >= self.segments.len()
-            && self
-                .segments
-                .iter()
-                .zip(m.segments.iter())
-                .all(|(have, want)| have.file == want.file);
-        if !prefix_matches {
-            telemetry::counter_with("scanstore.view.refreshes", &[("kind", "reopen")]).inc();
-            return StoreView::open(&self.dir);
-        }
-        if committed == self.segments.len() {
+        if unchanged {
             telemetry::counter_with("scanstore.view.refreshes", &[("kind", "noop")]).inc();
             return Ok(self.clone());
         }
-        // Decode only the new tail; stop at a torn segment.
-        let mut segments = self.segments.clone();
-        let mut recovered = false;
-        for entry in m.segments.iter().take(committed).skip(segments.len()) {
-            match decode_entry(&self.dir, entry, segments.len() as u32) {
-                Some(seg) => segments.push(seg),
-                None => {
-                    recovered = true;
-                    break;
-                }
+        let (kind, prefix) = match &manifest {
+            Some(m) if same_history(m) && m.committed >= held => {
+                ("incremental", self.committed.clone())
             }
-        }
-        if recovered {
-            telemetry::counter("scanstore.view.rollbacks").inc();
-        }
-        telemetry::counter_with("scanstore.view.refreshes", &[("kind", "incremental")]).inc();
-        let strings = Arc::new(string_table(&segments));
-        let index = Arc::new(ReadIndex::build(&segments));
-        Ok(StoreView {
-            dir: self.dir.clone(),
-            generation: segments.len() as u32,
-            recovered,
-            segments,
-            strings,
-            index,
-        })
+            _ => ("reopen", Committed::default()),
+        };
+        telemetry::counter_with("scanstore.view.refreshes", &[("kind", kind)]).inc();
+        Ok(StoreView::load(self.dir.clone(), manifest, prefix))
     }
 }
 
-impl SnapshotSource for StoreView {
-    fn snapshot_count(&self) -> u32 {
-        self.generation
-    }
-
-    fn string(&self, id: u32) -> &str {
-        self.strings
-            .get(id as usize)
-            .map(String::as_str)
-            .unwrap_or("")
-    }
-
-    fn snapshot(&self, seq: u32) -> io::Result<Snapshot> {
-        if seq >= self.generation {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no snapshot {seq}"),
-            ));
-        }
-        let mut records = Vec::new();
-        for stored in &self.segments[..=seq as usize] {
-            records = stored.diff.apply(&records);
-        }
-        let stored = &self.segments[seq as usize];
-        Ok(Snapshot {
-            seq,
-            label: stored.label.clone(),
-            t_ms: stored.t_ms,
-            meta: stored.meta.clone(),
-            records,
-        })
-    }
-
-    fn for_each_snapshot(&self, f: &mut dyn FnMut(&Snapshot) -> io::Result<()>) -> io::Result<()> {
-        let mut records: Vec<Observation> = Vec::new();
-        for (seq, stored) in self.segments.iter().enumerate() {
-            records = stored.diff.apply(&records);
-            let snap = Snapshot {
-                seq: seq as u32,
-                label: stored.label.clone(),
-                t_ms: stored.t_ms,
-                meta: stored.meta.clone(),
-                records,
-            };
-            f(&snap)?;
-            records = snap.records;
-        }
-        Ok(())
-    }
-
-    fn find_label(&self, label: &str) -> Option<u32> {
-        self.index
-            .labels
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|&(_, seq)| seq)
-    }
-
-    fn diff(&self, seq: u32) -> io::Result<SnapshotDiff> {
-        let next = seq
-            .checked_add(1)
-            .filter(|&n| n < self.generation)
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("no diff from {seq}"))
-            })?;
-        Ok(self.segments[next as usize].diff.clone())
+impl OnDisk for StoreView {
+    fn committed(&self) -> &Committed {
+        &self.committed
     }
 }
 
@@ -561,7 +383,7 @@ impl SnapshotSource for StoreView {
 mod tests {
     use super::*;
     use crate::sink::{ObservationSink, SnapshotSink};
-    use crate::CampaignStore;
+    use crate::{CampaignStore, SnapshotSource};
 
     struct TempDir(PathBuf);
 
@@ -699,13 +521,16 @@ mod tests {
         let v1 = StoreView::open(&tmp.0).unwrap();
         let same = v1.refresh().unwrap();
         assert_eq!(same.generation(), 1);
-        assert!(Arc::ptr_eq(&v1.segments[0], &same.segments[0]));
+        assert!(Arc::ptr_eq(
+            &v1.committed.segments[0],
+            &same.committed.segments[0]
+        ));
 
         commit_week(&mut store, 1, &[(10, 1), (20, 2)]);
         let v2 = v1.refresh().unwrap();
         assert_eq!(v2.generation(), 2);
         assert!(
-            Arc::ptr_eq(&v1.segments[0], &v2.segments[0]),
+            Arc::ptr_eq(&v1.committed.segments[0], &v2.committed.segments[0]),
             "prefix segments are shared, not re-decoded"
         );
         assert_eq!(v2.snapshot(1).unwrap(), store.snapshot(1).unwrap());

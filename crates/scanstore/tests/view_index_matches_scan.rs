@@ -1,7 +1,10 @@
 //! Property test: the interned read-side index ([`scanstore::ReadIndex`])
 //! must agree with a plain linear scan of the decoded snapshots, for
-//! arbitrary committed stores. The scan side goes through the writer's
-//! own `CampaignStore` reader, so the two paths share no index code.
+//! arbitrary committed stores. The scan side replays the writer's
+//! `CampaignStore` snapshots through `SnapshotSource`. Writer and view
+//! load segments through the same reader (`scanstore::disk`), so this
+//! does not test decoding; it tests the index, and the two paths share
+//! no index code.
 
 mod common;
 

@@ -66,16 +66,17 @@ impl QueryEngine {
         QueryEngine { root, views, tag }
     }
 
-    /// Re-reads every campaign's manifest, decoding only new segments,
-    /// and picks up campaigns that appeared since the engine was
-    /// built. Returns the refreshed engine and whether anything
-    /// actually changed.
+    /// Re-reads every campaign's manifest, decoding only new segments
+    /// (all of them after a writer rollback), and picks up campaigns
+    /// that appeared since the engine was built. Returns the refreshed
+    /// engine and whether any view's segments changed — a rollback
+    /// recommitted to the same generation counts.
     pub fn refresh(&self) -> io::Result<(QueryEngine, bool)> {
         let mut views = BTreeMap::new();
         let mut changed = false;
         for (name, view) in &self.views {
             let next = view.refresh()?;
-            changed |= next.generation() != view.generation();
+            changed |= !next.same_segments(view);
             views.insert(name.clone(), next);
         }
         for (name, dir) in scanstore::campaign_dirs(&self.root)? {
@@ -711,5 +712,31 @@ mod tests {
         assert!(b.contains("\"found\":true"), "{b}");
         // The old engine still answers from its own generation.
         assert!(body(&engine.handle("/classify?ip=0.0.0.50")).contains("\"found\":false"));
+    }
+
+    #[test]
+    fn refresh_reports_a_rollback_recommitted_to_the_same_generation() {
+        let tmp = TempDir::new("rollback");
+        seed_store(&tmp.0);
+        let engine = QueryEngine::open(&tmp.0).unwrap();
+        let seg2 = tmp.0.join("weekly").join("seg-00002.gws");
+        let mut bytes = fs::read(&seg2).unwrap();
+        bytes[20] ^= 0x01;
+        fs::write(&seg2, &bytes).unwrap();
+        // The writer rolls the flipped week back and commits another.
+        let mut store = CampaignStore::open(tmp.0.join("weekly")).unwrap();
+        assert_eq!(store.snapshot_count(), 2);
+        store.observe(Observation::at(99, 0, 1_002));
+        store.commit("week-2", 1_002, &[]).unwrap();
+
+        let (next, changed) = engine.refresh().unwrap();
+        assert!(changed, "same generation, different segments");
+        assert_eq!(next.generation_tag(), "weekly:3");
+        assert!(body(&next.handle("/classify?ip=0.0.0.99")).contains("\"found\":true"));
+        let fresh = QueryEngine::open(&tmp.0).unwrap();
+        assert_eq!(
+            next.handle("/classify?ip=0.0.0.10"),
+            fresh.handle("/classify?ip=0.0.0.10")
+        );
     }
 }

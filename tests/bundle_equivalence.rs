@@ -103,7 +103,7 @@ fn lanes_and_world_builds() -> (u64, u64) {
 
 /// The chaos-ready machinery must be invisible when disarmed: a bundle
 /// collected with an explicitly installed no-op fault plan, the default
-/// single-attempt probe policy, and coverage accounting on derives
+/// single-attempt probe policy, and coverage accounting (always on) derives
 /// byte-identical reports to the plain default-options bundle.
 #[test]
 fn noop_fault_plan_and_single_probe_policy_are_byte_identical() {
@@ -112,7 +112,6 @@ fn noop_fault_plan_and_single_probe_policy_are_byte_identical() {
     let disarmed = BundleOptions {
         faults: Some(FaultPlan::none()),
         probe: ProbePolicy::single(),
-        coverage: true,
         ..base.clone()
     };
     let plain = collect_bundle(&base, &CampaignKind::ALL, None).expect("plain bundle");
