@@ -43,7 +43,7 @@ fn echo_workload(instrumented: bool) -> (u64, f64) {
             None,
         );
     }
-    let delivered = net.run_to_idle(SimTime::from_secs(3_600)).delivered;
+    let delivered = net.run_until(SimTime::from_secs(3_600)).delivered;
     (delivered, start.elapsed().as_secs_f64())
 }
 

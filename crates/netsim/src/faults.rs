@@ -15,12 +15,12 @@
 //!   documented exception is the stateful [`RateLimit`] token bucket,
 //!   which *must* see query arrivals to model a rate limiter at all).
 //!
-//! The plan is applied by the send pipeline between the unbound-space
-//! fast path and the i.i.d. loss roll — pure stages at evaluation
-//! ([`FaultState::udp_decide`]), the token bucket and every counter at
-//! commit ([`FaultState::udp_bucket_tail`], [`FaultState::commit_udp`])
-//! — and surfaced through telemetry as the `netsim.faults.*` counter
-//! family.
+//! `Network::send` applies the plan between the unbound-space fast path
+//! and the i.i.d. loss roll, through one entry, [`FaultState::udp`]: it
+//! runs every fault stage in order, the token bucket included, and
+//! returns the extra latency or the [`DropCause`]. The network counts
+//! the verdict in its [`FaultStats`], which outlive any plan swap, and
+//! flushes them to telemetry as the `netsim.faults.*` counter family.
 
 use crate::network::mix64;
 use crate::time::SimTime;
@@ -286,9 +286,8 @@ impl FaultStats {
     }
 }
 
-/// Why the fault layer dropped a datagram. Carried on
-/// [`UdpDecision::Drop`] so the flight recorder can tag every drop with
-/// the responsible fault kind.
+/// Why the fault layer dropped a datagram (or failed a TCP exchange),
+/// so the counters and the flight recorder can name the fault kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DropCause {
     /// Gilbert–Elliott burst loss on the path.
@@ -311,23 +310,6 @@ impl DropCause {
             DropCause::RateLimit => "rate_limit",
         }
     }
-}
-
-/// Outcome of the *pure* fault stages (explicit events, outage and flap
-/// windows, burst chains, spikes) for one UDP datagram. No counters are
-/// touched while deciding — only pure caches advance; `Network::commit`
-/// bumps them, in send order.
-pub(crate) enum UdpDecision {
-    /// Drop for the tagged cause; no counter has been bumped yet.
-    Drop(DropCause),
-    /// Every applicable stage passed; deliver with extra latency.
-    Deliver { extra_ms: u64 },
-    /// The events/outages/flaps stages passed, but this packet is a DNS
-    /// query and a rate limit is configured: the stateful token bucket
-    /// (and the stages ordered after it) must run where bucket state
-    /// lives, via [`FaultState::udp_bucket_tail`]. `extra_ms` carries
-    /// any latency already accumulated from explicit spike events.
-    NeedsBucket { extra_ms: u64 },
 }
 
 /// Gilbert–Elliott chains regenerate from the stationary distribution
@@ -376,23 +358,21 @@ fn window_hit(seed: u64, channel: u64, entity: u64, at_ms: u64, w: &FaultWindows
 }
 
 /// Runtime state for an installed [`FaultPlan`]: the plan itself plus
-/// chain caches, rate-limiter buckets, and fault counters.
+/// chain caches and rate-limiter buckets.
 pub(crate) struct FaultState {
     pub(crate) plan: FaultPlan,
     /// Per-path Gilbert–Elliott cache: entity → (slot, in_burst).
     ge: HashMap<u64, (u64, bool)>,
     /// Per-destination token buckets: dst → (tokens, last_refill_ms).
     buckets: HashMap<Ipv4Addr, (f64, u64)>,
-    pub(crate) stats: FaultStats,
 }
 
 impl FaultState {
-    pub(crate) fn new(plan: FaultPlan, stats: FaultStats) -> FaultState {
+    pub(crate) fn new(plan: FaultPlan) -> FaultState {
         FaultState {
             plan,
             ge: HashMap::new(),
             buckets: HashMap::new(),
-            stats,
         }
     }
 
@@ -422,14 +402,13 @@ impl FaultState {
     }
 
     /// Scan the explicit-event list: targeted drops and spike latency.
-    /// Pure — no counters are touched.
-    fn event_decide(&self, at: SimTime, src: Ipv4Addr, dst: Ipv4Addr) -> UdpDecision {
+    fn event_stage(&self, at: SimTime, src: Ipv4Addr, dst: Ipv4Addr) -> Result<u64, DropCause> {
         let mut extra = 0u64;
         for e in &self.plan.events {
             match *e {
                 FaultEvent::HostDown { ip, from, until } => {
                     if at >= from && at < until && (src == ip || dst == ip) {
-                        return UdpDecision::Drop(DropCause::Flap);
+                        return Err(DropCause::Flap);
                     }
                 }
                 FaultEvent::PrefixDown {
@@ -443,7 +422,7 @@ impl FaultState {
                         && at < until
                         && (r.contains(&u32::from(src)) || r.contains(&u32::from(dst)))
                     {
-                        return UdpDecision::Drop(DropCause::Outage);
+                        return Err(DropCause::Outage);
                     }
                 }
                 FaultEvent::LatencySpike {
@@ -463,21 +442,60 @@ impl FaultState {
                 }
             }
         }
-        UdpDecision::Deliver { extra_ms: extra }
+        Ok(extra)
     }
 
-    /// Burst chain + spike windows (the pure stages ordered after the
-    /// token bucket). Returns the decision without touching counters.
-    fn burst_and_spikes(
+    /// Run one UDP datagram through every fault stage, in pipeline
+    /// order: explicit events, outage windows, flap windows, the token
+    /// bucket (DNS queries only, when a rate limit is set), the burst
+    /// chain, spike windows. Returns the extra latency to deliver with,
+    /// or the cause the datagram was dropped for. Only the bucket
+    /// depends on earlier traffic, so calls must come in send order.
+    pub(crate) fn udp(
         &mut self,
         at: SimTime,
         src: Ipv4Addr,
         dst: Ipv4Addr,
+        dst_port: u16,
         flow_key: u64,
-        mut extra_ms: u64,
-    ) -> UdpDecision {
+    ) -> Result<u64, DropCause> {
         let seed = self.plan.seed;
         let ms = at.millis();
+
+        // Explicit events first: they exist to hit precise targets.
+        let mut extra_ms = self.event_stage(at, src, dst)?;
+
+        if let Some(w) = &self.plan.outages {
+            let down = |ip: Ipv4Addr| {
+                window_hit(seed, OUTAGE_CHANNEL, (u32::from(ip) >> 16) as u64, ms, w).is_some()
+            };
+            if down(src) || down(dst) {
+                return Err(DropCause::Outage);
+            }
+        }
+
+        if let Some(w) = &self.plan.flaps {
+            let down = |ip: Ipv4Addr| {
+                window_hit(seed, FLAP_CHANNEL, u32::from(ip) as u64, ms, w).is_some()
+            };
+            if down(src) || down(dst) {
+                return Err(DropCause::Flap);
+            }
+        }
+
+        // Rate limiting applies to DNS queries only (towards port 53).
+        if let Some(rl) = self.plan.rate_limit.as_ref().filter(|_| dst_port == 53) {
+            let (tokens_per_sec, cap) = (rl.tokens_per_sec, rl.burst);
+            let bucket = self.buckets.entry(dst).or_insert((cap, ms));
+            let elapsed = ms.saturating_sub(bucket.1) as f64 / 1000.0;
+            bucket.0 = (bucket.0 + elapsed * tokens_per_sec).min(cap);
+            bucket.1 = ms;
+            if bucket.0 < 1.0 {
+                return Err(DropCause::RateLimit);
+            }
+            bucket.0 -= 1.0;
+        }
+
         if let Some(b) = &self.plan.burst {
             let slot = ms / b.slot_ms;
             let loss = b.loss_in_burst;
@@ -485,9 +503,10 @@ impl FaultState {
             if self.ge_state(entity, slot)
                 && unit(mix64(seed ^ GE_DROP_CHANNEL, flow_key, slot)) < loss
             {
-                return UdpDecision::Drop(DropCause::Burst);
+                return Err(DropCause::Burst);
             }
         }
+
         if let Some(s) = &self.plan.spikes {
             let entity = path_entity(src, dst);
             if let Some(win) = window_hit(seed, SPIKE_CHANNEL, entity, ms, &s.windows) {
@@ -497,127 +516,21 @@ impl FaultState {
                     extra_ms.max(elo + mix64(seed ^ SPIKE_CHANNEL, entity ^ 0x0FF5E7, win) % span);
             }
         }
-        UdpDecision::Deliver { extra_ms }
+        Ok(extra_ms)
     }
 
-    /// Decide the fate of one UDP datagram through the *pure* stages,
-    /// in pipeline order: explicit events, outage windows, flap
-    /// windows, then — unless the stateful token bucket stands between
-    /// them and this packet — burst chains and spike windows. Only pure
-    /// caches advance; counters are committed separately so the
-    /// decision can run on any thread.
-    pub(crate) fn udp_decide(
-        &mut self,
-        at: SimTime,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        flow_key: u64,
-    ) -> UdpDecision {
-        let seed = self.plan.seed;
-        let ms = at.millis();
-
-        // Explicit events first: they exist to hit precise targets.
-        let extra_ms = match self.event_decide(at, src, dst) {
-            UdpDecision::Drop(cause) => return UdpDecision::Drop(cause),
-            UdpDecision::Deliver { extra_ms } => extra_ms,
-            UdpDecision::NeedsBucket { .. } => unreachable!("event scan never defers"),
-        };
-
-        if let Some(w) = &self.plan.outages {
-            let down = |ip: Ipv4Addr| {
-                window_hit(seed, OUTAGE_CHANNEL, (u32::from(ip) >> 16) as u64, ms, w).is_some()
-            };
-            if down(src) || down(dst) {
-                return UdpDecision::Drop(DropCause::Outage);
-            }
-        }
-
-        if let Some(w) = &self.plan.flaps {
-            let down = |ip: Ipv4Addr| {
-                window_hit(seed, FLAP_CHANNEL, u32::from(ip) as u64, ms, w).is_some()
-            };
-            if down(src) || down(dst) {
-                return UdpDecision::Drop(DropCause::Flap);
-            }
-        }
-
-        // Rate limiting applies to DNS queries only (towards port 53):
-        // the bucket is stateful, so the caller must finish the
-        // pipeline where bucket state lives.
-        if dst_port == 53 && self.plan.rate_limit.is_some() {
-            return UdpDecision::NeedsBucket { extra_ms };
-        }
-
-        self.burst_and_spikes(at, src, dst, flow_key, extra_ms)
-    }
-
-    /// Finish a [`UdpDecision::NeedsBucket`] packet: run the token
-    /// bucket, then the remaining pure stages, committing counters.
-    /// Must run in global send order on the state that owns the
-    /// buckets. Returns the extra latency to deliver with, or the cause
-    /// the packet was dropped for.
-    pub(crate) fn udp_bucket_tail(
-        &mut self,
-        at: SimTime,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        flow_key: u64,
-        extra_ms: u64,
-    ) -> Result<u64, DropCause> {
-        let ms = at.millis();
-        let rl = self
-            .plan
-            .rate_limit
-            .as_ref()
-            .expect("rate limit configured");
-        let (tokens_per_sec, cap) = (rl.tokens_per_sec, rl.burst);
-        let bucket = self.buckets.entry(dst).or_insert((cap, ms));
-        let elapsed = ms.saturating_sub(bucket.1) as f64 / 1000.0;
-        bucket.0 = (bucket.0 + elapsed * tokens_per_sec).min(cap);
-        bucket.1 = ms;
-        if bucket.0 < 1.0 {
-            self.stats.rate_limit_drops += 1;
-            return Err(DropCause::RateLimit);
-        }
-        bucket.0 -= 1.0;
-        let d = self.burst_and_spikes(at, src, dst, flow_key, extra_ms);
-        self.commit_udp(&d);
-        match d {
-            UdpDecision::Drop(cause) => Err(cause),
-            UdpDecision::Deliver { extra_ms } => Ok(extra_ms),
-            UdpDecision::NeedsBucket { .. } => unreachable!("bucket already ran"),
-        }
-    }
-
-    /// Commit the counters a pure [`UdpDecision`] implies (no-op for
-    /// [`UdpDecision::NeedsBucket`] — its tail commits its own).
-    pub(crate) fn commit_udp(&mut self, d: &UdpDecision) {
-        match *d {
-            UdpDecision::Drop(cause) => self.stats.bump(cause),
-            UdpDecision::Deliver { extra_ms } if extra_ms > 0 => self.stats.latency_spiked += 1,
-            _ => {}
-        }
-    }
-
-    /// Decide whether a synchronous TCP exchange with `dst` fails.
-    /// Flaps map to timeouts (host silently down), outages to
-    /// unreachability (path gone), bursts to timeouts.
-    pub(crate) fn tcp_fault(
-        &mut self,
-        now: SimTime,
-        dst: Ipv4Addr,
-        key: u64,
-    ) -> Option<crate::host::TcpError> {
-        use crate::host::TcpError;
+    /// Decide whether a synchronous TCP exchange with `dst` fails, and
+    /// for which cause: the network turns flaps and bursts into
+    /// timeouts (host silently down) and outages into unreachability
+    /// (path gone).
+    pub(crate) fn tcp_fault(&mut self, now: SimTime, dst: Ipv4Addr, key: u64) -> Option<DropCause> {
         let seed = self.plan.seed;
         let ms = now.millis();
         for e in &self.plan.events {
             match *e {
                 FaultEvent::HostDown { ip, from, until } => {
                     if now >= from && now < until && dst == ip {
-                        self.stats.flap_drops += 1;
-                        return Some(TcpError::Timeout);
+                        return Some(DropCause::Flap);
                     }
                 }
                 FaultEvent::PrefixDown {
@@ -630,8 +543,7 @@ impl FaultState {
                         && now < until
                         && (u32::from(lo)..=u32::from(hi)).contains(&u32::from(dst))
                     {
-                        self.stats.outage_drops += 1;
-                        return Some(TcpError::Unreachable);
+                        return Some(DropCause::Outage);
                     }
                 }
                 FaultEvent::LatencySpike { .. } => {}
@@ -639,14 +551,12 @@ impl FaultState {
         }
         if let Some(w) = &self.plan.outages {
             if window_hit(seed, OUTAGE_CHANNEL, (u32::from(dst) >> 16) as u64, ms, w).is_some() {
-                self.stats.outage_drops += 1;
-                return Some(TcpError::Unreachable);
+                return Some(DropCause::Outage);
             }
         }
         if let Some(w) = &self.plan.flaps {
             if window_hit(seed, FLAP_CHANNEL, u32::from(dst) as u64, ms, w).is_some() {
-                self.stats.flap_drops += 1;
-                return Some(TcpError::Timeout);
+                return Some(DropCause::Flap);
             }
         }
         if let Some(b) = &self.plan.burst {
@@ -655,8 +565,7 @@ impl FaultState {
             let entity = (u32::from(dst) >> 16) as u64;
             if self.ge_state(entity, slot) && unit(mix64(seed ^ GE_DROP_CHANNEL, key, slot)) < loss
             {
-                self.stats.burst_drops += 1;
-                return Some(TcpError::Timeout);
+                return Some(DropCause::Burst);
             }
         }
         None
@@ -669,32 +578,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn flaky(seed: u64) -> FaultState {
-        FaultState::new(
-            FaultPlan::named("flaky", seed).unwrap(),
-            FaultStats::default(),
-        )
-    }
-
-    /// Drive the fault entry points the way the send pipeline does:
-    /// the pure decision, then the bucket tail or the counter commit.
-    /// True when the datagram was dropped.
-    fn dropped(
-        fs: &mut FaultState,
-        at: SimTime,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        port: u16,
-        key: u64,
-    ) -> bool {
-        match fs.udp_decide(at, src, dst, port, key) {
-            UdpDecision::NeedsBucket { extra_ms } => {
-                fs.udp_bucket_tail(at, src, dst, key, extra_ms).is_err()
-            }
-            d => {
-                fs.commit_udp(&d);
-                matches!(d, UdpDecision::Drop(_))
-            }
-        }
+        FaultState::new(FaultPlan::named("flaky", seed).unwrap())
     }
 
     #[test]
@@ -741,23 +625,25 @@ mod tests {
             seed: 3,
             ..FaultPlan::none()
         };
-        let mut fs = FaultState::new(plan, FaultStats::default());
+        let mut fs = FaultState::new(plan);
         let dst: Ipv4Addr = "9.9.9.9".parse().unwrap();
         let src: Ipv4Addr = "100.0.0.1".parse().unwrap();
         // 30 queries in one instant: the burst allowance passes 10.
-        let passed = (0..30)
-            .filter(|&i| !dropped(&mut fs, SimTime(0), src, dst, 53, i))
-            .count();
-        assert_eq!(passed, 10);
-        assert_eq!(fs.stats.rate_limit_drops, 20);
+        let verdicts: Vec<_> = (0..30)
+            .map(|i| fs.udp(SimTime(0), src, dst, 53, i))
+            .collect();
+        assert_eq!(verdicts.iter().filter(|v| v.is_ok()).count(), 10);
+        assert!(verdicts[10..]
+            .iter()
+            .all(|v| *v == Err(DropCause::RateLimit)));
         // After 2 seconds, ~10 tokens have refilled.
         let later = (0..30)
-            .filter(|&i| !dropped(&mut fs, SimTime(2000), src, dst, 53, 100 + i))
+            .filter(|&i| fs.udp(SimTime(2000), src, dst, 53, 100 + i).is_ok())
             .count();
         assert_eq!(later, 10);
         // Replies (not port 53) are never rate limited.
         assert!(
-            !dropped(&mut fs, SimTime(2000), dst, src, 40_000, 999),
+            fs.udp(SimTime(2000), dst, src, 40_000, 999).is_ok(),
             "reply must not be rate limited"
         );
     }
@@ -776,18 +662,18 @@ mod tests {
             seed: 1,
             ..FaultPlan::none()
         };
-        let mut fs = FaultState::new(plan, FaultStats::default());
-        let is_drop = |fs: &mut FaultState, at, s, d| dropped(fs, at, s, d, 53, 1);
+        let mut fs = FaultState::new(plan);
+        let is_drop = |fs: &mut FaultState, at, s, d| fs.udp(at, s, d, 53, 1).is_err();
         assert!(!is_drop(&mut fs, SimTime::from_secs(5), src, ip));
         assert!(is_drop(&mut fs, SimTime::from_secs(15), src, ip));
         // Both directions are dead while down.
         assert!(is_drop(&mut fs, SimTime::from_secs(15), ip, src));
         assert!(!is_drop(&mut fs, SimTime::from_secs(15), src, other));
         assert!(!is_drop(&mut fs, SimTime::from_secs(25), src, ip));
-        // TCP sees the flap as a timeout.
+        // TCP sees the flap too.
         assert_eq!(
             fs.tcp_fault(SimTime::from_secs(15), ip, 1),
-            Some(crate::host::TcpError::Timeout)
+            Some(DropCause::Flap)
         );
         assert_eq!(fs.tcp_fault(SimTime::from_secs(25), ip, 1), None);
     }

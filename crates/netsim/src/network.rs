@@ -1,20 +1,16 @@
 //! The event-driven network core and the one send pipeline.
 //!
-//! Every datagram — a driver send or a host reply — takes the same two
-//! steps:
+//! Every datagram — a driver send or a host reply — goes through
+//! [`Network::send`] in one straight pass: observers (whose injections
+//! are scheduled first) → send-time filters → dark space → fault stages
+//! (events, outages, flaps, the token bucket, bursts, spikes) → loss
+//! roll → path latency → the event heap. Each stage that decides the
+//! packet's fate bumps its counter and, for a drop past dark space,
+//! writes the flight-recorder record right there.
 //!
-//! 1. **evaluate** ([`Evaluator::eval`], pure): observers → filters → dark
-//!    space → pure fault stages → loss roll → path latency, producing an
-//!    [`Emission`]. It reads only the packet and the network's config,
-//!    filters, route maps, observers and fault caches.
-//! 2. **commit** ([`Network::commit`], ordered): stats, fault counters,
-//!    flight-recorder records, the rate-limit token bucket and heap
-//!    scheduling, applied in send order.
-//!
-//! [`Network`] evaluates and commits one datagram at a time inside a
-//! sequential event loop (pop → route → host → send).
+//! The event loop is sequential: pop → route → host → send.
 
-use crate::faults::{DropCause, FaultPlan, FaultState, FaultStats, UdpDecision};
+use crate::faults::{DropCause, FaultPlan, FaultState, FaultStats};
 use crate::host::{Host, HostCtx, TcpError, TcpRequest, TcpResponse};
 use crate::packet::Datagram;
 use crate::time::SimTime;
@@ -212,7 +208,6 @@ struct NetTelemetry {
     injected: telemetry::Counter,
     tcp_queries: telemetry::Counter,
     events_dispatched: telemetry::Counter,
-    run_to_idle_calls: telemetry::Counter,
     queue_depth_max: telemetry::Gauge,
     fault_burst_drops: telemetry::Counter,
     fault_outage_drops: telemetry::Counter,
@@ -241,7 +236,6 @@ impl NetTelemetry {
             injected: reg.counter("netsim.injected"),
             tcp_queries: reg.counter("netsim.tcp_queries"),
             events_dispatched: reg.counter("netsim.events_dispatched"),
-            run_to_idle_calls: reg.counter("netsim.run_to_idle_calls"),
             queue_depth_max: reg.gauge("netsim.queue_depth_max"),
             fault_burst_drops: reg.counter("netsim.faults.burst_drops"),
             fault_outage_drops: reg.counter("netsim.faults.outage_drops"),
@@ -251,7 +245,7 @@ impl NetTelemetry {
             synced: net.stats,
             synced_dispatched: net.events_dispatched,
             synced_queue_max: net.queue_depth_max,
-            synced_faults: net.fault_stats(),
+            synced_faults: net.fault_stats,
         }
     }
 
@@ -273,31 +267,17 @@ impl NetTelemetry {
             self.queue_depth_max.set_max(queue_max as f64);
             self.synced_queue_max = queue_max;
         }
-        self.fault_burst_drops.add(
-            faults
-                .burst_drops
-                .saturating_sub(self.synced_faults.burst_drops),
-        );
-        self.fault_outage_drops.add(
-            faults
-                .outage_drops
-                .saturating_sub(self.synced_faults.outage_drops),
-        );
-        self.fault_flap_drops.add(
-            faults
-                .flap_drops
-                .saturating_sub(self.synced_faults.flap_drops),
-        );
-        self.fault_rate_limit_drops.add(
-            faults
-                .rate_limit_drops
-                .saturating_sub(self.synced_faults.rate_limit_drops),
-        );
-        self.fault_latency_spiked.add(
-            faults
-                .latency_spiked
-                .saturating_sub(self.synced_faults.latency_spiked),
-        );
+        let synced = self.synced_faults;
+        self.fault_burst_drops
+            .add(faults.burst_drops - synced.burst_drops);
+        self.fault_outage_drops
+            .add(faults.outage_drops - synced.outage_drops);
+        self.fault_flap_drops
+            .add(faults.flap_drops - synced.flap_drops);
+        self.fault_rate_limit_drops
+            .add(faults.rate_limit_drops - synced.rate_limit_drops);
+        self.fault_latency_spiked
+            .add(faults.latency_spiked - synced.latency_spiked);
         self.synced = stats;
         self.synced_dispatched = dispatched;
         self.synced_faults = faults;
@@ -327,138 +307,6 @@ impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
-}
-
-/// What the pure pipeline decided for one send.
-enum Outcome {
-    /// Dropped by an active filter at send time.
-    Filtered,
-    /// Addressed to dark space.
-    Unbound,
-    /// Dropped by a pure fault stage (counter not yet bumped).
-    FaultDrop(DropCause),
-    /// Passed every fault stage with `extra_ms` of spike latency and
-    /// met the loss roll: `landing` is `None` when the roll ate it —
-    /// the spike is counted at commit either way.
-    Flew {
-        extra_ms: u64,
-        landing: Option<(SimTime, Datagram)>,
-    },
-    /// A DNS query gated by the stateful rate-limit bucket: the bucket
-    /// (and the stages ordered after it) run at commit, in send order.
-    Deferred {
-        dgram: Datagram,
-        key: u64,
-        extra_ms: u64,
-    },
-}
-
-/// The evaluation of one send: what commit records about the packet,
-/// observer injections, and the pipeline outcome.
-struct Emission {
-    /// Send instant (drives recorder timestamps and bucket refill).
-    at: SimTime,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-    dst_port: u16,
-    /// On-path observer injections, already timestamped.
-    injections: Vec<(SimTime, Datagram)>,
-    outcome: Outcome,
-}
-
-/// Everything evaluation reads besides the packet and the route maps.
-/// Its fault state is also the one commit updates.
-struct Evaluator {
-    cfg: NetworkConfig,
-    filters: Vec<Filter>,
-    injectors: Vec<Box<dyn PathObserver>>,
-    faults: Option<FaultState>,
-}
-
-impl Evaluator {
-    /// Evaluate the send pipeline for one datagram departing at `at`.
-    /// Pure: commits nothing — the caller hands the returned
-    /// [`Emission`] to [`Network::commit`], where the network's state
-    /// lives.
-    fn eval(&mut self, maps: &RouteMaps, dgram: Datagram, at: SimTime) -> Emission {
-        let (src, dst, dst_port) = (dgram.src_ip, dgram.dst_ip, dgram.dst_port);
-        // On-path observers see the packet (and may inject) whatever its
-        // own fate turns out to be.
-        let mut injections: Vec<(SimTime, Datagram)> = Vec::new();
-        for inj in &mut self.injectors {
-            for (delay, d) in inj.on_transit(at, &dgram) {
-                injections.push((at + delay, d));
-            }
-        }
-        let outcome = 'pipeline: {
-            // Egress/ingress filtering at send time.
-            if filters_match(&self.filters, &dgram, at) {
-                break 'pipeline Outcome::Filtered;
-            }
-            // Dark space: nothing is bound at the destination, so the
-            // packet can never be observed. Decide it here instead of
-            // paying heap scheduling plus a later dead delivery —
-            // enumeration sweeps hit mostly unbound space, making this the
-            // hottest branch of a full scan.
-            if !maps.bindings.contains_key(&dst)
-                && !maps.socket_bindings.contains_key(&(dst, dst_port))
-            {
-                break 'pipeline Outcome::Unbound;
-            }
-            let key = flow_key(at, &dgram);
-            // Injected faults sit between the dark-space fast path and the
-            // i.i.d. loss roll: they only ever touch traffic that could
-            // otherwise be observed, and the loss roll consumes the same
-            // hash stream whether or not a plan is installed.
-            let mut extra_ms = 0u64;
-            if let Some(fs) = &mut self.faults {
-                match fs.udp_decide(at, src, dst, dst_port, key) {
-                    UdpDecision::Drop(cause) => break 'pipeline Outcome::FaultDrop(cause),
-                    UdpDecision::NeedsBucket { extra_ms } => {
-                        break 'pipeline Outcome::Deferred {
-                            dgram,
-                            key,
-                            extra_ms,
-                        }
-                    }
-                    UdpDecision::Deliver { extra_ms: e } => extra_ms = e,
-                }
-            }
-            Outcome::Flew {
-                extra_ms,
-                landing: fly(&self.cfg, dgram, at, key, extra_ms),
-            }
-        };
-        Emission {
-            at,
-            src,
-            dst,
-            dst_port,
-            injections,
-            outcome,
-        }
-    }
-}
-
-/// The tail every datagram that survives the fault stages takes: the
-/// i.i.d. loss roll, then path latency. `None` means lost. The roll is
-/// keyed on the datagram's flow identity (send time, endpoints, payload)
-/// rather than a global send counter, so a packet's fate never depends
-/// on how much other traffic the network carried before it — campaigns
-/// sharing a network stay mutually independent.
-fn fly(
-    cfg: &NetworkConfig,
-    dgram: Datagram,
-    at: SimTime,
-    key: u64,
-    extra_ms: u64,
-) -> Option<(SimTime, Datagram)> {
-    let roll = mix64(cfg.seed, LOSS_CHANNEL, key) as f64 / u64::MAX as f64;
-    if roll < cfg.udp_loss {
-        return None;
-    }
-    let latency = path_latency(cfg, dgram.src_ip, dgram.dst_ip, key) + extra_ms;
-    Some((at + latency, dgram))
 }
 
 /// The addresses bound to one host, in binding order. Nearly every host
@@ -499,7 +347,12 @@ impl BoundIps {
 /// The simulated network: topology, sockets, the send pipeline's state
 /// and the sequential event loop.
 pub struct Network {
-    ev: Evaluator,
+    cfg: NetworkConfig,
+    filters: Vec<Filter>,
+    injectors: Vec<Box<dyn PathObserver>>,
+    faults: Option<FaultState>,
+    /// Held outside `faults` so that no plan swap can reset them.
+    fault_stats: FaultStats,
     now: SimTime,
     seq: u64,
     events: BinaryHeap<Reverse<Event>>,
@@ -518,12 +371,11 @@ impl Network {
     /// A fresh, empty network.
     pub fn new(cfg: NetworkConfig) -> Self {
         let mut net = Network {
-            ev: Evaluator {
-                cfg,
-                filters: Vec::new(),
-                injectors: Vec::new(),
-                faults: None,
-            },
+            cfg,
+            filters: Vec::new(),
+            injectors: Vec::new(),
+            faults: None,
+            fault_stats: FaultStats::default(),
             now: SimTime::ZERO,
             seq: 0,
             events: BinaryHeap::new(),
@@ -554,17 +406,12 @@ impl Network {
     /// pays nothing. Fault counters survive plan changes so telemetry
     /// deltas stay monotone.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        let stats = self.fault_stats();
-        self.ev.faults = if plan.is_noop() {
-            None
-        } else {
-            Some(FaultState::new(plan, stats))
-        };
+        self.faults = (!plan.is_noop()).then(|| FaultState::new(plan));
     }
 
-    /// Counters of injected faults so far.
+    /// Counters of injected faults so far, under every plan installed.
     pub fn fault_stats(&self) -> FaultStats {
-        self.ev.faults.as_ref().map(|f| f.stats).unwrap_or_default()
+        self.fault_stats
     }
 
     /// Transport statistics so far.
@@ -643,7 +490,7 @@ impl Network {
 
     /// Install an on-path observer.
     pub fn add_injector(&mut self, injector: Box<dyn PathObserver>) {
-        self.ev.injectors.push(injector);
+        self.injectors.push(injector);
     }
 
     /// Install a network filter over the inclusive range `[lo, hi]`,
@@ -668,7 +515,7 @@ impl Network {
     /// Keep `filters` sorted by activation time, which lets
     /// [`filters_match`] skip every filter not yet active.
     fn insert_filter(&mut self, filter: Filter) {
-        let filters = &mut self.ev.filters;
+        let filters = &mut self.filters;
         let at = filters.partition_point(|f| f.active_from <= filter.active_from);
         filters.insert(at, filter);
     }
@@ -742,79 +589,83 @@ impl Network {
         Ok(self.socket_mut(sock)?.queue.drain(..).collect())
     }
 
-    // ---- the send pipeline: evaluate, then commit -------------------
+    // ---- the send pipeline -----------------------------------------
 
     /// Send a datagram (from a measurement socket, a host or any
     /// synthesized source), either now (`at: None`) or at a given future
-    /// departure time: evaluate it against the live state and commit it
-    /// immediately.
+    /// departure time, through every stage of the pipeline in one pass.
     pub fn send(&mut self, dgram: Datagram, at: Option<SimTime>) {
         let at = at.unwrap_or(self.now).max(self.now);
-        let e = self.ev.eval(&self.maps, dgram, at);
-        self.commit(e);
-    }
-
-    /// Commit one evaluated send: the single point where stats, fault
-    /// counters, recorder records, token buckets and heap scheduling
-    /// happen. Emissions must arrive in send order.
-    fn commit(&mut self, e: Emission) {
         self.stats.udp_sent += 1;
-        // Injections are scheduled (and take their `seq`) before the
-        // packet's own outcome.
-        for (inj_at, d) in e.injections {
-            self.stats.injected += 1;
-            self.schedule(d, inj_at);
+        // On-path observers see the packet (and may inject) whatever its
+        // own fate turns out to be. Injections are scheduled (and take
+        // their `seq`) before the packet's own outcome.
+        for i in 0..self.injectors.len() {
+            for (delay, d) in self.injectors[i].on_transit(at, &dgram) {
+                self.stats.injected += 1;
+                self.schedule(d, at + delay);
+            }
         }
-        let landing = match e.outcome {
-            Outcome::Filtered => {
-                self.stats.udp_filtered += 1;
-                return;
-            }
-            Outcome::Unbound => {
-                self.stats.udp_unbound += 1;
-                return;
-            }
-            Outcome::FaultDrop(cause) => {
-                self.commit_fault(&UdpDecision::Drop(cause));
-                return self.lose(e.src, e.dst, e.dst_port, cause.as_str(), e.at);
-            }
-            Outcome::Flew { extra_ms, landing } => {
-                self.commit_fault(&UdpDecision::Deliver { extra_ms });
-                landing
-            }
-            Outcome::Deferred {
-                dgram,
-                key,
-                extra_ms,
-            } => {
-                let fs = self.ev.faults.as_mut().expect("Deferred implies a plan");
-                match fs.udp_bucket_tail(e.at, e.src, e.dst, key, extra_ms) {
-                    Err(cause) => return self.lose(e.src, e.dst, e.dst_port, cause.as_str(), e.at),
-                    Ok(extra_ms) => fly(&self.ev.cfg, dgram, e.at, key, extra_ms),
+        // Egress/ingress filtering at send time.
+        if filters_match(&self.filters, &dgram, at) {
+            self.stats.udp_filtered += 1;
+            return;
+        }
+        // Dark space: nothing is bound at the destination, so the packet
+        // can never be observed. Decide it here instead of paying heap
+        // scheduling plus a later dead delivery — enumeration sweeps hit
+        // mostly unbound space, making this the hottest branch of a full
+        // scan.
+        let (dst, dst_port) = (dgram.dst_ip, dgram.dst_port);
+        if !self.maps.bindings.contains_key(&dst)
+            && !self.maps.socket_bindings.contains_key(&(dst, dst_port))
+        {
+            self.stats.udp_unbound += 1;
+            return;
+        }
+        // Injected faults sit between the dark-space fast path and the
+        // i.i.d. loss roll: they only ever touch traffic that could
+        // otherwise be observed, and the loss roll consumes the same hash
+        // stream whether or not a plan is installed.
+        let key = flow_key(at, &dgram);
+        let mut extra_ms = 0;
+        if let Some(fs) = &mut self.faults {
+            match fs.udp(at, dgram.src_ip, dst, dst_port, key) {
+                Err(cause) => {
+                    self.fault_stats.bump(cause);
+                    return self.lose(&dgram, cause.as_str(), at);
+                }
+                Ok(0) => {}
+                // Counted here, before the loss roll, which may still
+                // eat the packet.
+                Ok(spike_ms) => {
+                    self.fault_stats.latency_spiked += 1;
+                    extra_ms = spike_ms;
                 }
             }
-        };
-        match landing {
-            None => self.lose(e.src, e.dst, e.dst_port, "loss", e.at),
-            Some((deliver_at, dgram)) => self.schedule(dgram, deliver_at),
         }
-    }
-
-    fn commit_fault(&mut self, decision: &UdpDecision) {
-        if let Some(fs) = &mut self.ev.faults {
-            fs.commit_udp(decision);
+        // The i.i.d. loss roll, keyed on the datagram's flow identity
+        // (send time, endpoints, payload) rather than a global send
+        // counter, so a packet's fate never depends on how much other
+        // traffic the network carried before it — campaigns sharing a
+        // network stay mutually independent.
+        let roll = mix64(self.cfg.seed, LOSS_CHANNEL, key) as f64 / u64::MAX as f64;
+        if roll < self.cfg.udp_loss {
+            return self.lose(&dgram, "loss", at);
         }
+        let latency = path_latency(&self.cfg, dgram.src_ip, dst, key) + extra_ms;
+        self.schedule(dgram, at + latency);
     }
 
     /// Count a datagram as lost and, when the flight recorder is on,
     /// append its drop record.
-    fn lose(&mut self, src: Ipv4Addr, dst: Ipv4Addr, port: u16, cause: &'static str, at: SimTime) {
+    fn lose(&mut self, dgram: &Datagram, cause: &'static str, at: SimTime) {
         self.stats.udp_lost += 1;
         if telemetry::recorder::enabled() {
             telemetry::recorder::drop_fault(
-                u32::from(src),
-                u32::from(dst),
-                port,
+                u32::from(dgram.src_ip),
+                u32::from(dgram.dst_ip),
+                dgram.dst_port,
                 cause,
                 at.millis(),
             );
@@ -853,7 +704,7 @@ impl Network {
         // Filters also apply at delivery time: a filter activated while
         // the packet was in flight still kills it, which matches how
         // border filtering behaves.
-        if filters_match(&self.ev.filters, &dgram, self.now) {
+        if filters_match(&self.filters, &dgram, self.now) {
             self.stats.udp_filtered += 1;
             return None;
         }
@@ -903,26 +754,16 @@ impl Network {
         }
     }
 
-    /// Process events until the queue is empty or the clock passes
-    /// `deadline`.
-    pub fn run_to_idle(&mut self, deadline: SimTime) -> RunReport {
-        if let Some(t) = &self.telemetry {
-            t.run_to_idle_calls.inc();
-        }
-        self.run_until(deadline)
-    }
-
     /// Push the deltas accumulated in the plain counters since the last
     /// flush out to the shared telemetry handles. Called at event-loop
     /// quiescent points, never per packet.
     fn flush_telemetry(&mut self) {
-        let faults = self.fault_stats();
         if let Some(t) = &mut self.telemetry {
             t.flush(
                 self.stats,
                 self.events_dispatched,
                 self.queue_depth_max,
-                faults,
+                self.fault_stats,
             );
         }
     }
@@ -942,19 +783,24 @@ impl Network {
         self.stats.tcp_queries += 1;
         self.flush_telemetry();
         let probe = Datagram::new(Ipv4Addr::new(0, 0, 0, 0), 0, dst_ip, port, &b""[..]);
-        if filters_match(&self.ev.filters, &probe, self.now) {
+        if filters_match(&self.filters, &probe, self.now) {
             return Err(TcpError::Unreachable);
         }
         // Keyed on (time, target, request) like the UDP loss roll, so
         // concurrent campaigns cannot shift each other's TCP outcomes.
         let key = tcp_key(self.now, dst_ip, port, req);
-        if let Some(fs) = &mut self.ev.faults {
-            if let Some(err) = fs.tcp_fault(self.now, dst_ip, key) {
-                return Err(err);
+        if let Some(fs) = &mut self.faults {
+            if let Some(cause) = fs.tcp_fault(self.now, dst_ip, key) {
+                self.fault_stats.bump(cause);
+                // A gone path is unreachable; a silent host times out.
+                return Err(match cause {
+                    DropCause::Outage => TcpError::Unreachable,
+                    _ => TcpError::Timeout,
+                });
             }
         }
-        let roll = mix64(self.ev.cfg.seed, TCP_CHANNEL, key) as f64 / u64::MAX as f64;
-        if roll < self.ev.cfg.tcp_loss {
+        let roll = mix64(self.cfg.seed, TCP_CHANNEL, key) as f64 / u64::MAX as f64;
+        if roll < self.cfg.tcp_loss {
             return Err(TcpError::Timeout);
         }
         self.host_at(dst_ip).ok_or(TcpError::Unreachable)
@@ -1347,6 +1193,36 @@ mod tests {
             net.tcp_query(ip("8.8.8.8"), 7, &TcpRequest::BannerProbe),
             Err(TcpError::Unreachable)
         );
+        // Faults: a downed host times out, a downed prefix is
+        // unreachable, and each counts under its cause.
+        use crate::faults::{FaultEvent, FaultPlan, FaultStats};
+        net.bind_ip(ip("9.9.8.8"), h);
+        let (from, until) = (SimTime::ZERO, SimTime::from_days(1));
+        net.set_fault_plan(FaultPlan {
+            events: vec![
+                FaultEvent::HostDown {
+                    ip: ip("9.9.9.9"),
+                    from,
+                    until,
+                },
+                FaultEvent::PrefixDown {
+                    lo: ip("9.9.8.0"),
+                    hi: ip("9.9.8.255"),
+                    from,
+                    until,
+                },
+            ],
+            ..FaultPlan::none()
+        });
+        let probe = |net: &mut Network, to| net.tcp_query(ip(to), 7, &TcpRequest::BannerProbe);
+        assert_eq!(probe(&mut net, "9.9.9.9"), Err(TcpError::Timeout));
+        assert_eq!(probe(&mut net, "9.9.8.8"), Err(TcpError::Unreachable));
+        let counted = FaultStats {
+            flap_drops: 1,
+            outage_drops: 1,
+            ..FaultStats::default()
+        };
+        assert_eq!(net.fault_stats(), counted);
     }
 
     #[test]
@@ -1479,9 +1355,10 @@ mod tests {
         assert!(at.millis() >= 800, "arrived at {}", at.millis());
         assert_eq!(net.fault_stats().latency_spiked, 2);
     }
-    /// The pipeline's stage order, one datagram per outcome. Both
-    /// engines share `Evaluator::eval` + `commit`, so the equivalence suites
-    /// cannot see a mis-ordered stage — this table can.
+
+    /// The pipeline's stage order, one row per outcome, driven through
+    /// `send`. A mis-ordered stage shows in the goldens only as a changed
+    /// digest — this table names the rule it broke.
     #[test]
     fn pipeline_stage_order_is_pinned() {
         use crate::faults::{FaultEvent, FaultPlan, FaultStats, FaultWindows, RateLimit};
@@ -1536,9 +1413,13 @@ mod tests {
             net
         };
         let query =
-            |dst, payload: &'static [u8]| Datagram::new(ip("100.0.0.1"), 40000, dst, 53, payload);
+            |dst, payload: &[u8]| Datagram::new(ip("100.0.0.1"), 40000, dst, 53, payload.to_vec());
         let sent = NetStats {
             udp_sent: 1,
+            ..NetStats::default()
+        };
+        let two = NetStats {
+            udp_sent: 2,
             ..NetStats::default()
         };
         let none = FaultStats::default();
@@ -1549,45 +1430,44 @@ mod tests {
             recs.iter().map(|r| r.reason).collect()
         };
 
-        // (why, loss, plan, destination, stats, fault stats, drop record)
+        // (why, loss, plan, destination, queries sent — a one-byte
+        //  payload per character, in order — stats, fault stats, drop
+        //  record, payloads scheduled)
         #[rustfmt::skip]
         let table = [
             ("filtered beats dark: the walled address is also unbound",
-             0.0, FaultPlan::none(), walled,
-             NetStats { udp_filtered: 1, ..sent }, none, None),
+             0.0, FaultPlan::none(), walled, "q",
+             NetStats { udp_filtered: 1, ..sent }, none, None, ""),
             ("dark beats faults: a downed but unbound address is just dark",
-             0.0, plan(vec![host_down(dark)], None, None), dark,
-             NetStats { udp_unbound: 1, ..sent }, none, None),
+             0.0, plan(vec![host_down(dark)], None, None), dark, "q",
+             NetStats { udp_unbound: 1, ..sent }, none, None, ""),
             ("explicit HostDown beats the outage window covering it",
-             0.0, plan(vec![host_down(bound)], Some(always_out), None), bound,
-             NetStats { udp_lost: 1, ..sent }, FaultStats { flap_drops: 1, ..none }, Some("flap")),
+             0.0, plan(vec![host_down(bound)], Some(always_out), None), bound, "q",
+             NetStats { udp_lost: 1, ..sent }, FaultStats { flap_drops: 1, ..none }, Some("flap"), ""),
             ("a latency spike is counted even when the loss roll eats the packet",
-             1.0, plan(vec![spike(bound)], None, None), bound,
-             NetStats { udp_lost: 1, ..sent }, FaultStats { latency_spiked: 1, ..none }, Some("loss")),
+             1.0, plan(vec![spike(bound)], None, None), bound, "q",
+             NetStats { udp_lost: 1, ..sent }, FaultStats { latency_spiked: 1, ..none }, Some("loss"), ""),
+            ("a one-token bucket delivers the first of two queries and drops the second",
+             0.0, plan(vec![], None, one_token.clone()), bound, "12",
+             NetStats { udp_lost: 1, ..two }, FaultStats { rate_limit_drops: 1, ..none },
+             Some("rate_limit"), "1"),
+            ("a query the bucket drops inside a LatencySpike counts no spike",
+             0.0, plan(vec![spike(bound)], None, one_token), bound, "12",
+             NetStats { udp_lost: 1, ..two },
+             FaultStats { rate_limit_drops: 1, latency_spiked: 1, ..none },
+             Some("rate_limit"), "1"),
         ];
-        for (why, loss, plan, dst, stats, faults, drop) in table {
+        for (why, loss, plan, dst, sends, stats, faults, drop, scheduled) in table {
             let mut net = fresh(loss, plan);
-            net.send(query(dst, b"q"), None);
+            for p in sends.bytes() {
+                net.send(query(dst, &[p]), None);
+            }
             assert_eq!(net.stats(), stats, "{why}");
             assert_eq!(net.fault_stats(), faults, "{why}");
             assert_eq!(drops(), Vec::from_iter(drop), "{why}");
-            assert!(net.events.is_empty(), "{why}: nothing may be scheduled");
+            let queued: Vec<u8> = net.events.iter().map(|e| e.0.dgram.payload[0]).collect();
+            assert_eq!(queued, scheduled.as_bytes(), "{why}");
         }
-
-        // A port-53 query under `rate_limit` is Deferred: evaluation
-        // leaves the bucket alone, and commit order — not evaluation
-        // order — decides who gets the one token.
-        let mut net = fresh(0.0, plan(vec![], None, one_token));
-        let mut eval = |payload| net.ev.eval(&net.maps, query(bound, payload), SimTime::ZERO);
-        let (first, second) = (eval(b"1"), eval(b"2"));
-        assert!(matches!(first.outcome, Outcome::Deferred { .. }));
-        assert!(matches!(second.outcome, Outcome::Deferred { .. }));
-        net.commit(second);
-        assert_eq!((net.stats().udp_lost, net.events.len()), (0, 1));
-        net.commit(first);
-        assert_eq!(net.stats().udp_lost, 1);
-        assert_eq!(net.fault_stats().rate_limit_drops, 1);
-        assert_eq!(drops(), ["rate_limit"]);
 
         // An observer injection is scheduled — and takes its `seq` —
         // before the packet's own outcome: forged reply and query land
@@ -1658,12 +1538,12 @@ mod tests {
                 });
                 let d = Datagram::new(Ipv4Addr::from(src), 1, Ipv4Addr::from(dst), 53, &b""[..]);
                 proptest::prop_assert_eq!(
-                    filters_match(&net.ev.filters, &d, SimTime(at)),
+                    filters_match(&net.filters, &d, SimTime(at)),
                     brute,
                     "src={} dst={} at={} specs={:?}", src, dst, at, specs
                 );
             }
-            let order: Vec<SimTime> = net.ev.filters.iter().map(|f| f.active_from).collect();
+            let order: Vec<SimTime> = net.filters.iter().map(|f| f.active_from).collect();
             proptest::prop_assert!(order.windows(2).all(|w| w[0] <= w[1]), "sorted: {:?}", order);
         }
     }

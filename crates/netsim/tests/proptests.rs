@@ -237,7 +237,7 @@ mod script {
             obs.reports.push((r.events, r.delivered));
             obs.renumbered.push(pool.renumber_expired(net, r.end));
         }
-        let r = net.run_to_idle(SimTime(steps * 30_000 + 60_000));
+        let r = net.run_until(SimTime(steps * 30_000 + 60_000));
         obs.reports.push((r.events, r.delivered));
         obs.arrivals = net
             .recv_all(sock)
