@@ -1,5 +1,5 @@
 //! The `repro` binary's subcommands behind one flag table
-//! ([`cli`]), plus the criterion benches under `benches/`.
+//! ([`cli`]).
 
 pub mod cli;
 pub mod run;

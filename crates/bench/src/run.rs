@@ -57,6 +57,9 @@ impl Workload {
         if w.retries == Some(0) {
             usage_error("--retries must be at least 1 (total probe attempts)");
         }
+        if !(w.scale.is_finite() && w.scale > 0.0) {
+            usage_error("--scale expects a finite number greater than 0");
+        }
         w
     }
 

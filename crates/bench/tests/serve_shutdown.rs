@@ -149,22 +149,43 @@ fn serve_on_missing_store_fails_with_one_line_error() {
 #[test]
 fn trace_rejects_truncated_streams_without_panicking() {
     let tmp = TempDir::new("trace-garbage");
-    let garbage = tmp.0.join("not-a-stream.gwrs");
-    std::fs::write(&garbage, b"this is definitely not a GWRS recorder stream").unwrap();
-    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["trace", garbage.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(output.status.code(), Some(1), "expected exit 1");
-    let stderr = String::from_utf8(output.stderr).unwrap();
-    assert!(
-        stderr.contains("no decodable GWRS segments"),
-        "missing one-line error: {stderr}"
-    );
-    assert!(
-        !stderr.contains("panicked"),
-        "trace panicked on garbage input: {stderr}"
-    );
+    // Well-framed bodies holding only a huge string count: decoding
+    // must not preallocate from it (1 << 40 aborted the allocator,
+    // 1 << 62 overflowed the capacity). A frame is "GWRS", the body's
+    // length (u32 LE), the body and its IEEE CRC-32 (u32 LE).
+    let huge_count = |n: u64| {
+        let mut body = Vec::new();
+        scanstore::varint::put_u64(&mut body, n);
+        let mut frame = b"GWRS".to_vec();
+        frame.extend((body.len() as u32).to_le_bytes());
+        frame.extend(&body);
+        frame.extend(scanstore::crc32::crc32(&body).to_le_bytes());
+        frame
+    };
+    let garbage = b"this is definitely not a GWRS recorder stream".to_vec();
+    let inputs = [
+        ("garbage", garbage),
+        ("count-2^40", huge_count(1 << 40)),
+        ("count-2^62", huge_count(1 << 62)),
+    ];
+    for (name, bytes) in inputs {
+        let path = tmp.0.join(format!("{name}.gwrs"));
+        std::fs::write(&path, bytes).unwrap();
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["trace", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{name}: expected exit 1");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(
+            stderr.contains("no decodable GWRS segments"),
+            "{name}: missing one-line error: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "{name}: trace panicked: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -186,6 +207,30 @@ fn numeric_flag_garbage_is_a_usage_error_not_a_panic() {
             stderr.contains("expects a number"),
             "args {args:?}: {stderr}"
         );
+        assert!(!stderr.contains("panicked"), "args {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn out_of_range_flags_are_usage_errors() {
+    for (flag, value) in [
+        ("--scale", "inf"),
+        ("--scale", "-1"),
+        ("--scale", "0"),
+        ("--scale", "nan"),
+        ("--record-rate", "2"),
+        ("--strict-coverage", "101"),
+        ("--retries", "0"),
+    ] {
+        // A small run, in case a bad value ever slips through.
+        let args = ["--exp", "tab1", "--weeks", "1", flag, value];
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(2), "args {args:?}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(stderr.contains(flag), "args {args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "args {args:?}: {stderr}");
     }
 }

@@ -20,7 +20,6 @@
 use htmlsim::diff::TagDelta;
 use htmlsim::distance::{jaccard_multiset, FeatureWeights, PreparedPage};
 use htmlsim::PageFeatures;
-use rayon::prelude::*;
 use std::borrow::Borrow;
 
 /// Linkage criterion. The paper uses average linkage (UPGMA); single and
@@ -217,16 +216,13 @@ impl Dendrogram {
 fn page_matrix<P: Borrow<PageFeatures> + Sync>(items: &[P], weights: &FeatureWeights) -> Vec<f32> {
     let n = items.len();
     // Row `i` holds the distances to items `i+1..n`.
-    let tails: Vec<Vec<f32>> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let row = PreparedPage::new(items[i].borrow(), weights);
-            items[i + 1..]
-                .iter()
-                .map(|other| row.distance(other.borrow()) as f32)
-                .collect()
-        })
-        .collect();
+    let tails: Vec<Vec<f32>> = crate::par_map(n, |i| {
+        let row = PreparedPage::new(items[i].borrow(), weights);
+        items[i + 1..]
+            .iter()
+            .map(|other| row.distance(other.borrow()) as f32)
+            .collect()
+    });
     let mut dist = vec![0f32; n * n];
     for (i, tail) in tails.into_iter().enumerate() {
         for (j, v) in (i + 1..n).zip(tail) {

@@ -431,8 +431,8 @@ pub(crate) fn publish_mem(scope: &str, rows: &[(&str, usize)]) {
 }
 
 /// The immutable result of a bundle collection: one snapshot source
-/// per collected campaign. Shared (`&BundleData`) across rayon workers
-/// during parallel experiment derivation.
+/// per collected campaign. Shared (`&BundleData`) across `par_map`
+/// workers during parallel experiment derivation.
 pub struct BundleData {
     data: BTreeMap<CampaignKind, CampaignData>,
     coverage: BTreeMap<CampaignKind, Coverage>,

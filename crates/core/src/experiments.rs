@@ -211,30 +211,26 @@ pub fn derive_all(
     exps: &[&'static Experiment],
     opts: &DeriveOptions,
 ) -> Vec<io::Result<ExperimentOutput>> {
-    use rayon::prelude::*;
-    (0..exps.len())
-        .into_par_iter()
-        .map(|i| {
-            telemetry::global()
-                .counter_with("derive.experiment_runs", &[("exp", exps[i].id)])
-                .inc();
-            // Quiet spans: they feed the profiler and the
-            // `span.derive.<id>.*` counters but write no trace lines —
-            // rayon closes them in scheduler-dependent order, which
-            // would break trace byte-stability. Gated on `--profile`
-            // so unprofiled runs consume no span ids either.
-            // Derivations burn no simulated time, so their sim
-            // duration is 0; their cost shows up in the `wall_us`
-            // counters.
-            let sp = telemetry::profiling_enabled()
-                .then(|| telemetry::span_quiet(&format!("derive.{}", exps[i].id), 0));
-            let out = (exps[i].derive)(bundle, opts);
-            if let Some(s) = sp {
-                s.finish(0);
-            }
-            out
-        })
-        .collect()
+    classify::par_map(exps.len(), |i| {
+        telemetry::global()
+            .counter_with("derive.experiment_runs", &[("exp", exps[i].id)])
+            .inc();
+        // Quiet spans: they feed the profiler and the
+        // `span.derive.<id>.*` counters but write no trace lines —
+        // `par_map`'s workers close them in scheduler-dependent order,
+        // which would break trace byte-stability. Gated on `--profile`
+        // so unprofiled runs consume no span ids either.
+        // Derivations burn no simulated time, so their sim
+        // duration is 0; their cost shows up in the `wall_us`
+        // counters.
+        let sp = telemetry::profiling_enabled()
+            .then(|| telemetry::span_quiet(&format!("derive.{}", exps[i].id), 0));
+        let out = (exps[i].derive)(bundle, opts);
+        if let Some(s) = sp {
+            s.finish(0);
+        }
+        out
+    })
 }
 
 // =====================================================================
@@ -767,7 +763,8 @@ fn derive_ablations(_b: &BundleData, o: &DeriveOptions) -> io::Result<Experiment
 // =====================================================================
 
 /// The design-choice ablations DESIGN.md calls out (A-ABL1..A-ABL4;
-/// A-ABL5 lives in `bench_lfsr`). Self-contained: builds its own tiny
+/// A-ABL5 is `scanner::lfsr`'s `permutation_scatters_slash24_bursts`
+/// test). Self-contained: builds its own tiny
 /// worlds and page corpora rather than reading a bundle.
 pub fn ablations_report(cfg: &WorldConfig) -> String {
     use htmlsim::distance::FeatureWeights;

@@ -215,8 +215,7 @@ struct NetTelemetry {
     fault_rate_limit_drops: telemetry::Counter,
     fault_latency_spiked: telemetry::Counter,
     /// Totals already flushed to the shared counters; each flush adds
-    /// only what accumulated since. Seeded with the network's stats at
-    /// attach time so re-enabling instrumentation does not double-count.
+    /// only what accumulated since. Zero, like a new network's stats.
     synced: NetStats,
     synced_dispatched: u64,
     synced_queue_max: u64,
@@ -224,8 +223,8 @@ struct NetTelemetry {
 }
 
 impl NetTelemetry {
-    /// Handles seeded with `net`'s totals so far.
-    fn new(net: &Network) -> NetTelemetry {
+    /// Handles into the global registry, nothing flushed yet.
+    fn new() -> NetTelemetry {
         let reg = telemetry::global();
         NetTelemetry {
             udp_sent: reg.counter("netsim.udp_sent"),
@@ -242,10 +241,10 @@ impl NetTelemetry {
             fault_flap_drops: reg.counter("netsim.faults.flap_drops"),
             fault_rate_limit_drops: reg.counter("netsim.faults.rate_limit_drops"),
             fault_latency_spiked: reg.counter("netsim.faults.latency_spiked"),
-            synced: net.stats,
-            synced_dispatched: net.events_dispatched,
-            synced_queue_max: net.queue_depth_max,
-            synced_faults: net.fault_stats,
+            synced: NetStats::default(),
+            synced_dispatched: 0,
+            synced_queue_max: 0,
+            synced_faults: FaultStats::default(),
         }
     }
 
@@ -361,7 +360,7 @@ pub struct Network {
     host_ips: Vec<BoundIps>,
     sockets: Vec<SocketState>,
     stats: NetStats,
-    telemetry: Option<NetTelemetry>,
+    telemetry: NetTelemetry,
     events_dispatched: u64,
     queue_depth_max: u64,
     scratch: Vec<(u64, Datagram)>,
@@ -370,7 +369,7 @@ pub struct Network {
 impl Network {
     /// A fresh, empty network.
     pub fn new(cfg: NetworkConfig) -> Self {
-        let mut net = Network {
+        Network {
             cfg,
             filters: Vec::new(),
             injectors: Vec::new(),
@@ -384,21 +383,11 @@ impl Network {
             host_ips: Vec::new(),
             sockets: Vec::new(),
             stats: NetStats::default(),
-            telemetry: None,
+            telemetry: NetTelemetry::new(),
             events_dispatched: 0,
             queue_depth_max: 0,
             scratch: Vec::new(),
-        };
-        net.set_instrumentation(true);
-        net
-    }
-
-    /// Enable or disable global-registry instrumentation for this
-    /// network. On by default; the overhead benchmark turns it off to
-    /// measure the uninstrumented baseline. [`NetStats`] counters are
-    /// unaffected either way.
-    pub fn set_instrumentation(&mut self, on: bool) {
-        self.telemetry = on.then(|| NetTelemetry::new(self));
+        }
     }
 
     /// Install (or replace) a fault-injection plan. A no-op plan is
@@ -758,14 +747,12 @@ impl Network {
     /// flush out to the shared telemetry handles. Called at event-loop
     /// quiescent points, never per packet.
     fn flush_telemetry(&mut self) {
-        if let Some(t) = &mut self.telemetry {
-            t.flush(
-                self.stats,
-                self.events_dispatched,
-                self.queue_depth_max,
-                self.fault_stats,
-            );
-        }
+        self.telemetry.flush(
+            self.stats,
+            self.events_dispatched,
+            self.queue_depth_max,
+            self.fault_stats,
+        );
     }
 
     // ---- synchronous TCP --------------------------------------------

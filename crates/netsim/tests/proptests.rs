@@ -135,7 +135,6 @@ mod script {
             latency_ms: (5, 80),
             tcp_loss: 0.0,
         });
-        net.set_instrumentation(false);
         let members: Vec<HostId> = (0..24).map(|_| net.add_host(Box::new(EchoHost))).collect();
         for i in 0..RELAY_COUNT {
             let target = Ipv4Addr::from(POOL_BASE + (i * 3) % POOL_SIZE);

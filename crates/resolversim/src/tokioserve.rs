@@ -9,9 +9,8 @@
 
 use crate::resolver::ResolverHost;
 use netsim::{Datagram, HostCtx, SimTime};
-use parking_lot::Mutex;
 use std::net::{SocketAddr, SocketAddrV4};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tokio::net::UdpSocket;
 use tokio::sync::oneshot;
@@ -56,7 +55,7 @@ impl ResolverServer {
                         let mut outgoing: Vec<(u64, Datagram)> = Vec::new();
                         {
                             use netsim::Host as _;
-                            let mut guard = host.lock();
+                            let mut guard = host.lock().unwrap_or_else(|e| e.into_inner());
                             let mut ctx = HostCtx::new(now, dgram.dst_ip, &mut outgoing);
                             (*guard).on_udp(&mut ctx, &dgram);
                         }
@@ -146,48 +145,54 @@ mod tests {
         )
     }
 
-    #[tokio::test]
-    async fn serves_real_udp_queries() {
-        let server = ResolverServer::spawn(test_host(), SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0))
-            .await
-            .unwrap();
-        let addr = server.local_addr;
+    #[test]
+    fn serves_real_udp_queries() {
+        tokio::runtime::Runtime::new().unwrap().block_on(async {
+            let server =
+                ResolverServer::spawn(test_host(), SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0))
+                    .await
+                    .unwrap();
+            let addr = server.local_addr;
 
-        let client = UdpSocket::bind("127.0.0.1:0").await.unwrap();
-        let q = MessageBuilder::query(0x1337, Name::parse("loop.example").unwrap(), RecordType::A)
-            .build();
-        client
-            .send_to(&q.encode(), SocketAddr::V4(addr))
+            let client = UdpSocket::bind("127.0.0.1:0").await.unwrap();
+            let q =
+                MessageBuilder::query(0x1337, Name::parse("loop.example").unwrap(), RecordType::A)
+                    .build();
+            client
+                .send_to(&q.encode(), SocketAddr::V4(addr))
+                .await
+                .unwrap();
+            let mut buf = [0u8; 1024];
+            let (len, _) = tokio::time::timeout(
+                std::time::Duration::from_secs(5),
+                client.recv_from(&mut buf),
+            )
             .await
+            .expect("timely response")
             .unwrap();
-        let mut buf = [0u8; 1024];
-        let (len, _) = tokio::time::timeout(
-            std::time::Duration::from_secs(5),
-            client.recv_from(&mut buf),
-        )
-        .await
-        .expect("timely response")
-        .unwrap();
-        let resp = Message::decode(&buf[..len]).unwrap();
-        assert_eq!(resp.header.id, 0x1337);
-        assert_eq!(resp.answer_ips(), vec![Ipv4Addr::new(198, 51, 100, 1)]);
-        server.shutdown().await;
+            let resp = Message::decode(&buf[..len]).unwrap();
+            assert_eq!(resp.header.id, 0x1337);
+            assert_eq!(resp.answer_ips(), vec![Ipv4Addr::new(198, 51, 100, 1)]);
+            server.shutdown().await;
+        })
     }
 
-    #[tokio::test]
-    async fn fleet_spawns_on_distinct_ports() {
-        let servers = spawn_fleet(
-            vec![test_host(), test_host(), test_host()],
-            SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0),
-        )
-        .await
-        .unwrap();
-        let mut ports: Vec<u16> = servers.iter().map(|s| s.local_addr.port()).collect();
-        ports.sort_unstable();
-        ports.dedup();
-        assert_eq!(ports.len(), 3);
-        for s in servers {
-            s.shutdown().await;
-        }
+    #[test]
+    fn fleet_spawns_on_distinct_ports() {
+        tokio::runtime::Runtime::new().unwrap().block_on(async {
+            let servers = spawn_fleet(
+                vec![test_host(), test_host(), test_host()],
+                SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0),
+            )
+            .await
+            .unwrap();
+            let mut ports: Vec<u16> = servers.iter().map(|s| s.local_addr.port()).collect();
+            ports.sort_unstable();
+            ports.dedup();
+            assert_eq!(ports.len(), 3);
+            for s in servers {
+                s.shutdown().await;
+            }
+        })
     }
 }

@@ -281,6 +281,9 @@ mod tests {
             burst_perm <= window * 2 / 5,
             "permuted burst {burst_perm} too concentrated"
         );
+        // A-ABL5's figure (EXPERIMENTS.md): seed 42 peaks at 17 probes
+        // to one /24 in any 64-probe window, against 64 sequentially.
+        assert_eq!(burst_perm, 17, "seed 42's LFSR burst moved");
     }
 
     #[test]

@@ -190,67 +190,71 @@ mod tests {
         )
     }
 
-    #[tokio::test]
-    async fn loopback_enumerate_and_fingerprint() {
-        let fleet: Vec<ResolverServer> = spawn_fleet(
-            vec![
-                host(ResolverBehavior::Honest, "9.8.2"),
-                host(ResolverBehavior::RefusedAll, "9.9.5"),
-                host(ResolverBehavior::Honest, "9.3.6"),
-            ],
-            SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0),
-        )
-        .await
-        .unwrap();
-        let targets: Vec<SocketAddrV4> = fleet.iter().map(|s| s.local_addr).collect();
+    #[test]
+    fn loopback_enumerate_and_fingerprint() {
+        tokio::runtime::Runtime::new().unwrap().block_on(async {
+            let fleet: Vec<ResolverServer> = spawn_fleet(
+                vec![
+                    host(ResolverBehavior::Honest, "9.8.2"),
+                    host(ResolverBehavior::RefusedAll, "9.9.5"),
+                    host(ResolverBehavior::Honest, "9.3.6"),
+                ],
+                SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0),
+            )
+            .await
+            .unwrap();
+            let targets: Vec<SocketAddrV4> = fleet.iter().map(|s| s.local_addr).collect();
 
-        let results =
-            enumerate_and_fingerprint(&targets, "probe.example", 16, Duration::from_secs(3))
-                .await
-                .unwrap();
+            let results =
+                enumerate_and_fingerprint(&targets, "probe.example", 16, Duration::from_secs(3))
+                    .await
+                    .unwrap();
 
-        assert_eq!(results.len(), 3);
-        let noerror: Vec<_> = results
-            .iter()
-            .filter(|(_, r, _)| *r == Rcode::NoError)
-            .collect();
-        let refused: Vec<_> = results
-            .iter()
-            .filter(|(_, r, _)| *r == Rcode::Refused)
-            .collect();
-        assert_eq!(noerror.len(), 2);
-        assert_eq!(refused.len(), 1);
-        let versions: Vec<&str> = noerror
-            .iter()
-            .filter_map(|(_, _, v)| v.as_deref())
-            .collect();
-        assert!(versions.contains(&"BIND 9.8.2"));
-        assert!(versions.contains(&"BIND 9.3.6"));
+            assert_eq!(results.len(), 3);
+            let noerror: Vec<_> = results
+                .iter()
+                .filter(|(_, r, _)| *r == Rcode::NoError)
+                .collect();
+            let refused: Vec<_> = results
+                .iter()
+                .filter(|(_, r, _)| *r == Rcode::Refused)
+                .collect();
+            assert_eq!(noerror.len(), 2);
+            assert_eq!(refused.len(), 1);
+            let versions: Vec<&str> = noerror
+                .iter()
+                .filter_map(|(_, _, v)| v.as_deref())
+                .collect();
+            assert!(versions.contains(&"BIND 9.8.2"));
+            assert!(versions.contains(&"BIND 9.3.6"));
 
-        for s in fleet {
-            s.shutdown().await;
-        }
+            for s in fleet {
+                s.shutdown().await;
+            }
+        })
     }
 
-    #[tokio::test]
-    async fn unresponsive_targets_do_not_hang() {
-        // Nothing listens on this port (bind+drop to find a free one).
-        let free = {
-            let s = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-            let a = s.local_addr().unwrap();
-            match a {
-                SocketAddr::V4(v4) => v4,
-                _ => unreachable!(),
-            }
-        };
-        let results = scan_targets(
-            &[free],
-            Probe::A(Name::parse("probe.example").unwrap()),
-            4,
-            Duration::from_millis(200),
-        )
-        .await
-        .unwrap();
-        assert!(results.is_empty());
+    #[test]
+    fn unresponsive_targets_do_not_hang() {
+        tokio::runtime::Runtime::new().unwrap().block_on(async {
+            // Nothing listens on this port (bind+drop to find a free one).
+            let free = {
+                let s = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+                let a = s.local_addr().unwrap();
+                match a {
+                    SocketAddr::V4(v4) => v4,
+                    _ => unreachable!(),
+                }
+            };
+            let results = scan_targets(
+                &[free],
+                Probe::A(Name::parse("probe.example").unwrap()),
+                4,
+                Duration::from_millis(200),
+            )
+            .await
+            .unwrap();
+            assert!(results.is_empty());
+        })
     }
 }

@@ -288,8 +288,7 @@ fn resume_keeps_committed_prefix_bytes_unchanged() {
     );
 }
 
-/// The weekly-enumeration shape (the workload of
-/// `bench/benches/bench_scanstore.rs`): 8 weeks × 20,000 addresses at
+/// The weekly-enumeration shape: 8 weeks × 20,000 addresses at
 /// a fixed stride, ~1/7 of them rotating out each week. Encoding is
 /// deterministic, and this workload measures 24,411,453 JSON-lines
 /// bytes against 2,488,914 written — 9.8×. The bound leaves a fifth

@@ -18,8 +18,7 @@
 
 use crate::breaker::RefreshHealth;
 use crate::http::{json_body, Response, CONTENT_TYPE_JSON};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use telemetry::json::Fixed;
 use telemetry::rolling::{BurnState, FAST_WINDOW_S, LATENCY_BOUNDS_US, SLOW_WINDOW_S};
@@ -60,6 +59,12 @@ struct EndpointLat {
     name: &'static str,
     window: Mutex<RollingWindow>,
     hist: Histogram,
+}
+
+/// Locks a rolling window, recovering it if a panicking holder
+/// poisoned the lock.
+fn lock(window: &Mutex<RollingWindow>) -> MutexGuard<'_, RollingWindow> {
+    window.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Observability configuration, carved out of `ServeOptions`.
@@ -165,8 +170,8 @@ impl ServeObs {
             .is_some_and(|t| lat_us > t);
         let ep = &self.lat[Self::endpoint_index(endpoint)];
         ep.hist.observe(lat_us);
-        ep.window.lock().observe(now_s, lat_us, error, over);
-        self.total.lock().observe(now_s, lat_us, error, over);
+        lock(&ep.window).observe(now_s, lat_us, error, over);
+        lock(&self.total).observe(now_s, lat_us, error, over);
     }
 
     /// Admits a finished trace: debug ring, slow log (counted under
@@ -184,7 +189,7 @@ impl ServeObs {
     /// Burn state of the all-endpoint window, when objectives are set.
     pub fn burn(&self) -> Option<BurnState> {
         let slo = self.opts.slo.as_ref()?;
-        Some(BurnState::evaluate(&self.total.lock(), slo, self.now_s()))
+        Some(BurnState::evaluate(&lock(&self.total), slo, self.now_s()))
     }
 
     /// True while the fast+slow burn windows say the objective is
@@ -237,7 +242,7 @@ impl ServeObs {
             o.field("window_s", FAST_WINDOW_S);
             o.object("endpoints", |o| {
                 for ep in &self.lat {
-                    let stats = ep.window.lock().window(now_s, FAST_WINDOW_S);
+                    let stats = lock(&ep.window).window(now_s, FAST_WINDOW_S);
                     if stats.count == 0 {
                         continue;
                     }

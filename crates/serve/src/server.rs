@@ -28,12 +28,11 @@ use crate::http::{
 };
 use crate::obs::{endpoint_of, ObsOptions, ServeObs};
 use crate::signal;
-use parking_lot::{Mutex, RwLock};
 use std::io::{self, Write as _};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 use telemetry::{reqtrace, RequestCtx};
 use tokio::net::{TcpListener, TcpStream};
@@ -114,6 +113,24 @@ struct ServerState {
 impl ServerState {
     fn stop_requested(&self) -> bool {
         self.stop.load(Ordering::SeqCst) || signal::triggered()
+    }
+
+    // The locks recover from poisoning: a panicking connection task
+    // must not take the shared state down with it.
+    fn breaker(&self) -> MutexGuard<'_, RefreshBreaker> {
+        self.breaker.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn cache(&self) -> MutexGuard<'_, LruCache> {
+        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The current engine generation.
+    fn engine(&self) -> Arc<QueryEngine> {
+        self.engine
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 }
 
@@ -307,16 +324,16 @@ fn refresh_engine(state: &ServerState) {
     // The breaker counts ticks, not wall time: while open, each
     // skipped interval decrements the backoff until a half-open probe
     // is allowed through.
-    if !state.breaker.lock().allow_tick() {
+    if !state.breaker().allow_tick() {
         return;
     }
-    let current = state.engine.read().clone();
+    let current = state.engine();
     match current.refresh() {
-        Ok((_, false)) => state.breaker.lock().on_success(),
+        Ok((_, false)) => state.breaker().on_success(),
         Ok((next, true)) => {
-            state.breaker.lock().on_success();
-            *state.engine.write() = Arc::new(next);
-            state.cache.lock().clear();
+            state.breaker().on_success();
+            *state.engine.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
+            state.cache().clear();
             state.refreshes.fetch_add(1, Ordering::SeqCst);
             telemetry::counter("serve.engine.swaps").inc();
         }
@@ -324,7 +341,7 @@ fn refresh_engine(state: &ServerState) {
             // Keep serving the last good generation; the writer may be
             // mid-commit.
             telemetry::counter("serve.engine.refresh_errors").inc();
-            if state.breaker.lock().on_failure() {
+            if state.breaker().on_failure() {
                 eprintln!("serve: refresh breaker tripped (serving previous generation): {e}");
             } else {
                 eprintln!("serve: refresh failed (serving previous generation): {e}");
@@ -435,7 +452,7 @@ fn route(
     match path {
         "/metrics" => Arc::new(metrics_response(head, target).to_wire()),
         "/slo" => {
-            let health = state.breaker.lock().health();
+            let health = state.breaker().health();
             Arc::new(state.obs.slo_response(Some(health)).to_wire())
         }
         "/debug/requests" => {
@@ -451,7 +468,7 @@ fn route(
         "/healthz" if state.obs.degraded() => {
             Arc::new(Response::error(503, "slo burn-rate breach; see /slo").to_wire())
         }
-        "/healthz" if state.breaker.lock().degraded() => {
+        "/healthz" if state.breaker().degraded() => {
             // Refresh is broken but the last good generation is still
             // valid, so probes stay green; the body says degraded.
             Arc::new(degraded_healthz(state).to_wire())
@@ -463,8 +480,8 @@ fn route(
 /// `/healthz` while the refresh breaker is tripped: a `200` (the data
 /// served is stale but valid) whose body flags the degradation.
 fn degraded_healthz(state: &ServerState) -> Response {
-    let health = state.breaker.lock().health();
-    let engine = state.engine.read();
+    let health = state.breaker().health();
+    let engine = state.engine();
     let body = crate::http::json_body(96, |o| {
         o.field("ok", true);
         o.field("degraded", true);
@@ -527,7 +544,7 @@ fn answer(
     }
     // Clone the Arc once: this request is now pinned to one engine
     // generation no matter what the refresh timer does.
-    let engine = state.engine.read().clone();
+    let engine = state.engine();
     let tag = engine.generation_tag();
     if let Some(c) = ctx.as_mut() {
         c.set_generation(tag);
@@ -540,7 +557,7 @@ fn answer(
     let key = format!("{tag}|{target}");
     let span = reqtrace::begin(ctx, "cache");
     let hit = {
-        let mut cache = state.cache.lock();
+        let mut cache = state.cache();
         cache
             .is_enabled()
             .then(|| cache.get(&key, endpoint))
@@ -556,7 +573,7 @@ fn answer(
     let response = engine.handle_with(target, ctx, deadline);
     let wire = Arc::new(response.to_wire());
     if response.cacheable {
-        let mut cache = state.cache.lock();
+        let mut cache = state.cache();
         if cache.is_enabled() {
             cache.put(key, endpoint, Arc::clone(&wire));
         }

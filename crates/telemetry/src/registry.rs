@@ -103,8 +103,8 @@ impl Registry {
     }
 
     /// Drops every registered metric. Existing handles keep working
-    /// but are no longer visible to snapshots; used by benches and
-    /// tests that need a clean slate.
+    /// but are no longer visible to snapshots; used by tests that need
+    /// a clean slate.
     pub fn clear(&self) {
         let mut g = self.lock();
         g.counters.clear();

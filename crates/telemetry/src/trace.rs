@@ -332,9 +332,9 @@ pub fn span(name: &str, sim_start_ms: u64) -> Span {
 
 /// Opens a *quiet* span: it nests, feeds the `span.<name>.*` counters
 /// and the profiler exactly like [`span`], but never writes a trace
-/// line. Use it in code that may run on rayon worker threads, where
-/// trace emission order would be scheduler-dependent and break the
-/// trace byte-stability contract.
+/// line. Use it in code that may run on worker threads (such as
+/// `classify::par_map`'s), where trace emission order would be
+/// scheduler-dependent and break the trace byte-stability contract.
 pub fn span_quiet(name: &str, sim_start_ms: u64) -> Span {
     new_span(name, sim_start_ms, true)
 }
@@ -530,7 +530,7 @@ impl Drop for Span {
 // figures are *simulated* milliseconds, so profiles of seeded runs are
 // deterministic — aggregation is order-independent (sums into
 // `BTreeMap`s; duration vectors are sorted before quantiles), which
-// keeps the output stable even when spans close on rayon workers in
+// keeps the output stable even when spans close on worker threads in
 // scheduler-dependent order.
 
 static PROFILING: AtomicBool = AtomicBool::new(false);

@@ -98,7 +98,8 @@ fn reports_are_unchanged_by_exporters() {
 }
 
 /// Collects a weekly-only bundle and derives the three Weekly-backed
-/// experiments in parallel (rayon), with a trace attached throughout.
+/// experiments in parallel (`classify::par_map`), with a trace attached
+/// throughout.
 /// Returns the trace bytes and, when `profiled`, the sim-time profile.
 fn traced_bundle_run(profiled: bool) -> (Vec<u8>, Option<telemetry::Profile>) {
     let buf = SharedBuf::default();
@@ -141,8 +142,8 @@ fn parallel_derivation_spans_stay_out_of_traces() {
         "profiling-only spans leaked into an unprofiled trace"
     );
 
-    // Profiled path: derive spans are quiet — rayon closes them in
-    // scheduler-dependent order, so trace lines would break the
+    // Profiled path: derive spans are quiet — worker threads close them
+    // in scheduler-dependent order, so trace lines would break the
     // byte-stability contract even under --profile.
     let profiled_text = String::from_utf8(profiled).expect("utf8");
     assert!(
@@ -151,12 +152,12 @@ fn parallel_derivation_spans_stay_out_of_traces() {
     );
     assert!(
         !profiled_text.contains("derive."),
-        "rayon-closed derive spans must never write trace lines"
+        "worker-closed derive spans must never write trace lines"
     );
 
     // The profile sees each derivation exactly once, folded at the
-    // root: a span closed on a rayon worker must not interleave into
-    // another thread's open stack, regardless of where rayon ran it.
+    // root: a span closed on a worker thread must not interleave into
+    // another thread's open stack, regardless of which worker ran it.
     let profile = profile.expect("profile collected");
     for id in ["fig1", "tab1", "tab2"] {
         let name = format!("derive.{id}");
