@@ -646,9 +646,7 @@ fn heartbeat_progress(beat: &Beat, done: usize, total: usize, started: std::time
 
 fn mark_ran(ran: &mut BTreeSet<CampaignKind>, kind: CampaignKind) {
     if ran.insert(kind) {
-        telemetry::global()
-            .counter_with("collect.campaign_runs", &[("campaign", kind.name())])
-            .inc();
+        telemetry::counter_with("collect.campaign_runs", &[("campaign", kind.name())]).inc();
     }
 }
 
@@ -683,9 +681,7 @@ impl Lane<'_> {
         let Some(dir) = self.store_dir else {
             return Err(err);
         };
-        telemetry::global()
-            .counter_with("collect.campaign_retried", &[("campaign", kind.name())])
-            .inc();
+        telemetry::counter_with("collect.campaign_retried", &[("campaign", kind.name())]).inc();
         telemetry::warn(
             "collect.retry",
             "campaign failed; reopening store from last checkpoint and retrying once",
@@ -862,6 +858,7 @@ pub fn collect_bundle(
             .collect(),
         committed,
         stop: AtomicBool::new(false),
+        telemetry: telemetry::current(),
     };
     let mut sinks: Vec<BundleSinks> = (0..=usize::from(two_lanes))
         .map(|_| BTreeMap::new())
@@ -903,7 +900,7 @@ pub fn collect_bundle(
         for flush in flush_rx {
             pending.insert(flush.slot, flush);
             while let Some(flush) = pending.remove(&next) {
-                flush.capture.replay(clock_ms);
+                flush.telemetry.replay(clock_ms);
                 clock_ms = flush.clock_ms;
                 if next == 0 {
                     if opts.faults.as_ref().is_some_and(|plan| !plan.is_noop()) {
@@ -959,8 +956,7 @@ pub fn collect_bundle(
     publish_mem("store", &stores);
     for (kind, cov) in &coverage {
         if cov.fraction() < DEGRADED_THRESHOLD {
-            telemetry::global()
-                .counter_with("collect.campaign_degraded", &[("campaign", kind.name())])
+            telemetry::counter_with("collect.campaign_degraded", &[("campaign", kind.name())])
                 .inc();
             telemetry::warn(
                 "collect.degraded",
@@ -989,6 +985,9 @@ struct Schedule<'a> {
     committed: BTreeMap<CampaignKind, u32>,
     /// Raised by a lane that failed; the others stop at their next task.
     stop: AtomicBool,
+    /// The caller's handle: each slot runs under a child of it, which
+    /// goes to the replayer.
+    telemetry: telemetry::Telemetry,
 }
 
 /// The fleet as it crosses lanes: the NOERROR list and where the clock
@@ -1006,7 +1005,7 @@ enum Handoff {
 /// to the replayer: slot 0 is the world build, slot `i + 1` task `i`.
 struct Flush {
     slot: usize,
-    capture: telemetry::Capture,
+    telemetry: telemetry::Telemetry,
     /// Where the lane's clock stood after the slot, pumping included.
     clock_ms: u64,
     /// `Some` if the task ran (a task served from the store beats not).
@@ -1027,7 +1026,8 @@ fn clock(world: &World) -> SimTime {
 }
 
 /// Walks the schedule on a world of its own and runs the tasks `lane`
-/// owns, each under a [`telemetry::Capture`] that goes to the replayer.
+/// owns, each under a child of the caller's telemetry handle that goes
+/// to the replayer.
 /// Another lane's task is only an anchor to advance to, so that this
 /// world crosses every lease boundary in the same `advance_to` as the
 /// schedule does; the exception is the fleet, which the lane takes over
@@ -1043,7 +1043,8 @@ fn run_lane(
     let Schedule {
         opts, store_dir, ..
     } = *sched;
-    telemetry::Capture::begin();
+    let built = sched.telemetry.child();
+    let entered = built.enter();
     let mut world = build_world(opts.cfg.clone());
     telemetry::counter("collect.world_builds").inc();
     publish_mem("world", &world.mem_ledger());
@@ -1053,11 +1054,11 @@ fn run_lane(
     if let Some(plan) = &opts.faults {
         world.net.set_fault_plan(plan.clone());
     }
-    let built = telemetry::Capture::end();
+    drop(entered);
     if lane == 0 {
         let _ = out.send(Flush {
             slot: 0,
-            capture: built,
+            telemetry: built,
             clock_ms: world.now().millis(),
             beat: None,
         });
@@ -1088,7 +1089,8 @@ fn run_lane(
         if Some(index) > last || sched.stop.load(Ordering::Relaxed) {
             break;
         }
-        telemetry::Capture::begin();
+        let slot = sched.telemetry.child();
+        let entered = slot.enter();
         own.world.advance_to(SimTime(anchor));
         if owner != lane {
             if let (Task::Fleet, Handoff::Take(rx)) = (task, &handoff) {
@@ -1098,7 +1100,6 @@ fn run_lane(
                 own.world.advance_to(swept);
                 fleet = Some(ips);
             }
-            drop(telemetry::Capture::end());
             continue;
         }
         let executed = 'task: {
@@ -1327,6 +1328,7 @@ fn run_lane(
             }
             true
         };
+        drop(entered);
         let world = &own.world;
         if let (Task::Fleet, Handoff::Give(tx), Some(ips)) = (task, &handoff, &fleet) {
             let _ = tx.send((ips.clone(), clock(world)));
@@ -1335,7 +1337,7 @@ fn run_lane(
         // stay a pure function of the work actually executed.
         let _ = out.send(Flush {
             slot: index + 1,
-            capture: telemetry::Capture::end(),
+            telemetry: slot,
             clock_ms: clock(world).millis(),
             beat: executed.then(|| Beat {
                 campaign: task.campaign(),

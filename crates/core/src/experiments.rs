@@ -211,10 +211,10 @@ pub fn derive_all(
     exps: &[&'static Experiment],
     opts: &DeriveOptions,
 ) -> Vec<io::Result<ExperimentOutput>> {
+    let tel = telemetry::current();
     classify::par_map(exps.len(), |i| {
-        telemetry::global()
-            .counter_with("derive.experiment_runs", &[("exp", exps[i].id)])
-            .inc();
+        let _in = tel.enter();
+        telemetry::counter_with("derive.experiment_runs", &[("exp", exps[i].id)]).inc();
         // Quiet spans: they feed the profiler and the
         // `span.derive.<id>.*` counters but write no trace lines —
         // `par_map`'s workers close them in scheduler-dependent order,

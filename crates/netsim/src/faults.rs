@@ -48,11 +48,6 @@ impl BurstLoss {
     pub fn stationary_burst_fraction(&self) -> f64 {
         self.p_enter / (self.p_enter + self.p_exit)
     }
-
-    /// Long-run extra loss rate this model adds on top of base loss.
-    pub fn stationary_loss(&self) -> f64 {
-        self.stationary_burst_fraction() * self.loss_in_burst
-    }
 }
 
 /// A hash-keyed field of recurring fault windows: time is cut into

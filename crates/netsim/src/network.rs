@@ -223,24 +223,23 @@ struct NetTelemetry {
 }
 
 impl NetTelemetry {
-    /// Handles into the global registry, nothing flushed yet.
+    /// Handles into the installed registry, nothing flushed yet.
     fn new() -> NetTelemetry {
-        let reg = telemetry::global();
         NetTelemetry {
-            udp_sent: reg.counter("netsim.udp_sent"),
-            udp_delivered: reg.counter("netsim.udp_delivered"),
-            udp_lost: reg.counter("netsim.udp_lost"),
-            udp_filtered: reg.counter("netsim.udp_filtered"),
-            udp_unbound: reg.counter("netsim.udp_unbound"),
-            injected: reg.counter("netsim.injected"),
-            tcp_queries: reg.counter("netsim.tcp_queries"),
-            events_dispatched: reg.counter("netsim.events_dispatched"),
-            queue_depth_max: reg.gauge("netsim.queue_depth_max"),
-            fault_burst_drops: reg.counter("netsim.faults.burst_drops"),
-            fault_outage_drops: reg.counter("netsim.faults.outage_drops"),
-            fault_flap_drops: reg.counter("netsim.faults.flap_drops"),
-            fault_rate_limit_drops: reg.counter("netsim.faults.rate_limit_drops"),
-            fault_latency_spiked: reg.counter("netsim.faults.latency_spiked"),
+            udp_sent: telemetry::counter("netsim.udp_sent"),
+            udp_delivered: telemetry::counter("netsim.udp_delivered"),
+            udp_lost: telemetry::counter("netsim.udp_lost"),
+            udp_filtered: telemetry::counter("netsim.udp_filtered"),
+            udp_unbound: telemetry::counter("netsim.udp_unbound"),
+            injected: telemetry::counter("netsim.injected"),
+            tcp_queries: telemetry::counter("netsim.tcp_queries"),
+            events_dispatched: telemetry::counter("netsim.events_dispatched"),
+            queue_depth_max: telemetry::gauge("netsim.queue_depth_max"),
+            fault_burst_drops: telemetry::counter("netsim.faults.burst_drops"),
+            fault_outage_drops: telemetry::counter("netsim.faults.outage_drops"),
+            fault_flap_drops: telemetry::counter("netsim.faults.flap_drops"),
+            fault_rate_limit_drops: telemetry::counter("netsim.faults.rate_limit_drops"),
+            fault_latency_spiked: telemetry::counter("netsim.faults.latency_spiked"),
             synced: NetStats::default(),
             synced_dispatched: 0,
             synced_queue_max: 0,
@@ -1410,6 +1409,7 @@ mod tests {
             ..NetStats::default()
         };
         let none = FaultStats::default();
+        let _in = telemetry::Telemetry::new().enter();
         telemetry::recorder::enable(1.0, 1, 64);
         telemetry::recorder::set_context("stage-order", 1);
         let drops = || -> Vec<&'static str> {

@@ -1,14 +1,12 @@
 //! Fault counters across fault-plan swaps: `fault_stats()` never goes
 //! down, whatever plans are installed and removed in between, and the
 //! `netsim.faults.*` telemetry counters receive exactly what it counts.
-//!
-//! Its own test binary: the registry counters are process-wide, so no
-//! other network may flush into them while this runs.
 
 use netsim::host::EchoHost;
 use netsim::{Datagram, FaultPlan, FaultStats, Network, NetworkConfig, SimTime, TcpRequest};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+use telemetry::Telemetry;
 
 const SCANNER: Ipv4Addr = Ipv4Addr::new(100, 0, 0, 1);
 const STEP_MS: u64 = 10 * SimTime::MINUTE;
@@ -23,8 +21,8 @@ fn fields(f: FaultStats) -> [u64; 5] {
     ]
 }
 
-/// The process-wide `netsim.faults.*` counters, in [`fields`] order.
-fn registry() -> [u64; 5] {
+/// The `netsim.faults.*` counters of `tel`, in [`fields`] order.
+fn registry(tel: &Telemetry) -> [u64; 5] {
     [
         "burst_drops",
         "outage_drops",
@@ -32,7 +30,11 @@ fn registry() -> [u64; 5] {
         "rate_limit_drops",
         "latency_spiked",
     ]
-    .map(|name| telemetry::counter(&format!("netsim.faults.{name}")).get())
+    .map(|name| {
+        tel.registry()
+            .counter(&format!("netsim.faults.{name}"))
+            .get()
+    })
 }
 
 proptest! {
@@ -41,13 +43,15 @@ proptest! {
     /// `plans` picks, per step, no plan (0) or one of the six profiles.
     #[test]
     fn fault_counters_survive_any_plan_swap(plans in proptest::collection::vec(0usize..7, 1..9)) {
+        // The network counts into the handle installed when it is built.
+        let tel = Telemetry::new();
+        let _in = tel.enter();
         let mut net = Network::new(NetworkConfig { seed: 3, ..NetworkConfig::default() });
         for i in 0..32u8 {
             let h = net.add_host(Box::new(EchoHost));
             net.bind_ip(Ipv4Addr::new(10 + i, 0, 0, 1), h);
         }
         let _sock = net.open_socket(SCANNER, 40_000);
-        let base = registry();
         let mut last = [0u64; 5];
         for (step, &p) in plans.iter().enumerate() {
             let plan = match p {
@@ -70,8 +74,7 @@ proptest! {
                 now.iter().zip(&last).all(|(n, l)| n >= l),
                 "step {step} ({plans:?}): counters went down from {last:?} to {now:?}"
             );
-            let deltas: Vec<u64> = registry().iter().zip(&base).map(|(r, b)| r - b).collect();
-            prop_assert_eq!(&deltas[..], &now[..], "step {} ({:?})", step, plans);
+            prop_assert_eq!(registry(&tel), now, "step {} ({:?})", step, plans);
             last = now;
         }
     }

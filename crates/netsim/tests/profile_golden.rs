@@ -84,6 +84,8 @@ fn run_script(plan: Option<FaultPlan>) -> Run {
     let sock = net.open_socket(SCANNER, 40_000);
     let query = |dst, payload: Vec<u8>| Datagram::new(SCANNER, 40_000, dst, 53, payload);
 
+    let tel = telemetry::Telemetry::new();
+    let _in = tel.enter();
     telemetry::recorder::enable(1.0, 1, 1 << 20);
     telemetry::recorder::set_context("golden", 1);
     for round in 0..ROUNDS {

@@ -60,14 +60,6 @@ impl CensorPolicy {
         }
         None
     }
-
-    /// All domains/categories this policy touches — used by reports.
-    pub fn censored_categories(&self) -> BTreeSet<DomainCategory> {
-        self.rules
-            .iter()
-            .flat_map(|r| r.categories.iter().copied())
-            .collect()
-    }
 }
 
 /// The externally visible answer of a resolver to an A query.

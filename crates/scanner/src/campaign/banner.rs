@@ -125,7 +125,6 @@ pub fn banner_scan_ex(
             out.insert(ip, obs);
         }
     }
-    let reg = telemetry::global();
     let campaign = ("campaign", "banner");
     for (kind, n) in [
         ("refused", refused),
@@ -133,8 +132,7 @@ pub fn banner_scan_ex(
         ("timeout", timeout),
     ] {
         if n > 0 {
-            reg.counter_with("scanner.tcp_errors", &[campaign, ("kind", kind)])
-                .add(n);
+            telemetry::counter_with("scanner.tcp_errors", &[campaign, ("kind", kind)]).add(n);
         }
     }
     (out, cov)

@@ -118,15 +118,14 @@ pub fn enumerate_with_sink(
     let (Sweeper { mut result, .. }, tally) = sweep.finish(world);
     (result.probes_sent, result.skipped_blacklisted) = (tally.probes, skipped);
 
-    let reg = telemetry::global();
-    reg.counter("scanner.blacklist_skips").add(skipped);
+    telemetry::counter("scanner.blacklist_skips").add(skipped);
     let responders = result.observations.len() as u64;
     let timeouts = result.probes_sent.saturating_sub(responders);
     super::count("timeouts", "enumerate", timeouts);
     for (mnemonic, n) in result.counts() {
         if mnemonic != "ALL" {
             let labels = [("campaign", "enumerate"), ("rcode", mnemonic)];
-            reg.counter_with("scanner.responses", &labels).add(n);
+            telemetry::counter_with("scanner.responses", &labels).add(n);
         }
     }
     sp.attr("probes_sent", result.probes_sent);

@@ -14,9 +14,7 @@ mod sweep;
 
 /// Adds `n` to the counter `scanner.{name}{campaign}`.
 fn count(name: &str, campaign: &'static str, n: u64) {
-    telemetry::global()
-        .counter_with(&format!("scanner.{name}"), &[("campaign", campaign)])
-        .add(n);
+    telemetry::counter_with(&format!("scanner.{name}"), &[("campaign", campaign)]).add(n);
 }
 
 #[cfg(test)]
@@ -40,6 +38,8 @@ mod tests {
     /// counters are the returned tallies.
     #[test]
     fn every_drained_packet_lands_in_one_counted_bucket() {
+        let tel = telemetry::Telemetry::new();
+        let _in = tel.enter();
         let mut world = build_world(WorldConfig::tiny(0x7A11));
         let vantage = world.scanner_ip;
         let fleet = crate::enumerate(&mut world, vantage, 1).noerror_ips();
@@ -91,7 +91,9 @@ mod tests {
             let totals = columns.map(|(_, get)| sweeps.clone().map(|(_, t)| get(t)).sum::<u64>());
             let published = columns.map(|(name, _)| {
                 let labels = [("campaign", campaign)];
-                let counter = telemetry::global().counter_with(&format!("scanner.{name}"), &labels);
+                let counter = tel
+                    .registry()
+                    .counter_with(&format!("scanner.{name}"), &labels);
                 counter.get()
             });
             assert_eq!(published, totals, "{campaign}");
@@ -103,7 +105,7 @@ mod tests {
         // Only the sweep stamped ahead waited for a stamper.
         for campaign in ["enumerate", "churn", "chaos", "snoop", "domains"] {
             let key = format!("scanner.stamp_wait.wall_us{{campaign={campaign}}}");
-            let published = telemetry::snapshot().counter(&key).is_some();
+            let published = tel.registry().snapshot().counter(&key).is_some();
             assert_eq!(published, campaign == "enumerate", "{key}");
         }
     }

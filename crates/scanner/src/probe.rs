@@ -233,9 +233,7 @@ pub fn tcp_query_with_retry(
     }
     record_tcp_outcome(record, dst, &last, policy.attempts, net.now().millis());
     if retries > 0 {
-        telemetry::global()
-            .counter_with("scanner.retries", &[("campaign", campaign)])
-            .add(retries);
+        telemetry::counter_with("scanner.retries", &[("campaign", campaign)]).add(retries);
     }
     (last, retries)
 }

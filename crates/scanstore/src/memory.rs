@@ -103,10 +103,8 @@ impl SnapshotSink for MemoryStore {
     fn commit(&mut self, label: &str, t_ms: u64, meta: &[(String, String)]) -> io::Result<u32> {
         let seq = self.snapshots.len() as u32;
         let records = seal_pending(&mut self.pending);
-        let reg = telemetry::global();
-        reg.counter_with("scanstore.segments_written", &[("backend", "memory")])
-            .inc();
-        reg.counter_with("scanstore.records_committed", &[("backend", "memory")])
+        telemetry::counter_with("scanstore.segments_written", &[("backend", "memory")]).inc();
+        telemetry::counter_with("scanstore.records_committed", &[("backend", "memory")])
             .add(records.len() as u64);
         let mut packed = Vec::with_capacity(records.len() * 12);
         encode_records(&mut packed, &records, t_ms);

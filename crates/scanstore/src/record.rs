@@ -166,9 +166,10 @@ pub fn encode_records(out: &mut Vec<u8>, records: &[Observation], base_ms: u64) 
     }
 }
 
-/// Decodes `n` records written by [`encode_records`].
+/// Decodes `n` records written by [`encode_records`]. A hostile `n`
+/// reserves at most one record per byte left in `r`.
 pub fn decode_records(r: &mut Reader<'_>, n: usize, base_ms: u64) -> io::Result<Vec<Observation>> {
-    let mut records = Vec::with_capacity(n.min(1 << 20));
+    let mut records = Vec::with_capacity(n.min(r.remaining()));
     let mut prev = 0u32;
     for _ in 0..n {
         let o = decode_record(r, prev, base_ms)?;

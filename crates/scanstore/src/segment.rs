@@ -135,20 +135,22 @@ pub fn decode(buf: &[u8]) -> io::Result<Segment> {
         other => return Err(invalid(&format!("unknown segment kind {other}"))),
     };
     let label = read_str(&mut r)?;
+    // A count read off disk reserves no more entries than bytes are
+    // left, since every entry takes at least one.
     let meta_count = r.u64()? as usize;
-    let mut meta = Vec::with_capacity(meta_count.min(1024));
+    let mut meta = Vec::with_capacity(meta_count.min(r.remaining()));
     for _ in 0..meta_count {
         let k = read_str(&mut r)?;
         let v = read_str(&mut r)?;
         meta.push((k, v));
     }
     let dict_count = r.u64()? as usize;
-    let mut new_strings = Vec::with_capacity(dict_count.min(1 << 16));
+    let mut new_strings = Vec::with_capacity(dict_count.min(r.remaining()));
     for _ in 0..dict_count {
         new_strings.push(read_str(&mut r)?);
     }
     let removed_count = r.u64()? as usize;
-    let mut removed = Vec::with_capacity(removed_count.min(1 << 20));
+    let mut removed = Vec::with_capacity(removed_count.min(r.remaining()));
     let mut prev = 0u32;
     for _ in 0..removed_count {
         let gap = r.u64()?;

@@ -323,13 +323,10 @@ impl SnapshotSink for CampaignStore {
             self.seal()?;
         }
 
-        let reg = telemetry::global();
-        reg.counter_with("scanstore.segments_written", &[("backend", "disk")])
-            .inc();
-        reg.counter("scanstore.bytes_written")
-            .add(bytes.len() as u64);
-        reg.counter("scanstore.json_bytes_equiv").add(json_bytes);
-        reg.counter_with("scanstore.records_committed", &[("backend", "disk")])
+        telemetry::counter_with("scanstore.segments_written", &[("backend", "disk")]).inc();
+        telemetry::counter("scanstore.bytes_written").add(bytes.len() as u64);
+        telemetry::counter("scanstore.json_bytes_equiv").add(json_bytes);
+        telemetry::counter_with("scanstore.records_committed", &[("backend", "disk")])
             .add(upserts as u64);
         telemetry::debug(
             "scanstore.commit",

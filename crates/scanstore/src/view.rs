@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-IP summary in the read-side index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,14 +75,11 @@ pub struct ReadIndex {
     /// the cache to compare one field of each.
     by_country: Vec<u32>,
     snapshot_sizes: Vec<u64>,
-}
-
-/// Counter handle for index probes, fetched once: lookups sit on the
-/// serving hot path, so the steady-state cost must be one relaxed
-/// atomic increment.
-fn probe_counter() -> &'static telemetry::Counter {
-    static PROBES: std::sync::OnceLock<telemetry::Counter> = std::sync::OnceLock::new();
-    PROBES.get_or_init(|| telemetry::counter("scanstore.view.index_probes"))
+    /// `scanstore.view.index_probes`, fetched at the first probe from
+    /// the handle of the thread that makes it: lookups sit on the
+    /// serving hot path, so the steady-state cost must be one relaxed
+    /// atomic increment.
+    probes: OnceLock<telemetry::Counter>,
 }
 
 impl ReadIndex {
@@ -155,12 +152,20 @@ impl ReadIndex {
             asn_series,
             by_country,
             snapshot_sizes,
+            probes: OnceLock::new(),
         }
+    }
+
+    fn probed(&self) {
+        let probes = self
+            .probes
+            .get_or_init(|| telemetry::counter("scanstore.view.index_probes"));
+        probes.inc();
     }
 
     /// Point lookup by IP (binary search over the sorted entries).
     pub fn lookup(&self, ip: u32) -> Option<&IndexEntry> {
-        probe_counter().inc();
+        self.probed();
         self.entries
             .binary_search_by_key(&ip, |e| e.ip)
             .ok()
@@ -174,14 +179,14 @@ impl ReadIndex {
 
     /// Presence/survival series for one AS, if it was ever observed.
     pub fn asn_series(&self, asn: u32) -> Option<&AsnSeries> {
-        probe_counter().inc();
+        self.probed();
         self.asn_series.get(&asn)
     }
 
     /// The entries whose latest observation carries the interned country
     /// id `country` (see [`StoreView::string_ids`]), by ascending IP.
     pub fn in_country(&self, country: u32) -> impl Iterator<Item = &IndexEntry> + '_ {
-        probe_counter().inc();
+        self.probed();
         let of = |at: &u32| self.entries[*at as usize].latest.country;
         let first = self.by_country.partition_point(|at| of(at) < country);
         let len = self.by_country[first..].partition_point(|at| of(at) == country);

@@ -202,22 +202,18 @@ mod tests {
 
     #[test]
     fn counters_are_labeled_by_endpoint() {
+        let tel = telemetry::Telemetry::new();
+        let _in = tel.enter();
         let mut cache = LruCache::new(1).unwrap();
-        let base_hit =
-            telemetry::counter_with("serve.cache.hit", &[("endpoint", "campaigns")]).get();
-        let base_miss =
-            telemetry::counter_with("serve.cache.miss", &[("endpoint", "campaigns")]).get();
         cache.put("inv".into(), "campaigns", body("I"));
         assert!(cache.get("inv", "campaigns").is_some());
         assert!(cache.get("gone", "campaigns").is_none());
-        assert_eq!(
-            telemetry::counter_with("serve.cache.hit", &[("endpoint", "campaigns")]).get(),
-            base_hit + 1
-        );
-        assert_eq!(
-            telemetry::counter_with("serve.cache.miss", &[("endpoint", "campaigns")]).get(),
-            base_miss + 1
-        );
+        let count = |name| {
+            tel.registry()
+                .counter_with(name, &[("endpoint", "campaigns")])
+        };
+        assert_eq!(count("serve.cache.hit").get(), 1);
+        assert_eq!(count("serve.cache.miss").get(), 1);
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl ServeObs {
             .map(|&name| EndpointLat {
                 name,
                 window: Mutex::new(RollingWindow::new()),
-                hist: telemetry::global().histogram_with(
+                hist: telemetry::histogram_with(
                     "serve.latency_us",
                     &[("endpoint", name)],
                     &LATENCY_BOUNDS_US,

@@ -193,9 +193,11 @@ impl RunningServer {
         let (tx, rx) = std::sync::mpsc::channel::<io::Result<SocketAddr>>();
         let thread_state = Arc::clone(&state);
         let opts = opts.clone();
+        let tel = telemetry::current();
         let thread = std::thread::Builder::new()
             .name("serve-accept".to_string())
             .spawn(move || {
+                let _in = tel.enter();
                 let rt = tokio::runtime::Runtime::new()?;
                 rt.block_on(async move {
                     let listener = match TcpListener::bind(opts.addr.as_str()).await {

@@ -41,12 +41,6 @@ fn get(addr: SocketAddr, target: &str) -> (u16, String) {
     (status, body)
 }
 
-/// The telemetry registry is one per process and the tests of this file
-/// run on parallel threads: the test that balances connection counters
-/// to the unit writes this lock, every other test that starts a daemon
-/// reads it.
-static DAEMONS: std::sync::RwLock<()> = std::sync::RwLock::new(());
-
 fn options(store: &Path) -> ServeOptions {
     ServeOptions {
         store: store.to_path_buf(),
@@ -62,7 +56,6 @@ fn options(store: &Path) -> ServeOptions {
 
 #[test]
 fn four_families_over_a_collected_bundle() {
-    let _shared = DAEMONS.read().unwrap_or_else(|e| e.into_inner());
     let tmp = TempDir::new("families");
     collect_store(&tmp.0);
     let server = RunningServer::start(&options(&tmp.0)).unwrap();
@@ -102,7 +95,8 @@ fn four_families_over_a_collected_bundle() {
 
 #[test]
 fn same_seed_fleet_runs_are_byte_identical() {
-    let _shared = DAEMONS.read().unwrap_or_else(|e| e.into_inner());
+    let tel = telemetry::Telemetry::new();
+    let _in = tel.enter();
     let tmp = TempDir::new("determinism");
     collect_store(&tmp.0);
     let server = RunningServer::start(&options(&tmp.0)).unwrap();
@@ -136,7 +130,6 @@ fn same_seed_fleet_runs_are_byte_identical() {
 
 #[test]
 fn refresh_serves_new_commits_without_dropping_queries() {
-    let _shared = DAEMONS.read().unwrap_or_else(|e| e.into_inner());
     let tmp = TempDir::new("refresh");
     // A handwritten store this time: the test needs to commit while
     // the daemon is live.
@@ -198,14 +191,13 @@ fn refresh_serves_new_commits_without_dropping_queries() {
 
 #[test]
 fn every_accepted_connection_ends_in_one_counted_outcome() {
-    let _alone = DAEMONS.write().unwrap_or_else(|e| e.into_inner());
+    // The daemon's accept thread reports to the handle that started it.
+    let tel = telemetry::Telemetry::new();
+    let _in = tel.enter();
     let tmp = TempDir::new("outcomes");
     collect_store(&tmp.0);
     const TIMED_OUT: &str = "serve.conns{outcome=timed_out}";
-    let before = telemetry::snapshot();
-    let since = |now: &telemetry::Snapshot, key: &str| {
-        now.counter(key).unwrap_or(0) - before.counter(key).unwrap_or(0)
-    };
+    let count = |key: &str| tel.registry().snapshot().counter(key).unwrap_or(0);
     let server = RunningServer::start(&ServeOptions {
         conn_timeout_ms: 100,
         ..options(&tmp.0)
@@ -223,7 +215,7 @@ fn every_accepted_connection_ends_in_one_counted_outcome() {
     let mut loris = TcpStream::connect(addr).unwrap();
     loris.write_all(b"GET /classify?ip=").unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while since(&telemetry::snapshot(), TIMED_OUT) == 0 {
+    while count(TIMED_OUT) == 0 {
         assert!(
             Instant::now() < deadline,
             "the stalled connection never timed out"
@@ -233,15 +225,14 @@ fn every_accepted_connection_ends_in_one_counted_outcome() {
     drop(loris);
 
     let summary = server.stop().unwrap();
-    let after = telemetry::snapshot();
-    let answered = since(&after, "serve.conns{outcome=answered}");
-    let closed_early = since(&after, "serve.conns{outcome=closed_early}");
-    let timed_out = since(&after, TIMED_OUT);
+    let answered = count("serve.conns{outcome=answered}");
+    let closed_early = count("serve.conns{outcome=closed_early}");
+    let timed_out = count(TIMED_OUT);
     assert_eq!(answered, 4);
     assert_eq!(answered, summary.requests);
     assert_eq!((closed_early, timed_out), (1, 1));
     assert_eq!(
-        since(&after, "serve.conns.accepted"),
+        count("serve.conns.accepted"),
         answered + closed_early + timed_out
     );
 }

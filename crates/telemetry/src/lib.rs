@@ -7,18 +7,24 @@
 //!
 //! # Model
 //!
+//! - **The handle** ([`Telemetry`]) is one run's telemetry as a value:
+//!   a registry, the trace sink, the flight recorder and the sim-time
+//!   profile. A thread installs one with [`Telemetry::enter`], and
+//!   every free function below acts on the installed handle — or on
+//!   one process default, for a thread that installed none. A library
+//!   thread that emits telemetry installs its spawner's handle
+//!   ([`current`]), so a run, a lane or a test carries its own state.
 //! - **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) are cheap
 //!   clonable handles over atomics, registered by name (plus optional
-//!   labels) in a [`Registry`]. The process-wide registry is reachable
-//!   through [`global()`] and the free functions [`counter`],
-//!   [`gauge`], [`histogram`]. Fetch handles once, increment on the
-//!   hot path: an increment is one relaxed atomic op, no formatting,
-//!   no locking.
+//!   labels) in a [`Registry`], reached through the free functions
+//!   [`counter`], [`gauge`], [`histogram`]. Fetch handles once,
+//!   increment on the hot path: an increment is one relaxed atomic op,
+//!   no formatting, no locking.
 //! - **Spans** ([`span`]) record a named interval in *both* clocks:
 //!   simulated milliseconds (passed in explicitly, usually
 //!   `world.now().millis()`) and wall time (measured internally).
-//!   Spans nest per-thread; a child records its parent's id. On
-//!   finish a span feeds `span.<name>.{count,sim_ms,wall_us}`
+//!   Spans nest per thread and handle; a child records its parent's
+//!   id. On finish a span feeds `span.<name>.{count,sim_ms,wall_us}`
 //!   counters and, if a trace is attached, emits one JSON line.
 //! - **Events** ([`event`] and the [`debug`]/[`info`]/[`warn`]/
 //!   [`error`] shorthands) are log lines gated by a process-wide
@@ -29,9 +35,10 @@
 //!   values at once, renderable as JSON ([`Snapshot::to_json`]), a
 //!   human-readable table ([`Snapshot::to_table`]), or Prometheus
 //!   text exposition ([`prometheus::render`]).
-//! - **Capture and replay** ([`Capture`]): a thread can collect what it
-//!   would have written to the ordered outputs — trace lines, span
-//!   closes, flight-recorder records — and another thread writes it out
+//! - **Children and replay** ([`Telemetry::child`]): a unit of work
+//!   run under a child handle keeps what it would have written to the
+//!   ordered outputs — trace lines, span closes, flight-recorder
+//!   records — and [`Telemetry::replay`] writes it into the parent
 //!   later, so work done on several threads leaves the stream a
 //!   sequential run leaves.
 //! - **Request-scoped observability** ([`reqtrace`], [`rolling`]):
@@ -49,7 +56,7 @@
 //! snapshot. Two runs of the same seeded workload with a fresh trace
 //! attached therefore produce byte-identical trace files.
 
-mod capture;
+mod handle;
 pub mod json;
 mod metrics;
 pub mod prometheus;
@@ -60,9 +67,9 @@ pub mod rolling;
 mod snapshot;
 mod trace;
 
-pub use capture::Capture;
+pub use handle::{current, Entered, Telemetry};
 pub use metrics::{Counter, Gauge, Histogram};
-pub use registry::{global, Registry};
+pub use registry::Registry;
 pub use reqtrace::{RequestCtx, RequestRing, RequestTrace, SlowLog};
 pub use rolling::{BurnState, RollingWindow, SloSpec, WindowStats};
 pub use snapshot::{HistogramData, Snapshot};
@@ -72,36 +79,36 @@ pub use trace::{
     SpanProfile, Value,
 };
 
-/// A counter handle from the global registry.
+/// A counter handle from the installed registry.
 pub fn counter(name: &str) -> Counter {
-    global().counter(name)
+    handle::with_current(|t| t.registry().counter(name))
 }
 
-/// A labeled counter handle from the global registry.
+/// A labeled counter handle from the installed registry.
 pub fn counter_with(name: &str, labels: &[(&str, &str)]) -> Counter {
-    global().counter_with(name, labels)
+    handle::with_current(|t| t.registry().counter_with(name, labels))
 }
 
-/// A gauge handle from the global registry.
+/// A gauge handle from the installed registry.
 pub fn gauge(name: &str) -> Gauge {
-    global().gauge(name)
+    handle::with_current(|t| t.registry().gauge(name))
 }
 
-/// A labeled gauge handle from the global registry.
-pub fn gauge_with(name: &str, labels: &[(&str, &str)]) -> Gauge {
-    global().gauge_with(name, labels)
-}
-
-/// A histogram handle from the global registry. `bounds` are the
+/// A histogram handle from the installed registry. `bounds` are the
 /// inclusive upper edges of the buckets; values above the last bound
 /// land in an implicit overflow bucket.
 pub fn histogram(name: &str, bounds: &[u64]) -> Histogram {
-    global().histogram(name, bounds)
+    histogram_with(name, &[], bounds)
 }
 
-/// Snapshot of every metric in the global registry.
+/// A labeled histogram handle from the installed registry.
+pub fn histogram_with(name: &str, labels: &[(&str, &str)], bounds: &[u64]) -> Histogram {
+    handle::with_current(|t| t.registry().histogram_with(name, labels, bounds))
+}
+
+/// Snapshot of every metric in the installed registry.
 pub fn snapshot() -> Snapshot {
-    global().snapshot()
+    handle::with_current(|t| t.registry().snapshot())
 }
 
 /// Emit a debug-level event (see [`event`]).

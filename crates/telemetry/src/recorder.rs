@@ -7,11 +7,14 @@
 //! final give-up — so "why did this resolver need three retries?" is
 //! answerable after the run from the persisted stream alone.
 //!
+//! The recorder belongs to a [`crate::Telemetry`] handle; the free
+//! functions here act on the handle the calling thread has installed.
+//!
 //! # Causality without plumbing
 //!
 //! The scanner knows the campaign and attempt number; the network
 //! layer knows why a datagram died. Neither API mentions the other:
-//! the scanner publishes a thread-local *probe context*
+//! the scanner publishes a per-thread *probe context*
 //! ([`set_context`]) around its send/pump phases, and the network's
 //! drop paths read it back when recording. This is sound because each
 //! world's simulation is single-threaded — the event loop runs on the
@@ -32,13 +35,13 @@
 //!
 //! # Cost when disabled
 //!
-//! Every entry point is gated on one relaxed atomic load; with the
-//! recorder disabled the scan pipeline's behaviour and output are
-//! byte-identical to a build without the recorder.
+//! Every entry point is gated on one relaxed atomic load of the
+//! handle's flag; with the recorder disabled the scan pipeline's
+//! behaviour and output are byte-identical to a build without it.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use crate::handle::{with_current, SCOPE};
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 
 /// What one [`ProbeRecord`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,25 +122,16 @@ pub struct ProbeRecord {
 /// campaigns emit at reproduction scales.
 pub const DEFAULT_CAPACITY: usize = 1 << 22;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<State>> = Mutex::new(None);
-
-struct State {
-    ring: Vec<ProbeRecord>,
-    /// Next overwrite position once `ring.len() == cap`.
-    head: usize,
+/// A handle's ring and its sampling rule.
+pub(crate) struct Recorder {
+    /// The newest `cap` records, oldest first.
+    ring: VecDeque<ProbeRecord>,
     cap: usize,
     next_seq: u64,
     /// Sampling threshold: record when `hash <= threshold`.
     threshold: u64,
     seed: u64,
     overwritten: u64,
-}
-
-thread_local! {
-    /// The issuing campaign and current attempt number, published by
-    /// the scanner around its send/pump phases.
-    static CONTEXT: Cell<Option<(&'static str, u32)>> = const { Cell::new(None) };
 }
 
 /// Recorder occupancy counters, for the end-of-run summary.
@@ -151,6 +145,50 @@ pub struct RecorderStats {
     pub overwritten: u64,
 }
 
+/// Hash channel decorrelating sampling from every other seeded hash.
+const SAMPLE_CHANNEL: u64 = 0x5A301E;
+
+impl Recorder {
+    fn new(threshold: u64, seed: u64, cap: usize) -> Recorder {
+        Recorder {
+            ring: VecDeque::new(),
+            cap,
+            next_seq: 0,
+            threshold,
+            seed,
+            overwritten: 0,
+        }
+    }
+
+    /// The same sampling rule over an empty ring that never overwrites:
+    /// a child handle's, whose records take their place in the parent's
+    /// ring at replay.
+    pub(crate) fn unbounded_like(&self) -> Recorder {
+        Recorder::new(self.threshold, self.seed, usize::MAX)
+    }
+
+    /// Deterministic sampling decision for a target: all-or-none per IP.
+    fn samples(&self, ip: u32) -> bool {
+        mix64(self.seed, SAMPLE_CHANNEL, ip as u64) <= self.threshold
+    }
+
+    /// Appends `rec` with the next sequence number.
+    pub(crate) fn push(&mut self, mut rec: ProbeRecord) {
+        rec.seq = self.next_seq;
+        self.next_seq += 1;
+        if self.ring.len() == self.cap {
+            self.ring.pop_front();
+            self.overwritten += 1;
+        }
+        self.ring.push_back(rec);
+    }
+
+    /// Takes every buffered record, oldest first.
+    pub(crate) fn drain(&mut self) -> Vec<ProbeRecord> {
+        std::mem::take(&mut self.ring).into()
+    }
+}
+
 /// Turns the recorder on with sampling `rate` in `[0, 1]`, a sampling
 /// seed, and a ring `capacity`. Resets sequence numbers and drops any
 /// buffered records, so seeded reruns produce identical streams.
@@ -161,111 +199,63 @@ pub fn enable(rate: f64, seed: u64, capacity: usize) {
     } else {
         (rate * u64::MAX as f64) as u64
     };
-    let mut g = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    *g = Some(State {
-        ring: Vec::new(),
-        head: 0,
-        cap: capacity.max(1),
-        next_seq: 0,
-        threshold,
-        seed,
-        overwritten: 0,
+    with_current(|t| {
+        t.out().recorder = Some(Recorder::new(threshold, seed, capacity.max(1)));
+        t.0.recording.store(true, Ordering::SeqCst);
     });
-    ENABLED.store(true, Ordering::SeqCst);
 }
 
 /// Turns the recorder off and discards any buffered records.
 pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-    let mut g = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    *g = None;
+    with_current(|t| {
+        t.0.recording.store(false, Ordering::SeqCst);
+        t.out().recorder = None;
+    });
 }
 
 /// True while the recorder is on (one relaxed load).
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    with_current(|t| t.0.recording.load(Ordering::Relaxed))
 }
 
 /// Publishes the issuing campaign and attempt number for subsequent
 /// sends on this thread. A no-op when the recorder is off.
 pub fn set_context(campaign: &'static str, attempt: u32) {
     if enabled() {
-        CONTEXT.with(|c| c.set(Some((campaign, attempt))));
+        SCOPE.with(|s| s.borrow_mut().context = Some((campaign, attempt)));
     }
 }
 
 /// Clears the probe context.
 pub fn clear_context() {
-    CONTEXT.with(|c| c.set(None));
-}
-
-/// Deterministic sampling decision for a target: all-or-none per IP.
-pub fn sampled(ip: u32) -> bool {
-    if !enabled() {
-        return false;
-    }
-    let g = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    match g.as_ref() {
-        Some(s) => sample_hit(s, ip),
-        None => false,
-    }
-}
-
-/// Hash channel decorrelating sampling from every other seeded hash.
-const SAMPLE_CHANNEL: u64 = 0x5A301E;
-
-fn sample_hit(s: &State, ip: u32) -> bool {
-    mix64(s.seed, SAMPLE_CHANNEL, ip as u64) <= s.threshold
-}
-
-fn push(s: &mut State, mut rec: ProbeRecord) {
-    rec.seq = s.next_seq;
-    s.next_seq += 1;
-    if s.ring.len() < s.cap {
-        s.ring.push(rec);
-    } else {
-        s.ring[s.head] = rec;
-        s.head = (s.head + 1) % s.cap;
-        s.overwritten += 1;
-    }
+    SCOPE.with(|s| s.borrow_mut().context = None);
 }
 
 fn record(kind: RecordKind, ip: u32, asn: u32, value: u64, reason: &'static str, t_ms: u64) {
-    let Some((campaign, attempt)) = CONTEXT.with(|c| c.get()) else {
+    let Some((campaign, attempt)) = SCOPE.with(|s| s.borrow().context) else {
         return;
     };
-    let mut g = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(s) = g.as_mut() else { return };
-    if ip != 0 && !sample_hit(s, ip) {
-        return;
-    }
-    let rec = ProbeRecord {
-        seq: 0,
-        t_ms,
-        kind,
-        campaign,
-        ip,
-        asn,
-        attempt,
-        value,
-        reason: if kind == RecordKind::Drop { reason } else { "" },
-    };
-    // A capturing thread keeps the record for its replay, which is
-    // when it gets its place in the ring and its sequence number.
-    if let Some(rec) = crate::capture::offer_record(rec) {
-        push(s, rec);
-    }
-}
-
-/// Appends captured records to the ring, in order.
-pub(crate) fn replay(records: Vec<ProbeRecord>) {
-    let mut g = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(s) = g.as_mut() {
-        for rec in records {
-            push(s, rec);
+    with_current(|t| {
+        let mut out = t.out();
+        let Some(r) = out.recorder.as_mut() else {
+            return;
+        };
+        if ip != 0 && !r.samples(ip) {
+            return;
         }
-    }
+        r.push(ProbeRecord {
+            seq: 0,
+            t_ms,
+            kind,
+            campaign,
+            ip,
+            asn,
+            attempt,
+            value,
+            reason: if kind == RecordKind::Drop { reason } else { "" },
+        });
+    });
 }
 
 /// Records a probe send to `ip` (context supplies campaign/attempt).
@@ -317,28 +307,25 @@ pub fn gave_up(ip: u32, asn: u32, attempts: u32, t_ms: u64) {
 /// recorder stays enabled and sequence numbers keep counting, so
 /// periodic drains concatenate into one gap-free stream.
 pub fn drain() -> Vec<ProbeRecord> {
-    let mut g = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(s) = g.as_mut() else {
-        return Vec::new();
-    };
-    let head = s.head;
-    s.head = 0;
-    let mut out = std::mem::take(&mut s.ring);
-    out.rotate_left(head);
-    out
+    with_current(|t| {
+        t.out()
+            .recorder
+            .as_mut()
+            .map(Recorder::drain)
+            .unwrap_or_default()
+    })
 }
 
 /// Occupancy counters.
 pub fn stats() -> RecorderStats {
-    let g = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    match g.as_ref() {
+    with_current(|t| match t.out().recorder.as_ref() {
         Some(s) => RecorderStats {
             buffered: s.ring.len() as u64,
             recorded: s.next_seq,
             overwritten: s.overwritten,
         },
         None => RecorderStats::default(),
-    }
+    })
 }
 
 /// SplitMix64-style mixing (same construction the simulator uses),
@@ -358,19 +345,11 @@ fn mix64(a: u64, b: u64, c: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex as StdMutex, OnceLock};
-
-    /// Recorder state is process-global; tests take turns.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<StdMutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| StdMutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::Telemetry;
 
     #[test]
     fn disabled_recorder_costs_nothing_and_records_nothing() {
-        let _g = lock();
+        let _in = Telemetry::new().enter();
         disable();
         assert!(!enabled());
         set_context("churn", 1);
@@ -382,7 +361,7 @@ mod tests {
 
     #[test]
     fn records_link_context_and_preserve_order() {
-        let _g = lock();
+        let _in = Telemetry::new().enter();
         enable(1.0, 7, 1024);
         set_context("churn", 1);
         attempt(0x01020304, 42, 1000);
@@ -414,19 +393,15 @@ mod tests {
 
     #[test]
     fn sampling_is_all_or_none_per_ip_and_deterministic() {
-        let _g = lock();
+        let _in = Telemetry::new().enter();
         enable(0.5, 99, 1 << 16);
         set_context("chaos", 1);
-        let mut kept = 0u32;
         for ip in 1..=2000u32 {
             attempt(ip, 0, 10);
             response(ip, 0, 20);
         }
         let recs = drain();
-        for r in &recs {
-            kept += 1;
-            let _ = r;
-        }
+        let kept = recs.len() as u32;
         // Each sampled ip contributed exactly its attempt+response pair.
         assert!(kept > 0 && kept.is_multiple_of(2), "kept={kept}");
         let frac = (kept / 2) as f64 / 2000.0;
@@ -445,19 +420,25 @@ mod tests {
 
     #[test]
     fn captured_records_take_their_sequence_numbers_at_replay() {
-        let _g = lock();
+        let tel = Telemetry::new();
+        let _in = tel.enter();
         enable(1.0, 7, 1024);
+        // A unit on a thread of its own, under a child handle.
         let unit = |k: u32| {
-            crate::Capture::begin();
-            set_context("churn", 1);
-            attempt(k, 0, u64::from(k));
-            response(k, 0, u64::from(k) + 1);
-            clear_context();
-            crate::Capture::end()
+            let child = tel.child();
+            let run = || {
+                let _in = child.enter();
+                set_context("churn", 1);
+                attempt(k, 0, u64::from(k));
+                response(k, 0, u64::from(k) + 1);
+                clear_context();
+            };
+            std::thread::scope(|s| s.spawn(run).join().unwrap());
+            child
         };
-        // Captured 2, 1 on other threads, replayed 1, 2.
-        let second = std::thread::spawn(move || unit(2)).join().unwrap();
-        let first = std::thread::spawn(move || unit(1)).join().unwrap();
+        // Kept 2, 1 on other threads, replayed 1, 2.
+        let second = unit(2);
+        let first = unit(1);
         assert_eq!(
             stats().recorded,
             0,
@@ -475,7 +456,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_when_full() {
-        let _g = lock();
+        let _in = Telemetry::new().enter();
         enable(1.0, 1, 4);
         set_context("churn", 1);
         for i in 0..10u32 {

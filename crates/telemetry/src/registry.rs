@@ -7,8 +7,9 @@ use crate::snapshot::{HistogramData, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
-/// A set of named metric families. Most code uses the process-wide
-/// [`global()`] registry; benches build their own for isolation.
+/// A set of named metric families. Each [`crate::Telemetry`] handle
+/// owns one; the free functions ([`crate::counter`], …) reach the
+/// registry of the handle the calling thread has installed.
 pub struct Registry {
     inner: Mutex<Inner>,
 }
@@ -102,16 +103,6 @@ impl Registry {
             .clone()
     }
 
-    /// Drops every registered metric. Existing handles keep working
-    /// but are no longer visible to snapshots; used by tests that need
-    /// a clean slate.
-    pub fn clear(&self) {
-        let mut g = self.lock();
-        g.counters.clear();
-        g.gauges.clear();
-        g.histograms.clear();
-    }
-
     /// Captures every metric's current value, sorted by key.
     pub fn snapshot(&self) -> Snapshot {
         let g = self.lock();
@@ -146,12 +137,6 @@ impl Default for Registry {
     fn default() -> Registry {
         Registry::new()
     }
-}
-
-/// The process-wide registry.
-pub fn global() -> &'static Registry {
-    static GLOBAL: Registry = Registry::new();
-    &GLOBAL
 }
 
 #[cfg(test)]
@@ -190,15 +175,5 @@ mod tests {
         assert_eq!(snap.gauges[0], ("ratio".to_string(), 9.9));
         assert_eq!(snap.histograms[0].1.count, 1);
         assert_eq!(snap.histograms[0].1.counts, vec![0, 1, 0]);
-    }
-
-    #[test]
-    fn clear_detaches_metrics() {
-        let reg = Registry::new();
-        let live = reg.counter("kept");
-        reg.clear();
-        live.inc(); // handle still works...
-        assert_eq!(reg.snapshot().counters.len(), 0); // ...but is unregistered
-        assert_eq!(reg.counter("kept").get(), 0, "fresh cell after clear");
     }
 }

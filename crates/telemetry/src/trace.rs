@@ -6,15 +6,12 @@
 //! durations are measured but surface only as `span.<name>.wall_us`
 //! counters in the metrics snapshot, never in the trace.
 
-use crate::capture;
+use crate::handle::{with_current, with_spans, Telemetry};
 use crate::json;
-use crate::registry::global;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;
 
 // ---------------------------------------------------------------- verbosity
@@ -44,7 +41,8 @@ impl Level {
 }
 
 /// Default: warnings and errors only, so library consumers (tests,
-/// benches) stay quiet. The `repro` CLI raises this to `Info`.
+/// benches) stay quiet. The `repro` CLI raises this to `Info`. One per
+/// process, as stderr is.
 static VERBOSITY: AtomicU8 = AtomicU8::new(Level::Warn as u8);
 
 /// Sets the stderr verbosity threshold.
@@ -70,78 +68,65 @@ pub fn enabled(level: Level) -> bool {
 
 // -------------------------------------------------------------- trace sink
 
-static TRACE_ON: AtomicBool = AtomicBool::new(false);
-static TRACE: Mutex<Option<Sink>> = Mutex::new(None);
-/// Span-id source. Reset on [`attach_trace`] so seeded runs that each
-/// attach a fresh trace assign identical ids.
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
-struct Sink {
-    w: Box<dyn Write + Send>,
-    seq: u64,
-}
-
-/// Attaches a JSON-lines trace writer, replacing any previous one.
-/// Resets the line sequence and span-id counters, so traces of
-/// identical seeded workloads are byte-identical.
+/// Attaches a JSON-lines trace writer to this thread's handle,
+/// replacing any previous one. Resets the line sequence and span-id
+/// counters, so traces of identical seeded workloads are
+/// byte-identical.
 pub fn attach_trace(w: Box<dyn Write + Send>) {
-    let mut g = TRACE.lock().unwrap_or_else(|e| e.into_inner());
-    *g = Some(Sink { w, seq: 0 });
-    NEXT_ID.store(1, Ordering::SeqCst);
-    TRACE_ON.store(true, Ordering::SeqCst);
+    with_current(|t| {
+        t.out().trace = Some(Sink { w, seq: 0 });
+        t.0.next_id.store(1, Ordering::SeqCst);
+        t.0.trace_on.store(true, Ordering::SeqCst);
+    });
 }
 
 /// Detaches the trace writer, flushing it first. A no-op without one.
 pub fn detach_trace() -> io::Result<()> {
-    let sink = {
-        let mut g = TRACE.lock().unwrap_or_else(|e| e.into_inner());
-        TRACE_ON.store(false, Ordering::SeqCst);
-        g.take()
-    };
+    let sink = with_current(|t| {
+        let mut out = t.out();
+        t.0.trace_on.store(false, Ordering::SeqCst);
+        out.trace.take()
+    });
     match sink {
         Some(mut s) => s.w.flush(),
         None => Ok(()),
     }
 }
 
-/// True while a trace writer is attached (one relaxed load).
+/// True while a trace writer is attached to this thread's handle (or
+/// to the parent of a child handle).
 #[inline]
 pub fn trace_enabled() -> bool {
-    TRACE_ON.load(Ordering::Relaxed)
+    with_current(|t| t.0.trace_on.load(Ordering::Relaxed))
 }
 
 /// Emits one trace line. `build` writes the line's members from
 /// `type` on; `seq` goes first when the line reaches the stream — now,
-/// or at replay if this thread is capturing ([`crate::Capture`]).
+/// or at replay on a child handle ([`Telemetry::child`]).
 /// Crate-visible so [`crate::reqtrace`] can emit request lines into
 /// the same sequenced stream.
 pub(crate) fn emit_line(build: impl FnOnce(&mut json::Object<'_>)) {
-    let mut body = String::with_capacity(160);
-    json::object(&mut body, build);
-    if let Some(body) = capture::offer_line(body) {
-        write_line(&body);
-    }
+    let body = json::to_string(build);
+    with_current(|t| t.line(body));
 }
 
-/// Writes one line to the attached trace, giving it the next `seq`.
-pub(crate) fn write_line(body: &str) {
-    let mut g = TRACE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(sink) = g.as_mut() {
-        let mut line = String::with_capacity(body.len() + 24);
-        json::object(&mut line, |o| {
-            o.field("seq", sink.seq);
+/// An attached trace writer and the number of lines written to it.
+pub(crate) struct Sink {
+    w: Box<dyn Write + Send>,
+    seq: u64,
+}
+
+impl Sink {
+    /// Writes one line, giving it the next `seq`.
+    pub(crate) fn write(&mut self, body: &str) {
+        let mut line = json::to_string(|o| {
+            o.field("seq", self.seq);
             o.merge(body);
         });
         line.push('\n');
-        sink.seq += 1;
-        let _ = sink.w.write_all(line.as_bytes());
+        self.seq += 1;
+        let _ = self.w.write_all(line.as_bytes());
     }
-}
-
-/// Takes `n` consecutive span ids off the global counter; returns the
-/// first.
-pub(crate) fn reserve_ids(n: u64) -> u64 {
-    NEXT_ID.fetch_add(n, Ordering::Relaxed)
 }
 
 // ------------------------------------------------------------- attributes
@@ -297,13 +282,9 @@ pub fn heartbeat(name: &str, sim_ms: u64, attrs: &[(&str, Value)]) {
 
 // ------------------------------------------------------------------- spans
 
-thread_local! {
-    static SPAN_STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-}
-
 /// One open span on this thread's stack: enough to attribute child
 /// sim-time to parents and to reconstruct the folded call path.
-struct Frame {
+pub(crate) struct Frame {
     id: u64,
     name: String,
     child_sim_ms: u64,
@@ -312,17 +293,12 @@ struct Frame {
 /// An open interval in both clocks. Create with [`span`], close with
 /// [`Span::finish`] passing the simulated end time; dropping an
 /// unfinished span closes it at its own start time. Spans nest
-/// per-thread (LIFO): a span opened while another is open records it
-/// as its parent.
+/// per-thread (LIFO) within the handle the thread has installed: a
+/// span opened while another is open records it as its parent.
 pub struct Span {
-    id: u64,
-    parent: Option<u64>,
-    name: String,
-    sim_start: u64,
+    /// `None` once closed.
+    open: Option<SpanRecord>,
     wall_start: Instant,
-    attrs: Vec<(String, Value)>,
-    done: bool,
-    quiet: bool,
 }
 
 /// Opens a span at simulated time `sim_start_ms`.
@@ -340,13 +316,9 @@ pub fn span_quiet(name: &str, sim_start_ms: u64) -> Span {
 }
 
 fn new_span(name: &str, sim_start_ms: u64, quiet: bool) -> Span {
-    // While this thread is capturing, ids are local to the capture and
-    // the spans open before it began are not its parents.
-    let id = capture::next_span_id().unwrap_or_else(|| reserve_ids(1));
-    let base = capture::base_depth();
-    let parent = SPAN_STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        let parent = s.get(base..).and_then(|own| own.last()).map(|f| f.id);
+    let id = with_current(|t| t.reserve_ids(1));
+    let parent = with_spans(|s| {
+        let parent = s.last().map(|f| f.id);
         s.push(Frame {
             id,
             name: name.to_string(),
@@ -354,98 +326,88 @@ fn new_span(name: &str, sim_start_ms: u64, quiet: bool) -> Span {
         });
         parent
     });
-    Span {
+    let open = SpanRecord {
         id,
         parent,
         name: name.to_string(),
+        path: None,
         sim_start: sim_start_ms,
-        wall_start: Instant::now(),
+        sim_end: sim_start_ms,
+        child_ms: 0,
         attrs: Vec::new(),
-        done: false,
         quiet,
+    };
+    Span {
+        open: Some(open),
+        wall_start: Instant::now(),
     }
-}
-
-/// Open spans on this thread.
-pub(crate) fn depth() -> usize {
-    SPAN_STACK.with(|s| s.borrow().len())
 }
 
 impl Span {
     /// Attaches a key/value pair, reported in insertion order.
     pub fn attr(&mut self, key: &str, value: impl Into<Value>) {
-        self.attrs.push((key.to_string(), value.into()));
+        if let Some(span) = &mut self.open {
+            span.attrs.push((key.to_string(), value.into()));
+        }
     }
 
     /// Closes the span at simulated time `sim_end_ms`: records the
     /// `span.<name>.{count,sim_ms,wall_us}` counters and emits one
     /// trace line when a trace is attached.
     pub fn finish(mut self, sim_end_ms: u64) {
-        self.done = true;
-        self.close(sim_end_ms);
+        self.close(Some(sim_end_ms));
     }
 
-    fn close(&mut self, sim_end_ms: u64) {
-        let sim_ms = sim_end_ms.saturating_sub(self.sim_start);
+    /// Closes at `sim_end_ms`, or at the start time without one.
+    fn close(&mut self, sim_end_ms: Option<u64>) {
+        let Some(mut span) = self.open.take() else {
+            return;
+        };
+        span.sim_end = sim_end_ms.unwrap_or(span.sim_start);
+        let sim_ms = span.sim_end.saturating_sub(span.sim_start);
+        let profiling = profiling_enabled();
         // Pop our frame, credit our total to the parent's child-time,
         // and (when profiling) capture the folded ancestor path while
         // the ancestors are still on the stack.
-        let base = capture::base_depth();
-        let (child_ms, path) = SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            match s.iter().rposition(|f| f.id == self.id) {
+        (span.child_ms, span.path) =
+            with_spans(|s| match s.iter().rposition(|f| f.id == span.id) {
                 Some(pos) => {
-                    let path = profiling_enabled().then(|| {
-                        let mut p = String::new();
-                        for f in &s[base.min(pos)..pos] {
-                            p.push_str(&f.name);
-                            p.push(';');
-                        }
-                        p
-                    });
+                    let path = profiling.then(|| folded_path(&s[..pos]));
                     let frame = s.remove(pos);
-                    if pos > base {
-                        let parent = &mut s[pos - 1];
+                    if let Some(parent) = pos.checked_sub(1).map(|p| &mut s[p]) {
                         parent.child_sim_ms = parent.child_sim_ms.saturating_add(sim_ms);
                     }
                     (frame.child_sim_ms, path)
                 }
-                None => (0, profiling_enabled().then(String::new)),
+                None => (0, profiling.then(String::new)),
+            });
+        let self_ms = sim_ms.saturating_sub(span.child_ms);
+        let wall_us = self.wall_start.elapsed().as_micros() as u64;
+        with_current(|t| {
+            let reg = t.registry();
+            reg.counter(&format!("span.{}.count", span.name)).inc();
+            reg.counter(&format!("span.{}.sim_ms", span.name))
+                .add(sim_ms);
+            reg.counter(&format!("span.{}.self_sim_ms", span.name))
+                .add(self_ms);
+            reg.counter(&format!("span.{}.wall_us", span.name))
+                .add(wall_us);
+            if span.path.is_some() || (!span.quiet && t.0.trace_on.load(Ordering::Relaxed)) {
+                t.close(span);
             }
         });
-        let self_ms = sim_ms.saturating_sub(child_ms);
-        let wall_us = self.wall_start.elapsed().as_micros() as u64;
-        let reg = global();
-        reg.counter(&format!("span.{}.count", self.name)).inc();
-        reg.counter(&format!("span.{}.sim_ms", self.name))
-            .add(sim_ms);
-        reg.counter(&format!("span.{}.self_sim_ms", self.name))
-            .add(self_ms);
-        reg.counter(&format!("span.{}.wall_us", self.name))
-            .add(wall_us);
-        if path.is_none() && (self.quiet || !trace_enabled()) {
-            return;
-        }
-        let closed = ClosedSpan {
-            id: self.id,
-            parent: self.parent,
-            name: std::mem::take(&mut self.name),
-            path,
-            sim_start: self.sim_start,
-            sim_end: sim_end_ms,
-            child_ms,
-            attrs: std::mem::take(&mut self.attrs),
-            quiet: self.quiet,
-        };
-        if let Some(closed) = capture::offer_span(closed) {
-            closed.publish();
-        }
     }
 }
 
-/// A closed span on its way to the profile and the trace stream —
-/// directly, or through a [`crate::Capture`].
-pub(crate) struct ClosedSpan {
+/// The frames' names, each followed by `;`.
+fn folded_path(frames: &[Frame]) -> String {
+    frames.iter().flat_map(|f| [f.name.as_str(), ";"]).collect()
+}
+
+/// What a span reports: while it is open, and once closed on its way to
+/// the profile and the trace stream — directly, or kept by a child
+/// handle until its replay.
+pub(crate) struct SpanRecord {
     id: u64,
     parent: Option<u64>,
     name: String,
@@ -459,19 +421,17 @@ pub(crate) struct ClosedSpan {
     quiet: bool,
 }
 
-impl ClosedSpan {
-    /// Replays a captured span on this thread: ids move from the
-    /// capture's numbering to `id_base..`, and a span that was
-    /// top-level in its capture closes as a child of the innermost span
+impl SpanRecord {
+    /// Replays a kept span into `parent` on this thread: ids move from
+    /// the child's numbering to `id_base..`, and a span that was
+    /// top-level in the child closes as a child of the innermost span
     /// open here, starting no earlier than `not_before`.
-    pub(crate) fn replay(mut self, id_base: u64, not_before: u64) {
+    pub(crate) fn replay(mut self, parent: &Telemetry, id_base: u64, not_before: u64) {
         self.id += id_base;
         self.parent = self.parent.map(|p| p + id_base);
-        SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
+        with_spans(|s| {
             if let Some(path) = &mut self.path {
-                let outer: String = s.iter().flat_map(|f| [f.name.as_str(), ";"]).collect();
-                path.insert_str(0, &outer);
+                path.insert_str(0, &folded_path(s));
             }
             if self.parent.is_none() {
                 self.sim_start = self.sim_start.max(not_before);
@@ -482,14 +442,14 @@ impl ClosedSpan {
                 }
             }
         });
-        self.publish();
+        parent.close(self);
     }
 
-    fn publish(&self) {
+    /// Feeds the profile and writes the trace line of `t`.
+    pub(crate) fn publish(&self, t: &Telemetry) {
         let sim_ms = self.sim_end.saturating_sub(self.sim_start);
         if let Some(path) = &self.path {
-            let mut g = PROFILE.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(p) = g.as_mut() {
+            if let Some(p) = t.out().profile.as_mut() {
                 let self_ms = sim_ms.saturating_sub(self.child_ms);
                 *p.folded.entry(format!("{path}{}", self.name)).or_insert(0) += self_ms;
                 let e = p.per_span.entry(self.name.clone()).or_default();
@@ -498,8 +458,8 @@ impl ClosedSpan {
                 e.durations.push(sim_ms);
             }
         }
-        if !self.quiet && trace_enabled() {
-            emit_line(|o| {
+        if !self.quiet && t.0.trace_on.load(Ordering::Relaxed) {
+            t.line(json::to_string(|o| {
                 o.field("type", "span");
                 o.field("id", self.id);
                 o.field("parent", self.parent);
@@ -507,18 +467,14 @@ impl ClosedSpan {
                 o.field("sim_start_ms", self.sim_start);
                 o.field("sim_end_ms", self.sim_end);
                 attrs_json(o, &self.attrs);
-            });
+            }));
         }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if !self.done {
-            self.done = true;
-            let start = self.sim_start;
-            self.close(start);
-        }
+        self.close(None);
     }
 }
 
@@ -533,11 +489,8 @@ impl Drop for Span {
 // keeps the output stable even when spans close on worker threads in
 // scheduler-dependent order.
 
-static PROFILING: AtomicBool = AtomicBool::new(false);
-static PROFILE: Mutex<Option<ProfileState>> = Mutex::new(None);
-
 #[derive(Default)]
-struct ProfileState {
+pub(crate) struct ProfileState {
     /// Folded call path (`a;b;c`) → accumulated self sim-ms.
     folded: BTreeMap<String, u64>,
     per_span: BTreeMap<String, PerSpan>,
@@ -550,27 +503,27 @@ struct PerSpan {
     durations: Vec<u64>,
 }
 
-/// True while the profiler is collecting (one relaxed load).
+/// True while the profiler of this thread's handle is collecting.
 #[inline]
 pub fn profiling_enabled() -> bool {
-    PROFILING.load(Ordering::Relaxed)
+    with_current(|t| t.0.profiling.load(Ordering::Relaxed))
 }
 
 /// Starts (or restarts) sim-time profiling, discarding any prior data.
 pub fn enable_profile() {
-    let mut g = PROFILE.lock().unwrap_or_else(|e| e.into_inner());
-    *g = Some(ProfileState::default());
-    PROFILING.store(true, Ordering::SeqCst);
+    with_current(|t| {
+        t.out().profile = Some(ProfileState::default());
+        t.0.profiling.store(true, Ordering::SeqCst);
+    });
 }
 
 /// Stops profiling and returns what was collected, or `None` if the
 /// profiler was never enabled.
 pub fn take_profile() -> Option<Profile> {
-    PROFILING.store(false, Ordering::SeqCst);
-    let state = {
-        let mut g = PROFILE.lock().unwrap_or_else(|e| e.into_inner());
-        g.take()
-    }?;
+    let state = with_current(|t| {
+        t.0.profiling.store(false, Ordering::SeqCst);
+        t.out().profile.take()
+    })?;
     let spans = state
         .per_span
         .into_iter()
@@ -676,16 +629,7 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex as StdMutex, OnceLock};
-
-    /// The trace sink and verbosity are process-global; serialize the
-    /// tests that touch them.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<StdMutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| StdMutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
+    use std::sync::{Arc, Mutex as StdMutex};
 
     #[derive(Clone, Default)]
     struct SharedBuf(Arc<StdMutex<Vec<u8>>>);
@@ -709,7 +653,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_trace_deterministically() {
-        let _g = test_lock();
+        let _in = Telemetry::new().enter();
         let run = || {
             let buf = SharedBuf::default();
             attach_trace(Box::new(buf.clone()));
@@ -745,28 +689,28 @@ mod tests {
 
     #[test]
     fn spans_record_counters_without_trace() {
-        let _g = test_lock();
-        let before = global().counter("span.quiet.count").get();
+        let tel = Telemetry::new();
+        let _in = tel.enter();
         let s = span("quiet", 1000);
         s.finish(1500);
-        assert_eq!(global().counter("span.quiet.count").get(), before + 1);
-        assert!(global().counter("span.quiet.sim_ms").get() >= 500);
+        assert_eq!(tel.registry().counter("span.quiet.count").get(), 1);
+        assert_eq!(tel.registry().counter("span.quiet.sim_ms").get(), 500);
     }
 
     #[test]
     fn dropped_span_still_closes() {
-        let _g = test_lock();
-        let before = global().counter("span.leaky.count").get();
+        let tel = Telemetry::new();
+        let _in = tel.enter();
         {
             let _s = span("leaky", 10);
         }
-        assert_eq!(global().counter("span.leaky.count").get(), before + 1);
-        SPAN_STACK.with(|s| assert!(s.borrow().is_empty(), "stack popped on drop"));
+        assert_eq!(tel.registry().counter("span.leaky.count").get(), 1);
+        with_spans(|s| assert!(s.is_empty(), "stack popped on drop"));
     }
 
     #[test]
     fn profiler_attributes_self_time_and_folds_stacks() {
-        let _g = test_lock();
+        let _in = Telemetry::new().enter();
         enable_profile();
         let outer = span("p_outer", 0);
         let inner = span("p_inner", 100);
@@ -799,21 +743,21 @@ mod tests {
 
     #[test]
     fn quiet_spans_feed_counters_but_not_the_trace() {
-        let _g = test_lock();
+        let tel = Telemetry::new();
+        let _in = tel.enter();
         let buf = SharedBuf::default();
         attach_trace(Box::new(buf.clone()));
-        let before = global().counter("span.hush.count").get();
         let s = span_quiet("hush", 10);
         s.finish(60);
         detach_trace().unwrap();
-        assert_eq!(global().counter("span.hush.count").get(), before + 1);
-        assert!(global().counter("span.hush.self_sim_ms").get() >= 50);
+        assert_eq!(tel.registry().counter("span.hush.count").get(), 1);
+        assert_eq!(tel.registry().counter("span.hush.self_sim_ms").get(), 50);
         assert_eq!(buf.take(), "", "quiet span emitted no trace line");
     }
 
     #[test]
     fn heartbeats_are_sequenced_deterministic_trace_lines() {
-        let _g = test_lock();
+        let _in = Telemetry::new().enter();
         let run = || {
             let buf = SharedBuf::default();
             attach_trace(Box::new(buf.clone()));
@@ -847,6 +791,16 @@ mod tests {
         outer.finish(k * 100 + 90);
     }
 
+    /// Runs `unit` on this thread under a child of `parent`, and
+    /// returns the child with what it kept.
+    fn kept(parent: &Telemetry, unit: impl FnOnce()) -> Telemetry {
+        let child = parent.child();
+        let entered = child.enter();
+        unit();
+        drop(entered);
+        child
+    }
+
     /// Runs three units under a root span with trace and profiler on;
     /// `run_units` decides where and in which order they execute.
     fn traced_units(run_units: impl FnOnce()) -> (String, String) {
@@ -862,25 +816,22 @@ mod tests {
 
     #[test]
     fn captures_replayed_in_order_reproduce_the_sequential_stream() {
-        let _g = test_lock();
+        let _in = Telemetry::new().enter();
         let sequential = traced_units(|| (0..3).for_each(unit));
         // Each unit on a thread of its own, finishing in the reverse
         // order, replayed in the schedule's.
         let replayed = traced_units(|| {
-            let mut captures: Vec<(u64, crate::Capture)> = (0..3)
+            let parent = crate::current();
+            let mut children: Vec<(u64, Telemetry)> = (0..3)
                 .rev()
                 .map(|k| {
-                    let run = move || {
-                        crate::Capture::begin();
-                        unit(k);
-                        crate::Capture::end()
-                    };
-                    (k, std::thread::spawn(run).join().unwrap())
+                    let run = || kept(&parent, || unit(k));
+                    (k, std::thread::scope(|s| s.spawn(run).join().unwrap()))
                 })
                 .collect();
-            captures.sort_by_key(|&(k, _)| k);
-            for (_, capture) in captures {
-                capture.replay(0);
+            children.sort_by_key(|&(k, _)| k);
+            for (_, child) in children {
+                child.replay(0);
             }
         });
         assert_eq!(sequential, replayed);
@@ -909,13 +860,11 @@ mod tests {
 
     #[test]
     fn a_capture_replayed_at_once_is_a_pass_through() {
-        let _g = test_lock();
+        let _in = Telemetry::new().enter();
         let direct = traced_units(|| (0..3).for_each(unit));
         let captured = traced_units(|| {
             for k in 0..3 {
-                crate::Capture::begin();
-                unit(k);
-                crate::Capture::end().replay(0);
+                kept(&crate::current(), || unit(k)).replay(0);
             }
         });
         assert_eq!(direct, captured);
@@ -923,11 +872,9 @@ mod tests {
 
     #[test]
     fn replay_starts_top_level_spans_no_earlier_than_the_previous_unit_ended() {
-        let _g = test_lock();
+        let _in = Telemetry::new().enter();
         let (stream, folded) = traced_units(|| {
-            crate::Capture::begin();
-            unit(1);
-            crate::Capture::end().replay(130);
+            kept(&crate::current(), || unit(1)).replay(130);
         });
         // The unit's outer span ran 100..190 on its own clock; the
         // stream's clock was taken until 130. Its child is untouched.
@@ -949,7 +896,7 @@ mod tests {
 
     #[test]
     fn events_respect_verbosity_and_need_no_sink() {
-        let _g = test_lock();
+        let _in = Telemetry::new().enter();
         assert!(!trace_enabled());
         // No trace, default verbosity Warn: a debug event is a no-op.
         assert!(!enabled(Level::Debug));

@@ -94,6 +94,8 @@ fn every_value() -> Vec<(&'static str, Value)> {
 
 #[test]
 fn trace_stream_lines_are_pinned() {
+    let tel = telemetry::Telemetry::new();
+    let _in = tel.enter();
     let buf = SharedBuf::default();
     telemetry::attach_trace(Box::new(buf.clone()));
     telemetry::event(

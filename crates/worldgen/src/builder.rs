@@ -1472,12 +1472,9 @@ pub fn build_world(cfg: WorldConfig) -> World {
         blacklist_singles,
     );
     world.border_filtered_asns = border_filtered;
-    let reg = telemetry::global();
-    reg.gauge("worldgen.resolvers")
-        .set(world.stats.resolvers as f64);
-    reg.gauge("worldgen.web_hosts")
-        .set(world.stats.web_hosts as f64);
-    reg.gauge("worldgen.pools").set(world.stats.pools as f64);
+    telemetry::gauge("worldgen.resolvers").set(world.stats.resolvers as f64);
+    telemetry::gauge("worldgen.web_hosts").set(world.stats.web_hosts as f64);
+    telemetry::gauge("worldgen.pools").set(world.stats.pools as f64);
     telemetry::info(
         "worldgen.build",
         "world built",

@@ -289,9 +289,7 @@ impl World {
             }
             self.current = next;
         }
-        telemetry::global()
-            .counter("worldgen.renumbered")
-            .add(renumbered);
+        telemetry::counter("worldgen.renumbered").add(renumbered);
         sp.attr("steps", steps);
         sp.attr("renumbered", renumbered);
         sp.finish(self.current.millis());

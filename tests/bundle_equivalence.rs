@@ -19,37 +19,44 @@ use scanstore::fnv1a;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use telemetry::Telemetry;
 
-/// `collect_bundle` counts lanes, world builds and campaign runs in the
-/// process-global telemetry registry, several tests assert on those
-/// counters or attach the process-global trace sink, so the tests in
-/// this binary take turns.
-fn exclusive() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+/// Runs `f` under a telemetry handle of its own: `collect_bundle`
+/// counts lanes, world builds and campaign runs in it, and a trace or
+/// the flight recorder attaches to it. Returns what `f` returned and
+/// the handle.
+fn isolated<T>(f: impl FnOnce() -> T) -> (T, Telemetry) {
+    let tel = Telemetry::new();
+    let out = {
+        let _in = tel.enter();
+        f()
+    };
+    (out, tel)
+}
+
+/// How many times `kind` ran in the collections under `tel`.
+fn runs(tel: &Telemetry, kind: CampaignKind) -> u64 {
+    let labels = [("campaign", kind.name())];
+    tel.registry()
+        .counter_with("collect.campaign_runs", &labels)
+        .get()
 }
 
 #[test]
 fn subset_derivations_match_full_bundle_and_campaigns_run_once() {
-    let _guard = exclusive();
     let (opts, dopts) = lane_opts();
 
     // The full bundle: two lanes, a world each, each campaign at most
     // once.
-    telemetry::global().clear();
-    let full = collect_bundle(&opts, &CampaignKind::ALL, None).expect("full bundle");
+    let (full, tel) = isolated(|| collect_bundle(&opts, &CampaignKind::ALL, None));
+    let full = full.expect("full bundle");
     assert_eq!(
-        lanes_and_world_builds(),
+        lanes_and_world_builds(&tel),
         (2, 2),
         "the full bundle runs on two lanes, one world each"
     );
     for kind in CampaignKind::ALL {
-        let runs = telemetry::global()
-            .counter_with("collect.campaign_runs", &[("campaign", kind.name())])
-            .get();
+        let runs = runs(&tel, kind);
         assert_eq!(runs, 1, "campaign `{}` must run exactly once", kind.name());
     }
 
@@ -66,15 +73,15 @@ fn subset_derivations_match_full_bundle_and_campaigns_run_once() {
         groups.entry(e.requires.to_vec()).or_default().push(i);
     }
     for (kinds, members) in groups {
-        telemetry::global().clear();
-        let mini = collect_bundle(&opts, &kinds, None).expect("subset bundle");
+        let (mini, tel) = isolated(|| collect_bundle(&opts, &kinds, None));
+        let mini = mini.expect("subset bundle");
         let domains_has_company = kinds.contains(&CampaignKind::Domains)
             && kinds
                 .iter()
                 .any(|k| !matches!(k, CampaignKind::Fleet | CampaignKind::Domains));
         let lanes = 1 + u64::from(domains_has_company);
         assert_eq!(
-            lanes_and_world_builds(),
+            lanes_and_world_builds(&tel),
             (lanes, lanes),
             "a bundle of {kinds:?}: one lane unless Domains has company, a world per lane"
         );
@@ -93,11 +100,12 @@ fn subset_derivations_match_full_bundle_and_campaigns_run_once() {
     }
 }
 
-/// `(collect.lanes, collect.world_builds)` since the registry was cleared.
-fn lanes_and_world_builds() -> (u64, u64) {
+/// `(collect.lanes, collect.world_builds)` of the collections under `tel`.
+fn lanes_and_world_builds(tel: &Telemetry) -> (u64, u64) {
+    let reg = tel.registry();
     (
-        telemetry::counter("collect.lanes").get(),
-        telemetry::counter("collect.world_builds").get(),
+        reg.counter("collect.lanes").get(),
+        reg.counter("collect.world_builds").get(),
     )
 }
 
@@ -107,7 +115,6 @@ fn lanes_and_world_builds() -> (u64, u64) {
 /// byte-identical reports to the plain default-options bundle.
 #[test]
 fn noop_fault_plan_and_single_probe_policy_are_byte_identical() {
-    let _guard = exclusive();
     let (base, dopts) = lane_opts();
     let disarmed = BundleOptions {
         faults: Some(FaultPlan::none()),
@@ -284,13 +291,11 @@ fn assert_full_store_equals_each_campaign_alone(name: &str, faults: Option<&str>
 
 #[test]
 fn full_store_equals_each_campaign_collected_alone() {
-    let _guard = exclusive();
     assert_full_store_equals_each_campaign_alone("pristine", None);
 }
 
 #[test]
 fn full_store_equals_each_campaign_collected_alone_under_faults() {
-    let _guard = exclusive();
     for profile in ["flaky", "ratelimited", "hostile"] {
         assert_full_store_equals_each_campaign_alone(profile, Some(profile));
     }
@@ -306,11 +311,16 @@ struct Digests {
 }
 
 /// Collects the full bundle of `opts` into a fresh disk store with a
-/// trace and the flight recorder attached.
-fn traced_full_bundle(name: &str, (opts, dopts): (BundleOptions, DeriveOptions)) -> Digests {
+/// trace and the flight recorder attached to a handle of its own, which
+/// it returns with the digests.
+fn traced_full_bundle(
+    name: &str,
+    (opts, dopts): (BundleOptions, DeriveOptions),
+) -> (Digests, Telemetry) {
+    let tel = Telemetry::new();
+    let _in = tel.enter();
     let dir = TempDir::new(name);
     let buf = SharedBuf::default();
-    telemetry::global().clear();
     telemetry::attach_trace(Box::new(buf.clone()));
     telemetry::recorder::enable(1.0, opts.seed, telemetry::recorder::DEFAULT_CAPACITY);
     let bundle = collect_bundle(&opts, &CampaignKind::ALL, Some(&dir.0)).expect("full bundle");
@@ -325,7 +335,7 @@ fn traced_full_bundle(name: &str, (opts, dopts): (BundleOptions, DeriveOptions))
         store.extend_from_slice(&bytes);
     }
     let record: String = records.iter().map(|r| format!("{r:?}\n")).collect();
-    Digests {
+    let digests = Digests {
         reports: fnv1a(
             reports(&bundle, &campaign_experiments(), &dopts)
                 .concat()
@@ -334,7 +344,8 @@ fn traced_full_bundle(name: &str, (opts, dopts): (BundleOptions, DeriveOptions))
         store: fnv1a(&store),
         trace: fnv1a(&buf.contents()),
         record: fnv1a(record.as_bytes()),
-    }
+    };
+    (digests, tel)
 }
 
 /// "Byte-identical to the sequential bundle" as a test: these digests
@@ -345,9 +356,8 @@ fn traced_full_bundle(name: &str, (opts, dopts): (BundleOptions, DeriveOptions))
 /// commit's stream with the two cut out hashes to the value below.
 #[test]
 fn full_bundle_reproduces_the_sequential_digests() {
-    let _guard = exclusive();
     assert_eq!(
-        traced_full_bundle("sequential-digests", lane_opts()),
+        traced_full_bundle("sequential-digests", lane_opts()).0,
         Digests {
             reports: 8770696989380860093,
             store: 2913415903122669133,
@@ -362,15 +372,12 @@ fn full_bundle_reproduces_the_sequential_digests() {
 /// collection ran every campaign once.
 #[test]
 fn five_traced_full_bundles_have_one_digest() {
-    let _guard = exclusive();
-    let first = traced_full_bundle("five-0", small_lane_opts());
+    let (first, _) = traced_full_bundle("five-0", small_lane_opts());
     for round in 1..5 {
-        let again = traced_full_bundle(&format!("five-{round}"), small_lane_opts());
+        let (again, tel) = traced_full_bundle(&format!("five-{round}"), small_lane_opts());
         assert_eq!(first, again, "round {round}");
         for kind in CampaignKind::ALL {
-            let runs = telemetry::global()
-                .counter_with("collect.campaign_runs", &[("campaign", kind.name())])
-                .get();
+            let runs = runs(&tel, kind);
             assert_eq!(runs, 1, "campaign `{}` must run exactly once", kind.name());
         }
     }
@@ -381,12 +388,12 @@ fn five_traced_full_bundles_have_one_digest() {
 /// wrote last".
 #[test]
 fn two_metrics_snapshots_of_the_full_bundle_are_equal() {
-    let _guard = exclusive();
     let snapshot = || {
         let (opts, _) = small_lane_opts();
-        telemetry::global().clear();
-        collect_bundle(&opts, &CampaignKind::ALL, None).expect("full bundle");
-        telemetry::snapshot()
+        let (full, tel) = isolated(|| collect_bundle(&opts, &CampaignKind::ALL, None));
+        full.expect("full bundle");
+        tel.registry()
+            .snapshot()
             .to_json()
             .lines()
             .filter(|l| !l.contains("wall_us"))
@@ -409,7 +416,6 @@ fn block_first_segment(store: &Path) {
 /// picks every campaign up from its own checkpoint.
 #[test]
 fn a_failing_lane_fails_the_collection_and_a_rerun_resumes() {
-    let _guard = exclusive();
     let (opts, dopts) = small_lane_opts();
     let exps = campaign_experiments();
     let want = reports(
@@ -429,15 +435,50 @@ fn a_failing_lane_fails_the_collection_and_a_rerun_resumes() {
         );
 
         fs::remove_dir_all(dir.0.join(broken.name()).join("seg-00000.gws")).expect("repair");
-        telemetry::global().clear();
-        let resumed = collect_bundle(&opts, &CampaignKind::ALL, Some(&dir.0)).expect("re-run");
+        let (resumed, tel) = isolated(|| collect_bundle(&opts, &CampaignKind::ALL, Some(&dir.0)));
+        let resumed = resumed.expect("re-run");
         assert_eq!(want, reports(&resumed, &exps, &dopts), "{}", broken.name());
-        let runs = |kind: CampaignKind| {
-            telemetry::global()
-                .counter_with("collect.campaign_runs", &[("campaign", kind.name())])
-                .get()
-        };
-        assert_eq!(runs(broken), 1, "`{}` runs on the re-run", broken.name());
-        assert_eq!(runs(CampaignKind::Fleet), 0, "the fleet was committed");
+        assert_eq!(
+            runs(&tel, broken),
+            1,
+            "`{}` runs on the re-run",
+            broken.name()
+        );
+        assert_eq!(
+            runs(&tel, CampaignKind::Fleet),
+            0,
+            "the fleet was committed"
+        );
+    }
+}
+
+/// Two collections at the same time on two threads, each under a handle
+/// of its own with a trace attached: each handle ends with what a
+/// collection alone leaves — the same trace bytes, and the same lane,
+/// world-build and campaign-run counters.
+#[test]
+fn concurrent_collections_are_isolated_by_their_handles() {
+    let traced = || {
+        let (opts, _) = small_lane_opts();
+        let buf = SharedBuf::default();
+        let ((), tel) = isolated(|| {
+            telemetry::attach_trace(Box::new(buf.clone()));
+            collect_bundle(&opts, &CampaignKind::ALL, None).expect("full bundle");
+            telemetry::detach_trace().expect("flush trace");
+        });
+        let runs: Vec<u64> = CampaignKind::ALL.iter().map(|&k| runs(&tel, k)).collect();
+        (buf.contents(), lanes_and_world_builds(&tel), runs)
+    };
+    let alone = traced();
+    assert!(!alone.0.is_empty(), "the trace captured nothing");
+    assert_eq!(alone.1, (2, 2));
+    assert!(alone.2.iter().all(|&n| n == 1), "{:?}", alone.2);
+    let together = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(traced), s.spawn(traced));
+        [a.join().unwrap(), b.join().unwrap()]
+    });
+    for run in together {
+        assert!(run.0 == alone.0, "a concurrent run's trace differs");
+        assert_eq!((run.1, &run.2), (alone.1, &alone.2));
     }
 }

@@ -6,20 +6,11 @@ use goingwild::{
     collect_bundle, experiments, fig1_from_source, run_analysis, AnalysisOptions, BundleData,
     BundleOptions, CampaignKind, DeriveOptions, WorldConfig,
 };
-use std::sync::{Mutex, OnceLock};
+use telemetry::Telemetry;
 use worldgen::build_world;
 
 mod common;
 use common::SharedBuf;
-
-/// The trace sink and span-id counter are process-global, so the tests
-/// in this binary take turns.
-fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn cfg() -> WorldConfig {
     WorldConfig {
@@ -51,7 +42,8 @@ fn traced_weekly_run() -> Vec<u8> {
 
 #[test]
 fn traces_are_byte_identical_across_runs() {
-    let _guard = exclusive();
+    let tel = Telemetry::new();
+    let _in = tel.enter();
     let first = traced_weekly_run();
     let second = traced_weekly_run();
     assert!(!first.is_empty(), "trace captured nothing");
@@ -71,17 +63,18 @@ fn traces_are_byte_identical_across_runs() {
 
 #[test]
 fn reports_are_unchanged_by_exporters() {
-    let _guard = exclusive();
-
-    // Bare run: no trace attached, registry left as-is.
+    // Bare run: no trace attached.
     let bare = {
+        let tel = Telemetry::new();
+        let _in = tel.enter();
         let bundle = collect(CampaignKind::Weekly, 3);
         fig1_from_source(bundle.source(CampaignKind::Weekly).unwrap()).expect("derive")
     };
 
-    // Instrumented run: trace attached, registry cleared first.
+    // Instrumented run: trace attached, on a registry of its own.
     let instrumented = {
-        telemetry::global().clear();
+        let tel = Telemetry::new();
+        let _in = tel.enter();
         let buf = SharedBuf::default();
         telemetry::attach_trace(Box::new(buf.clone()));
         let bundle = collect(CampaignKind::Weekly, 3);
@@ -124,7 +117,8 @@ fn traced_bundle_run(profiled: bool) -> (Vec<u8>, Option<telemetry::Profile>) {
 
 #[test]
 fn parallel_derivation_spans_stay_out_of_traces() {
-    let _guard = exclusive();
+    let tel = Telemetry::new();
+    let _in = tel.enter();
     let (plain_a, no_profile) = traced_bundle_run(false);
     assert!(no_profile.is_none(), "profiler must stay off by default");
     let (profiled, profile) = traced_bundle_run(true);
@@ -185,7 +179,8 @@ fn parallel_derivation_spans_stay_out_of_traces() {
 
 #[test]
 fn flight_recorder_does_not_perturb_traces() {
-    let _guard = exclusive();
+    let tel = Telemetry::new();
+    let _in = tel.enter();
     // Churn probes run through the instrumented retry engine, so this
     // workload exercises the recorder hooks (weekly sweeps do not).
     let traced_churn_run = || {
@@ -214,7 +209,8 @@ fn flight_recorder_does_not_perturb_traces() {
 
 #[test]
 fn analysis_report_is_unchanged_by_exporters() {
-    let _guard = exclusive();
+    let tel = Telemetry::new();
+    let _in = tel.enter();
     let run = |traced: bool| {
         let buf = SharedBuf::default();
         if traced {
