@@ -20,7 +20,6 @@ fn read_options(p: &Parsed) -> ServeOptions {
         cache_cap: p.num("--cache-cap").unwrap_or(d.cache_cap),
         refresh_ms: p.num("--refresh-ms").unwrap_or(d.refresh_ms),
         metrics: p.get("--metrics").map(PathBuf::from),
-        announce: true,
         obs: serve::ObsOptions {
             trace_sample: p.num("--trace-sample").unwrap_or(d.obs.trace_sample),
             debug_requests: p.num("--debug-requests").unwrap_or(d.obs.debug_requests),
@@ -117,10 +116,6 @@ pub fn main(p: &Parsed) -> Result<(), String> {
         // it, and report deterministically: stdout carries exactly one
         // JSON line which two same-seed runs must reproduce
         // byte-for-byte; timing-dependent numbers go to stderr.
-        let opts = ServeOptions {
-            announce: false,
-            ..opts.clone()
-        };
         let server =
             serve::RunningServer::start(&opts).map_err(|e| format!("cannot start daemon: {e}"))?;
         let report = run_fleet(&fleet(server.addr())).map_err(|e| format!("fleet failed: {e}"))?;

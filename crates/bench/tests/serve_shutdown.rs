@@ -114,14 +114,19 @@ fn idle_daemon_sleeps_and_still_drains() {
     let tmp = TempDir::new("idle");
     seed_weekly(&tmp.0, &[64]);
     let (child, addr) = spawn_daemon(&tmp.0, &[]);
-    // `serve::run` drives the runtime on the main thread, whose counters
-    // `/proc/<pid>/status` reports.
+    // `serve::run` drives the runtime on the `serve-accept` thread while
+    // the main thread waits for it: sum the counters of every thread.
     let voluntary_switches = || -> u64 {
-        let status = std::fs::read_to_string(format!("/proc/{}/status", child.id())).unwrap();
-        let line = status
-            .lines()
-            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
-        line.unwrap().trim().parse().unwrap()
+        let tasks = std::fs::read_dir(format!("/proc/{}/task", child.id())).unwrap();
+        tasks
+            .map(|task| {
+                let status = std::fs::read_to_string(task.unwrap().path().join("status")).unwrap();
+                let line = status
+                    .lines()
+                    .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+                line.unwrap().trim().parse::<u64>().unwrap()
+            })
+            .sum()
     };
     let before = voluntary_switches();
     std::thread::sleep(Duration::from_secs(1));

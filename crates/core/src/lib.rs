@@ -29,9 +29,9 @@
 //! | `htmlsim` | HTML tokenizing, page features, distances, diff, generators |
 //! | `geodb` | GeoIP / ASN / RIR / rDNS databases |
 //! | `netsim` | deterministic event simulator: UDP, TCP, loss, injectors, churn |
-//! | `resolversim` | resolver/web/mail host behaviours + tokio loopback server |
+//! | `resolversim` | resolver/web/mail host behaviours + loopback UDP server |
 //! | `worldgen` | population synthesis calibrated to the paper |
-//! | `scanner` | scanning campaigns + tokio UDP driver |
+//! | `scanner` | scanning campaigns + real-socket UDP driver |
 //! | `scanstore` | persistent delta-encoded snapshot store, checkpoint/resume |
 //! | `classify` | prefilter, clustering, labeling, fingerprinting, case studies |
 //! | `goingwild` | this crate: pipeline orchestration, experiments, reports |

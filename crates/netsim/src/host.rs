@@ -19,7 +19,7 @@ pub struct HostCtx<'a> {
 impl<'a> HostCtx<'a> {
     /// Construct a context around an outgoing-datagram buffer. Exposed
     /// so host behaviours can be driven outside a [`crate::Network`]
-    /// (unit tests, the tokio loopback server).
+    /// (unit tests, the loopback resolver server).
     pub fn new(now: SimTime, local_ip: Ipv4Addr, outgoing: &'a mut Vec<(u64, Datagram)>) -> Self {
         HostCtx {
             now,

@@ -21,18 +21,18 @@
 //! region-dependent CDN answers), and which TLD name servers exist (for
 //! the snooping campaign). Hosts hold an `Arc<DnsUniverse>`.
 //!
-//! The `tokioserve` module exposes any [`ResolverHost`] on a real UDP
-//! socket via tokio, so the scanner's tokio driver can be exercised
-//! end-to-end on loopback.
+//! The [`loopback`] module serves any [`ResolverHost`] on a real UDP
+//! socket from a thread of its own, so the scanner's real-socket driver
+//! can be exercised end-to-end on loopback.
 
 pub mod behavior;
 pub mod cachesim;
 pub mod device;
 pub mod forwarder;
 pub mod gfw;
+pub mod loopback;
 pub mod resolver;
 pub mod software;
-pub mod tokioserve;
 pub mod universe;
 pub mod webhost;
 

@@ -308,7 +308,7 @@ impl Host for ResolverHost {
     }
 }
 
-/// Helper shared by tests and the tokio server: compute the full wire
+/// Test helper: compute the full wire
 /// response(s) for a raw query payload, without a network. Returns
 /// `(delay_ms, payload)` pairs.
 pub fn offline_responses(

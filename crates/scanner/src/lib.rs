@@ -16,9 +16,10 @@
 //!   (Sec. 3.3), and HTTP(S)/mail data acquisition (Sec. 3.5). The five
 //!   that speak UDP say what to ask and how to read the answer; one
 //!   loop, `campaign::sweep`, sends, waits, retransmits and counts.
-//! * [`tokio_scan`] — a real-socket (tokio UDP) driver implementing the
-//!   enumeration and domain probes against live resolvers; exercised on
-//!   loopback against `resolversim::tokioserve` fleets.
+//! * [`udp_scan`] — a real-socket driver over one blocking UDP socket,
+//!   implementing the enumeration and domain probes against live
+//!   resolvers; exercised on loopback against `resolversim::loopback`
+//!   fleets.
 //!
 //! [`World`]: worldgen::World
 
@@ -29,7 +30,7 @@ pub mod lfsr;
 pub mod probe;
 pub mod rate;
 pub mod simio;
-pub mod tokio_scan;
+pub mod udp_scan;
 
 pub use blacklist::Blacklist;
 pub use campaign::acquire::{

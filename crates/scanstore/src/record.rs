@@ -166,10 +166,11 @@ pub fn encode_records(out: &mut Vec<u8>, records: &[Observation], base_ms: u64) 
     }
 }
 
-/// Decodes `n` records written by [`encode_records`]. A hostile `n`
-/// reserves at most one record per byte left in `r`.
+/// Decodes `n` records written by [`encode_records`]. A count read off
+/// disk comes through [`Reader::count`], so `n` never exceeds the bytes
+/// left in `r`.
 pub fn decode_records(r: &mut Reader<'_>, n: usize, base_ms: u64) -> io::Result<Vec<Observation>> {
-    let mut records = Vec::with_capacity(n.min(r.remaining()));
+    let mut records = Vec::with_capacity(n);
     let mut prev = 0u32;
     for _ in 0..n {
         let o = decode_record(r, prev, base_ms)?;

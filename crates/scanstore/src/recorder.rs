@@ -176,19 +176,17 @@ fn decode_segment(buf: &[u8], pos: &mut usize) -> Option<Vec<StoredRecord>> {
         return None;
     }
     let mut r = Reader::new(body);
-    // Counts come from the frame, so each capacity is capped by the
-    // bytes left: every entry takes at least one.
     let decode = |r: &mut Reader| -> io::Result<Vec<StoredRecord>> {
-        let n_strings = r.u64()? as usize;
-        let mut strings = Vec::with_capacity(n_strings.min(r.remaining()));
+        let n_strings = r.count()?;
+        let mut strings = Vec::with_capacity(n_strings);
         for _ in 0..n_strings {
             let len = r.u64()? as usize;
             let s = std::str::from_utf8(r.bytes(len)?)
                 .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad utf8"))?;
             strings.push(s.to_string());
         }
-        let n = r.u64()? as usize;
-        let mut recs = Vec::with_capacity(n.min(r.remaining()));
+        let n = r.count()?;
+        let mut recs = Vec::with_capacity(n);
         for _ in 0..n {
             let seq = r.u64()?;
             let t_ms = r.u64()?;

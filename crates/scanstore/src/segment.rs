@@ -135,22 +135,20 @@ pub fn decode(buf: &[u8]) -> io::Result<Segment> {
         other => return Err(invalid(&format!("unknown segment kind {other}"))),
     };
     let label = read_str(&mut r)?;
-    // A count read off disk reserves no more entries than bytes are
-    // left, since every entry takes at least one.
-    let meta_count = r.u64()? as usize;
-    let mut meta = Vec::with_capacity(meta_count.min(r.remaining()));
+    let meta_count = r.count()?;
+    let mut meta = Vec::with_capacity(meta_count);
     for _ in 0..meta_count {
         let k = read_str(&mut r)?;
         let v = read_str(&mut r)?;
         meta.push((k, v));
     }
-    let dict_count = r.u64()? as usize;
-    let mut new_strings = Vec::with_capacity(dict_count.min(r.remaining()));
+    let dict_count = r.count()?;
+    let mut new_strings = Vec::with_capacity(dict_count);
     for _ in 0..dict_count {
         new_strings.push(read_str(&mut r)?);
     }
-    let removed_count = r.u64()? as usize;
-    let mut removed = Vec::with_capacity(removed_count.min(r.remaining()));
+    let removed_count = r.count()?;
+    let mut removed = Vec::with_capacity(removed_count);
     let mut prev = 0u32;
     for _ in 0..removed_count {
         let gap = r.u64()?;
@@ -161,7 +159,7 @@ pub fn decode(buf: &[u8]) -> io::Result<Segment> {
         removed.push(ip);
         prev = ip;
     }
-    let upsert_count = r.u64()? as usize;
+    let upsert_count = r.count()?;
     let upserts = decode_records(&mut r, upsert_count, t_ms)?;
     if r.remaining() != 0 {
         return Err(invalid("trailing bytes after segment payload"));

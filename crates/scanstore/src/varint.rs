@@ -95,6 +95,20 @@ impl<'a> Reader<'a> {
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
+    /// Reads an entry count off disk. Every entry takes at least one
+    /// byte, so a count larger than the bytes left is rejected before a
+    /// caller reserves room for it.
+    pub fn count(&mut self) -> io::Result<usize> {
+        let n = self.u64()?;
+        if n > self.remaining() as u64 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "count exceeds the bytes left",
+            ));
+        }
+        Ok(n as usize)
+    }
+
     /// Reads a varint and narrows to u32.
     pub fn u32(&mut self) -> io::Result<u32> {
         let v = self.u64()?;
@@ -132,6 +146,17 @@ mod tests {
         for &s in &samples {
             assert_eq!(r.i64().unwrap(), s);
         }
+    }
+
+    #[test]
+    fn a_count_beyond_the_bytes_left_is_invalid() {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 2);
+        buf.extend_from_slice(&[7, 7]);
+        assert_eq!(Reader::new(&buf).count().unwrap(), 2);
+        buf.pop();
+        let err = Reader::new(&buf).count().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -54,8 +54,6 @@ pub struct ServeOptions {
     pub refresh_ms: u64,
     /// Where to write the final telemetry snapshot on shutdown.
     pub metrics: Option<PathBuf>,
-    /// Print the `listening on ...` line to stdout (daemon mode).
-    pub announce: bool,
     /// Request tracing, debug ring, slow log, and SLO objectives.
     pub obs: ObsOptions,
     /// Admission control and per-request deadlines (both default off).
@@ -75,7 +73,6 @@ impl Default for ServeOptions {
             cache_cap: 256,
             refresh_ms: 1_000,
             metrics: None,
-            announce: false,
             obs: ObsOptions::default(),
             admission: AdmissionOptions::default(),
             breaker: BreakerOptions::default(),
@@ -158,26 +155,17 @@ fn build_state(opts: &ServeOptions) -> io::Result<Arc<ServerState>> {
     }))
 }
 
-/// Runs the daemon on the current thread until shutdown is requested,
-/// then drains and returns the summary. This is what `repro serve`
-/// calls.
+/// Runs the daemon until shutdown is requested (SIGINT/SIGTERM), then
+/// drains and returns the summary. This is what `repro serve` calls.
 pub fn run(opts: &ServeOptions) -> io::Result<ServeSummary> {
-    let state = build_state(opts)?;
-    let rt = tokio::runtime::Runtime::new()?;
-    let opts = opts.clone();
-    rt.block_on(async move {
-        let listener = TcpListener::bind(opts.addr.as_str()).await?;
-        let addr = listener.local_addr()?;
-        if opts.announce {
-            println!("listening on http://{addr}");
-            io::stdout().flush()?;
-        }
-        serve_loop(state, listener, &opts).await
-    })
+    let server = RunningServer::start(opts)?;
+    println!("listening on http://{}", server.addr());
+    io::stdout().flush()?;
+    server.join()
 }
 
-/// A daemon started on a background thread, for `--selftest`, benches,
-/// and integration tests.
+/// A daemon started on a background thread: [`run`] waits for it,
+/// `--selftest`, benches and integration tests stop it.
 pub struct RunningServer {
     addr: SocketAddr,
     state: Arc<ServerState>,
@@ -229,11 +217,16 @@ impl RunningServer {
 
     /// Requests shutdown, waits for the drain, and returns the
     /// summary.
-    pub fn stop(mut self) -> io::Result<ServeSummary> {
+    pub fn stop(self) -> io::Result<ServeSummary> {
         self.state.stop.store(true, Ordering::SeqCst);
-        // Infallible: `stop` consumes `self`, and only `stop`/`Drop`
+        self.join()
+    }
+
+    /// Waits for the accept loop to end and returns the summary.
+    fn join(mut self) -> io::Result<ServeSummary> {
+        // Infallible: `join` consumes `self`, and only `join`/`Drop`
         // ever take the handle.
-        let thread = self.thread.take().expect("stop called once");
+        let thread = self.thread.take().expect("join called once");
         thread
             .join()
             .map_err(|_| io::Error::other("server thread panicked"))?

@@ -1,10 +1,10 @@
 //! Process-signal plumbing for graceful shutdown.
 //!
-//! A single atomic flag is flipped by SIGINT/SIGTERM (or by
-//! [`trigger`] for in-process shutdown in tests and `--selftest`).
-//! The accept loop polls [`triggered`] between accepts; once set, the
-//! server stops accepting, drains in-flight requests, and flushes a
-//! final metrics snapshot.
+//! A single atomic flag is flipped by SIGINT/SIGTERM. The accept loop
+//! polls [`triggered`] between accepts; once set, the server stops
+//! accepting, drains in-flight requests, and flushes a final metrics
+//! snapshot. In-process shutdown (tests, `--selftest`) goes through
+//! `RunningServer::stop` instead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -13,17 +13,6 @@ static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 /// True once shutdown has been requested.
 pub fn triggered() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Requests shutdown from inside the process.
-pub fn trigger() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-/// Re-arms the flag so a fresh server can run in the same process
-/// (selftest starts a daemon, stops it, and may start another).
-pub fn reset() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
 }
 
 #[cfg(unix)]
@@ -52,23 +41,8 @@ mod unix {
 }
 
 /// Installs SIGINT/SIGTERM handlers that flip the shutdown flag.
-/// No-op on non-unix targets ([`trigger`] still works everywhere).
+/// No-op on non-unix targets.
 pub fn install() {
     #[cfg(unix)]
     unix::install();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trigger_and_reset_round_trip() {
-        reset();
-        assert!(!triggered());
-        trigger();
-        assert!(triggered());
-        reset();
-        assert!(!triggered());
-    }
 }

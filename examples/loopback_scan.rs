@@ -1,16 +1,16 @@
 //! Scan *real* DNS servers over real UDP sockets: spawn a fleet of
-//! simulated resolvers on 127.0.0.1 with tokio, then enumerate and
-//! fingerprint them with the tokio scan driver — the same methodology
+//! simulated resolvers on 127.0.0.1, a thread each, then enumerate and
+//! fingerprint them with the real-socket scan driver — the same methodology
 //! as the simulation campaigns, on an actual network stack.
 //!
 //! Run with: `cargo run --release --example loopback_scan`
 
-use resolversim::tokioserve::spawn_fleet;
+use resolversim::loopback::spawn_fleet;
 use resolversim::{
     CacheProfile, ChaosPolicy, DeviceProfile, DnsUniverse, DomainCategory, DomainKind,
     DomainRecord, ResolverBehavior, ResolverHost, SoftwareProfile, TldCacheSim,
 };
-use scanner::tokio_scan::enumerate_and_fingerprint;
+use scanner::udp_scan::enumerate_and_fingerprint;
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,71 +45,66 @@ fn resolver(
 }
 
 fn main() -> std::io::Result<()> {
-    tokio::runtime::Runtime::new()?.block_on(async {
-        // A little fleet with the behaviours a real scan encounters.
-        let fleet = spawn_fleet(
-            vec![
-                resolver(
-                    ResolverBehavior::Honest,
-                    "BIND",
-                    "9.8.2",
-                    ChaosPolicy::Genuine,
-                ),
-                resolver(
-                    ResolverBehavior::Honest,
-                    "BIND",
-                    "9.3.6",
-                    ChaosPolicy::Genuine,
-                ),
-                resolver(
-                    ResolverBehavior::Honest,
-                    "Dnsmasq",
-                    "2.52",
-                    ChaosPolicy::Genuine,
-                ),
-                resolver(
-                    ResolverBehavior::Honest,
-                    "BIND",
-                    "9.9.5",
-                    ChaosPolicy::Custom("none of your business".into()),
-                ),
-                resolver(
-                    ResolverBehavior::RefusedAll,
-                    "BIND",
-                    "9.7.3",
-                    ChaosPolicy::Genuine,
-                ),
-                resolver(
-                    ResolverBehavior::StaticIp {
-                        ip: Ipv4Addr::new(203, 0, 113, 99),
-                    },
-                    "Unbound",
-                    "1.4.22",
-                    ChaosPolicy::Genuine,
-                ),
-            ],
-            SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0),
-        )
-        .await?;
-        let targets: Vec<SocketAddrV4> = fleet.iter().map(|s| s.local_addr).collect();
-        println!("spawned {} resolvers on loopback", targets.len());
+    // A little fleet with the behaviours a real scan encounters.
+    let fleet = spawn_fleet(
+        vec![
+            resolver(
+                ResolverBehavior::Honest,
+                "BIND",
+                "9.8.2",
+                ChaosPolicy::Genuine,
+            ),
+            resolver(
+                ResolverBehavior::Honest,
+                "BIND",
+                "9.3.6",
+                ChaosPolicy::Genuine,
+            ),
+            resolver(
+                ResolverBehavior::Honest,
+                "Dnsmasq",
+                "2.52",
+                ChaosPolicy::Genuine,
+            ),
+            resolver(
+                ResolverBehavior::Honest,
+                "BIND",
+                "9.9.5",
+                ChaosPolicy::Custom("none of your business".into()),
+            ),
+            resolver(
+                ResolverBehavior::RefusedAll,
+                "BIND",
+                "9.7.3",
+                ChaosPolicy::Genuine,
+            ),
+            resolver(
+                ResolverBehavior::StaticIp {
+                    ip: Ipv4Addr::new(203, 0, 113, 99),
+                },
+                "Unbound",
+                "1.4.22",
+                ChaosPolicy::Genuine,
+            ),
+        ],
+        SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0),
+    )?;
+    let targets: Vec<SocketAddrV4> = fleet.iter().map(|s| s.local_addr).collect();
+    println!("spawned {} resolvers on loopback", targets.len());
 
-        let results =
-            enumerate_and_fingerprint(&targets, "probe.example", 16, Duration::from_secs(2))
-                .await?;
-        println!("\n{:<22} {:<10} version.bind", "endpoint", "rcode");
-        for (addr, rcode, version) in &results {
-            println!(
-                "{:<22} {:<10} {}",
-                addr.to_string(),
-                rcode.mnemonic(),
-                version.as_deref().unwrap_or("-")
-            );
-        }
+    let results = enumerate_and_fingerprint(&targets, "probe.example", 16, Duration::from_secs(2))?;
+    println!("\n{:<22} {:<10} version.bind", "endpoint", "rcode");
+    for (addr, rcode, version) in &results {
+        println!(
+            "{:<22} {:<10} {}",
+            addr.to_string(),
+            rcode.mnemonic(),
+            version.as_deref().unwrap_or("-")
+        );
+    }
 
-        for s in fleet {
-            s.shutdown().await;
-        }
-        Ok(())
-    })
+    for s in fleet {
+        s.shutdown();
+    }
+    Ok(())
 }
