@@ -31,7 +31,7 @@
 //! | `netsim` | deterministic event simulator: UDP, TCP, loss, injectors, churn |
 //! | `resolversim` | resolver/web/mail host behaviours + loopback UDP server |
 //! | `worldgen` | population synthesis calibrated to the paper |
-//! | `scanner` | scanning campaigns + real-socket UDP driver |
+//! | `scanner` | scanning campaigns over netsim or real UDP sockets |
 //! | `scanstore` | persistent delta-encoded snapshot store, checkpoint/resume |
 //! | `classify` | prefilter, clustering, labeling, fingerprinting, case studies |
 //! | `goingwild` | this crate: pipeline orchestration, experiments, reports |

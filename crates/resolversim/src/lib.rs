@@ -22,8 +22,8 @@
 //! the snooping campaign). Hosts hold an `Arc<DnsUniverse>`.
 //!
 //! The [`loopback`] module serves any [`ResolverHost`] on a real UDP
-//! socket from a thread of its own, so the scanner's real-socket driver
-//! can be exercised end-to-end on loopback.
+//! socket from a thread of its own, so the scanner's campaigns can be
+//! run end-to-end over real sockets on loopback.
 
 pub mod behavior;
 pub mod cachesim;

@@ -3,15 +3,17 @@
 //!
 //! This is the bridge between the deterministic simulation world and
 //! actual networking code: the same `ResolverHost` behaviour object that
-//! runs inside `netsim` can be exposed on 127.0.0.1, and the scanner's
-//! real-socket driver (`scanner::udp_scan`) can enumerate and classify it
-//! exactly as it would a real open resolver. Integration tests and the
-//! `loopback_scan` example use this to prove the scanner is not
-//! simulation-bound.
+//! runs inside `netsim` can be exposed on loopback, and the scanner's
+//! campaigns, run over its real-socket transport (`scanner::Udp`), probe
+//! and classify it exactly as they do a simulated resolver. A fleet
+//! takes consecutive 127/8 addresses on one shared port, so a campaign
+//! names its resolvers by address, as it does on netsim. Integration
+//! tests and the `loopback_scan` example use this to prove the scanner
+//! is not simulation-bound.
 
 use crate::resolver::ResolverHost;
 use netsim::{Datagram, Host as _, HostCtx, SimTime};
-use std::net::{SocketAddr, SocketAddrV4, UdpSocket};
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -44,7 +46,7 @@ impl ResolverServer {
         let start = Instant::now();
 
         let thread = std::thread::Builder::new()
-            .name(format!("resolver-{}", local_addr.port()))
+            .name(format!("resolver-{local_addr}"))
             .spawn(move || {
                 let mut buf = vec![0u8; 4096];
                 loop {
@@ -101,20 +103,29 @@ impl Drop for ResolverServer {
     }
 }
 
-/// Convenience: spawn a fleet of resolvers on consecutive loopback
-/// ports. Returns the servers; their addresses are in `local_addr`.
+/// Spawn a fleet of resolvers on consecutive 127/8 addresses from
+/// `base`'s, all on one port: `base`'s, or the one the kernel picks for
+/// the first when that is 0. A fleet that would leave 127/8 is an
+/// `InvalidInput` error. Returns the servers; their addresses are in
+/// `local_addr`.
 pub fn spawn_fleet(
     hosts: Vec<ResolverHost>,
     base: SocketAddrV4,
 ) -> std::io::Result<Vec<ResolverServer>> {
+    let first = u32::from(*base.ip());
+    let last = first.checked_add(hosts.len().saturating_sub(1) as u32);
+    if !base.ip().is_loopback() || !last.is_some_and(|l| Ipv4Addr::from(l).is_loopback()) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("{} resolvers from {} leave 127/8", hosts.len(), base.ip()),
+        ));
+    }
     let mut servers = Vec::with_capacity(hosts.len());
     let mut port = base.port();
-    for host in hosts {
-        let addr = SocketAddrV4::new(*base.ip(), port);
-        servers.push(ResolverServer::spawn(host, addr)?);
-        if port != 0 {
-            port += 1;
-        }
+    for (ip, host) in (first..).zip(hosts) {
+        let server = ResolverServer::spawn(host, SocketAddrV4::new(ip.into(), port))?;
+        port = server.local_addr.port();
+        servers.push(server);
     }
     Ok(servers)
 }
@@ -128,7 +139,6 @@ mod tests {
     use crate::software::{ChaosPolicy, SoftwareProfile};
     use crate::universe::{DnsUniverse, DomainCategory, DomainKind, DomainRecord};
     use dnswire::{Message, MessageBuilder, Name, RecordType};
-    use std::net::Ipv4Addr;
 
     fn test_host() -> ResolverHost {
         let mut u = DnsUniverse::new();
@@ -173,18 +183,23 @@ mod tests {
 
     #[test]
     fn fleet_spawns_on_distinct_ports() {
-        let servers = spawn_fleet(
-            vec![test_host(), test_host(), test_host()],
-            SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0),
-        )
-        .unwrap();
-        let mut ports: Vec<u16> = servers.iter().map(|s| s.local_addr.port()).collect();
-        ports.sort_unstable();
-        ports.dedup();
-        assert_eq!(ports.len(), 3);
+        let base = SocketAddrV4::new(Ipv4Addr::new(127, 0, 2, 1), 0);
+        let servers = spawn_fleet(vec![test_host(), test_host(), test_host()], base).unwrap();
+        let port = servers[0].local_addr.port();
+        assert_ne!(port, 0);
+        let addrs: Vec<SocketAddrV4> = servers.iter().map(|s| s.local_addr).collect();
+        let expected = [1, 2, 3].map(|d| SocketAddrV4::new(Ipv4Addr::new(127, 0, 2, d), port));
+        assert_eq!(addrs, expected, "distinct addresses, one shared port");
         for s in servers {
             s.shutdown();
         }
+        // A fleet running past 127.255.255.255 is refused, not wrapped.
+        let edge = SocketAddrV4::new(Ipv4Addr::new(127, 255, 255, 254), 0);
+        let err = spawn_fleet(vec![test_host(), test_host(), test_host()], edge).err();
+        assert_eq!(
+            err.map(|e| e.kind()),
+            Some(std::io::ErrorKind::InvalidInput)
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use super::sweep::{self, Answer, Grid, Sweep};
 use crate::encode::QueryTemplate;
 use crate::probe::ProbePolicy;
+use crate::transport::Transport;
 use dnswire::{MessageBuilder, MessageView, Name, Rcode, RecordType};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -40,14 +41,15 @@ pub fn chaos_scan(
     chaos_scan_with_sink(world, vantage, resolvers, seed, &policy, sink).0
 }
 
-/// [`chaos_scan`] under an explicit [`ProbePolicy`] (query slots still
-/// unanswered after the native sweep are retransmitted in backed-off
-/// rounds) that also writes each responding resolver into `sink`, in
-/// `resolvers` order: the CHAOS outcome in the flag bits, the version
-/// string interned into `software`, no record for a silent resolver.
-/// Also returns the number of retransmitted query slots.
-pub fn chaos_scan_with_sink(
-    world: &mut World,
+/// [`chaos_scan`] over any [`Transport`] — a [`World`], or real sockets
+/// — under an explicit [`ProbePolicy`] (query slots still unanswered
+/// after the native sweep are retransmitted in backed-off rounds) that
+/// also writes each responding resolver into `sink`, in `resolvers`
+/// order: the CHAOS outcome in the flag bits, the version string
+/// interned into `software`, no record for a silent resolver. Also
+/// returns the number of retransmitted query slots.
+pub fn chaos_scan_with_sink<T: Transport>(
+    net: &mut T,
     vantage: Ipv4Addr,
     resolvers: &[Ipv4Addr],
     seed: u64,
@@ -61,13 +63,13 @@ pub fn chaos_scan_with_sink(
         QueryTemplate::new(&MessageBuilder::chaos_query(0, qname).build())
     });
     let grid = Grid::<ChaosAnswer>::new(resolvers, &queries, seed as u16);
-    let mut sweep = Sweep::open(world, vantage, grid, *policy);
-    let mut sp = telemetry::span("campaign.chaos", world.now().millis());
-    sweep.scan(world, 0..2 * resolvers.len(), seed, 0);
-    let (grid, tally) = sweep.finish(world);
+    let mut sweep = Sweep::open(net, vantage, grid, *policy);
+    let mut sp = telemetry::span("campaign.chaos", net.now().millis());
+    sweep.scan(net, 0..2 * resolvers.len(), seed, 0);
+    let (grid, tally) = sweep.finish(net);
     let mut answers = grid.answers.into_iter();
 
-    let now_ms = world.now().millis();
+    let now_ms = net.now().millis();
     let mut out = HashMap::with_capacity(resolvers.len());
     let mut silent = 0u64;
     for &ip in resolvers {
@@ -95,7 +97,7 @@ pub fn chaos_scan_with_sink(
     sp.attr("responders", responders);
     sp.attr("silent", silent);
     sp.attr("retries", tally.retries);
-    sp.finish(world.now().millis());
+    sp.finish(net.now().millis());
     (out, tally.retries)
 }
 

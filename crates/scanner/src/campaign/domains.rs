@@ -5,6 +5,7 @@ use super::sweep::{self, Campaign, Inline, Outcome, Sweep};
 use crate::encode::{decode_probe, QueryTemplate};
 use crate::probe::ProbePolicy;
 use crate::simio::ProbeBatch;
+use crate::transport::Transport;
 use dnswire::{MessageView, NameView, Rcode, RecordType};
 use netsim::Datagram;
 use std::net::Ipv4Addr;
@@ -33,7 +34,8 @@ pub struct TupleObs {
     pub ns_only: bool,
 }
 
-/// Stream the domain scan's correlated responses into `sink`.
+/// Stream the domain scan's correlated responses into `sink`, over any
+/// [`Transport`]: a [`World`], or real sockets.
 ///
 /// Queries go out domain-by-domain (the paper scans one category at a
 /// time to bound per-AuthNS load); each probe encodes the resolver index
@@ -41,8 +43,8 @@ pub struct TupleObs {
 /// (resolver, domain) probes with no response after the per-domain
 /// grace are retransmitted in backed-off rounds before the scan moves
 /// to the next domain. Returns the number of retransmissions sent.
-pub fn scan_domains_streaming_with_policy(
-    world: &mut World,
+pub fn scan_domains_streaming_with_policy<T: Transport>(
+    net: &mut T,
     vantage: Ipv4Addr,
     resolvers: &[Ipv4Addr],
     domains: &[String],
@@ -65,14 +67,14 @@ pub fn scan_domains_streaming_with_policy(
         sink,
     };
     // One port block for all domains.
-    let mut sweep = Sweep::open(world, vantage, scan, *policy);
+    let mut sweep = Sweep::open(net, vantage, scan, *policy);
     for di in 0..domains.len() {
         // The per-domain grace keeps cross-domain TXID collisions from
         // happening.
         sweep.campaign.current = di;
-        sweep.scan(world, 0..resolvers.len() as u32, seed, di as u64);
+        sweep.scan(net, 0..resolvers.len() as u32, seed, di as u64);
     }
-    let (_, tally) = sweep.finish(world);
+    let (_, tally) = sweep.finish(net);
     // Every tuple handed to the sink, repeated answers included.
     super::count("responses", "domains", tally.matched + tally.duplicate);
     tally.retries

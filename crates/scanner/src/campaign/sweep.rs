@@ -17,10 +17,14 @@
 //! ([`Sweep::scan_ahead`]). Either way the probes leave from this thread
 //! with the same [`Sweep::cadence`], so the bytes and the simulated
 //! instants do not depend on which thread stamped them.
+//!
+//! What the probes travel over is a [`Transport`]: the simulated world,
+//! or real UDP sockets on the same schedule in wall time.
 
 use crate::encode::QueryTemplate;
 use crate::probe::ProbePolicy;
-use crate::simio::{ProbeBatch, SimScanner};
+use crate::simio::ProbeBatch;
+use crate::transport::Transport;
 use dnswire::MessageView;
 use netsim::Datagram;
 use std::collections::{HashMap, HashSet};
@@ -28,7 +32,6 @@ use std::net::Ipv4Addr;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use telemetry::recorder;
-use worldgen::World;
 
 /// What the campaigns differ in as numbers; DESIGN §8 mirrors the rows.
 /// TXID, port offset and template are the campaign's, in its `stamp`.
@@ -168,17 +171,11 @@ struct Flight {
     answered: HashSet<Ipv4Addr>,
 }
 
-/// The AS of the resolver behind `ip`, 0 if none is.
-fn asn_at(world: &World, ip: Ipv4Addr) -> u32 {
-    let responder = world.net.host_at(ip).and_then(|h| world.responder(h));
-    responder.map_or(0, |r| r.asn)
-}
-
 /// One scanner port block, from open to close, and the campaign
 /// scanning through it.
-pub(crate) struct Sweep<C: Campaign> {
+pub(crate) struct Sweep<C: Campaign, T: Transport> {
     pub campaign: C,
-    scanner: SimScanner,
+    block: T::Block,
     policy: ProbePolicy,
     batch: ProbeBatch,
     seq: u64,
@@ -190,8 +187,8 @@ pub(crate) struct Sweep<C: Campaign> {
     tally: Tally,
 }
 
-impl<C: Campaign> Sweep<C> {
-    pub fn open(world: &mut World, vantage: Ipv4Addr, campaign: C, policy: ProbePolicy) -> Self {
+impl<C: Campaign, T: Transport> Sweep<C, T> {
+    pub fn open(net: &mut T, vantage: Ipv4Addr, campaign: C, policy: ProbePolicy) -> Self {
         // Publish the probe context, so netsim's drop records share a
         // campaign/attempt identity with our attempt/response records.
         let flight = (C::P.recorded && recorder::enabled()).then(|| {
@@ -203,7 +200,7 @@ impl<C: Campaign> Sweep<C> {
         });
         Sweep {
             campaign,
-            scanner: SimScanner::open(world, vantage),
+            block: net.open(vantage),
             policy,
             batch: ProbeBatch::default(),
             seq: 0,
@@ -221,7 +218,7 @@ impl<C: Campaign> Sweep<C> {
     /// hands the spent chunk back for reuse. The stamper is joined before
     /// this returns, so whatever `targets` counted is complete by then,
     /// and a stamper that panicked fails the sweep here.
-    pub fn scan_ahead<I, F>(&mut self, world: &mut World, targets: I, stamp: F)
+    pub fn scan_ahead<I, F>(&mut self, net: &mut T, targets: I, stamp: F)
     where
         I: Iterator<Item = Ipv4Addr> + Send,
         F: Fn(Ipv4Addr, &mut ProbeBatch) + Send,
@@ -266,8 +263,8 @@ impl<C: Campaign> Sweep<C> {
             };
             while let Ok(mut chunk) = next() {
                 let n = chunk.len();
-                self.scanner.send_probes(world, &mut chunk);
-                self.cadence(world, n);
+                net.send(&mut self.block, &mut chunk);
+                self.cadence(net, n);
                 // The stamper has finished if nobody takes it back.
                 let _ = spent.send(chunk);
             }
@@ -276,7 +273,7 @@ impl<C: Campaign> Sweep<C> {
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         });
         self.stamp_wait = Some(waited);
-        self.wait(world, C::P.grace_ms);
+        self.wait(net, C::P.grace_ms);
     }
 
     /// Count `n` more probes of this round, sent or queued in the batch,
@@ -284,18 +281,18 @@ impl<C: Campaign> Sweep<C> {
     /// them the network is pumped, and a recycling campaign waits out a
     /// grace period and forgets its TXIDs every [`RECYCLE_EVERY`] probes
     /// of the sweep. What is queued leaves before the network runs.
-    fn cadence(&mut self, world: &mut World, n: usize) {
+    fn cadence(&mut self, net: &mut T, n: usize) {
         self.seq += n as u64;
         self.tally.probes += n as u64;
         self.pending += n;
         if self.pending == C::P.batch {
             self.pending = 0;
-            self.scanner.send_probes(world, &mut self.batch);
-            self.wait(world, C::P.pump_ms);
+            net.send(&mut self.block, &mut self.batch);
+            self.wait(net, C::P.pump_ms);
         }
         if C::P.recycles && self.seq.is_multiple_of(RECYCLE_EVERY) {
-            self.scanner.send_probes(world, &mut self.batch);
-            self.wait(world, C::P.grace_ms);
+            net.send(&mut self.block, &mut self.batch);
+            self.wait(net, C::P.grace_ms);
             self.campaign.recycle();
         }
     }
@@ -303,9 +300,10 @@ impl<C: Campaign> Sweep<C> {
     /// Let the network run for `ms`, then put everything that arrived
     /// in exactly one bucket (corrupted packets are ignored, Sec. 5 —
     /// and counted).
-    fn wait(&mut self, world: &mut World, ms: u64) {
-        self.tally.delivered += self.scanner.pump(world, ms).delivered;
-        for (port_offset, at, dgram) in self.scanner.drain(world) {
+    fn wait(&mut self, net: &mut T, ms: u64) {
+        let (delivered, arrivals) = net.wait(&mut self.block, ms);
+        self.tally.delivered += delivered;
+        for (port_offset, at, dgram) in arrivals {
             self.tally.drained += 1;
             let Ok(msg) = MessageView::parse(&dgram.payload) else {
                 self.tally.malformed += 1;
@@ -341,13 +339,13 @@ impl<C: Campaign> Sweep<C> {
     /// the drain funnel `drained == responses_matched + the four other
     /// buckets`; the buckets a clean run has no use for exist only once
     /// there is something to count.
-    pub fn finish(mut self, world: &mut World) -> (C, Tally) {
-        self.scanner.close(world);
+    pub fn finish(mut self, net: &mut T) -> (C, Tally) {
+        net.close(self.block);
         if let Some(mut flight) = self.flight.take() {
-            let now = world.now().millis();
+            let now = net.now().millis();
             for ip in std::mem::take(&mut flight.probed) {
                 if flight.answered.insert(ip) {
-                    let asn = asn_at(world, ip);
+                    let asn = net.asn_at(ip);
                     recorder::gave_up(u32::from(ip), asn, self.policy.attempts, now);
                 }
             }
@@ -387,16 +385,16 @@ impl<C: Campaign> Sweep<C> {
     }
 }
 
-impl<C: Inline> Sweep<C> {
+impl<C: Inline, T: Transport> Sweep<C, T> {
     /// Probe `slots` in order, wait out the grace period, then resend
     /// whatever the campaign still misses in backed-off rounds — a
     /// resend at a later sim time re-rolls the probe's fate.
-    pub fn scan<I>(&mut self, world: &mut World, slots: I, seed: u64, index: u64)
+    pub fn scan<I>(&mut self, net: &mut T, slots: I, seed: u64, index: u64)
     where
         I: IntoIterator<Item = C::Slot>,
     {
-        self.round(world, slots);
-        self.wait(world, C::P.grace_ms);
+        self.round(net, slots);
+        self.wait(net, C::P.grace_ms);
         if self.policy.attempts > 1 {
             let key = seed ^ C::P.key.0 ^ (index << C::P.key.1);
             let schedule = self.policy.schedule(key);
@@ -413,31 +411,31 @@ impl<C: Inline> Sweep<C> {
                     recorder::set_context(C::P.name, round as u32 + 2);
                 }
                 self.tally.retries += missing.len() as u64;
-                self.round(world, missing);
+                self.round(net, missing);
                 if self.flight.is_some() {
-                    recorder::backoff(round as u32, wait, world.now().millis());
+                    recorder::backoff(round as u32, wait, net.now().millis());
                 }
-                self.wait(world, wait);
+                self.wait(net, wait);
             }
         }
     }
 
     /// Send one round, a batch at a time.
-    fn round(&mut self, world: &mut World, slots: impl IntoIterator<Item = C::Slot>) {
+    fn round(&mut self, net: &mut T, slots: impl IntoIterator<Item = C::Slot>) {
         self.pending = 0;
         for slot in slots {
             let target = self.campaign.stamp(slot, self.seq, &mut self.batch);
             if let Some(flight) = &mut self.flight {
                 flight.probed.push(target);
-                let asn = asn_at(world, target);
-                recorder::attempt(u32::from(target), asn, world.now().millis());
+                let asn = net.asn_at(target);
+                recorder::attempt(u32::from(target), asn, net.now().millis());
                 // A batch of one, so attempt records stay interleaved
                 // with the engine's drop records.
-                self.scanner.send_probes(world, &mut self.batch);
+                net.send(&mut self.block, &mut self.batch);
             }
-            self.cadence(world, 1);
+            self.cadence(net, 1);
         }
-        self.scanner.send_probes(world, &mut self.batch);
+        net.send(&mut self.block, &mut self.batch);
     }
 }
 

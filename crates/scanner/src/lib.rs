@@ -8,6 +8,10 @@
 //!   encoding (16-bit TXID + 9-bit source port + 0x20 redundancy,
 //!   Sec. 3.3).
 //! * [`simio`] — the scanner's socket block over a simulated [`World`].
+//! * [`transport`] — what a sweep's datagrams travel over: the
+//!   simulated world, or real UDP sockets in wall time. The CHAOS scan
+//!   and the domain scan take either; tests and the `loopback_scan`
+//!   example run them against `resolversim::loopback` fleets.
 //! * [`probe`] — the retransmission policy and coverage accounting.
 //! * [`campaign`] — the campaigns: weekly enumeration (Fig. 1),
 //!   dual-vantage verification (Sec. 2.2), CHAOS software fingerprinting
@@ -16,10 +20,6 @@
 //!   (Sec. 3.3), and HTTP(S)/mail data acquisition (Sec. 3.5). The five
 //!   that speak UDP say what to ask and how to read the answer; one
 //!   loop, `campaign::sweep`, sends, waits, retransmits and counts.
-//! * [`udp_scan`] — a real-socket driver over one blocking UDP socket,
-//!   implementing the enumeration and domain probes against live
-//!   resolvers; exercised on loopback against `resolversim::loopback`
-//!   fleets.
 //!
 //! [`World`]: worldgen::World
 
@@ -28,9 +28,8 @@ pub mod campaign;
 pub mod encode;
 pub mod lfsr;
 pub mod probe;
-pub mod rate;
 pub mod simio;
-pub mod udp_scan;
+pub mod transport;
 
 pub use blacklist::Blacklist;
 pub use campaign::acquire::{
@@ -48,4 +47,4 @@ pub use campaign::snoop::{
 pub use encode::{decode_probe, encode_probe, enumeration_query, target_from_qname};
 pub use lfsr::{IpPermutation, Lfsr};
 pub use probe::{response_coverage, tcp_query_with_retry, Coverage, ProbePolicy};
-pub use rate::TokenBucket;
+pub use transport::{Transport, Udp};

@@ -9,6 +9,7 @@
 use bytes::Bytes;
 use netsim::{Datagram, RunReport, SimTime, SocketHandle};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use worldgen::World;
 
 /// Base port of the scanner's 512-port block (9 encoded bits).
@@ -45,6 +46,30 @@ impl ProbeBatch {
         self.probes.push((offset, dst, start + len));
         &mut self.buf[start..]
     }
+
+    /// The payloads back to back, and every pending probe as
+    /// `(port-block offset, target, its payload's range)`, in send
+    /// order: what each transport walks to send the batch.
+    pub(crate) fn probes(
+        &self,
+    ) -> (
+        &[u8],
+        impl Iterator<Item = (u16, Ipv4Addr, Range<usize>)> + '_,
+    ) {
+        let mut start = 0;
+        let probes = self.probes.iter().map(move |&(offset, dst, end)| {
+            let payload = start..end;
+            start = end;
+            (offset, dst, payload)
+        });
+        (&self.buf, probes)
+    }
+
+    /// Forget every pending probe, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+        self.probes.clear();
+    }
 }
 
 /// A scanning endpoint: 512 UDP sockets on one vantage address.
@@ -78,17 +103,16 @@ impl SimScanner {
         if batch.is_empty() {
             return;
         }
-        let payloads = Bytes::copy_from_slice(&batch.buf);
-        batch.buf.clear();
-        let mut start = 0;
-        for (offset, dst, end) in batch.probes.drain(..) {
-            let payload = payloads.slice(start..end);
-            start = end;
+        let (buf, probes) = batch.probes();
+        let payloads = Bytes::copy_from_slice(buf);
+        for (offset, dst, payload) in probes {
+            let payload = payloads.slice(payload);
             world.net.send(
                 Datagram::new(self.vantage, BASE_PORT + offset, dst, 53, payload),
                 None,
             );
         }
+        batch.clear();
     }
 
     /// [`SimScanner::send_probes`] for payloads the caller already

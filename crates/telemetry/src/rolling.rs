@@ -253,8 +253,9 @@ fn parse_duration_us(s: &str) -> Result<u64, String> {
     };
     digits
         .parse::<u64>()
-        .map(|n| n * mult)
-        .map_err(|_| format!("`{s}` is not a duration (try 5ms, 250us, 1s)"))
+        .ok()
+        .and_then(|n| n.checked_mul(mult))
+        .ok_or_else(|| format!("`{s}` is not a duration (try 5ms, 250us, 1s)"))
 }
 
 fn parse_percent_ppm(s: &str) -> Result<u64, String> {
@@ -390,6 +391,8 @@ mod tests {
         assert!(SloSpec::parse("p42=1ms").is_err());
         assert!(SloSpec::parse("err=banana").is_err());
         assert!(SloSpec::parse("err=120%").is_err());
+        assert!(SloSpec::parse("p99=18446744073710s").is_err());
+        assert!(SloSpec::parse("p99=18446744073709552ms").is_err());
         assert_eq!(slo.render(), "p99=5000us,err=0.1000%");
     }
 

@@ -101,7 +101,7 @@ impl Snapshot {
     ///   "counters": {"netsim.udp_sent": 1234},
     ///   "gauges": {"netsim.queue_depth_max": 99},
     ///   "histograms": {
-    ///     "scanner.token_wait_ms": {
+    ///     "scanstore.view.decode_us": {
     ///       "count": 3, "sum": 42,
     ///       "buckets": [[1, 0], [10, 2]], "overflow": 1
     ///     }

@@ -1,19 +1,35 @@
 //! Scan *real* DNS servers over real UDP sockets: spawn a fleet of
-//! simulated resolvers on 127.0.0.1, a thread each, then enumerate and
-//! fingerprint them with the real-socket scan driver — the same methodology
-//! as the simulation campaigns, on an actual network stack.
+//! simulated resolvers on 127.0.0.1–6, a thread each, then find the open
+//! ones with the domain scan and fingerprint them with CHAOS — the
+//! simulation campaigns themselves, run over the scanner's real-socket
+//! transport on an actual network stack.
+//!
+//! Exits 1 unless every resolver shows the (rcode, version.bind) row its
+//! behaviour and software call for.
 //!
 //! Run with: `cargo run --release --example loopback_scan`
 
+use dnswire::Rcode;
 use resolversim::loopback::spawn_fleet;
 use resolversim::{
     CacheProfile, ChaosPolicy, DeviceProfile, DnsUniverse, DomainCategory, DomainKind,
     DomainRecord, ResolverBehavior, ResolverHost, SoftwareProfile, TldCacheSim,
 };
-use scanner::udp_scan::enumerate_and_fingerprint;
+use scanner::{
+    chaos_scan_with_sink, scan_domains_streaming_with_policy, ChaosObservation, ProbePolicy, Udp,
+};
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
-use std::time::Duration;
+
+/// The row each resolver of the fleet must show, in fleet order.
+const EXPECTED: [(&str, &str); 6] = [
+    ("NOERROR", "BIND 9.8.2"),
+    ("NOERROR", "BIND 9.3.6"),
+    ("NOERROR", "Dnsmasq 2.52"),
+    ("NOERROR", "none of your business"),
+    ("REFUSED", "-"),
+    ("NOERROR", "Unbound 1.4.22"),
+];
 
 fn universe() -> Arc<DnsUniverse> {
     let mut u = DnsUniverse::new();
@@ -89,22 +105,49 @@ fn main() -> std::io::Result<()> {
         ],
         SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0),
     )?;
-    let targets: Vec<SocketAddrV4> = fleet.iter().map(|s| s.local_addr).collect();
+    let targets: Vec<Ipv4Addr> = fleet.iter().map(|s| *s.local_addr.ip()).collect();
+    let port = fleet[0].local_addr.port();
     println!("spawned {} resolvers on loopback", targets.len());
 
-    let results = enumerate_and_fingerprint(&targets, "probe.example", 16, Duration::from_secs(2))?;
+    // Sec. 2.2: who answers NOERROR is an open resolver…
+    let policy = ProbePolicy::single();
+    let mut net = Udp::new(port);
+    let vantage = Ipv4Addr::LOCALHOST;
+    let mut rcodes = vec![None; targets.len()];
+    let domains = ["probe.example".to_string()];
+    let sink = &mut |t: scanner::TupleObs| {
+        rcodes[t.resolver_idx as usize].get_or_insert(t.rcode);
+    };
+    scan_domains_streaming_with_policy(&mut net, vantage, &targets, &domains, 1, &policy, sink);
+    // …and Sec. 2.4: CHAOS fingerprints the open ones.
+    let open: Vec<Ipv4Addr> = (targets.iter().zip(&rcodes))
+        .filter(|(_, rcode)| **rcode == Some(Rcode::NoError))
+        .map(|(ip, _)| *ip)
+        .collect();
+    let null = &mut scanstore::NullSink;
+    let (versions, _) = chaos_scan_with_sink(&mut net, vantage, &open, 2, &policy, null);
+
     println!("\n{:<22} {:<10} version.bind", "endpoint", "rcode");
-    for (addr, rcode, version) in &results {
+    let mut rows = Vec::new();
+    for (server, rcode) in fleet.iter().zip(&rcodes) {
+        let rcode = rcode.map_or("-", |r| r.mnemonic());
+        let version = match versions.get(server.local_addr.ip()) {
+            Some(ChaosObservation::Version(v)) => v.as_str(),
+            _ => "-",
+        };
         println!(
-            "{:<22} {:<10} {}",
-            addr.to_string(),
-            rcode.mnemonic(),
-            version.as_deref().unwrap_or("-")
+            "{:<22} {rcode:<10} {version}",
+            server.local_addr.to_string()
         );
+        rows.push((rcode, version));
     }
 
     for s in fleet {
         s.shutdown();
+    }
+    if rows != EXPECTED {
+        eprintln!("loopback_scan: expected {EXPECTED:?}");
+        std::process::exit(1);
     }
     Ok(())
 }
