@@ -105,17 +105,17 @@ fn sigterm_drains_and_flushes_metrics() {
     assert!(snapshot.contains("serve.shutdown.requests"), "{snapshot}");
 }
 
-/// An idle daemon waits in the kernel: its accept loop's 25 ms timer is
-/// 40 wake-ups a second, where a 100 us nap between poll rounds was
-/// 4,900 (and 14 % of a core).
+/// An idle daemon waits in the kernel: its controller's 25 ms timer is
+/// 40 wake-ups a second and idle workers block in `accept`, where a
+/// 100 us nap between poll rounds was 4,900 (and 14 % of a core).
 #[test]
 #[cfg(target_os = "linux")]
 fn idle_daemon_sleeps_and_still_drains() {
     let tmp = TempDir::new("idle");
     seed_weekly(&tmp.0, &[64]);
     let (child, addr) = spawn_daemon(&tmp.0, &[]);
-    // `serve::run` drives the runtime on the `serve-accept` thread while
-    // the main thread waits for it: sum the counters of every thread.
+    // `serve::run` answers on a controller thread and its workers while
+    // the main thread waits for them: sum the counters of every thread.
     let voluntary_switches = || -> u64 {
         let tasks = std::fs::read_dir(format!("/proc/{}/task", child.id())).unwrap();
         tasks
@@ -149,6 +149,22 @@ fn serve_on_missing_store_fails_with_one_line_error() {
     assert!(!output.status.success());
     let stderr = String::from_utf8(output.stderr).unwrap();
     assert!(stderr.contains("repro serve:"), "{stderr}");
+
+    // A good store on a taken port: the error names the address.
+    seed_weekly(&tmp.0, &[64]);
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = taken.local_addr().unwrap().to_string();
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["serve", "--store", tmp.0.to_str().unwrap(), "--addr", &addr])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains(&format!("cannot bind {addr}: ")),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Admission control and per-request deadlines (DESIGN §13).
 //!
-//! The daemon's load signal is its live connection count: the
-//! single-threaded runtime processes one request body at a time, so
-//! held-open or slow connections are exactly what overload looks
-//! like. The gate in front of the router is **cost-aware**:
+//! The daemon's load signal is its live connection count: each one
+//! holds a worker thread from its accept to its close, so held-open
+//! or slow connections are exactly what overload looks like. The gate
+//! in front of the router is **cost-aware**:
 //!
 //! * **Critical** endpoints (`/healthz`, `/metrics`, `/slo`,
 //!   `/debug/requests`) always pass — they are how an operator sees
@@ -76,7 +76,7 @@ pub fn cost_of(endpoint: &str) -> Cost {
 const QUEUE_POLL: Duration = Duration::from_millis(2);
 
 /// The admission controller. One per server; shared by every
-/// connection task.
+/// worker.
 pub struct Admission {
     opts: AdmissionOptions,
     queued: AtomicUsize,
@@ -90,8 +90,8 @@ impl Admission {
         }
     }
 
-    /// Whether the gate is active at all. The disabled path must stay
-    /// await-free so default-configuration serving is unchanged.
+    /// Whether the gate is active at all. The disabled path must never
+    /// wait, so default-configuration serving is unchanged.
     pub fn enabled(&self) -> bool {
         self.opts.max_inflight > 0
     }
@@ -113,7 +113,7 @@ impl Admission {
     /// Decides admission for one parsed request. `load` is the live
     /// connection count (this connection included). Returns the shed
     /// response, or `None` to admit.
-    pub async fn admit(&self, endpoint: &'static str, load: &AtomicUsize) -> Option<Response> {
+    pub fn admit(&self, endpoint: &'static str, load: &AtomicUsize) -> Option<Response> {
         if !self.enabled() {
             return None;
         }
@@ -146,7 +146,7 @@ impl Admission {
                 admitted = true;
                 break;
             }
-            tokio::time::sleep(QUEUE_POLL).await;
+            std::thread::sleep(QUEUE_POLL);
         }
         self.queued.fetch_sub(1, Ordering::SeqCst);
         if admitted {
@@ -236,19 +236,18 @@ mod tests {
             deadline_ms: 0,
         });
         let load = AtomicUsize::new(10);
-        let rt = tokio::runtime::Runtime::new().unwrap();
 
         // Critical endpoints always pass.
-        assert!(rt.block_on(adm.admit("healthz", &load)).is_none());
-        assert!(rt.block_on(adm.admit("metrics", &load)).is_none());
+        assert!(adm.admit("healthz", &load).is_none());
+        assert!(adm.admit("metrics", &load).is_none());
 
         // Expensive endpoints shed immediately with a Retry-After.
-        let shed = rt.block_on(adm.admit("amplifiers", &load)).unwrap();
+        let shed = adm.admit("amplifiers", &load).unwrap();
         assert_eq!(shed.status, 429);
         assert_eq!(shed.retry_after, Some(1));
 
         // Normal endpoints queue, then time out when load never drops.
-        let shed = rt.block_on(adm.admit("classify", &load)).unwrap();
+        let shed = adm.admit("classify", &load).unwrap();
         assert_eq!(shed.status, 429);
         assert!(
             String::from_utf8(shed.body).unwrap().contains("queue wait"),
@@ -257,8 +256,8 @@ mod tests {
 
         // Below the cap everything is admitted.
         load.store(1, Ordering::SeqCst);
-        assert!(rt.block_on(adm.admit("classify", &load)).is_none());
-        assert!(rt.block_on(adm.admit("amplifiers", &load)).is_none());
+        assert!(adm.admit("classify", &load).is_none());
+        assert!(adm.admit("amplifiers", &load).is_none());
     }
 
     #[test]
@@ -266,8 +265,7 @@ mod tests {
         let adm = Admission::new(AdmissionOptions::default());
         assert!(!adm.enabled());
         let load = AtomicUsize::new(usize::MAX);
-        let rt = tokio::runtime::Runtime::new().unwrap();
-        assert!(rt.block_on(adm.admit("amplifiers", &load)).is_none());
+        assert!(adm.admit("amplifiers", &load).is_none());
         assert!(!adm.deadline().expired());
     }
 }

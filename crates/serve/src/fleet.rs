@@ -263,8 +263,8 @@ pub fn run_fleet(opts: &FleetOptions) -> io::Result<FleetReport> {
 
 /// A squad of slow-loris connections: each connects and writes only a
 /// partial request head, pinning a live-connection slot until the
-/// squad is dropped. Against the single-threaded daemon this is the
-/// deterministic way to hold the load signal above the admission cap.
+/// squad is dropped. Each one holds a daemon worker and counts in the
+/// load signal: the deterministic way to hold it above the admission cap.
 pub(crate) struct LorisSquad {
     streams: Vec<TcpStream>,
 }

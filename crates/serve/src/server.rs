@@ -1,14 +1,14 @@
-//! The daemon: accept loop, response cache, engine refresh, and
-//! graceful drain.
+//! The daemon: a pool of worker threads, response cache, engine
+//! refresh, and graceful drain.
 //!
-//! Concurrency model: one [`QueryEngine`] lives behind a swap lock as
-//! an `Arc`. Each connection clones the `Arc` and answers from that
-//! engine even if a background refresh swaps in a newer one mid-flight
-//! — a campaign commit therefore becomes visible between requests,
-//! never inside one, and no in-flight query is dropped. Shutdown
-//! (SIGINT/SIGTERM or [`RunningServer::stop`]) closes the accept loop,
-//! drains in-flight connections, and flushes a final telemetry
-//! snapshot.
+//! Concurrency model: idle workers block in `accept` on one listener,
+//! and the pool grows to the peak number of live connections. One
+//! [`QueryEngine`] lives behind a swap lock as an `Arc`; a connection
+//! answers from the `Arc` it cloned even if the controller thread's
+//! refresh swaps in a newer one mid-flight — a commit becomes visible
+//! between requests, never inside one. Shutdown (SIGINT/SIGTERM or
+//! [`RunningServer::stop`]) wakes the idle workers, joins the busy ones
+//! as their connections end, and flushes a final telemetry snapshot.
 //!
 //! Overload hardening (DESIGN §13): an [`Admission`] gate in front of
 //! the router sheds excess load cost-aware with uniform `429` bodies,
@@ -28,14 +28,14 @@ use crate::http::{
 };
 use crate::obs::{endpoint_of, ObsOptions, ServeObs};
 use crate::signal;
-use std::io::{self, Write as _};
-use std::net::SocketAddr;
+use std::io::{self, ErrorKind, Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::thread::{self, Scope};
 use std::time::{Duration, Instant};
 use telemetry::{reqtrace, RequestCtx};
-use tokio::net::{TcpListener, TcpStream};
 
 /// Requests larger than this are answered `431`; real queries are one
 /// short GET line plus a handful of headers.
@@ -90,8 +90,8 @@ pub struct ServeSummary {
     pub refreshes: u64,
 }
 
-/// State shared between the accept loop, connection tasks, and the
-/// controlling thread.
+/// State shared between the controller, the workers, and the
+/// [`RunningServer`] handle.
 struct ServerState {
     engine: RwLock<Arc<QueryEngine>>,
     cache: Mutex<LruCache>,
@@ -100,7 +100,13 @@ struct ServerState {
     breaker: Mutex<RefreshBreaker>,
     /// Store root, for the live `/admin/scrub` integrity pass.
     store: PathBuf,
+    /// The bound socket; idle workers block in its `accept`.
+    listener: TcpListener,
+    /// How long one connection may take, read to write.
+    conn_timeout: Duration,
     inflight: AtomicUsize,
+    /// Workers blocked in `accept`.
+    idle: AtomicUsize,
     conns: AtomicU64,
     requests: AtomicU64,
     refreshes: AtomicU64,
@@ -112,8 +118,8 @@ impl ServerState {
         self.stop.load(Ordering::SeqCst) || signal::triggered()
     }
 
-    // The locks recover from poisoning: a panicking connection task
-    // must not take the shared state down with it.
+    // The locks recover from poisoning: a worker that panics must not
+    // take the shared state down with it.
     fn breaker(&self) -> MutexGuard<'_, RefreshBreaker> {
         self.breaker.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -131,10 +137,12 @@ impl ServerState {
     }
 }
 
-/// Opens the store and assembles shared state; the single place the
-/// cache capacity and observability options are interpreted.
+/// Opens the store, binds and assembles shared state: the single
+/// place the options that shape it are interpreted.
 fn build_state(opts: &ServeOptions) -> io::Result<Arc<ServerState>> {
     let engine = QueryEngine::open(&opts.store)?;
+    let listener = TcpListener::bind(opts.addr.as_str())
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot bind {}: {e}", opts.addr)))?;
     let cache = if opts.cache_cap == 0 {
         LruCache::disabled()
     } else {
@@ -147,7 +155,10 @@ fn build_state(opts: &ServeOptions) -> io::Result<Arc<ServerState>> {
         admission: Admission::new(opts.admission.clone()),
         breaker: Mutex::new(RefreshBreaker::new(opts.breaker.clone())),
         store: opts.store.clone(),
+        listener,
+        conn_timeout: Duration::from_millis(opts.conn_timeout_ms.max(1)),
         inflight: AtomicUsize::new(0),
+        idle: AtomicUsize::new(0),
         conns: AtomicU64::new(0),
         requests: AtomicU64::new(0),
         refreshes: AtomicU64::new(0),
@@ -173,36 +184,21 @@ pub struct RunningServer {
 }
 
 impl RunningServer {
-    /// Opens the store (errors surface here, synchronously), then
-    /// starts the accept loop on a background thread and waits for the
-    /// bound address.
+    /// Opens the store and binds the address (errors surface here,
+    /// synchronously), then starts the controller thread, which starts
+    /// the worker pool.
     pub fn start(opts: &ServeOptions) -> io::Result<RunningServer> {
         let state = build_state(opts)?;
-        let (tx, rx) = std::sync::mpsc::channel::<io::Result<SocketAddr>>();
+        let addr = state.listener.local_addr()?;
         let thread_state = Arc::clone(&state);
         let opts = opts.clone();
         let tel = telemetry::current();
-        let thread = std::thread::Builder::new()
-            .name("serve-accept".to_string())
+        let thread = thread::Builder::new()
+            .name("serve".to_string())
             .spawn(move || {
                 let _in = tel.enter();
-                let rt = tokio::runtime::Runtime::new()?;
-                rt.block_on(async move {
-                    let listener = match TcpListener::bind(opts.addr.as_str()).await {
-                        Ok(l) => l,
-                        Err(e) => {
-                            let kind = e.kind();
-                            let _ = tx.send(Err(e));
-                            return Err(io::Error::new(kind, "bind failed"));
-                        }
-                    };
-                    let _ = tx.send(listener.local_addr());
-                    serve_loop(thread_state, listener, &opts).await
-                })
+                serve_loop(&thread_state, &opts)
             })?;
-        let addr = rx
-            .recv()
-            .map_err(|_| io::Error::other("server thread died at startup"))??;
         Ok(RunningServer {
             addr,
             state,
@@ -222,7 +218,7 @@ impl RunningServer {
         self.join()
     }
 
-    /// Waits for the accept loop to end and returns the summary.
+    /// Waits for the controller to end and returns the summary.
     fn join(mut self) -> io::Result<ServeSummary> {
         // Infallible: `join` consumes `self`, and only `join`/`Drop`
         // ever take the handle.
@@ -244,64 +240,30 @@ impl Drop for RunningServer {
     }
 }
 
-/// Accepts connections until shutdown, refreshing the engine on a
-/// timer, then drains and flushes metrics.
-async fn serve_loop(
-    state: Arc<ServerState>,
-    listener: TcpListener,
-    opts: &ServeOptions,
-) -> io::Result<ServeSummary> {
-    let mut last_refresh = Instant::now();
-    let conn_timeout = Duration::from_millis(opts.conn_timeout_ms.max(1));
-    let inflight_gauge = telemetry::gauge("serve.inflight");
-    let accepted_conns = telemetry::counter("serve.conns.accepted");
-    loop {
-        // Checked at the top of every iteration, not in the timer
-        // branch: under sustained load the accept branch wins every
-        // select, and a sleep future recreated per iteration would
-        // never reach its deadline.
-        if state.stop_requested() {
-            break;
+/// The controller: starts the worker pool, refreshes the engine on a
+/// timer until shutdown, then wakes the idle workers, waits for the
+/// busy ones to finish their connections, and flushes metrics.
+fn serve_loop(state: &ServerState, opts: &ServeOptions) -> io::Result<ServeSummary> {
+    let refresh = Duration::from_millis(opts.refresh_ms);
+    thread::scope(|s| {
+        spawn_worker(s, state)?;
+        let mut last_refresh = Instant::now();
+        while !state.stop_requested() {
+            thread::sleep(Duration::from_millis(25));
+            if opts.refresh_ms > 0 && last_refresh.elapsed() >= refresh {
+                last_refresh = Instant::now();
+                refresh_engine(state);
+            }
         }
-        if opts.refresh_ms > 0 && last_refresh.elapsed() >= Duration::from_millis(opts.refresh_ms) {
-            last_refresh = Instant::now();
-            refresh_engine(&state);
+        // Raised before the idle count is read: a worker counts itself
+        // idle before it checks the flag, so each one either sees the
+        // flag or is counted here and woken by a connection.
+        state.stop.store(true, Ordering::SeqCst);
+        for _ in 0..state.idle.load(Ordering::SeqCst) {
+            let _ = TcpStream::connect(state.listener.local_addr()?);
         }
-        tokio::select! {
-            accepted = listener.accept() => {
-                if let Ok((stream, _peer)) = accepted {
-                    let n = state.inflight.fetch_add(1, Ordering::SeqCst);
-                    inflight_gauge.set((n + 1) as f64);
-                    // The connection ordinal seeds the deterministic
-                    // trace id, so it is assigned at accept, in accept
-                    // order.
-                    let conn = state.conns.fetch_add(1, Ordering::SeqCst);
-                    accepted_conns.inc();
-                    let conn_state = Arc::clone(&state);
-                    let task_gauge = inflight_gauge.clone();
-                    tokio::spawn(async move {
-                        // Every accepted connection ends in exactly one
-                        // counted outcome; the buckets exist once non-zero.
-                        let outcome = tokio::time::timeout(
-                            conn_timeout,
-                            handle_connection(Arc::clone(&conn_state), stream, conn),
-                        )
-                        .await
-                        .unwrap_or("timed_out");
-                        telemetry::counter_with("serve.conns", &[("outcome", outcome)]).inc();
-                        let n = conn_state.inflight.fetch_sub(1, Ordering::SeqCst);
-                        task_gauge.set(n.saturating_sub(1) as f64);
-                    });
-                }
-            },
-            _ = tokio::time::sleep(Duration::from_millis(25)) => {},
-        }
-    }
-
-    // Drain: stop accepting, keep driving in-flight connection tasks.
-    while state.inflight.load(Ordering::SeqCst) > 0 {
-        tokio::time::sleep(Duration::from_millis(1)).await;
-    }
+        io::Result::Ok(())
+    })?;
     let summary = ServeSummary {
         requests: state.requests.load(Ordering::SeqCst),
         refreshes: state.refreshes.load(Ordering::SeqCst),
@@ -313,8 +275,52 @@ async fn serve_loop(
     Ok(summary)
 }
 
+/// Starts one pool worker under the daemon's telemetry handle. It
+/// blocks in `accept`, answers the connection, and goes back, until
+/// shutdown. A worker that takes a connection while no other worker is
+/// idle first starts one more, so the pool grows to the peak number of
+/// live connections and a stalled client never holds up a live one.
+fn spawn_worker<'s>(s: &'s Scope<'s, '_>, state: &'s ServerState) -> io::Result<()> {
+    let tel = telemetry::current();
+    let worker = move || {
+        let _in = tel.enter();
+        let inflight_gauge = telemetry::gauge("serve.inflight");
+        let accepted_conns = telemetry::counter("serve.conns.accepted");
+        loop {
+            state.idle.fetch_add(1, Ordering::SeqCst);
+            let accepted = (!state.stop_requested()).then(|| state.listener.accept());
+            let was_last = state.idle.fetch_sub(1, Ordering::SeqCst) == 1;
+            // After shutdown, a connection is the controller's wake-up
+            // (or a client too late): it is closed and counts nothing.
+            if state.stop_requested() {
+                return;
+            }
+            let Some(Ok((stream, _peer))) = accepted else {
+                continue;
+            };
+            if was_last {
+                let _ = spawn_worker(s, state);
+            }
+            inflight_gauge.set((state.inflight.fetch_add(1, Ordering::SeqCst) + 1) as f64);
+            // The connection ordinal seeds the deterministic trace id,
+            // so it is assigned at accept, in accept order.
+            let conn = state.conns.fetch_add(1, Ordering::SeqCst);
+            accepted_conns.inc();
+            // Every accepted connection ends in exactly one counted
+            // outcome; the buckets exist once non-zero.
+            let outcome = handle_connection(state, stream, conn);
+            telemetry::counter_with("serve.conns", &[("outcome", outcome)]).inc();
+            inflight_gauge.set((state.inflight.fetch_sub(1, Ordering::SeqCst) - 1) as f64);
+        }
+    };
+    thread::Builder::new()
+        .name("serve-worker".into())
+        .spawn_scoped(s, worker)
+        .map(drop)
+}
+
 /// Re-reads manifests; on change, swaps the engine `Arc` and clears
-/// the cache. In-flight tasks keep their old `Arc` until they finish.
+/// the cache. In-flight connections keep their old `Arc` to the end.
 fn refresh_engine(state: &ServerState) {
     // The breaker counts ticks, not wall time: while open, each
     // skipped interval decrements the backoff until a half-open probe
@@ -349,16 +355,15 @@ fn refresh_engine(state: &ServerState) {
 /// the cache), and closes. Returns the connection's
 /// `serve.conns{outcome=…}` bucket: `answered` once a response (error
 /// responses and sheds included) was handed to the socket,
-/// `closed_early` if the client left before a complete head.
-async fn handle_connection(
-    state: Arc<ServerState>,
-    mut stream: TcpStream,
-    conn: u64,
-) -> &'static str {
-    let head = match read_head(&mut stream).await {
+/// `closed_early` if the client left before a complete head,
+/// `timed_out` if its `conn_timeout` ran out first.
+fn handle_connection(state: &ServerState, mut stream: TcpStream, conn: u64) -> &'static str {
+    let deadline = Instant::now() + state.conn_timeout;
+    let head = match read_head(&mut stream, deadline) {
         HeadRead::Head(head) => head,
         // Early EOF or a transport error: nothing to answer.
         HeadRead::Closed => return "closed_early",
+        HeadRead::TimedOut => return "timed_out",
         unreadable => {
             state.requests.fetch_add(1, Ordering::SeqCst);
             let resp = if unreadable == HeadRead::TooLarge {
@@ -368,9 +373,7 @@ async fn handle_connection(
                 Response::error(400, "request head is not valid UTF-8")
             };
             state.obs.record("other", resp.status, 0);
-            let _ = stream.write_all(&resp.to_wire()).await;
-            let _ = stream.shutdown_write();
-            return "answered";
+            return send(&mut stream, &resp.to_wire(), deadline);
         }
     };
     let ordinal = state.requests.fetch_add(1, Ordering::SeqCst);
@@ -379,20 +382,34 @@ async fn handle_connection(
             let (path, _) = split_target(target);
             let endpoint = endpoint_of(path);
             let t0 = Instant::now();
-            if let Some(resp) = state.admission.admit(endpoint, &state.inflight).await {
+            if let Some(resp) = state.admission.admit(endpoint, &state.inflight) {
                 state
                     .obs
                     .record(endpoint, resp.status, t0.elapsed().as_micros() as u64);
-                let _ = stream.write_all(&resp.to_wire()).await;
-                let _ = stream.shutdown_write();
-                return "answered";
+                return send(&mut stream, &resp.to_wire(), deadline);
             }
         }
     }
-    let wire = serve_request(&state, &head, conn, ordinal);
-    let _ = stream.write_all(&wire).await;
-    let _ = stream.shutdown_write();
-    "answered"
+    let wire = serve_request(state, &head, conn, ordinal);
+    send(&mut stream, &wire, deadline)
+}
+
+/// Writes a response and half-closes: `answered`, or `timed_out` if
+/// `deadline` passed before the write finished.
+fn send(stream: &mut TcpStream, wire: &[u8], deadline: Instant) -> &'static str {
+    let left = deadline.saturating_duration_since(Instant::now());
+    let _ = stream.set_write_timeout(Some(left.max(Duration::from_millis(1))));
+    let sent = stream.write_all(wire);
+    let _ = stream.shutdown(Shutdown::Write);
+    match sent {
+        Err(e) if is_timeout(&e) => "timed_out",
+        _ => "answered",
+    }
+}
+
+/// Whether a socket error is its read or write timeout expiring.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 /// Answers one request: routes it, and records latency (every
@@ -583,19 +600,28 @@ enum HeadRead {
     Head(String),
     /// Early EOF or a transport error; nothing to answer.
     Closed,
+    /// The connection's time ran out first; nothing to answer.
+    TimedOut,
     /// The head exceeded [`MAX_HEAD_BYTES`]; answered `431`.
     TooLarge,
     /// The head was complete but not valid UTF-8; answered `400`.
     BadUtf8,
 }
 
-/// Reads until the end of the request head (`\r\n\r\n`).
-async fn read_head(stream: &mut TcpStream) -> HeadRead {
+/// Reads until the end of the request head (`\r\n\r\n`), or until
+/// `deadline`.
+fn read_head(stream: &mut TcpStream, deadline: Instant) -> HeadRead {
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 1024];
     loop {
-        let n = match stream.read(&mut buf).await {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return HeadRead::TimedOut;
+        }
+        let n = match stream.read(&mut buf) {
             Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if is_timeout(&e) => return HeadRead::TimedOut,
             Err(_) => return HeadRead::Closed,
         };
         if n == 0 {
@@ -627,6 +653,7 @@ fn push_head(head: &mut Vec<u8>, chunk: &[u8]) -> Option<HeadRead> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     const REQUEST: &[u8] = b"GET /classify?ip=192.0.2.1 HTTP/1.1\r\nHost: t\r\n\r\n";
 
@@ -650,6 +677,41 @@ mod tests {
         }
         assert_eq!(feed(REQUEST.chunks(1)), whole, "a byte at a time");
         assert_eq!(feed(REQUEST[..REQUEST.len() - 1].chunks(1)), None);
+
+        // Seeded heads, UTF-8 or not, terminated or not, up to twice the
+        // limit. A terminated one ends within a byte of the limit: past
+        // that, a read boundary decides between 431 and an answer.
+        const BYTES: &[u8] = b"\r\n\r\nGET /classify?ip=192.0.2.1 HTTP/1.1 Host: \xc3\xa9\xff";
+        let mut rng = SmallRng::seed_from_u64(39);
+        let mut seen = std::collections::HashSet::new();
+        for case in 0..300 {
+            let n = BYTES.len() - if rng.gen_bool(0.5) { 3 } else { 0 };
+            let len = std::cmp::max(rng.gen_range(16..400), rng.gen_range(0..3) * MAX_HEAD_BYTES);
+            let mut input = Vec::new();
+            while input.len() < len {
+                input.push(BYTES[rng.gen_range(0..n)]);
+                if input.ends_with(b"\r\n\r\n") {
+                    input.pop();
+                }
+            }
+            if rng.gen_bool(0.5) {
+                input.truncate(MAX_HEAD_BYTES - 3);
+                // After a "\r\n", half a terminator ends the head.
+                let half = if input.ends_with(b"\r\n") { 2 } else { 0 };
+                input.extend_from_slice(&b"\r\n\r\n"[half..]);
+            }
+            let mut cuts = vec![0, input.len()];
+            cuts.extend((0..4).map(|_| rng.gen_range(1..input.len())));
+            cuts.sort_unstable();
+            cuts.dedup();
+            let mut head = Vec::new();
+            let mut pieces = cuts.windows(2).map(|w| &input[w[0]..w[1]]);
+            let split = pieces.find_map(|piece| push_head(&mut head, piece));
+            let whole = push_head(&mut Vec::new(), &input);
+            assert_eq!(split, whole, "case {case}, cuts at {cuts:?}");
+            seen.insert(whole.as_ref().map(std::mem::discriminant));
+        }
+        assert_eq!(seen.len(), 4, "outcomes seen: {seen:?}");
     }
 
     #[test]

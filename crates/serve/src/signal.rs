@@ -1,10 +1,10 @@
 //! Process-signal plumbing for graceful shutdown.
 //!
-//! A single atomic flag is flipped by SIGINT/SIGTERM. The accept loop
-//! polls [`triggered`] between accepts; once set, the server stops
-//! accepting, drains in-flight requests, and flushes a final metrics
-//! snapshot. In-process shutdown (tests, `--selftest`) goes through
-//! `RunningServer::stop` instead.
+//! A single atomic flag is flipped by SIGINT/SIGTERM. The daemon's
+//! controller thread checks [`triggered`] on its 25 ms timer; once set,
+//! the server stops accepting, drains in-flight requests, and flushes a
+//! final metrics snapshot. In-process shutdown (tests, `--selftest`)
+//! goes through `RunningServer::stop` instead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -190,7 +190,7 @@ fn refresh_serves_new_commits_without_dropping_queries() {
 
 #[test]
 fn every_accepted_connection_ends_in_one_counted_outcome() {
-    // The daemon's accept thread reports to the handle that started it.
+    // The daemon's threads report to the handle that started it.
     let tel = telemetry::Telemetry::new();
     let _in = tel.enter();
     let tmp = TempDir::new("outcomes");
@@ -234,4 +234,48 @@ fn every_accepted_connection_ends_in_one_counted_outcome() {
         count("serve.conns.accepted"),
         answered + closed_early + timed_out
     );
+}
+
+#[test]
+fn idle_connections_do_not_starve_a_live_one() {
+    const IDLE: u64 = 64;
+    let tel = telemetry::Telemetry::new();
+    let _in = tel.enter();
+    let tmp = TempDir::new("starve");
+    let mut store = CampaignStore::open(tmp.0.join("weekly")).unwrap();
+    store.observe(Observation::at(1, 0, 1_000));
+    store.commit("week-0", 1_000, &[]).unwrap();
+    let server = RunningServer::start(&ServeOptions {
+        store: tmp.0.clone(),
+        ..ServeOptions::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+
+    // Half a request line each, then silence: every one of them holds a
+    // worker until it hangs up.
+    let idle: Vec<TcpStream> = (0..IDLE)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(b"GET /classify?ip=").unwrap();
+            stream
+        })
+        .collect();
+    let started = Instant::now();
+    let (status, body) = get(addr, "/classify?ip=0.0.0.1");
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "the live connection was starved"
+    );
+    drop(idle);
+    server.stop().unwrap();
+
+    let count = |key: &str| tel.registry().snapshot().counter(key).unwrap_or(0);
+    assert_eq!(count("serve.conns.accepted"), IDLE + 1);
+    assert_eq!(count("serve.conns{outcome=answered}"), 1);
+    assert_eq!(count("serve.conns{outcome=closed_early}"), IDLE);
+    // Every worker, and with them the listener, is gone once `stop`
+    // returns.
+    std::net::TcpListener::bind(addr).expect("the daemon's address is still bound");
 }
