@@ -17,7 +17,7 @@
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{Read as _, Write as _};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -336,7 +336,8 @@ struct FileAgg {
     last: Option<Value>,
     /// Parsed lines with an unrecognized `"type"`.
     skipped: u64,
-    /// Unparseable lines (torn tail of a live file).
+    /// Unparseable lines: garbage, or a last line cut short when the
+    /// file is read once.
     torn: u64,
     /// `type: "heartbeat"` progress lines (DESIGN §9).
     heartbeats: u64,
@@ -371,6 +372,16 @@ impl FileAgg {
                 _ => self.skipped += 1,
             }
         }
+    }
+
+    /// Ingests the complete lines of `bytes`, a trace file read from
+    /// some offset, and returns how many bytes they span: a last line
+    /// with no `\n` yet is still being written, and is left to be read
+    /// again, whole, from there.
+    fn ingest_complete(&mut self, bytes: &[u8]) -> usize {
+        let end = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        self.ingest(&String::from_utf8_lossy(&bytes[..end]));
+        end
     }
 
     /// The collect-progress summary folded from heartbeat lines, or
@@ -479,13 +490,20 @@ fn render_file(doc: &Value) -> String {
 fn tail_file(path: &PathBuf, opts: &TailOptions) -> Result<(), String> {
     let source = format!("file:{}", path.display());
     let mut agg = FileAgg::default();
-    let mut offset = 0usize;
+    let mut offset = 0u64;
     loop {
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        if bytes.len() > offset {
-            agg.ingest(&String::from_utf8_lossy(&bytes[offset..]));
-            offset = bytes.len();
+        let mut bytes = Vec::new();
+        std::fs::File::open(path)
+            .and_then(|mut file| {
+                file.seek(SeekFrom::Start(offset))?;
+                file.read_to_end(&mut bytes)
+            })
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        if opts.once {
+            // One look: a line cut short is torn.
+            agg.ingest(&String::from_utf8_lossy(&bytes));
+        } else {
+            offset += agg.ingest_complete(&bytes) as u64;
         }
         let doc = agg.to_doc(&source);
         emit(&doc, opts, render_file(&doc));
@@ -533,6 +551,26 @@ mod tests {
         // The JSON document round-trips through the vendored parser.
         let round: Value = serde_json::from_str(&render_json(&doc)).unwrap();
         assert_eq!(as_u64(get(&round, "requests")), 2);
+    }
+
+    /// A request line written across two reads of a live file is
+    /// ingested once, whole, when its `\n` arrives.
+    #[test]
+    fn file_aggregation_waits_for_a_line_split_across_reads() {
+        let line = concat!(
+            r#"{"seq":1,"type":"request","trace_id":"aa","endpoint":"classify","status":200,"bytes":300,"spans":[]}"#,
+            "\n",
+        );
+        let (head, rest) = line.split_at(40);
+        let mut agg = FileAgg::default();
+        let offset = agg.ingest_complete(head.as_bytes());
+        assert_eq!(offset, 0, "a partial line is left in the file");
+        let file = format!("{head}{rest}");
+        let offset = offset + agg.ingest_complete(&file.as_bytes()[offset..]);
+        assert_eq!(offset, file.len());
+        let doc = agg.to_doc("file:test");
+        assert_eq!(as_u64(get(&doc, "requests")), 1);
+        assert_eq!(as_u64(get(&doc, "torn")), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use classify::{classify_version, fingerprint_device, SoftwareClass};
 use resolversim::{DeviceClass, DeviceOs};
-use scanner::{banner_scan, chaos_scan, enumerate, ChaosObservation};
+use scanner::{banner_scan, chaos_scan, enumerate, ChaosObservation, ProbePolicy};
 use std::collections::HashMap;
 use worldgen::{build_world, WorldConfig};
 
@@ -12,7 +12,7 @@ fn device_mix_recovered_from_banners() {
     let mut w = build_world(WorldConfig::tiny(31));
     let vantage = w.scanner_ip;
     let fleet = enumerate(&mut w, vantage, 1).noerror_ips();
-    let banners = banner_scan(&mut w, &fleet);
+    let (banners, _) = banner_scan(&mut w, &fleet, &ProbePolicy::single());
 
     let mut hw: HashMap<DeviceClass, usize> = HashMap::new();
     let mut os: HashMap<DeviceOs, usize> = HashMap::new();
@@ -44,7 +44,8 @@ fn software_mix_recovered_from_chaos() {
     let mut w = build_world(WorldConfig::tiny(32));
     let vantage = w.scanner_ip;
     let fleet = enumerate(&mut w, vantage, 2).noerror_ips();
-    let obs = chaos_scan(&mut w, vantage, &fleet, 2);
+    let sink = &mut scanstore::NullSink;
+    let (obs, _) = chaos_scan(&mut w, vantage, &fleet, 2, &ProbePolicy::single(), sink);
 
     let mut known = 0usize;
     let mut custom = 0usize;

@@ -29,14 +29,13 @@ use dnswire::Rcode;
 use geodb::{GeoDb, RdnsDb};
 use netsim::{FaultPlan, SimTime};
 use scanner::campaign::churn as churn_campaign;
-use scanner::campaign::enumerate::VerificationReport;
 use scanner::{churn_from_source, enumerate_with_sink, response_coverage, Coverage, ProbePolicy};
 use scanstore::{
     flags, CampaignStore, MemoryStore, Observation, ObservationSink, SnapshotSink, SnapshotSource,
     StoreStats,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
 use std::net::Ipv4Addr;
 use std::path::Path;
@@ -132,16 +131,10 @@ fn weekly_scan_week(
         .resolvers
         .iter()
         .filter(|m| {
-            m.response_class == worldgen::world::ResponseClass::NoError
-                && m.alive.load(std::sync::atomic::Ordering::Relaxed)
+            world.reachable(m, week, true)
                 && world
                     .resolver_ip(m)
-                    .map(|ip| !blacklist.contains(ip))
-                    .unwrap_or(false)
-                && !world
-                    .border_filtered_asns
-                    .iter()
-                    .any(|&(asn, w)| m.asn == asn && week >= w)
+                    .is_some_and(|ip| !blacklist.contains(ip))
         })
         .count() as u64;
     let mut enriched = EnrichSink::new(world, sink);
@@ -584,18 +577,36 @@ enum Task {
 }
 
 impl Task {
-    /// The campaign a task executes under, for heartbeat labels.
-    fn campaign(self) -> CampaignKind {
+    /// What the task commits: the campaign whose store it writes, and
+    /// the seq of its snapshot there. Snoop's rounds follow its
+    /// `sample` snapshot in one group, so the group stands or falls
+    /// with snapshot 0.
+    fn commits(self) -> (CampaignKind, u32) {
+        use CampaignKind::*;
         match self {
-            Task::Week(_) => CampaignKind::Weekly,
-            Task::Fleet => CampaignKind::Fleet,
-            Task::Cohort | Task::ChurnRound(_) => CampaignKind::Churn,
-            Task::Chaos => CampaignKind::Chaos,
-            Task::Banner => CampaignKind::Banner,
-            Task::Domains => CampaignKind::Domains,
-            Task::Snoop => CampaignKind::Snoop,
-            Task::VerifyPrimary | Task::VerifySecondary => CampaignKind::Verify,
+            Task::Week(w) => (Weekly, w),
+            Task::Fleet => (Fleet, 0),
+            Task::Cohort => (Churn, 0),
+            Task::ChurnRound(w) => (Churn, w + 1),
+            Task::Chaos => (Chaos, 0),
+            Task::Banner => (Banner, 0),
+            Task::Domains => (Domains, 0),
+            Task::Snoop => (Snoop, 0),
+            Task::VerifyPrimary => (Verify, 0),
+            Task::VerifySecondary => (Verify, 1),
         }
+    }
+
+    /// The campaign a task executes under.
+    fn campaign(self) -> CampaignKind {
+        self.commits().0
+    }
+
+    /// Whether the stores already held the task's snapshot, by the
+    /// snapshot count of each when the collection began.
+    fn done(self, committed: &BTreeMap<CampaignKind, u32>) -> bool {
+        let (kind, seq) = self.commits();
+        committed[&kind] > seq
     }
 }
 
@@ -704,9 +715,9 @@ fn sweep_coverage(result: &scanner::EnumerationResult) -> Coverage {
     )
 }
 
-/// The fleet, read back from a committed fleet snapshot: NOERROR
-/// responders in ascending address order — the same list and order
-/// `EnumerationResult::noerror_ips` produces live.
+/// The fleet, read back from the fleet snapshot: NOERROR responders in
+/// ascending address order — the list `EnumerationResult::noerror_ips`
+/// makes of the sweep that committed it.
 fn fleet_from_source(src: &dyn SnapshotSource) -> io::Result<Vec<Ipv4Addr>> {
     Ok(src
         .snapshot(0)?
@@ -715,6 +726,11 @@ fn fleet_from_source(src: &dyn SnapshotSource) -> io::Result<Vec<Ipv4Addr>> {
         .filter(|o| o.rcode == Rcode::NoError.to_u8())
         .map(|o| o.ipv4())
         .collect())
+}
+
+/// The churn cohort, read back from the churn store's snapshot 0.
+fn cohort_from_source(src: &dyn SnapshotSource) -> io::Result<Vec<Ipv4Addr>> {
+    Ok(src.snapshot(0)?.records.iter().map(|o| o.ipv4()).collect())
 }
 
 /// Collect every campaign in `kinds` (plus the shared fleet when any
@@ -766,7 +782,6 @@ pub fn collect_bundle(
 
     let committed: BTreeMap<CampaignKind, u32> =
         want.iter().map(|&k| (k, data[&k].count())).collect();
-    let churn_weeks = opts.weeks.min(55);
 
     // A partially committed snoop store cannot be resumed: skipping
     // committed rounds would skip the cache interactions that shaped
@@ -786,30 +801,6 @@ pub fn collect_bundle(
             }
         }
     }
-
-    let needs_run = |kind: CampaignKind| -> bool {
-        let c = committed[&kind];
-        match kind {
-            Weekly => c < opts.weeks,
-            Fleet | Chaos | Banner | Domains => c < 1,
-            Snoop => c == 0,
-            Churn => c < churn_weeks + 2,
-            Verify => c < 2,
-        }
-    };
-    if !want.iter().any(|&k| needs_run(k)) {
-        return Ok(BundleData {
-            data,
-            coverage: BTreeMap::new(),
-        }); // fully served from the store
-    }
-
-    let running = |kind: CampaignKind| want.contains(&kind) && needs_run(kind);
-    let two_lanes = running(Domains)
-        && [Weekly, Chaos, Banner, Snoop, Churn, Verify]
-            .into_iter()
-            .any(running);
-    let lane_of = |kind: CampaignKind| usize::from(two_lanes && !matches!(kind, Fleet | Domains));
 
     // The absolute schedule; stable sort keeps same-anchor push order
     // (fleet before churn's cohort commit, which sends no packets).
@@ -831,7 +822,8 @@ pub fn collect_bundle(
     if want.contains(&Churn) {
         tasks.push((FLEET_ANCHOR, Task::Cohort));
         tasks.push((CHURN_DAY1_ANCHOR, Task::ChurnRound(0)));
-        for w in 1..=churn_weeks {
+        // Capped at the paper's 55 weeks.
+        for w in 1..=opts.weeks.min(55) {
             let anchor = w as u64 * SimTime::WEEK + CHURN_WEEK_OFFSET;
             tasks.push((anchor, Task::ChurnRound(w)));
         }
@@ -848,6 +840,23 @@ pub fn collect_bundle(
         tasks.push((base + VERIFY_SECONDARY_OFFSET, Task::VerifySecondary));
     }
     tasks.sort_by_key(|&(anchor, _)| anchor);
+
+    let running: BTreeSet<CampaignKind> = tasks
+        .iter()
+        .filter(|(_, task)| !task.done(&committed))
+        .map(|(_, task)| task.campaign())
+        .collect();
+    if running.is_empty() {
+        return Ok(BundleData {
+            data,
+            coverage: BTreeMap::new(),
+        }); // fully served from the store
+    }
+    let two_lanes = running.contains(&Domains)
+        && [Weekly, Chaos, Banner, Snoop, Churn, Verify]
+            .iter()
+            .any(|kind| running.contains(kind));
+    let lane_of = |kind: CampaignKind| usize::from(two_lanes && !matches!(kind, Fleet | Domains));
 
     let sched = Schedule {
         opts,
@@ -1102,24 +1111,17 @@ fn run_lane(
             }
             continue;
         }
-        let executed = 'task: {
+        let executed = !task.done(&sched.committed);
+        if executed {
+            mark_ran(&mut ran, task.campaign());
             match task {
                 Task::Week(w) => {
-                    if w < sched.committed[&Weekly] {
-                        break 'task false;
-                    }
-                    mark_ran(&mut ran, Weekly);
                     let cov = own.retrying(Weekly, &mut |world, sink| {
                         weekly_scan_week(world, w, &blacklist, sink)
                     })?;
                     absorb(&mut coverage, Weekly, cov);
                 }
                 Task::Fleet => {
-                    if sched.committed[&Fleet] >= 1 {
-                        fleet = Some(fleet_from_source(own.data[&Fleet].source())?);
-                        break 'task false;
-                    }
-                    mark_ran(&mut ran, Fleet);
                     let result = own.retrying(Fleet, &mut |world, sink| {
                         let mut enriched = EnrichSink::new(world, sink);
                         let result = enumerate_with_sink(world, vantage, opts.seed, &mut enriched);
@@ -1145,71 +1147,30 @@ fn run_lane(
                         Ok(result)
                     })?;
                     absorb(&mut coverage, Fleet, sweep_coverage(&result));
-                    fleet = Some(result.noerror_ips());
                 }
                 Task::Cohort => {
-                    if sched.committed[&Churn] >= 1 {
-                        let cohort_snapshot = own.data[&Churn].source().snapshot(0)?;
-                        cohort = Some(cohort_snapshot.records.iter().map(|o| o.ipv4()).collect());
-                        break 'task false;
-                    }
-                    mark_ran(&mut ran, Churn);
-                    let ips = fleet.clone().expect("fleet precedes churn cohort");
+                    let ips = fleet.as_ref().expect("fleet precedes churn cohort");
                     own.retrying(Churn, &mut |world, sink| {
                         let mut enriched = EnrichSink::new(world, sink);
                         let cohort = ips.iter().copied();
                         churn_campaign::commit_round(world, &mut enriched, cohort, "cohort", &[])
                     })?;
-                    cohort = Some(ips);
                 }
                 Task::ChurnRound(w) => {
-                    // The cohort is snapshot 0, so this round is `w + 1`.
-                    if w + 1 < sched.committed[&Churn] {
-                        break 'task false;
-                    }
-                    let (seed, label) = match w {
-                        0 => (CHURN_SEED ^ 0xD1, "day1".to_string()),
-                        w => (CHURN_SEED ^ (w as u64) << 8, format!("week-{w}")),
-                    };
-                    mark_ran(&mut ran, Churn);
                     let ips = cohort.as_ref().expect("cohort precedes churn rounds");
                     let (alive, retries) = own.retrying(Churn, &mut |world, sink| {
-                        let (alive, retries) = churn_campaign::probe_alive_with_policy(
-                            world,
-                            vantage,
-                            ips,
-                            seed,
-                            &opts.probe,
-                        );
-                        let meta = match w {
-                            0 => churn_campaign::day1_leaver_meta(world, ips, &alive),
-                            w => {
-                                telemetry::debug(
-                                    "campaign.churn.round",
-                                    "weekly re-probe committed",
-                                    &[("week", w.into()), ("alive", alive.len().into())],
-                                    Some(world.now().millis()),
-                                );
-                                Vec::new()
-                            }
-                        };
                         let mut enriched = EnrichSink::new(world, sink);
-                        let still = ips.iter().copied().filter(|ip| alive.contains(ip));
-                        churn_campaign::commit_round(world, &mut enriched, still, &label, &meta)?;
-                        Ok((alive, retries))
+                        let (seed, policy) = (CHURN_SEED, &opts.probe);
+                        churn_campaign::round(world, vantage, ips, w, seed, policy, &mut enriched)
                     })?;
                     let cov = response_coverage(&own.world, ips, true, &alive, retries);
                     absorb(&mut coverage, Churn, cov);
                 }
                 Task::Chaos => {
-                    if sched.committed[&Chaos] >= 1 {
-                        break 'task false;
-                    }
-                    mark_ran(&mut ran, Chaos);
                     let ips = fleet.as_ref().expect("fleet precedes chaos");
                     let (observations, retries) = own.retrying(Chaos, &mut |world, sink| {
                         let mut enriched = EnrichSink::new(world, sink);
-                        let observations = scanner::chaos_scan_with_sink(
+                        let observations = scanner::chaos_scan(
                             world,
                             vantage,
                             ips,
@@ -1229,10 +1190,6 @@ fn run_lane(
                     absorb(&mut coverage, Chaos, cov);
                 }
                 Task::Banner => {
-                    if sched.committed[&Banner] >= 1 {
-                        break 'task false;
-                    }
-                    mark_ran(&mut ran, Banner);
                     let ips = fleet.as_ref().expect("fleet precedes banner");
                     let cov = own.retrying(Banner, &mut |world, sink| {
                         banner_collect(world, ips, &opts.probe, sink)
@@ -1240,10 +1197,6 @@ fn run_lane(
                     absorb(&mut coverage, Banner, cov);
                 }
                 Task::Domains => {
-                    if sched.committed[&Domains] >= 1 {
-                        break 'task false;
-                    }
-                    mark_ran(&mut ran, Domains);
                     let ips = fleet.as_ref().expect("fleet precedes domains");
                     // One shared probe policy for every campaign in the
                     // bundle, the domain scan included.
@@ -1261,10 +1214,6 @@ fn run_lane(
                     absorb(&mut coverage, Domains, report.domains_coverage);
                 }
                 Task::Snoop => {
-                    if sched.committed[&Snoop] > 0 {
-                        break 'task false; // completeness validated above
-                    }
-                    mark_ran(&mut ran, Snoop);
                     // Snooping starts a day after enumeration; DHCP churn
                     // has already moved a good share of the fleet, so probe
                     // for liveness first and sample resolvers still at
@@ -1285,7 +1234,7 @@ fn run_lane(
                             .filter(|ip| alive.contains(ip))
                             .take(opts.snoop_sample)
                             .collect();
-                        let (results, retries) = scanner::snoop_scan_with_sink(
+                        let (results, retries) = scanner::snoop_scan(
                             world,
                             vantage,
                             &sample,
@@ -1309,14 +1258,10 @@ fn run_lane(
                     absorb(&mut coverage, Snoop, cov);
                 }
                 Task::VerifyPrimary | Task::VerifySecondary => {
-                    let (pass, label, van, seed) = match task {
-                        Task::VerifyPrimary => (1, "primary", vantage, opts.seed),
-                        _ => (2, "secondary", own.world.scanner2_ip, opts.seed ^ 0x5EC0),
+                    let (label, van, seed) = match task {
+                        Task::VerifyPrimary => ("primary", vantage, opts.seed),
+                        _ => ("secondary", own.world.scanner2_ip, opts.seed ^ 0x5EC0),
                     };
-                    if sched.committed[&Verify] >= pass {
-                        break 'task false;
-                    }
-                    mark_ran(&mut ran, Verify);
                     let result = own.retrying(Verify, &mut |world, sink| {
                         let mut enriched = EnrichSink::new(world, sink);
                         let result = enumerate_with_sink(world, van, seed, &mut enriched);
@@ -1326,8 +1271,14 @@ fn run_lane(
                     absorb(&mut coverage, Verify, sweep_coverage(&result));
                 }
             }
-            true
-        };
+        }
+        // What later tasks scan is read back from the store, whether
+        // this run committed it or an earlier one did.
+        match task {
+            Task::Fleet => fleet = Some(fleet_from_source(own.data[&Fleet].source())?),
+            Task::Cohort => cohort = Some(cohort_from_source(own.data[&Churn].source())?),
+            _ => {}
+        }
         drop(entered);
         let world = &own.world;
         if let (Task::Fleet, Handoff::Give(tx), Some(ips)) = (task, &handoff, &fleet) {
@@ -1363,7 +1314,7 @@ fn banner_collect(
     policy: &ProbePolicy,
     sink: &mut dyn SnapshotSink,
 ) -> io::Result<Coverage> {
-    let (banners, coverage) = scanner::banner_scan_ex(world, fleet, policy);
+    let (banners, coverage) = scanner::banner_scan(world, fleet, policy);
     let now_ms = world.now().millis();
     // In fleet order, not the map's: string ids are handed out in
     // observation order and the store must not depend on a hasher.
@@ -1458,6 +1409,19 @@ pub fn util_from_source(src: &dyn SnapshotSource) -> io::Result<UtilReport> {
         popularity_median: pct(0.5),
         popularity_p90: pct(0.9),
     })
+}
+
+/// Dual-vantage verification (Sec. 2.2): hosts the scan from the
+/// secondary /8 saw that the primary scan did not.
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct VerificationReport {
+    /// Hosts answering the verification scan but absent from the weekly
+    /// scan, per rcode mnemonic.
+    pub only_secondary: HashMap<String, u64>,
+    /// NOERROR hosts missed by the primary scan.
+    pub missed_noerror: u64,
+    /// NOERROR hosts found by the primary scan.
+    pub primary_noerror: u64,
 }
 
 /// Derive the dual-vantage verification report from the committed

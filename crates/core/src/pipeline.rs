@@ -24,7 +24,6 @@ use scanner::{
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
-use worldgen::world::ResponseClass;
 use worldgen::World;
 
 /// Pipeline tunables.
@@ -506,20 +505,8 @@ pub fn run_analysis_with_fleet(
         for (&ip, &answered) in fleet.iter().zip(&answered_slots) {
             cov.attempted += n_dom;
             cov.answered += answered;
-            let expected = world
-                .net
-                .host_at(ip)
-                .and_then(|h| world.responder(h))
-                .map(|s| {
-                    s.alive
-                        && s.class == ResponseClass::NoError
-                        && !world
-                            .border_filtered_asns
-                            .iter()
-                            .any(|&(asn, w)| s.asn == asn && week >= w)
-                })
-                .unwrap_or(false);
-            if expected {
+            let resolver = world.resolver_at(ip);
+            if resolver.is_some_and(|m| world.reachable(m, week, true)) {
                 cov.gave_up += n_dom - answered;
             } else {
                 cov.unreachable += n_dom - answered;

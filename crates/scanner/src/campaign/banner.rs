@@ -41,23 +41,13 @@ impl BannerObservation {
     }
 }
 
-/// Probe every resolver's TCP surface.
-pub fn banner_scan(
-    world: &mut World,
-    resolvers: &[Ipv4Addr],
-) -> HashMap<Ipv4Addr, BannerObservation> {
-    banner_scan_ex(world, resolvers, &ProbePolicy::single()).0
-}
-
-/// [`banner_scan`] under an explicit [`ProbePolicy`], with coverage
+/// Probe every resolver's TCP surface under `policy`, with coverage
 /// accounting: timed-out connections are retried per the policy, every
-/// TCP error is counted by kind (the old code silently swallowed
-/// `Refused`/`Unreachable`/`Timeout`), and the returned [`Coverage`]
+/// TCP error is counted by kind, and the returned [`Coverage`]
 /// classifies each host — answered (any connection accepted or
 /// actively refused), gave up (some port timed out, none answered) or
-/// unreachable (every probe was administratively unreachable). A
-/// single-attempt policy is byte-identical to [`banner_scan`].
-pub fn banner_scan_ex(
+/// unreachable (every probe was administratively unreachable).
+pub fn banner_scan(
     world: &mut World,
     resolvers: &[Ipv4Addr],
     policy: &ProbePolicy,

@@ -7,7 +7,6 @@ use crate::transport::Transport;
 use dnswire::{MessageBuilder, MessageView, Name, Rcode, RecordType};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use worldgen::World;
 
 /// Outcome of the two CHAOS queries against one resolver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,25 +29,15 @@ struct ChaosAnswer {
     version: Option<String>,
 }
 
-/// Query `version.bind` and `version.server` at every resolver.
-pub fn chaos_scan(
-    world: &mut World,
-    vantage: Ipv4Addr,
-    resolvers: &[Ipv4Addr],
-    seed: u64,
-) -> HashMap<Ipv4Addr, ChaosObservation> {
-    let (policy, sink) = (ProbePolicy::single(), &mut scanstore::NullSink);
-    chaos_scan_with_sink(world, vantage, resolvers, seed, &policy, sink).0
-}
-
-/// [`chaos_scan`] over any [`Transport`] — a [`World`], or real sockets
-/// — under an explicit [`ProbePolicy`] (query slots still unanswered
-/// after the native sweep are retransmitted in backed-off rounds) that
-/// also writes each responding resolver into `sink`, in `resolvers`
-/// order: the CHAOS outcome in the flag bits, the version string
-/// interned into `software`, no record for a silent resolver. Also
-/// returns the number of retransmitted query slots.
-pub fn chaos_scan_with_sink<T: Transport>(
+/// Query `version.bind` and `version.server` at every resolver over any
+/// [`Transport`] — a [`World`](worldgen::World), or real sockets —
+/// under `policy` (query slots still unanswered after the native sweep
+/// are retransmitted in backed-off rounds), writing each responding
+/// resolver into `sink`, in `resolvers` order: the CHAOS outcome in the
+/// flag bits, the version string interned into `software`, no record
+/// for a silent resolver. Also returns the number of retransmitted
+/// query slots.
+pub fn chaos_scan<T: Transport>(
     net: &mut T,
     vantage: Ipv4Addr,
     resolvers: &[Ipv4Addr],

@@ -6,18 +6,18 @@
 //! dynamic-rDNS attribution of early leavers.
 //!
 //! The campaign streams into a [`SnapshotSink`] — one snapshot per
-//! probe round (`cohort`, `day1`, `week-1`…) — and the Figure 2 numbers
-//! are derived back out of any [`SnapshotSource`] by
-//! [`churn_from_source`], so a reopened on-disk store yields the same
-//! report as the live run. The bundle engine schedules the rounds and
-//! skips the ones its store already holds.
+//! probe round (`cohort`, then one [`round`] each: `day1`, `week-1`…) —
+//! and the Figure 2 numbers are derived back out of any
+//! [`SnapshotSource`] by [`churn_from_source`], so a reopened on-disk
+//! store yields the same report as the live run. The bundle engine
+//! schedules the rounds and skips the ones its store already holds.
 
 use super::sweep::{self, Campaign, Inline, Outcome, Sweep};
 use crate::encode::{target_from_qname, EnumProbeTemplate};
 use crate::probe::ProbePolicy;
 use crate::simio::ProbeBatch;
 use dnswire::{MessageView, Rcode};
-use netsim::{Datagram, SimTime};
+use netsim::Datagram;
 use scanstore::{Observation, SnapshotSink, SnapshotSource};
 use serde::Serialize;
 use std::collections::HashSet;
@@ -56,10 +56,6 @@ impl ChurnResult {
 /// the number of retransmissions sent: under a retrying [`ProbePolicy`]
 /// addresses that have not answered NOERROR are re-probed in backed-off
 /// rounds.
-///
-/// Public so campaign drivers (the bundle engine) can schedule churn
-/// rounds at their own anchors; [`track_cohort`] composes the same
-/// pieces on a relative schedule.
 pub fn probe_alive_with_policy(
     world: &mut World,
     vantage: Ipv4Addr,
@@ -136,7 +132,7 @@ const META_LEAVERS_DYN: &str = "day1_leavers_dynamic_rdns";
 /// The `day1` snapshot's meta pairs: of the cohort addresses that did
 /// *not* survive to day one, how many carry rDNS records and how many
 /// of those are dynamic-pool tokens (the paper's DHCP-churn evidence).
-pub fn day1_leaver_meta(
+fn day1_leaver_meta(
     world: &World,
     cohort: &[Ipv4Addr],
     alive_day1: &HashSet<Ipv4Addr>,
@@ -176,41 +172,42 @@ pub fn commit_round(
     sink.commit(label, now_ms, meta)
 }
 
-/// Run the full churn experiment in memory: a cohort snapshot, the
-/// day-one probe, then weekly probes for `weeks` weeks. Advances world
-/// time as it goes.
-pub fn track_cohort(
+/// Churn round `w` of `cohort` — round 0 is day one, round `w` week
+/// `w` — at the world's current time: probes the cohort under `policy`
+/// with the round's seed (derived from the campaign's `seed`) and
+/// commits the addresses still answering NOERROR as the round's
+/// snapshot, `w + 1` after the cohort's (`day1` carries the day-one
+/// leavers' rDNS meta, `week-{w}` none). Returns the alive set and the
+/// retransmissions sent.
+pub fn round(
     world: &mut World,
     vantage: Ipv4Addr,
     cohort: &[Ipv4Addr],
-    weeks: u32,
+    w: u32,
     seed: u64,
-) -> ChurnResult {
-    let mut mem = scanstore::MemoryStore::new();
-    let t0 = world.now();
-    let mut sp = telemetry::span("campaign.churn", t0.millis());
-    sp.attr("cohort", cohort.len());
-    sp.attr("weeks", weeks);
-    let infallible = "in-memory sink cannot fail";
-    commit_round(world, &mut mem, cohort.iter().copied(), "cohort", &[]).expect(infallible);
-    // Round 0 is day one; round `w` is week `w`.
-    for w in 0..=weeks as u64 {
-        let (after, seed, label) = match w {
-            0 => (SimTime::DAY, seed ^ 0xD1, "day1".to_string()),
-            w => (w * SimTime::WEEK, seed ^ w << 8, format!("week-{w}")),
-        };
-        world.advance_to(SimTime(t0.millis() + after));
-        let single = ProbePolicy::single();
-        let (alive, _) = probe_alive_with_policy(world, vantage, cohort, seed, &single);
-        let meta = match w {
-            0 => day1_leaver_meta(world, cohort, &alive),
-            _ => Vec::new(),
-        };
-        let survivors = cohort.iter().copied().filter(|ip| alive.contains(ip));
-        commit_round(world, &mut mem, survivors, &label, &meta).expect(infallible);
-    }
-    sp.finish(world.now().millis());
-    churn_from_source(&mem).expect("in-memory source cannot fail")
+    policy: &ProbePolicy,
+    sink: &mut dyn SnapshotSink,
+) -> io::Result<(HashSet<Ipv4Addr>, u64)> {
+    let (seed, label) = match w {
+        0 => (seed ^ 0xD1, "day1".to_string()),
+        w => (seed ^ (w as u64) << 8, format!("week-{w}")),
+    };
+    let (alive, retries) = probe_alive_with_policy(world, vantage, cohort, seed, policy);
+    let meta = match w {
+        0 => day1_leaver_meta(world, cohort, &alive),
+        w => {
+            telemetry::debug(
+                "campaign.churn.round",
+                "weekly re-probe committed",
+                &[("week", w.into()), ("alive", alive.len().into())],
+                Some(world.now().millis()),
+            );
+            Vec::new()
+        }
+    };
+    let still = cohort.iter().copied().filter(|ip| alive.contains(ip));
+    commit_round(world, sink, still, &label, &meta)?;
+    Ok((alive, retries))
 }
 
 /// Derive the Figure 2 numbers back out of a committed snapshot

@@ -1,5 +1,6 @@
-//! The Internet-wide enumeration scan (Sec. 2.2) and the dual-vantage
-//! verification scan.
+//! The Internet-wide enumeration scan (Sec. 2.2), which the weekly
+//! sweeps, the fleet and both passes of the dual-vantage verification
+//! run.
 
 use super::sweep::{self, Campaign, Outcome, Sweep};
 use crate::encode::{target_from_qname, EnumProbeTemplate};
@@ -8,7 +9,6 @@ use crate::probe::ProbePolicy;
 use dnswire::{MessageView, Rcode};
 use netsim::Datagram;
 use scanstore::{flags, Observation, ObservationSink};
-use serde::Serialize;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -171,47 +171,4 @@ impl Campaign for Sweeper<'_> {
         e.insert(obs);
         Outcome::Matched(target)
     }
-}
-
-/// Dual-vantage verification (Sec. 2.2): scan from the secondary /8 and
-/// report hosts visible there but not in `primary`.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct VerificationReport {
-    /// Hosts answering the verification scan but absent from the weekly
-    /// scan, per rcode mnemonic.
-    pub only_secondary: HashMap<String, u64>,
-    /// NOERROR hosts missed by the primary scan.
-    pub missed_noerror: u64,
-    /// NOERROR hosts found by the primary scan.
-    pub primary_noerror: u64,
-}
-
-/// Run the verification scan and diff against `primary`.
-pub fn verify_scan(
-    world: &mut World,
-    primary: &EnumerationResult,
-    seed: u64,
-) -> VerificationReport {
-    let vantage2 = world.scanner2_ip;
-    let secondary = enumerate(world, vantage2, seed ^ 0x5EC0);
-    let mut report = VerificationReport {
-        primary_noerror: primary
-            .observations
-            .values()
-            .filter(|o| o.rcode == Rcode::NoError)
-            .count() as u64,
-        ..Default::default()
-    };
-    for (ip, obs) in &secondary.observations {
-        if !primary.observations.contains_key(ip) {
-            *report
-                .only_secondary
-                .entry(obs.rcode.mnemonic().to_string())
-                .or_insert(0) += 1;
-            if obs.rcode == Rcode::NoError {
-                report.missed_noerror += 1;
-            }
-        }
-    }
-    report
 }

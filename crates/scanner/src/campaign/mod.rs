@@ -19,6 +19,7 @@ fn count(name: &str, campaign: &'static str, n: u64) {
 
 #[cfg(test)]
 mod tests {
+    use super::churn;
     use super::sweep::{Campaign, Outcome, Params, Sweep, Tally};
     use crate::simio::BASE_PORT;
     use dnswire::{MessageBuilder, MessageView, Name, Rcode, RecordType};
@@ -62,9 +63,10 @@ mod tests {
         let (tuples, null) = (&mut |_| {}, &mut scanstore::NullSink);
 
         crate::enumerate(&mut world, vantage, 2);
-        crate::probe_alive_with_policy(&mut world, vantage, &fleet, 3, &policy);
-        crate::chaos_scan_with_sink(&mut world, vantage, &fleet, 4, &policy, null);
-        crate::snoop_scan_with_policy(&mut world, vantage, &fleet[..150], 2, 5, &policy);
+        churn::round(&mut world, vantage, &fleet, 1, 3, &policy, null).expect("no store");
+        crate::chaos_scan(&mut world, vantage, &fleet, 4, &policy, null);
+        crate::snoop_scan(&mut world, vantage, &fleet[..150], 2, 5, &policy, null)
+            .expect("no store");
         let scan_domains = crate::scan_domains_streaming_with_policy;
         scan_domains(&mut world, vantage, &fleet, &domains, 6, &policy, tuples);
 

@@ -55,70 +55,6 @@ impl SnoopResult {
     }
 }
 
-/// Run the snooping campaign against `resolvers`. Advances world time by
-/// `rounds` hours. Queries are sent with RD=0.
-pub fn snoop_scan(
-    world: &mut World,
-    vantage: Ipv4Addr,
-    resolvers: &[Ipv4Addr],
-    rounds: usize,
-    seed: u64,
-) -> HashMap<Ipv4Addr, SnoopResult> {
-    let policy = ProbePolicy::single();
-    snoop_scan_with_policy(world, vantage, resolvers, rounds, seed, &policy).0
-}
-
-/// [`snoop_scan`] under an explicit [`ProbePolicy`]: within each hourly
-/// round, (resolver, TLD) slots still Silent after the native sweep are
-/// retransmitted in backed-off rounds before the hour closes — still
-/// inside the hour, so the cache state being snooped is the same.
-/// Returns the series and the number of retransmissions. A
-/// single-attempt policy is byte-identical to [`snoop_scan`].
-pub fn snoop_scan_with_policy(
-    world: &mut World,
-    vantage: Ipv4Addr,
-    resolvers: &[Ipv4Addr],
-    rounds: usize,
-    seed: u64,
-    policy: &ProbePolicy,
-) -> (HashMap<Ipv4Addr, SnoopResult>, u64) {
-    // One pre-encoded RD=0 NS query per TLD; probes differ in TXID only.
-    let queries: Vec<QueryTemplate> = world
-        .universe
-        .tlds()
-        .iter()
-        .map(|t| {
-            let tld = Name::parse(&t.name).expect("TLD names parse");
-            let query = MessageBuilder::query(0, tld, RecordType::Ns).recursion_desired(false);
-            QueryTemplate::new(&query.build())
-        })
-        .collect();
-    let tld_count = queries.len();
-    let mut results = vec![SnoopResult::silent(tld_count, rounds); resolvers.len()];
-    let start = world.now();
-    let (mut retries, mut responses) = (0u64, 0u64);
-    for round in 0..rounds {
-        world.advance_to(SimTime(start.millis() + round as u64 * SimTime::HOUR));
-        // One port block, and one TXID sequence, per hourly round.
-        let first_txid = (seed as u16).wrapping_add((round as u16) << 3);
-        let grid = Grid::<SnoopSample>::new(resolvers, &queries, first_txid);
-        let mut sweep = Sweep::open(world, vantage, grid, *policy);
-        sweep.scan(world, 0..resolvers.len() * tld_count, seed, round as u64);
-        let (grid, tally) = sweep.finish(world);
-        for (slot, sample) in grid.answers.into_iter().enumerate() {
-            if let Some(sample) = sample {
-                let (resolver, tld) = (slot / tld_count, slot % tld_count);
-                results[resolver].samples[tld * rounds + round] = sample;
-            }
-        }
-        retries += tally.retries;
-        responses += tally.matched;
-    }
-    // (resolver, TLD, round) slots that got their first answer.
-    super::count("responses", "snoop", responses);
-    (resolvers.iter().copied().zip(results).collect(), retries)
-}
-
 /// Is the TLD's NS record cached, and for how much longer.
 impl Answer for SnoopSample {
     const P: sweep::Params = sweep::SNOOP;
@@ -157,8 +93,14 @@ pub fn decode_snoop_sample(value: u64) -> SnoopSample {
     }
 }
 
-/// Runs [`snoop_scan`] and commits the full series to `sink`:
-/// snapshot 0 (`sample`) lists every probed resolver and carries the
+/// Run the snooping campaign against `resolvers` and commit the full
+/// series to `sink`. Queries are sent with RD=0, one round an hour for
+/// `rounds` hours (world time advances with them). Within each round,
+/// (resolver, TLD) slots still Silent after the native sweep are
+/// retransmitted under `policy` before the hour closes — still inside
+/// the hour, so the cache state being snooped is the same.
+///
+/// Snapshot 0 (`sample`) lists every probed resolver and carries the
 /// campaign geometry in meta (rounds, TLD count, authoritative TTLs);
 /// snapshot `1 + round * tld_count + tld` (`snoop-r{round}-t{tld}`)
 /// holds one record per resolver whose sample for that (round, TLD)
@@ -166,8 +108,8 @@ pub fn decode_snoop_sample(value: u64) -> SnoopSample {
 /// all-or-nothing — a later round cannot be re-run without the cache
 /// interactions of the earlier ones — so its snapshots are committed
 /// as one group, one checkpoint. Returns the series and the number of
-/// retransmissions sent under `policy`.
-pub fn snoop_scan_with_sink(
+/// retransmissions sent.
+pub fn snoop_scan(
     world: &mut World,
     vantage: Ipv4Addr,
     resolvers: &[Ipv4Addr],
@@ -179,12 +121,44 @@ pub fn snoop_scan_with_sink(
     let mut sp = telemetry::span("campaign.snoop", world.now().millis());
     sp.attr("sample", resolvers.len());
     sp.attr("rounds", rounds);
-    let (results, retries) =
-        snoop_scan_with_policy(world, vantage, resolvers, rounds, seed, policy);
+    // One pre-encoded RD=0 NS query per TLD; probes differ in TXID only.
+    let queries: Vec<QueryTemplate> = world
+        .universe
+        .tlds()
+        .iter()
+        .map(|t| {
+            let tld = Name::parse(&t.name).expect("TLD names parse");
+            let query = MessageBuilder::query(0, tld, RecordType::Ns).recursion_desired(false);
+            QueryTemplate::new(&query.build())
+        })
+        .collect();
+    let tld_count = queries.len();
+    let mut results = vec![SnoopResult::silent(tld_count, rounds); resolvers.len()];
+    let start = world.now();
+    let (mut retries, mut responses) = (0u64, 0u64);
+    for round in 0..rounds {
+        world.advance_to(SimTime(start.millis() + round as u64 * SimTime::HOUR));
+        // One port block, and one TXID sequence, per hourly round.
+        let first_txid = (seed as u16).wrapping_add((round as u16) << 3);
+        let grid = Grid::<SnoopSample>::new(resolvers, &queries, first_txid);
+        let mut sweep = Sweep::open(world, vantage, grid, *policy);
+        sweep.scan(world, 0..resolvers.len() * tld_count, seed, round as u64);
+        let (grid, tally) = sweep.finish(world);
+        for (slot, sample) in grid.answers.into_iter().enumerate() {
+            if let Some(sample) = sample {
+                let (resolver, tld) = (slot / tld_count, slot % tld_count);
+                results[resolver].samples[tld * rounds + round] = sample;
+            }
+        }
+        retries += tally.retries;
+        responses += tally.matched;
+    }
+    // (resolver, TLD, round) slots that got their first answer.
+    super::count("responses", "snoop", responses);
+    let results: HashMap<Ipv4Addr, SnoopResult> = resolvers.iter().copied().zip(results).collect();
     sp.attr("retries", retries);
     let now_ms = world.now().millis();
     let tlds = world.universe.tlds();
-    let tld_count = tlds.len();
     let full_ttls: Vec<String> = tlds.iter().map(|t| t.ttl.to_string()).collect();
     let meta = vec![
         (SNOOP_META_ROUNDS.to_string(), rounds.to_string()),
@@ -215,7 +189,7 @@ pub fn snoop_scan_with_sink(
 }
 
 /// Rebuilds the per-resolver snooping series out of a committed store.
-/// Inverse of [`snoop_scan_with_sink`]: resolvers absent from a round's
+/// Inverse of [`snoop_scan`]: resolvers absent from a round's
 /// snapshot get [`SnoopSample::Silent`] for that (round, TLD).
 pub fn snoop_from_source(src: &dyn SnapshotSource) -> io::Result<HashMap<Ipv4Addr, SnoopResult>> {
     let sample = src.snapshot(0)?;

@@ -22,7 +22,6 @@ use netsim::{SimTime, TcpError, TcpRequest, TcpResponse};
 use serde::Serialize;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
-use worldgen::world::ResponseClass;
 use worldgen::World;
 
 /// Retransmission policy for one campaign: how many attempts each
@@ -167,20 +166,8 @@ pub fn response_coverage(
             cov.answered += 1;
             continue;
         }
-        let expected = world
-            .net
-            .host_at(ip)
-            .and_then(|h| world.responder(h))
-            .map(|s| {
-                s.alive
-                    && (!require_noerror || s.class == ResponseClass::NoError)
-                    && !world
-                        .border_filtered_asns
-                        .iter()
-                        .any(|&(asn, w)| s.asn == asn && week >= w)
-            })
-            .unwrap_or(false);
-        if expected {
+        let resolver = world.resolver_at(ip);
+        if resolver.is_some_and(|m| world.reachable(m, week, require_noerror)) {
             cov.gave_up += 1;
         } else {
             cov.unreachable += 1;

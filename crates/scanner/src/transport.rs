@@ -69,8 +69,7 @@ impl Transport for World {
     }
 
     fn asn_at(&self, ip: Ipv4Addr) -> u32 {
-        let responder = self.net.host_at(ip).and_then(|h| self.responder(h));
-        responder.map_or(0, |r| r.asn)
+        self.resolver_at(ip).map_or(0, |m| m.asn)
     }
 
     fn close(&mut self, block: SimScanner) {
@@ -202,7 +201,7 @@ impl Transport for Udp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{chaos_scan_with_sink, scan_domains_streaming_with_policy};
+    use crate::{chaos_scan, scan_domains_streaming_with_policy};
     use crate::{ChaosObservation, ProbePolicy, TupleObs};
     use dnswire::Rcode;
     use resolversim::loopback::spawn_fleet;
@@ -266,7 +265,7 @@ mod tests {
             .collect();
         let (policy, sink) = (ProbePolicy::single(), &mut scanstore::NullSink);
         let (net, vantage) = (&mut Udp::new(port), Ipv4Addr::LOCALHOST);
-        let (versions, _) = chaos_scan_with_sink(net, vantage, &open, 2, &policy, sink);
+        let (versions, _) = chaos_scan(net, vantage, &open, 2, &policy, sink);
 
         assert_eq!(results.len(), 3);
         let noerror = results.iter().filter(|t| t.rcode == Rcode::NoError);

@@ -1,11 +1,13 @@
 //! End-to-end campaign tests on a tiny simulated world.
 
 use dnswire::Rcode;
-use scanner::campaign::enumerate::verify_scan;
+use netsim::SimTime;
+use scanner::campaign::churn;
 use scanner::{
-    acquire, banner_scan, chaos_scan, enumerate, scan_domains, snoop_scan, track_cohort,
-    ChaosObservation,
+    acquire, banner_scan, chaos_scan, churn_from_source, enumerate, scan_domains, ChaosObservation,
+    ProbePolicy,
 };
+use scanstore::SnapshotSource;
 use worldgen::{build_world, WorldConfig};
 
 fn world() -> worldgen::World {
@@ -68,35 +70,13 @@ fn blacklisted_addresses_are_never_probed() {
 }
 
 #[test]
-fn verification_scan_sees_scanner_blocked_networks() {
-    let mut w = world();
-    let vantage = w.scanner_ip;
-    // Move past the pair-filter activation weeks.
-    w.advance_to_week(30);
-    let primary = enumerate(&mut w, vantage, 2);
-    let report = verify_scan(&mut w, &primary, 2);
-    // The 21 scanner-blacklisting networks answer only the secondary
-    // vantage.
-    assert!(
-        report.missed_noerror > 0,
-        "secondary vantage must see blocked networks"
-    );
-    // But the miss rate is small (<~2% of the fleet, paper: <1%).
-    assert!(
-        (report.missed_noerror as f64) < 0.05 * report.primary_noerror as f64,
-        "missed {} of {}",
-        report.missed_noerror,
-        report.primary_noerror
-    );
-}
-
-#[test]
 fn chaos_scan_recovers_software_mix() {
     let mut w = world();
     let vantage = w.scanner_ip;
     let result = enumerate(&mut w, vantage, 3);
     let fleet = result.noerror_ips();
-    let obs = chaos_scan(&mut w, vantage, &fleet, 3);
+    let sink = &mut scanstore::NullSink;
+    let (obs, _) = chaos_scan(&mut w, vantage, &fleet, 3, &ProbePolicy::single(), sink);
     assert!(!obs.is_empty());
     let total = obs.len() as f64;
     let versions = obs
@@ -138,7 +118,7 @@ fn banner_scan_matches_tcp_exposure() {
     let vantage = w.scanner_ip;
     let result = enumerate(&mut w, vantage, 4);
     let fleet = result.noerror_ips();
-    let banners = banner_scan(&mut w, &fleet);
+    let (banners, _) = banner_scan(&mut w, &fleet, &ProbePolicy::single());
     let share = banners.len() as f64 / fleet.len() as f64;
     // Paper: 26.3% respond to at least one TCP probe.
     assert!((0.18..0.36).contains(&share), "tcp share {share}");
@@ -201,57 +181,36 @@ fn domain_scan_separates_honest_and_bogus() {
     let _ = doubles; // may be zero at tiny scale; the full experiment checks it
 }
 
+/// The churn campaign's rounds, as the bundle engine runs them: the
+/// cohort is snapshot 0, and round `w` commits the addresses it found
+/// alive as snapshot `w + 1`, which the Figure 2 reader counts back.
 #[test]
-fn snoop_scan_observes_cache_cycles() {
+fn churn_rounds_commit_their_survivors_after_the_cohort() {
     let mut w = world();
     let vantage = w.scanner_ip;
-    let result = enumerate(&mut w, vantage, 6);
-    let fleet: Vec<_> = result.noerror_ips().into_iter().take(60).collect();
-    let snooped = snoop_scan(&mut w, vantage, &fleet, 36, 6);
-    assert!(!snooped.is_empty());
-    // Someone must show a re-add after expiry (in-use resolvers).
-    let mut saw_readd = false;
-    for res in snooped.values() {
-        for tld in 0..res.tld_count {
-            let series = res.tld_series(tld);
-            let mut was_absent = false;
-            for s in series {
-                match s {
-                    scanner::SnoopSample::NoEntry => was_absent = true,
-                    scanner::SnoopSample::Ttl(_) if was_absent => {
-                        saw_readd = true;
-                    }
-                    _ => {}
-                }
-            }
-        }
+    let cohort = enumerate(&mut w, vantage, 7).noerror_ips();
+    let mut store = scanstore::MemoryStore::new();
+    churn::commit_round(&w, &mut store, cohort.iter().copied(), "cohort", &[]).expect("commit");
+    let policy = ProbePolicy::single();
+    let mut alive = Vec::new();
+    for (round, at) in [(0, SimTime::DAY), (1, SimTime::WEEK)] {
+        w.advance_to(SimTime(at));
+        let (set, _) =
+            churn::round(&mut w, vantage, &cohort, round, 7, &policy, &mut store).expect("commit");
+        alive.push(cohort.iter().filter(|ip| set.contains(ip)).count() as u64);
     }
-    assert!(saw_readd, "no TLD re-add observed across 60 resolvers");
-}
-
-#[test]
-fn churn_tracking_shows_decay() {
-    let mut w = world();
-    let vantage = w.scanner_ip;
-    let result = enumerate(&mut w, vantage, 7);
-    let cohort = result.noerror_ips();
-    let churn = track_cohort(&mut w, vantage, &cohort, 3, 7);
-    assert_eq!(churn.cohort, cohort.len() as u64);
-    // Day-1 survivors: paper says <60% (>40% gone in a day).
-    let day1 = churn.day1_survivors as f64 / churn.cohort as f64;
-    assert!((0.35..0.80).contains(&day1), "day1 survival {day1}");
-    // Week-1 survival ≈ 47.8% in the paper.
-    let w1 = churn.survival_at_week(1);
-    assert!((0.30..0.65).contains(&w1), "week-1 survival {w1}");
-    // Monotone-ish decay.
-    assert!(churn.survival_at_week(3) <= churn.survival_at_week(1) + 0.02);
-    // Dynamic rDNS dominates day-one leavers that have records.
-    assert!(
-        churn.day1_leavers_dynamic_rdns * 10 > churn.day1_leavers_with_rdns * 5,
-        "dynamic {} of {}",
-        churn.day1_leavers_dynamic_rdns,
-        churn.day1_leavers_with_rdns
+    assert_eq!(
+        ["cohort", "day1", "week-1"].map(|label| store.find_label(label)),
+        [Some(0), Some(1), Some(2)]
     );
+    let churn = churn_from_source(&store).expect("derive");
+    assert_eq!(churn.cohort, cohort.len() as u64);
+    assert_eq!(
+        [churn.day1_survivors, churn.survivors[0]],
+        [alive[0], alive[1]]
+    );
+    assert!(churn.day1_survivors < churn.cohort, "nobody left in a day");
+    assert!(churn.day1_leavers_with_rdns >= churn.day1_leavers_dynamic_rdns);
 }
 
 #[test]

@@ -20,8 +20,8 @@
 
 use netsim::FaultPlan;
 use scanner::{
-    chaos_scan_with_sink, enumerate, probe_alive_with_policy, scan_domains_streaming_with_policy,
-    snoop_scan_with_policy, ProbePolicy,
+    chaos_scan, enumerate, probe_alive_with_policy, scan_domains_streaming_with_policy, snoop_scan,
+    ProbePolicy,
 };
 use std::fmt::Debug;
 use std::net::Ipv4Addr;
@@ -127,8 +127,7 @@ fn chaos_is_pinned() {
         let vantage = world.scanner_ip;
         let resolvers = padded(&fleet, 1_500);
         let sink = &mut scanstore::NullSink;
-        let (obs, retries) =
-            chaos_scan_with_sink(&mut world, vantage, &resolvers, SEED ^ 3, &policy, sink);
+        let (obs, retries) = chaos_scan(&mut world, vantage, &resolvers, SEED ^ 3, &policy, sink);
         let mut obs: Vec<_> = obs.into_iter().collect();
         obs.sort_by_key(|(ip, _)| *ip);
         digest(&obs, &world, retries)
@@ -153,8 +152,10 @@ fn snoop_is_pinned() {
         let (mut world, fleet, policy) = world_and_fleet(retrying);
         let vantage = world.scanner_ip;
         let resolvers = padded(&fleet[..120], 80);
+        let sink = &mut scanstore::NullSink;
         let (obs, retries) =
-            snoop_scan_with_policy(&mut world, vantage, &resolvers, 3, SEED ^ 4, &policy);
+            snoop_scan(&mut world, vantage, &resolvers, 3, SEED ^ 4, &policy, sink)
+                .expect("a null sink cannot fail");
         let mut obs: Vec<_> = obs.into_iter().collect();
         obs.sort_by_key(|(ip, _)| *ip);
         digest(&obs, &world, retries)

@@ -380,32 +380,29 @@ impl World {
         ]
     }
 
-    /// The current responder state of the resolver behind `host`, if
-    /// the host is one: coverage accounting probes a handful of
-    /// addresses (`net.host_at`, then this) against a world of many.
-    pub fn responder(&self, host: HostId) -> Option<ResponderState> {
+    /// The resolver at `ip` right now, if one is bound there: coverage
+    /// accounting probes a handful of addresses against a world of many.
+    pub fn resolver_at(&self, ip: Ipv4Addr) -> Option<&ResolverMeta> {
+        let host = self.net.host_at(ip)?;
         let i = self
             .resolvers
             .binary_search_by_key(&host, |m| m.host)
             .ok()?;
-        let m = &self.resolvers[i];
-        Some(ResponderState {
-            class: m.response_class,
-            alive: m.alive.load(Ordering::Relaxed),
-            asn: m.asn,
-        })
+        Some(&self.resolvers[i])
     }
-}
 
-/// Snapshot of one resolver's liveness for coverage accounting.
-#[derive(Debug, Clone, Copy)]
-pub struct ResponderState {
-    /// Enumeration response class.
-    pub class: ResponseClass,
-    /// Whether the resolver is currently alive.
-    pub alive: bool,
-    /// Originating AS (for border-filter checks).
-    pub asn: u32,
+    /// Whether `m` is a live responder — a NOERROR one, if
+    /// `noerror_only` — that an outside scanner can reach in week
+    /// `week`: an AS under full inbound border filtering by then is
+    /// invisible to every observer.
+    pub fn reachable(&self, m: &ResolverMeta, week: u32, noerror_only: bool) -> bool {
+        m.alive.load(Ordering::Relaxed)
+            && (!noerror_only || m.response_class == ResponseClass::NoError)
+            && !self
+                .border_filtered_asns
+                .iter()
+                .any(|&(asn, w)| m.asn == asn && week >= w)
+    }
 }
 
 impl std::fmt::Debug for World {

@@ -15,9 +15,7 @@ use resolversim::{
     CacheProfile, ChaosPolicy, DeviceProfile, DnsUniverse, DomainCategory, DomainKind,
     DomainRecord, ResolverBehavior, ResolverHost, SoftwareProfile, TldCacheSim,
 };
-use scanner::{
-    chaos_scan_with_sink, scan_domains_streaming_with_policy, ChaosObservation, ProbePolicy, Udp,
-};
+use scanner::{chaos_scan, scan_domains_streaming_with_policy, ChaosObservation, ProbePolicy, Udp};
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
 
@@ -125,7 +123,7 @@ fn main() -> std::io::Result<()> {
         .map(|(ip, _)| *ip)
         .collect();
     let null = &mut scanstore::NullSink;
-    let (versions, _) = chaos_scan_with_sink(&mut net, vantage, &open, 2, &policy, null);
+    let (versions, _) = chaos_scan(&mut net, vantage, &open, 2, &policy, null);
 
     println!("\n{:<22} {:<10} version.bind", "endpoint", "rcode");
     let mut rows = Vec::new();

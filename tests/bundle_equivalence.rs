@@ -452,6 +452,31 @@ fn a_failing_lane_fails_the_collection_and_a_rerun_resumes() {
     }
 }
 
+/// A finished disk bundle re-runs nothing: on the same directory a
+/// second collection builds no world and runs no campaign — every
+/// task's snapshot is already in its store — leaves every file as it
+/// was, and derives the same reports.
+#[test]
+fn a_finished_disk_bundle_reruns_nothing() {
+    let (opts, dopts) = small_lane_opts();
+    let exps = campaign_experiments();
+    let dir = TempDir::new("finished");
+    let want = reports(
+        &collect_bundle(&opts, &CampaignKind::ALL, Some(&dir.0)).expect("first run"),
+        &exps,
+        &dopts,
+    );
+    let files = tree(&dir.0);
+    let (again, tel) = isolated(|| collect_bundle(&opts, &CampaignKind::ALL, Some(&dir.0)));
+    let again = again.expect("second run");
+    assert_eq!(tel.registry().counter("collect.world_builds").get(), 0);
+    for kind in CampaignKind::ALL {
+        assert_eq!(runs(&tel, kind), 0, "`{}` ran again", kind.name());
+    }
+    assert_eq!(want, reports(&again, &exps, &dopts));
+    assert!(tree(&dir.0) == files, "the second run wrote to the store");
+}
+
 /// Two collections at the same time on two threads, each under a handle
 /// of its own with a trace attached: each handle ends with what a
 /// collection alone leaves — the same trace bytes, and the same lane,

@@ -12,6 +12,7 @@ use goingwild::{
     util_from_source, verification_from_source, BundleData, BundleOptions, CampaignKind,
     WorldConfig,
 };
+use scanner::SnoopSample;
 
 const SEED: u64 = 20151028;
 
@@ -182,11 +183,21 @@ fn fig2_churn_curve_shape() {
     let fig2 = fig2_from_source(bundle.source(CampaignKind::Churn).unwrap()).expect("derive fig2");
     let churn = &fig2.churn;
     assert!(churn.cohort > 0);
+    // The cohort is the fleet, read back from its store.
+    let fleet = bundle.source(CampaignKind::Fleet).unwrap();
+    let (noerror, _) = goingwild::collect::fleet_counts_from_source(fleet).expect("fleet");
+    assert_eq!(churn.cohort, noerror);
     // Paper Fig. 2: ~43.6% of the cohort is gone after a single day.
     let day1 = churn.day1_survivors as f64 / churn.cohort as f64;
     assert!(
         (0.35..0.75).contains(&day1),
         "day-1 survival {day1:.3} (paper: 56.4%)"
+    );
+    // Paper Fig. 2: 47.8% of the cohort still answers after a week.
+    let w1 = churn.survival_at_week(1);
+    assert!(
+        (0.30..0.65).contains(&w1),
+        "week-1 survival {w1:.3} (paper: 47.8%)"
     );
     // Survival is monotone non-increasing week over week.
     for pair in churn.survivors.windows(2) {
@@ -197,11 +208,12 @@ fn fig2_churn_curve_shape() {
     assert!(last < day1, "week-12 survival {last:.3} < day-1 {day1:.3}");
     // Day-one leavers overwhelmingly carry dynamic-looking rDNS
     // (paper: 78% of those with records).
-    if churn.day1_leavers_with_rdns > 0 {
-        let dyn_share =
-            churn.day1_leavers_dynamic_rdns as f64 / churn.day1_leavers_with_rdns as f64;
-        assert!(dyn_share > 0.5, "dynamic rDNS share {dyn_share:.3}");
-    }
+    assert!(
+        churn.day1_leavers_with_rdns > 0,
+        "no day-one leaver has rDNS"
+    );
+    let dyn_share = churn.day1_leavers_dynamic_rdns as f64 / churn.day1_leavers_with_rdns as f64;
+    assert!(dyn_share > 0.5, "dynamic rDNS share {dyn_share:.3}");
 }
 
 #[test]
@@ -229,6 +241,21 @@ fn utilization_recovers_the_in_use_majority() {
     );
     // Popularity estimates exist for the frequently-refreshing majority.
     assert!(util.popularity_median.is_some());
+    // An in-use resolver re-adds a TLD after its NS record expired: a
+    // round that found no entry, then a later one with a fresh TTL.
+    let snooped = scanner::snoop_from_source(bundle.source(CampaignKind::Snoop).unwrap())
+        .expect("read the snoop store back");
+    let readded = |series: &[SnoopSample]| {
+        let absent = series.iter().position(|s| *s == SnoopSample::NoEntry);
+        absent.is_some_and(|i| series[i..].iter().any(|s| matches!(s, SnoopSample::Ttl(_))))
+    };
+    assert!(
+        snooped
+            .values()
+            .any(|r| (0..r.tld_count).any(|tld| readded(r.tld_series(tld)))),
+        "no TLD re-add observed across {} snooped resolvers",
+        snooped.len()
+    );
 }
 
 #[test]
@@ -237,6 +264,12 @@ fn verification_scan_misses_almost_nothing() {
     let v = verification_from_source(bundle.source(CampaignKind::Verify).unwrap())
         .expect("derive verification");
     assert!(v.primary_noerror > 0);
+    // The scanner-blacklisting networks answer only the secondary
+    // vantage.
+    assert!(
+        v.missed_noerror > 0,
+        "the secondary vantage must see the blocked networks"
+    );
     // Paper Sec. 2.2: the secondary vantage finds <1% additional hosts
     // (scanner-specific blacklisting); tiny-scale tolerance is wider.
     let miss = v.missed_noerror as f64 / v.primary_noerror as f64;

@@ -10,8 +10,7 @@ use goingwild::{
 };
 use netsim::{FaultEvent, FaultPlan, SimTime};
 use scanner::{
-    chaos_scan_with_sink, enumerate, probe_alive_with_policy, ChaosObservation, Coverage,
-    ProbePolicy,
+    chaos_scan, enumerate, probe_alive_with_policy, ChaosObservation, Coverage, ProbePolicy,
 };
 use scanstore::FaultSpec;
 use std::net::Ipv4Addr;
@@ -167,7 +166,7 @@ fn retrying_campaign_under_iid_loss_recovers_the_lossless_fleet() {
         // The resolvers that answered either query.
         ("chaos", 0.15, |world, vantage, fleet, policy| {
             let sink = &mut scanstore::NullSink;
-            let (obs, _) = chaos_scan_with_sink(world, vantage, fleet, 0x11, policy, sink);
+            let (obs, _) = chaos_scan(world, vantage, fleet, 0x11, policy, sink);
             obs.values()
                 .filter(|o| **o != ChaosObservation::Silent)
                 .count()

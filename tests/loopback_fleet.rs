@@ -15,8 +15,8 @@ use resolversim::{
     TldCacheSim,
 };
 use scanner::{
-    chaos_scan_with_sink, scan_domains_streaming_with_policy, ChaosObservation, ProbePolicy,
-    Transport, TupleObs, Udp,
+    chaos_scan, scan_domains_streaming_with_policy, ChaosObservation, ProbePolicy, Transport,
+    TupleObs, Udp,
 };
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddrV4};
@@ -152,7 +152,7 @@ type Seen = (Vec<Option<(Rcode, Vec<Ipv4Addr>)>>, ChaosObservation);
 
 fn observe<T: Transport>(net: &mut T, vantage: Ipv4Addr, resolvers: &[Ipv4Addr]) -> Vec<Seen> {
     let (policy, sink) = (ProbePolicy::single(), &mut scanstore::NullSink);
-    let (mut chaos, _) = chaos_scan_with_sink(net, vantage, resolvers, 5, &policy, sink);
+    let (mut chaos, _) = chaos_scan(net, vantage, resolvers, 5, &policy, sink);
     let mut answers = domain_scan(net, vantage, resolvers);
     (0..resolvers.len() as u32)
         .map(|ri| {
