@@ -137,6 +137,12 @@ pub fn main(p: &Parsed) -> Result<(), String> {
             summary.requests,
             summary.refreshes,
         );
+        // Where each request's wall-clock went, from the same spans
+        // that feed `serve.latency_us` and the `span.*` counters.
+        eprint!(
+            "repro serve: request layers (wall-clock)\n{}",
+            summary.layers.render()
+        );
         if report.errors > 0 {
             return Err(format!("selftest saw {} errors", report.errors));
         }

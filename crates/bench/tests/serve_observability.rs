@@ -301,3 +301,85 @@ fn tail_follows_a_recorded_trace_file() {
     assert!(doc.contains("\"requests\":40"), "{doc}");
     assert!(doc.contains("\"classify\""), "{doc}");
 }
+
+/// One row of the selftest's layer tree: depth, name, wall µs.
+type Row = (usize, String, u64);
+
+/// The rows of the layer tree `repro serve --selftest` ends its stderr
+/// with.
+fn layer_rows(stderr: &str) -> Vec<Row> {
+    let tree = stderr
+        .split("repro serve: request layers (wall-clock)\n")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no layer tree on stderr:\n{stderr}"));
+    tree.lines()
+        .skip(1) // the column header
+        .map(|line| {
+            let depth = (line.len() - line.trim_start().len()) / 2;
+            let cols: Vec<&str> = line.split_whitespace().collect();
+            let wall = cols[cols.len() - 2].parse().unwrap();
+            (depth, cols[0].to_string(), wall)
+        })
+        .collect()
+}
+
+#[test]
+fn selftest_layer_tree_re_sums_and_matches_the_latency_histogram() {
+    let tmp = TempDir::new("layers");
+    seed_weekly(&tmp.0, &[64, 48]);
+    let metrics = tmp.0.join("metrics.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["serve", "--store", tmp.0.to_str().unwrap(), "--selftest"])
+        .args(["--seed", "7", "--metrics", metrics.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(output.status.success(), "{stderr}");
+    let rows = layer_rows(&stderr);
+    let names: Vec<&str> = rows.iter().map(|(_, n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "request",
+            "cache",
+            "parse",
+            "probe",
+            "serialize",
+            "unattributed"
+        ],
+        "{stderr}"
+    );
+
+    // Each node equals its children plus `unattributed`, exactly.
+    for (i, (depth, name, wall)) in rows.iter().enumerate() {
+        let children: Vec<&Row> = rows[i + 1..]
+            .iter()
+            .take_while(|(d, _, _)| d > depth)
+            .filter(|(d, _, _)| *d == depth + 1)
+            .collect();
+        if children.is_empty() {
+            continue;
+        }
+        assert_eq!(children.last().unwrap().1, "unattributed", "{stderr}");
+        let sum: u64 = children.iter().map(|(_, _, w)| w).sum();
+        assert_eq!(sum, *wall, "{name}: {stderr}");
+    }
+
+    // The root is the requests' latency, as `--metrics` sums it: one
+    // `serve.latency_us{endpoint=…}` histogram a line.
+    let snapshot = std::fs::read_to_string(&metrics).unwrap();
+    let latency: u64 = snapshot
+        .lines()
+        .filter(|line| line.trim_start().starts_with("\"serve.latency_us"))
+        .map(|line| {
+            let sum = &line[line.find("\"sum\": ").unwrap() + 7..];
+            sum[..sum.find(',').unwrap()].parse::<u64>().unwrap()
+        })
+        .sum();
+    let root = rows[0].2;
+    assert!(latency > 0, "{snapshot}");
+    assert!(
+        root.abs_diff(latency) * 50 <= latency,
+        "root {root} µs vs latency sum {latency} µs"
+    );
+}

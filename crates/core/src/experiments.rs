@@ -224,7 +224,7 @@ pub fn derive_all(
         // duration is 0; their cost shows up in the `wall_us`
         // counters.
         let sp = telemetry::profiling_enabled()
-            .then(|| telemetry::span_quiet(&format!("derive.{}", exps[i].id), 0));
+            .then(|| telemetry::span_quiet(format!("derive.{}", exps[i].id), 0));
         let out = (exps[i].derive)(bundle, opts);
         if let Some(s) = sp {
             s.finish(0);

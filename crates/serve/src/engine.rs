@@ -7,6 +7,11 @@
 //! through `telemetry::json` with fixed key order and integer
 //! arithmetic only, so a response body is byte-stable for a given
 //! store.
+//!
+//! Its layers are plain `telemetry::span`s — `parse`, one `probe` per
+//! campaign consulted, `serialize` — noted by a `detail` attribute. In
+//! the daemon they nest under the request's scope (DESIGN §11);
+//! anywhere else they only count into `span.<layer>.*`.
 
 use crate::admission::{deadline_response, Deadline};
 use crate::http::{json_body, Response};
@@ -17,7 +22,14 @@ use std::io;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use telemetry::json::{self, Text};
-use telemetry::{reqtrace, RequestCtx};
+use telemetry::Span;
+
+/// Opens a `probe` layer, noted with the campaign it reads.
+fn probe(campaign: &str) -> Span {
+    let mut span = telemetry::span("probe", 0);
+    span.attr("detail", campaign);
+    span
+}
 
 /// An immutable, shareable set of campaign views.
 #[derive(Debug)]
@@ -106,26 +118,20 @@ impl QueryEngine {
     }
 
     /// Routes one request target (path + query) to its handler,
-    /// without request tracing or a deadline.
+    /// without a deadline.
     pub fn handle(&self, target: &str) -> Response {
-        self.handle_with(target, &mut None, Deadline::none())
+        self.handle_with(target, Deadline::none())
     }
 
     /// Routes one request target (path + query) to its handler,
-    /// collecting `parse`/`probe`/`serialize` spans into `ctx` when
-    /// the request is sampled, and checking `deadline` cooperatively
-    /// at dispatch and between probe/serialize phases — an expired
-    /// deadline answers `503 deadline_exceeded` instead of pinning
-    /// the connection. (`/metrics`, `/slo`, and `/debug/requests` are
-    /// served by the daemon itself — the engine is a pure function of
-    /// the store, so live data never routes through here.)
-    pub fn handle_with(
-        &self,
-        target: &str,
-        ctx: &mut Option<RequestCtx>,
-        deadline: Deadline,
-    ) -> Response {
-        let parse = reqtrace::begin(ctx, "parse");
+    /// checking `deadline` cooperatively at dispatch and between
+    /// probe/serialize phases — an expired deadline answers `503
+    /// deadline_exceeded` instead of pinning the connection.
+    /// (`/metrics`, `/slo`, and `/debug/requests` are served by the
+    /// daemon itself — the engine is a pure function of the store, so
+    /// live data never routes through here.)
+    pub fn handle_with(&self, target: &str, deadline: Deadline) -> Response {
+        let mut parse = telemetry::span("parse", 0);
         let (path, params) = crate::http::split_target(target);
         let get =
             |key: &str| -> Option<&str> { params.iter().find(|(k, _)| *k == key).map(|&(_, v)| v) };
@@ -137,25 +143,24 @@ impl QueryEngine {
             "/campaigns" => "campaigns",
             "/healthz" => "healthz",
             _ => {
-                reqtrace::end(ctx, parse);
                 telemetry::counter_with("serve.requests", &[("family", "unknown")]).inc();
                 return Response::error(404, &format!("unknown path {path}"));
             }
         };
-        reqtrace::note(ctx, parse, family);
-        reqtrace::end(ctx, parse);
+        parse.attr("detail", family);
+        drop(parse);
         telemetry::counter_with("serve.requests", &[("family", family)]).inc();
         if deadline.expired() {
             return deadline_response(family);
         }
         match path {
-            "/classify" => self.classify(get("ip"), ctx, deadline),
-            "/churn" => self.churn(get("asn"), get("campaign"), ctx, deadline),
+            "/classify" => self.classify(get("ip"), deadline),
+            "/churn" => self.churn(get("asn"), get("campaign"), deadline),
             "/amplifiers" => {
-                self.amplifiers(get("country"), get("limit"), get("campaign"), ctx, deadline)
+                self.amplifiers(get("country"), get("limit"), get("campaign"), deadline)
             }
-            "/coverage" => self.coverage(get("campaign"), ctx, deadline),
-            "/campaigns" => self.campaign_inventory(ctx),
+            "/coverage" => self.coverage(get("campaign"), deadline),
+            "/campaigns" => self.campaign_inventory(),
             _ => self.healthz(),
         }
     }
@@ -187,12 +192,7 @@ impl QueryEngine {
         }
     }
 
-    fn classify(
-        &self,
-        ip: Option<&str>,
-        ctx: &mut Option<RequestCtx>,
-        deadline: Deadline,
-    ) -> Response {
+    fn classify(&self, ip: Option<&str>, deadline: Deadline) -> Response {
         let Some(ip_str) = ip else {
             return Response::error(400, "classify requires ?ip=a.b.c.d");
         };
@@ -207,10 +207,9 @@ impl QueryEngine {
             if deadline.expired() {
                 return deadline_response("classify");
             }
-            let probe = reqtrace::begin(ctx, "probe");
-            reqtrace::note(ctx, probe, name);
+            let span = probe(name);
             let hit = view.index().lookup(ip_u32);
-            reqtrace::end(ctx, probe);
+            drop(span);
             if let Some(e) = hit {
                 matches.push((name, view, e));
             }
@@ -218,7 +217,7 @@ impl QueryEngine {
         if deadline.expired() {
             return deadline_response("classify");
         }
-        let serialize = reqtrace::begin(ctx, "serialize");
+        let _serialize = telemetry::span("serialize", 0);
         let open_live = matches
             .iter()
             .any(|(_, _, e)| e.live && e.latest.rcode == 0);
@@ -242,17 +241,10 @@ impl QueryEngine {
                 }
             });
         });
-        reqtrace::end(ctx, serialize);
         Response::ok(body)
     }
 
-    fn churn(
-        &self,
-        asn: Option<&str>,
-        campaign: Option<&str>,
-        ctx: &mut Option<RequestCtx>,
-        deadline: Deadline,
-    ) -> Response {
+    fn churn(&self, asn: Option<&str>, campaign: Option<&str>, deadline: Deadline) -> Response {
         let Some(asn_str) = asn else {
             return Response::error(400, "churn requires ?asn=<number>");
         };
@@ -263,17 +255,16 @@ impl QueryEngine {
             Ok(v) => v,
             Err(r) => return r,
         };
-        let probe = reqtrace::begin(ctx, "probe");
-        reqtrace::note(ctx, probe, name);
+        let span = probe(name);
         let series = view.index().asn_series(asn);
-        reqtrace::end(ctx, probe);
+        drop(span);
         let Some(series) = series else {
             return Response::error(404, &format!("AS{asn} was never observed in `{name}`"));
         };
         if deadline.expired() {
             return deadline_response("churn");
         }
-        let serialize = reqtrace::begin(ctx, "serialize");
+        let _serialize = telemetry::span("serialize", 0);
         let cohort = series.survivors.first().copied().unwrap_or(0);
         let body = json_body(256, |o| {
             o.field("query", "churn");
@@ -295,7 +286,6 @@ impl QueryEngine {
                 }
             });
         });
-        reqtrace::end(ctx, serialize);
         Response::ok(body)
     }
 
@@ -304,7 +294,6 @@ impl QueryEngine {
         country: Option<&str>,
         limit: Option<&str>,
         campaign: Option<&str>,
-        ctx: &mut Option<RequestCtx>,
         deadline: Deadline,
     ) -> Response {
         let Some(country) = country else {
@@ -321,8 +310,7 @@ impl QueryEngine {
             Ok(v) => v,
             Err(r) => return r,
         };
-        let probe = reqtrace::begin(ctx, "probe");
-        reqtrace::note(ctx, probe, name);
+        let span = probe(name);
         let mut candidates: Vec<&IndexEntry> = view
             .string_ids(country)
             .flat_map(|id| view.index().in_country(id))
@@ -338,11 +326,11 @@ impl QueryEngine {
             candidates.truncate(limit);
         }
         candidates.sort_unstable_by_key(rank);
-        reqtrace::end(ctx, probe);
+        drop(span);
         if deadline.expired() {
             return deadline_response("amplifiers");
         }
-        let serialize = reqtrace::begin(ctx, "serialize");
+        let _serialize = telemetry::span("serialize", 0);
         let body = json_body(128 + candidates.len() * 96, |o| {
             o.field("query", "amplifiers");
             o.field("country", country);
@@ -363,34 +351,26 @@ impl QueryEngine {
                 }
             });
         });
-        reqtrace::end(ctx, serialize);
         Response::ok(body)
     }
 
-    fn coverage(
-        &self,
-        campaign: Option<&str>,
-        ctx: &mut Option<RequestCtx>,
-        deadline: Deadline,
-    ) -> Response {
+    fn coverage(&self, campaign: Option<&str>, deadline: Deadline) -> Response {
         let (name, view) = match self.pick_campaign(campaign) {
             Ok(v) => v,
             Err(r) => return r,
         };
-        let probe = reqtrace::begin(ctx, "probe");
-        reqtrace::note(ctx, probe, name);
+        let span = probe(name);
         let idx = view.index();
         let live = idx.snapshot_sizes().last().copied().unwrap_or(0);
-        reqtrace::end(ctx, probe);
+        drop(span);
         if deadline.expired() {
             return deadline_response("coverage");
         }
-        let serialize = reqtrace::begin(ctx, "serialize");
+        let _serialize = telemetry::span("serialize", 0);
         let generation = view.generation();
         // Segment metadata is dense in `seq`: the last one present means
         // every one is. Answer a uniform 500, not a panic, if it is not.
         if generation > 0 && view.segment_meta(generation - 1).is_none() {
-            reqtrace::end(ctx, serialize);
             return Response::error(500, "segment metadata missing");
         }
         let body = json_body(256, |o| {
@@ -416,12 +396,11 @@ impl QueryEngine {
                 }
             });
         });
-        reqtrace::end(ctx, serialize);
         Response::ok(body)
     }
 
-    fn campaign_inventory(&self, ctx: &mut Option<RequestCtx>) -> Response {
-        let serialize = reqtrace::begin(ctx, "serialize");
+    fn campaign_inventory(&self) -> Response {
+        let _serialize = telemetry::span("serialize", 0);
         let body = json_body(64 + self.views.len() * 96, |o| {
             o.field("query", "campaigns");
             o.array("campaigns", |a| {
@@ -437,7 +416,6 @@ impl QueryEngine {
                 }
             });
         });
-        reqtrace::end(ctx, serialize);
         Response::ok(body)
     }
 
@@ -679,7 +657,7 @@ mod tests {
             "/amplifiers?country=US",
             "/coverage",
         ] {
-            let r = engine.handle_with(target, &mut None, Deadline::expired_now());
+            let r = engine.handle_with(target, Deadline::expired_now());
             assert_eq!(r.status, 503, "{target}");
             assert_eq!(
                 body(&r),
@@ -688,7 +666,7 @@ mod tests {
             );
         }
         // No deadline (the default paths) answers normally.
-        let r = engine.handle_with("/classify?ip=0.0.0.10", &mut None, Deadline::none());
+        let r = engine.handle_with("/classify?ip=0.0.0.10", Deadline::none());
         assert_eq!(r.status, 200);
     }
 

@@ -126,6 +126,16 @@ pub fn parse_request_line(head: &str) -> Option<(&str, &str)> {
     Some((method, target))
 }
 
+/// The target of a GET request line, or the uniform error that answers
+/// any other: `405` for another method, `400` for no request line.
+pub fn request_target(head: &str) -> Result<&str, Response> {
+    match parse_request_line(head) {
+        Some(("GET", target)) => Ok(target),
+        Some(_) => Err(Response::error(405, "only GET is supported")),
+        None => Err(Response::error(400, "malformed request line")),
+    }
+}
+
 /// The value of header `name` (case-insensitive) in a request head,
 /// trimmed. `None` when absent.
 pub fn header_value<'a>(head: &'a str, name: &str) -> Option<&'a str> {

@@ -36,12 +36,14 @@
 //! runs of the seeded [`fleet`] against the same store are
 //! byte-identical.
 //!
-//! Observability (DESIGN §11): sampled requests carry a
-//! [`telemetry::RequestCtx`] through router → cache → engine → index,
-//! producing one deterministic span tree per request (trace ids derive
-//! from connection/request ordinals, never wall clock, so trace
-//! streams of seeded runs are byte-identical). [`obs::ServeObs`]
-//! keeps rolling per-endpoint latency windows and evaluates SLO burn.
+//! Observability (DESIGN §11): each request whose head was read is
+//! answered under its own [`telemetry::Telemetry::scope`], whose root
+//! span is the request and whose layers (`admission`, `cache`, `parse`,
+//! `probe`, `serialize`) are plain `telemetry::span` guards.
+//! [`obs::ServeObs`] takes the scope's spans: the root is the latency
+//! (rolling windows, SLO burn), the layers add to the layer tree, and
+//! a sampled request becomes one deterministic `type: "request"` trace
+//! line and a `/debug/requests` entry.
 //!
 //! Overload hardening (DESIGN §13): [`admission`] gates requests
 //! cost-aware in front of the router (uniform `429` sheds with

@@ -1,16 +1,17 @@
 //! Serving-path observability: per-endpoint rolling latency windows,
-//! SLO burn-rate evaluation, the request-trace ring, and the
-//! slow-query log (DESIGN §11).
+//! SLO burn-rate evaluation, the request-trace ring, the slow-query
+//! log and the request layer tree (DESIGN §11).
 //!
 //! One [`ServeObs`] lives in the server state. Every request —
 //! including malformed ones — is recorded here: latency into the
 //! endpoint's [`RollingWindow`] and its `serve.latency_us{endpoint=}`
 //! snapshot histogram (handles pre-fetched at construction, so the
-//! steady-state cost is a mutex + a few atomic adds). Sampled
-//! requests additionally finish their [`RequestCtx`] into a
-//! [`RequestTrace`], which lands in the debug ring, is offered to the
-//! slow log, and — when a trace stream is attached — emits one
-//! deterministic `type: "request"` line.
+//! steady-state cost is a mutex + a few atomic adds). A request whose
+//! head was read arrives as a [`RequestTrace`]: the spans of its
+//! request scope, whose root gives the latency and whose layers add to
+//! the [`LayerTree`]. Sampled ones also land in the debug ring, are
+//! offered to the slow log, and — when a trace stream is attached —
+//! emit one deterministic `type: "request"` line.
 //!
 //! Health: when objectives are configured, [`ServeObs::degraded`]
 //! evaluates the all-endpoint window against them with multi-window
@@ -18,11 +19,12 @@
 
 use crate::breaker::RefreshHealth;
 use crate::http::{json_body, Response, CONTENT_TYPE_JSON};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use telemetry::json::Fixed;
 use telemetry::rolling::{BurnState, FAST_WINDOW_S, LATENCY_BOUNDS_US, SLOW_WINDOW_S};
-use telemetry::{reqtrace, Histogram, RequestRing, RequestTrace, RollingWindow, SloSpec, SlowLog};
+use telemetry::{reqtrace, Histogram, LayerTree, RequestTrace, RollingWindow, SloSpec};
 
 /// Every endpoint family the router can resolve a request to.
 pub const ENDPOINTS: [&str; 10] = [
@@ -61,10 +63,49 @@ struct EndpointLat {
     hist: Histogram,
 }
 
-/// Locks a rolling window, recovering it if a panicking holder
-/// poisoned the lock.
-fn lock(window: &Mutex<RollingWindow>) -> MutexGuard<'_, RollingWindow> {
-    window.lock().unwrap_or_else(|e| e.into_inner())
+/// Locks `m`, recovering it if a panicking holder poisoned the lock.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A bounded ring of the most recent request traces that took at least
+/// `min_us` of wall-clock: the debug ring at 0, the slow-query log at
+/// its threshold.
+struct RequestRing {
+    cap: usize,
+    min_us: u64,
+    inner: Mutex<VecDeque<Arc<RequestTrace>>>,
+}
+
+impl RequestRing {
+    /// A ring keeping at most `cap` traces (0 keeps none).
+    fn new(cap: usize, min_us: u64) -> RequestRing {
+        RequestRing {
+            cap,
+            min_us,
+            inner: Mutex::new(VecDeque::with_capacity(cap.min(1024))),
+        }
+    }
+
+    /// Keeps `t` if it took `min_us` or more, evicting the oldest when
+    /// full; returns whether it qualified.
+    fn offer(&self, t: &Arc<RequestTrace>) -> bool {
+        let keep = t.wall_ns() >= self.min_us.saturating_mul(1_000);
+        if keep && self.cap > 0 {
+            let mut g = lock(&self.inner);
+            if g.len() == self.cap {
+                g.pop_front();
+            }
+            g.push_back(Arc::clone(t));
+        }
+        keep
+    }
+
+    /// The most recent traces, newest first, at most `limit`.
+    fn recent(&self, limit: usize) -> Vec<Arc<RequestTrace>> {
+        let g = lock(&self.inner);
+        g.iter().rev().take(limit).cloned().collect()
+    }
 }
 
 /// Observability configuration, carved out of `ServeOptions`.
@@ -101,11 +142,13 @@ pub struct ServeObs {
     opts: ObsOptions,
     started: Instant,
     ring: RequestRing,
-    slow: SlowLog,
+    slow: RequestRing,
     /// Per-endpoint latency state, indexed like [`ENDPOINTS`].
     lat: Vec<EndpointLat>,
     /// All-endpoint window: what the SLO burn is evaluated against.
     total: Mutex<RollingWindow>,
+    /// Every finished request's spans, summed by path.
+    layers: Mutex<LayerTree>,
 }
 
 impl ServeObs {
@@ -125,12 +168,13 @@ impl ServeObs {
             .collect();
         let cap = opts.debug_requests;
         ServeObs {
-            ring: RequestRing::new(cap),
-            slow: SlowLog::new(opts.slow_us, cap),
+            ring: RequestRing::new(cap, 0),
+            slow: RequestRing::new(cap, opts.slow_us),
             opts,
             started: Instant::now(),
             lat,
             total: Mutex::new(RollingWindow::new()),
+            layers: Mutex::default(),
         }
     }
 
@@ -140,14 +184,10 @@ impl ServeObs {
         self.started.elapsed().as_secs()
     }
 
-    /// Whether request `ordinal` should carry a [`RequestCtx`].
+    /// Whether request `ordinal` is traced: written to the trace stream,
+    /// the debug ring and the slow log.
     pub fn sampled(&self, ordinal: u64) -> bool {
         self.opts.trace_sample > 0 && ordinal.is_multiple_of(self.opts.trace_sample)
-    }
-
-    /// The configured objectives, if any.
-    pub fn slo(&self) -> Option<&SloSpec> {
-        self.opts.slo.as_ref()
     }
 
     fn endpoint_index(endpoint: &str) -> usize {
@@ -174,16 +214,30 @@ impl ServeObs {
         lock(&self.total).observe(now_s, lat_us, error, over);
     }
 
-    /// Admits a finished trace: debug ring, slow log (counted under
-    /// `serve.slow_requests` when admitted), and — when a trace
-    /// stream is attached — one deterministic trace-stream line.
-    pub fn admit(&self, trace: RequestTrace) {
+    /// Takes one answered request: its root span's wall time is its
+    /// latency, its spans join the layer tree, and a sampled one goes
+    /// to the trace stream, the debug ring and (counted under
+    /// `serve.slow_requests`) the slow log.
+    pub fn finish(&self, trace: RequestTrace) {
+        // Nearest, not floor: a sum of these then matches the layer
+        // tree's root, which sums nanoseconds.
+        let lat_us = trace.wall_ns().saturating_add(500) / 1_000;
+        self.record(trace.endpoint, trace.status, lat_us);
+        lock(&self.layers).add(&trace.spans);
+        if !self.sampled(trace.ordinal) {
+            return;
+        }
         reqtrace::emit(&trace);
         let trace = Arc::new(trace);
-        self.ring.push(Arc::clone(&trace));
+        self.ring.offer(&trace);
         if self.slow.offer(&trace) {
             telemetry::counter("serve.slow_requests").inc();
         }
+    }
+
+    /// The layer tree of every request finished so far.
+    pub fn layers(&self) -> LayerTree {
+        lock(&self.layers).clone()
     }
 
     /// Burn state of the all-endpoint window, when objectives are set.
@@ -272,7 +326,7 @@ impl ServeObs {
         let body = json_body(512 + recent.len() * 256, |o| {
             o.field("query", "debug_requests");
             o.field("returned", recent.len());
-            o.field("slow_threshold_us", self.slow.threshold_us());
+            o.field("slow_threshold_us", self.slow.min_us);
             for (key, traces) in [("requests", &recent), ("slow", &slow)] {
                 o.array(key, |a| {
                     for t in traces {
@@ -288,7 +342,30 @@ impl ServeObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telemetry::RequestCtx;
+
+    /// Request `ordinal` on connection 1, answered under a scope whose
+    /// layers are `(name, detail)`.
+    fn traced(ordinal: u64, layers: &[(&'static str, &str)]) -> RequestTrace {
+        let scope = telemetry::Telemetry::new().scope();
+        {
+            let _in = scope.enter();
+            let _request = telemetry::span("request", 0);
+            for &(name, detail) in layers {
+                telemetry::span(name, 0).attr("detail", detail);
+            }
+        }
+        RequestTrace {
+            trace_id: telemetry::reqtrace::trace_id(1, ordinal),
+            conn: 1,
+            ordinal,
+            target: "/classify?ip=1.2.3.4".to_string(),
+            endpoint: "classify",
+            status: 200,
+            bytes: 128,
+            generation: "weekly:3".to_string(),
+            spans: scope.finish(),
+        }
+    }
 
     fn obs_with(slo: Option<&str>) -> ServeObs {
         ServeObs::new(ObsOptions {
@@ -359,12 +436,7 @@ mod tests {
     #[test]
     fn debug_response_carries_traces_and_slow_feed() {
         let obs = obs_with(None);
-        let mut ctx = RequestCtx::new(2, 9, "/classify?ip=1.2.3.4");
-        let sp = ctx.begin("probe");
-        ctx.note(sp, "weekly");
-        ctx.end(sp);
-        ctx.set_generation("weekly:3");
-        obs.admit(ctx.finish("classify", 200, 128));
+        obs.finish(traced(9, &[("probe", "weekly")]));
         let body = String::from_utf8(obs.debug_response(16).body).unwrap();
         assert!(body.contains("\"returned\":1"), "{body}");
         assert!(body.contains("\"name\":\"probe\""), "{body}");
@@ -372,6 +444,59 @@ mod tests {
         assert!(body.contains("\"generation\":\"weekly:3\""), "{body}");
         // threshold 0: the same trace shows in the slow feed.
         assert!(body.contains("\"slow\":[{\"trace_id\""), "{body}");
+    }
+
+    #[test]
+    fn ring_bounds_and_orders_newest_first() {
+        let ring = RequestRing::new(2, 0);
+        for i in 0..4u64 {
+            assert!(ring.offer(&Arc::new(traced(i, &[]))));
+        }
+        let recent = ring.recent(10);
+        assert_eq!(recent.len(), 2);
+        assert_eq!(recent[0].ordinal, 3);
+        assert_eq!(recent[1].ordinal, 2);
+        let none = RequestRing::new(0, 0);
+        assert!(none.offer(&Arc::new(traced(0, &[]))));
+        assert!(none.recent(10).is_empty());
+    }
+
+    #[test]
+    fn slow_log_filters_by_threshold() {
+        let fast = Arc::new(traced(1, &[]));
+        let log = RequestRing::new(8, 1_000_000); // 1s: nothing here is that slow
+        assert!(!log.offer(&fast));
+        assert!(log.recent(10).is_empty());
+        let everything = RequestRing::new(8, 0);
+        assert!(everything.offer(&fast));
+        assert_eq!(everything.recent(10).len(), 1);
+    }
+
+    #[test]
+    fn every_finished_request_is_timed_and_only_sampled_ones_kept() {
+        let tel = telemetry::Telemetry::new();
+        let _in = tel.enter();
+        let obs = ServeObs::new(ObsOptions {
+            trace_sample: 2,
+            ..ObsOptions::default()
+        });
+        let (mut root_ns, mut latency_us) = (0, 0);
+        for ordinal in 0..4 {
+            let trace = traced(ordinal, &[("cache", "miss")]);
+            root_ns += trace.wall_ns();
+            latency_us += (trace.wall_ns() + 500) / 1_000;
+            obs.finish(trace);
+        }
+        let body = String::from_utf8(obs.debug_response(16).body).unwrap();
+        assert!(body.contains("\"returned\":2"), "{body}");
+        let latency = tel.registry().snapshot();
+        let latency = latency
+            .histograms
+            .iter()
+            .find(|(k, _)| k == "serve.latency_us{endpoint=classify}")
+            .map(|(_, h)| (h.count, h.sum));
+        assert_eq!(latency, Some((4, latency_us)));
+        assert_eq!(obs.layers().total_us(), root_ns / 1_000);
     }
 
     #[test]
@@ -383,8 +508,7 @@ mod tests {
             slo: None,
         });
         for ordinal in 0..(DEBUG_LIMIT_MAX as u64 + 44) {
-            let ctx = RequestCtx::new(1, ordinal, "/classify");
-            obs.admit(ctx.finish("classify", 200, 10));
+            obs.finish(traced(ordinal, &[]));
         }
         let body = String::from_utf8(obs.debug_response(usize::MAX).body).unwrap();
         let expected = format!("\"returned\":{DEBUG_LIMIT_MAX}");

@@ -19,12 +19,12 @@
 //! defaults to off/closed, leaving default-configuration serving
 //! byte-identical.
 
-use crate::admission::{Admission, AdmissionOptions, Deadline};
+use crate::admission::{deadline_response, Admission, AdmissionOptions, Deadline};
 use crate::breaker::{BreakerOptions, RefreshBreaker};
 use crate::cache::LruCache;
 use crate::engine::QueryEngine;
 use crate::http::{
-    header_value, parse_request_line, split_target, wire_status, Response, CONTENT_TYPE_JSON,
+    header_value, request_target, split_target, wire_status, Response, CONTENT_TYPE_JSON,
 };
 use crate::obs::{endpoint_of, ObsOptions, ServeObs};
 use crate::signal;
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::{self, Scope};
 use std::time::{Duration, Instant};
-use telemetry::{reqtrace, RequestCtx};
+use telemetry::{reqtrace, LayerTree, RequestTrace};
 
 /// Requests larger than this are answered `431`; real queries are one
 /// short GET line plus a handful of headers.
@@ -82,12 +82,14 @@ impl Default for ServeOptions {
 }
 
 /// What the daemon did, reported after shutdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ServeSummary {
     /// Connections answered (including error responses).
     pub requests: u64,
     /// Engine swaps performed by the background refresh.
     pub refreshes: u64,
+    /// The spans of every request whose head was read, summed by path.
+    pub layers: LayerTree,
 }
 
 /// State shared between the controller, the workers, and the
@@ -267,6 +269,7 @@ fn serve_loop(state: &ServerState, opts: &ServeOptions) -> io::Result<ServeSumma
     let summary = ServeSummary {
         requests: state.requests.load(Ordering::SeqCst),
         refreshes: state.refreshes.load(Ordering::SeqCst),
+        layers: state.obs.layers(),
     };
     telemetry::gauge("serve.shutdown.requests").set(summary.requests as f64);
     if let Some(path) = &opts.metrics {
@@ -351,12 +354,11 @@ fn refresh_engine(state: &ServerState) {
     }
 }
 
-/// Reads one request, gates it through admission, answers it (through
-/// the cache), and closes. Returns the connection's
-/// `serve.conns{outcome=…}` bucket: `answered` once a response (error
-/// responses and sheds included) was handed to the socket,
-/// `closed_early` if the client left before a complete head,
-/// `timed_out` if its `conn_timeout` ran out first.
+/// Reads one request, answers it ([`serve_request`]), and closes.
+/// Returns the connection's `serve.conns{outcome=…}` bucket: `answered`
+/// once a response (error responses and sheds included) was handed to
+/// the socket, `closed_early` if the client left before a complete
+/// head, `timed_out` if its `conn_timeout` ran out first.
 fn handle_connection(state: &ServerState, mut stream: TcpStream, conn: u64) -> &'static str {
     let deadline = Instant::now() + state.conn_timeout;
     let head = match read_head(&mut stream, deadline) {
@@ -377,19 +379,6 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream, conn: u64) -> &
         }
     };
     let ordinal = state.requests.fetch_add(1, Ordering::SeqCst);
-    if state.admission.enabled() {
-        if let Some(("GET", target)) = parse_request_line(&head) {
-            let (path, _) = split_target(target);
-            let endpoint = endpoint_of(path);
-            let t0 = Instant::now();
-            if let Some(resp) = state.admission.admit(endpoint, &state.inflight) {
-                state
-                    .obs
-                    .record(endpoint, resp.status, t0.elapsed().as_micros() as u64);
-                return send(&mut stream, &resp.to_wire(), deadline);
-            }
-        }
-    }
     let wire = serve_request(state, &head, conn, ordinal);
     send(&mut stream, &wire, deadline)
 }
@@ -412,61 +401,64 @@ fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
-/// Answers one request: routes it, and records latency (every
-/// request) plus a span tree (sampled requests) into the
-/// observability hub.
+/// Answers one request head under a request scope of its own: the
+/// scope's root span is the request, the layers' spans nest under it,
+/// and the observability hub takes what they recorded.
 fn serve_request(state: &ServerState, head: &str, conn: u64, ordinal: u64) -> Arc<Vec<u8>> {
-    let t0 = Instant::now();
-    let deadline = state.admission.deadline();
-    let (endpoint, wire) = match parse_request_line(head) {
-        Some(("GET", target)) => {
-            let (path, _) = split_target(target);
-            let endpoint = endpoint_of(path);
-            let mut ctx = state
-                .obs
-                .sampled(ordinal)
-                .then(|| RequestCtx::new(conn, ordinal, target));
-            let wire = route(state, head, target, path, &mut ctx, deadline);
-            if let Some(ctx) = ctx {
-                let status = wire_status(&wire);
-                state
-                    .obs
-                    .admit(ctx.finish(endpoint, status, wire.len() as u64));
+    let scope = telemetry::current().scope();
+    let (target, endpoint, (generation, wire)) = {
+        let _in = scope.enter();
+        let _request = telemetry::span("request", 0);
+        // The request line is parsed once, before admission.
+        match request_target(head) {
+            Ok(target) => {
+                let path = target.split_once('?').map_or(target, |(path, _)| path);
+                let endpoint = endpoint_of(path);
+                (
+                    target,
+                    endpoint,
+                    answer_get(state, head, target, path, endpoint),
+                )
             }
-            (endpoint, wire)
+            Err(resp) => ("", "other", (String::new(), Arc::new(resp.to_wire()))),
         }
-        Some((_method, _)) => (
-            "other",
-            Arc::new(Response::error(405, "only GET is supported").to_wire()),
-        ),
-        None => (
-            "other",
-            Arc::new(Response::error(400, "malformed request line").to_wire()),
-        ),
     };
-    let lat_us = t0.elapsed().as_micros() as u64;
-    state.obs.record(endpoint, wire_status(&wire), lat_us);
+    state.obs.finish(RequestTrace {
+        trace_id: reqtrace::trace_id(conn, ordinal),
+        conn,
+        ordinal,
+        target: target.to_string(),
+        endpoint,
+        status: wire_status(&wire),
+        bytes: wire.len() as u64,
+        generation,
+        spans: scope.finish(),
+    });
     wire
 }
 
-/// Routes a GET. Live endpoints (`/metrics`, `/slo`,
-/// `/debug/requests`, and `/healthz` while degraded) are answered by
-/// the daemon itself; everything else is a pure function of the store
-/// and goes through the cache to the engine.
-fn route(
+/// Gates a GET through admission when the gate is on, then routes it.
+/// Live endpoints (`/metrics`, `/slo`, `/debug/requests`,
+/// `/admin/scrub`, and `/healthz` while degraded) are answered by the
+/// daemon itself; everything else is a pure function of the store and
+/// goes through the cache to the engine. Returns the engine generation
+/// answered from (empty when none was asked) and the wire bytes.
+fn answer_get(
     state: &ServerState,
     head: &str,
     target: &str,
     path: &str,
-    ctx: &mut Option<RequestCtx>,
-    deadline: Deadline,
-) -> Arc<Vec<u8>> {
-    match path {
-        "/metrics" => Arc::new(metrics_response(head, target).to_wire()),
-        "/slo" => {
-            let health = state.breaker().health();
-            Arc::new(state.obs.slo_response(Some(health)).to_wire())
+    endpoint: &'static str,
+) -> (String, Arc<Vec<u8>>) {
+    if state.admission.enabled() {
+        let _admission = telemetry::span("admission", 0);
+        if let Some(resp) = state.admission.admit(endpoint, &state.inflight) {
+            return (String::new(), Arc::new(resp.to_wire()));
         }
+    }
+    let live = match path {
+        "/metrics" => metrics_response(head, target),
+        "/slo" => state.obs.slo_response(Some(state.breaker().health())),
         "/debug/requests" => {
             let (_, params) = split_target(target);
             let limit = params
@@ -474,19 +466,18 @@ fn route(
                 .find(|(k, _)| *k == "limit")
                 .and_then(|&(_, v)| v.parse::<usize>().ok())
                 .unwrap_or(32);
-            Arc::new(state.obs.debug_response(limit).to_wire())
+            state.obs.debug_response(limit)
         }
-        "/admin/scrub" => Arc::new(scrub_response(state).to_wire()),
+        "/admin/scrub" => scrub_response(state),
         "/healthz" if state.obs.degraded() => {
-            Arc::new(Response::error(503, "slo burn-rate breach; see /slo").to_wire())
+            Response::error(503, "slo burn-rate breach; see /slo")
         }
-        "/healthz" if state.breaker().degraded() => {
-            // Refresh is broken but the last good generation is still
-            // valid, so probes stay green; the body says degraded.
-            Arc::new(degraded_healthz(state).to_wire())
-        }
-        _ => answer(state, target, path, ctx, deadline),
-    }
+        // Refresh is broken but the last good generation is still
+        // valid, so probes stay green; the body says degraded.
+        "/healthz" if state.breaker().degraded() => degraded_healthz(state),
+        _ => return answer(state, target, endpoint, state.admission.deadline()),
+    };
+    (String::new(), Arc::new(live.to_wire()))
 }
 
 /// `/healthz` while the refresh breaker is tripped: a `200` (the data
@@ -543,54 +534,51 @@ fn metrics_response(head: &str, target: &str) -> Response {
     }
 }
 
-/// Computes (or recalls) the wire bytes for one request target.
+/// Computes (or recalls) the wire bytes for one request target, and
+/// the engine generation they come from.
 fn answer(
     state: &ServerState,
     target: &str,
-    path: &str,
-    ctx: &mut Option<RequestCtx>,
+    endpoint: &'static str,
     deadline: Deadline,
-) -> Arc<Vec<u8>> {
+) -> (String, Arc<Vec<u8>>) {
     if deadline.expired() {
-        return Arc::new(crate::admission::deadline_response(endpoint_of(path)).to_wire());
+        return (
+            String::new(),
+            Arc::new(deadline_response(endpoint).to_wire()),
+        );
     }
     // Clone the Arc once: this request is now pinned to one engine
     // generation no matter what the refresh timer does.
     let engine = state.engine();
     let tag = engine.generation_tag();
-    if let Some(c) = ctx.as_mut() {
-        c.set_generation(tag);
-    }
-    let endpoint = endpoint_of(path);
     // The tag stays in the key although a refresh clears the cache: a
     // request pinned to the old engine can finish after the clear, and
     // only its old tag keeps the body it `put`s from answering requests
     // of the new generation.
     let key = format!("{tag}|{target}");
-    let span = reqtrace::begin(ctx, "cache");
     let hit = {
+        let mut span = telemetry::span("cache", 0);
         let mut cache = state.cache();
-        cache
+        let hit = cache
             .is_enabled()
             .then(|| cache.get(&key, endpoint))
-            .flatten()
+            .flatten();
+        span.attr("detail", if hit.is_some() { "hit" } else { "miss" });
+        hit
     };
-    if let Some(wire) = hit {
-        reqtrace::note(ctx, span, "hit");
-        reqtrace::end(ctx, span);
-        return wire;
-    }
-    reqtrace::note(ctx, span, "miss");
-    reqtrace::end(ctx, span);
-    let response = engine.handle_with(target, ctx, deadline);
-    let wire = Arc::new(response.to_wire());
-    if response.cacheable {
-        let mut cache = state.cache();
-        if cache.is_enabled() {
-            cache.put(key, endpoint, Arc::clone(&wire));
+    let wire = hit.unwrap_or_else(|| {
+        let response = engine.handle_with(target, deadline);
+        let wire = Arc::new(response.to_wire());
+        if response.cacheable {
+            let mut cache = state.cache();
+            if cache.is_enabled() {
+                cache.put(key, endpoint, Arc::clone(&wire));
+            }
         }
-    }
-    wire
+        wire
+    });
+    (tag.to_string(), wire)
 }
 
 /// How reading a request head ended.

@@ -166,21 +166,32 @@ fn error_shed_and_deadline_bodies_are_pinned() {
     pins.finish();
 }
 
+/// Request `ordinal` on connection 3 as the daemon's request scope
+/// records it — a cache miss, then one probe — with its wall times
+/// pinned: the request's to `wall_us`, its layers' to 10 and 11.
 fn trace(ordinal: u64, wall_us: u64) -> RequestTrace {
-    let mut ctx = telemetry::RequestCtx::new(3, ordinal, "/classify?ip=0.0.0.10&x=\"q\"");
-    let cache = ctx.begin("cache");
-    ctx.note(cache, "miss");
-    ctx.end(cache);
-    let probe = ctx.begin("probe");
-    ctx.note(probe, "we\"ird\\");
-    ctx.end(probe);
-    ctx.set_generation("weekly:3");
-    let mut t = ctx.finish("classify", 200, 612);
-    t.wall_us = wall_us;
-    for (i, s) in t.spans.iter_mut().enumerate() {
-        s.wall_us = 10 + i as u64;
+    let scope = telemetry::Telemetry::new().scope();
+    {
+        let _in = scope.enter();
+        let _request = telemetry::span("request", 0);
+        telemetry::span("cache", 0).attr("detail", "miss");
+        telemetry::span("probe", 0).attr("detail", "we\"ird\\");
     }
-    t
+    let mut spans = scope.finish();
+    for (span, us) in spans.iter_mut().zip([wall_us, 10, 11]) {
+        span.wall_ns = us * 1_000;
+    }
+    RequestTrace {
+        trace_id: telemetry::reqtrace::trace_id(3, ordinal),
+        conn: 3,
+        ordinal,
+        target: "/classify?ip=0.0.0.10&x=\"q\"".to_string(),
+        endpoint: "classify",
+        status: 200,
+        bytes: 612,
+        generation: "weekly:3".to_string(),
+        spans,
+    }
 }
 
 /// `"uptime_s":<digits>` depends on when the second ticks over; every
@@ -231,8 +242,8 @@ fn slo_and_debug_bodies_are_pinned() {
         "{\"query\":\"slo\",\"objectives\":\"p99=1000us,err=5.0000%\",\"state\":\"breach\",\"uptime_s\":N,\"burn\":{\"threshold\":14,\"fast\":{\"window_s\":10,\"latency\":52.381,\"error\":1.905,\"count\":21},\"slow\":{\"window_s\":60,\"latency\":52.381,\"error\":1.905,\"count\":21}},\"refresh\":{\"breaker\":\"open\",\"degraded\":true,\"consecutive_failures\":1,\"trips\":1},\"window_s\":10,\"endpoints\":{\"classify\":{\"count\":20,\"errors\":2,\"over\":11,\"qps\":2.00,\"p50_us\":1136,\"p90_us\":2227,\"p99_us\":2500,\"max_us\":2100},\"coverage\":{\"count\":1,\"errors\":0,\"over\":0,\"qps\":0.10,\"p50_us\":50,\"p90_us\":50,\"p99_us\":50,\"max_us\":45}}}\n",
     );
 
-    obs.admit(trace(7, 321));
-    obs.admit(trace(8, 654));
+    obs.finish(trace(7, 321));
+    obs.finish(trace(8, 654));
     pins.check("debug", &body(&obs.debug_response(1)), "{\"query\":\"debug_requests\",\"returned\":1,\"slow_threshold_us\":0,\"requests\":[{\"trace_id\":\"893eb7db0dddbdb4\",\"conn\":3,\"ordinal\":8,\"target\":\"/classify?ip=0.0.0.10&x=\\\"q\\\"\",\"endpoint\":\"classify\",\"status\":200,\"bytes\":612,\"generation\":\"weekly:3\",\"wall_us\":654,\"spans\":[{\"id\":0,\"parent\":null,\"name\":\"cache\",\"wall_us\":10,\"detail\":\"miss\"},{\"id\":1,\"parent\":null,\"name\":\"probe\",\"wall_us\":11,\"detail\":\"we\\\"ird\\\\\"}]}],\"slow\":[{\"trace_id\":\"893eb7db0dddbdb4\",\"conn\":3,\"ordinal\":8,\"target\":\"/classify?ip=0.0.0.10&x=\\\"q\\\"\",\"endpoint\":\"classify\",\"status\":200,\"bytes\":612,\"generation\":\"weekly:3\",\"wall_us\":654,\"spans\":[{\"id\":0,\"parent\":null,\"name\":\"cache\",\"wall_us\":10,\"detail\":\"miss\"},{\"id\":1,\"parent\":null,\"name\":\"probe\",\"wall_us\":11,\"detail\":\"we\\\"ird\\\\\"}]}]}\n");
     pins.check("debug all", &body(&obs.debug_response(10)), "{\"query\":\"debug_requests\",\"returned\":2,\"slow_threshold_us\":0,\"requests\":[{\"trace_id\":\"893eb7db0dddbdb4\",\"conn\":3,\"ordinal\":8,\"target\":\"/classify?ip=0.0.0.10&x=\\\"q\\\"\",\"endpoint\":\"classify\",\"status\":200,\"bytes\":612,\"generation\":\"weekly:3\",\"wall_us\":654,\"spans\":[{\"id\":0,\"parent\":null,\"name\":\"cache\",\"wall_us\":10,\"detail\":\"miss\"},{\"id\":1,\"parent\":null,\"name\":\"probe\",\"wall_us\":11,\"detail\":\"we\\\"ird\\\\\"}]},{\"trace_id\":\"953aeb70673e29cb\",\"conn\":3,\"ordinal\":7,\"target\":\"/classify?ip=0.0.0.10&x=\\\"q\\\"\",\"endpoint\":\"classify\",\"status\":200,\"bytes\":612,\"generation\":\"weekly:3\",\"wall_us\":321,\"spans\":[{\"id\":0,\"parent\":null,\"name\":\"cache\",\"wall_us\":10,\"detail\":\"miss\"},{\"id\":1,\"parent\":null,\"name\":\"probe\",\"wall_us\":11,\"detail\":\"we\\\"ird\\\\\"}]}],\"slow\":[{\"trace_id\":\"893eb7db0dddbdb4\",\"conn\":3,\"ordinal\":8,\"target\":\"/classify?ip=0.0.0.10&x=\\\"q\\\"\",\"endpoint\":\"classify\",\"status\":200,\"bytes\":612,\"generation\":\"weekly:3\",\"wall_us\":654,\"spans\":[{\"id\":0,\"parent\":null,\"name\":\"cache\",\"wall_us\":10,\"detail\":\"miss\"},{\"id\":1,\"parent\":null,\"name\":\"probe\",\"wall_us\":11,\"detail\":\"we\\\"ird\\\\\"}]},{\"trace_id\":\"953aeb70673e29cb\",\"conn\":3,\"ordinal\":7,\"target\":\"/classify?ip=0.0.0.10&x=\\\"q\\\"\",\"endpoint\":\"classify\",\"status\":200,\"bytes\":612,\"generation\":\"weekly:3\",\"wall_us\":321,\"spans\":[{\"id\":0,\"parent\":null,\"name\":\"cache\",\"wall_us\":10,\"detail\":\"miss\"},{\"id\":1,\"parent\":null,\"name\":\"probe\",\"wall_us\":11,\"detail\":\"we\\\"ird\\\\\"}]}]}\n");
     pins.finish();

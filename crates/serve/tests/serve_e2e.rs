@@ -279,3 +279,127 @@ fn idle_connections_do_not_starve_a_live_one() {
     // returns.
     std::net::TcpListener::bind(addr).expect("the daemon's address is still bound");
 }
+
+/// A trace stream writer the test can read back.
+#[derive(Clone, Default)]
+struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The string value of `"key":"…"` in `json` (no escapes in these).
+fn text<'a>(json: &'a str, key: &str) -> &'a str {
+    let at = json.find(&format!("\"{key}\":\"")).unwrap() + key.len() + 4;
+    &json[at..at + json[at..].find('"').unwrap()]
+}
+
+/// A request's layers as `(name, detail)`, and that none has a parent.
+fn layers(request: &str) -> Vec<(&str, &str)> {
+    let spans = &request[request.find("\"spans\":[").unwrap()..];
+    spans
+        .split("{\"id\":")
+        .skip(1)
+        .map(|s| {
+            assert!(s.contains("\"parent\":null"), "{request}");
+            (text(s, "name"), text(s, "detail"))
+        })
+        .collect()
+}
+
+/// The layers a cache miss on `target` opens over `common::seed_store`.
+fn expected_layers(target: &str) -> Vec<(&'static str, &str)> {
+    let family = &target[1..target.find('?').unwrap_or(target.len())];
+    let mut want = vec![("cache", "miss"), ("parse", family)];
+    match family {
+        "classify" => want.extend([("probe", "banner"), ("probe", "weekly")]),
+        "churn" | "amplifiers" | "coverage" => want.push(("probe", "weekly")),
+        _ => {}
+    }
+    if family != "healthz" {
+        want.push(("serialize", ""));
+    }
+    want
+}
+
+#[test]
+fn concurrent_traced_requests_keep_their_own_span_trees() {
+    const CLIENTS: usize = 8;
+    // Every request stays in the 256-entry debug ring.
+    const REQUESTS: usize = 30;
+    const TARGETS: [&str; 7] = [
+        "/classify?ip=0.0.0.10",
+        "/classify?ip=0.0.0.20",
+        "/churn?asn=1",
+        "/amplifiers?country=US",
+        "/coverage?campaign=weekly",
+        "/campaigns",
+        "/healthz",
+    ];
+    let tel = telemetry::Telemetry::new();
+    let _in = tel.enter();
+    let tmp = TempDir::new("traced");
+    common::seed_store(&tmp.0);
+    let buf = SharedBuf::default();
+    telemetry::attach_trace(Box::new(buf.clone()));
+    let server = RunningServer::start(&ServeOptions {
+        // Small enough that most requests miss and run every layer.
+        cache_cap: 2,
+        ..options(&tmp.0)
+    })
+    .unwrap();
+    let addr = server.addr();
+    std::thread::scope(|s| {
+        for client in 0..CLIENTS {
+            s.spawn(move || {
+                for i in 0..REQUESTS {
+                    let target = TARGETS[(client + i) % TARGETS.len()];
+                    assert_eq!(get(addr, target).0, 200, "{target}");
+                }
+            });
+        }
+    });
+    let (status, debug) = get(addr, "/debug/requests?limit=256");
+    assert_eq!(status, 200);
+    server.stop().unwrap();
+    telemetry::detach_trace().unwrap();
+
+    // Every request line and every ring entry holds exactly the layers
+    // of its own target: a span from another request would add one.
+    let stream = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let lines: Vec<&str> = stream.lines().collect();
+    assert_eq!(
+        lines.len(),
+        CLIENTS * REQUESTS + 1,
+        "one line per request:\n{stream}"
+    );
+    let ring = debug.split("\"requests\":[").nth(1).unwrap();
+    let ring = &ring[..ring.find("],\"slow\":").unwrap()];
+    let entries: Vec<&str> = ring.split("{\"trace_id\":").skip(1).collect();
+    assert_eq!(entries.len(), CLIENTS * REQUESTS);
+    let mut misses = 0;
+    for request in lines.iter().copied().chain(entries) {
+        if request.contains("\"type\":") {
+            assert!(request.contains("\"type\":\"request\""), "{request}");
+        }
+        let target = text(request, "target");
+        if target.starts_with("/debug") {
+            assert_eq!(layers(request), []);
+        } else if layers(request) == [("cache", "hit")] {
+            continue;
+        } else {
+            assert_eq!(layers(request), expected_layers(target), "{request}");
+            misses += 1;
+        }
+    }
+    assert!(
+        misses > CLIENTS * REQUESTS,
+        "{misses} misses: the cache hid the layers"
+    );
+}

@@ -23,6 +23,8 @@ pub(crate) struct Inner {
     pub(crate) trace_on: AtomicBool,
     pub(crate) profiling: AtomicBool,
     pub(crate) recording: AtomicBool,
+    /// A [`Telemetry::scope`]: keeps every span it closes.
+    pub(crate) keeps_spans: bool,
     /// Span ids: from 1, and again from 1 at every [`crate::attach_trace`]
     /// so seeded runs match; a child's from 0, rebased at replay.
     pub(crate) next_id: AtomicU64,
@@ -115,22 +117,25 @@ impl Default for Telemetry {
 impl Telemetry {
     /// A handle with an empty registry and nothing attached.
     pub fn new() -> Telemetry {
-        Telemetry::with(None)
+        Telemetry::with(None, false)
     }
 
     /// A root handle, or a child of `parent` that sees what is attached
     /// to it.
-    fn with(parent: Option<&Telemetry>) -> Telemetry {
+    fn with(parent: Option<&Telemetry>, keeps_spans: bool) -> Telemetry {
         let on = |flag: fn(&Inner) -> &AtomicBool| {
             AtomicBool::new(parent.is_some_and(|p| flag(&p.0).load(Ordering::SeqCst)))
         };
-        let recorder = parent.and_then(|p| p.out().recorder.as_ref().map(Recorder::unbounded_like));
+        let recorder = parent
+            .filter(|p| p.0.recording.load(Ordering::SeqCst))
+            .and_then(|p| p.out().recorder.as_ref().map(Recorder::unbounded_like));
         Telemetry(Arc::new(Inner {
             registry: parent.map_or_else(Arc::default, |p| Arc::clone(&p.0.registry)),
             parent: parent.cloned(),
             trace_on: on(|i| &i.trace_on),
             profiling: on(|i| &i.profiling),
             recording: on(|i| &i.recording),
+            keeps_spans,
             next_id: AtomicU64::new(u64::from(parent.is_none())),
             out: Mutex::new(Out {
                 recorder,
@@ -166,7 +171,31 @@ impl Telemetry {
     /// one's later: it shares this registry and what is attached here,
     /// and keeps its trace lines, spans and records for `replay`.
     pub fn child(&self) -> Telemetry {
-        Telemetry::with(Some(self))
+        Telemetry::with(Some(self), false)
+    }
+
+    /// A child whose spans are its output rather than the stream's: it
+    /// keeps every span it closes, whatever is attached, until
+    /// [`Telemetry::finish`]. A served request is one.
+    pub fn scope(&self) -> Telemetry {
+        Telemetry::with(Some(self), true)
+    }
+
+    /// Ends a [`Telemetry::scope`]: its trace lines go on to the parent,
+    /// and its spans come back in the order they opened (ids from 0,
+    /// parents by id). Panics unless this handle is a child.
+    pub fn finish(self) -> Vec<SpanRecord> {
+        let parent = self.0.parent.as_ref().expect("only a scope finishes");
+        let kept = std::mem::take(&mut self.out().kept);
+        let mut spans = Vec::with_capacity(kept.len());
+        for item in kept {
+            match item {
+                Item::Line(body) => parent.line(body),
+                Item::Span(span) => spans.push(span),
+            }
+        }
+        spans.sort_unstable_by_key(|s| s.id);
+        spans
     }
 
     /// Writes what a child kept into its parent, on a thread where the

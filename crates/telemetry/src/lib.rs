@@ -24,8 +24,12 @@
 //!   simulated milliseconds (passed in explicitly, usually
 //!   `world.now().millis()`) and wall time (measured internally).
 //!   Spans nest per thread and handle; a child records its parent's
-//!   id. On finish a span feeds `span.<name>.{count,sim_ms,wall_us}`
-//!   counters and, if a trace is attached, emits one JSON line.
+//!   id. On finish a span feeds the
+//!   `span.<name>.{count,sim_ms,self_sim_ms,wall_us}` counters (their
+//!   handles fetched once per name) and, if a trace is attached,
+//!   emits one JSON line. Closed, a span is a [`SpanRecord`]: id,
+//!   parent, name, both clocks and attributes — the one record every
+//!   consumer below reads.
 //! - **Events** ([`event`] and the [`debug`]/[`info`]/[`warn`]/
 //!   [`error`] shorthands) are log lines gated by a process-wide
 //!   verbosity ([`set_verbosity`]); they render to stderr and, if a
@@ -41,12 +45,13 @@
 //!   records — and [`Telemetry::replay`] writes it into the parent
 //!   later, so work done on several threads leaves the stream a
 //!   sequential run leaves.
-//! - **Request-scoped observability** ([`reqtrace`], [`rolling`]):
-//!   per-request span trees under deterministic trace ids (pure
-//!   functions of connection/request ordinals), a bounded ring of
-//!   completed traces plus a slow-query log, and rolling per-second
-//!   latency windows with SRE-style multi-window SLO burn rates —
-//!   the serve daemon's observability layer (DESIGN §11).
+//! - **Scopes** ([`Telemetry::scope`]): a child that keeps every span
+//!   it closes and hands the records back from [`Telemetry::finish`]
+//!   instead of replaying them. The serve daemon answers each request
+//!   under one; [`reqtrace`] renders the records as its
+//!   `type: "request"` line, and a [`LayerTree`] sums such trees by
+//!   path. [`rolling`] keeps the daemon's latency windows and SLO burn
+//!   rates (DESIGN §11).
 //!
 //! # Determinism
 //!
@@ -58,6 +63,7 @@
 
 mod handle;
 pub mod json;
+mod layers;
 mod metrics;
 pub mod prometheus;
 pub mod recorder;
@@ -68,15 +74,16 @@ mod snapshot;
 mod trace;
 
 pub use handle::{current, Entered, Telemetry};
+pub use layers::LayerTree;
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::Registry;
-pub use reqtrace::{RequestCtx, RequestRing, RequestTrace, SlowLog};
+pub use reqtrace::RequestTrace;
 pub use rolling::{BurnState, RollingWindow, SloSpec, WindowStats};
 pub use snapshot::{HistogramData, Snapshot};
 pub use trace::{
     attach_trace, detach_trace, enable_profile, enabled, event, heartbeat, profiling_enabled,
     set_verbosity, span, span_quiet, take_profile, trace_enabled, verbosity, Level, Profile, Span,
-    SpanProfile, Value,
+    SpanProfile, SpanRecord, Value,
 };
 
 /// A counter handle from the installed registry.

@@ -4,8 +4,9 @@
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::{HistogramData, Snapshot};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// A set of named metric families. Each [`crate::Telemetry`] handle
 /// owns one; the free functions ([`crate::counter`], …) reach the
@@ -131,6 +132,39 @@ impl Registry {
                 .collect(),
         }
     }
+}
+
+/// One registry's span counters by span name; the `Weak` keeps that
+/// registry's address from being reused.
+type SpanCounters = (Weak<Registry>, Vec<(String, [Counter; 4])>);
+
+thread_local! {
+    /// Those this thread fetched from the registry it last closed into.
+    static SPAN_COUNTERS: RefCell<SpanCounters> = const { RefCell::new((Weak::new(), Vec::new())) };
+}
+
+/// Counts one closed span `name` into `registry`: `values` go to
+/// `span.<name>.{count,sim_ms,self_sim_ms,wall_us}` in that order. The
+/// four names are formatted, and the registry locked, once per thread
+/// and name.
+pub(crate) fn span_closed(registry: &Arc<Registry>, name: &str, values: [u64; 4]) {
+    SPAN_COUNTERS.with(|cache| {
+        let (owner, known) = &mut *cache.borrow_mut();
+        if owner.as_ptr() != Arc::as_ptr(registry) {
+            (*owner, *known) = (Arc::downgrade(registry), Vec::new());
+        }
+        let at = known.iter().position(|(n, _)| n == name);
+        let at = at.unwrap_or_else(|| {
+            let fields = ["count", "sim_ms", "self_sim_ms", "wall_us"];
+            let counters = fields.map(|f| registry.counter(&format!("span.{name}.{f}")));
+            known.push((name.to_string(), counters));
+            known.len() - 1
+        });
+        // Adding 0 (the daemon's sim times) would still contend.
+        for (counter, v) in known[at].1.iter().zip(values).filter(|(_, v)| *v > 0) {
+            counter.add(v);
+        }
+    });
 }
 
 impl Default for Registry {

@@ -4,10 +4,12 @@
 //! every line carries only deterministic fields (sequence number, span
 //! id/parent, names, **sim** times, caller attributes). Wall-clock
 //! durations are measured but surface only as `span.<name>.wall_us`
-//! counters in the metrics snapshot, never in the trace.
+//! counters in the metrics snapshot and in the [`SpanRecord`]s a
+//! [`Telemetry::scope`] hands back, never in the trace.
 
 use crate::handle::{with_current, with_spans, Telemetry};
 use crate::json;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -103,8 +105,6 @@ pub fn trace_enabled() -> bool {
 /// Emits one trace line. `build` writes the line's members from
 /// `type` on; `seq` goes first when the line reaches the stream — now,
 /// or at replay on a child handle ([`Telemetry::child`]).
-/// Crate-visible so [`crate::reqtrace`] can emit request lines into
-/// the same sequenced stream.
 pub(crate) fn emit_line(build: impl FnOnce(&mut json::Object<'_>)) {
     let body = json::to_string(build);
     with_current(|t| t.line(body));
@@ -286,7 +286,7 @@ pub fn heartbeat(name: &str, sim_ms: u64, attrs: &[(&str, Value)]) {
 /// sim-time to parents and to reconstruct the folded call path.
 pub(crate) struct Frame {
     id: u64,
-    name: String,
+    name: Cow<'static, str>,
     child_sim_ms: u64,
 }
 
@@ -302,8 +302,8 @@ pub struct Span {
 }
 
 /// Opens a span at simulated time `sim_start_ms`.
-pub fn span(name: &str, sim_start_ms: u64) -> Span {
-    new_span(name, sim_start_ms, false)
+pub fn span(name: impl Into<Cow<'static, str>>, sim_start_ms: u64) -> Span {
+    new_span(name.into(), sim_start_ms, false)
 }
 
 /// Opens a *quiet* span: it nests, feeds the `span.<name>.*` counters
@@ -311,17 +311,17 @@ pub fn span(name: &str, sim_start_ms: u64) -> Span {
 /// line. Use it in code that may run on worker threads (such as
 /// `classify::par_map`'s), where trace emission order would be
 /// scheduler-dependent and break the trace byte-stability contract.
-pub fn span_quiet(name: &str, sim_start_ms: u64) -> Span {
-    new_span(name, sim_start_ms, true)
+pub fn span_quiet(name: impl Into<Cow<'static, str>>, sim_start_ms: u64) -> Span {
+    new_span(name.into(), sim_start_ms, true)
 }
 
-fn new_span(name: &str, sim_start_ms: u64, quiet: bool) -> Span {
+fn new_span(name: Cow<'static, str>, sim_start_ms: u64, quiet: bool) -> Span {
     let id = with_current(|t| t.reserve_ids(1));
     let parent = with_spans(|s| {
         let parent = s.last().map(|f| f.id);
         s.push(Frame {
             id,
-            name: name.to_string(),
+            name: name.clone(),
             child_sim_ms: 0,
         });
         parent
@@ -329,11 +329,12 @@ fn new_span(name: &str, sim_start_ms: u64, quiet: bool) -> Span {
     let open = SpanRecord {
         id,
         parent,
-        name: name.to_string(),
+        name,
         path: None,
         sim_start: sim_start_ms,
         sim_end: sim_start_ms,
         child_ms: 0,
+        wall_ns: 0,
         attrs: Vec::new(),
         quiet,
     };
@@ -345,15 +346,18 @@ fn new_span(name: &str, sim_start_ms: u64, quiet: bool) -> Span {
 
 impl Span {
     /// Attaches a key/value pair, reported in insertion order.
-    pub fn attr(&mut self, key: &str, value: impl Into<Value>) {
+    pub fn attr(&mut self, key: &'static str, value: impl Into<Value>) {
         if let Some(span) = &mut self.open {
-            span.attrs.push((key.to_string(), value.into()));
+            // Exact: a served request's records, one attribute each,
+            // stay in the debug ring.
+            span.attrs.reserve_exact(1);
+            span.attrs.push((key, value.into()));
         }
     }
 
     /// Closes the span at simulated time `sim_end_ms`: records the
-    /// `span.<name>.{count,sim_ms,wall_us}` counters and emits one
-    /// trace line when a trace is attached.
+    /// `span.<name>.{count,sim_ms,self_sim_ms,wall_us}` counters and
+    /// emits one trace line when a trace is attached.
     pub fn finish(mut self, sim_end_ms: u64) {
         self.close(Some(sim_end_ms));
     }
@@ -382,17 +386,12 @@ impl Span {
                 None => (0, profiling.then(String::new)),
             });
         let self_ms = sim_ms.saturating_sub(span.child_ms);
-        let wall_us = self.wall_start.elapsed().as_micros() as u64;
+        span.wall_ns = self.wall_start.elapsed().as_nanos() as u64;
         with_current(|t| {
-            let reg = t.registry();
-            reg.counter(&format!("span.{}.count", span.name)).inc();
-            reg.counter(&format!("span.{}.sim_ms", span.name))
-                .add(sim_ms);
-            reg.counter(&format!("span.{}.self_sim_ms", span.name))
-                .add(self_ms);
-            reg.counter(&format!("span.{}.wall_us", span.name))
-                .add(wall_us);
-            if span.path.is_some() || (!span.quiet && t.0.trace_on.load(Ordering::Relaxed)) {
+            let values = [1, sim_ms, self_ms, span.wall_ns / 1_000];
+            crate::registry::span_closed(&t.0.registry, &span.name, values);
+            let traced = !span.quiet && t.0.trace_on.load(Ordering::Relaxed);
+            if t.0.keeps_spans || span.path.is_some() || traced {
                 t.close(span);
             }
         });
@@ -401,27 +400,42 @@ impl Span {
 
 /// The frames' names, each followed by `;`.
 fn folded_path(frames: &[Frame]) -> String {
-    frames.iter().flat_map(|f| [f.name.as_str(), ";"]).collect()
+    frames.iter().flat_map(|f| [&*f.name, ";"]).collect()
 }
 
-/// What a span reports: while it is open, and once closed on its way to
-/// the profile and the trace stream — directly, or kept by a child
-/// handle until its replay.
-pub(crate) struct SpanRecord {
-    id: u64,
-    parent: Option<u64>,
-    name: String,
+/// A closed span: on its way to the profile and the trace stream —
+/// directly, or kept by a child handle until its replay — or, in a
+/// [`Telemetry::scope`], what [`Telemetry::finish`] returns.
+#[derive(Clone, Debug)]
+pub struct SpanRecord {
+    /// Id, unique within the handle that numbered it.
+    pub id: u64,
+    /// The id of the span that was open around this one, if any.
+    pub parent: Option<u64>,
+    /// Span name.
+    pub name: Cow<'static, str>,
     /// The ancestors' names, each followed by `;` — `Some` while
     /// profiling.
     path: Option<String>,
     sim_start: u64,
     sim_end: u64,
     child_ms: u64,
-    attrs: Vec<(String, Value)>,
+    /// Wall-clock duration (ns). Never written to the trace stream.
+    pub wall_ns: u64,
+    /// Attributes in insertion order.
+    pub attrs: Vec<(&'static str, Value)>,
     quiet: bool,
 }
 
 impl SpanRecord {
+    /// The string attribute `key`, or `""` without one.
+    pub fn text(&self, key: &str) -> &str {
+        match self.attrs.iter().find(|(k, _)| *k == key) {
+            Some((_, Value::Str(s))) => s,
+            _ => "",
+        }
+    }
+
     /// Replays a kept span into `parent` on this thread: ids move from
     /// the child's numbering to `id_base..`, and a span that was
     /// top-level in the child closes as a child of the innermost span
@@ -452,7 +466,7 @@ impl SpanRecord {
             if let Some(p) = t.out().profile.as_mut() {
                 let self_ms = sim_ms.saturating_sub(self.child_ms);
                 *p.folded.entry(format!("{path}{}", self.name)).or_insert(0) += self_ms;
-                let e = p.per_span.entry(self.name.clone()).or_default();
+                let e = p.per_span.entry(self.name.to_string()).or_default();
                 e.count += 1;
                 e.self_ms += self_ms;
                 e.durations.push(sim_ms);
@@ -463,7 +477,7 @@ impl SpanRecord {
                 o.field("type", "span");
                 o.field("id", self.id);
                 o.field("parent", self.parent);
-                o.field("name", &self.name);
+                o.field("name", &*self.name);
                 o.field("sim_start_ms", self.sim_start);
                 o.field("sim_end_ms", self.sim_end);
                 attrs_json(o, &self.attrs);

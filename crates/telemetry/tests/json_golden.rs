@@ -1,13 +1,14 @@
 //! Byte pins for the telemetry crate's JSON documents: event, heartbeat,
 //! span and request lines of the trace stream (every attribute kind,
 //! non-finite floats as `null`), the `/debug/requests` shape of a
-//! request trace, and the indented metrics snapshot. The literals were
+//! request trace built from a scope's spans, and the indented metrics
+//! snapshot. The literals were
 //! recorded from the hand-written emitters these documents used to come
 //! from; any change to an output byte fails here.
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
-use telemetry::reqtrace::ReqSpan;
+use telemetry::reqtrace::{self, trace_id};
 use telemetry::{Level, Registry, RequestTrace, Value};
 
 #[derive(Clone, Default)]
@@ -40,7 +41,25 @@ impl Pins {
     }
 }
 
+/// A request answered under a scope: `parse` with `probe` inside it,
+/// then `serialize`, each wall time then pinned.
 fn request_trace() -> RequestTrace {
+    let scope = telemetry::Telemetry::new().scope();
+    {
+        let _in = scope.enter();
+        let _request = telemetry::span("request", 0);
+        let mut parse = telemetry::span("parse", 0);
+        parse.attr("detail", "classify");
+        let mut probe = telemetry::span("probe", 0);
+        probe.attr("detail", "back\\slash \"q\"\n");
+        probe.finish(0);
+        parse.finish(0);
+        telemetry::span("serialize", 0).finish(0);
+    }
+    let mut spans = scope.finish();
+    for (span, wall_us) in spans.iter_mut().zip([1234, 3, 40, 0]) {
+        span.wall_ns = wall_us * 1_000;
+    }
     RequestTrace {
         trace_id: 0x0123_4567_89ab_cdef,
         conn: 4,
@@ -50,27 +69,7 @@ fn request_trace() -> RequestTrace {
         status: 503,
         bytes: 88,
         generation: "weekly:3,we\"ird:1".to_string(),
-        wall_us: 1234,
-        spans: vec![
-            ReqSpan {
-                name: "parse",
-                parent: None,
-                wall_us: 3,
-                detail: "classify".to_string(),
-            },
-            ReqSpan {
-                name: "probe",
-                parent: Some(0),
-                wall_us: 40,
-                detail: "back\\slash \"q\"\n".to_string(),
-            },
-            ReqSpan {
-                name: "serialize",
-                parent: None,
-                wall_us: 0,
-                detail: String::new(),
-            },
-        ],
+        spans,
     }
 }
 
@@ -115,7 +114,7 @@ fn trace_stream_lines_are_pinned() {
     let inner = telemetry::span("in\"ner", 150);
     inner.finish(180);
     outer.finish(200);
-    telemetry::reqtrace::emit(&request_trace());
+    reqtrace::emit(&request_trace());
     telemetry::detach_trace().unwrap();
     let stream = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
     let mut pins = Pins::default();
@@ -130,6 +129,36 @@ fn debug_json_is_pinned() {
     let mut pins = Pins::default();
     pins.check("debug_json", &out, "[{\"trace_id\":\"0123456789abcdef\",\"conn\":4,\"ordinal\":17,\"target\":\"/classify?ip=1.2.3.4&q=\\\"x\\\"\\\\\\t\\u0002\",\"endpoint\":\"classify\",\"status\":503,\"bytes\":88,\"generation\":\"weekly:3,we\\\"ird:1\",\"wall_us\":1234,\"spans\":[{\"id\":0,\"parent\":null,\"name\":\"parse\",\"wall_us\":3,\"detail\":\"classify\"},{\"id\":1,\"parent\":0,\"name\":\"probe\",\"wall_us\":40,\"detail\":\"back\\\\slash \\\"q\\\"\\n\"},{\"id\":2,\"parent\":null,\"name\":\"serialize\",\"wall_us\":0,\"detail\":\"\"}]}");
     pins.finish();
+}
+
+#[test]
+fn trace_ids_are_deterministic_and_well_spread() {
+    assert_eq!(trace_id(3, 17), trace_id(3, 17));
+    assert_ne!(trace_id(3, 17), trace_id(3, 18));
+    assert_ne!(trace_id(3, 17), trace_id(4, 17));
+    // (conn, req) and (req, conn) must not collide trivially.
+    assert_ne!(trace_id(1, 2), trace_id(2, 1));
+}
+
+#[test]
+fn debug_json_has_wall_but_emit_line_does_not() {
+    let trace = request_trace();
+    let debug = telemetry::json::to_string(|o| trace.write_json(o, true));
+    assert!(debug.contains("\"wall_us\":1234,"), "{debug}");
+    assert!(debug.starts_with("{\"trace_id\":\""), "{debug}");
+    let tel = telemetry::Telemetry::new();
+    let _in = tel.enter();
+    let buf = SharedBuf::default();
+    reqtrace::emit(&trace); // no trace attached: writes nowhere
+    telemetry::attach_trace(Box::new(buf.clone()));
+    reqtrace::emit(&trace);
+    telemetry::detach_trace().unwrap();
+    let stream = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    assert!(
+        stream.starts_with("{\"seq\":0,\"type\":\"request\""),
+        "{stream}"
+    );
+    assert!(!stream.contains("wall"), "{stream}");
 }
 
 #[test]
