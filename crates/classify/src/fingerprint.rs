@@ -5,8 +5,88 @@
 //! *structure* (token → device class + OS attribution); the table is
 //! data, so extending it is adding rows, not code.
 
-use resolversim::{DeviceClass, DeviceOs};
 use scanner::BannerObservation;
+
+/// Hardware category (Table 4, hardware columns).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum DeviceClass {
+    /// Routers, modems, gateways.
+    Router,
+    /// Embedded OSes / boards (GoAhead, RomPager, Arduino, RPi).
+    Embedded,
+    /// Firewall appliances.
+    Firewall,
+    /// IP cameras.
+    Camera,
+    /// Digital video recorders.
+    Dvr,
+    /// Network-attached storage.
+    Nas,
+    /// ISP DSL multiplexers.
+    Dslam,
+    /// Recognizable but uncategorized (servers, appliances).
+    Other,
+    /// Host exposes no TCP services (73.7% of resolvers) or nothing
+    /// recognizable.
+    Unknown,
+}
+
+impl DeviceClass {
+    /// Table 4 column label.
+    pub fn label(self) -> &'static str {
+        match self {
+            DeviceClass::Router => "Router",
+            DeviceClass::Embedded => "Embedded",
+            DeviceClass::Firewall => "Firewall",
+            DeviceClass::Camera => "Camera",
+            DeviceClass::Dvr => "DVR",
+            DeviceClass::Nas => "NAS",
+            DeviceClass::Dslam => "DSLAM",
+            DeviceClass::Other => "Others",
+            DeviceClass::Unknown => "Unknown",
+        }
+    }
+}
+
+/// Operating system category (Table 4, OS columns).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum DeviceOs {
+    /// Generic Linux.
+    Linux,
+    /// ZyXEL's CPE firmware.
+    ZyNos,
+    /// CentOS servers.
+    CentOs,
+    /// BSD/other Unix.
+    Unix,
+    /// Microsoft Windows.
+    Windows,
+    /// Patton SmartWare CPE firmware.
+    SmartWare,
+    /// MikroTik RouterOS.
+    RouterOs,
+    /// Recognizable but uncategorized.
+    Other,
+    /// No OS evidence.
+    Unknown,
+}
+
+impl DeviceOs {
+    /// Table 4 column label.
+    pub fn label(self) -> &'static str {
+        match self {
+            DeviceOs::Linux => "Linux",
+            DeviceOs::ZyNos => "ZyNOS",
+            DeviceOs::CentOs => "CentOS",
+            DeviceOs::Unix => "Unix",
+            DeviceOs::Windows => "Windows",
+            DeviceOs::SmartWare => "SmartWare",
+            DeviceOs::RouterOs => "RouterOS",
+            DeviceOs::Other => "Others",
+            DeviceOs::Unknown => "Unknown",
+        }
+    }
+}
 
 /// A fingerprint rule: if the corpus contains `token` (case-insensitive),
 /// attribute the class/OS. Earlier rules win.

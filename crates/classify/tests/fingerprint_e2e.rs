@@ -1,8 +1,8 @@
 //! Closed-loop fingerprinting test: the generated world has the paper's
 //! device and software mixes; the scan + classifier must recover them.
 
+use classify::fingerprint::{DeviceClass, DeviceOs};
 use classify::{classify_version, fingerprint_device, SoftwareClass};
-use resolversim::{DeviceClass, DeviceOs};
 use scanner::{banner_scan, chaos_scan, enumerate, ChaosObservation, ProbePolicy};
 use std::collections::HashMap;
 use worldgen::{build_world, WorldConfig};

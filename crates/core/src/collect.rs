@@ -23,13 +23,14 @@
 //! separate worlds side by side — see [`collect_bundle`].
 
 use crate::experiments::{Fig1Report, Fig2Report, Table3Report, Table4Report, UtilReport, WeekRow};
+use crate::truth;
 use classify::snoopclass::{classify_snoop, estimate_full_ttls};
 use classify::{classify_version, fingerprint_device, SoftwareClass};
 use dnswire::Rcode;
 use geodb::{GeoDb, RdnsDb};
 use netsim::{FaultPlan, SimTime};
 use scanner::campaign::churn as churn_campaign;
-use scanner::{churn_from_source, enumerate_with_sink, response_coverage, Coverage, ProbePolicy};
+use scanner::{churn_from_source, enumerate_with_sink, Coverage, ProbePolicy};
 use scanstore::{
     flags, CampaignStore, MemoryStore, Observation, ObservationSink, SnapshotSink, SnapshotSource,
     StoreStats,
@@ -118,25 +119,12 @@ const META_SKIPPED: &str = "skipped_blacklisted";
 fn weekly_scan_week(
     world: &mut World,
     week: u32,
-    blacklist: &scanner::Blacklist,
     sink: &mut dyn SnapshotSink,
 ) -> io::Result<Coverage> {
     let vantage = world.scanner_ip;
     let mut sp = telemetry::span("campaign.week", world.now().millis());
     sp.attr("week", week);
-    // Ground truth for the cross-check: alive NOERROR resolvers
-    // reachable by the scan (not opted out, not behind full border
-    // filters — those are invisible to every outside observer).
-    let truth = world
-        .resolvers
-        .iter()
-        .filter(|m| {
-            world.reachable(m, week, true)
-                && world
-                    .resolver_ip(m)
-                    .is_some_and(|ip| !blacklist.contains(ip))
-        })
-        .count() as u64;
+    let truth = truth::weekly_noerror(world, week);
     let mut enriched = EnrichSink::new(world, sink);
     let result = enumerate_with_sink(world, vantage, 0xF161 + week as u64, &mut enriched);
     let meta = vec![
@@ -500,35 +488,7 @@ pub struct GroundTruth {
     pub in_use_share: f64,
 }
 
-/// Captures the generator's ground truth from resolver metadata.
-pub fn capture_ground_truth(world: &World) -> GroundTruth {
-    use worldgen::world::ResponseClass;
-    let counts = world.alive_counts();
-    let alive_noerror: Vec<&worldgen::ResolverMeta> = world
-        .resolvers
-        .iter()
-        .filter(|m| {
-            m.alive.load(std::sync::atomic::Ordering::Relaxed)
-                && m.response_class == ResponseClass::NoError
-        })
-        .collect();
-    let plan = worldgen::plan::UTILIZATION_PLAN;
-    GroundTruth {
-        noerror: *counts.get(&ResponseClass::NoError).unwrap_or(&0) as f64,
-        refused: *counts.get(&ResponseClass::Refused).unwrap_or(&0) as f64,
-        // The device plan records only *recognizable* devices; hosts
-        // with unrecognizable banners are also TCP-exposed, so ground
-        // truth is the plan constant.
-        tcp_exposed: worldgen::plan::TCP_EXPOSED_FRACTION,
-        genuine_share: alive_noerror.iter().filter(|m| m.chaos_genuine).count() as f64
-            / alive_noerror.len().max(1) as f64,
-        zynos: alive_noerror
-            .iter()
-            .filter(|m| matches!(m.device, Some(worldgen::plan::DeviceClassPlan::RouterZyNos)))
-            .count() as f64,
-        in_use_share: plan.frequent + plan.in_use_slow,
-    }
-}
+pub use crate::truth::capture_ground_truth;
 
 /// Meta key on the fleet snapshot carrying the serialized
 /// [`GroundTruth`].
@@ -1072,12 +1032,8 @@ fn run_lane(
             beat: None,
         });
     }
-    let truth = capture_ground_truth(&world);
+    let ground_truth = truth::capture_ground_truth(&world);
     let vantage = world.scanner_ip;
-    let blacklist = scanner::Blacklist::new(
-        world.blacklist_ranges.clone(),
-        world.blacklist_singles.clone(),
-    );
     let mut own = Lane {
         world,
         data,
@@ -1116,9 +1072,8 @@ fn run_lane(
             mark_ran(&mut ran, task.campaign());
             match task {
                 Task::Week(w) => {
-                    let cov = own.retrying(Weekly, &mut |world, sink| {
-                        weekly_scan_week(world, w, &blacklist, sink)
-                    })?;
+                    let cov =
+                        own.retrying(Weekly, &mut |world, sink| weekly_scan_week(world, w, sink))?;
                     absorb(&mut coverage, Weekly, cov);
                 }
                 Task::Fleet => {
@@ -1133,7 +1088,7 @@ fn run_lane(
                             ),
                             (
                                 META_GROUND_TRUTH.to_string(),
-                                serde_json::to_string(&truth)
+                                serde_json::to_string(&ground_truth)
                                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
                             ),
                         ];
@@ -1163,7 +1118,8 @@ fn run_lane(
                         let (seed, policy) = (CHURN_SEED, &opts.probe);
                         churn_campaign::round(world, vantage, ips, w, seed, policy, &mut enriched)
                     })?;
-                    let cov = response_coverage(&own.world, ips, true, &alive, retries);
+                    let answered = |i: usize| u64::from(alive.contains(&ips[i]));
+                    let cov = truth::coverage(&own.world, ips, 1, true, answered, retries);
                     absorb(&mut coverage, Churn, cov);
                 }
                 Task::Chaos => {
@@ -1181,12 +1137,11 @@ fn run_lane(
                         sink.commit("chaos", world.now().millis(), &[])?;
                         Ok(observations)
                     })?;
-                    let answered: std::collections::HashSet<Ipv4Addr> = observations
-                        .iter()
-                        .filter(|(_, o)| **o != scanner::ChaosObservation::Silent)
-                        .map(|(&ip, _)| ip)
-                        .collect();
-                    let cov = response_coverage(&own.world, ips, false, &answered, retries);
+                    let silent = scanner::ChaosObservation::Silent;
+                    let answered = |i: usize| {
+                        u64::from(observations.get(&ips[i]).is_some_and(|o| *o != silent))
+                    };
+                    let cov = truth::coverage(&own.world, ips, 1, false, answered, retries);
                     absorb(&mut coverage, Chaos, cov);
                 }
                 Task::Banner => {
@@ -1247,14 +1202,11 @@ fn run_lane(
                     })?;
                     // Resolver-granularity coverage: a snooped resolver is
                     // answered when any (round, TLD) sample got a response.
-                    let answered: std::collections::HashSet<Ipv4Addr> = results
-                        .iter()
-                        .filter(|(_, r)| {
-                            r.samples.iter().any(|s| *s != scanner::SnoopSample::Silent)
-                        })
-                        .map(|(&ip, _)| ip)
-                        .collect();
-                    let cov = response_coverage(&own.world, &sample, false, &answered, retries);
+                    let heard = |r: &scanner::SnoopResult| {
+                        r.samples.iter().any(|s| *s != scanner::SnoopSample::Silent)
+                    };
+                    let answered = |i: usize| u64::from(results.get(&sample[i]).is_some_and(heard));
+                    let cov = truth::coverage(&own.world, &sample, 1, false, answered, retries);
                     absorb(&mut coverage, Snoop, cov);
                 }
                 Task::VerifyPrimary | Task::VerifySecondary => {

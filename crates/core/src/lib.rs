@@ -40,6 +40,7 @@ pub mod collect;
 pub mod experiments;
 pub mod pipeline;
 pub mod report;
+pub mod truth;
 
 pub use collect::{
     analysis_from_source, collect_bundle, fig1_from_source, fig2_from_source,

@@ -1,6 +1,7 @@
 //! The Sections 3–4 pipeline: domain scan → prefilter → acquisition →
 //! clustering → labeling → censorship + case studies (Figure 3).
 
+use crate::truth;
 use classify::cases::{
     detect_ad_manipulation, detect_mail_interception, detect_malware_updates, detect_phishing,
     detect_proxies, AdReport, CaseCorpus, CaseRecord, MailReport, MalwareReport, PhishFinding,
@@ -10,13 +11,12 @@ use classify::censorship::{
     detect_double_responses, ComplianceReport, DoubleResponseReport, LandingInventory,
 };
 use classify::labeler::{label_cluster, label_page, Label, LabelInput};
-use classify::{fine_cluster, FilterVerdict, PreFilter, TrustedView};
+use classify::{fine_cluster, FilterVerdict, PreFilter};
 use geodb::Country;
 use htmlsim::diff::tag_delta;
 use htmlsim::distance::{page_distance, FeatureWeights, PreparedPage};
 use htmlsim::{PageFeatures, TagInterner};
-use netsim::SimTime;
-use resolversim::{DomainCategory, Resolution};
+use resolversim::DomainCategory;
 use scanner::{
     acquire_with_policy, scan_domains_streaming_with_policy, Acquired, Coverage, ProbePolicy,
     TupleObs,
@@ -233,31 +233,6 @@ pub struct AnalysisReport {
 /// Social-media domains used by Figure 4 and the GFW analysis.
 const SOCIAL: [&str; 3] = ["facebook.example", "twitter.example", "youtube.example"];
 
-/// Build the trusted view: resolve every domain from our own vantage
-/// (ARIN region), a few times to capture CDN edge rotation.
-fn build_trusted_view(world: &World, domains: &[(String, DomainCategory)]) -> TrustedView {
-    let mut view = TrustedView::default();
-    for (name, _) in domains {
-        let mut ips = BTreeSet::new();
-        let mut exists = false;
-        for salt in 0..3u64 {
-            match world.universe.resolve(name, geodb::Rir::Arin, salt) {
-                Resolution::Ips { ips: got, .. } => {
-                    exists = true;
-                    ips.extend(got);
-                }
-                Resolution::NxDomain => {}
-            }
-        }
-        if exists {
-            view.ips.insert(name.clone(), ips.into_iter().collect());
-        } else {
-            view.nonexistent.insert(name.clone());
-        }
-    }
-    view
-}
-
 /// Run the full analysis pipeline against `world` at its current time,
 /// enumerating its own fleet first (Step 1). Campaign drivers that
 /// already hold an enumerated fleet should call
@@ -302,15 +277,8 @@ pub fn run_analysis_with_fleet(
 
     // ---- Step 3: trusted view + prefilter ----
     let mut sp_prefilter = telemetry::span("pipeline.prefilter", world.now().millis());
-    let trusted = build_trusted_view(world, &catalog_domains);
-    let universe = world.universe.clone();
-    let forward = {
-        let universe = universe.clone();
-        move |name: &str| match universe.resolve(name, geodb::Rir::Arin, 0) {
-            Resolution::Ips { ips, .. } => ips,
-            Resolution::NxDomain => Vec::new(),
-        }
-    };
+    let trusted = truth::trusted_view(world, &catalog_domains);
+    let forward = truth::trusted_forward(world);
     // The prefilter borrows geo/rdns; take the shared pointers out of
     // the world so the world stays mutable for scanning.
     let geo = world.geo.clone();
@@ -492,28 +460,10 @@ pub fn run_analysis_with_fleet(
         .filter_map(|(label, stats)| Some((label.to_string(), stats?)))
         .collect();
     // Tuple-granularity coverage: every (resolver, domain) slot either
-    // answered, or is charged to the scanner (`gave_up`) when a live
-    // NOERROR resolver still sits at the address, or to churn/filtering
-    // (`unreachable`) otherwise.
-    {
-        let week = (world.now().millis() / SimTime::WEEK) as u32;
-        let n_dom = n_dom as u64;
-        let mut cov = Coverage {
-            retries: scan_retries,
-            ..Coverage::default()
-        };
-        for (&ip, &answered) in fleet.iter().zip(&answered_slots) {
-            cov.attempted += n_dom;
-            cov.answered += answered;
-            let resolver = world.resolver_at(ip);
-            if resolver.is_some_and(|m| world.reachable(m, week, true)) {
-                cov.gave_up += n_dom - answered;
-            } else {
-                cov.unreachable += n_dom - answered;
-            }
-        }
-        report.domains_coverage = cov;
-    }
+    // answered, or is charged to the scanner or to churn/filtering.
+    let answered = |i: usize| answered_slots[i];
+    report.domains_coverage =
+        truth::coverage(world, &fleet, n_dom as u64, true, answered, scan_retries);
     telemetry::counter("pipeline.tuples_unexpected").add(unexpected.len() as u64);
     sp_prefilter.attr("domains", domain_names.len());
     sp_prefilter.attr("unexpected_tuples", unexpected.len());
@@ -582,7 +532,7 @@ pub fn run_analysis_with_fleet(
     let mut gt_bodies: BTreeMap<String, String> = BTreeMap::new();
     let mut gt_mail_banners: BTreeSet<String> = BTreeSet::new();
     for (name, cat) in &catalog_domains {
-        if let Some(got) = scanner::acquire_trusted(world, vantage, name) {
+        if let Some(got) = truth::acquire_trusted(world, vantage, name) {
             if let Some(http) = &got.http {
                 gt_bodies.insert(name.clone(), http.body.clone());
             }

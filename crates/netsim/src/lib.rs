@@ -31,6 +31,7 @@ pub mod host;
 pub mod network;
 pub mod packet;
 pub mod time;
+pub mod vantage;
 
 pub use churn::{ChurnConfig, LeasePool};
 pub use faults::{
@@ -46,3 +47,4 @@ pub use network::{
 };
 pub use packet::Datagram;
 pub use time::SimTime;
+pub use vantage::{ScanPlan, Vantage};

@@ -4,90 +4,11 @@
 //! The paper fingerprints devices by connecting to FTP, HTTP, HTTPS,
 //! SSH, and Telnet and matching >2,245 hand-written regexes against the
 //! banners. Here every device class emits characteristic banner strings;
-//! the scanner side (`classify::fingerprint`) carries the matching rules.
+//! the scanner side (`classify::fingerprint`) carries the matching rules
+//! and the Table 4 categories, which the planted devices are named in.
 
+pub use classify::fingerprint::{DeviceClass, DeviceOs};
 use netsim::{HttpResponse, TcpRequest, TcpResponse};
-
-/// Hardware category (Table 4, hardware columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum DeviceClass {
-    /// Routers, modems, gateways.
-    Router,
-    /// Embedded OSes / boards (GoAhead, RomPager, Arduino, RPi).
-    Embedded,
-    /// Firewall appliances.
-    Firewall,
-    /// IP cameras.
-    Camera,
-    /// Digital video recorders.
-    Dvr,
-    /// Network-attached storage.
-    Nas,
-    /// ISP DSL multiplexers.
-    Dslam,
-    /// Recognizable but uncategorized (servers, appliances).
-    Other,
-    /// Host exposes no TCP services (73.7% of resolvers) or nothing
-    /// recognizable.
-    Unknown,
-}
-
-impl DeviceClass {
-    /// Table 4 column label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DeviceClass::Router => "Router",
-            DeviceClass::Embedded => "Embedded",
-            DeviceClass::Firewall => "Firewall",
-            DeviceClass::Camera => "Camera",
-            DeviceClass::Dvr => "DVR",
-            DeviceClass::Nas => "NAS",
-            DeviceClass::Dslam => "DSLAM",
-            DeviceClass::Other => "Others",
-            DeviceClass::Unknown => "Unknown",
-        }
-    }
-}
-
-/// Operating system category (Table 4, OS columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum DeviceOs {
-    /// Generic Linux.
-    Linux,
-    /// ZyXEL's CPE firmware.
-    ZyNos,
-    /// CentOS servers.
-    CentOs,
-    /// BSD/other Unix.
-    Unix,
-    /// Microsoft Windows.
-    Windows,
-    /// Patton SmartWare CPE firmware.
-    SmartWare,
-    /// MikroTik RouterOS.
-    RouterOs,
-    /// Recognizable but uncategorized.
-    Other,
-    /// No OS evidence.
-    Unknown,
-}
-
-impl DeviceOs {
-    /// Table 4 column label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DeviceOs::Linux => "Linux",
-            DeviceOs::ZyNos => "ZyNOS",
-            DeviceOs::CentOs => "CentOS",
-            DeviceOs::Unix => "Unix",
-            DeviceOs::Windows => "Windows",
-            DeviceOs::SmartWare => "SmartWare",
-            DeviceOs::RouterOs => "RouterOS",
-            DeviceOs::Other => "Others",
-            DeviceOs::Unknown => "Unknown",
-        }
-    }
-}
 
 /// A device's externally observable TCP surface.
 #[derive(Debug, Clone, PartialEq, Eq)]

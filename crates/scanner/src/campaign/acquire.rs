@@ -8,9 +8,8 @@
 
 use crate::probe::{tcp_query_with_retry, ProbePolicy};
 use dnswire::{MessageBuilder, MessageView, Name, Rcode, RecordType};
-use netsim::{Datagram, HttpRequest, MailProto, SimTime, TcpRequest, TlsCertificate};
+use netsim::{Datagram, HttpRequest, MailProto, SimTime, TcpRequest, TlsCertificate, Vantage};
 use std::net::Ipv4Addr;
-use worldgen::World;
 
 /// Maximum redirect/frame hops followed (Sec. 3.5: "two times at most").
 pub const MAX_REDIRECTS: u8 = 2;
@@ -56,23 +55,24 @@ impl Acquired {
 /// Resolve `domain` by querying the resolver at `resolver_ip` directly —
 /// used when redirects introduce new domains (Sec. 3.5).
 pub fn resolve_at(
-    world: &mut World,
+    world: &mut impl Vantage,
     vantage: Ipv4Addr,
     resolver_ip: Ipv4Addr,
     domain: &str,
 ) -> Option<(Rcode, Vec<Ipv4Addr>)> {
     let name = Name::parse(domain).ok()?;
     let txid = (u32::from(resolver_ip) as u16) ^ (domain.len() as u16) ^ 0x7A7A;
-    let sock = world.net.open_socket(vantage, 39_990);
+    let net = world.net();
+    let sock = net.open_socket(vantage, 39_990);
     let q = MessageBuilder::query(txid, name, RecordType::A).build();
-    world.net.send(
+    net.send(
         Datagram::new(vantage, 39_990, resolver_ip, 53, q.encode()),
         None,
     );
-    let deadline = SimTime(world.net.now().millis() + 3_000);
-    world.net.run_until(deadline);
-    let replies = world.net.recv_all(sock).expect("socket just opened");
-    world.net.close_socket(sock).expect("socket just opened");
+    let deadline = SimTime(net.now().millis() + 3_000);
+    net.run_until(deadline);
+    let replies = net.recv_all(sock).expect("socket just opened");
+    net.close_socket(sock).expect("socket just opened");
     for (_, d) in replies {
         match MessageView::parse(&d.payload) {
             Ok(msg) if msg.is_response() && msg.id() == txid => {
@@ -107,7 +107,7 @@ fn parse_url(url: &str) -> Option<(bool, String, String)> {
 /// One HTTP(S) fetch chain with redirect following.
 #[allow(clippy::too_many_arguments)]
 fn fetch_chain(
-    world: &mut World,
+    world: &mut impl Vantage,
     vantage: Ipv4Addr,
     resolver_ip: Ipv4Addr,
     mut host: String,
@@ -118,7 +118,7 @@ fn fetch_chain(
 ) -> Option<FetchedPage> {
     let mut path = "/".to_string();
     let mut redirects = 0u8;
-    loop {
+    let http = loop {
         let req = HttpRequest {
             host: host.clone(),
             path: path.clone(),
@@ -130,77 +130,56 @@ fn fetch_chain(
         // shared probe engine (backed-off, time-advancing attempts —
         // a same-instant TCP retry would deterministically repeat the
         // first outcome).
-        let (res, _retries) = tcp_query_with_retry(
-            &mut world.net,
-            policy,
-            "acquire",
-            ip,
-            port,
-            &TcpRequest::Http(req.clone()),
-        );
+        let req = TcpRequest::Http(req);
+        let (res, _retries) = tcp_query_with_retry(world.net(), policy, "acquire", ip, port, &req);
         let resp = res.ok()?;
         let http = resp.as_http()?.clone();
-        if let (true, Some(location)) = (http.status / 100 == 3, http.location.as_ref()) {
-            if redirects >= MAX_REDIRECTS {
-                return Some(FetchedPage {
-                    status: http.status,
-                    body: http.body,
-                    certificate: http.certificate,
-                    redirects,
-                    final_host: host,
-                    final_ip: ip,
-                });
-            }
-            redirects += 1;
-            if let Some((next_tls, next_host, next_path)) = parse_url(location) {
-                if next_host != host {
-                    // New domain: resolve it at the same resolver.
-                    let (rcode, ips) = resolve_at(world, vantage, resolver_ip, &next_host)?;
-                    if rcode != Rcode::NoError || ips.is_empty() {
-                        return None;
-                    }
-                    ip = ips[0];
-                    host = next_host;
-                }
-                path = next_path;
-                if next_tls != tls {
-                    // Scheme switches are treated as chain end: the
-                    // variant fetches are per-scheme.
-                    return Some(FetchedPage {
-                        status: http.status,
-                        body: http.body,
-                        certificate: http.certificate,
-                        redirects,
-                        final_host: host,
-                        final_ip: ip,
-                    });
-                }
-                continue;
-            }
+        let redirect = http.location.as_ref().filter(|_| http.status / 100 == 3);
+        let Some(location) = redirect.filter(|_| redirects < MAX_REDIRECTS) else {
+            break http;
+        };
+        redirects += 1;
+        let Some((next_tls, next_host, next_path)) = parse_url(location) else {
             // Relative redirect: same host.
             path = location.clone();
             continue;
+        };
+        if next_host != host {
+            // New domain: resolve it at the same resolver.
+            let (rcode, ips) = resolve_at(world, vantage, resolver_ip, &next_host)?;
+            if rcode != Rcode::NoError || ips.is_empty() {
+                return None;
+            }
+            ip = ips[0];
+            host = next_host;
         }
-        return Some(FetchedPage {
-            status: http.status,
-            body: http.body,
-            certificate: http.certificate,
-            redirects,
-            final_host: host,
-            final_ip: ip,
-        });
-    }
+        path = next_path;
+        if next_tls != tls {
+            // Scheme switches are treated as chain end: the variant
+            // fetches are per-scheme.
+            break http;
+        }
+    };
+    Some(FetchedPage {
+        status: http.status,
+        body: http.body,
+        certificate: http.certificate,
+        redirects,
+        final_host: host,
+        final_ip: ip,
+    })
 }
 
 /// Acquire content for one `(domain ∘ ip ∘ resolver)` tuple.
 pub fn acquire(
-    world: &mut World,
+    world: &mut impl Vantage,
     vantage: Ipv4Addr,
     resolver_ip: Ipv4Addr,
     domain: &str,
     ip: Ipv4Addr,
     is_mail_host: bool,
 ) -> Acquired {
+    let policy = ProbePolicy::single();
     acquire_with_policy(
         world,
         vantage,
@@ -208,7 +187,7 @@ pub fn acquire(
         domain,
         ip,
         is_mail_host,
-        &ProbePolicy::single(),
+        &policy,
     )
 }
 
@@ -216,7 +195,7 @@ pub fn acquire(
 /// A single-attempt policy is byte-identical to [`acquire`].
 #[allow(clippy::too_many_arguments)]
 pub fn acquire_with_policy(
-    world: &mut World,
+    world: &mut impl Vantage,
     vantage: Ipv4Addr,
     resolver_ip: Ipv4Addr,
     domain: &str,
@@ -224,43 +203,22 @@ pub fn acquire_with_policy(
     is_mail_host: bool,
     policy: &ProbePolicy,
 ) -> Acquired {
+    // Plain HTTP, then HTTPS with SNI and without (default certificate).
+    let [http, https_sni, https_nosni] =
+        [(false, false), (true, true), (true, false)].map(|(tls, sni)| {
+            let host = domain.to_string();
+            fetch_chain(world, vantage, resolver_ip, host, ip, tls, sni, policy)
+        });
     let mut out = Acquired {
-        http: fetch_chain(
-            world,
-            vantage,
-            resolver_ip,
-            domain.to_string(),
-            ip,
-            false,
-            false,
-            policy,
-        ),
-        https_sni: fetch_chain(
-            world,
-            vantage,
-            resolver_ip,
-            domain.to_string(),
-            ip,
-            true,
-            true,
-            policy,
-        ),
-        https_nosni: fetch_chain(
-            world,
-            vantage,
-            resolver_ip,
-            domain.to_string(),
-            ip,
-            true,
-            false,
-            policy,
-        ),
+        http,
+        https_sni,
+        https_nosni,
         mail_banners: Vec::new(),
     };
     if is_mail_host {
         for proto in [MailProto::Smtp, MailProto::Imap, MailProto::Pop3] {
             if let Ok(resp) = world
-                .net
+                .net()
                 .tcp_query(ip, proto.port(), &TcpRequest::MailProbe(proto))
             {
                 if let Some(b) = resp.as_banner() {
@@ -275,24 +233,4 @@ pub fn acquire_with_policy(
         }
     }
     out
-}
-
-/// Acquire the ground-truth representation of `domain` via a *trusted*
-/// resolution (our own recursive resolution through the universe).
-pub fn acquire_trusted(world: &mut World, vantage: Ipv4Addr, domain: &str) -> Option<Acquired> {
-    use resolversim::Resolution;
-    let region = geodb::Rir::Arin; // the measurement host's region
-    let res = world.universe.resolve(domain, region, 0);
-    let Resolution::Ips { ips, .. } = res else {
-        return None;
-    };
-    let ip = *ips.first()?;
-    let is_mail = world
-        .universe
-        .record(domain)
-        .map(|r| r.is_mail_host)
-        .unwrap_or(false);
-    // Trusted acquisition does not depend on any open resolver; pass the
-    // authoritative answer's own address for redirect re-resolution.
-    Some(acquire(world, vantage, ip, domain, ip, is_mail))
 }

@@ -5,10 +5,9 @@
 //! 26.3% of resolvers answered on at least one port.
 
 use crate::probe::{tcp_query_with_retry, Coverage, ProbePolicy};
-use netsim::{HttpRequest, TcpError, TcpRequest};
+use netsim::{HttpRequest, TcpError, TcpRequest, Vantage};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use worldgen::World;
 
 /// Ports probed, mirroring the paper's protocol list.
 pub const PROBE_PORTS: [u16; 4] = [21, 22, 23, 80];
@@ -48,12 +47,12 @@ impl BannerObservation {
 /// actively refused), gave up (some port timed out, none answered) or
 /// unreachable (every probe was administratively unreachable).
 pub fn banner_scan(
-    world: &mut World,
+    world: &mut impl Vantage,
     resolvers: &[Ipv4Addr],
     policy: &ProbePolicy,
 ) -> (HashMap<Ipv4Addr, BannerObservation>, Coverage) {
     let mut out = HashMap::with_capacity(resolvers.len());
-    let mut cov = Coverage::default();
+    let (net, mut cov) = (world.net(), Coverage::default());
     let (mut refused, mut unreachable, mut timeout) = (0u64, 0u64, 0u64);
     for &ip in resolvers {
         let mut obs = BannerObservation::default();
@@ -71,14 +70,8 @@ pub fn banner_scan(
             }
         };
         for port in PROBE_PORTS {
-            let (res, r) = tcp_query_with_retry(
-                &mut world.net,
-                policy,
-                "banner",
-                ip,
-                port,
-                &TcpRequest::BannerProbe,
-            );
+            let (res, r) =
+                tcp_query_with_retry(net, policy, "banner", ip, port, &TcpRequest::BannerProbe);
             cov.retries += r;
             tally(&res);
             if let Ok(resp) = res {
@@ -88,14 +81,8 @@ pub fn banner_scan(
             }
         }
         // HTTP body often carries the device identity (login pages).
-        let (res, r) = tcp_query_with_retry(
-            &mut world.net,
-            policy,
-            "banner",
-            ip,
-            80,
-            &TcpRequest::Http(HttpRequest::http(&ip.to_string())),
-        );
+        let front = TcpRequest::Http(HttpRequest::http(&ip.to_string()));
+        let (res, r) = tcp_query_with_retry(net, policy, "banner", ip, 80, &front);
         cov.retries += r;
         tally(&res);
         if let Ok(resp) = res {

@@ -30,7 +30,7 @@ struct ChaosAnswer {
 }
 
 /// Query `version.bind` and `version.server` at every resolver over any
-/// [`Transport`] — a [`World`](worldgen::World), or real sockets —
+/// [`Transport`] — a simulated [`Vantage`](netsim::Vantage), or real sockets —
 /// under `policy` (query slots still unanswered after the native sweep
 /// are retransmitted in backed-off rounds), writing each responding
 /// resolver into `sink`, in `resolvers` order: the CHAOS outcome in the

@@ -17,13 +17,12 @@ use crate::encode::{target_from_qname, EnumProbeTemplate};
 use crate::probe::ProbePolicy;
 use crate::simio::ProbeBatch;
 use dnswire::{MessageView, Rcode};
-use netsim::Datagram;
+use netsim::{Datagram, Vantage};
 use scanstore::{Observation, SnapshotSink, SnapshotSource};
 use serde::Serialize;
 use std::collections::HashSet;
 use std::io;
 use std::net::Ipv4Addr;
-use worldgen::World;
 
 /// The churn experiment's outputs.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -56,17 +55,16 @@ impl ChurnResult {
 /// the number of retransmissions sent: under a retrying [`ProbePolicy`]
 /// addresses that have not answered NOERROR are re-probed in backed-off
 /// rounds.
-pub fn probe_alive_with_policy(
-    world: &mut World,
+pub fn probe_alive_with_policy<V: Vantage>(
+    world: &mut V,
     vantage: Ipv4Addr,
     cohort: &[Ipv4Addr],
     seed: u64,
     policy: &ProbePolicy,
 ) -> (HashSet<Ipv4Addr>, u64) {
-    let zone = world.catalog.scan_zone.clone();
     let liveness = Liveness {
         cohort,
-        tmpl: EnumProbeTemplate::new(&zone, seed),
+        tmpl: EnumProbeTemplate::new(world.plan().zone, seed),
         alive: HashSet::new(),
         responded: HashSet::new(),
     };
@@ -133,18 +131,15 @@ const META_LEAVERS_DYN: &str = "day1_leavers_dynamic_rdns";
 /// *not* survive to day one, how many carry rDNS records and how many
 /// of those are dynamic-pool tokens (the paper's DHCP-churn evidence).
 fn day1_leaver_meta(
-    world: &World,
+    world: &impl Vantage,
     cohort: &[Ipv4Addr],
     alive_day1: &HashSet<Ipv4Addr>,
 ) -> Vec<(String, String)> {
-    let mut with_rdns = 0u64;
-    let mut dynamic = 0u64;
-    for &ip in cohort {
-        if !alive_day1.contains(&ip) && world.rdns.lookup(ip).is_some() {
+    let (mut with_rdns, mut dynamic) = (0u64, 0u64);
+    for &ip in cohort.iter().filter(|ip| !alive_day1.contains(ip)) {
+        if let Some(is_dynamic) = world.rdns_dynamic(ip) {
             with_rdns += 1;
-            if world.rdns.is_dynamic(ip) {
-                dynamic += 1;
-            }
+            dynamic += u64::from(is_dynamic);
         }
     }
     vec![
@@ -155,7 +150,7 @@ fn day1_leaver_meta(
 
 /// Commits the sorted `ips` (all answering NOERROR) as one snapshot.
 pub fn commit_round(
-    world: &World,
+    world: &impl Vantage,
     sink: &mut dyn SnapshotSink,
     ips: impl Iterator<Item = Ipv4Addr>,
     label: &str,
@@ -179,8 +174,8 @@ pub fn commit_round(
 /// snapshot, `w + 1` after the cohort's (`day1` carries the day-one
 /// leavers' rDNS meta, `week-{w}` none). Returns the alive set and the
 /// retransmissions sent.
-pub fn round(
-    world: &mut World,
+pub fn round<V: Vantage>(
+    world: &mut V,
     vantage: Ipv4Addr,
     cohort: &[Ipv4Addr],
     w: u32,

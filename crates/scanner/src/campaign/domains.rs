@@ -7,9 +7,8 @@ use crate::probe::ProbePolicy;
 use crate::simio::ProbeBatch;
 use crate::transport::Transport;
 use dnswire::{MessageView, NameView, Rcode, RecordType};
-use netsim::Datagram;
+use netsim::{Datagram, Vantage};
 use std::net::Ipv4Addr;
-use worldgen::World;
 
 /// One correlated DNS response from the domain scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,7 +34,7 @@ pub struct TupleObs {
 }
 
 /// Stream the domain scan's correlated responses into `sink`, over any
-/// [`Transport`]: a [`World`], or real sockets.
+/// [`Transport`]: a simulated [`Vantage`], or real sockets.
 ///
 /// Queries go out domain-by-domain (the paper scans one category at a
 /// time to bound per-AuthNS load); each probe encodes the resolver index
@@ -82,7 +81,7 @@ pub fn scan_domains_streaming_with_policy<T: Transport>(
 
 /// Convenience: collect all tuples into a vector (tests, small scans).
 pub fn scan_domains(
-    world: &mut World,
+    world: &mut impl Vantage,
     vantage: Ipv4Addr,
     resolvers: &[Ipv4Addr],
     domains: &[String],

@@ -7,12 +7,11 @@ use crate::encode::{target_from_qname, EnumProbeTemplate};
 use crate::lfsr::IpPermutation;
 use crate::probe::ProbePolicy;
 use dnswire::{MessageView, Rcode};
-use netsim::Datagram;
+use netsim::{Datagram, Vantage};
 use scanstore::{flags, Observation, ObservationSink};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use worldgen::World;
 
 /// What one target IP answered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,30 +70,28 @@ impl EnumerationResult {
     }
 }
 
-/// Scan every address in `world`'s allocated space from `vantage`,
+/// Scan every address of `world`'s scan plan from `vantage`,
 /// LFSR-permuted, in rate-limited batches.
-pub fn enumerate(world: &mut World, vantage: Ipv4Addr, seed: u64) -> EnumerationResult {
+pub fn enumerate<V: Vantage>(world: &mut V, vantage: Ipv4Addr, seed: u64) -> EnumerationResult {
     enumerate_with_sink(world, vantage, seed, &mut scanstore::NullSink)
 }
 
 /// Like [`enumerate`], but streams each first-response observation into
 /// `sink` as it is collected, so a snapshot store sees the scan as it
 /// happens instead of after the fact.
-pub fn enumerate_with_sink(
-    world: &mut World,
+pub fn enumerate_with_sink<V: Vantage>(
+    world: &mut V,
     vantage: Ipv4Addr,
     seed: u64,
     sink: &mut dyn ObservationSink,
 ) -> EnumerationResult {
-    let zone = world.catalog.scan_zone.clone();
-    let ranges = world.scannable_ranges().to_vec();
+    let plan = world.plan();
+    let ranges = plan.ranges.to_vec();
     // Honor opt-out requests: blacklisted addresses are never probed
     // and therefore never appear in any result (Sec. 2.2).
-    let blacklist = crate::Blacklist::new(
-        world.blacklist_ranges.clone(),
-        world.blacklist_singles.clone(),
-    );
-    let tmpl = EnumProbeTemplate::new(&zone, seed);
+    let (bl_ranges, bl_singles) = plan.blacklist;
+    let blacklist = crate::Blacklist::new(bl_ranges.to_vec(), bl_singles.to_vec());
+    let tmpl = EnumProbeTemplate::new(plan.zone, seed);
     let sweeper = Sweeper {
         result: EnumerationResult::default(),
         sink,

@@ -5,12 +5,11 @@ use super::sweep::{self, Answer, Grid, Sweep};
 use crate::encode::QueryTemplate;
 use crate::probe::ProbePolicy;
 use dnswire::{MessageBuilder, MessageView, Name, RecordType};
-use netsim::SimTime;
+use netsim::{SimTime, Vantage};
 use scanstore::{Observation, SnapshotSink, SnapshotSource};
 use std::collections::HashMap;
 use std::io;
 use std::net::Ipv4Addr;
-use worldgen::World;
 
 /// One observation of one TLD's cache state at one resolver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +108,8 @@ pub fn decode_snoop_sample(value: u64) -> SnoopSample {
 /// interactions of the earlier ones — so its snapshots are committed
 /// as one group, one checkpoint. Returns the series and the number of
 /// retransmissions sent.
-pub fn snoop_scan(
-    world: &mut World,
+pub fn snoop_scan<V: Vantage>(
+    world: &mut V,
     vantage: Ipv4Addr,
     resolvers: &[Ipv4Addr],
     rounds: usize,
@@ -122,12 +121,12 @@ pub fn snoop_scan(
     sp.attr("sample", resolvers.len());
     sp.attr("rounds", rounds);
     // One pre-encoded RD=0 NS query per TLD; probes differ in TXID only.
-    let queries: Vec<QueryTemplate> = world
-        .universe
-        .tlds()
+    let tlds = world.plan().tlds;
+    let full_ttls: Vec<String> = tlds.iter().map(|(_, ttl)| ttl.to_string()).collect();
+    let queries: Vec<QueryTemplate> = tlds
         .iter()
-        .map(|t| {
-            let tld = Name::parse(&t.name).expect("TLD names parse");
+        .map(|(name, _)| {
+            let tld = Name::parse(name).expect("TLD names parse");
             let query = MessageBuilder::query(0, tld, RecordType::Ns).recursion_desired(false);
             QueryTemplate::new(&query.build())
         })
@@ -158,8 +157,6 @@ pub fn snoop_scan(
     let results: HashMap<Ipv4Addr, SnoopResult> = resolvers.iter().copied().zip(results).collect();
     sp.attr("retries", retries);
     let now_ms = world.now().millis();
-    let tlds = world.universe.tlds();
-    let full_ttls: Vec<String> = tlds.iter().map(|t| t.ttl.to_string()).collect();
     let meta = vec![
         (SNOOP_META_ROUNDS.to_string(), rounds.to_string()),
         (SNOOP_META_TLDS.to_string(), tld_count.to_string()),

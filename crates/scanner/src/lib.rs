@@ -7,9 +7,9 @@
 //! * [`encode`] — hex-IP scan names and the 25-bit resolver-identifier
 //!   encoding (16-bit TXID + 9-bit source port + 0x20 redundancy,
 //!   Sec. 3.3).
-//! * [`simio`] — the scanner's socket block over a simulated [`World`].
-//! * [`transport`] — what a sweep's datagrams travel over: the
-//!   simulated world, or real UDP sockets in wall time. The CHAOS scan
+//! * [`simio`] — the scanner's socket block on a simulated [`Vantage`].
+//! * [`transport`] — what a sweep's datagrams travel over: a
+//!   simulated [`Vantage`], or real UDP sockets in wall time. The CHAOS scan
 //!   and the domain scan take either; tests and the `loopback_scan`
 //!   example run them against `resolversim::loopback` fleets.
 //! * [`probe`] — the retransmission policy and coverage accounting.
@@ -24,7 +24,11 @@
 //!   campaign streams into a `scanstore` sink, and the `*_from_source`
 //!   readers derive results back out of what was committed.
 //!
-//! [`World`]: worldgen::World
+//! The campaigns see a simulated world only as a [`Vantage`], and this
+//! crate depends on neither `worldgen` nor `resolversim`: nothing here
+//! can read what a world planted.
+//!
+//! [`Vantage`]: netsim::Vantage
 
 pub mod blacklist;
 pub mod campaign;
@@ -35,9 +39,7 @@ pub mod simio;
 pub mod transport;
 
 pub use blacklist::Blacklist;
-pub use campaign::acquire::{
-    acquire, acquire_trusted, acquire_with_policy, resolve_at, Acquired, FetchedPage,
-};
+pub use campaign::acquire::{acquire, acquire_with_policy, resolve_at, Acquired, FetchedPage};
 pub use campaign::banner::{banner_scan, BannerObservation};
 pub use campaign::chaos::{chaos_scan, ChaosObservation};
 pub use campaign::churn::{churn_from_source, probe_alive_with_policy, ChurnResult};
@@ -49,5 +51,5 @@ pub use campaign::snoop::{
 };
 pub use encode::{decode_probe, encode_probe, enumeration_query, target_from_qname};
 pub use lfsr::{IpPermutation, Lfsr};
-pub use probe::{response_coverage, tcp_query_with_retry, Coverage, ProbePolicy};
+pub use probe::{tcp_query_with_retry, Coverage, ProbePolicy};
 pub use transport::{Transport, Udp};

@@ -18,11 +18,9 @@
 //! retransmission round runs — `crates/scanner/tests/sweep_golden.rs`
 //! pins every campaign's single-attempt traffic.
 
-use netsim::{SimTime, TcpError, TcpRequest, TcpResponse};
+use netsim::{TcpError, TcpRequest, TcpResponse};
 use serde::Serialize;
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
-use worldgen::World;
 
 /// Retransmission policy for one campaign: how many attempts each
 /// target gets. Every retrying campaign, UDP and TCP alike, waits on the
@@ -142,38 +140,6 @@ impl Coverage {
         self.retries += other.retries;
         self.space |= other.space;
     }
-}
-
-/// Response coverage of `targets` given the set that `answered`:
-/// unanswered targets count as `unreachable` when no live resolver sits
-/// behind the address right now (or its AS is border-filtered), and as
-/// `gave_up` when a responder was there and we still got nothing.
-pub fn response_coverage(
-    world: &World,
-    targets: &[Ipv4Addr],
-    require_noerror: bool,
-    answered: &HashSet<Ipv4Addr>,
-    retries: u64,
-) -> Coverage {
-    let week = (world.now().millis() / SimTime::WEEK) as u32;
-    let mut cov = Coverage {
-        attempted: targets.len() as u64,
-        retries,
-        ..Coverage::default()
-    };
-    for &ip in targets {
-        if answered.contains(&ip) {
-            cov.answered += 1;
-            continue;
-        }
-        let resolver = world.resolver_at(ip);
-        if resolver.is_some_and(|m| world.reachable(m, week, require_noerror)) {
-            cov.gave_up += 1;
-        } else {
-            cov.unreachable += 1;
-        }
-    }
-    cov
 }
 
 /// Issue a TCP request with the policy's bounded retransmission:

@@ -1,4 +1,4 @@
-//! The scanner's socket block over the simulated network.
+//! The scanner's socket block on a simulated [`Vantage`]'s network.
 //!
 //! Sweeps send through a [`ProbeBatch`]: payloads are written back to
 //! back into one buffer the batch keeps between sends, and each send
@@ -7,10 +7,9 @@
 //! copy), none per probe.
 
 use bytes::Bytes;
-use netsim::{Datagram, RunReport, SimTime, SocketHandle};
+use netsim::{Datagram, RunReport, SimTime, SocketHandle, Vantage};
 use std::net::Ipv4Addr;
 use std::ops::Range;
-use worldgen::World;
 
 /// Base port of the scanner's 512-port block (9 encoded bits).
 pub const BASE_PORT: u16 = 40_000;
@@ -80,17 +79,17 @@ pub struct SimScanner {
 
 impl SimScanner {
     /// Open the port block on `vantage`.
-    pub fn open(world: &mut World, vantage: Ipv4Addr) -> Self {
+    pub fn open(world: &mut impl Vantage, vantage: Ipv4Addr) -> Self {
         let sockets = (0..crate::encode::PORT_SPAN)
-            .map(|off| world.net.open_socket(vantage, BASE_PORT + off))
+            .map(|off| world.net().open_socket(vantage, BASE_PORT + off))
             .collect();
         SimScanner { vantage, sockets }
     }
 
     /// Send a DNS payload to `dst:53` from port-block offset `offset`.
-    pub fn send(&self, world: &mut World, offset: u16, dst: Ipv4Addr, payload: Vec<u8>) {
+    pub fn send(&self, world: &mut impl Vantage, offset: u16, dst: Ipv4Addr, payload: Vec<u8>) {
         debug_assert!(offset < crate::encode::PORT_SPAN);
-        world.net.send(
+        world.net().send(
             Datagram::new(self.vantage, BASE_PORT + offset, dst, 53, payload),
             None,
         );
@@ -99,15 +98,15 @@ impl SimScanner {
     /// Send a whole probe batch to port 53, leaving `batch` empty for
     /// reuse. Identical to calling [`SimScanner::send`] per target,
     /// except that the payloads share one allocation.
-    pub fn send_probes(&self, world: &mut World, batch: &mut ProbeBatch) {
+    pub fn send_probes(&self, world: &mut impl Vantage, batch: &mut ProbeBatch) {
         if batch.is_empty() {
             return;
         }
         let (buf, probes) = batch.probes();
-        let payloads = Bytes::copy_from_slice(buf);
+        let (net, payloads) = (world.net(), Bytes::copy_from_slice(buf));
         for (offset, dst, payload) in probes {
             let payload = payloads.slice(payload);
-            world.net.send(
+            net.send(
                 Datagram::new(self.vantage, BASE_PORT + offset, dst, 53, payload),
                 None,
             );
@@ -117,7 +116,12 @@ impl SimScanner {
 
     /// [`SimScanner::send_probes`] for payloads the caller already
     /// owns: they are copied into a batch buffer and sent the same way.
-    pub fn send_batch(&self, world: &mut World, offset: u16, batch: Vec<(Ipv4Addr, Vec<u8>)>) {
+    pub fn send_batch(
+        &self,
+        world: &mut impl Vantage,
+        offset: u16,
+        batch: Vec<(Ipv4Addr, Vec<u8>)>,
+    ) {
         let mut probes = ProbeBatch::default();
         for (dst, payload) in batch {
             probes
@@ -129,26 +133,27 @@ impl SimScanner {
 
     /// Let the simulation run for `ms` of virtual time, reporting what
     /// the engine actually did.
-    pub fn pump(&self, world: &mut World, ms: u64) -> RunReport {
-        let target = SimTime(world.net.now().millis() + ms);
-        world.net.run_until(target)
+    pub fn pump(&self, world: &mut impl Vantage, ms: u64) -> RunReport {
+        let net = world.net();
+        let target = SimTime(net.now().millis() + ms);
+        net.run_until(target)
     }
 
     /// Close the port block (campaigns call this when done).
-    pub fn close(&self, world: &mut World) {
+    pub fn close(&self, world: &mut impl Vantage) {
         for sock in &self.sockets {
             world
-                .net
+                .net()
                 .close_socket(*sock)
                 .expect("scanner port block closed twice");
         }
     }
 
     /// Drain all received datagrams as `(port_offset, time, datagram)`.
-    pub fn drain(&self, world: &mut World) -> Vec<(u16, SimTime, Datagram)> {
-        let mut out = Vec::new();
+    pub fn drain(&self, world: &mut impl Vantage) -> Vec<(u16, SimTime, Datagram)> {
+        let (net, mut out) = (world.net(), Vec::new());
         for (off, sock) in self.sockets.iter().enumerate() {
-            while let Some((t, d)) = world.net.recv(*sock).expect("scanner socket still open") {
+            while let Some((t, d)) = net.recv(*sock).expect("scanner socket still open") {
                 out.push((off as u16, t, d));
             }
         }

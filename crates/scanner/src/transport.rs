@@ -1,23 +1,24 @@
-//! What a sweep's datagrams travel over: the simulated world, or real
+//! What a sweep's datagrams travel over: a simulated Internet, or real
 //! UDP sockets.
 //!
 //! `campaign::sweep` is the one loop that sends probes and sorts what
 //! comes back into its buckets. A [`Transport`] only opens a port
 //! block, moves datagrams and reads a clock. Two implement it:
 //!
-//! * [`World`] carries a sweep through netsim on a [`SimScanner`], in
-//!   simulated time. It is the path every campaign of the reproduction
-//!   runs, statically dispatched.
+//! * every [`Vantage`] — a simulated world seen from the scanner's side,
+//!   implemented by `worldgen::World` in its own crate — carries a
+//!   sweep through netsim on a [`SimScanner`], in simulated time. It is
+//!   the path every campaign of the reproduction runs, statically
+//!   dispatched.
 //! * [`Udp`] carries it over `std::net::UdpSocket`s, in wall time. It runs
 //!   the sweep's schedule with every wait divided by [`WALL_DIVISOR`].
 //!   Tests and the `loopback_scan` example aim it at
 //!   `resolversim::loopback` fleets.
 
 use crate::simio::{ProbeBatch, SimScanner};
-use netsim::{Datagram, SimTime};
+use netsim::{Datagram, SimTime, Vantage};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::time::{Duration, Instant};
-use worldgen::World;
 
 /// Arrivals at a port block: `(port offset, arrival, datagram)`.
 pub type Arrivals = Vec<(u16, SimTime, Datagram)>;
@@ -47,7 +48,7 @@ pub trait Transport {
     fn close(&mut self, block: Self::Block);
 }
 
-impl Transport for World {
+impl<V: Vantage> Transport for V {
     type Block = SimScanner;
 
     fn open(&mut self, vantage: Ipv4Addr) -> SimScanner {
@@ -65,11 +66,11 @@ impl Transport for World {
 
     /// The world's clock, which a sweep's pumps do not move.
     fn now(&self) -> SimTime {
-        World::now(self)
+        Vantage::now(self)
     }
 
     fn asn_at(&self, ip: Ipv4Addr) -> u32 {
-        self.resolver_at(ip).map_or(0, |m| m.asn)
+        self.asn(ip)
     }
 
     fn close(&mut self, block: SimScanner) {

@@ -260,3 +260,36 @@ fn acquisition_fetches_phish_and_portal_content() {
     assert!(got.http.is_some());
     assert!(got.https_sni.is_none());
 }
+
+/// The bought AS database and the planted resolvers agree on the AS of
+/// every address a domain-scan sweep matches, on the default-seed world
+/// and three tiny ones.
+#[test]
+fn matched_addresses_have_the_planted_asn_in_the_bought_database() {
+    let tiny = [3, 2026, 0x7A11].map(WorldConfig::tiny);
+    for mut w in [WorldConfig::default()]
+        .into_iter()
+        .chain(tiny)
+        .map(build_world)
+    {
+        let (seed, vantage) = (w.cfg.seed, w.scanner_ip);
+        let fleet: Vec<_> = w
+            .resolvers
+            .iter()
+            .filter_map(|m| w.resolver_ip(m))
+            .collect();
+        let domains: Vec<_> = w.catalog.domains[..3]
+            .iter()
+            .map(|d| d.name.clone())
+            .collect();
+        let tuples = scan_domains(&mut w, vantage, &fleet, &domains, 9);
+        assert!(
+            tuples.len() > fleet.len(),
+            "world {seed}: the sweep matched"
+        );
+        for ip in tuples.iter().map(|t| t.resolver_ip) {
+            let planted = w.resolver_at(ip).map_or(0, |m| m.asn);
+            assert_eq!(w.geo.asn(ip).unwrap_or(0), planted, "world {seed}: {ip}");
+        }
+    }
+}

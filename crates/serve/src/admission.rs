@@ -21,6 +21,7 @@
 //! request path is byte-for-byte what it was without it.
 
 use crate::http::Response;
+use crate::obs::Labeled;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -80,13 +81,17 @@ const QUEUE_POLL: Duration = Duration::from_millis(2);
 pub struct Admission {
     opts: AdmissionOptions,
     queued: AtomicUsize,
+    /// `serve.shed{reason}`; the server sheds oversized heads into it too.
+    pub(crate) shed: Labeled,
 }
 
 impl Admission {
     pub fn new(opts: AdmissionOptions) -> Admission {
+        let reasons = &["expensive", "queue_full", "queue_timeout", "oversized"];
         Admission {
             opts,
             queued: AtomicUsize::new(0),
+            shed: Labeled::new("serve.shed", "reason", reasons),
         }
     }
 
@@ -106,7 +111,7 @@ impl Admission {
     }
 
     fn shed(&self, reason: &'static str, message: &str) -> Response {
-        telemetry::counter_with("serve.shed", &[("reason", reason)]).inc();
+        self.shed.inc(reason);
         Response::shed(429, message, self.retry_after_s())
     }
 
@@ -191,9 +196,9 @@ impl Deadline {
 }
 
 /// The uniform deadline-exceeded response: `503 deadline_exceeded`,
-/// counted per endpoint family.
-pub fn deadline_response(endpoint: &'static str) -> Response {
-    telemetry::counter_with("serve.deadline_exceeded", &[("endpoint", endpoint)]).inc();
+/// counted per endpoint family in `exceeded`.
+pub fn deadline_response(exceeded: &Labeled, endpoint: &'static str) -> Response {
+    exceeded.inc(endpoint);
     Response::error(503, "deadline_exceeded")
 }
 
@@ -219,7 +224,8 @@ mod tests {
         assert!(!Deadline::after_ms(0).expired());
         assert!(!Deadline::after_ms(60_000).expired());
         assert!(Deadline::expired_now().expired());
-        let r = deadline_response("classify");
+        let exceeded = Labeled::new("serve.deadline_exceeded", "endpoint", &["classify"]);
+        let r = deadline_response(&exceeded, "classify");
         assert_eq!(r.status, 503);
         assert_eq!(
             String::from_utf8(r.body).unwrap(),

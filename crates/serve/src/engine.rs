@@ -15,6 +15,7 @@
 
 use crate::admission::{deadline_response, Deadline};
 use crate::http::{json_body, Response};
+use crate::obs::{Labeled, ENDPOINTS};
 use scanstore::view::IndexEntry;
 use scanstore::{flags, SnapshotSource, StoreView};
 use std::collections::BTreeMap;
@@ -38,6 +39,9 @@ pub struct QueryEngine {
     views: BTreeMap<String, StoreView>,
     /// [`QueryEngine::generation_tag`], rendered once per engine.
     tag: String,
+    /// `serve.requests{family}` and `serve.deadline_exceeded{endpoint}`.
+    requests: Labeled,
+    pub(crate) deadlines: Labeled,
 }
 
 impl QueryEngine {
@@ -75,7 +79,15 @@ impl QueryEngine {
             .map(|(name, view)| format!("{name}:{}", view.generation()))
             .collect::<Vec<_>>()
             .join(",");
-        QueryEngine { root, views, tag }
+        // What the router resolves a request to, or `unknown`.
+        let families = [&ENDPOINTS[..], &["unknown"]].concat();
+        QueryEngine {
+            root,
+            views,
+            tag,
+            requests: Labeled::new("serve.requests", "family", &families),
+            deadlines: Labeled::new("serve.deadline_exceeded", "endpoint", &ENDPOINTS),
+        }
     }
 
     /// Re-reads every campaign's manifest, decoding only new segments
@@ -143,15 +155,15 @@ impl QueryEngine {
             "/campaigns" => "campaigns",
             "/healthz" => "healthz",
             _ => {
-                telemetry::counter_with("serve.requests", &[("family", "unknown")]).inc();
+                self.requests.inc("unknown");
                 return Response::error(404, &format!("unknown path {path}"));
             }
         };
         parse.attr("detail", family);
         drop(parse);
-        telemetry::counter_with("serve.requests", &[("family", family)]).inc();
+        self.requests.inc(family);
         if deadline.expired() {
-            return deadline_response(family);
+            return deadline_response(&self.deadlines, family);
         }
         match path {
             "/classify" => self.classify(get("ip"), deadline),
@@ -205,7 +217,7 @@ impl QueryEngine {
         let mut matches: Vec<(&String, &StoreView, &IndexEntry)> = Vec::new();
         for (name, view) in &self.views {
             if deadline.expired() {
-                return deadline_response("classify");
+                return deadline_response(&self.deadlines, "classify");
             }
             let span = probe(name);
             let hit = view.index().lookup(ip_u32);
@@ -215,7 +227,7 @@ impl QueryEngine {
             }
         }
         if deadline.expired() {
-            return deadline_response("classify");
+            return deadline_response(&self.deadlines, "classify");
         }
         let _serialize = telemetry::span("serialize", 0);
         let open_live = matches
@@ -262,7 +274,7 @@ impl QueryEngine {
             return Response::error(404, &format!("AS{asn} was never observed in `{name}`"));
         };
         if deadline.expired() {
-            return deadline_response("churn");
+            return deadline_response(&self.deadlines, "churn");
         }
         let _serialize = telemetry::span("serialize", 0);
         let cohort = series.survivors.first().copied().unwrap_or(0);
@@ -328,7 +340,7 @@ impl QueryEngine {
         candidates.sort_unstable_by_key(rank);
         drop(span);
         if deadline.expired() {
-            return deadline_response("amplifiers");
+            return deadline_response(&self.deadlines, "amplifiers");
         }
         let _serialize = telemetry::span("serialize", 0);
         let body = json_body(128 + candidates.len() * 96, |o| {
@@ -364,7 +376,7 @@ impl QueryEngine {
         let live = idx.snapshot_sizes().last().copied().unwrap_or(0);
         drop(span);
         if deadline.expired() {
-            return deadline_response("coverage");
+            return deadline_response(&self.deadlines, "coverage");
         }
         let _serialize = telemetry::span("serialize", 0);
         let generation = view.generation();

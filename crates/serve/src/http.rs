@@ -5,6 +5,7 @@
 //! `Content-Length`, JSON bodies. Responses carry no wall-clock
 //! headers, so a response is a pure function of (store, request).
 
+use std::io::Write;
 use telemetry::json;
 
 /// A computed response, before serialization to the wire.
@@ -91,7 +92,12 @@ impl Response {
             503 => "Service Unavailable",
             _ => "Error",
         };
-        let mut head = format!(
+        // Head and body go into one buffer, sized once: the head's
+        // fixed text, a 31-byte reason, 20-digit lengths and a
+        // Retry-After line come to under 160 bytes besides the type.
+        let mut wire = Vec::with_capacity(160 + self.content_type.len() + self.body.len());
+        let _ = write!(
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             reason,
@@ -99,10 +105,9 @@ impl Response {
             self.body.len()
         );
         if let Some(s) = self.retry_after {
-            let _ = std::fmt::Write::write_fmt(&mut head, format_args!("Retry-After: {s}\r\n"));
+            let _ = write!(wire, "Retry-After: {s}\r\n");
         }
-        head.push_str("\r\n");
-        let mut wire = head.into_bytes();
+        wire.extend_from_slice(b"\r\n");
         wire.extend_from_slice(&self.body);
         wire
     }

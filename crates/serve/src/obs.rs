@@ -20,11 +20,11 @@
 use crate::breaker::RefreshHealth;
 use crate::http::{json_body, Response, CONTENT_TYPE_JSON};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 use telemetry::json::Fixed;
 use telemetry::rolling::{BurnState, FAST_WINDOW_S, LATENCY_BOUNDS_US, SLOW_WINDOW_S};
-use telemetry::{reqtrace, Histogram, LayerTree, RequestTrace, RollingWindow, SloSpec};
+use telemetry::{reqtrace, Counter, Histogram, LayerTree, RequestTrace, RollingWindow, SloSpec};
 
 /// Every endpoint family the router can resolve a request to.
 pub const ENDPOINTS: [&str; 10] = [
@@ -53,6 +53,37 @@ pub fn endpoint_of(path: &str) -> &'static str {
         "/slo" => "slo",
         "/debug/requests" => "debug",
         _ => "other",
+    }
+}
+
+/// The counters `name{label=value}` for a fixed list of values. Each is
+/// fetched from the registry on its first increment, so a bucket shows
+/// in `/metrics` once non-zero, and kept: no later increment formats a
+/// key or takes the registry lock. Its owner lives under one handle.
+#[derive(Debug)]
+pub struct Labeled {
+    name: &'static str,
+    label: &'static str,
+    buckets: Vec<(&'static str, OnceLock<Counter>)>,
+}
+
+impl Labeled {
+    pub fn new(name: &'static str, label: &'static str, values: &[&'static str]) -> Self {
+        Labeled {
+            name,
+            label,
+            buckets: values.iter().map(|&v| (v, OnceLock::new())).collect(),
+        }
+    }
+
+    /// Adds one to the bucket of `value`, which must be listed.
+    pub fn inc(&self, value: &str) {
+        let bucket = self.buckets.iter().find(|(v, _)| *v == value);
+        let (value, counter) = bucket.unwrap_or_else(|| panic!("{}: no {value}", self.name));
+        let labels = [(self.label, *value)];
+        counter
+            .get_or_init(|| telemetry::counter_with(self.name, &labels))
+            .inc();
     }
 }
 

@@ -26,7 +26,7 @@ use crate::engine::QueryEngine;
 use crate::http::{
     header_value, request_target, split_target, wire_status, Response, CONTENT_TYPE_JSON,
 };
-use crate::obs::{endpoint_of, ObsOptions, ServeObs};
+use crate::obs::{endpoint_of, Labeled, ObsOptions, ServeObs};
 use crate::signal;
 use std::io::{self, ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -110,6 +110,8 @@ struct ServerState {
     /// Workers blocked in `accept`.
     idle: AtomicUsize,
     conns: AtomicU64,
+    /// `serve.conns{outcome}`: how each accepted connection ended.
+    outcomes: Labeled,
     requests: AtomicU64,
     refreshes: AtomicU64,
     stop: AtomicBool,
@@ -162,6 +164,11 @@ fn build_state(opts: &ServeOptions) -> io::Result<Arc<ServerState>> {
         inflight: AtomicUsize::new(0),
         idle: AtomicUsize::new(0),
         conns: AtomicU64::new(0),
+        outcomes: Labeled::new(
+            "serve.conns",
+            "outcome",
+            &["answered", "closed_early", "timed_out"],
+        ),
         requests: AtomicU64::new(0),
         refreshes: AtomicU64::new(0),
         stop: AtomicBool::new(false),
@@ -312,7 +319,7 @@ fn spawn_worker<'s>(s: &'s Scope<'s, '_>, state: &'s ServerState) -> io::Result<
             // Every accepted connection ends in exactly one counted
             // outcome; the buckets exist once non-zero.
             let outcome = handle_connection(state, stream, conn);
-            telemetry::counter_with("serve.conns", &[("outcome", outcome)]).inc();
+            state.outcomes.inc(outcome);
             inflight_gauge.set((state.inflight.fetch_sub(1, Ordering::SeqCst) - 1) as f64);
         }
     };
@@ -369,7 +376,7 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream, conn: u64) -> &
         unreadable => {
             state.requests.fetch_add(1, Ordering::SeqCst);
             let resp = if unreadable == HeadRead::TooLarge {
-                telemetry::counter_with("serve.shed", &[("reason", "oversized")]).inc();
+                state.admission.shed.inc("oversized");
                 Response::error(431, "request head exceeds 8192 bytes")
             } else {
                 Response::error(400, "request head is not valid UTF-8")
@@ -542,15 +549,13 @@ fn answer(
     endpoint: &'static str,
     deadline: Deadline,
 ) -> (String, Arc<Vec<u8>>) {
-    if deadline.expired() {
-        return (
-            String::new(),
-            Arc::new(deadline_response(endpoint).to_wire()),
-        );
-    }
     // Clone the Arc once: this request is now pinned to one engine
     // generation no matter what the refresh timer does.
     let engine = state.engine();
+    if deadline.expired() {
+        let resp = deadline_response(&engine.deadlines, endpoint);
+        return (String::new(), Arc::new(resp.to_wire()));
+    }
     let tag = engine.generation_tag();
     // The tag stays in the key although a refresh clears the cache: a
     // request pinned to the old engine can finish after the clear, and

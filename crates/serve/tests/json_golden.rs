@@ -157,7 +157,8 @@ fn error_shed_and_deadline_bodies_are_pinned() {
         &String::from_utf8(shed.to_wire()).unwrap(),
         "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nContent-Length: 48\r\nConnection: close\r\nRetry-After: 2\r\n\r\n{\"error\":\"overloaded: queue full\",\"status\":429}\n",
     );
-    let deadline = serve::admission::deadline_response("classify");
+    let exceeded = serve::obs::Labeled::new("serve.deadline_exceeded", "endpoint", &["classify"]);
+    let deadline = serve::admission::deadline_response(&exceeded, "classify");
     pins.check(
         "deadline",
         &String::from_utf8(deadline.to_wire()).unwrap(),

@@ -3,7 +3,7 @@
 use crate::catalog::DomainCatalog;
 use crate::plan::{BehaviorKind, ChurnClass, DeviceClassPlan, WorldConfig};
 use geodb::{Country, GeoDb, RdnsDb};
-use netsim::{HostId, LeasePool, Network, SimTime};
+use netsim::{HostId, LeasePool, Network, ScanPlan, SimTime, Vantage};
 use resolversim::{Alive, DnsUniverse, SoftwareProfile};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -162,7 +162,7 @@ pub struct World {
     /// The scanned-domain catalog.
     pub catalog: DomainCatalog,
     /// Ground-truth record per resolver, in `HostId` order (the order
-    /// hosts were built in): [`World::responder`] searches it by host.
+    /// hosts were built in): [`World::resolver_at`] searches it by host.
     pub resolvers: Vec<ResolverMeta>,
     /// Oracle index of planted infrastructure.
     pub infra: InfraIndex,
@@ -402,6 +402,43 @@ impl World {
                 .border_filtered_asns
                 .iter()
                 .any(|&(asn, w)| m.asn == asn && week >= w)
+    }
+}
+
+/// The measurement side's view of the world: the wire, the clock, the
+/// bought databases and the scan plan. Only `asn` reads what was planted.
+impl Vantage for World {
+    fn net(&mut self) -> &mut Network {
+        &mut self.net
+    }
+
+    fn now(&self) -> SimTime {
+        self.current
+    }
+
+    fn advance_to(&mut self, t: SimTime) {
+        World::advance_to(self, t);
+    }
+
+    /// Planted, not `geo`: they agree wherever a sweep matches, but on a
+    /// probe nobody answered because churn moved its resolver away this
+    /// reads 0 and `geo` the block's AS, which `--record` streams show.
+    fn asn(&self, ip: Ipv4Addr) -> u32 {
+        self.resolver_at(ip).map_or(0, |m| m.asn)
+    }
+
+    fn rdns_dynamic(&self, ip: Ipv4Addr) -> Option<bool> {
+        self.rdns.lookup(ip).map(|_| self.rdns.is_dynamic(ip))
+    }
+
+    fn plan(&self) -> ScanPlan<'_> {
+        let tlds = self.universe.tlds().iter();
+        ScanPlan {
+            zone: &self.catalog.scan_zone,
+            ranges: &self.allocated,
+            blacklist: (&self.blacklist_ranges, &self.blacklist_singles),
+            tlds: tlds.map(|t| (t.name.as_str(), t.ttl)).collect(),
+        }
     }
 }
 
