@@ -4,7 +4,7 @@
 //! its flags (name, value metavar or none for a boolean, help text)
 //! and the function that runs it. [`parse`] is the only argv loop in
 //! the crate; [`help`] renders `repro [<sub>] --help` and
-//! [`reference`] renders the README flag reference from the same
+//! [`reference()`] renders the README flag reference from the same
 //! constants, so neither can drift from what the parser accepts.
 
 use std::fmt::Write as _;

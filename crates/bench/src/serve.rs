@@ -93,7 +93,7 @@ pub fn main(p: &Parsed) -> Result<(), String> {
     }
     if let Some(addr) = fleet_addr {
         // Traffic generator only: replay the seeded fleet against a
-        // daemon that is already running (e.g. the CI serve-smoke job).
+        // daemon that is already running (e.g. the one `ci/check.sh` starts).
         let addr: std::net::SocketAddr = addr
             .parse()
             .unwrap_or_else(|_| usage_error(&format!("--fleet expects host:port, got `{addr}`")));

@@ -106,7 +106,7 @@ impl PageFacts {
 }
 
 /// Everything the detectors consume: the per-pair records, the ground
-/// truth, and the [`PageFacts`] of every distinct body among them.
+/// truth, and the `PageFacts` of every distinct body among them.
 #[derive(Debug)]
 pub struct CaseCorpus<'a> {
     records: Vec<CaseRecord<'a>>,

@@ -265,7 +265,7 @@ pub(crate) fn walk_name<'a>(
     }
 }
 
-/// The labels of a name [`walk_name`] has accepted, outermost first,
+/// The labels of a name `walk_name` has accepted, outermost first,
 /// read in place: compression pointers are followed, nothing is
 /// copied. On a name that was never validated the iterator ends early
 /// instead of panicking.

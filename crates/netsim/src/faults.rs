@@ -16,9 +16,9 @@
 //!   which *must* see query arrivals to model a rate limiter at all).
 //!
 //! `Network::send` applies the plan between the unbound-space fast path
-//! and the i.i.d. loss roll, through one entry, [`FaultState::udp`]: it
+//! and the i.i.d. loss roll, through one entry, `FaultState::udp`: it
 //! runs every fault stage in order, the token bucket included, and
-//! returns the extra latency or the [`DropCause`]. The network counts
+//! returns the extra latency or the `DropCause`. The network counts
 //! the verdict in its [`FaultStats`], which outlive any plan swap, and
 //! flushes them to telemetry as the `netsim.faults.*` counter family.
 
@@ -177,7 +177,7 @@ impl FaultPlan {
         // Consumer-access burst loss tuned so that single-probe
         // round-trip coverage lands well below a 95% gate (~90%) while
         // three attempts recover >99% — the acceptance regime of the
-        // chaos-smoke CI job.
+        // coverage gate in `ci/check.sh`.
         let flaky_burst = BurstLoss {
             p_enter: 0.0222,
             p_exit: 0.2,

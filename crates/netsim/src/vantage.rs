@@ -19,8 +19,9 @@ pub trait Vantage {
     /// Let the world live until `t`: churn, leases and lifecycle events.
     fn advance_to(&mut self, t: SimTime);
 
-    /// The AS of the resolver behind `ip`, 0 if none is known: what the
-    /// flight recorder stamps on a probe of `ip`.
+    /// The AS the bought database names for `ip`, 0 if it names none:
+    /// what the flight recorder stamps on a probe of `ip`, whether or not
+    /// a resolver still answers there.
     fn asn(&self, ip: Ipv4Addr) -> u32;
 
     /// The bought rDNS database on `ip`: `None` without a record, else

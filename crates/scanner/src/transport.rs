@@ -41,7 +41,7 @@ pub trait Transport {
     /// The clock the campaigns stamp their records with.
     fn now(&self) -> SimTime;
 
-    /// The AS of the resolver behind `ip`, 0 if none is known.
+    /// The AS that `ip` sits in, 0 if none is known.
     fn asn_at(&self, ip: Ipv4Addr) -> u32;
 
     /// Close the port block.

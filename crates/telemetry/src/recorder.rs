@@ -108,7 +108,7 @@ pub struct ProbeRecord {
     /// record is campaign-wide (shared backoff schedules).
     pub ip: u32,
     /// Target's autonomous system, when the scanner knows it (attempt
-    /// records); 0 otherwise.
+    /// and give-up records); 0 otherwise.
     pub asn: u32,
     /// 1-based attempt number this record belongs to.
     pub attempt: u32,

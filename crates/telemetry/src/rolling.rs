@@ -135,7 +135,7 @@ impl Default for RollingWindow {
 }
 
 impl RollingWindow {
-    /// An empty ring covering the last [`SLOTS`] seconds.
+    /// An empty ring covering the last `SLOTS` seconds.
     pub fn new() -> RollingWindow {
         RollingWindow {
             slots: vec![Slot::EMPTY; SLOTS],

@@ -406,7 +406,7 @@ impl World {
 }
 
 /// The measurement side's view of the world: the wire, the clock, the
-/// bought databases and the scan plan. Only `asn` reads what was planted.
+/// bought databases and the scan plan.
 impl Vantage for World {
     fn net(&mut self) -> &mut Network {
         &mut self.net
@@ -420,11 +420,8 @@ impl Vantage for World {
         World::advance_to(self, t);
     }
 
-    /// Planted, not `geo`: they agree wherever a sweep matches, but on a
-    /// probe nobody answered because churn moved its resolver away this
-    /// reads 0 and `geo` the block's AS, which `--record` streams show.
     fn asn(&self, ip: Ipv4Addr) -> u32 {
-        self.resolver_at(ip).map_or(0, |m| m.asn)
+        self.geo.asn(ip).unwrap_or(0)
     }
 
     fn rdns_dynamic(&self, ip: Ipv4Addr) -> Option<bool> {

@@ -6,6 +6,8 @@ use goingwild::{
     collect_bundle, experiments, fig1_from_source, run_analysis, AnalysisOptions, BundleData,
     BundleOptions, CampaignKind, DeriveOptions, WorldConfig,
 };
+use std::net::Ipv4Addr;
+use telemetry::recorder::RecordKind;
 use telemetry::Telemetry;
 use worldgen::build_world;
 
@@ -191,7 +193,7 @@ fn flight_recorder_does_not_perturb_traces() {
         buf.contents()
     };
     let plain = traced_churn_run();
-    let recorded = {
+    let (recorded, records) = {
         telemetry::recorder::enable(1.0, cfg().seed, 1 << 20);
         let trace = traced_churn_run();
         let stats = telemetry::recorder::stats();
@@ -199,12 +201,27 @@ fn flight_recorder_does_not_perturb_traces() {
         telemetry::recorder::disable();
         assert!(stats.recorded > 0, "recorder captured nothing");
         assert_eq!(records.len() as u64, stats.buffered);
-        trace
+        (trace, records)
     };
     assert_eq!(
         plain, recorded,
         "enabling the flight recorder must not change trace bytes"
     );
+    // Attempts and give-ups carry the AS the bought database names for
+    // the address, also where churn has emptied it since the cohort scan.
+    let mut world = build_world(cfg());
+    let end = records.iter().map(|r| r.t_ms).max().expect("records");
+    world.advance_to(netsim::SimTime(end));
+    let mut emptied = false;
+    for r in &records {
+        if !matches!(r.kind, RecordKind::Attempt | RecordKind::GaveUp) {
+            continue;
+        }
+        let ip = Ipv4Addr::from(r.ip);
+        assert_eq!(r.asn, world.geo.asn(ip).unwrap_or(0), "{r:?}");
+        emptied |= r.kind == RecordKind::GaveUp && r.asn != 0 && world.resolver_at(ip).is_none();
+    }
+    assert!(emptied, "no give-up on an address churn emptied");
 }
 
 #[test]
