@@ -127,6 +127,8 @@ def slo(doc):
 def debug_requests(doc):
     d = load(doc)
     assert d['returned'] > 0, d
+    # The slow log's bar is the daemon's `--slo p99=50ms`.
+    assert d['slow_threshold_us'] == 50000, d['slow_threshold_us']
 
 def tail_live(doc):
     d = load(doc)

@@ -103,17 +103,11 @@ pub const RUN: Command = Command {
 const SERVE_FLAGS: &[Flag] = &[
     val("--store", "dir", "campaign store to serve, from `repro --store <dir>` (required)"),
     val("--addr", "host:port", "listen address; port 0 picks a free port and announces it"),
-    val("--cache-cap", "n", "response cache capacity in entries; 0 disables caching"),
     val("--refresh-ms", "n", "interval of the check for new segments; 0 never refreshes"),
     val("--metrics", "path", "write the final telemetry snapshot here on shutdown"),
     val("--slo", "spec", "objectives like p99=5ms,err=0.1%; /healthz is 503 while they burn"),
-    val("--slow-ms", "n", "latency above which a traced request enters the slow log"),
-    val("--trace-sample", "n", "trace every n-th request; 0 disables request tracing"),
-    val("--debug-requests", "n", "recent request traces kept for /debug/requests"),
     val("--trace", "path", "write the request-trace stream, for `repro tail --file`"),
-    val("--max-inflight", "n", "admission cap on live connections; the excess queues or sheds"),
-    val("--max-queue", "n", "requests that may wait for admission before a 429"),
-    val("--queue-wait-ms", "n", "longest a queued request waits before it is shed"),
+    val("--max-inflight", "n", "admission cap on live connections; half as many may queue 100 ms"),
     val("--deadline-ms", "n", "per-request bound, 503 deadline_exceeded past it; 0 sets none"),
     switch("--selftest", None, "run daemon and seeded fleet in-process, print one report line"),
     val("--chaos", "profile", "with --selftest, attack instead: overload|malformed|corruption"),
@@ -129,7 +123,9 @@ pub const SERVE: Command = Command {
     summary: "query daemon over an on-disk store; selftest fleet and chaos profiles",
     about: "Answers /classify, /churn, /amplifiers, /coverage and /campaigns over HTTP/JSON\n\
             straight from an on-disk store, refreshing as a writer commits; also /metrics,\n\
-            /slo, /debug/requests, /admin/scrub. SIGINT/SIGTERM drains, then flushes metrics.",
+            /slo, /debug/requests, /admin/scrub. SIGINT/SIGTERM drains, then flushes metrics.\n\
+            Every request is traced; one slower than the --slo p99 (100 ms without one)\n\
+            enters the slow log.",
     positional: None,
     flags: SERVE_FLAGS,
     run: crate::serve::main,
@@ -178,8 +174,6 @@ pub const SCRUB: Command = Command {
 const TAIL_FLAGS: &[Flag] = &[
     val("--addr", "host:port", "poll this live daemon"),
     val("--file", "path", "follow this recorded trace stream instead"),
-    val("--interval-ms", "n", "refresh interval of the console"),
-    val("--limit", "n", "slow and recent requests shown"),
     switch("--once", None, "take one sample and exit"),
     switch("--json", None, "print goingwild.tail.v1 JSON instead of the console"),
 ];
@@ -188,9 +182,9 @@ const TAIL_FLAGS: &[Flag] = &[
 pub const TAIL: Command = Command {
     name: "tail",
     summary: "live ops console over a daemon or a trace stream",
-    about: "QPS, per-endpoint latency quantiles, SLO burn, cache hit ratio and slow queries\n\
-            of a running daemon, or the traced requests and collect.progress heartbeats of\n\
-            a recorded trace stream.",
+    about: "QPS, per-endpoint latency quantiles, SLO burn, cache hit ratio and the 8 newest\n\
+            slow queries of a running daemon, or the traced requests and collect.progress\n\
+            heartbeats of a recorded trace stream; refreshed every second.",
     positional: None,
     flags: TAIL_FLAGS,
     run: crate::tail::main,

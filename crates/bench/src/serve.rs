@@ -5,38 +5,44 @@ use crate::cli::{usage_error, Parsed};
 use serve::{run_fleet, ServeOptions};
 use std::path::PathBuf;
 
+/// Flags only a daemon this process starts reads: `--chaos` (whose
+/// profiles start daemons of their own) and `--fleet` reject them.
+const DAEMON_FLAGS: [&str; 7] = [
+    "--addr",
+    "--refresh-ms",
+    "--metrics",
+    "--slo",
+    "--trace",
+    "--max-inflight",
+    "--deadline-ms",
+];
+
+/// Flags only the seeded fleet reads (chaos reads `--seed` too): a
+/// plain daemon rejects them.
+const FLEET_FLAGS: [&str; 3] = ["--seed", "--clients", "--requests"];
+
+/// A usage error naming the first of `flags` given, which `mode`
+/// would ignore.
+fn reject(p: &Parsed, flags: &[&str], mode: &str) {
+    if let Some(flag) = flags.iter().find(|f| p.has(f)) {
+        usage_error(&format!("{flag} has no effect {mode}"));
+    }
+}
+
 /// The daemon options: a flag that is absent leaves the daemon's own
 /// default in place.
-fn read_options(p: &Parsed) -> ServeOptions {
-    let Some(store) = p.get("--store") else {
-        usage_error(
-            "serve requires --store <dir> (a campaign store from `repro --exp … --store <dir>`)",
-        );
-    };
+fn read_options(p: &Parsed, store: PathBuf) -> ServeOptions {
     let d = ServeOptions::default();
     ServeOptions {
-        store: PathBuf::from(store),
+        store,
         addr: p.string("--addr").unwrap_or(d.addr),
-        cache_cap: p.num("--cache-cap").unwrap_or(d.cache_cap),
         refresh_ms: p.num("--refresh-ms").unwrap_or(d.refresh_ms),
         metrics: p.get("--metrics").map(PathBuf::from),
-        obs: serve::ObsOptions {
-            trace_sample: p.num("--trace-sample").unwrap_or(d.obs.trace_sample),
-            debug_requests: p.num("--debug-requests").unwrap_or(d.obs.debug_requests),
-            slow_us: p
-                .num::<u64>("--slow-ms")
-                .map_or(d.obs.slow_us, |ms| ms.saturating_mul(1_000)),
-            slo: p.get("--slo").map(|spec| {
-                telemetry::SloSpec::parse(spec)
-                    .unwrap_or_else(|e| usage_error(&format!("--slo: {e}")))
-            }),
-        },
+        slo: p.get("--slo").map(|spec| {
+            telemetry::SloSpec::parse(spec).unwrap_or_else(|e| usage_error(&format!("--slo: {e}")))
+        }),
         admission: serve::AdmissionOptions {
             max_inflight: p.num("--max-inflight").unwrap_or(d.admission.max_inflight),
-            max_queue: p.num("--max-queue").unwrap_or(d.admission.max_queue),
-            queue_wait_ms: p
-                .num("--queue-wait-ms")
-                .unwrap_or(d.admission.queue_wait_ms),
             deadline_ms: p.num("--deadline-ms").unwrap_or(d.admission.deadline_ms),
         },
         ..d
@@ -44,7 +50,11 @@ fn read_options(p: &Parsed) -> ServeOptions {
 }
 
 pub fn main(p: &Parsed) -> Result<(), String> {
-    let opts = read_options(p);
+    let Some(store) = p.get("--store").map(PathBuf::from) else {
+        usage_error(
+            "serve requires --store <dir> (a campaign store from `repro --exp … --store <dir>`)",
+        );
+    };
     let selftest = p.has("--selftest");
     let fleet_addr = p.get("--fleet");
     let trace = p.get("--trace");
@@ -58,7 +68,7 @@ pub fn main(p: &Parsed) -> Result<(), String> {
     }
     let fleet = |addr| serve::FleetOptions {
         addr,
-        store: opts.store.clone(),
+        store: store.clone(),
         seed,
         clients,
         requests,
@@ -72,8 +82,10 @@ pub fn main(p: &Parsed) -> Result<(), String> {
         if !selftest {
             usage_error("--chaos requires --selftest (profiles start their own daemon)");
         }
+        reject(p, &DAEMON_FLAGS, "with --chaos");
+        reject(p, &["--clients", "--requests"], "with --chaos");
         let report = serve::run_chaos(&serve::ChaosOptions {
-            store: opts.store.clone(),
+            store,
             profile: profile.to_string(),
             seed,
         })
@@ -94,6 +106,8 @@ pub fn main(p: &Parsed) -> Result<(), String> {
     if let Some(addr) = fleet_addr {
         // Traffic generator only: replay the seeded fleet against a
         // daemon that is already running (e.g. the one `ci/check.sh` starts).
+        reject(p, &DAEMON_FLAGS, "with --fleet");
+        reject(p, &["--selftest"], "with --fleet");
         let addr: std::net::SocketAddr = addr
             .parse()
             .unwrap_or_else(|_| usage_error(&format!("--fleet expects host:port, got `{addr}`")));
@@ -104,6 +118,10 @@ pub fn main(p: &Parsed) -> Result<(), String> {
         }
         return Ok(());
     }
+    if !selftest {
+        reject(p, &FLEET_FLAGS, "without --selftest or --fleet");
+    }
+    let opts = read_options(p, store.clone());
     if let Some(path) = trace {
         // The daemon's request traces, as a followable JSON-lines
         // stream (`repro tail --file`).

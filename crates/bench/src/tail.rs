@@ -3,12 +3,12 @@
 //! Two sources:
 //!
 //! * **Live daemon** (`--addr host:port`): polls `/slo`,
-//!   `/debug/requests`, and `/metrics` on an interval and renders a
+//!   `/debug/requests`, and `/metrics` every second and renders a
 //!   refreshing console of QPS, per-endpoint latency quantiles, SLO
 //!   burn state, cache hit ratio, and the slow-query feed.
 //! * **Trace file** (`--file trace.jsonl`): follows a recorded trace
 //!   stream, aggregating the deterministic `type: "request"` lines the
-//!   daemon emits for sampled requests.
+//!   daemon emits for every request.
 //!
 //! `--once --json` takes exactly one sample and prints one JSON
 //! document (`goingwild.tail.v1`) for scripts and CI, instead of the
@@ -25,6 +25,12 @@ use std::time::Duration;
 /// Schema tag of the `--json` document.
 pub const TAIL_SCHEMA: &str = "goingwild.tail.v1";
 
+/// How often the console refreshes.
+const INTERVAL: Duration = Duration::from_secs(1);
+
+/// Slow requests a live sample fetches and the console shows.
+const SHOWN: usize = 8;
+
 /// What to tail, and how.
 #[derive(Debug, Clone)]
 pub struct TailOptions {
@@ -33,39 +39,19 @@ pub struct TailOptions {
     pub addr: Option<String>,
     /// Recorded trace stream to follow.
     pub file: Option<PathBuf>,
-    /// Refresh interval for the live console.
-    pub interval_ms: u64,
     /// Take one sample and exit.
     pub once: bool,
     /// Emit machine-readable JSON instead of the console.
     pub json: bool,
-    /// How many slow/recent requests to show.
-    pub limit: usize,
 }
 
-impl Default for TailOptions {
-    fn default() -> TailOptions {
-        TailOptions {
-            addr: None,
-            file: None,
-            interval_ms: 1_000,
-            once: false,
-            json: false,
-            limit: 8,
-        }
-    }
-}
-
-/// `repro tail`: reads the flags over the defaults and runs the tail.
+/// `repro tail`: reads the flags and runs the tail.
 pub fn main(p: &crate::cli::Parsed) -> Result<(), String> {
-    let d = TailOptions::default();
     let opts = TailOptions {
         addr: p.string("--addr"),
         file: p.get("--file").map(PathBuf::from),
-        interval_ms: p.num("--interval-ms").unwrap_or(d.interval_ms),
         once: p.has("--once"),
         json: p.has("--json"),
-        limit: p.num("--limit").unwrap_or(d.limit),
     };
     run_tail(&opts)
 }
@@ -177,9 +163,9 @@ fn counter_sum(metrics: &Value, prefix: &str) -> u64 {
 
 /// Takes one sample of a live daemon: `/slo` + `/debug/requests` +
 /// `/metrics`, folded into one `goingwild.tail.v1` document.
-fn sample_live(addr: &str, limit: usize) -> Result<Value, String> {
+fn sample_live(addr: &str) -> Result<Value, String> {
     let slo = fetch_json(addr, "/slo")?;
-    let debug = fetch_json(addr, &format!("/debug/requests?limit={limit}"))?;
+    let debug = fetch_json(addr, &format!("/debug/requests?limit={SHOWN}"))?;
     let metrics = fetch_json(addr, "/metrics")?;
     let hit = counter_sum(&metrics, "serve.cache.hit");
     let miss = counter_sum(&metrics, "serve.cache.miss");
@@ -211,7 +197,7 @@ fn sample_live(addr: &str, limit: usize) -> Result<Value, String> {
 }
 
 /// Renders the live sample as a console screen.
-fn render_live(doc: &Value, limit: usize) -> String {
+fn render_live(doc: &Value) -> String {
     let mut out = String::with_capacity(1024);
     let slo = get(doc, "slo");
     let _ = writeln!(
@@ -271,7 +257,7 @@ fn render_live(doc: &Value, limit: usize) -> String {
     if let Value::Array(slow) = get(doc, "slow") {
         if !slow.is_empty() {
             let _ = writeln!(out, "slow queries (newest first):");
-            for t in slow.iter().take(limit) {
+            for t in slow.iter().take(SHOWN) {
                 let _ = writeln!(
                     out,
                     "  {} {:>9}us {:<11} {}",
@@ -288,12 +274,12 @@ fn render_live(doc: &Value, limit: usize) -> String {
 
 fn tail_live(addr: &str, opts: &TailOptions) -> Result<(), String> {
     loop {
-        let doc = sample_live(addr, opts.limit)?;
-        emit(&doc, opts, render_live(&doc, opts.limit));
+        let doc = sample_live(addr)?;
+        emit(&doc, opts, render_live(&doc));
         if opts.once {
             return Ok(());
         }
-        std::thread::sleep(Duration::from_millis(opts.interval_ms.max(100)));
+        std::thread::sleep(INTERVAL);
     }
 }
 
@@ -510,7 +496,7 @@ fn tail_file(path: &PathBuf, opts: &TailOptions) -> Result<(), String> {
         if opts.once {
             return Ok(());
         }
-        std::thread::sleep(Duration::from_millis(opts.interval_ms.max(100)));
+        std::thread::sleep(INTERVAL);
     }
 }
 
@@ -621,7 +607,7 @@ mod tests {
                 "slow_requests":0,"slow":[]}"#,
         )
         .unwrap();
-        let console = render_live(&doc, 8);
+        let console = render_live(&doc);
         assert!(console.contains("slo: none"), "{console}");
         assert!(console.contains("no objectives"), "{console}");
     }

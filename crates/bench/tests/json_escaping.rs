@@ -114,8 +114,6 @@ fn live_bodies_carry_escaped_campaign_names() {
         store: tmp.0.clone(),
         refresh_ms: 5,
         breaker: BreakerOptions {
-            threshold: 1,
-            base_backoff_ticks: 100_000,
             max_backoff_ticks: 100_000,
         },
         ..ServeOptions::default()

@@ -138,15 +138,6 @@ fn same_seed_trace_streams_are_byte_identical() {
 }
 
 #[test]
-fn disabling_tracing_leaves_selftest_output_unchanged() {
-    let tmp = TempDir::new("trace-off");
-    seed_weekly(&tmp.0, &[64]);
-    let (on, _) = selftest(&tmp.0, None, &[]);
-    let (off, _) = selftest(&tmp.0, None, &["--trace-sample", "0"]);
-    assert_eq!(on, off, "tracing changed the served bytes");
-}
-
-#[test]
 fn slo_breach_degrades_healthz_to_503() {
     let tmp = TempDir::new("slo-breach");
     seed_weekly(&tmp.0, &[64]);

@@ -215,7 +215,6 @@ fn numeric_flag_garbage_is_a_usage_error_not_a_panic() {
         vec!["--weeks", "banana"],
         vec!["--seed", "not-a-number"],
         vec!["trace", "x.gwrs", "--limit", "many"],
-        vec!["tail", "--interval-ms", "soon"],
         vec!["serve", "--store", "s", "--refresh-ms", "soon"],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -229,6 +228,77 @@ fn numeric_flag_garbage_is_a_usage_error_not_a_panic() {
             "args {args:?}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "args {args:?}: {stderr}");
+    }
+}
+
+/// Each mode rejects the flags it would ignore, naming the flag:
+/// `--chaos` profiles and the `--fleet` traffic generator start no
+/// daemon of this process, and a plain daemon runs no fleet. A removed
+/// flag is an unknown argument.
+#[test]
+fn flags_a_mode_ignores_are_usage_errors() {
+    let daemon_only = [
+        "--addr",
+        "--refresh-ms",
+        "--metrics",
+        "--slo",
+        "--trace",
+        "--max-inflight",
+        "--deadline-ms",
+    ];
+    let serve = |mode: &[&'static str], flag| {
+        let mut argv = vec!["serve", "--store", "s"];
+        argv.extend(mode);
+        argv.extend([flag, "1"]);
+        argv
+    };
+    let (chaos, fleet) = (
+        ["--selftest", "--chaos", "overload"],
+        ["--fleet", "127.0.0.1:1"],
+    );
+    let mut rows = Vec::new();
+    for flag in daemon_only {
+        rows.push((
+            serve(&chaos, flag),
+            format!("{flag} has no effect with --chaos"),
+        ));
+        rows.push((
+            serve(&fleet, flag),
+            format!("{flag} has no effect with --fleet"),
+        ));
+    }
+    for flag in ["--clients", "--requests"] {
+        rows.push((
+            serve(&chaos, flag),
+            format!("{flag} has no effect with --chaos"),
+        ));
+    }
+    let selftest = vec![
+        "serve",
+        "--store",
+        "s",
+        "--fleet",
+        "127.0.0.1:1",
+        "--selftest",
+    ];
+    rows.push((selftest, "--selftest has no effect with --fleet".into()));
+    for flag in ["--seed", "--clients", "--requests"] {
+        let says = format!("{flag} has no effect without --selftest or --fleet");
+        rows.push((serve(&[], flag), says));
+    }
+    for flag in ["--cache-cap", "--trace-sample", "--slow-ms", "--max-queue"] {
+        rows.push((serve(&[], flag), format!("unknown serve argument {flag}")));
+    }
+    let tail = vec!["tail", "--interval-ms", "soon"];
+    rows.push((tail, "unknown tail argument --interval-ms".into()));
+    for (args, says) in rows {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(&args)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(2), "args {args:?}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(stderr.contains(&says), "args {args:?}: {stderr}");
     }
 }
 

@@ -1155,11 +1155,13 @@ fn run_lane(
                     let ips = fleet.as_ref().expect("fleet precedes domains");
                     // One shared probe policy for every campaign in the
                     // bundle, the domain scan included.
-                    let mut aopts = opts.analysis.clone();
-                    aopts.probe = opts.probe;
                     let report = own.retrying(Domains, &mut |world, sink| {
-                        let report =
-                            crate::pipeline::run_analysis_with_fleet(world, ips.clone(), &aopts);
+                        let report = crate::pipeline::run_analysis_with_fleet(
+                            world,
+                            ips.clone(),
+                            &opts.analysis,
+                            &opts.probe,
+                        );
                         let json = serde_json::to_string(&report)
                             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
                         let meta = [(META_ANALYSIS_REPORT.to_string(), json)];

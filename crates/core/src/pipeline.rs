@@ -26,6 +26,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 use worldgen::World;
 
+/// Linkage cut threshold for the coarse clustering.
+const CLUSTER_THRESHOLD: f64 = 0.32;
+
+/// Minimum mirrored domains before an IP counts as a proxy.
+const PROXY_MIN_DOMAINS: usize = 4;
+
 /// Pipeline tunables.
 #[derive(Debug, Clone)]
 pub struct AnalysisOptions {
@@ -35,16 +41,8 @@ pub struct AnalysisOptions {
     /// assigned to the nearest clustered exemplar (logged, never
     /// silently dropped).
     pub cluster_cap: usize,
-    /// Linkage cut threshold for the coarse clustering.
-    pub cluster_threshold: f64,
-    /// Minimum mirrored domains before an IP counts as a proxy.
-    pub proxy_min_domains: usize,
     /// Scan seed.
     pub seed: u64,
-    /// Retransmission policy for the domain scan and acquisition
-    /// fetches (single-attempt by default — byte-identical to the
-    /// pre-policy pipeline).
-    pub probe: ProbePolicy,
 }
 
 impl Default for AnalysisOptions {
@@ -52,10 +50,7 @@ impl Default for AnalysisOptions {
         AnalysisOptions {
             domains: None,
             cluster_cap: 2_500,
-            cluster_threshold: 0.32,
-            proxy_min_domains: 4,
             seed: 0x0006_011D_57AB,
-            probe: ProbePolicy::single(),
         }
     }
 }
@@ -234,21 +229,28 @@ pub struct AnalysisReport {
 const SOCIAL: [&str; 3] = ["facebook.example", "twitter.example", "youtube.example"];
 
 /// Run the full analysis pipeline against `world` at its current time,
-/// enumerating its own fleet first (Step 1). Campaign drivers that
-/// already hold an enumerated fleet should call
+/// enumerating its own fleet first (Step 1), one attempt per probe.
+/// Campaign drivers that already hold an enumerated fleet should call
 /// [`run_analysis_with_fleet`] directly so the enumeration runs once.
 pub fn run_analysis(world: &mut World, opts: &AnalysisOptions) -> AnalysisReport {
     let vantage = world.scanner_ip;
     let enumeration = scanner::enumerate(world, vantage, opts.seed);
-    run_analysis_with_fleet(world, enumeration.noerror_ips(), opts)
+    run_analysis_with_fleet(
+        world,
+        enumeration.noerror_ips(),
+        opts,
+        &ProbePolicy::single(),
+    )
 }
 
 /// Run the analysis pipeline (Steps 2–6) over an already-enumerated
-/// `fleet` of NOERROR resolvers.
+/// `fleet` of NOERROR resolvers, retransmitting the domain scan and the
+/// acquisition fetches by `probe`.
 pub fn run_analysis_with_fleet(
     world: &mut World,
     fleet: Vec<std::net::Ipv4Addr>,
     opts: &AnalysisOptions,
+    probe: &ProbePolicy,
 ) -> AnalysisReport {
     let vantage = world.scanner_ip;
     let mut sp_run = telemetry::span("pipeline.analysis", world.now().millis());
@@ -438,7 +440,7 @@ pub fn run_analysis_with_fleet(
             &fleet,
             &domain_names,
             opts.seed,
-            &opts.probe,
+            probe,
             &mut sink,
         );
     }
@@ -523,7 +525,7 @@ pub fn run_analysis_with_fleet(
             &domain_names[di],
             ip,
             is_mail,
-            &opts.probe,
+            probe,
         );
         pair_content.insert(key, got);
     }
@@ -679,7 +681,7 @@ pub fn run_analysis_with_fleet(
     let n_direct = groups.len().min(opts.cluster_cap);
     let direct_features: Vec<&PageFeatures> =
         groups[..n_direct].iter().map(|g| &g.features).collect();
-    let flat = classify::cluster_pages(&direct_features, &weights, opts.cluster_threshold);
+    let flat = classify::cluster_pages(&direct_features, &weights, CLUSTER_THRESHOLD);
     report.clusters = flat.len();
     report.clustered_directly = n_direct;
     report.assigned_to_exemplar = groups.len() - n_direct;
@@ -743,7 +745,7 @@ pub fn run_analysis_with_fleet(
             }
         }
         // Fall back to direct page labeling when no cluster is close.
-        group_label[gi] = if best_d <= opts.cluster_threshold * 1.5 {
+        group_label[gi] = if best_d <= CLUSTER_THRESHOLD * 1.5 {
             best
         } else {
             label_page(&LabelInput {
@@ -1017,7 +1019,7 @@ pub fn run_analysis_with_fleet(
             }
         }
         let corpus = CaseCorpus::new(by_pair.into_values().collect(), &gt_bodies);
-        report.cases.proxies = detect_proxies(&corpus, opts.proxy_min_domains);
+        report.cases.proxies = detect_proxies(&corpus, PROXY_MIN_DOMAINS);
         report.cases.phishing = detect_phishing(&corpus);
         report.cases.ads = detect_ad_manipulation(&corpus);
         report.cases.mail = detect_mail_interception(&corpus, &gt_mail_banners);

@@ -12,8 +12,8 @@
 //!   aggregate scans over the whole index) shed immediately once the
 //!   connection count exceeds the cap.
 //! * **Normal** endpoints (point lookups, inventory) may wait in a
-//!   small bounded queue for the load to drop before they too are
-//!   shed.
+//!   queue of half the cap, for at most 100 ms, for the load to drop
+//!   before they too are shed.
 //!
 //! Every shed is the uniform `429` JSON error body plus a
 //! `Retry-After` hint, counted under `serve.shed{reason=...}`. With
@@ -27,29 +27,15 @@ use std::time::{Duration, Instant};
 
 /// Admission and deadline configuration. The defaults disable both,
 /// preserving existing behaviour (and selftest byte-identity).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AdmissionOptions {
     /// Live-connection cap before shedding; 0 disables admission.
+    /// Normal-cost requests above it may wait in a queue of half as
+    /// many.
     pub max_inflight: usize,
-    /// Normal-cost requests above the cap may wait in a queue of at
-    /// most this many.
-    pub max_queue: usize,
-    /// How long a queued request may wait before it is shed.
-    pub queue_wait_ms: u64,
     /// Per-request deadline enforced across router → cache → engine;
     /// 0 disables deadlines.
     pub deadline_ms: u64,
-}
-
-impl Default for AdmissionOptions {
-    fn default() -> AdmissionOptions {
-        AdmissionOptions {
-            max_inflight: 0,
-            max_queue: 16,
-            queue_wait_ms: 100,
-            deadline_ms: 0,
-        }
-    }
 }
 
 /// Endpoint cost class: what gets shed first under overload.
@@ -75,6 +61,13 @@ pub fn cost_of(endpoint: &str) -> Cost {
 
 /// How often a queued request re-checks the load.
 const QUEUE_POLL: Duration = Duration::from_millis(2);
+
+/// How long a queued request may wait before it is shed.
+const QUEUE_WAIT: Duration = Duration::from_millis(100);
+
+/// The `Retry-After` of a shed: the queue wait, in whole seconds
+/// rounded up.
+const RETRY_AFTER_S: u32 = 1;
 
 /// The admission controller. One per server; shared by every
 /// worker.
@@ -106,13 +99,9 @@ impl Admission {
         Deadline::after_ms(self.opts.deadline_ms)
     }
 
-    fn retry_after_s(&self) -> u32 {
-        self.opts.queue_wait_ms.div_ceil(1000).max(1) as u32
-    }
-
     fn shed(&self, reason: &'static str, message: &str) -> Response {
         self.shed.inc(reason);
-        Response::shed(429, message, self.retry_after_s())
+        Response::shed(429, message, RETRY_AFTER_S)
     }
 
     /// Decides admission for one parsed request. `load` is the live
@@ -138,13 +127,13 @@ impl Admission {
         if self
             .queued
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |q| {
-                (q < self.opts.max_queue).then_some(q + 1)
+                (q < cap / 2).then_some(q + 1)
             })
             .is_err()
         {
             return Some(self.shed("queue_full", "overloaded: queue full"));
         }
-        let give_up = Instant::now() + Duration::from_millis(self.opts.queue_wait_ms);
+        let give_up = Instant::now() + QUEUE_WAIT;
         let mut admitted = false;
         while Instant::now() < give_up {
             if load.load(Ordering::SeqCst) <= cap {
@@ -237,8 +226,6 @@ mod tests {
     fn gate_sheds_by_cost_class() {
         let adm = Admission::new(AdmissionOptions {
             max_inflight: 2,
-            max_queue: 1,
-            queue_wait_ms: 5,
             deadline_ms: 0,
         });
         let load = AtomicUsize::new(10);
@@ -264,6 +251,38 @@ mod tests {
         load.store(1, Ordering::SeqCst);
         assert!(adm.admit("classify", &load).is_none());
         assert!(adm.admit("amplifiers", &load).is_none());
+    }
+
+    /// A cap of 4 queues two normal requests above it; a third is shed
+    /// `queue_full` at once.
+    #[test]
+    fn the_queue_holds_half_the_cap() {
+        let adm = Admission::new(AdmissionOptions {
+            max_inflight: 4,
+            deadline_ms: 0,
+        });
+        let load = AtomicUsize::new(10);
+        let is_full = |r: Response| String::from_utf8(r.body).unwrap().contains("queue full");
+        std::thread::scope(|s| {
+            // Each waiter queues again after a timeout until admitted.
+            let waiters: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| while adm.admit("classify", &load).is_some() {}))
+                .collect();
+            // The third request may race a waiter's timeout: it is
+            // retried until it meets a full queue.
+            let full = (0..100).any(|_| {
+                while adm.queued.load(Ordering::SeqCst) < 2 {
+                    std::thread::yield_now();
+                }
+                adm.admit("classify", &load).is_some_and(is_full)
+            });
+            load.store(1, Ordering::SeqCst);
+            for waiter in waiters {
+                waiter.join().unwrap();
+            }
+            assert!(full, "a third request never met a full queue");
+        });
+        assert_eq!(adm.queued.load(Ordering::SeqCst), 0);
     }
 
     #[test]

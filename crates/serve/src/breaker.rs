@@ -9,23 +9,24 @@
 //! backoff, capped. Throughout, the daemon keeps serving the last
 //! good generation and reports `degraded` via `/healthz` and `/slo`.
 
-/// Breaker tuning. Defaults: trip after 3 consecutive failures, back
-/// off 2 ticks, doubling per failed probe up to 64 ticks.
+/// Consecutive failures that trip the breaker.
+const THRESHOLD: u32 = 3;
+
+/// Ticks skipped after the first trip; each failed probe doubles it.
+const BASE_BACKOFF_TICKS: u32 = 2;
+
+/// Breaker tuning. The breaker trips after 3 consecutive failures and
+/// backs off 2 ticks, doubling per failed probe up to the cap: by
+/// default 64 ticks.
 #[derive(Debug, Clone)]
 pub struct BreakerOptions {
-    /// Consecutive failures that trip the breaker (min 1).
-    pub threshold: u32,
-    /// Ticks to skip after the first trip.
-    pub base_backoff_ticks: u32,
-    /// Backoff cap for repeated failed probes.
+    /// Backoff cap for repeated failed probes (at least 2).
     pub max_backoff_ticks: u32,
 }
 
 impl Default for BreakerOptions {
     fn default() -> BreakerOptions {
         BreakerOptions {
-            threshold: 3,
-            base_backoff_ticks: 2,
             max_backoff_ticks: 64,
         }
     }
@@ -72,7 +73,7 @@ impl RefreshHealth {
 /// `allow_tick` per refresh interval, then `on_success`/`on_failure`
 /// for attempts that ran.
 pub struct RefreshBreaker {
-    opts: BreakerOptions,
+    max_backoff_ticks: u32,
     state: BreakerState,
     consecutive_failures: u32,
     trips: u64,
@@ -84,14 +85,9 @@ pub struct RefreshBreaker {
 
 impl RefreshBreaker {
     pub fn new(opts: BreakerOptions) -> RefreshBreaker {
-        let opts = BreakerOptions {
-            threshold: opts.threshold.max(1),
-            base_backoff_ticks: opts.base_backoff_ticks.max(1),
-            max_backoff_ticks: opts.max_backoff_ticks.max(opts.base_backoff_ticks.max(1)),
-        };
         RefreshBreaker {
-            backoff_ticks: opts.base_backoff_ticks,
-            opts,
+            backoff_ticks: BASE_BACKOFF_TICKS,
+            max_backoff_ticks: opts.max_backoff_ticks.max(BASE_BACKOFF_TICKS),
             state: BreakerState::Closed,
             consecutive_failures: 0,
             trips: 0,
@@ -125,7 +121,7 @@ impl RefreshBreaker {
         }
         self.state = BreakerState::Closed;
         self.consecutive_failures = 0;
-        self.backoff_ticks = self.opts.base_backoff_ticks;
+        self.backoff_ticks = BASE_BACKOFF_TICKS;
     }
 
     /// A refresh attempt failed. Returns true when this failure
@@ -138,12 +134,12 @@ impl RefreshBreaker {
                 self.backoff_ticks = self
                     .backoff_ticks
                     .saturating_mul(2)
-                    .min(self.opts.max_backoff_ticks);
+                    .min(self.max_backoff_ticks);
                 self.skip_ticks = self.backoff_ticks;
                 self.state = BreakerState::Open;
                 true
             }
-            BreakerState::Closed if self.consecutive_failures >= self.opts.threshold => {
+            BreakerState::Closed if self.consecutive_failures >= THRESHOLD => {
                 self.trips += 1;
                 telemetry::counter("serve.breaker.trips").inc();
                 self.skip_ticks = self.backoff_ticks;
@@ -173,17 +169,13 @@ impl RefreshBreaker {
 mod tests {
     use super::*;
 
-    fn breaker(threshold: u32, base: u32, max: u32) -> RefreshBreaker {
-        RefreshBreaker::new(BreakerOptions {
-            threshold,
-            base_backoff_ticks: base,
-            max_backoff_ticks: max,
-        })
+    fn breaker(max_backoff_ticks: u32) -> RefreshBreaker {
+        RefreshBreaker::new(BreakerOptions { max_backoff_ticks })
     }
 
     #[test]
     fn trips_after_threshold_and_backs_off_in_ticks() {
-        let mut b = breaker(3, 2, 8);
+        let mut b = breaker(8);
         assert!(!b.degraded());
         assert!(b.allow_tick());
         assert!(!b.on_failure());
@@ -217,8 +209,9 @@ mod tests {
 
     #[test]
     fn backoff_caps_and_success_resets_it() {
-        let mut b = breaker(1, 2, 8);
-        assert!(b.on_failure(), "threshold 1 trips immediately");
+        let mut b = breaker(8);
+        assert!(!b.on_failure() && !b.on_failure());
+        assert!(b.on_failure(), "the third failure trips");
         // Drain to half-open and fail repeatedly: 4, 8, 8 (capped).
         for expected_skip in [2u32, 4, 8, 8] {
             for _ in 0..expected_skip {
@@ -229,6 +222,7 @@ mod tests {
         }
         b.on_success();
         // After recovery the backoff is back at base.
+        assert!(!b.on_failure() && !b.on_failure());
         assert!(b.on_failure());
         assert!(!b.allow_tick());
         assert!(!b.allow_tick());
@@ -237,7 +231,7 @@ mod tests {
 
     #[test]
     fn intermittent_failures_below_threshold_never_trip() {
-        let mut b = breaker(3, 2, 8);
+        let mut b = breaker(8);
         for _ in 0..10 {
             assert!(b.allow_tick());
             assert!(!b.on_failure());

@@ -11,9 +11,9 @@
 //! relaxed atomic increment, not a registry lock.
 //!
 //! A zero-capacity cache is a configuration error: [`LruCache::new`]
-//! rejects it. Callers that genuinely want no caching (the daemon's
-//! `--cache-cap 0`) use [`LruCache::disabled`] and skip the cache
-//! path entirely via [`LruCache::is_enabled`].
+//! rejects it. Callers that genuinely want no caching (a daemon whose
+//! `ServeOptions::cache_cap` is 0) use [`LruCache::disabled`] and skip
+//! the cache path entirely via [`LruCache::is_enabled`].
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -170,18 +170,13 @@ fn overload_profile(store: &Path, seed: u64) -> io::Result<Vec<ChaosCheck>> {
         store: store.to_path_buf(),
         admission: crate::admission::AdmissionOptions {
             max_inflight: 4,
-            max_queue: 2,
-            queue_wait_ms: 50,
             deadline_ms: 500,
         },
         // Loris connections must outlive the whole profile.
         conn_timeout_ms: 10_000,
         refresh_ms: 0,
         cache_cap: 64,
-        obs: crate::obs::ObsOptions {
-            slo: Some(telemetry::SloSpec::parse("p99=250ms,err=20%").map_err(io::Error::other)?),
-            ..crate::obs::ObsOptions::default()
-        },
+        slo: Some(telemetry::SloSpec::parse("p99=250ms,err=20%").map_err(io::Error::other)?),
         ..ServeOptions::default()
     };
     let shed_before = counter_sum("serve.shed");
@@ -415,8 +410,6 @@ fn corruption_checks(scratch: &Path, scope: &str) -> io::Result<Vec<ChaosCheck>>
         store: scratch.to_path_buf(),
         refresh_ms: 25,
         breaker: BreakerOptions {
-            threshold: 3,
-            base_backoff_ticks: 2,
             max_backoff_ticks: 8,
         },
         ..ServeOptions::default()

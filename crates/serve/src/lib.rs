@@ -42,8 +42,8 @@
 //! `probe`, `serialize`) are plain `telemetry::span` guards.
 //! [`obs::ServeObs`] takes the scope's spans: the root is the latency
 //! (rolling windows, SLO burn), the layers add to the layer tree, and
-//! a sampled request becomes one deterministic `type: "request"` trace
-//! line and a `/debug/requests` entry.
+//! the request becomes one deterministic `type: "request"` trace line
+//! and a `/debug/requests` entry.
 //!
 //! Overload hardening (DESIGN §13): [`admission`] gates requests
 //! cost-aware in front of the router (uniform `429` sheds with
@@ -71,5 +71,5 @@ pub use cache::LruCache;
 pub use chaos::{run_chaos, ChaosOptions, ChaosReport};
 pub use engine::QueryEngine;
 pub use fleet::{run_fleet, FleetOptions, FleetReport};
-pub use obs::{endpoint_of, ObsOptions, ServeObs, DEBUG_LIMIT_MAX, ENDPOINTS};
+pub use obs::{endpoint_of, ServeObs, DEBUG_REQUESTS, ENDPOINTS};
 pub use server::{RunningServer, ServeOptions, ServeSummary};

@@ -9,9 +9,9 @@
 //! steady-state cost is a mutex + a few atomic adds). A request whose
 //! head was read arrives as a [`RequestTrace`]: the spans of its
 //! request scope, whose root gives the latency and whose layers add to
-//! the [`LayerTree`]. Sampled ones also land in the debug ring, are
-//! offered to the slow log, and — when a trace stream is attached —
-//! emit one deterministic `type: "request"` line.
+//! the [`LayerTree`]. Each also lands in the debug ring, enters the
+//! slow log when it was over the latency objective, and — when a trace
+//! stream is attached — emits one deterministic `type: "request"` line.
 //!
 //! Health: when objectives are configured, [`ServeObs::degraded`]
 //! evaluates the all-endpoint window against them with multi-window
@@ -99,37 +99,21 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A bounded ring of the most recent request traces that took at least
-/// `min_us` of wall-clock: the debug ring at 0, the slow-query log at
-/// its threshold.
+/// A ring of the [`DEBUG_REQUESTS`] most recent request traces: the
+/// debug ring and the slow-query log.
+#[derive(Default)]
 struct RequestRing {
-    cap: usize,
-    min_us: u64,
     inner: Mutex<VecDeque<Arc<RequestTrace>>>,
 }
 
 impl RequestRing {
-    /// A ring keeping at most `cap` traces (0 keeps none).
-    fn new(cap: usize, min_us: u64) -> RequestRing {
-        RequestRing {
-            cap,
-            min_us,
-            inner: Mutex::new(VecDeque::with_capacity(cap.min(1024))),
+    /// Keeps `t`, evicting the oldest when full.
+    fn push(&self, t: &Arc<RequestTrace>) {
+        let mut g = lock(&self.inner);
+        if g.len() == DEBUG_REQUESTS {
+            g.pop_front();
         }
-    }
-
-    /// Keeps `t` if it took `min_us` or more, evicting the oldest when
-    /// full; returns whether it qualified.
-    fn offer(&self, t: &Arc<RequestTrace>) -> bool {
-        let keep = t.wall_ns() >= self.min_us.saturating_mul(1_000);
-        if keep && self.cap > 0 {
-            let mut g = lock(&self.inner);
-            if g.len() == self.cap {
-                g.pop_front();
-            }
-            g.push_back(Arc::clone(t));
-        }
-        keep
+        g.push_back(Arc::clone(t));
     }
 
     /// The most recent traces, newest first, at most `limit`.
@@ -139,38 +123,21 @@ impl RequestRing {
     }
 }
 
-/// Observability configuration, carved out of `ServeOptions`.
-#[derive(Debug, Clone)]
-pub struct ObsOptions {
-    /// Trace every `n`th request (1 = all); 0 disables request
-    /// tracing entirely.
-    pub trace_sample: u64,
-    /// Capacity of the `/debug/requests` ring.
-    pub debug_requests: usize,
-    /// Slow-query threshold in microseconds.
-    pub slow_us: u64,
-    /// Latency/error objectives; `None` disables burn evaluation.
-    pub slo: Option<SloSpec>,
-}
+/// Request traces the debug ring and the slow log each keep, and the
+/// most `/debug/requests?limit=` returns: a larger client-supplied
+/// limit is clamped to it.
+pub const DEBUG_REQUESTS: usize = 256;
 
-impl Default for ObsOptions {
-    fn default() -> ObsOptions {
-        ObsOptions {
-            trace_sample: 1,
-            debug_requests: 256,
-            slow_us: 100_000,
-            slo: None,
-        }
-    }
-}
-
-/// Hard cap on `/debug/requests?limit=`: the client-supplied value is
-/// advisory below this, clamped above it.
-pub const DEBUG_LIMIT_MAX: usize = 256;
+/// Slow-log threshold in microseconds when no p99 objective is set.
+const SLOW_US: u64 = 100_000;
 
 /// The serving path's observability hub.
 pub struct ServeObs {
-    opts: ObsOptions,
+    /// Latency/error objectives; `None` disables burn evaluation.
+    slo: Option<SloSpec>,
+    /// Latency in microseconds above which a request is slow: the p99
+    /// objective, or [`SLOW_US`] without one.
+    slow_us: u64,
     started: Instant,
     ring: RequestRing,
     slow: RequestRing,
@@ -184,7 +151,7 @@ pub struct ServeObs {
 
 impl ServeObs {
     /// Builds the hub, pre-fetching every per-endpoint metric handle.
-    pub fn new(opts: ObsOptions) -> ServeObs {
+    pub fn new(slo: Option<SloSpec>) -> ServeObs {
         let lat = ENDPOINTS
             .iter()
             .map(|&name| EndpointLat {
@@ -197,11 +164,11 @@ impl ServeObs {
                 ),
             })
             .collect();
-        let cap = opts.debug_requests;
         ServeObs {
-            ring: RequestRing::new(cap, 0),
-            slow: RequestRing::new(cap, opts.slow_us),
-            opts,
+            slo,
+            slow_us: slo.and_then(|s| s.p99_us).unwrap_or(SLOW_US),
+            ring: RequestRing::default(),
+            slow: RequestRing::default(),
             started: Instant::now(),
             lat,
             total: Mutex::new(RollingWindow::new()),
@@ -215,12 +182,6 @@ impl ServeObs {
         self.started.elapsed().as_secs()
     }
 
-    /// Whether request `ordinal` is traced: written to the trace stream,
-    /// the debug ring and the slow log.
-    pub fn sampled(&self, ordinal: u64) -> bool {
-        self.opts.trace_sample > 0 && ordinal.is_multiple_of(self.opts.trace_sample)
-    }
-
     fn endpoint_index(endpoint: &str) -> usize {
         ENDPOINTS
             .iter()
@@ -229,39 +190,37 @@ impl ServeObs {
     }
 
     /// Records one completed request into the endpoint's and the
-    /// all-endpoint windows. `error` means a 5xx: client errors are
-    /// the client's problem, not an SLO violation.
-    pub fn record(&self, endpoint: &'static str, status: u16, lat_us: u64) {
+    /// all-endpoint windows, and returns whether it was slow. `error`
+    /// means a 5xx: client errors are the client's problem, not an SLO
+    /// violation. A slow request is over objective when a p99 objective
+    /// is set.
+    pub fn record(&self, endpoint: &'static str, status: u16, lat_us: u64) -> bool {
         let now_s = self.now_s();
         let error = status >= 500;
-        let over = self
-            .opts
-            .slo
-            .and_then(|s| s.p99_us)
-            .is_some_and(|t| lat_us > t);
+        let slow = lat_us > self.slow_us;
+        let over = slow && self.slo.is_some_and(|s| s.p99_us.is_some());
         let ep = &self.lat[Self::endpoint_index(endpoint)];
         ep.hist.observe(lat_us);
         lock(&ep.window).observe(now_s, lat_us, error, over);
         lock(&self.total).observe(now_s, lat_us, error, over);
+        slow
     }
 
     /// Takes one answered request: its root span's wall time is its
-    /// latency, its spans join the layer tree, and a sampled one goes
-    /// to the trace stream, the debug ring and (counted under
-    /// `serve.slow_requests`) the slow log.
+    /// latency, its spans join the layer tree, and it goes to the trace
+    /// stream, the debug ring and, when slow (counted under
+    /// `serve.slow_requests`), the slow log.
     pub fn finish(&self, trace: RequestTrace) {
         // Nearest, not floor: a sum of these then matches the layer
         // tree's root, which sums nanoseconds.
         let lat_us = trace.wall_ns().saturating_add(500) / 1_000;
-        self.record(trace.endpoint, trace.status, lat_us);
+        let slow = self.record(trace.endpoint, trace.status, lat_us);
         lock(&self.layers).add(&trace.spans);
-        if !self.sampled(trace.ordinal) {
-            return;
-        }
         reqtrace::emit(&trace);
         let trace = Arc::new(trace);
-        self.ring.offer(&trace);
-        if self.slow.offer(&trace) {
+        self.ring.push(&trace);
+        if slow {
+            self.slow.push(&trace);
             telemetry::counter("serve.slow_requests").inc();
         }
     }
@@ -273,7 +232,7 @@ impl ServeObs {
 
     /// Burn state of the all-endpoint window, when objectives are set.
     pub fn burn(&self) -> Option<BurnState> {
-        let slo = self.opts.slo.as_ref()?;
+        let slo = self.slo.as_ref()?;
         Some(BurnState::evaluate(&lock(&self.total), slo, self.now_s()))
     }
 
@@ -295,7 +254,7 @@ impl ServeObs {
         };
         let body = json_body(1024, |o| {
             o.field("query", "slo");
-            o.field("objectives", self.opts.slo.as_ref().map(SloSpec::render));
+            o.field("objectives", self.slo.as_ref().map(SloSpec::render));
             o.field("state", state);
             o.field("uptime_s", now_s);
             match &burn {
@@ -349,15 +308,15 @@ impl ServeObs {
 
     /// The `/debug/requests` response: the most recent completed
     /// traces (newest first) plus the slow-query feed. Never cached.
-    /// The client-supplied `limit` is clamped to [`DEBUG_LIMIT_MAX`].
+    /// The client-supplied `limit` is clamped to [`DEBUG_REQUESTS`].
     pub fn debug_response(&self, limit: usize) -> Response {
-        let limit = limit.min(DEBUG_LIMIT_MAX);
+        let limit = limit.min(DEBUG_REQUESTS);
         let recent = self.ring.recent(limit);
         let slow = self.slow.recent(limit);
         let body = json_body(512 + recent.len() * 256, |o| {
             o.field("query", "debug_requests");
             o.field("returned", recent.len());
-            o.field("slow_threshold_us", self.slow.min_us);
+            o.field("slow_threshold_us", self.slow_us);
             for (key, traces) in [("requests", &recent), ("slow", &slow)] {
                 o.array(key, |a| {
                     for t in traces {
@@ -398,29 +357,15 @@ mod tests {
         }
     }
 
-    fn obs_with(slo: Option<&str>) -> ServeObs {
-        ServeObs::new(ObsOptions {
-            trace_sample: 1,
-            debug_requests: 8,
-            slow_us: 0, // everything is "slow": exercises the feed
-            slo: slo.map(|s| SloSpec::parse(s).unwrap()),
-        })
+    /// A request of `ordinal` whose root span took `wall_ns`.
+    fn timed(ordinal: u64, wall_ns: u64) -> RequestTrace {
+        let mut trace = traced(ordinal, &[]);
+        trace.spans[0].wall_ns = wall_ns;
+        trace
     }
 
-    #[test]
-    fn sampling_follows_the_stride() {
-        let all = obs_with(None);
-        assert!(all.sampled(0) && all.sampled(1));
-        let off = ServeObs::new(ObsOptions {
-            trace_sample: 0,
-            ..ObsOptions::default()
-        });
-        assert!(!off.sampled(0) && !off.sampled(7));
-        let nth = ServeObs::new(ObsOptions {
-            trace_sample: 4,
-            ..ObsOptions::default()
-        });
-        assert!(nth.sampled(0) && nth.sampled(4) && !nth.sampled(5));
+    fn obs_with(slo: Option<&str>) -> ServeObs {
+        ServeObs::new(slo.map(|s| SloSpec::parse(s).unwrap()))
     }
 
     #[test]
@@ -452,10 +397,9 @@ mod tests {
     #[test]
     fn slo_response_reports_breaker_health() {
         let mut breaker = crate::breaker::RefreshBreaker::new(crate::breaker::BreakerOptions {
-            threshold: 1,
-            base_backoff_ticks: 2,
             max_backoff_ticks: 4,
         });
+        assert!(!breaker.on_failure() && !breaker.on_failure());
         assert!(breaker.on_failure());
         let obs = obs_with(None);
         let body = String::from_utf8(obs.slo_response(Some(breaker.health())).body).unwrap();
@@ -466,51 +410,76 @@ mod tests {
 
     #[test]
     fn debug_response_carries_traces_and_slow_feed() {
-        let obs = obs_with(None);
+        let obs = obs_with(Some("p99=0us"));
+        obs.finish(timed(8, 1_000));
         obs.finish(traced(9, &[("probe", "weekly")]));
         let body = String::from_utf8(obs.debug_response(16).body).unwrap();
-        assert!(body.contains("\"returned\":1"), "{body}");
+        assert!(body.contains("\"returned\":2"), "{body}");
         assert!(body.contains("\"name\":\"probe\""), "{body}");
         assert!(body.contains("\"detail\":\"weekly\""), "{body}");
         assert!(body.contains("\"generation\":\"weekly:3\""), "{body}");
-        // threshold 0: the same trace shows in the slow feed.
+        // Over a 0us objective: the 1 ms trace shows in the slow feed.
         assert!(body.contains("\"slow\":[{\"trace_id\""), "{body}");
     }
 
     #[test]
     fn ring_bounds_and_orders_newest_first() {
-        let ring = RequestRing::new(2, 0);
-        for i in 0..4u64 {
-            assert!(ring.offer(&Arc::new(traced(i, &[]))));
+        let ring = RequestRing::default();
+        let n = DEBUG_REQUESTS as u64 + 2;
+        for i in 0..n {
+            ring.push(&Arc::new(traced(i, &[])));
         }
-        let recent = ring.recent(10);
-        assert_eq!(recent.len(), 2);
-        assert_eq!(recent[0].ordinal, 3);
-        assert_eq!(recent[1].ordinal, 2);
-        let none = RequestRing::new(0, 0);
-        assert!(none.offer(&Arc::new(traced(0, &[]))));
-        assert!(none.recent(10).is_empty());
+        let recent = ring.recent(usize::MAX);
+        assert_eq!(recent.len(), DEBUG_REQUESTS);
+        assert_eq!(recent[0].ordinal, n - 1);
+        assert_eq!(recent[DEBUG_REQUESTS - 1].ordinal, 2);
     }
 
+    /// The slow log holds exactly the requests `record` counts as over
+    /// the p99 objective: strictly above it, in latency rounded to the
+    /// nearest microsecond. Without an objective the bar is 100 ms.
     #[test]
     fn slow_log_filters_by_threshold() {
-        let fast = Arc::new(traced(1, &[]));
-        let log = RequestRing::new(8, 1_000_000); // 1s: nothing here is that slow
-        assert!(!log.offer(&fast));
-        assert!(log.recent(10).is_empty());
-        let everything = RequestRing::new(8, 0);
-        assert!(everything.offer(&fast));
-        assert_eq!(everything.recent(10).len(), 1);
+        let slow_ordinals = |obs: &ServeObs| -> Vec<u64> {
+            obs.slow
+                .recent(DEBUG_REQUESTS)
+                .iter()
+                .map(|t| t.ordinal)
+                .collect()
+        };
+        let obs = obs_with(Some("p99=2ms"));
+        // 1,999.6 us and 2,000.4 us round to the objective itself; 2,000.5
+        // us rounds past it.
+        for (ordinal, wall_ns) in [
+            (0, 1_999_600),
+            (1, 2_000_400),
+            (2, 2_000_500),
+            (3, 9_000_000),
+        ] {
+            obs.finish(timed(ordinal, wall_ns));
+        }
+        assert_eq!(slow_ordinals(&obs), [3, 2]);
+        let stats = lock(&obs.total).window(obs.now_s(), FAST_WINDOW_S);
+        assert_eq!((stats.count, stats.over), (4, 2));
+        let body = String::from_utf8(obs.debug_response(1).body).unwrap();
+        assert!(body.contains("\"slow_threshold_us\":2000,"), "{body}");
+
+        let none = obs_with(None);
+        for (ordinal, wall_ns) in [(0, 100_000_400), (1, 100_000_500)] {
+            none.finish(timed(ordinal, wall_ns));
+        }
+        assert_eq!(slow_ordinals(&none), [1]);
+        let stats = lock(&none.total).window(none.now_s(), FAST_WINDOW_S);
+        assert_eq!(stats.over, 0, "no objective, nothing over it");
+        // An objective without a latency target keeps the 100 ms bar.
+        assert_eq!(obs_with(Some("err=1%")).slow_us, SLOW_US);
     }
 
     #[test]
-    fn every_finished_request_is_timed_and_only_sampled_ones_kept() {
+    fn every_finished_request_is_timed_and_kept() {
         let tel = telemetry::Telemetry::new();
         let _in = tel.enter();
-        let obs = ServeObs::new(ObsOptions {
-            trace_sample: 2,
-            ..ObsOptions::default()
-        });
+        let obs = obs_with(None);
         let (mut root_ns, mut latency_us) = (0, 0);
         for ordinal in 0..4 {
             let trace = traced(ordinal, &[("cache", "miss")]);
@@ -519,7 +488,7 @@ mod tests {
             obs.finish(trace);
         }
         let body = String::from_utf8(obs.debug_response(16).body).unwrap();
-        assert!(body.contains("\"returned\":2"), "{body}");
+        assert!(body.contains("\"returned\":4"), "{body}");
         let latency = tel.registry().snapshot();
         let latency = latency
             .histograms
@@ -532,17 +501,12 @@ mod tests {
 
     #[test]
     fn debug_limit_is_clamped() {
-        let obs = ServeObs::new(ObsOptions {
-            trace_sample: 1,
-            debug_requests: DEBUG_LIMIT_MAX + 44,
-            slow_us: u64::MAX, // nothing is slow: isolate the ring
-            slo: None,
-        });
-        for ordinal in 0..(DEBUG_LIMIT_MAX as u64 + 44) {
+        let obs = obs_with(None);
+        for ordinal in 0..(DEBUG_REQUESTS as u64 + 44) {
             obs.finish(traced(ordinal, &[]));
         }
         let body = String::from_utf8(obs.debug_response(usize::MAX).body).unwrap();
-        let expected = format!("\"returned\":{DEBUG_LIMIT_MAX}");
+        let expected = format!("\"returned\":{DEBUG_REQUESTS}");
         assert!(body.contains(&expected), "{body}");
     }
 

@@ -26,7 +26,7 @@ use crate::engine::QueryEngine;
 use crate::http::{
     header_value, request_target, split_target, wire_status, Response, CONTENT_TYPE_JSON,
 };
-use crate::obs::{endpoint_of, Labeled, ObsOptions, ServeObs};
+use crate::obs::{endpoint_of, Labeled, ServeObs};
 use crate::signal;
 use std::io::{self, ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::{self, Scope};
 use std::time::{Duration, Instant};
-use telemetry::{reqtrace, LayerTree, RequestTrace};
+use telemetry::{reqtrace, LayerTree, RequestTrace, SloSpec};
 
 /// Requests larger than this are answered `431`; real queries are one
 /// short GET line plus a handful of headers.
@@ -54,8 +54,10 @@ pub struct ServeOptions {
     pub refresh_ms: u64,
     /// Where to write the final telemetry snapshot on shutdown.
     pub metrics: Option<PathBuf>,
-    /// Request tracing, debug ring, slow log, and SLO objectives.
-    pub obs: ObsOptions,
+    /// Latency/error objectives: `/healthz` degrades while they burn,
+    /// and the p99 objective is the slow log's threshold. `None`
+    /// disables burn evaluation.
+    pub slo: Option<SloSpec>,
     /// Admission control and per-request deadlines (both default off).
     pub admission: AdmissionOptions,
     /// Refresh circuit-breaker tuning.
@@ -73,7 +75,7 @@ impl Default for ServeOptions {
             cache_cap: 256,
             refresh_ms: 1_000,
             metrics: None,
-            obs: ObsOptions::default(),
+            slo: None,
             admission: AdmissionOptions::default(),
             breaker: BreakerOptions::default(),
             conn_timeout_ms: 5_000,
@@ -155,7 +157,7 @@ fn build_state(opts: &ServeOptions) -> io::Result<Arc<ServerState>> {
     Ok(Arc::new(ServerState {
         engine: RwLock::new(Arc::new(engine)),
         cache: Mutex::new(cache),
-        obs: ServeObs::new(opts.obs.clone()),
+        obs: ServeObs::new(opts.slo),
         admission: Admission::new(opts.admission.clone()),
         breaker: Mutex::new(RefreshBreaker::new(opts.breaker.clone())),
         store: opts.store.clone(),

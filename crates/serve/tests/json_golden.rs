@@ -12,8 +12,8 @@ use common::{seed_store, TempDir};
 use serve::chaos::ChaosCheck;
 use serve::http::Response;
 use serve::{
-    BreakerOptions, ChaosReport, FleetReport, ObsOptions, QueryEngine, RunningServer, ServeObs,
-    ServeOptions,
+    BreakerOptions, BreakerState, ChaosReport, FleetReport, QueryEngine, RefreshHealth,
+    RunningServer, ServeObs, ServeOptions,
 };
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -210,19 +210,14 @@ fn mask_uptime(body: &str) -> String {
 #[test]
 fn slo_and_debug_bodies_are_pinned() {
     let mut pins = Pins::default();
-    let quiet = ServeObs::new(ObsOptions::default());
+    let quiet = ServeObs::new(None);
     pins.check(
         "slo none",
         &mask_uptime(&body(&quiet.slo_response(None))),
         "{\"query\":\"slo\",\"objectives\":null,\"state\":\"none\",\"uptime_s\":N,\"burn\":null,\"refresh\":null,\"window_s\":10,\"endpoints\":{}}\n",
     );
 
-    let obs = ServeObs::new(ObsOptions {
-        trace_sample: 1,
-        debug_requests: 8,
-        slow_us: 0,
-        slo: Some(SloSpec::parse("p99=1ms,err=5%").unwrap()),
-    });
+    let obs = ServeObs::new(Some(SloSpec::parse("p99=1ms,err=5%").unwrap()));
     for i in 0..20u64 {
         obs.record(
             "classify",
@@ -231,18 +226,19 @@ fn slo_and_debug_bodies_are_pinned() {
         );
     }
     obs.record("coverage", 200, 45);
-    let mut breaker = serve::RefreshBreaker::new(BreakerOptions {
-        threshold: 1,
-        base_backoff_ticks: 2,
-        max_backoff_ticks: 4,
-    });
-    breaker.on_failure();
+    let health = RefreshHealth {
+        state: BreakerState::Open,
+        consecutive_failures: 1,
+        trips: 1,
+    };
     pins.check(
         "slo breach",
-        &mask_uptime(&body(&obs.slo_response(Some(breaker.health())))),
+        &mask_uptime(&body(&obs.slo_response(Some(health)))),
         "{\"query\":\"slo\",\"objectives\":\"p99=1000us,err=5.0000%\",\"state\":\"breach\",\"uptime_s\":N,\"burn\":{\"threshold\":14,\"fast\":{\"window_s\":10,\"latency\":52.381,\"error\":1.905,\"count\":21},\"slow\":{\"window_s\":60,\"latency\":52.381,\"error\":1.905,\"count\":21}},\"refresh\":{\"breaker\":\"open\",\"degraded\":true,\"consecutive_failures\":1,\"trips\":1},\"window_s\":10,\"endpoints\":{\"classify\":{\"count\":20,\"errors\":2,\"over\":11,\"qps\":2.00,\"p50_us\":1136,\"p90_us\":2227,\"p99_us\":2500,\"max_us\":2100},\"coverage\":{\"count\":1,\"errors\":0,\"over\":0,\"qps\":0.10,\"p50_us\":50,\"p90_us\":50,\"p99_us\":50,\"max_us\":45}}}\n",
     );
 
+    // Over a 0us objective every request is slow: the feed holds both.
+    let obs = ServeObs::new(Some(SloSpec::parse("p99=0us").unwrap()));
     obs.finish(trace(7, 321));
     obs.finish(trace(8, 654));
     pins.check("debug", &body(&obs.debug_response(1)), "{\"query\":\"debug_requests\",\"returned\":1,\"slow_threshold_us\":0,\"requests\":[{\"trace_id\":\"893eb7db0dddbdb4\",\"conn\":3,\"ordinal\":8,\"target\":\"/classify?ip=0.0.0.10&x=\\\"q\\\"\",\"endpoint\":\"classify\",\"status\":200,\"bytes\":612,\"generation\":\"weekly:3\",\"wall_us\":654,\"spans\":[{\"id\":0,\"parent\":null,\"name\":\"cache\",\"wall_us\":10,\"detail\":\"miss\"},{\"id\":1,\"parent\":null,\"name\":\"probe\",\"wall_us\":11,\"detail\":\"we\\\"ird\\\\\"}]}],\"slow\":[{\"trace_id\":\"893eb7db0dddbdb4\",\"conn\":3,\"ordinal\":8,\"target\":\"/classify?ip=0.0.0.10&x=\\\"q\\\"\",\"endpoint\":\"classify\",\"status\":200,\"bytes\":612,\"generation\":\"weekly:3\",\"wall_us\":654,\"spans\":[{\"id\":0,\"parent\":null,\"name\":\"cache\",\"wall_us\":10,\"detail\":\"miss\"},{\"id\":1,\"parent\":null,\"name\":\"probe\",\"wall_us\":11,\"detail\":\"we\\\"ird\\\\\"}]}]}\n");
@@ -313,11 +309,9 @@ fn live_scrub_and_degraded_healthz_are_pinned() {
     let server = RunningServer::start(&ServeOptions {
         store: tmp.0.clone(),
         refresh_ms: 5,
-        // One failed refresh trips the breaker, and it stays open for
-        // the rest of the test.
+        // Three failed refreshes trip the breaker, and its backoff
+        // doubles past the test's length after a few failed probes.
         breaker: BreakerOptions {
-            threshold: 1,
-            base_backoff_ticks: 100_000,
             max_backoff_ticks: 100_000,
         },
         ..ServeOptions::default()

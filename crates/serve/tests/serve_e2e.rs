@@ -48,7 +48,6 @@ fn options(store: &Path) -> ServeOptions {
         cache_cap: 64,
         refresh_ms: 50,
         metrics: None,
-        obs: serve::ObsOptions::default(),
         ..ServeOptions::default()
     }
 }
