@@ -21,6 +21,15 @@ cargo test -q -p serve --test serve_e2e -- --test-threads 8
 test ! -e vendor/tokio && ! grep -rnE '\basync fn\b|\.await\b' --include=*.rs crates tests examples || exit 1
 tree=$(cargo tree --offline -e normal -p scanner -p classify) && ! grep -E 'worldgen|resolversim' <<<"$tree" || exit 1
 ! grep -rnE 'universe\.|\.resolver_at\(|\.reachable\(' crates/scanner/src crates/classify/src || exit 1
+# The store's I/O is a value: scanstore keeps no process-wide state, and
+# only the std `Disk` (vfs.rs) and the recorder's append-only stream
+# (recorder.rs: no fault point, no crash claim) name `fs::`, outside the
+# `#[cfg(test)]` module that ends a file.
+! grep -rnE '\bstatic\s+(mut\b|\w+\s*:.*(Atomic|Mutex|RwLock|OnceLock))|thread_local!' crates/scanstore/src || exit 1
+for f in crates/scanstore/src/*.rs; do
+  case $f in */vfs.rs | */recorder.rs) continue ;; esac
+  ! sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nHE --label="$f" '\bfs::' || exit 1
+done
 # Clippy compiles the examples; this runs all six (`loopback_scan`
 # exits non-zero unless its loopback fleet shows the expected rows).
 for e in examples/*.rs; do cargo run --release --offline --example "$(basename "$e" .rs)"; done

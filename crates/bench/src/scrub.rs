@@ -8,7 +8,7 @@ pub fn main(p: &Parsed) -> Result<(), String> {
         usage_error("scrub requires --store <dir>");
     };
     let json = p.has("--json");
-    let reports = scanstore::scrub_root(&store).map_err(|e| e.to_string())?;
+    let reports = scanstore::scrub_root(&scanstore::StdDisk, &store).map_err(|e| e.to_string())?;
     if reports.is_empty() {
         return Err(format!("{} holds no campaign stores", store.display()));
     }

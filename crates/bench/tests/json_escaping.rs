@@ -7,7 +7,7 @@
 mod common;
 
 use common::TempDir;
-use scanstore::{CampaignStore, Observation, ObservationSink, SnapshotSink};
+use scanstore::{CampaignStore, FaultSpec, Faulty, Observation, ObservationSink, SnapshotSink};
 use serde_json::Value;
 use serve::{BreakerOptions, QueryEngine, RunningServer, ServeOptions};
 use std::collections::BTreeMap;
@@ -15,6 +15,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::path::Path;
 use std::process::Command;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Three campaigns that all saw 0.0.0.10, two of them named to break
@@ -110,12 +111,14 @@ fn get(addr: std::net::SocketAddr, target: &str) -> String {
 fn live_bodies_carry_escaped_campaign_names() {
     let tmp = TempDir::new("live");
     seed_store(&tmp.0);
+    let faulty = Arc::new(Faulty::default());
     let server = RunningServer::start(&ServeOptions {
         store: tmp.0.clone(),
         refresh_ms: 5,
         breaker: BreakerOptions {
             max_backoff_ticks: 100_000,
         },
+        disk: faulty.clone(),
         ..ServeOptions::default()
     })
     .unwrap();
@@ -126,10 +129,9 @@ fn live_bodies_carry_escaped_campaign_names() {
 
     // A failing refresh trips the breaker: `/healthz` stays 200 but
     // reports degraded, through the daemon's own emitter.
-    scanstore::faults::arm(&scanstore::FaultSpec {
-        scope: tmp.0.to_string_lossy().into_owned(),
+    faulty.arm(&FaultSpec {
         manifest_read_errors: 1_000_000,
-        ..scanstore::FaultSpec::default()
+        ..FaultSpec::default()
     });
     let mut degraded = String::new();
     for _ in 0..400 {
@@ -139,7 +141,7 @@ fn live_bodies_carry_escaped_campaign_names() {
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    scanstore::faults::disarm();
+    faulty.arm(&FaultSpec::default());
     let health = parse(&degraded);
     assert_eq!(field(&health, "degraded"), &Value::Bool(true), "{degraded}");
     assert_eq!(string(field(&health, "generations")), tag());

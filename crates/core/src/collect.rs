@@ -32,8 +32,8 @@ use netsim::{FaultPlan, SimTime};
 use scanner::campaign::churn as churn_campaign;
 use scanner::{churn_from_source, enumerate_with_sink, Coverage, ProbePolicy};
 use scanstore::{
-    flags, CampaignStore, MemoryStore, Observation, ObservationSink, SnapshotSink, SnapshotSource,
-    StoreStats,
+    flags, CampaignStore, Disk, MemoryStore, Observation, ObservationSink, SnapshotSink,
+    SnapshotSource, StdDisk, StoreStats,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -628,8 +628,11 @@ type BundleSinks = BTreeMap<CampaignKind, CampaignData>;
 struct Lane<'a> {
     world: World,
     data: BundleSinks,
-    store_dir: Option<&'a Path>,
+    store: StoreAt<'a>,
 }
+
+/// A bundle store's root, and the disk it is read and written through.
+pub type StoreAt<'a> = Option<(&'a Arc<dyn Disk>, &'a Path)>;
 
 impl Lane<'_> {
     /// Run one task of campaign `kind` against its store, with graceful
@@ -649,7 +652,7 @@ impl Lane<'_> {
             Ok(v) => return Ok(v),
             Err(err) => err,
         };
-        let Some(dir) = self.store_dir else {
+        let Some((disk, dir)) = self.store else {
             return Err(err);
         };
         telemetry::counter_with("collect.campaign_retried", &[("campaign", kind.name())]).inc();
@@ -662,7 +665,8 @@ impl Lane<'_> {
             ],
             Some(self.world.now().millis()),
         );
-        *store = CampaignData::Disk(CampaignStore::open(dir.join(kind.name()))?);
+        let reopened = CampaignStore::open_on(Arc::clone(disk), dir.join(kind.name()))?;
+        *store = CampaignData::Disk(reopened);
         f(&mut self.world, store.sink())
     }
 }
@@ -715,6 +719,17 @@ pub fn collect_bundle(
     kinds: &[CampaignKind],
     store_dir: Option<&Path>,
 ) -> io::Result<BundleData> {
+    let disk: Arc<dyn Disk> = Arc::new(StdDisk);
+    collect_bundle_on(opts, kinds, store_dir.map(|dir| (&disk, dir)))
+}
+
+/// [`collect_bundle`] with the store read and written through a disk
+/// of the caller's.
+pub fn collect_bundle_on(
+    opts: &BundleOptions,
+    kinds: &[CampaignKind],
+    store: StoreAt<'_>,
+) -> io::Result<BundleData> {
     use CampaignKind::*;
     let mut want: BTreeSet<CampaignKind> = kinds.iter().copied().collect();
     if [Chaos, Banner, Snoop, Churn, Domains]
@@ -727,8 +742,11 @@ pub fn collect_bundle(
     for &kind in &want {
         data.insert(
             kind,
-            match store_dir {
-                Some(dir) => CampaignData::Disk(CampaignStore::open(dir.join(kind.name()))?),
+            match store {
+                Some((disk, dir)) => CampaignData::Disk(CampaignStore::open_on(
+                    Arc::clone(disk),
+                    dir.join(kind.name()),
+                )?),
                 None => CampaignData::Mem(MemoryStore::new()),
             },
         );
@@ -820,7 +838,7 @@ pub fn collect_bundle(
 
     let sched = Schedule {
         opts,
-        store_dir,
+        store,
         tasks: tasks
             .into_iter()
             .map(|(anchor, task)| (anchor, task, lane_of(task.campaign())))
@@ -947,7 +965,7 @@ pub fn collect_bundle(
 /// What every lane of one collection shares.
 struct Schedule<'a> {
     opts: &'a BundleOptions,
-    store_dir: Option<&'a Path>,
+    store: StoreAt<'a>,
     /// `(anchor, task, owning lane)`, in anchor order.
     tasks: Vec<(u64, Task, usize)>,
     /// Snapshots each campaign's store held when the collection began.
@@ -1009,9 +1027,7 @@ fn run_lane(
     out: &mpsc::Sender<Flush>,
 ) -> io::Result<LaneEnd> {
     use CampaignKind::*;
-    let Schedule {
-        opts, store_dir, ..
-    } = *sched;
+    let Schedule { opts, store, .. } = *sched;
     let built = sched.telemetry.child();
     let entered = built.enter();
     let mut world = build_world(opts.cfg.clone());
@@ -1034,11 +1050,7 @@ fn run_lane(
     }
     let ground_truth = truth::capture_ground_truth(&world);
     let vantage = world.scanner_ip;
-    let mut own = Lane {
-        world,
-        data,
-        store_dir,
-    };
+    let mut own = Lane { world, data, store };
 
     let mut fleet: Option<Vec<Ipv4Addr>> = None;
     let mut cohort: Option<Vec<Ipv4Addr>> = None;

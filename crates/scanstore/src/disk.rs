@@ -8,8 +8,8 @@
 use crate::record::{Observation, SnapshotDiff};
 use crate::segment::{self, Segment};
 use crate::source::{Snapshot, SnapshotSource};
+use crate::vfs::Disk;
 use serde::{Deserialize, Serialize};
-use std::fs;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -70,12 +70,8 @@ impl Manifest {
 /// Reads `dir`'s manifest. A missing file is an empty store; `None`
 /// means the bytes are not a manifest of this version — a foreign
 /// file, not a torn write, since the writer replaces it atomically.
-pub(crate) fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
-    let path = dir.join(MANIFEST);
-    if let Some(e) = crate::faults::manifest_read_error(&path) {
-        return Err(e);
-    }
-    match fs::read(&path) {
+pub(crate) fn read_manifest(disk: &dyn Disk, dir: &Path) -> io::Result<Option<Manifest>> {
+    match disk.read(&dir.join(MANIFEST)) {
         Ok(bytes) => Ok(serde_json::from_slice::<Manifest>(&bytes)
             .ok()
             .filter(|m| m.version == MANIFEST_VERSION)),
@@ -120,19 +116,18 @@ impl SegmentVerdict {
 /// included), and header seq == entry seq == position. Returns the
 /// decoded segment, or the verdict that says why not.
 pub(crate) fn check_segment(
+    disk: &dyn Disk,
     dir: &Path,
     entry: &SegmentEntry,
     position: u32,
 ) -> Result<Segment, SegmentVerdict> {
-    let path = dir.join(&entry.file);
     let corrupt = |error: String| SegmentVerdict::Corrupt { error };
-    if crate::faults::segment_corrupt(&path) {
-        return Err(corrupt("injected fault: segment read failed".to_string()));
-    }
-    let bytes = fs::read(&path).map_err(|e| match e.kind() {
-        io::ErrorKind::NotFound => SegmentVerdict::Missing,
-        _ => corrupt(e.to_string()),
-    })?;
+    let bytes = disk
+        .read(&dir.join(&entry.file))
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::NotFound => SegmentVerdict::Missing,
+            _ => corrupt(e.to_string()),
+        })?;
     if bytes.len() as u64 != entry.bytes {
         return Err(SegmentVerdict::SizeMismatch {
             manifest: entry.bytes,
@@ -170,9 +165,9 @@ impl Committed {
     /// the ones already held and stopping at the first that fails
     /// [`check_segment`]. Returns whether every committed entry is now
     /// held.
-    pub(crate) fn load(&mut self, dir: &Path, manifest: &Manifest) -> bool {
+    pub(crate) fn load(&mut self, disk: &dyn Disk, dir: &Path, manifest: &Manifest) -> bool {
         for entry in manifest.committed_entries().skip(self.segments.len()) {
-            let Ok(mut seg) = check_segment(dir, entry, self.segments.len() as u32) else {
+            let Ok(mut seg) = check_segment(disk, dir, entry, self.segments.len() as u32) else {
                 return false;
             };
             Arc::make_mut(&mut self.strings).append(&mut seg.new_strings);

@@ -1,155 +1,158 @@
 //! Deterministic storage-fault injection for the serve-chaos harness.
 //!
-//! The shim sits on three choke points of the store's I/O: the
-//! manifest read and the segment check of `disk.rs`, and atomic writes
-//! ([`store`]). The two read points are the only way any reader reaches
-//! the disk, so they fire on writer opens and scrubs inside an armed
-//! scope as well as on view opens and refreshes. Arming a
-//! [`FaultSpec`] makes the next N operations at each point fail as if
-//! the disk had; the serve-chaos harness uses this to trip the refresh
-//! circuit breaker, force reader rollbacks, and fail writer commits
-//! without touching real hardware.
-//!
-//! The shim is process-global but **scope-filtered**: a fault only
-//! fires for paths containing the armed scope substring (typically
-//! the chaos run's scratch directory), so concurrent tests in the
-//! same process never trip each other's faults. While disarmed the
-//! cost on the store's I/O paths is a single relaxed atomic load.
-//!
-//! [`store`]: crate::store
+//! [`Faulty`] is the real disk with budgets: arming a [`FaultSpec`]
+//! makes the next N manifest reads, segment reads or writes through
+//! that handle fail as if the disk had. Manifest and segment reads are
+//! the only way any reader reaches a store, so a fault fires on writer
+//! opens and scrubs as well as on view opens and refreshes. The
+//! serve-chaos harness hands one handle to its writer and its daemon to
+//! trip the refresh circuit breaker, force reader rollbacks, and fail
+//! writer commits without touching real hardware. Budgets belong to
+//! the handle: a store opened on another handle never sees them.
 
+use crate::disk::MANIFEST;
+use crate::vfs::{Disk, StdDisk};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// What to inject, armed via [`arm`]. Budgets are per-choke-point
-/// operation counts; a zero budget leaves that point untouched.
+/// What to inject, armed via [`Faulty::arm`]. Budgets are operation
+/// counts; a zero budget leaves that operation untouched.
 #[derive(Debug, Clone, Default)]
 pub struct FaultSpec {
-    /// Substring a path must contain for any fault to fire. An empty
-    /// scope matches nothing (arming is then a no-op).
-    pub scope: String,
     /// Manifest reads to fail with an injected I/O error — the
     /// refresh path surfaces these as `StoreView::refresh` errors.
     pub manifest_read_errors: u32,
-    /// Segment checks to fail as if the file were corrupt — a reader
-    /// rolls back to the longest valid prefix, a scrub reports
-    /// `corrupt`.
+    /// Segment reads to fail — the segment check calls the file
+    /// corrupt, so a reader rolls back to the longest valid prefix and
+    /// a scrub reports `corrupt`.
     pub segment_corruptions: u32,
-    /// Atomic writes to fail with an injected disk-full error.
+    /// Writes to fail with an injected disk-full error.
     pub write_enospc: u32,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static MANIFEST_READS: AtomicU32 = AtomicU32::new(0);
-static SEGMENT_READS: AtomicU32 = AtomicU32::new(0);
-static WRITES: AtomicU32 = AtomicU32::new(0);
-static SCOPE: Mutex<String> = Mutex::new(String::new());
-
-/// Arms the shim, replacing any previously armed spec.
-pub fn arm(spec: &FaultSpec) {
-    *SCOPE.lock().unwrap() = spec.scope.clone();
-    MANIFEST_READS.store(spec.manifest_read_errors, Ordering::SeqCst);
-    SEGMENT_READS.store(spec.segment_corruptions, Ordering::SeqCst);
-    WRITES.store(spec.write_enospc, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+/// [`StdDisk`] with per-handle fault budgets.
+#[derive(Debug, Default)]
+pub struct Faulty {
+    manifest_reads: AtomicU32,
+    segment_reads: AtomicU32,
+    writes: AtomicU32,
 }
 
-/// Disarms the shim; unspent budgets are dropped.
-pub fn disarm() {
-    ARMED.store(false, Ordering::SeqCst);
-    MANIFEST_READS.store(0, Ordering::SeqCst);
-    SEGMENT_READS.store(0, Ordering::SeqCst);
-    WRITES.store(0, Ordering::SeqCst);
-    SCOPE.lock().unwrap().clear();
-}
-
-/// True when `path` is inside the armed scope and `budget` still has
-/// shots left; a hit decrements the budget.
-fn take(path: &Path, budget: &AtomicU32) -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
+impl Faulty {
+    /// Replaces the budgets; `FaultSpec::default()` disarms.
+    pub fn arm(&self, spec: &FaultSpec) {
+        self.manifest_reads
+            .store(spec.manifest_read_errors, Ordering::SeqCst);
+        self.segment_reads
+            .store(spec.segment_corruptions, Ordering::SeqCst);
+        self.writes.store(spec.write_enospc, Ordering::SeqCst);
     }
-    {
-        let scope = SCOPE.lock().unwrap();
-        if scope.is_empty() || !path.to_string_lossy().contains(scope.as_str()) {
-            return false;
+}
+
+/// Spends one shot of `budget` if it has one, counting the injection
+/// under `kind`; the error is `message`.
+fn take(budget: &AtomicU32, kind: &str, message: &str) -> io::Result<()> {
+    let spent = budget.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+    if spent.is_err() {
+        return Ok(());
+    }
+    telemetry::counter_with("scanstore.faults.injected", &[("kind", kind)]).inc();
+    Err(io::Error::other(message))
+}
+
+impl Disk for Faulty {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        let name = path.file_name().map(|n| n.to_string_lossy());
+        let name = name.as_deref().unwrap_or("");
+        if name == MANIFEST {
+            let message = "injected fault: manifest read failed";
+            take(&self.manifest_reads, "manifest_read", message)?;
+        } else if name.starts_with("seg-") {
+            let message = "injected fault: segment read failed";
+            take(&self.segment_reads, "segment_read", message)?;
         }
+        StdDisk.read(path)
     }
-    budget
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-        .is_ok()
-}
 
-/// Injected failure for a manifest read, if armed for `path`.
-pub(crate) fn manifest_read_error(path: &Path) -> Option<io::Error> {
-    take(path, &MANIFEST_READS).then(|| {
-        telemetry::counter_with("scanstore.faults.injected", &[("kind", "manifest_read")]).inc();
-        io::Error::other("injected fault: manifest read failed")
-    })
-}
-
-/// Whether a segment decode should be treated as torn, if armed for
-/// `path`.
-pub(crate) fn segment_corrupt(path: &Path) -> bool {
-    let hit = take(path, &SEGMENT_READS);
-    if hit {
-        telemetry::counter_with("scanstore.faults.injected", &[("kind", "segment_read")]).inc();
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        take(&self.writes, "write", "injected fault: disk full")?;
+        StdDisk.write(path, bytes)
     }
-    hit
-}
 
-/// Injected disk-full failure for an atomic write, if armed for
-/// `path`.
-pub(crate) fn write_error(path: &Path) -> Option<io::Error> {
-    take(path, &WRITES).then(|| {
-        telemetry::counter_with("scanstore.faults.injected", &[("kind", "write")]).inc();
-        io::Error::other("injected fault: disk full")
-    })
+    fn sync(&self, path: &Path) -> io::Result<()> {
+        StdDisk.sync(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        StdDisk.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        StdDisk.remove(path)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        StdDisk.list(dir)
+    }
+
+    fn create_dir(&self, dir: &Path) -> io::Result<()> {
+        StdDisk.create_dir(dir)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use std::path::PathBuf;
 
-    // Arm/disarm state is process-global single-slot, so everything
-    // that arms lives in this one test; concurrent-arming coverage is
-    // in `tests/refresh_corruption.rs`, which exercises the real I/O
-    // choke points.
+    // Store-level coverage (opens, rollbacks, failed commits) is in
+    // `tests/refresh_corruption.rs`; this test pins the gate itself.
     #[test]
     fn scope_and_budget_gate_injection() {
-        let inside = PathBuf::from("/tmp/gw-faults-scope-a/manifest.json");
-        let outside = PathBuf::from("/tmp/other/manifest.json");
+        let dir: PathBuf =
+            std::env::temp_dir().join(format!("gw-faults-scope-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join(MANIFEST);
+        let segment = dir.join("seg-00001.gws");
+        let notes = dir.join("notes.json");
+        for path in [&manifest, &segment, &notes] {
+            fs::write(path, b"{}").unwrap();
+        }
 
-        disarm();
-        assert!(
-            manifest_read_error(&inside).is_none(),
-            "disarmed shim fired"
-        );
+        let faulty = Faulty::default();
+        assert!(faulty.read(&manifest).is_ok(), "unarmed handle fired");
 
-        arm(&FaultSpec {
-            scope: "gw-faults-scope-a".to_string(),
+        faulty.arm(&FaultSpec {
             manifest_read_errors: 2,
             segment_corruptions: 1,
             write_enospc: 0,
         });
+        let other = Faulty::default();
         assert!(
-            manifest_read_error(&outside).is_none(),
-            "scope filter leaked"
+            other.read(&manifest).is_ok(),
+            "budget leaked to another handle"
         );
-        assert!(manifest_read_error(&inside).is_some());
-        assert!(manifest_read_error(&inside).is_some());
+        assert!(faulty.read(&notes).is_ok(), "non-store file was gated");
+        assert!(faulty.read(&manifest).is_err());
+        assert!(faulty.read(&manifest).is_err());
         assert!(
-            manifest_read_error(&inside).is_none(),
+            faulty.read(&manifest).is_ok(),
             "budget not exhausted after two hits"
         );
-        assert!(segment_corrupt(&inside));
-        assert!(!segment_corrupt(&inside));
-        assert!(write_error(&inside).is_none(), "zero budget fired");
+        assert!(faulty.read(&segment).is_err());
+        assert!(faulty.read(&segment).is_ok());
+        assert!(faulty.write(&notes, b"[]").is_ok(), "zero budget fired");
 
-        disarm();
-        assert!(manifest_read_error(&inside).is_none());
+        faulty.arm(&FaultSpec {
+            manifest_read_errors: 5,
+            ..FaultSpec::default()
+        });
+        faulty.arm(&FaultSpec::default());
+        assert!(faulty.read(&manifest).is_ok(), "disarm left a budget");
+
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -16,7 +16,10 @@
 //!
 //! Every reader of a store directory — the writer's open, the
 //! read-only [`StoreView`] and the scrubber — goes through `disk.rs`:
-//! one manifest type, one segment check, one prefix loader.
+//! one manifest type, one segment check, one prefix loader. Every file
+//! operation they make goes through a [`Disk`] handle taken at open:
+//! [`StdDisk`] is the real disk, [`Faulty`] injects the serve-chaos
+//! faults, and tests stand in fakes.
 //!
 //! Report code reads either store through [`SnapshotSource`] —
 //! snapshot iterators, adjacent-snapshot diff cursors, and
@@ -36,10 +39,11 @@ pub mod sink;
 pub mod source;
 pub mod store;
 pub mod varint;
+pub mod vfs;
 pub mod view;
 
 pub use disk::{SegmentEntry, SegmentVerdict};
-pub use faults::FaultSpec;
+pub use faults::{FaultSpec, Faulty};
 pub use memory::MemoryStore;
 pub use record::{flags, fnv1a, Observation, SnapshotDiff};
 pub use recorder::{read_stream, RecorderStream, StoredRecord};
@@ -47,4 +51,5 @@ pub use scrub::{scrub_root, scrub_store, ScrubReport};
 pub use sink::{NullSink, ObservationSink, SnapshotSink};
 pub use source::{cohort_survival, Snapshot, SnapshotSource};
 pub use store::{CampaignStore, StoreStats};
+pub use vfs::{Disk, StdDisk};
 pub use view::{campaign_dirs, AsnSeries, IndexEntry, ReadIndex, StoreView};

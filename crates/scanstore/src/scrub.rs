@@ -8,7 +8,7 @@
 //! CLI (DESIGN §13).
 
 use crate::disk::{check_segment, read_manifest, SegmentVerdict};
-use std::fs;
+use crate::vfs::Disk;
 use std::io;
 use std::path::Path;
 
@@ -86,8 +86,8 @@ impl ScrubReport {
 /// Scrubs one store directory: reads the manifest and puts every
 /// committed segment through the check the writer and the view load
 /// by, reporting each verdict rather than stopping at the first.
-pub fn scrub_store(dir: &Path) -> io::Result<ScrubReport> {
-    let Some(manifest) = read_manifest(dir)? else {
+pub fn scrub_store(disk: &dyn Disk, dir: &Path) -> io::Result<ScrubReport> {
+    let Some(manifest) = read_manifest(disk, dir)? else {
         telemetry::counter("scanstore.scrub.bad_manifests").inc();
         return Ok(ScrubReport {
             committed: 0,
@@ -99,7 +99,7 @@ pub fn scrub_store(dir: &Path) -> io::Result<ScrubReport> {
 
     let mut segments = Vec::new();
     for (position, entry) in manifest.committed_entries().enumerate() {
-        let checked = check_segment(dir, entry, position as u32).err();
+        let checked = check_segment(disk, dir, entry, position as u32).err();
         let verdict = checked.unwrap_or(SegmentVerdict::Ok);
         telemetry::counter_with("scanstore.scrub.segments", &[("verdict", verdict.tag())]).inc();
         segments.push(SegmentReport {
@@ -110,14 +110,12 @@ pub fn scrub_store(dir: &Path) -> io::Result<ScrubReport> {
     }
 
     let mut orphans = Vec::new();
-    for dirent in fs::read_dir(dir)? {
-        let name = dirent?.file_name().to_string_lossy().into_owned();
+    for name in disk.list(dir)? {
         let looks_like_segment = name.starts_with("seg-") || name.ends_with(".tmp");
         if looks_like_segment && !segments.iter().any(|s| s.file == name) {
             orphans.push(name);
         }
     }
-    orphans.sort();
 
     telemetry::counter("scanstore.scrub.runs").inc();
     Ok(ScrubReport {
@@ -130,15 +128,14 @@ pub fn scrub_store(dir: &Path) -> io::Result<ScrubReport> {
 
 /// Scrubs every store of [`campaign_dirs`](crate::campaign_dirs)`(root)`,
 /// the stores the serve engine opens.
-pub fn scrub_root(root: &Path) -> io::Result<Vec<(String, ScrubReport)>> {
-    if !root.is_dir() {
-        return Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("store root {} is not a directory", root.display()),
-        ));
-    }
-    crate::campaign_dirs(root)?
+pub fn scrub_root(disk: &dyn Disk, root: &Path) -> io::Result<Vec<(String, ScrubReport)>> {
+    let not_a_dir = |_| {
+        let message = format!("store root {} is not a directory", root.display());
+        io::Error::new(io::ErrorKind::NotFound, message)
+    };
+    crate::campaign_dirs(disk, root)
+        .map_err(not_a_dir)?
         .into_iter()
-        .map(|(name, dir)| scrub_store(&dir).map(|r| (name, r)))
+        .map(|(name, dir)| scrub_store(disk, &dir).map(|r| (name, r)))
         .collect()
 }

@@ -20,10 +20,11 @@
 //! the last write instead of between writes, which is what an
 //! all-or-nothing campaign of hundreds of small snapshots wants.
 //!
-//! A crash (or an error) before the seal leaves orphan segments that
-//! the next [`CampaignStore::open`] deletes — the checkpoint is whatever
-//! the manifest says. A segment inside the committed prefix that fails
-//! the one segment check (`disk.rs`, which the view and the
+//! A crash or an error (any fsync's included) before the seal leaves
+//! orphan segments that the next [`CampaignStore::open`] deletes — the
+//! checkpoint is whatever the manifest says (`tests/crash_points.rs`
+//! checks every crash point). A segment inside the committed prefix
+//! that fails the one segment check (`disk.rs`, which the view and the
 //! scrubber read by too) rolls the checkpoint back to the longest valid
 //! prefix and counts a recovery event.
 //!
@@ -34,9 +35,9 @@ use crate::disk::{read_manifest, Committed, Manifest, OnDisk, SegmentEntry, MANI
 use crate::record::{Observation, SnapshotDiff};
 use crate::segment::{self, Kind, Segment};
 use crate::sink::{ObservationSink, SnapshotSink};
+use crate::vfs::{Disk, StdDisk};
 use serde::Serialize;
 use std::collections::HashMap;
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -68,11 +69,12 @@ pub struct StoreStats {
 /// directory.
 #[derive(Debug)]
 pub struct CampaignStore {
+    disk: Arc<dyn Disk>,
     dir: PathBuf,
     manifest: Manifest,
     /// Every commit, staged or sealed, and every interned string,
     /// committed or not.
-    disk: Committed,
+    committed: Committed,
     ids: HashMap<String, u32>,
     new_strings: Vec<String>,
     current: Vec<Observation>,
@@ -90,13 +92,6 @@ fn seg_file_name(seq: u32) -> String {
     format!("seg-{seq:05}.gws")
 }
 
-/// Makes a rename inside `dir` durable.
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-}
-
 /// Writes `bytes` to `dir/name` via tmp + rename, so the name holds the
 /// old contents (or nothing) or the new, whole. With `durable` the
 /// contents are fsynced before the rename and the rename after it —
@@ -104,19 +99,21 @@ fn sync_dir(dir: &Path) {
 /// at any point. Without, nothing is synced: a staged segment, which
 /// nothing names until [`CampaignStore::seal`] has fsynced it, so a
 /// crash before that leaves at worst an orphan.
-fn write_renamed(dir: &Path, name: &str, bytes: &[u8], durable: bool) -> io::Result<()> {
+fn write_renamed(
+    disk: &dyn Disk,
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+    durable: bool,
+) -> io::Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
-    let dst = dir.join(name);
-    if let Some(e) = crate::faults::write_error(&dst) {
-        return Err(e);
-    }
-    fs::write(&tmp, bytes)?;
+    disk.write(&tmp, bytes)?;
     if durable {
-        fs::File::open(&tmp)?.sync_all()?;
+        disk.sync(&tmp)?;
     }
-    fs::rename(&tmp, &dst)?;
+    disk.rename(&tmp, &dir.join(name))?;
     if durable {
-        sync_dir(dir);
+        disk.sync(dir)?;
     }
     Ok(())
 }
@@ -133,10 +130,10 @@ fn json_line_bytes(records: &[Observation]) -> u64 {
 }
 
 /// Replaces the manifest durably.
-fn write_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
+fn write_manifest(disk: &dyn Disk, dir: &Path, manifest: &Manifest) -> io::Result<()> {
     let bytes = serde_json::to_vec(manifest)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    write_renamed(dir, MANIFEST, &bytes, true)
+    write_renamed(disk, dir, MANIFEST, &bytes, true)
 }
 
 impl CampaignStore {
@@ -146,14 +143,20 @@ impl CampaignStore {
     /// a recovery; orphan segments and temp files beyond the checkpoint
     /// are deleted.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<CampaignStore> {
+        CampaignStore::open_on(Arc::new(StdDisk), dir)
+    }
+
+    /// [`CampaignStore::open`] through `disk`, which every later read
+    /// and write of the store goes through too.
+    pub fn open_on(disk: Arc<dyn Disk>, dir: impl AsRef<Path>) -> io::Result<CampaignStore> {
         let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        let read = read_manifest(&dir)?;
+        disk.create_dir(&dir)?;
+        let read = read_manifest(&*disk, &dir)?;
         let manifest_readable = read.is_some();
         let mut manifest = read.unwrap_or_else(Manifest::empty);
-        let mut disk = Committed::default();
-        let recovered = !disk.load(&dir, &manifest) || !manifest_readable;
-        let valid = disk.segments.len() as u32;
+        let mut committed = Committed::default();
+        let recovered = !committed.load(&*disk, &dir, &manifest) || !manifest_readable;
+        let valid = committed.segments.len() as u32;
         telemetry::counter("scanstore.crc_validations").add(u64::from(valid));
 
         manifest.committed = valid;
@@ -171,28 +174,27 @@ impl CampaignStore {
 
         // Delete anything past the checkpoint: orphan segments from a
         // crash mid-commit, stray temp files, segments beyond a rollback.
-        for dirent in fs::read_dir(&dir)? {
-            let dirent = dirent?;
-            let name = dirent.file_name().to_string_lossy().into_owned();
+        for name in disk.list(&dir)? {
             let keep = name == MANIFEST || manifest.segments.iter().any(|e| e.file == name);
             if !keep && (name.starts_with("seg-") || name.ends_with(".tmp")) {
-                let _ = fs::remove_file(dirent.path());
+                let _ = disk.remove(&dir.join(name));
             }
         }
         if recovered {
-            write_manifest(&dir, &manifest)?;
+            write_manifest(&*disk, &dir, &manifest)?;
         }
 
-        let ids = disk.strings.iter().enumerate().skip(1);
+        let ids = committed.strings.iter().enumerate().skip(1);
         let ids = ids.map(|(id, s)| (s.clone(), id as u32)).collect();
-        let current = disk
+        let current = committed
             .segments
             .iter()
             .fold(Vec::new(), |records, seg| seg.diff.apply(&records));
         Ok(CampaignStore {
+            disk,
             dir,
             manifest,
-            disk,
+            committed,
             ids,
             new_strings: Vec::new(),
             current,
@@ -207,10 +209,10 @@ impl CampaignStore {
     /// only then writes the manifest that names them.
     fn seal(&mut self) -> io::Result<()> {
         for file in &self.staged {
-            fs::File::open(self.dir.join(file))?.sync_all()?;
+            self.disk.sync(&self.dir.join(file))?;
         }
-        sync_dir(&self.dir);
-        write_manifest(&self.dir, &self.manifest)?;
+        self.disk.sync(&self.dir)?;
+        write_manifest(&*self.disk, &self.dir, &self.manifest)?;
         self.staged.clear();
         Ok(())
     }
@@ -231,11 +233,11 @@ impl CampaignStore {
     /// and the string table (each string twice, by id and as key).
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let diffs = self.disk.segments.iter().map(|s| &s.diff);
+        let diffs = self.committed.segments.iter().map(|s| &s.diff);
         let (upserts, removed) = diffs.fold((0, 0), |sum, d| {
             (sum.0 + d.upserts.len(), sum.1 + d.removed.len())
         });
-        let strings = self.disk.strings.iter().map(|s| 2 * s.len());
+        let strings = self.committed.strings.iter().map(|s| 2 * s.len());
         (upserts + self.current.len() + self.pending.len()) * size_of::<Observation>()
             + removed * size_of::<u32>()
             + strings.sum::<usize>()
@@ -275,8 +277,8 @@ impl ObservationSink for CampaignStore {
         if let Some(&id) = self.ids.get(s) {
             return id;
         }
-        let id = self.disk.strings.len() as u32;
-        Arc::make_mut(&mut self.disk.strings).push(s.to_string());
+        let id = self.committed.strings.len() as u32;
+        Arc::make_mut(&mut self.committed.strings).push(s.to_string());
         self.ids.insert(s.to_string(), id);
         self.new_strings.push(s.to_string());
         id
@@ -300,7 +302,7 @@ impl SnapshotSink for CampaignStore {
         };
         let bytes = segment::encode(&seg);
         let file = seg_file_name(seq);
-        write_renamed(&self.dir, &file, &bytes, false)?;
+        write_renamed(&*self.disk, &self.dir, &file, &bytes, false)?;
         self.staged.push(file.clone());
 
         let upserts = seg.diff.upserts.len();
@@ -317,7 +319,7 @@ impl SnapshotSink for CampaignStore {
         self.manifest.committed = seq + 1;
         // `intern` already put this segment's strings in the table.
         seg.new_strings = Vec::new();
-        self.disk.segments.push(Arc::new(seg));
+        self.committed.segments.push(Arc::new(seg));
         self.current = records;
         if !self.grouping {
             self.seal()?;
@@ -357,6 +359,6 @@ impl SnapshotSink for CampaignStore {
 
 impl OnDisk for CampaignStore {
     fn committed(&self) -> &Committed {
-        &self.disk
+        &self.committed
     }
 }

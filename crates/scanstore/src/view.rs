@@ -29,8 +29,8 @@
 use crate::disk::{read_manifest, Committed, Manifest, OnDisk, MANIFEST};
 use crate::record::Observation;
 use crate::segment::Segment;
+use crate::vfs::{Disk, StdDisk};
 use std::collections::{BTreeMap, HashMap};
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -209,23 +209,22 @@ impl ReadIndex {
 /// `root` itself (named after its directory) when it holds a manifest,
 /// otherwise every subdirectory that does. Names are directory names —
 /// input from outside the program, escaped wherever they are written.
-pub fn campaign_dirs(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
-    if root.join(MANIFEST).is_file() {
+pub fn campaign_dirs(disk: &dyn Disk, root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
+    let has_manifest = |dir: &Path| {
+        disk.list(dir)
+            .is_ok_and(|n| n.iter().any(|n| n == MANIFEST))
+    };
+    if has_manifest(root) {
         let name = root
             .file_name()
             .map_or_else(|| "store".to_string(), |n| n.to_string_lossy().into_owned());
         return Ok(vec![(name, root.to_path_buf())]);
     }
-    let mut dirs = Vec::new();
-    for dirent in fs::read_dir(root)? {
-        let dirent = dirent?;
-        let path = dirent.path();
-        if path.is_dir() && path.join(MANIFEST).is_file() {
-            dirs.push((dirent.file_name().to_string_lossy().into_owned(), path));
-        }
-    }
-    dirs.sort();
-    Ok(dirs)
+    let dirs = disk.list(root)?.into_iter().filter_map(|name| {
+        let dir = root.join(&name);
+        has_manifest(&dir).then_some((name, dir))
+    });
+    Ok(dirs.collect())
 }
 
 /// `(label, t_ms, meta)` of one committed snapshot segment.
@@ -238,6 +237,7 @@ pub type SegmentMeta<'a> = (&'a str, u64, &'a [(String, String)]);
 /// other threads need no locking because a view is immutable.
 #[derive(Debug, Clone)]
 pub struct StoreView {
+    disk: Arc<dyn Disk>,
     dir: PathBuf,
     /// The manifest's `recovery_events` when this view read it.
     recovery_events: u32,
@@ -261,24 +261,34 @@ impl StoreView {
     /// prefix in memory and sets [`StoreView::recovered`], as does a
     /// manifest that does not parse.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<StoreView> {
+        StoreView::open_on(Arc::new(StdDisk), dir)
+    }
+
+    /// [`StoreView::open`] through `disk`, which the view's refreshes
+    /// read through too.
+    pub fn open_on(disk: Arc<dyn Disk>, dir: impl AsRef<Path>) -> io::Result<StoreView> {
         let dir = dir.as_ref().to_path_buf();
-        if !dir.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("store directory {} does not exist", dir.display()),
-            ));
-        }
-        let manifest = read_manifest(&dir)?;
+        let missing = format!("store directory {} does not exist", dir.display());
+        disk.list(&dir)
+            .map_err(|_| io::Error::new(io::ErrorKind::NotFound, missing))?;
+        let manifest = read_manifest(&*disk, &dir)?;
         telemetry::counter("scanstore.view.opens").inc();
-        Ok(StoreView::load(dir, manifest, Committed::default()))
+        Ok(StoreView::load(disk, dir, manifest, Committed::default()))
     }
 
     /// Loads what `manifest` commits beyond `committed` and indexes the
     /// result.
-    fn load(dir: PathBuf, manifest: Option<Manifest>, mut committed: Committed) -> StoreView {
+    fn load(
+        disk: Arc<dyn Disk>,
+        dir: PathBuf,
+        manifest: Option<Manifest>,
+        mut committed: Committed,
+    ) -> StoreView {
         let t0 = std::time::Instant::now();
         let held = committed.segments.len();
-        let recovered = !manifest.as_ref().is_some_and(|m| committed.load(&dir, m));
+        let recovered = !manifest
+            .as_ref()
+            .is_some_and(|m| committed.load(&*disk, &dir, m));
         let decoded = committed.segments.len() - held;
         if decoded > 0 {
             telemetry::counter("scanstore.view.segments_decoded").add(decoded as u64);
@@ -289,6 +299,7 @@ impl StoreView {
             telemetry::counter("scanstore.view.rollbacks").inc();
         }
         StoreView {
+            disk,
             dir,
             recovery_events: manifest.map_or(0, |m| m.recovery_events),
             recovered,
@@ -356,7 +367,7 @@ impl StoreView {
     ///   `recovery_events` moved), fewer commits than the view holds, or
     ///   a manifest that does not parse → full reopen.
     pub fn refresh(&self) -> io::Result<StoreView> {
-        let manifest = read_manifest(&self.dir)?;
+        let manifest = read_manifest(&*self.disk, &self.dir)?;
         let held = self.generation();
         let same_history = |m: &Manifest| m.recovery_events == self.recovery_events;
         let unchanged = match &manifest {
@@ -374,7 +385,8 @@ impl StoreView {
             _ => ("reopen", Committed::default()),
         };
         telemetry::counter_with("scanstore.view.refreshes", &[("kind", kind)]).inc();
-        Ok(StoreView::load(self.dir.clone(), manifest, prefix))
+        let disk = Arc::clone(&self.disk);
+        Ok(StoreView::load(disk, self.dir.clone(), manifest, prefix))
     }
 }
 
@@ -389,6 +401,7 @@ mod tests {
     use super::*;
     use crate::sink::{ObservationSink, SnapshotSink};
     use crate::{CampaignStore, SnapshotSource};
+    use std::fs;
 
     struct TempDir(PathBuf);
 

@@ -6,10 +6,12 @@ mod common;
 use common::TempDir;
 use scanstore::sink::{ObservationSink, SnapshotSink};
 use scanstore::{
-    scrub_store, CampaignStore, FaultSpec, Observation, SegmentVerdict, SnapshotSource, StoreView,
+    scrub_store, CampaignStore, Disk, FaultSpec, Faulty, Observation, SegmentVerdict,
+    SnapshotSource, StdDisk, StoreView,
 };
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
 fn commit_ip(store: &mut CampaignStore, label: &str, ip: u32, t_ms: u64) {
     store.observe(Observation::at(ip, 0, t_ms));
@@ -83,7 +85,7 @@ fn refresh_rolls_back_on_mid_commit_corruption() {
     assert!(view.index().lookup(20).is_some());
 
     // Scrub pins the damage to the truncated segment.
-    let report = scrub_store(&tmp.0).unwrap();
+    let report = scrub_store(&StdDisk, &tmp.0).unwrap();
     assert!(!report.healthy());
     assert!(report.manifest_ok);
     assert_eq!(report.bad_segments(), 1);
@@ -216,7 +218,7 @@ fn scrub_view_and_writer_agree_on_damaged_stores() {
         commit_weeks(&tmp.0, 4);
         damage(&tmp.0);
 
-        let scrub = scrub_store(&tmp.0).unwrap();
+        let scrub = scrub_store(&StdDisk, &tmp.0).unwrap();
         let view = StoreView::open(&tmp.0).unwrap();
         assert_eq!(scrub.segments.len(), 4, "{name}: every committed entry");
         assert_eq!(scrub.healthy(), name == "intact", "{name}: {scrub:?}");
@@ -245,7 +247,7 @@ fn scrub_passes_a_clean_store_and_lists_orphans() {
     commit_ip(&mut store, "week-0", 10, 1_000);
     commit_ip(&mut store, "week-1", 20, 2_000);
 
-    let report = scrub_store(&tmp.0).unwrap();
+    let report = scrub_store(&StdDisk, &tmp.0).unwrap();
     assert!(report.healthy(), "{report:?}");
     assert_eq!(report.committed, 2);
     assert_eq!(report.segments.len(), 2);
@@ -254,14 +256,13 @@ fn scrub_passes_a_clean_store_and_lists_orphans() {
     // A stray file the manifest does not list is reported but does
     // not fail the scrub — the committed data is intact.
     fs::write(tmp.0.join("seg-99999.gws"), b"stray").unwrap();
-    let report = scrub_store(&tmp.0).unwrap();
+    let report = scrub_store(&StdDisk, &tmp.0).unwrap();
     assert!(report.healthy());
     assert_eq!(report.orphans, vec!["seg-99999.gws".to_string()]);
 }
 
-/// All faults-shim arming lives in this one test: the shim is a
-/// process-global single slot, and integration tests in other files
-/// run as separate processes.
+/// Faults are armed on a handle: a store opened through another disk
+/// never sees them, and each budget is spent shot by shot.
 #[test]
 fn faults_shim_is_scoped_and_budgeted() {
     let tmp_a = TempDir::new("faults-a");
@@ -270,48 +271,48 @@ fn faults_shim_is_scoped_and_budgeted() {
         let mut store = CampaignStore::open(&tmp.0).unwrap();
         commit_ip(&mut store, "week-0", 10, 1_000);
     }
+    let (faulty, other) = (Arc::new(Faulty::default()), Arc::new(Faulty::default()));
+    let open_a = || StoreView::open_on(faulty.clone(), &tmp_a.0);
 
-    // Scoped: a manifest fault armed for store A fails its open but
-    // leaves store B untouched.
-    scanstore::faults::arm(&FaultSpec {
-        scope: tmp_a.0.to_string_lossy().into_owned(),
+    // Scoped: a manifest fault armed on A's handle fails its open but
+    // leaves store B, opened on another handle, untouched. A file that
+    // is neither a manifest nor a segment reads clean and spends nothing.
+    faulty.arm(&FaultSpec {
         manifest_read_errors: 1,
         ..FaultSpec::default()
     });
-    assert!(StoreView::open(&tmp_a.0).is_err());
-    assert_eq!(StoreView::open(&tmp_b.0).unwrap().generation(), 1);
+    fs::write(tmp_a.0.join("notes.json"), b"{}").unwrap();
+    assert_eq!(faulty.read(&tmp_a.0.join("notes.json")).unwrap(), b"{}");
+    assert!(open_a().is_err());
+    assert_eq!(StoreView::open_on(other, &tmp_b.0).unwrap().generation(), 1);
     // Budgeted: the single shot is spent; A opens fine now.
-    assert_eq!(StoreView::open(&tmp_a.0).unwrap().generation(), 1);
-    scanstore::faults::disarm();
+    assert_eq!(open_a().unwrap().generation(), 1);
 
     // A segment fault reads as a torn file: the open rolls back to an
     // empty (recovered) view rather than erroring.
-    scanstore::faults::arm(&FaultSpec {
-        scope: tmp_a.0.to_string_lossy().into_owned(),
+    faulty.arm(&FaultSpec {
         segment_corruptions: 1,
         ..FaultSpec::default()
     });
-    let view = StoreView::open(&tmp_a.0).unwrap();
+    let view = open_a().unwrap();
     assert_eq!(view.generation(), 0);
     assert!(view.recovered());
-    scanstore::faults::disarm();
 
     // A write fault fails the commit like a full disk; disarming
     // makes the next commit succeed.
-    scanstore::faults::arm(&FaultSpec {
-        scope: tmp_a.0.to_string_lossy().into_owned(),
+    faulty.arm(&FaultSpec {
         write_enospc: 1_000_000,
         ..FaultSpec::default()
     });
-    let mut store = CampaignStore::open(&tmp_a.0).unwrap();
+    let mut store = CampaignStore::open_on(faulty.clone(), &tmp_a.0).unwrap();
     store.observe(Observation::at(20, 0, 2_000));
     let err = store.commit("week-1", 2_000, &[]).unwrap_err();
     assert!(err.to_string().contains("injected fault"), "{err}");
-    scanstore::faults::disarm();
+    faulty.arm(&FaultSpec::default());
     store.observe(Observation::at(30, 0, 3_000));
     store.commit("week-2", 3_000, &[]).unwrap();
 
     // Disarmed, everything reads clean again.
-    let view = StoreView::open(&tmp_a.0).unwrap();
+    let view = open_a().unwrap();
     assert!(view.index().lookup(30).is_some());
 }

@@ -5,19 +5,21 @@
 
 mod common;
 
-use common::TempDir;
+use common::{MemDisk, Op, TempDir, Tree};
 use proptest::prelude::*;
 use scanstore::record::{decode_record, encode_record};
 use scanstore::segment::{self, Kind, Segment};
 use scanstore::varint::Reader;
 use scanstore::{
-    CampaignStore, FaultSpec, MemoryStore, Observation, ObservationSink, SnapshotDiff,
-    SnapshotSink, SnapshotSource, StoreView,
+    CampaignStore, MemoryStore, Observation, ObservationSink, SnapshotDiff, SnapshotSink,
+    SnapshotSource, StoreView,
 };
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 const BASE_MS: u64 = 1_000_000;
 
@@ -464,17 +466,18 @@ fn grouped_and_ungrouped_commits_leave_identical_directories() {
 /// the start, after one, in the middle and at the last segment, and at
 /// the manifest write that would have sealed it. Whatever the point,
 /// the directory reopens at the checkpoint before the group.
-///
-/// The fault shim is process-wide and single-slot, so every arming of
-/// this binary lives in this one test.
 #[test]
 fn a_failed_group_leaves_the_previous_checkpoint() {
-    let reference = TempDir::new("group-reference");
+    let dir = Path::new("/store");
+    let reference = Arc::new(MemDisk::new(Tree::default()));
     let (before_files, before_current) = {
-        let mut store = CampaignStore::open(&reference.0).unwrap();
+        let mut store = CampaignStore::open_on(reference.clone(), dir).unwrap();
         commit_tagged_week(&mut store, 0).unwrap();
         commit_tagged_week(&mut store, 1).unwrap();
-        (dir_bytes(&reference.0), store.snapshot(1).unwrap().records)
+        (
+            reference.tree().files_in(dir),
+            store.snapshot(1).unwrap().records,
+        )
     };
     let crash_points = [
         ("seg-00002", 0u32),
@@ -484,22 +487,26 @@ fn a_failed_group_leaves_the_previous_checkpoint() {
         ("manifest.json", 6),
     ];
     for (failing_file, staged) in crash_points {
-        let tmp = TempDir::new(&format!("group-crash-{staged}"));
-        let mut store = CampaignStore::open(&tmp.0).unwrap();
+        // Once armed, the first write of `failing_file` fails as if the
+        // disk were full.
+        let armed = Arc::new(AtomicBool::new(false));
+        let shot = Arc::clone(&armed);
+        let disk = Arc::new(MemDisk::failing(Tree::default(), move |op| {
+            let Op::Write(path, _) = op else { return false };
+            let name = path.file_name().unwrap().to_string_lossy();
+            name.starts_with(failing_file) && shot.swap(false, Ordering::SeqCst)
+        }));
+        let dir_bytes = || disk.tree().files_in(dir);
+        let mut store = CampaignStore::open_on(disk.clone(), dir).unwrap();
         commit_tagged_week(&mut store, 0).unwrap();
         commit_tagged_week(&mut store, 1).unwrap();
 
-        scanstore::faults::arm(&FaultSpec {
-            scope: tmp.0.join(failing_file).to_string_lossy().into_owned(),
-            write_enospc: 1,
-            ..FaultSpec::default()
-        });
+        armed.store(true, Ordering::SeqCst);
         store.begin_group();
         let outcome = (2..8)
             .try_for_each(|w| commit_tagged_week(&mut store, w).map(drop))
             .and_then(|()| store.end_group());
-        scanstore::faults::disarm();
-        let err = outcome.expect_err("the armed write fails the group");
+        let err = outcome.expect_err("the failing write fails the group");
         assert!(err.to_string().contains("injected fault"), "{err}");
         assert_eq!(
             store.snapshot_count(),
@@ -509,17 +516,17 @@ fn a_failed_group_leaves_the_previous_checkpoint() {
         drop(store);
 
         // What the crash left: the old manifest and `staged` orphans.
-        let reader = StoreView::open(&tmp.0).unwrap();
+        let reader = StoreView::open_on(disk.clone(), dir).unwrap();
         assert_eq!(reader.snapshot_count(), 2, "crash point {failing_file}");
         assert!(!reader.recovered());
         assert_eq!(
-            dir_bytes(&tmp.0).len(),
+            dir_bytes().len(),
             before_files.len() + staged as usize,
             "crash point {failing_file}"
         );
 
         // Reopening sweeps them and resumes from before the group.
-        let mut store = CampaignStore::open(&tmp.0).unwrap();
+        let mut store = CampaignStore::open_on(disk.clone(), dir).unwrap();
         assert_eq!(store.snapshot_count(), 2, "crash point {failing_file}");
         assert_eq!(store.resumed_at(), Some(2));
         assert_eq!(
@@ -529,11 +536,7 @@ fn a_failed_group_leaves_the_previous_checkpoint() {
         );
         assert_eq!(store.stats().live_records, before_current.len() as u64);
         assert_eq!(store.snapshot(1).unwrap().records, before_current);
-        assert_eq!(
-            dir_bytes(&tmp.0),
-            before_files,
-            "crash point {failing_file}"
-        );
+        assert_eq!(dir_bytes(), before_files, "crash point {failing_file}");
         // The string table is the pre-group one: the group's strings are
         // gone and the next new string takes the first free id.
         let tag1 = store.intern("tag-1");
@@ -542,18 +545,18 @@ fn a_failed_group_leaves_the_previous_checkpoint() {
         drop(store);
 
         // The retried group then lands as if nothing had happened.
-        let mut store = CampaignStore::open(&tmp.0).unwrap();
+        let mut store = CampaignStore::open_on(disk.clone(), dir).unwrap();
         store.begin_group();
         for w in 2..8 {
             commit_tagged_week(&mut store, w).unwrap();
         }
         store.end_group().unwrap();
         drop(store);
-        let mut plain = CampaignStore::open(&reference.0).unwrap();
+        let mut plain = CampaignStore::open_on(reference.clone(), dir).unwrap();
         for w in plain.snapshot_count()..8 {
             commit_tagged_week(&mut plain, w).unwrap();
         }
         drop(plain);
-        assert_eq!(dir_bytes(&tmp.0), dir_bytes(&reference.0));
+        assert_eq!(dir_bytes(), reference.tree().files_in(dir));
     }
 }

@@ -11,9 +11,7 @@
 //! relaxed atomic increment, not a registry lock.
 //!
 //! A zero-capacity cache is a configuration error: [`LruCache::new`]
-//! rejects it. Callers that genuinely want no caching (a daemon whose
-//! `ServeOptions::cache_cap` is 0) use [`LruCache::disabled`] and skip
-//! the cache path entirely via [`LruCache::is_enabled`].
+//! rejects it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,14 +38,10 @@ pub struct LruCache {
 impl LruCache {
     /// A cache holding at most `cap` bodies. `cap == 0` is rejected:
     /// a cache that can hold nothing silently turns every `put` into
-    /// a no-op, which is a misconfiguration, not a cache. Use
-    /// [`LruCache::disabled`] to opt out of caching explicitly.
+    /// a no-op, which is a misconfiguration, not a cache.
     pub fn new(cap: usize) -> Result<LruCache, String> {
         if cap == 0 {
-            return Err(
-                "cache capacity 0 is invalid; use LruCache::disabled() to disable caching"
-                    .to_string(),
-            );
+            return Err("cache capacity 0 is invalid; a cache holds at least 1 body".to_string());
         }
         Ok(LruCache {
             cap,
@@ -55,23 +49,6 @@ impl LruCache {
             map: HashMap::with_capacity(cap.min(1024)),
             counters: HashMap::new(),
         })
-    }
-
-    /// An explicitly disabled cache: stores nothing, every lookup
-    /// misses. [`LruCache::is_enabled`] lets the server skip the
-    /// cache path (and its mutex) entirely.
-    pub fn disabled() -> LruCache {
-        LruCache {
-            cap: 0,
-            tick: 0,
-            map: HashMap::new(),
-            counters: HashMap::new(),
-        }
-    }
-
-    /// False for a [`LruCache::disabled`] cache.
-    pub fn is_enabled(&self) -> bool {
-        self.cap > 0
     }
 
     fn counters(&mut self, endpoint: &'static str) -> &EndpointCounters {
@@ -109,9 +86,6 @@ impl LruCache {
     /// eviction scan is fine at the cache sizes the daemon runs with
     /// (hundreds of entries).
     pub fn put(&mut self, key: String, endpoint: &'static str, body: Arc<Vec<u8>>) {
-        if self.cap == 0 {
-            return;
-        }
         self.tick += 1;
         if self.map.len() >= self.cap && !self.map.contains_key(&key) {
             if let Some(oldest) = self
@@ -154,7 +128,6 @@ mod tests {
     #[test]
     fn hit_miss_and_lru_eviction() {
         let mut cache = LruCache::new(2).unwrap();
-        assert!(cache.is_enabled());
         assert!(cache.get("a", "classify").is_none());
         cache.put("a".into(), "classify", body("A"));
         cache.put("b".into(), "classify", body("B"));
@@ -172,15 +145,6 @@ mod tests {
     fn zero_capacity_is_rejected() {
         let err = LruCache::new(0).unwrap_err();
         assert!(err.contains("capacity 0"), "{err}");
-    }
-
-    #[test]
-    fn disabled_cache_stores_nothing() {
-        let mut cache = LruCache::disabled();
-        assert!(!cache.is_enabled());
-        cache.put("a".into(), "classify", body("A"));
-        assert!(cache.get("a", "classify").is_none());
-        assert!(cache.is_empty());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Each profile starts a real daemon, drives it with hostile clients
 //! — overload bursts, slow-loris writers, malformed and oversized
-//! requests, mid-refresh segment corruption and disk-full faults via
-//! [`scanstore::faults`] — and emits a deterministic pass/fail
+//! requests, mid-refresh segment corruption and disk-full faults
+//! through a [`Faulty`] disk — and emits a deterministic pass/fail
 //! report: the daemon never panics, sheds with uniform `429`/`503`
 //! bodies instead of hanging, keeps serving stale-but-valid data
 //! through a tripped refresh breaker, and recovers once the fault
@@ -16,10 +16,11 @@ use crate::breaker::BreakerOptions;
 use crate::fleet::{chaos_burst, fetch, raw_request, LorisSquad};
 use crate::server::{RunningServer, ServeOptions};
 use scanstore::sink::{ObservationSink, SnapshotSink};
-use scanstore::{CampaignStore, FaultSpec, Observation};
+use scanstore::{CampaignStore, FaultSpec, Faulty, Observation};
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 use telemetry::json;
 
@@ -146,15 +147,6 @@ fn counter_value(key: &str) -> u64 {
 
 fn counter_sum(prefix: &str) -> u64 {
     telemetry::snapshot().counter_sum(prefix)
-}
-
-/// Disarms the faults shim even if a check path returns early.
-struct DisarmGuard;
-
-impl Drop for DisarmGuard {
-    fn drop(&mut self) {
-        scanstore::faults::disarm();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -392,15 +384,19 @@ fn corruption_profile(store: &Path) -> io::Result<Vec<ChaosCheck>> {
     let scratch = std::env::temp_dir().join(format!("gw-chaos-{}-corruption", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     copy_tree(store, &scratch)?;
-    let scope = scratch.to_string_lossy().into_owned();
-    let result = corruption_checks(&scratch, &scope);
+    let result = corruption_checks(&scratch);
     let _ = std::fs::remove_dir_all(&scratch);
     result
 }
 
-fn corruption_checks(scratch: &Path, scope: &str) -> io::Result<Vec<ChaosCheck>> {
+fn corruption_checks(scratch: &Path) -> io::Result<Vec<ChaosCheck>> {
+    // The writer and the daemon read and write through this one disk.
+    let disk = Arc::new(Faulty::default());
     // The first campaign directory: the one a writer commits to.
-    let Some((_, campaign)) = scanstore::campaign_dirs(scratch)?.into_iter().next() else {
+    let Some((_, campaign)) = scanstore::campaign_dirs(&*disk, scratch)?
+        .into_iter()
+        .next()
+    else {
         return Err(io::Error::new(
             io::ErrorKind::NotFound,
             format!("{} holds no campaign manifest", scratch.display()),
@@ -408,6 +404,7 @@ fn corruption_checks(scratch: &Path, scope: &str) -> io::Result<Vec<ChaosCheck>>
     };
     let opts = ServeOptions {
         store: scratch.to_path_buf(),
+        disk: disk.clone(),
         refresh_ms: 25,
         breaker: BreakerOptions {
             max_backoff_ticks: 8,
@@ -427,7 +424,7 @@ fn corruption_checks(scratch: &Path, scope: &str) -> io::Result<Vec<ChaosCheck>>
         "healthz answers 200, not degraded",
     ));
 
-    let mut writer = CampaignStore::open(&campaign)?;
+    let mut writer = CampaignStore::open_on(disk.clone(), &campaign)?;
     commit_ip(&mut writer, "chaos-a", 101, 9_000_001)?;
     checks.push(check(
         "refresh_live",
@@ -435,32 +432,29 @@ fn corruption_checks(scratch: &Path, scope: &str) -> io::Result<Vec<ChaosCheck>>
         "a fresh commit becomes visible through background refresh",
     ));
 
-    // Break every manifest read under the scratch store: refresh now
-    // fails each tick until the breaker trips.
-    {
-        let _guard = DisarmGuard;
-        scanstore::faults::arm(&FaultSpec {
-            scope: scope.to_string(),
-            manifest_read_errors: 1_000_000,
-            ..FaultSpec::default()
-        });
-        checks.push(check(
-            "breaker_trips",
-            poll(400, 5, || has(body_of(addr, "/healthz"), "degraded", true)),
-            "consecutive refresh failures trip the breaker; healthz reports degraded",
-        ));
-        checks.push(check(
-            "stale_served",
-            status_of(addr, "/healthz") == 200 && found(addr, 101),
-            "the last good generation keeps serving through the tripped breaker",
-        ));
-        let slo = body_of(addr, "/slo");
-        checks.push(check(
-            "slo_reports_breaker",
-            has(&slo, "breaker", "open") || has(&slo, "breaker", "half_open"),
-            "the /slo refresh block shows the breaker non-closed",
-        ));
-    }
+    // Break every manifest read: refresh now fails each tick until the
+    // breaker trips.
+    disk.arm(&FaultSpec {
+        manifest_read_errors: 1_000_000,
+        ..FaultSpec::default()
+    });
+    checks.push(check(
+        "breaker_trips",
+        poll(400, 5, || has(body_of(addr, "/healthz"), "degraded", true)),
+        "consecutive refresh failures trip the breaker; healthz reports degraded",
+    ));
+    checks.push(check(
+        "stale_served",
+        status_of(addr, "/healthz") == 200 && found(addr, 101),
+        "the last good generation keeps serving through the tripped breaker",
+    ));
+    let slo = body_of(addr, "/slo");
+    checks.push(check(
+        "slo_reports_breaker",
+        has(&slo, "breaker", "open") || has(&slo, "breaker", "half_open"),
+        "the /slo refresh block shows the breaker non-closed",
+    ));
+    disk.arm(&FaultSpec::default());
     checks.push(check(
         "breaker_recovers",
         poll(400, 5, || !body_of(addr, "/healthz").contains("degraded")),
@@ -484,26 +478,23 @@ fn corruption_checks(scratch: &Path, scope: &str) -> io::Result<Vec<ChaosCheck>>
     // committed prefix and keep serving it. The fault is armed before
     // the commit so the daemon cannot decode the segment in the window
     // before the on-disk truncation below lands.
-    {
-        let _guard = DisarmGuard;
-        scanstore::faults::arm(&FaultSpec {
-            scope: scope.to_string(),
-            segment_corruptions: 1_000_000,
-            ..FaultSpec::default()
-        });
-        commit_ip(&mut writer, "chaos-c", 103, 9_000_003)?;
-        let rolled = poll(400, 5, || {
-            counter_value("scanstore.view.rollbacks") > rollbacks_before
-        });
-        let newest = newest_segment(&campaign)?;
-        let len = std::fs::metadata(&newest)?.len();
-        truncate_file(&newest, len / 2)?;
-        checks.push(check(
-            "rollback_ticks",
-            rolled,
-            "a torn tail rolls the view back and ticks scanstore.view.rollbacks",
-        ));
-    }
+    disk.arm(&FaultSpec {
+        segment_corruptions: 1_000_000,
+        ..FaultSpec::default()
+    });
+    commit_ip(&mut writer, "chaos-c", 103, 9_000_003)?;
+    let rolled = poll(400, 5, || {
+        counter_value("scanstore.view.rollbacks") > rollbacks_before
+    });
+    let newest = newest_segment(&campaign)?;
+    let len = std::fs::metadata(&newest)?.len();
+    truncate_file(&newest, len / 2)?;
+    checks.push(check(
+        "rollback_ticks",
+        rolled,
+        "a torn tail rolls the view back and ticks scanstore.view.rollbacks",
+    ));
+    disk.arm(&FaultSpec::default());
     checks.push(check(
         "stale_prefix_served",
         found(addr, 102) && !found(addr, 103),
@@ -518,22 +509,18 @@ fn corruption_checks(scratch: &Path, scope: &str) -> io::Result<Vec<ChaosCheck>>
 
     // Disk full: the writer's commit fails cleanly and the serving
     // path never notices.
-    {
-        let _guard = DisarmGuard;
-        scanstore::faults::arm(&FaultSpec {
-            scope: scope.to_string(),
-            write_enospc: 1_000_000,
-            ..FaultSpec::default()
-        });
-        let err = commit_ip(&mut writer, "chaos-d", 104, 9_000_004);
-        checks.push(check(
-            "diskfull_graceful",
-            err.is_err()
-                && err.unwrap_err().to_string().contains("injected fault")
-                && status_of(addr, "/healthz") == 200,
-            "a disk-full commit errors out without breaking the daemon",
-        ));
-    }
+    disk.arm(&FaultSpec {
+        write_enospc: 1_000_000,
+        ..FaultSpec::default()
+    });
+    let err = commit_ip(&mut writer, "chaos-d", 104, 9_000_004);
+    checks.push(check(
+        "diskfull_graceful",
+        err.is_err()
+            && err.unwrap_err().to_string().contains("injected fault")
+            && status_of(addr, "/healthz") == 200,
+        "a disk-full commit errors out without breaking the daemon",
+    ));
 
     let summary = server.stop()?;
     checks.push(check(

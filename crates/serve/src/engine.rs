@@ -17,11 +17,12 @@ use crate::admission::{deadline_response, Deadline};
 use crate::http::{json_body, Response};
 use crate::obs::{Labeled, ENDPOINTS};
 use scanstore::view::IndexEntry;
-use scanstore::{flags, SnapshotSource, StoreView};
+use scanstore::{flags, Disk, SnapshotSource, StdDisk, StoreView};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use telemetry::json::{self, Text};
 use telemetry::Span;
 
@@ -35,6 +36,7 @@ fn probe(campaign: &str) -> Span {
 /// An immutable, shareable set of campaign views.
 #[derive(Debug)]
 pub struct QueryEngine {
+    disk: Arc<dyn Disk>,
     root: PathBuf,
     views: BTreeMap<String, StoreView>,
     /// [`QueryEngine::generation_tag`], rendered once per engine.
@@ -49,16 +51,20 @@ impl QueryEngine {
     /// be a PR 3 bundle store (`<root>/<campaign>/manifest.json`) or a
     /// single store directory.
     pub fn open(root: impl AsRef<Path>) -> io::Result<QueryEngine> {
+        QueryEngine::open_on(Arc::new(StdDisk), root)
+    }
+
+    /// [`QueryEngine::open`] through `disk`, which every refresh reads
+    /// through too.
+    pub fn open_on(disk: Arc<dyn Disk>, root: impl AsRef<Path>) -> io::Result<QueryEngine> {
         let root = root.as_ref().to_path_buf();
-        if !root.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("store directory {} does not exist", root.display()),
-            ));
-        }
+        let dirs = scanstore::campaign_dirs(&*disk, &root).map_err(|_| {
+            let message = format!("store directory {} does not exist", root.display());
+            io::Error::new(io::ErrorKind::NotFound, message)
+        })?;
         let mut views = BTreeMap::new();
-        for (name, dir) in scanstore::campaign_dirs(&root)? {
-            views.insert(name, StoreView::open(&dir)?);
+        for (name, dir) in dirs {
+            views.insert(name, StoreView::open_on(Arc::clone(&disk), &dir)?);
         }
         if views.is_empty() {
             return Err(io::Error::new(
@@ -70,10 +76,10 @@ impl QueryEngine {
                 ),
             ));
         }
-        Ok(QueryEngine::over(root, views))
+        Ok(QueryEngine::over(disk, root, views))
     }
 
-    fn over(root: PathBuf, views: BTreeMap<String, StoreView>) -> QueryEngine {
+    fn over(disk: Arc<dyn Disk>, root: PathBuf, views: BTreeMap<String, StoreView>) -> QueryEngine {
         let tag = views
             .iter()
             .map(|(name, view)| format!("{name}:{}", view.generation()))
@@ -82,6 +88,7 @@ impl QueryEngine {
         // What the router resolves a request to, or `unknown`.
         let families = [&ENDPOINTS[..], &["unknown"]].concat();
         QueryEngine {
+            disk,
             root,
             views,
             tag,
@@ -103,13 +110,14 @@ impl QueryEngine {
             changed |= !next.same_segments(view);
             views.insert(name.clone(), next);
         }
-        for (name, dir) in scanstore::campaign_dirs(&self.root)? {
+        for (name, dir) in scanstore::campaign_dirs(&*self.disk, &self.root)? {
             if let std::collections::btree_map::Entry::Vacant(slot) = views.entry(name) {
-                slot.insert(StoreView::open(&dir)?);
+                slot.insert(StoreView::open_on(Arc::clone(&self.disk), &dir)?);
                 changed = true;
             }
         }
-        Ok((QueryEngine::over(self.root.clone(), views), changed))
+        let disk = Arc::clone(&self.disk);
+        Ok((QueryEngine::over(disk, self.root.clone(), views), changed))
     }
 
     /// A compact tag identifying the engine's store generations, e.g.

@@ -28,6 +28,7 @@ use crate::http::{
 };
 use crate::obs::{endpoint_of, Labeled, ServeObs};
 use crate::signal;
+use scanstore::{Disk, StdDisk};
 use std::io::{self, ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -46,9 +47,12 @@ const MAX_HEAD_BYTES: usize = 8 * 1024;
 pub struct ServeOptions {
     /// Store root: a bundle directory of campaigns or a single store.
     pub store: PathBuf,
+    /// What the store is read through: the real disk, or a fault
+    /// injector the chaos harness shares with its writer.
+    pub disk: Arc<dyn Disk>,
     /// Bind address; port 0 picks a free port.
     pub addr: String,
-    /// Response-cache capacity in entries; 0 disables caching.
+    /// Response-cache capacity in entries; at least 1.
     pub cache_cap: usize,
     /// Manifest re-check interval; 0 disables background refresh.
     pub refresh_ms: u64,
@@ -71,6 +75,7 @@ impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
             store: PathBuf::from("store"),
+            disk: Arc::new(StdDisk),
             addr: "127.0.0.1:0".to_string(),
             cache_cap: 256,
             refresh_ms: 1_000,
@@ -102,8 +107,9 @@ struct ServerState {
     obs: ServeObs,
     admission: Admission,
     breaker: Mutex<RefreshBreaker>,
-    /// Store root, for the live `/admin/scrub` integrity pass.
+    /// Store root and disk, for the live `/admin/scrub` integrity pass.
     store: PathBuf,
+    disk: Arc<dyn Disk>,
     /// The bound socket; idle workers block in its `accept`.
     listener: TcpListener,
     /// How long one connection may take, read to write.
@@ -146,14 +152,10 @@ impl ServerState {
 /// Opens the store, binds and assembles shared state: the single
 /// place the options that shape it are interpreted.
 fn build_state(opts: &ServeOptions) -> io::Result<Arc<ServerState>> {
-    let engine = QueryEngine::open(&opts.store)?;
+    let engine = QueryEngine::open_on(Arc::clone(&opts.disk), &opts.store)?;
     let listener = TcpListener::bind(opts.addr.as_str())
         .map_err(|e| io::Error::new(e.kind(), format!("cannot bind {}: {e}", opts.addr)))?;
-    let cache = if opts.cache_cap == 0 {
-        LruCache::disabled()
-    } else {
-        LruCache::new(opts.cache_cap).map_err(io::Error::other)?
-    };
+    let cache = LruCache::new(opts.cache_cap).map_err(io::Error::other)?;
     Ok(Arc::new(ServerState {
         engine: RwLock::new(Arc::new(engine)),
         cache: Mutex::new(cache),
@@ -161,6 +163,7 @@ fn build_state(opts: &ServeOptions) -> io::Result<Arc<ServerState>> {
         admission: Admission::new(opts.admission.clone()),
         breaker: Mutex::new(RefreshBreaker::new(opts.breaker.clone())),
         store: opts.store.clone(),
+        disk: Arc::clone(&opts.disk),
         listener,
         conn_timeout: Duration::from_millis(opts.conn_timeout_ms.max(1)),
         inflight: AtomicUsize::new(0),
@@ -506,7 +509,7 @@ fn degraded_healthz(state: &ServerState) -> Response {
 /// `/admin/scrub`: a live integrity pass (CRC + manifest cross-check)
 /// over the store the daemon is serving from.
 fn scrub_response(state: &ServerState) -> Response {
-    match scanstore::scrub_root(&state.store) {
+    match scanstore::scrub_root(&*state.disk, &state.store) {
         Ok(reports) => {
             let body = crate::http::json_body(256, |o| {
                 o.field("query", "scrub");
@@ -566,11 +569,7 @@ fn answer(
     let key = format!("{tag}|{target}");
     let hit = {
         let mut span = telemetry::span("cache", 0);
-        let mut cache = state.cache();
-        let hit = cache
-            .is_enabled()
-            .then(|| cache.get(&key, endpoint))
-            .flatten();
+        let hit = state.cache().get(&key, endpoint);
         span.attr("detail", if hit.is_some() { "hit" } else { "miss" });
         hit
     };
@@ -578,10 +577,7 @@ fn answer(
         let response = engine.handle_with(target, deadline);
         let wire = Arc::new(response.to_wire());
         if response.cacheable {
-            let mut cache = state.cache();
-            if cache.is_enabled() {
-                cache.put(key, endpoint, Arc::clone(&wire));
-            }
+            state.cache().put(key, endpoint, Arc::clone(&wire));
         }
         wire
     });

@@ -9,6 +9,7 @@
 mod common;
 
 use common::{seed_store, TempDir};
+use scanstore::{FaultSpec, Faulty};
 use serve::chaos::ChaosCheck;
 use serve::http::Response;
 use serve::{
@@ -17,6 +18,7 @@ use serve::{
 };
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 use telemetry::{RequestTrace, SloSpec};
 
@@ -306,6 +308,7 @@ fn get(addr: SocketAddr, target: &str) -> String {
 fn live_scrub_and_degraded_healthz_are_pinned() {
     let tmp = TempDir::new("live");
     seed_store(&tmp.0);
+    let faulty = Arc::new(Faulty::default());
     let server = RunningServer::start(&ServeOptions {
         store: tmp.0.clone(),
         refresh_ms: 5,
@@ -314,6 +317,7 @@ fn live_scrub_and_degraded_healthz_are_pinned() {
         breaker: BreakerOptions {
             max_backoff_ticks: 100_000,
         },
+        disk: faulty.clone(),
         ..ServeOptions::default()
     })
     .unwrap();
@@ -321,10 +325,9 @@ fn live_scrub_and_degraded_healthz_are_pinned() {
     let mut pins = Pins::default();
     pins.check("scrub", &get(addr, "/admin/scrub"), "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 409\r\nConnection: close\r\n\r\n{\"query\":\"scrub\",\"healthy\":true,\"campaigns\":{\"banner\":{\"healthy\":true,\"manifest_ok\":true,\"committed\":1,\"segments\":[{\"seq\":0,\"file\":\"seg-00000.gws\",\"verdict\":\"ok\"}],\"orphans\":[]},\"weekly\":{\"healthy\":true,\"manifest_ok\":true,\"committed\":3,\"segments\":[{\"seq\":0,\"file\":\"seg-00000.gws\",\"verdict\":\"ok\"},{\"seq\":1,\"file\":\"seg-00001.gws\",\"verdict\":\"ok\"},{\"seq\":2,\"file\":\"seg-00002.gws\",\"verdict\":\"ok\"}],\"orphans\":[]}}}\n");
 
-    scanstore::faults::arm(&scanstore::FaultSpec {
-        scope: tmp.0.to_string_lossy().into_owned(),
+    faulty.arm(&FaultSpec {
         manifest_read_errors: 1_000_000,
-        ..scanstore::FaultSpec::default()
+        ..FaultSpec::default()
     });
     let mut degraded = String::new();
     for _ in 0..400 {
@@ -334,7 +337,7 @@ fn live_scrub_and_degraded_healthz_are_pinned() {
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    scanstore::faults::disarm();
+    faulty.arm(&FaultSpec::default());
     pins.check("degraded healthz", &degraded, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 79\r\nConnection: close\r\n\r\n{\"ok\":true,\"degraded\":true,\"breaker\":\"open\",\"generations\":\"banner:1,weekly:3\"}\n");
     server.stop().unwrap();
     pins.finish();

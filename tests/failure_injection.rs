@@ -6,14 +6,19 @@
 //! probability `(1-p)²` and the observed fleet shrinks accordingly.
 
 use goingwild::{
-    collect_bundle, run_analysis, AnalysisOptions, BundleOptions, CampaignKind, WorldConfig,
+    collect_bundle, collect_bundle_on, run_analysis, AnalysisOptions, BundleOptions, CampaignKind,
+    WorldConfig,
 };
 use netsim::{FaultEvent, FaultPlan, SimTime};
 use scanner::{
     chaos_scan, enumerate, probe_alive_with_policy, ChaosObservation, Coverage, ProbePolicy,
 };
-use scanstore::FaultSpec;
+use scanstore::{Disk, StdDisk};
+use std::io;
 use std::net::Ipv4Addr;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use worldgen::{build_world, World};
 
 const SEED: u64 = 20151028;
@@ -226,6 +231,44 @@ fn coverage_fraction_reflects_gave_up_but_not_unreachable() {
     assert!(cov.space, "absorbing a space row marks the aggregate");
 }
 
+/// The real disk, but the first write to a path that starts with
+/// `target` fails as if the disk were full.
+#[derive(Debug)]
+struct FullOnce {
+    target: PathBuf,
+    fired: AtomicBool,
+}
+
+impl Disk for FullOnce {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        StdDisk.read(path)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let hit = path
+            .to_string_lossy()
+            .starts_with(&*self.target.to_string_lossy());
+        if hit && !self.fired.swap(true, Ordering::SeqCst) {
+            return Err(io::Error::other("injected fault: disk full"));
+        }
+        StdDisk.write(path, bytes)
+    }
+    fn sync(&self, path: &Path) -> io::Result<()> {
+        StdDisk.sync(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        StdDisk.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        StdDisk.remove(path)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        StdDisk.list(dir)
+    }
+    fn create_dir(&self, dir: &Path) -> io::Result<()> {
+        StdDisk.create_dir(dir)
+    }
+}
+
 /// The disk fills while the snooping campaign writes its sixth segment.
 /// The campaign is all-or-nothing and commits as one group, so the
 /// failed burst leaves nothing committed; `collect_bundle` reopens the
@@ -262,13 +305,11 @@ fn snoop_retry_after_a_failed_write_leaves_a_well_formed_store() {
             .get()
     };
 
-    scanstore::faults::arm(&FaultSpec {
-        scope: dir.join("snoop/seg-00005").to_string_lossy().into_owned(),
-        write_enospc: 1,
-        ..FaultSpec::default()
+    let disk: Arc<dyn Disk> = Arc::new(FullOnce {
+        target: dir.join("snoop/seg-00005"),
+        fired: AtomicBool::new(false),
     });
-    let collected = collect_bundle(&opts, &kinds, Some(&dir));
-    scanstore::faults::disarm();
+    let collected = collect_bundle_on(&opts, &kinds, Some((&disk, &dir)));
     let bundle = collected.expect("the retry succeeds");
     assert_eq!(retried(), 1, "one retry");
     assert_eq!(runs(), 1, "one campaign run, retried inside");
@@ -291,7 +332,7 @@ fn snoop_retry_after_a_failed_write_leaves_a_well_formed_store() {
         again.source(CampaignKind::Snoop).unwrap().snapshot_count(),
         1 + 4 * tlds
     );
-    for (name, report) in scanstore::scrub_root(&dir).unwrap() {
+    for (name, report) in scanstore::scrub_root(&StdDisk, &dir).unwrap() {
         assert!(report.healthy(), "{name}: {report:?}");
         assert!(report.orphans.is_empty(), "{name}: {:?}", report.orphans);
     }
